@@ -7,6 +7,12 @@ Adam optimizer, all in numpy with explicit seeding.  Networks are built
 with :class:`MLP` and trained with :meth:`MLP.train_batch`; weights can
 be exported/imported as plain dicts of arrays for checkpointing the
 offline-trained agents.
+
+An :class:`MLP` keeps all of its parameters in one contiguous vector:
+each layer's ``weight`` and ``bias`` are reshaped views into it, and
+backprop writes the gradients into a matching flat buffer, so one Adam
+step is a handful of elementwise operations over one array.  The
+arithmetic per element is the same as stepping each array on its own.
 """
 
 from __future__ import annotations
@@ -67,6 +73,13 @@ ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.nd
 }
 
 
+def _as_batch(a: np.ndarray) -> np.ndarray:
+    """``np.atleast_2d`` of the input as float64, without its call
+    overhead on the usual 2-D input."""
+    a = np.asarray(a, dtype=np.float64)
+    return a if a.ndim == 2 else np.atleast_2d(a)
+
+
 class Dense:
     """One fully connected layer with He/Xavier initialisation."""
 
@@ -99,13 +112,24 @@ class Dense:
         self._z = x @ self.weight + self.bias
         return self._act(self._z)
 
-    def backward(self, grad_out: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Given dL/d(output), return (dL/d(input), dL/dW, dL/db)."""
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        dw: np.ndarray | None = None,
+        db: np.ndarray | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Given dL/d(output), return (dL/d(input), dL/dW, dL/db).
+
+        ``dw``/``db``, when given, receive the parameter gradients in
+        place (:class:`MLP` passes views into its flat gradient buffer).
+        """
         if self._x is None or self._z is None:
             raise RuntimeError("backward called before forward")
-        dz = grad_out * self._act_grad(self._z)
-        dw = self._x.T @ dz
-        db = dz.sum(axis=0)
+        # The linear derivative is all ones: skipping the multiply by it
+        # gives the same bits.
+        dz = grad_out if self._act is _linear else grad_out * self._act_grad(self._z)
+        dw = np.matmul(self._x.T, dz, out=dw)
+        db = np.add.reduce(dz, axis=0, out=db)
         dx = dz @ self.weight.T
         return dx, dw, db
 
@@ -115,11 +139,11 @@ class Dense:
 
 
 class Adam:
-    """Adam optimizer over a flat list of parameter arrays."""
+    """Adam optimizer over one flat parameter vector, updated in place."""
 
     def __init__(
         self,
-        parameters: Sequence[np.ndarray],
+        parameters: np.ndarray,
         learning_rate: float = 1e-3,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -127,25 +151,29 @@ class Adam:
     ):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
-        self.parameters = list(parameters)
+        if not isinstance(parameters, np.ndarray) or parameters.ndim != 1:
+            raise ValueError("parameters must be one flat array")
+        self.parameters = parameters
         self.learning_rate = learning_rate
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
-        self._m = [np.zeros_like(p) for p in self.parameters]
-        self._v = [np.zeros_like(p) for p in self.parameters]
+        self._m = np.zeros_like(parameters)
+        self._v = np.zeros_like(parameters)
         self._t = 0
 
-    def step(self, gradients: Sequence[np.ndarray]) -> None:
-        if len(gradients) != len(self.parameters):
-            raise ValueError("gradient count does not match parameter count")
+    def step(self, gradient: np.ndarray) -> None:
+        if gradient.shape != self.parameters.shape:
+            raise ValueError(
+                f"gradient shape {gradient.shape} != parameter shape {self.parameters.shape}"
+            )
         self._t += 1
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
-        for p, g, m, v in zip(self.parameters, gradients, self._m, self._v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * gradient
+        v *= self.beta2
+        v += (1.0 - self.beta2) * gradient * gradient
+        self.parameters -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
 
 
 class MLP:
@@ -180,13 +208,42 @@ class MLP:
         for i, (a, b) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
             act = output_activation if i == len(layer_sizes) - 2 else hidden_activation
             self.layers.append(Dense(a, b, act, rng))
-        params = [p for layer in self.layers for p in layer.parameters]
-        self.optimizer = Adam(params, learning_rate=learning_rate)
+        # One flat parameter vector and a matching gradient buffer; the
+        # layers' arrays become views into them (see ``_bind_views``).
+        self._params = np.concatenate(
+            [p.ravel() for layer in self.layers for p in layer.parameters]
+        )
+        self._grads = np.zeros_like(self._params)
+        self._bind_views()
+        self.optimizer = Adam(self._params, learning_rate=learning_rate)
         #: Telemetry from the most recent :meth:`train_batch` call, read
         #: by the guardrail monitors (pure observers -- recording them
-        #: changes nothing about training).
+        #: changes nothing about training); see also
+        #: :attr:`last_grad_norm`.
         self.last_loss: float | None = None
-        self.last_grad_norm: float | None = None
+
+    def _bind_views(self) -> None:
+        """Make every layer's ``weight``/``bias`` a view of its slice of
+        the flat parameter vector, and build the matching gradient views.
+        The layout is ``w0, b0, w1, b1, ...``."""
+        self._grad_views: list[tuple[np.ndarray, np.ndarray]] = []
+        offset = 0
+        for layer in self.layers:
+            grads = []
+            for name in ("weight", "bias"):
+                shape = getattr(layer, name).shape
+                segment = slice(offset, offset + int(np.prod(shape)))
+                setattr(layer, name, self._params[segment].reshape(shape))
+                grads.append(self._grads[segment].reshape(shape))
+                offset = segment.stop
+            self._grad_views.append((grads[0], grads[1]))
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickle and deepcopy turn the layers' views into detached
+        # copies; point them back into the (restored) flat vectors so
+        # the optimizer and the forward pass share the same weights.
+        self.__dict__.update(state)
+        self._bind_views()
 
     # -- inference -----------------------------------------------------------
 
@@ -212,8 +269,8 @@ class MLP:
         ``y`` may contain NaN entries to mask outputs (used for Q-learning
         where only the taken action's value has a target).
         """
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        x = _as_batch(x)
+        y = _as_batch(y)
         with maybe_span("nn.forward"):
             pred = x
             for layer in self.layers:
@@ -221,23 +278,26 @@ class MLP:
         if pred.shape != y.shape:
             raise ValueError(f"target shape {y.shape} != prediction shape {pred.shape}")
         mask = ~np.isnan(y)
-        n = max(1, int(mask.sum()))
+        n = max(1, np.count_nonzero(mask))
         diff = np.where(mask, pred - y, 0.0)
         loss = float((diff**2).sum() / n)
         grad = 2.0 * diff / n
         with maybe_span("nn.backward"):
-            grads: list[np.ndarray] = []
-            for layer in reversed(self.layers):
-                grad, dw, db = layer.backward(grad)
-                grads.append(db)
-                grads.append(dw)
-            grads.reverse()
-            self.optimizer.step(grads)
+            for layer, (dw, db) in zip(reversed(self.layers), reversed(self._grad_views)):
+                grad, _, _ = layer.backward(grad, dw, db)
+            self.optimizer.step(self._grads)
         self.last_loss = loss
-        self.last_grad_norm = float(
-            np.sqrt(sum(float((g * g).sum()) for g in grads))
-        )
         return loss
+
+    @property
+    def last_grad_norm(self) -> float | None:
+        """L2 norm of the gradient of the most recent :meth:`train_batch`
+        call (``None`` before the first), computed when read from the
+        gradient buffer that call filled."""
+        if self.last_loss is None:
+            return None
+        squares = (float((g * g).sum()) for grads in self._grad_views for g in grads)
+        return float(np.sqrt(sum(squares)))
 
     def fit(
         self,
@@ -250,8 +310,8 @@ class MLP:
         """Minibatch training; returns per-epoch mean loss."""
         if epochs < 1 or batch_size < 1:
             raise ValueError("epochs and batch_size must be positive")
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        y = np.atleast_2d(np.asarray(y, dtype=np.float64))
+        x = _as_batch(x)
+        y = _as_batch(y)
         n = x.shape[0]
         losses: list[float] = []
         for _ in range(epochs):

@@ -95,10 +95,11 @@ class QLearningAgent:
     # -- learning --------------------------------------------------------------
 
     def observe(self, transition: Transition) -> None:
-        if transition.state.shape != (self.config.state_dim,):
-            raise ValueError(
-                f"state shape {transition.state.shape} != ({self.config.state_dim},)"
-            )
+        expected = (self.config.state_dim,)
+        for name in ("state", "next_state"):
+            shape = np.shape(getattr(transition, name))
+            if shape != expected:
+                raise ValueError(f"{name} shape {shape} != {expected}")
         self.replay.push(transition)
 
     def observe_batch(
@@ -112,9 +113,10 @@ class QLearningAgent:
         """Push a batch of transitions given as parallel arrays."""
         states = np.atleast_2d(np.asarray(states, dtype=float))
         next_states = np.atleast_2d(np.asarray(next_states, dtype=float))
-        if states.shape[1] != self.config.state_dim:
+        if states.shape[1] != self.config.state_dim or next_states.shape != states.shape:
             raise ValueError(
-                f"state dim {states.shape[1]} != ({self.config.state_dim},)"
+                f"state shapes {states.shape}/{next_states.shape} != "
+                f"({states.shape[0]}, {self.config.state_dim})"
             )
         actions = np.broadcast_to(actions, (states.shape[0],))
         rewards = np.broadcast_to(rewards, (states.shape[0],))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -31,30 +31,99 @@ class Transition:
 
 
 class ReplayBuffer:
-    """Bounded FIFO store with uniform minibatch sampling."""
+    """Bounded FIFO store with uniform minibatch sampling.
+
+    Transitions live in numpy ring arrays, one per field, so a minibatch
+    is one fancy index per field.  The arrays start small and double on
+    demand up to ``capacity``; once full, each push overwrites the
+    oldest transition.  Sample index ``i`` always means the ``i``-th
+    oldest transition, as in a ``deque(maxlen=capacity)``.
+    """
+
+    #: Rows allocated by the first push (fewer if ``capacity`` is smaller).
+    _INITIAL_ROWS = 64
 
     def __init__(self, capacity: int = 4096):
         if capacity < 1:
             raise ValueError("capacity must be positive")
-        self._buf: deque[Transition] = deque(maxlen=capacity)
+        self.capacity = capacity
+        self.clear()
 
     def __len__(self) -> int:
-        return len(self._buf)
+        return self._size
+
+    def __iter__(self) -> Iterator[Transition]:
+        """The stored transitions, oldest first."""
+        for i in range(self._size):
+            yield self._transition((self._head + i) % self.capacity)
 
     def push(self, transition: Transition) -> None:
-        self._buf.append(transition)
+        state = np.asarray(transition.state, dtype=float)
+        next_state = np.asarray(transition.next_state, dtype=float)
+        if self._states is None:
+            self._allocate(min(self.capacity, self._INITIAL_ROWS), state.shape)
+        shape = self._states.shape[1:]
+        if state.shape != shape or next_state.shape != shape:
+            raise ValueError(
+                f"transition shapes {state.shape}/{next_state.shape} != buffer's {shape}"
+            )
+        if self._size < self.capacity:
+            if self._size == self._states.shape[0]:
+                self._allocate(min(self.capacity, 2 * self._size), shape)
+            row = self._size
+            self._size += 1
+        else:
+            row = self._head
+            self._head = row + 1 if row + 1 < self.capacity else 0
+        self._states[row] = state
+        self._actions[row] = transition.action
+        self._rewards[row] = transition.reward
+        self._next_states[row] = next_state
+        self._dones[row] = transition.done
+
+    def _allocate(self, rows: int, shape: tuple[int, ...]) -> None:
+        """(Re)allocate the ring arrays with ``rows`` rows, keeping the
+        stored transitions (only called before the buffer is full, so
+        they occupy rows ``0 .. len - 1`` in order)."""
+
+        def grown(old: np.ndarray | None, dtype: type, row: tuple[int, ...] = ()) -> np.ndarray:
+            new = np.empty((rows, *row), dtype=dtype)
+            if old is not None:
+                new[: self._size] = old[: self._size]
+            return new
+
+        self._states = grown(self._states, float, shape)
+        self._actions = grown(self._actions, np.int64)
+        self._rewards = grown(self._rewards, float)
+        self._next_states = grown(self._next_states, float, shape)
+        self._dones = grown(self._dones, bool)
 
     def extend(self, transitions: Iterable[Transition]) -> None:
         for t in transitions:
             self.push(t)
 
-    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+    def _sample_rows(self, batch_size: int, rng: np.random.Generator) -> np.ndarray:
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        if not self._buf:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(len(self._buf), size=min(batch_size, len(self._buf)))
-        return [self._buf[int(i)] for i in idx]
+        idx = rng.integers(self._size, size=min(batch_size, self._size))
+        if self._head:
+            idx += self._head
+            idx[idx >= self._size] -= self._size
+        return idx
+
+    def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
+        return [self._transition(r) for r in self._sample_rows(batch_size, rng)]
+
+    def _transition(self, row: int) -> Transition:
+        return Transition(
+            state=self._states[row].copy(),
+            action=int(self._actions[row]),
+            reward=float(self._rewards[row]),
+            next_state=self._next_states[row].copy(),
+            done=bool(self._dones[row]),
+        )
 
     def sample_arrays(
         self, batch_size: int, rng: np.random.Generator
@@ -63,20 +132,29 @@ class ReplayBuffer:
         rewards, next_states, dones)``.
 
         Consumes the RNG exactly like :meth:`sample` (one ``integers``
-        draw of the same size), so swapping one for the other leaves
-        every downstream random stream untouched.
+        draw of the same size) and picks the same transitions, so
+        swapping one for the other leaves every downstream random stream
+        untouched.
         """
-        batch = self.sample(batch_size, rng)
+        rows = self._sample_rows(batch_size, rng)
         return (
-            np.stack([t.state for t in batch]),
-            np.array([t.action for t in batch]),
-            np.array([t.reward for t in batch]),
-            np.stack([t.next_state for t in batch]),
-            np.array([t.done for t in batch]),
+            self._states[rows],
+            self._actions[rows],
+            self._rewards[rows],
+            self._next_states[rows],
+            self._dones[rows],
         )
 
     def clear(self) -> None:
-        self._buf.clear()
+        """Drop every transition (and the arrays holding them)."""
+        self._size = 0
+        #: Row of the oldest transition (non-zero only once full).
+        self._head = 0
+        self._states: np.ndarray | None = None
+        self._actions: np.ndarray | None = None
+        self._rewards: np.ndarray | None = None
+        self._next_states: np.ndarray | None = None
+        self._dones: np.ndarray | None = None
 
 
 @dataclass

@@ -1,5 +1,8 @@
 """Neural-network substrate: layers, backprop, Adam, checkpointing."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -134,15 +137,76 @@ def test_mlp_validation(rng):
 
 def test_adam_validation():
     with pytest.raises(ValueError):
-        Adam([np.zeros(2)], learning_rate=0)
-    opt = Adam([np.zeros(2)])
+        Adam(np.zeros(2), learning_rate=0)
     with pytest.raises(ValueError):
-        opt.step([np.zeros(2), np.zeros(2)])
+        Adam(np.zeros((2, 2)))
+    opt = Adam(np.zeros(2))
+    with pytest.raises(ValueError):
+        opt.step(np.zeros(4))
 
 
 def test_adam_descends_quadratic():
     w = np.array([5.0, -3.0])
-    opt = Adam([w], learning_rate=0.1)
+    opt = Adam(w, learning_rate=0.1)
     for _ in range(500):
-        opt.step([2 * w])  # grad of ||w||^2
+        opt.step(2 * w)  # grad of ||w||^2
     assert np.linalg.norm(w) < 0.1
+
+
+def test_flat_adam_matches_per_array_adam_bit_for_bit(rng):
+    """One step over the concatenated vector is the per-array update,
+    element for element."""
+    shapes = [(3, 5), (5,), (5, 2), (2,)]
+    arrays = [rng.normal(size=s) for s in shapes]
+    flat = np.concatenate([a.ravel() for a in arrays])
+    opt = Adam(flat, learning_rate=1e-2)
+    lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+    ms = [np.zeros_like(a) for a in arrays]
+    vs = [np.zeros_like(a) for a in arrays]
+    for t in range(1, 40):
+        grads = [rng.normal(size=s) for s in shapes]
+        opt.step(np.concatenate([g.ravel() for g in grads]))
+        b1t, b2t = 1.0 - b1**t, 1.0 - b2**t
+        for p, g, m, v in zip(arrays, grads, ms, vs):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            p -= lr * (m / b1t) / (np.sqrt(v / b2t) + eps)
+    expected = np.concatenate([a.ravel() for a in arrays])
+    assert flat.tobytes() == expected.tobytes()
+
+
+def test_layer_parameters_are_views_of_the_flat_vector(rng):
+    net = MLP([3, 5, 2], rng)
+    flat = net.optimizer.parameters
+    assert flat.ndim == 1
+    assert flat.size == sum(layer.weight.size + layer.bias.size for layer in net.layers)
+    for layer in net.layers:
+        assert np.shares_memory(layer.weight, flat)
+        assert np.shares_memory(layer.bias, flat)
+    # A train step moves the weights the forward pass reads.
+    x, y = rng.normal(size=(4, 3)), rng.normal(size=(4, 2))
+    before = net(x)
+    net.train_batch(x, y)
+    assert not np.array_equal(net(x), before)
+
+
+@pytest.mark.parametrize(
+    "clone", [lambda n: pickle.loads(pickle.dumps(n)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_mlp_copies_keep_training_their_own_live_weights(rng, clone):
+    net = MLP([3, 6, 2], rng)
+    x, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 2))
+    net.train_batch(x, y)
+    twin = clone(net)
+    for layer in twin.layers:
+        assert np.shares_memory(layer.weight, twin.optimizer.parameters)
+        assert np.shares_memory(layer.bias, twin.optimizer.parameters)
+        assert not np.shares_memory(layer.weight, net.optimizer.parameters)
+    for _ in range(3):
+        assert net.train_batch(x, y) == twin.train_batch(x, y)
+        assert net.last_grad_norm == twin.last_grad_norm
+    a, b = net.get_weights(), twin.get_weights()
+    assert all(a[k].tobytes() == b[k].tobytes() for k in a)
+    assert np.array_equal(net(x), twin(x))

@@ -46,6 +46,25 @@ def test_observe_validates_state_shape(rng):
         agent.observe(Transition(np.zeros(3), 0, 0.0, np.zeros(3), True))
 
 
+@pytest.mark.parametrize(
+    "next_state", [np.float64(0.5), np.zeros(1), np.zeros(3), np.zeros((1, 2))]
+)
+def test_observe_validates_next_state_shape(rng, next_state):
+    """A scalar or wrong-length next state must not broadcast into the
+    replay buffer."""
+    agent = make_agent(rng)
+    with pytest.raises(ValueError, match="next_state"):
+        agent.observe(Transition(np.zeros(2), 0, 0.0, next_state, True))
+    assert len(agent.replay) == 0
+
+
+def test_observe_batch_validates_next_state_shape(rng):
+    agent = make_agent(rng)
+    with pytest.raises(ValueError):
+        agent.observe_batch(np.zeros((3, 2)), 0, 0.0, np.zeros((3, 1)), False)
+    assert len(agent.replay) == 0
+
+
 def test_learns_a_contextual_rule(rng):
     """Reward action 1 when state[0] > 0.5, else action 0."""
     agent = make_agent(rng)
