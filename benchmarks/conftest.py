@@ -8,58 +8,17 @@ assertions, not statistical timing.  Run with::
     pytest benchmarks/ --benchmark-only -s
 
 ``-s`` shows each figure's table as the paper reports it.
-
-Two suite-wide options thread the offline fastpath through every
-figure experiment (results are bit-identical either way)::
-
-    pytest benchmarks/ --benchmark-only --exp-workers 4 \\
-        --exp-cache-dir /tmp/tunio-cache
-
-``--exp-workers N`` fans each figure's independent tuning runs onto a
-process pool; ``--exp-cache-dir DIR`` persists evaluated traces so
-repeat benchmark sessions start warm.
 """
-
-import inspect
 
 import pytest
 
-from repro.analysis.runner import ExperimentRunner
-
-
-def pytest_addoption(parser):
-    group = parser.getgroup("tunio experiments")
-    group.addoption(
-        "--exp-workers", type=int, default=None, metavar="N",
-        help="process-pool size for each figure's independent tuning "
-        "runs (default: serial; results are bit-identical)",
-    )
-    group.addoption(
-        "--exp-cache-dir", default=None, metavar="DIR",
-        help="persistent trace-cache directory shared by workers and "
-        "across benchmark sessions",
-    )
-
 
 @pytest.fixture
-def exp_runner(request) -> ExperimentRunner:
-    """The suite-wide experiment runner built from --exp-workers /
-    --exp-cache-dir."""
-    return ExperimentRunner(
-        workers=request.config.getoption("--exp-workers"),
-        cache_dir=request.config.getoption("--exp-cache-dir"),
-    )
-
-
-@pytest.fixture
-def run_once(benchmark, exp_runner):
+def run_once(benchmark):
     """Run an experiment once under the benchmark clock and return its
-    result object.  Experiments that accept a ``runner`` kwarg receive
-    the suite-wide :class:`ExperimentRunner` automatically."""
+    result object."""
 
     def runner(fn, *args, **kwargs):
-        if "runner" not in kwargs and "runner" in inspect.signature(fn).parameters:
-            kwargs["runner"] = exp_runner
         return benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
 
     return runner

@@ -94,71 +94,6 @@ def test_cached_evaluation_speed(benchmark, sim):
     assert benchmark.stats["median"] < fast_cold / 3
 
 
-def test_disk_cache_warm_vs_cold(tmp_path):
-    """Warm-starting from a populated ``--cache-dir`` must beat the cold
-    build by >= 5x on the workloads the disk cache targets: phase-heavy
-    campaigns where tracing, not replay, dominates.
-
-    A 64-phase synthetic campaign stands in for them.  Cold = key +
-    stack traversal + store; warm = key + packed-``.npz`` load.  Small
-    single-phase workloads trace so cheaply that disk I/O is a wash
-    there -- which is fine, the in-memory cache already covers them.
-    """
-    import shutil
-    import time
-
-    from repro.iostack import EvaluationCache
-    from repro.iostack.diskcache import DiskCacheBackend
-    from repro.iostack.phase import IOPhase
-    from repro.iostack.requests import MetadataStream, RequestStream
-    from repro.workloads.base import LoopGroup, Workload
-
-    def campaign(n_phases=64):
-        phases = []
-        for i in range(n_phases):
-            stream = RequestStream.uniform(
-                "write", 1024 * 1024, 64 * (i % 7 + 1), 64,
-                contiguity=0.8, interleave=0.4,
-            )
-            meta = MetadataStream(total_ops=8 * 64, n_procs=64)
-            phases.append(
-                IOPhase(
-                    name=f"dump{i}", compute_seconds=2.0, data=(stream,),
-                    metadata=meta, chunked=True, chunk_size=1024 * 1024,
-                    working_set_per_proc=8 * 1024 * 1024,
-                )
-            )
-        return Workload(
-            name="campaign", n_procs=64, n_nodes=2,
-            loops=(LoopGroup("loop", 1, tuple(phases)),),
-        )
-
-    workload = campaign()
-    sim = IOStackSimulator(cori(64), NoiseModel(seed=5))
-    configs = [StackConfiguration.default()] + [
-        StackConfiguration.random(np.random.default_rng(i)) for i in range(7)
-    ]
-    cache_dir = tmp_path / "traces"
-
-    def acquire_all():
-        cache = EvaluationCache(backend=DiskCacheBackend(cache_dir))
-        start = time.perf_counter()
-        for config in configs:
-            cache.get_trace(sim, workload, config)
-        return time.perf_counter() - start, cache.backend.stats()
-
-    cold = warm = float("inf")
-    for _ in range(3):  # best-of-3: scheduler noise out of the ratio
-        shutil.rmtree(cache_dir, ignore_errors=True)
-        elapsed, stats = acquire_all()
-        assert stats.stores == len(configs)
-        cold = min(cold, elapsed)
-        elapsed, stats = acquire_all()
-        assert stats.hits == len(configs) and stats.stores == 0
-        warm = min(warm, elapsed)
-    assert warm < cold / 5, f"warm {warm * 1e3:.1f}ms vs cold {cold * 1e3:.1f}ms"
-
-
 def test_batched_pretraining_speedup():
     """The vectorized early-stopper trainer must beat the per-sample
     loop by >= 3x on identical seeds (measured ~4.4x: matrix curve

@@ -1,8 +1,7 @@
 """Experiment harness: one runner per paper table/figure, shared
 experiment context (trained agents), and plain-text reporting."""
 
-from .context import ExperimentContext, install_context, make_context
-from .runner import ExperimentRunner, RunSpec
+from .context import ExperimentContext, make_context
 from .experiments import (
     fig01_search_space,
     fig02_log_curves,
@@ -23,9 +22,6 @@ from .reporting import (
 
 __all__ = [
     "ExperimentContext",
-    "ExperimentRunner",
-    "RunSpec",
-    "install_context",
     "make_context",
     "fig01_search_space",
     "fig02_log_curves",

@@ -2,16 +2,12 @@
 
 Usage::
 
-    tunio-experiments                     # every figure, serial
+    tunio-experiments                     # every figure
     tunio-experiments fig09 fig10         # a subset
-    tunio-experiments --workers 4 \\
-        --cache-dir ~/.cache/tunio fig11  # pooled runs, persistent traces
+    tunio-experiments --iterations 8      # smoke-sized budgets
 
-``--workers N`` (N >= 2) fans each figure's independent tuning runs out
-to a process pool; results are bit-identical to the serial default (the
-per-run seed/salt addressing is the same either way, see
-:mod:`repro.analysis.runner`).  ``--cache-dir`` attaches a persistent
-on-disk trace cache shared by workers and across invocations.
+Invalid arguments (an unknown figure, ``--iterations`` below 1, a
+negative ``--seed``) exit with code 2 before any agent training runs.
 """
 
 from __future__ import annotations
@@ -30,11 +26,10 @@ from .experiments import (
     fig11_pipeline,
     fig12_lifecycle,
 )
-from .runner import ExperimentRunner
 
 __all__ = ["main"]
 
-#: figure name -> (function, takes seed/iterations/runner kwargs)
+#: figure name -> (function, takes seed/iterations kwargs)
 _FIGURES: dict[str, tuple] = {
     "fig01": (fig01_search_space, False),
     "fig02": (fig02_log_curves, True),
@@ -45,20 +40,6 @@ _FIGURES: dict[str, tuple] = {
     "fig11": (fig11_pipeline, True),
     "fig12": (fig12_lifecycle, True),
 }
-
-
-def _workers_arg(text: str) -> int:
-    """``--workers`` value: a non-negative int (0/1 mean serial).
-    Negative values are an argparse error, i.e. exit code 2."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"workers must be >= 0 (got {value}); 0 or 1 run serially"
-        )
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,17 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--iterations", type=int, default=None, metavar="N",
         help="override each figure's iteration budget (smoke runs)",
-    )
-    parser.add_argument(
-        "--workers", type=_workers_arg, default=None, metavar="N",
-        help="process-pool size for a figure's independent tuning runs; "
-        "omitted, 0 or 1 run serially; results are bit-identical "
-        "either way",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persistent trace-cache directory shared by pool workers "
-        "and across invocations (default: no disk cache)",
     )
     parser.add_argument(
         "--list", action="store_true", help="list figure names and exit"
@@ -107,15 +77,17 @@ def main(argv: list[str] | None = None) -> int:
             f"unknown figure(s): {', '.join(unknown)} "
             f"(choose from {', '.join(_FIGURES)})"
         )
+    if args.iterations is not None and args.iterations < 1:
+        parser.error("--iterations must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
 
-    runner = ExperimentRunner(workers=args.workers, cache_dir=args.cache_dir)
     results: dict[str, object] = {}
     for name in selected:
         fn, parameterized = _FIGURES[name]
         kwargs: dict = {}
         if parameterized:
             kwargs["seed"] = args.seed
-            kwargs["runner"] = runner
             if args.iterations is not None and name != "fig12":
                 kwargs["iterations"] = args.iterations
         if name == "fig12" and "fig11" in results:

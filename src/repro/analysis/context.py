@@ -21,7 +21,7 @@ from repro.iostack.noise import NoiseModel
 from repro.iostack.simulator import IOStackSimulator
 from repro.workloads import flash, hacc, vpic
 
-__all__ = ["ExperimentContext", "install_context", "make_context"]
+__all__ = ["ExperimentContext", "make_context"]
 
 
 @dataclass
@@ -75,36 +75,14 @@ class ExperimentContext:
         return PerfNormalizer.for_platform(self.platform, n_nodes)
 
 
-#: Pre-trained contexts installed from outside (experiment pool workers
-#: receive the parent's context here so they never retrain the agents).
-_INSTALLED: dict[tuple[int, int], ExperimentContext] = {}
-
-
-def install_context(context: ExperimentContext) -> None:
-    """Register an already-trained context for its (seed, n_nodes).
-
-    :func:`make_context` consults this registry before training, so a
-    process that received a pickled context (an experiment pool worker,
-    see :mod:`repro.analysis.runner`) skips the multi-second offline
-    agent training and -- more importantly -- is guaranteed to use the
-    *same* trained weights as the parent, keeping parallel runs
-    bit-identical to serial ones.
-    """
-    _INSTALLED[(context.seed, context.platform.n_nodes)] = context
-
-
 def make_context(seed: int = 0, n_nodes: int = 4) -> ExperimentContext:
-    """The experiment context for a seed: installed, cached, or built.
+    """The experiment context for a seed, cached or built.
 
     Offline training follows the paper: sweep VPIC, FLASH and HACC
     kernels, PCA the results, pre-train the subset picker, train the
     early stopper on generated log curves.  Training is cached per
-    (seed, n_nodes) within the process; a context shipped in via
-    :func:`install_context` takes precedence.
+    (seed, n_nodes) within the process.
     """
-    installed = _INSTALLED.get((seed, n_nodes))
-    if installed is not None:
-        return installed
     return _build_context(seed, n_nodes)
 
 

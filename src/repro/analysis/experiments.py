@@ -9,22 +9,16 @@ Seeds: every runner takes a ``seed`` so results are reproducible; the
 shared offline-trained agents come from
 :func:`repro.analysis.context.make_context`.
 
-Parallel decomposition
-----------------------
-The GA-based figures accept an optional
-:class:`~repro.analysis.runner.ExperimentRunner`.  Each independent
-tuning run is expressed as a module-level job function (``_figNN_run``)
-addressed purely by ``(seed, salt, ...)`` primitives -- exactly the
-derivation the serial loop used -- so the runner can execute jobs
-in-process (the default) or on a process pool with bit-identical merged
-results.  Anything order-sensitive (Figure 11's shared ``eval_sim``
-noise stream, Figure 8's accuracy check against the tuned app config)
-stays in the merge step, which always runs serially in the parent.
-
-Each job builds its own :class:`~repro.iostack.evalcache.EvaluationCache`
-(runs never share in-memory state); cross-run trace reuse is provided by
-the persistent disk backend when the runner carries a ``cache_dir``,
-which works identically for serial and pooled execution.
+Run addressing
+--------------
+Each independent tuning run of a GA-based figure is a job function
+(``_figNN_run``) addressed purely by ``(seed, salt, ...)``: it derives
+its own simulator, RNG stream and
+:class:`~repro.iostack.evalcache.EvaluationCache` from that address, so
+nothing a run does can perturb a sibling.  The ``fig*`` functions call
+their jobs in a plain loop; anything order-sensitive (Figure 11's shared
+``eval_sim`` noise stream, Figure 8's accuracy check against the tuned
+app config) runs after the loop, in a fixed order.
 """
 
 from __future__ import annotations
@@ -57,7 +51,6 @@ from repro.workloads.sources import canonical_hints, load_source
 
 from .context import make_context
 from .reporting import ascii_chart, format_series, format_table
-from .runner import ExperimentRunner, RunSpec
 
 __all__ = [
     "fig01_search_space",
@@ -70,18 +63,9 @@ __all__ = [
     "fig12_lifecycle",
 ]
 
-#: Workload constructors addressable by name (jobs ship names, not
+#: Workload constructors addressable by name (jobs take names, not
 #: workload objects).
 _WORKLOADS = {"hacc": hacc, "flash": flash, "vpic": vpic, "bdcats": bdcats}
-
-
-def _make_cache(cache_dir: str | None) -> EvaluationCache:
-    """A fresh per-run evaluation cache, disk-backed when asked."""
-    if cache_dir is None:
-        return EvaluationCache()
-    from repro.iostack.diskcache import DiskCacheBackend
-
-    return EvaluationCache(backend=DiskCacheBackend(cache_dir))
 
 
 # ---------------------------------------------------------------------------
@@ -180,39 +164,23 @@ def _log_fit_r2(values: np.ndarray) -> float:
 
 
 def _fig02_run(
-    seed: int, salt: int, workload_name: str, iterations: int,
-    cache_dir: str | None = None,
+    seed: int, salt: int, workload_name: str, iterations: int
 ) -> TuningResult:
     """One Figure 2 tuning run, addressed by (seed, salt, workload)."""
     ctx = make_context(seed)
     workload = _WORKLOADS[workload_name]()
     sim = ctx.simulator_for(workload.n_nodes, salt=salt)
-    tuner = HSTuner(
-        sim, stopper=NoStop(), rng=ctx.rng(salt), cache=_make_cache(cache_dir)
-    )
+    tuner = HSTuner(sim, stopper=NoStop(), rng=ctx.rng(salt), cache=EvaluationCache())
     return tuner.tune(workload, max_iterations=iterations)
 
 
-def fig02_log_curves(
-    seed: int = 0, iterations: int = 50, runner: ExperimentRunner | None = None
-) -> LogCurvesResult:
+def fig02_log_curves(seed: int = 0, iterations: int = 50) -> LogCurvesResult:
     """Figure 2: tune HACC, FLASH and VPIC with plain HSTuner and show
     the logarithmic shape of the bandwidth-vs-iteration curves."""
-    runner = runner if runner is not None else ExperimentRunner()
-    ctx = make_context(seed)
-    names = ("hacc", "flash", "vpic")
-    specs = [
-        RunSpec(
-            _fig02_run,
-            dict(
-                seed=seed, salt=salt + 20, workload_name=name,
-                iterations=iterations, cache_dir=runner.cache_dir,
-            ),
-            label=f"fig02:{name}",
-        )
-        for salt, name in enumerate(names)
+    runs = [
+        _fig02_run(seed, salt + 20, name, iterations)
+        for salt, name in enumerate(("hacc", "flash", "vpic"))
     ]
-    runs = runner.map(specs, context=ctx)
     results: dict[str, TuningResult] = {}
     fits: dict[str, float] = {}
     for res in runs:
@@ -276,8 +244,8 @@ class DiscoveryRoTIResult:
 
 def _fig08_workload(kind: str) -> WorkloadLike:
     """The MACSio workload for one Figure 8 pipeline ('app', 'kernel'
-    or 'reduced'); discovery is deterministic, so rebuilding it inside a
-    pool worker yields the parent's workload exactly."""
+    or 'reduced'); discovery is deterministic, so every rebuild yields
+    the same workload."""
     source = load_source("macsio")
     hints = canonical_hints("macsio")
     if kind == "app":
@@ -290,28 +258,20 @@ def _fig08_workload(kind: str) -> WorkloadLike:
     ).to_workload()
 
 
-def _fig08_run(
-    seed: int, kind: str, n_nodes: int, iterations: int,
-    cache_dir: str | None = None,
-) -> TuningResult:
+def _fig08_run(seed: int, kind: str, n_nodes: int, iterations: int) -> TuningResult:
     """One Figure 8 pipeline run (same salt for all three: the GA
     trajectory is held constant so the figure isolates evaluation
     cost)."""
     ctx = make_context(seed)
     workload = _fig08_workload(kind)
     sim = ctx.simulator_for(n_nodes, salt=80)
-    tuner = HSTuner(
-        sim, stopper=NoStop(), rng=ctx.rng(80), cache=_make_cache(cache_dir)
-    )
+    tuner = HSTuner(sim, stopper=NoStop(), rng=ctx.rng(80), cache=EvaluationCache())
     return tuner.tune(workload, max_iterations=iterations)
 
 
-def fig08_discovery(
-    seed: int = 0, iterations: int = 40, runner: ExperimentRunner | None = None
-) -> DiscoveryRoTIResult:
+def fig08_discovery(seed: int = 0, iterations: int = 40) -> DiscoveryRoTIResult:
     """Figures 8(a)/(b): tune MACSio as the full application, as its I/O
     kernel, and as the 1%-loop-reduced kernel; compare RoTI curves."""
-    runner = runner if runner is not None else ExperimentRunner()
     ctx = make_context(seed)
     app = _fig08_workload("app")
     reduced_workload = _fig08_workload("reduced")
@@ -319,18 +279,10 @@ def fig08_discovery(
     # All three pipelines run the same GA trajectory (same seed and
     # noise), so the time difference is the evaluation-cost saving of the
     # kernel, not GA luck -- the quantity Figure 8 isolates.
-    specs = [
-        RunSpec(
-            _fig08_run,
-            dict(
-                seed=seed, kind=kind, n_nodes=app.n_nodes,
-                iterations=iterations, cache_dir=runner.cache_dir,
-            ),
-            label=f"fig08:{kind}",
-        )
+    app_res, kern_res, red_res = [
+        _fig08_run(seed, kind, app.n_nodes, iterations)
         for kind in ("app", "kernel", "reduced")
     ]
-    app_res, kern_res, red_res = runner.map(specs, context=ctx)
 
     # Reported-bandwidth accuracy of the reduced kernel: evaluate the same
     # (tuned) configuration on both and compare the measured perf.
@@ -452,10 +404,7 @@ class ImpactFirstResult:
         return "\n".join(lines)
 
 
-def _fig09_run(
-    seed: int, repeat: int, arm: str, iterations: int,
-    cache_dir: str | None = None,
-) -> TuningResult:
+def _fig09_run(seed: int, repeat: int, arm: str, iterations: int) -> TuningResult:
     """One Figure 9 arm: 'impact' (TunIO's Smart Configuration
     Generation, sim salt ``90 + 10r``) or 'baseline' (plain HSTuner, sim
     salt ``91 + 10r``); both arms of a repeat share the GA stream
@@ -469,7 +418,7 @@ def _fig09_run(
             smart_config=ctx.fresh_agents().smart_config,
             stopper=NoStop(),  # isolate the component: no early stopping
             rng=ctx.rng(90 + 10 * repeat),
-            cache=_make_cache(cache_dir),
+            cache=EvaluationCache(),
         )
     else:
         sim = ctx.simulator_for(workload.n_nodes, salt=91 + 10 * repeat)
@@ -477,14 +426,13 @@ def _fig09_run(
             sim,
             stopper=NoStop(),
             rng=ctx.rng(90 + 10 * repeat),
-            cache=_make_cache(cache_dir),
+            cache=EvaluationCache(),
         )
     return tuner.tune(workload, max_iterations=iterations)
 
 
 def fig09_impact_first(
-    seed: int = 0, iterations: int = 50, repeats: int = 3,
-    runner: ExperimentRunner | None = None,
+    seed: int = 0, iterations: int = 50, repeats: int = 3
 ) -> ImpactFirstResult:
     """Figure 9: attach Smart Configuration Generation to the pipeline
     for FLASH and compare against the pipeline without it.
@@ -493,22 +441,11 @@ def fig09_impact_first(
     reported iteration counts are medians and the plotted curves come
     from the median-ranked impact-first run.
     """
-    runner = runner if runner is not None else ExperimentRunner()
-    ctx = make_context(seed)
-
-    specs = [
-        RunSpec(
-            _fig09_run,
-            dict(
-                seed=seed, repeat=r, arm=arm, iterations=iterations,
-                cache_dir=runner.cache_dir,
-            ),
-            label=f"fig09:{arm}:{r}",
-        )
+    runs = [
+        _fig09_run(seed, r, arm, iterations)
         for r in range(repeats)
         for arm in ("impact", "baseline")
     ]
-    runs = runner.map(specs, context=ctx)
     impact_runs = runs[0::2]
     base_runs = runs[1::2]
 
@@ -590,32 +527,20 @@ class EarlyStoppingResult:
         )
 
 
-def _fig10_run(
-    seed: int, iterations: int, cache_dir: str | None = None
-) -> TuningResult:
+def _fig10_run(seed: int, iterations: int) -> TuningResult:
     """The single full-budget HACC run Figure 10 replays stoppers over."""
     ctx = make_context(seed)
     workload = hacc()
     sim = ctx.simulator_for(workload.n_nodes, salt=100)
-    tuner = HSTuner(
-        sim, stopper=NoStop(), rng=ctx.rng(100), cache=_make_cache(cache_dir)
-    )
+    tuner = HSTuner(sim, stopper=NoStop(), rng=ctx.rng(100), cache=EvaluationCache())
     return tuner.tune(workload, max_iterations=iterations)
 
 
-def fig10_early_stopping(
-    seed: int = 0, iterations: int = 50, runner: ExperimentRunner | None = None
-) -> EarlyStoppingResult:
+def fig10_early_stopping(seed: int = 0, iterations: int = 50) -> EarlyStoppingResult:
     """Figure 10: run HACC for the full budget, then replay each
     stopping method over the recorded history."""
-    runner = runner if runner is not None else ExperimentRunner()
     ctx = make_context(seed)
-    spec = RunSpec(
-        _fig10_run,
-        dict(seed=seed, iterations=iterations, cache_dir=runner.cache_dir),
-        label="fig10:full-run",
-    )
-    (full,) = runner.map([spec], context=ctx)
+    full = _fig10_run(seed, iterations)
     history = full.history
 
     def outcome(name: str, stop_iter: int) -> StopperOutcome:
@@ -741,13 +666,12 @@ _FIG11_VARIANTS = (
 
 
 def _fig11_run(
-    seed: int, target_kind: str, tuner_kind: str, salt: int, iterations: int,
-    cache_dir: str | None = None,
+    seed: int, target_kind: str, tuner_kind: str, salt: int, iterations: int
 ) -> TuningResult:
     """One Figure 11 pipeline variant.  The variant's ``app_perf``
     evaluation is NOT done here: it consumes the shared ``eval_sim``
-    noise stream in variant order, so it belongs to the (serial) merge
-    step of :func:`fig11_pipeline`."""
+    noise stream in variant order, after all runs, in
+    :func:`fig11_pipeline`."""
     ctx = make_context(seed)
     app = bdcats()
     if target_kind == "kernel":
@@ -760,7 +684,7 @@ def _fig11_run(
     sim = ctx.simulator_for(app.n_nodes, salt=salt)
     normalizer = ctx.normalizer_for(app.n_nodes)
     rng = ctx.rng(salt)
-    cache = _make_cache(cache_dir)
+    cache = EvaluationCache()
     if tuner_kind == "tunio":
         tuner: HSTuner = build_tunio(
             sim, ctx.fresh_agents(), normalizer, rng=rng, cache=cache
@@ -772,32 +696,21 @@ def _fig11_run(
     return tuner.tune(target, max_iterations=iterations)
 
 
-def fig11_pipeline(
-    seed: int = 0, iterations: int = 50, runner: ExperimentRunner | None = None
-) -> PipelineResult:
+def fig11_pipeline(seed: int = 0, iterations: int = 50) -> PipelineResult:
     """Figure 11: BD-CATS tuned by HSTuner (no stop / heuristic stop) and
     TunIO, each on the full application and on the I/O kernel."""
-    runner = runner if runner is not None else ExperimentRunner()
     ctx = make_context(seed)
     app = bdcats()
 
     # The shared evaluation stream: baseline first, then each variant's
-    # best config in variant order -- strictly serial, merge-side.
+    # best config in variant order.
     eval_sim = ctx.simulator_for(app.n_nodes, salt=110)
     baseline = eval_sim.evaluate(app, StackConfiguration.default()).perf_mbps
 
-    specs = [
-        RunSpec(
-            _fig11_run,
-            dict(
-                seed=seed, target_kind=target_kind, tuner_kind=tuner_kind,
-                salt=salt, iterations=iterations, cache_dir=runner.cache_dir,
-            ),
-            label=f"fig11:{name}",
-        )
-        for name, target_kind, tuner_kind, salt in _FIG11_VARIANTS
+    results = [
+        _fig11_run(seed, target_kind, tuner_kind, salt, iterations)
+        for _name, target_kind, tuner_kind, salt in _FIG11_VARIANTS
     ]
-    results = runner.map(specs, context=ctx)
 
     variants = []
     for (name, _target_kind, _tuner_kind, _salt), res in zip(_FIG11_VARIANTS, results):
@@ -852,8 +765,7 @@ class LifecycleResult:
 
 
 def fig12_lifecycle(
-    seed: int = 0, pipeline: PipelineResult | None = None,
-    runner: ExperimentRunner | None = None,
+    seed: int = 0, pipeline: PipelineResult | None = None
 ) -> LifecycleResult:
     """Figure 12: derive lifecycle models from the Figure 11 runs (TunIO
     vs H5Tuner full-budget) and locate the viability/crossover points."""
@@ -861,7 +773,7 @@ def fig12_lifecycle(
     app = bdcats()
     sim = ctx.simulator_for(app.n_nodes, salt=120)
     if pipeline is None:
-        pipeline = fig11_pipeline(seed, runner=runner)
+        pipeline = fig11_pipeline(seed)
     tunio_model = lifecycle_model(sim, app, pipeline.get("tunio").result, name="tunio")
     hstuner_model = lifecycle_model(
         sim, app, pipeline.get("hstuner-nostop").result, name="h5tuner"

@@ -25,7 +25,6 @@ from .experiments import (
     fig12_lifecycle,
 )
 from .reporting import ComparisonRow, format_comparison
-from .runner import ExperimentRunner
 
 __all__ = ["generate_experiments_md"]
 
@@ -34,13 +33,8 @@ def _block(text: str) -> str:
     return "```\n" + text + "\n```\n"
 
 
-def generate_experiments_md(runner: ExperimentRunner | None = None) -> str:
-    """Run every experiment and render the full markdown report.
-
-    ``runner`` optionally parallelizes each figure's independent tuning
-    runs and/or attaches a persistent trace cache; the rendered report
-    is bit-identical to the serial default either way."""
-    runner = runner if runner is not None else ExperimentRunner()
+def generate_experiments_md() -> str:
+    """Run every experiment and render the full markdown report."""
     sections: list[str] = [
         "# EXPERIMENTS — paper vs. measured",
         "",
@@ -76,7 +70,7 @@ def generate_experiments_md(runner: ExperimentRunner | None = None) -> str:
     ]
 
     # -- Figure 2 ---------------------------------------------------------
-    r2 = fig02_log_curves(seed=0, runner=runner)
+    r2 = fig02_log_curves(seed=0)
     sections += [
         "## Figure 2 — tuning follows a log curve",
         "",
@@ -113,7 +107,7 @@ def generate_experiments_md(runner: ExperimentRunner | None = None) -> str:
     ]
 
     # -- Figure 8 -----------------------------------------------------------
-    r8 = fig08_discovery(seed=0, runner=runner)
+    r8 = fig08_discovery(seed=0)
     saving = 1 - r8.kernel_curve.peak_minutes / r8.app_curve.peak_minutes
     boost = r8.reduced_curve.peak / r8.app_curve.peak
     sections += [
@@ -158,7 +152,7 @@ def generate_experiments_md(runner: ExperimentRunner | None = None) -> str:
     ]
 
     # -- Figure 9 -------------------------------------------------------------
-    r9 = fig09_impact_first(seed=0, runner=runner)
+    r9 = fig09_impact_first(seed=0)
     sections += [
         "## Figure 9 — Impact-First Tuning (FLASH)",
         "",
@@ -179,7 +173,7 @@ def generate_experiments_md(runner: ExperimentRunner | None = None) -> str:
     ]
 
     # -- Figure 10 -------------------------------------------------------------
-    r10 = fig10_early_stopping(seed=8, runner=runner)
+    r10 = fig10_early_stopping(seed=8)
     by = {o.name.split("-")[0]: o for o in r10.outcomes}
     pct = lambda o: f"{100 * o.roti / r10.perfect.roti:.1f}%"
     sections += [
@@ -210,7 +204,7 @@ def generate_experiments_md(runner: ExperimentRunner | None = None) -> str:
     ]
 
     # -- Figure 11 -----------------------------------------------------------------
-    r11 = fig11_pipeline(seed=0, runner=runner)
+    r11 = fig11_pipeline(seed=0)
     tunio = r11.get("tunio")
     nostop = r11.get("hstuner-nostop")
     heuristic = r11.get("hstuner-heuristic")

@@ -135,23 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
              "validated strictly, GA offspring are repaired (stripe counts "
              "vs OSTs, aggregators vs MPI ranks, alignment divisibility)",
     )
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="process-pool size for building stack traces inside a GA "
-             "generation; omitted, 0 or 1 run serially (results are "
-             "bit-identical either way)",
-    )
-    parser.add_argument(
-        "--cache-dir", type=str, default=None, metavar="DIR",
-        help="persist the evaluation (trace) cache to DIR, shared by "
-             "pool workers and across invocations; results are "
-             "bit-identical with or without it",
-    )
-    parser.add_argument(
-        "--batch-workers", type=int, default=None, metavar="N",
-        help="deprecated alias (thread pool): use --workers, which builds "
-             "traces on a process pool instead",
-    )
     faults = parser.add_argument_group(
         "fault injection (seeded, deterministic; off by default)"
     )
@@ -263,27 +246,6 @@ def build_resume_parser() -> argparse.ArgumentParser:
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if args.iterations < 1:
         parser.error("--iterations must be >= 1")
-    if args.workers is not None and args.workers < 0:
-        parser.error(
-            f"--workers must be >= 0 (a pool cannot have {args.workers} "
-            "workers); omit the flag (or pass 0/1) for serial building"
-        )
-    if args.batch_workers is not None and args.batch_workers < 1:
-        parser.error(
-            "--batch-workers must be >= 1 (a thread pool cannot have "
-            f"{args.batch_workers} workers); omit the flag for serial building"
-        )
-    if args.batch_workers is not None:
-        print(
-            "tunio-tune: --batch-workers (thread pool) is deprecated; "
-            "use --workers N (process pool) instead",
-            file=sys.stderr,
-        )
-    if args.cache_dir is not None and args.no_eval_cache:
-        parser.error(
-            "--cache-dir contradicts --no-eval-cache (a persistent cache "
-            "directory needs the evaluation cache enabled)"
-        )
     if not 0.0 <= args.fault_rate < 1.0:
         parser.error("--fault-rate must be in [0, 1)")
     if not 0.0 <= args.fault_straggler_rate < 1.0:
@@ -461,14 +423,7 @@ def _run_tuning(
     platform = cori(workload.n_nodes)
     simulator = IOStackSimulator(platform, NoiseModel(seed=args.seed))
     normalizer = PerfNormalizer.for_platform(platform, workload.n_nodes)
-    if args.no_eval_cache:
-        eval_cache = None
-    elif getattr(args, "cache_dir", None):
-        from repro.iostack.diskcache import DiskCacheBackend
-
-        eval_cache = EvaluationCache(backend=DiskCacheBackend(args.cache_dir))
-    else:
-        eval_cache = EvaluationCache()
+    eval_cache = None if args.no_eval_cache else EvaluationCache()
 
     target = workload
     use_kernel = args.use_kernel or args.loop_reduction or args.path_switch
@@ -564,9 +519,7 @@ def _run_tuning(
             tuner = build_tunio(
                 simulator, agents, normalizer,
                 expected_runs=args.expected_runs, rng=rng,
-                cache=eval_cache, workers=args.workers,
-                batch_workers=args.batch_workers,
-                retry_policy=policy, constraints=constraints,
+                cache=eval_cache, retry_policy=policy, constraints=constraints,
                 recorder=recorder,
             )
         else:
@@ -575,25 +528,19 @@ def _run_tuning(
             # or retraining behind the user's back.
             tuner = HSTuner(
                 simulator, stopper=HeuristicStopper(), rng=rng,
-                cache=eval_cache, workers=args.workers,
-                batch_workers=args.batch_workers,
-                retry_policy=policy, constraints=constraints,
+                cache=eval_cache, retry_policy=policy, constraints=constraints,
                 recorder=recorder,
             )
     elif args.tuner == "hstuner":
         tuner = HSTuner(
             simulator, stopper=NoStop(), rng=rng,
-            cache=eval_cache, workers=args.workers,
-                batch_workers=args.batch_workers,
-            retry_policy=policy, constraints=constraints,
+            cache=eval_cache, retry_policy=policy, constraints=constraints,
             recorder=recorder,
         )
     else:
         tuner = HSTuner(
             simulator, stopper=HeuristicStopper(), rng=rng,
-            cache=eval_cache, workers=args.workers,
-                batch_workers=args.batch_workers,
-            retry_policy=policy, constraints=constraints,
+            cache=eval_cache, retry_policy=policy, constraints=constraints,
             recorder=recorder,
         )
 

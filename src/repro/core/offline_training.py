@@ -21,7 +21,6 @@ Per Section III-C/D:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -297,19 +296,6 @@ class TunIOAgents:
     impact_scores: np.ndarray
 
 
-def _sweep_job(
-    simulator: IOStackSimulator,
-    workload: WorkloadLike,
-    space: ParameterSpace,
-    seed: int,
-) -> SweepResult:
-    """Process-pool job: one workload's parameter sweep with its own
-    derived random stream and a private trace cache."""
-    return parameter_sweep(
-        simulator, workload, space, rng=np.random.default_rng(seed)
-    )
-
-
 def train_tunio_agents(
     simulator: IOStackSimulator,
     training_workloads: Sequence[WorkloadLike],
@@ -318,46 +304,23 @@ def train_tunio_agents(
     rng: np.random.Generator | None = None,
     curve_generator: LogCurveGenerator | None = None,
     cache: EvaluationCache | None = None,
-    workers: int | None = None,
     batched: bool = False,
 ) -> TunIOAgents:
     """The full offline phase: sweep the representative kernels, run the
     PCA, pre-train the subset picker, and train the early stopper on
     generated log curves.  All sweeps share ``cache`` when given.
 
-    The defaults keep the original serial, bit-reproducible behaviour.
-    ``workers >= 2`` fans the per-workload sweeps onto a process pool
-    (each sweep on an independent seed derived from ``rng``), and
+    The default keeps the serial, bit-reproducible behaviour.
     ``batched=True`` switches both pretraining phases to their
-    vectorized fastpaths; either opt-in trains checkpoint-equivalent --
-    not bit-identical -- agents, validated by the offline-fastpath
+    vectorized fastpaths, which train checkpoint-equivalent -- not
+    bit-identical -- agents, validated by the batched-training
     equivalence tests.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    use_pool = workers is not None and workers >= 2 and len(training_workloads) > 1
-    if use_pool:
-        seeds = [int(s) for s in rng.integers(2**63, size=len(training_workloads))]
-        try:
-            with ProcessPoolExecutor(
-                max_workers=min(workers, len(training_workloads))
-            ) as pool:
-                futures = [
-                    pool.submit(_sweep_job, simulator, w, space, seed)
-                    for w, seed in zip(training_workloads, seeds)
-                ]
-                sweeps = [f.result() for f in futures]
-        except Exception:
-            # Pool breakage (spawn failure, unpicklable platform) falls
-            # back to in-process sweeps on the same derived seeds.
-            sweeps = [
-                _sweep_job(simulator, w, space, seed)
-                for w, seed in zip(training_workloads, seeds)
-            ]
-    else:
-        sweeps = [
-            parameter_sweep(simulator, w, space, rng=rng, cache=cache)
-            for w in training_workloads
-        ]
+    sweeps = [
+        parameter_sweep(simulator, w, space, rng=rng, cache=cache)
+        for w in training_workloads
+    ]
     impact = impact_from_sweeps(sweeps)
 
     smart = SmartConfigAgent(space=space, normalizer=normalizer, rng=rng)

@@ -129,12 +129,11 @@ class TunIOTuner(HSTuner):
 
     # -- guardrail surfaces -------------------------------------------------------
 
-    def _begin_stats_window(self) -> None:
+    def _begin_run(self) -> None:
         # tune() starts a fresh run: re-arm the guardrails so a journal
         # replay re-earns its trips deterministically.  (In-session
         # resume() does not pass here, so degradation persists across
         # interactive refinement, as it must.)
-        super()._begin_stats_window()
         self.guardrails.reset()
         self._picker.reset()
         # (tune() has already reset the stopper, guarded or not.)
@@ -142,12 +141,8 @@ class TunIOTuner(HSTuner):
     def _drain_guardrail_warnings(self) -> list[str]:
         return self.guardrails.drain_warnings()
 
-    def _guardrail_trip_count(self) -> int:
-        return len(self.guardrails.trips)
-
-    def _collect_stats(self):
-        self._result.guardrail_trips = tuple(str(t) for t in self.guardrails.trips)
-        return super()._collect_stats()
+    def _guardrail_trips(self) -> tuple[str, ...]:
+        return tuple(str(t) for t in self.guardrails.trips)
 
 
 def build_tunio(

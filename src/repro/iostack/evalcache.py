@@ -107,12 +107,6 @@ class CacheStats:
     evictions: int = 0
     size: int = 0
     maxsize: int = 0
-    #: Persistent-backend counters (all zero without a backend).
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_stores: int = 0
-    disk_evictions: int = 0
-    disk_errors: int = 0
 
     @property
     def lookups(self) -> int:
@@ -145,9 +139,6 @@ class EvaluationStats:
     #: Configurations that exhausted their retries and were assigned the
     #: worst-case fitness instead of crashing the generation.
     quarantined: int = 0
-    #: Thread-pool batches that fell back to serial trace building after
-    #: a worker raised.
-    fallbacks: int = 0
     #: Faults the plan injected (transient errors + stragglers).
     faults_injected: int = 0
     #: Agent guardrail trips recorded during the run (weight corruption,
@@ -160,12 +151,6 @@ class EvaluationStats:
     prewarm_lookups: int = 0
     prewarm_hits: int = 0
     prewarm_builds: int = 0
-    #: Persistent disk-cache activity (zero without a ``--cache-dir``
-    #: backend).  A disk hit skipped a stack traversal that the
-    #: in-memory cache alone would have re-run in a fresh process.
-    disk_hits: int = 0
-    disk_misses: int = 0
-    disk_stores: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
@@ -181,7 +166,6 @@ class EvaluationStats:
             self.retries
             or self.timeouts
             or self.quarantined
-            or self.fallbacks
             or self.faults_injected
         )
 
@@ -193,26 +177,19 @@ class EvaluationStats:
 
     def describe(self) -> str:
         """One-line human summary for reports."""
-        line = (
+        return (
             f"{self.evaluations} evaluations, "
             f"cache hit rate {100.0 * self.cache_hit_rate:.1f}% "
             f"({self.cache_hits}/{self.cache_hits + self.cache_misses}), "
             f"trace reuse {self.trace_reuse}"
         )
-        disk_lookups = self.disk_hits + self.disk_misses
-        if disk_lookups or self.disk_stores:
-            line += (
-                f", disk {self.disk_hits}/{disk_lookups} hits "
-                f"({self.disk_stores} stored)"
-            )
-        return line
 
     def describe_resilience(self) -> str:
         """One-line summary of the run's failure handling."""
         return (
             f"{self.faults_injected} faults injected, "
             f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.quarantined} quarantined, {self.fallbacks} serial fallbacks"
+            f"{self.quarantined} quarantined"
         )
 
     def as_dict(self) -> dict[str, int]:
@@ -233,18 +210,9 @@ class EvaluationCache:
         Maximum number of cached traces; least-recently-used entries are
         evicted beyond it.  A 12-parameter tuning run touches a few
         hundred distinct configurations, so the default is generous.
-    backend:
-        Optional persistent store (duck-typed as
-        :class:`~repro.iostack.diskcache.DiskCacheBackend`): in-memory
-        misses fall through to it in :meth:`lookup_trace` /
-        :meth:`get_trace`, and fresh traces are persisted on build.  The
-        persistent key additionally scopes entries by the simulator's
-        :meth:`~repro.iostack.faults.FaultPlan.fingerprint` and this
-        cache's :attr:`constraint_fingerprint`, so an entry written
-        under one plan/registry is never served under another.
     """
 
-    def __init__(self, maxsize: int = 4096, backend=None):
+    def __init__(self, maxsize: int = 4096):
         if maxsize < 1:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
@@ -252,12 +220,6 @@ class EvaluationCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.backend = backend
-        #: Fingerprint of the active
-        #: :class:`~repro.iostack.parameters.ConstraintRegistry`, set by
-        #: the owning tuner/CLI; part of every persistent key (None =
-        #: unconstrained run, itself a distinct key component).
-        self.constraint_fingerprint: str | None = None
         #: Optional trace recorder (duck-typed; see
         #: :mod:`repro.observability.recorder`).  None by default so the
         #: cache has no observability import and untraced runs pay one
@@ -272,18 +234,12 @@ class EvaluationCache:
         self._entries.clear()
 
     def stats(self) -> CacheStats:
-        disk = self.backend.stats() if self.backend is not None else None
         return CacheStats(
             hits=self.hits,
             misses=self.misses,
             evictions=self.evictions,
             size=len(self._entries),
             maxsize=self.maxsize,
-            disk_hits=disk.hits if disk else 0,
-            disk_misses=disk.misses if disk else 0,
-            disk_stores=disk.stores if disk else 0,
-            disk_evictions=disk.evictions if disk else 0,
-            disk_errors=disk.errors if disk else 0,
         )
 
     @property
@@ -340,55 +296,6 @@ class EvaluationCache:
             if recorder is not None and recorder.enabled:
                 recorder.emit("cache", op="evict")
 
-    # -- persistent backend ------------------------------------------------------
-
-    def _backend_key(
-        self,
-        simulator: IOStackSimulator,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-    ) -> str:
-        """The persistent content address; scoped by the simulator's
-        fault-plan fingerprint and the run's constraint fingerprint."""
-        plan = simulator.faults
-        return self.backend.entry_key(
-            simulator.platform,
-            workload,
-            config,
-            plan.fingerprint() if plan is not None else None,
-            self.constraint_fingerprint,
-        )
-
-    def lookup_trace(
-        self,
-        simulator: IOStackSimulator,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-    ) -> StackTrace | None:
-        """Memory lookup with persistent fall-through: a disk hit is
-        promoted into the in-memory LRU (counted as a store there, a hit
-        on the backend).  Returns ``None`` only when both layers miss."""
-        trace = self.lookup(simulator.platform, workload, config)
-        if trace is not None or self.backend is None:
-            return trace
-        trace = self.backend.load(self._backend_key(simulator, workload, config))
-        if trace is not None:
-            self.store(simulator.platform, workload, config, trace)
-        return trace
-
-    def store_trace(
-        self,
-        simulator: IOStackSimulator,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-        trace: StackTrace,
-    ) -> None:
-        """Remember a freshly built trace in memory and, when a backend
-        is attached, persist it."""
-        self.store(simulator.platform, workload, config, trace)
-        if self.backend is not None:
-            self.backend.store(self._backend_key(simulator, workload, config), trace)
-
     def get_trace(
         self,
         simulator: IOStackSimulator,
@@ -396,19 +303,11 @@ class EvaluationCache:
         config: StackConfiguration,
     ) -> StackTrace:
         """The trace for ``(simulator.platform, workload, config)``,
-        built on a miss and remembered under LRU (and persisted to the
-        backend when attached).
-
-        A disk hit skips the stack traversal exactly like a memory hit:
-        replaying the loaded trace is bit-identical to replaying a fresh
-        one, fresh noise is still drawn by the caller, and the simulated
-        clock is still charged -- the in-memory cache's contract extends
-        to disk unchanged.
-        """
-        trace = self.lookup_trace(simulator, workload, config)
+        built on a miss and remembered under LRU."""
+        trace = self.lookup(simulator.platform, workload, config)
         if trace is None:
             trace = simulator.trace(workload, config)
-            self.store_trace(simulator, workload, config, trace)
+            self.store(simulator.platform, workload, config, trace)
         return trace
 
     def evaluate(

@@ -308,36 +308,6 @@ class FaultPlan:
                     slowdown *= window.slowdown
         return slowdown
 
-    # -- identity ----------------------------------------------------------------
-
-    def fingerprint(self) -> str:
-        """A process-stable hex digest of the plan's *schedule identity*:
-        everything that determines which faults can fire for which
-        configuration, excluding the mutable stream positions.
-
-        Two plans with equal fingerprints inject identical fault
-        schedules for identical evaluation sequences, so persisted
-        evaluation artefacts (the on-disk trace cache) may be shared
-        between them; any schedule difference -- rates, windows, poison
-        set, agent faults or the seed itself -- changes the digest.
-        """
-        h = hashlib.blake2b(digest_size=16)
-        parts = (
-            self.seed,
-            self.transient_error_rate,
-            self.straggler_rate,
-            self.straggler_slowdown,
-            tuple(
-                (w.start_minutes, w.end_minutes, w.slowdown)
-                for w in self.degraded_windows
-            ),
-            self.agent_fault,
-            self.agent_fault_at,
-            tuple(sorted(self._poisoned)),
-        )
-        h.update(repr(parts).encode())
-        return h.hexdigest()
-
     # -- journal state ------------------------------------------------------------
 
     def get_state(self) -> dict[str, Any]:

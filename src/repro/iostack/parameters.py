@@ -18,7 +18,6 @@ Two distinct things live here:
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
@@ -485,33 +484,6 @@ class ConstraintRegistry:
     def with_context(self, context: ConstraintContext) -> "ConstraintRegistry":
         """The same rules bound to a different run context."""
         return ConstraintRegistry(self.space, self.constraints, context)
-
-    def fingerprint(self) -> str:
-        """A process-stable hex digest of the registry's behaviour:
-        the parameter space, each rule's identity (type, name, governed
-        parameters, description) and the bound run context.
-
-        Two registries with equal fingerprints validate and repair
-        identically, so persisted evaluation artefacts keyed by this
-        digest can be shared; changing a rule, the rule order, or the
-        context (``n_osts``/``n_procs``) changes the digest.
-        """
-        h = hashlib.blake2b(digest_size=16)
-        parts = (
-            tuple(self.space.names),
-            tuple(
-                (
-                    type(c).__name__,
-                    getattr(c, "name", ""),
-                    tuple(c.parameters()) if hasattr(c, "parameters") else (),
-                    getattr(c, "description", ""),
-                )
-                for c in self.constraints
-            ),
-            (self.context.n_osts, self.context.n_procs),
-        )
-        h.update(repr(parts).encode())
-        return h.hexdigest()
 
     def violations(
         self, values: Mapping[str, Any], context: ConstraintContext | None = None

@@ -41,8 +41,8 @@ event              payload fields
 ``cache``          ``op`` (``hit`` | ``miss`` | ``store`` | ``evict``)
 ``cache_prewarm``  journal-resume cache warming summary: ``lookups``,
                    ``hits``, ``builds``
-``retry``          ``kind`` (``retry`` | ``timeout`` | ``quarantine`` |
-                   ``fallback``), ``config``, optional ``attempt``/``detail``
+``retry``          ``kind`` (``retry`` | ``timeout`` | ``quarantine``),
+                   ``config``, optional ``attempt``/``detail``
 ``run_end``        ``stop_reason``, ``stopped_at``, ``best_perf``,
                    ``baseline_perf``, ``total_minutes``,
                    ``total_evaluations``, ``best_genome``, ``eval_stats``

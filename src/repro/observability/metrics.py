@@ -141,16 +141,12 @@ class MetricsRegistry:
         c("cache.prewarm_lookups").inc(stats.prewarm_lookups)
         c("cache.prewarm_hits").inc(stats.prewarm_hits)
         c("cache.prewarm_builds").inc(stats.prewarm_builds)
-        c("cache.disk_hits").inc(stats.disk_hits)
-        c("cache.disk_misses").inc(stats.disk_misses)
-        c("cache.disk_stores").inc(stats.disk_stores)
         c("trace.built").inc(stats.traces_built)
         c("trace.replays").inc(stats.trace_replays)
         c("trace.reuse").inc(stats.trace_reuse)
         c("resilience.retries").inc(stats.retries)
         c("resilience.timeouts").inc(stats.timeouts)
         c("resilience.quarantined").inc(stats.quarantined)
-        c("resilience.fallbacks").inc(stats.fallbacks)
         c("faults.injected").inc(stats.faults_injected)
         c("guardrail.trips").inc(stats.guardrail_trips)
         self.gauge("cache.hit_rate").set(stats.cache_hit_rate)
@@ -159,9 +155,6 @@ class MetricsRegistry:
         """Absorb a live cache's occupancy."""
         self.gauge("cache.size").set(stats.size)
         self.gauge("cache.maxsize").set(stats.maxsize)
-        if stats.disk_hits or stats.disk_misses or stats.disk_stores:
-            self.gauge("cache.disk_evictions").set(stats.disk_evictions)
-            self.gauge("cache.disk_errors").set(stats.disk_errors)
 
     def ingest_result(self, result: "TuningResult") -> None:
         """Absorb a finished run: outcome gauges plus its
@@ -218,18 +211,12 @@ def fastpath_line(snapshot: Mapping[str, Any]) -> str:
     misses = int(c.get("cache.misses", 0))
     lookups = hits + misses
     rate = hits / lookups if lookups else 0.0
-    line = (
+    return (
         f"{int(c.get('evaluations', 0))} evaluations, "
         f"cache hit rate {100.0 * rate:.1f}% "
         f"({hits}/{lookups}), "
         f"trace reuse {int(c.get('trace.reuse', 0))}"
     )
-    disk_hits = int(c.get("cache.disk_hits", 0))
-    disk_lookups = disk_hits + int(c.get("cache.disk_misses", 0))
-    disk_stores = int(c.get("cache.disk_stores", 0))
-    if disk_lookups or disk_stores:
-        line += f", disk {disk_hits}/{disk_lookups} hits ({disk_stores} stored)"
-    return line
 
 
 def resilience_line(snapshot: Mapping[str, Any]) -> str:
@@ -239,8 +226,7 @@ def resilience_line(snapshot: Mapping[str, Any]) -> str:
         f"{int(c.get('faults.injected', 0))} faults injected, "
         f"{int(c.get('resilience.retries', 0))} retries, "
         f"{int(c.get('resilience.timeouts', 0))} timeouts, "
-        f"{int(c.get('resilience.quarantined', 0))} quarantined, "
-        f"{int(c.get('resilience.fallbacks', 0))} serial fallbacks"
+        f"{int(c.get('resilience.quarantined', 0))} quarantined"
     )
 
 
@@ -264,6 +250,5 @@ def snapshot_degraded(snapshot: Mapping[str, Any]) -> bool:
         c.get("resilience.retries", 0)
         or c.get("resilience.timeouts", 0)
         or c.get("resilience.quarantined", 0)
-        or c.get("resilience.fallbacks", 0)
         or c.get("faults.injected", 0)
     )

@@ -122,9 +122,7 @@ class Profiler:
         return "\n".join(lines)
 
 
-#: The active profiler, or None.  Module-level (not thread-local) on
-#: purpose: the thread-pool trace builders should be charged to the same
-#: profile as the main loop.
+#: The active profiler, or None (module-level: one profile per process).
 _ACTIVE: Profiler | None = None
 
 #: One shared inert context manager handed out for every span while no

@@ -19,12 +19,11 @@ Evaluations ride the simulator's trace/replay fastpath and, when a
 configurations (elites re-drawn by crossover, duplicate genomes, the
 default baseline) skip the stack traversal entirely.  Each generation is
 additionally dispatched as one batch: noise factors are pre-drawn in
-population order, traces are deduplicated per distinct genome (and
-optionally built by a thread pool), then every individual replays its
-own factor slice.  All of this is bit-identical to the naive
-per-individual, per-repeat loop -- same fitnesses, same noise-stream
-consumption, same clock charges -- the fastpath only removes redundant
-deterministic work.  :attr:`TuningResult.eval_stats` records what was
+population order, traces are deduplicated per distinct genome, then
+every individual replays its own factor slice.  All of this is
+bit-identical to the naive per-individual, per-repeat loop -- same
+fitnesses, same noise-stream consumption, same clock charges -- the
+fastpath only removes redundant deterministic work.  :attr:`TuningResult.eval_stats` records what was
 saved.
 
 Resilience
@@ -34,10 +33,10 @@ Every evaluation flows through a
 (injected faults, timeouts, non-finite measurements) are retried with
 simulated-clock-charged exponential backoff, configurations that exhaust
 their retries are quarantined at the worst-case fitness instead of
-crashing the generation, and a thread-pool batch whose worker raises
-falls back to serial trace building with the failing genome preserved in
-the exception chain.  With nothing failing, the harness performs exactly
-the calls the bare fastpath would -- results stay bit-identical.
+crashing the generation, and an unexpected exception is re-raised with
+the failing genome preserved in the exception chain.  With nothing
+failing, the harness performs exactly the calls the bare fastpath
+would -- results stay bit-identical.
 
 Journaling
 ----------
@@ -50,7 +49,6 @@ bit-identically (see :mod:`repro.tuners.journal`).
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -67,7 +65,6 @@ from repro.ga import (
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
 from repro.iostack.evalcache import EvaluationCache, EvaluationStats
-from repro.iostack.faults import EvaluationError
 from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, StackTrace, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
@@ -90,25 +87,6 @@ __all__ = ["HSTuner"]
 #: Attempts at perturbing the seed genome before accepting a duplicate
 #: (only a degenerate space -- all cardinalities 1 -- exhausts this).
 _MAX_PERTURBATION_ATTEMPTS = 16
-
-#: Per-process state of the trace-building pool workers (shipped once
-#: via the initializer instead of pickled per task).
-_POOL_SIMULATOR: IOStackSimulator | None = None
-_POOL_WORKLOAD: WorkloadLike | None = None
-
-
-def _trace_pool_init(simulator: IOStackSimulator, workload: WorkloadLike) -> None:
-    global _POOL_SIMULATOR, _POOL_WORKLOAD
-    _POOL_SIMULATOR = simulator
-    _POOL_WORKLOAD = workload
-
-
-def _trace_pool_job(config: StackConfiguration) -> StackTrace:
-    """Build one trace in a pool worker.  ``trace()`` is a pure
-    function of (platform, workload, config) -- it draws no RNG -- so
-    the result is bit-identical to a parent-process build."""
-    assert _POOL_SIMULATOR is not None and _POOL_WORKLOAD is not None
-    return _POOL_SIMULATOR.trace(_POOL_WORKLOAD, config)
 
 
 class HSTuner(Tuner):
@@ -139,25 +117,6 @@ class HSTuner(Tuner):
         Dispatch each generation through the toolbox's ``evaluate_batch``
         entry (deduplicates traces within the generation); results are
         bit-identical to per-individual evaluation.
-    workers:
-        Size of the *process* pool building missing traces inside a
-        batch; ``None``, ``0`` or ``1`` (default) build serially and
-        ``N >= 2`` opts in.  Trace construction draws no RNG, so pooled
-        builds are bit-identical to serial ones (the parent is credited
-        with the traversals for stats purposes).  Automatically falls
-        back to serial when a fault plan is attached -- fault decisions
-        must be drawn from the parent's schedule -- or when the pool
-        itself breaks.
-    batch_workers:
-        Deprecated alias kept for the legacy *thread* pool; use
-        ``workers`` instead.  Determinism is unaffected either way
-        (noise factors are pre-drawn in population order).
-    dedupe_duplicates:
-        Forwarded to :class:`~repro.ga.engine.EvolutionEngine`: share one
-        fitness among identical genomes of a generation.  Off by default
-        because it changes noise and clock accounting for stochastic
-        evaluations (the trace-level dedupe above already removes the
-        redundant work without that side effect).
     retry_policy:
         How evaluation failures are retried/timed-out/quarantined; see
         :class:`~repro.tuners.resilience.RetryPolicy`.  The default
@@ -201,28 +160,11 @@ class HSTuner(Tuner):
         rng: np.random.Generator | None = None,
         cache: EvaluationCache | None = None,
         batch_evaluation: bool = True,
-        workers: int | None = None,
-        batch_workers: int | None = None,
-        dedupe_duplicates: bool = False,
         retry_policy: RetryPolicy | None = None,
         constraints: ConstraintRegistry | None = None,
         seed_config: StackConfiguration | None = None,
         recorder: Recorder | None = None,
     ):
-        if workers is not None and workers < 0:
-            raise ValueError(
-                "workers must be >= 0 (or None for serial; >= 2 uses a "
-                "process pool)"
-            )
-        if batch_workers is not None:
-            warnings.warn(
-                "batch_workers (thread pool) is deprecated; use workers "
-                "(process pool) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if batch_workers < 1:
-                raise ValueError("batch_workers must be >= 1 (or None for serial)")
         if seed_config is not None and seed_config.space != space:
             raise ValueError(
                 "seed_config belongs to a different parameter space than the tuner"
@@ -242,9 +184,6 @@ class HSTuner(Tuner):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.cache = cache
         self.batch_evaluation = batch_evaluation
-        self.workers = workers
-        self.batch_workers = batch_workers
-        self.dedupe_duplicates = dedupe_duplicates
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.constraints = constraints
         self.seed_config = seed_config
@@ -252,10 +191,11 @@ class HSTuner(Tuner):
         self.clock = SimulatedClock()
         self._active_subset_size: int | None = None
         self._n_evaluations = 0
-        self._stats_base: tuple[int, int, int, int, int] = (0, 0, 0, 0, 0)
-        self._disk_base: tuple[int, int, int] = (0, 0, 0)
-        self._faults_base = 0
-        self._prewarm: tuple[int, int, int] = (0, 0, 0)
+        #: Live counter values at the start of the run's stats window;
+        #: the window is live minus base (see :meth:`_live_counters`).
+        self._stats_base: dict[str, int] = {}
+        #: ``prewarm_*`` fields of the run's :class:`EvaluationStats`.
+        self._prewarm_stats: dict[str, int] = {}
         #: Iteration the trace's evaluation events belong to (None before
         #: the first generation, i.e. during the baseline).
         self._trace_iteration: int | None = None
@@ -302,9 +242,13 @@ class HSTuner(Tuner):
         drain (overridden by tuners that carry a guardrail monitor)."""
         return []
 
-    def _guardrail_trip_count(self) -> int:
-        """Guardrail trips recorded this run (0 for the plain tuner)."""
-        return 0
+    def _guardrail_trips(self) -> tuple[str, ...]:
+        """Guardrail trips recorded this run (none for the plain tuner)."""
+        return ()
+
+    def _begin_run(self) -> None:
+        """Hook called as :meth:`tune` starts a fresh run (TunIO re-arms
+        its guardrails here)."""
 
     # -- per-generation warning summaries -----------------------------------
 
@@ -314,7 +258,6 @@ class HSTuner(Tuner):
             "retries": s.retries,
             "timeouts": s.timeouts,
             "quarantined": s.quarantined,
-            "fallbacks": s.fallbacks,
         }
 
     def _warn_generation_events(
@@ -354,17 +297,15 @@ class HSTuner(Tuner):
         self._resilient.recorder = recorder
         if self.cache is not None:
             self.cache.recorder = recorder
-            # Scope this run's persistent cache entries to the active
-            # constraint registry (None = unconstrained, a distinct key).
-            self.cache.constraint_fingerprint = (
-                self.constraints.fingerprint() if self.constraints is not None else None
-            )
         if self.simulator.faults is not None:
             # Rewind the fault schedule and tie its degraded windows to
             # this run's clock, so repeated tunes replay the same plan.
             self.simulator.faults.reset()
             self.simulator.faults.attach_clock(self.clock)
-        self._begin_stats_window()
+        self._n_evaluations = 0
+        self._prewarm_stats = {}
+        self._stats_base = self._live_counters()
+        self._begin_run()
         if recorder.enabled:
             recorder.emit(
                 "run_start",
@@ -469,7 +410,6 @@ class HSTuner(Tuner):
             population_size=self.population_size,
             n_elites=self.n_elites,
             rng=self.rng,
-            dedupe_duplicates=self.dedupe_duplicates,
         )
 
         # Preserved so a session can resume later (interactive refinement).
@@ -592,7 +532,22 @@ class HSTuner(Tuner):
         result.best_config = StackConfiguration.from_genome(
             self.space, engine.best.genome
         )
-        result.eval_stats = self._collect_stats()
+        faults = self.simulator.faults
+        result.guardrail_trips = self._guardrail_trips()
+        result.eval_stats = EvaluationStats(
+            evaluations=self._n_evaluations,
+            **self._stats_window(),
+            **self._resilient.stats.as_dict(),
+            # The plan is rewound at the start of every tune, so its
+            # injection counters are already run-relative.
+            faults_injected=(
+                faults.transient_errors_injected + faults.stragglers_injected
+                if faults is not None
+                else 0
+            ),
+            guardrail_trips=len(result.guardrail_trips),
+            **self._prewarm_stats,
+        )
         if self._journal_writer is not None:
             self._journal_writer.write_final(result.stop_reason, result.stopped_at)
         if recorder.enabled:
@@ -620,7 +575,7 @@ class HSTuner(Tuner):
             if self.simulator.faults is not None and record.fault_state is not None:
                 self.simulator.faults.set_state(record.fault_state)
             self._n_evaluations = record.n_evaluations
-            self._restore_fastpath_window(record.fastpath)
+            self._restore_stats_window(record.fastpath)
         else:
             perf = self._evaluate_config(
                 workload, StackConfiguration.default(self.space), charge=False
@@ -638,7 +593,7 @@ class HSTuner(Tuner):
                         if self.simulator.faults is not None
                         else None
                     ),
-                    fastpath=self._fastpath_window(),
+                    fastpath=self._stats_window(),
                 )
             )
         return perf
@@ -670,7 +625,7 @@ class HSTuner(Tuner):
             self.simulator.faults.set_state(record.fault_state)
         self._resilient.restore_quarantine(record.quarantine)
         self._resilient.stats.restore(record.resilience)
-        self._restore_fastpath_window(record.fastpath)
+        self._restore_stats_window(record.fastpath)
         verify_rng(record, self.rng)
 
     def _generation_record(
@@ -702,7 +657,7 @@ class HSTuner(Tuner):
             quarantine=self._resilient.quarantine_state(),
             resilience=self._resilient.stats.as_dict(),
             agent_state=self._journal_agent_state(),
-            fastpath=self._fastpath_window(),
+            fastpath=self._stats_window(),
         )
 
     def _journal_agent_state(self) -> dict | None:
@@ -741,8 +696,7 @@ class HSTuner(Tuner):
         configs = [StackConfiguration.default(self.space)] + [
             StackConfiguration.from_genome(self.space, genome) for genome in genomes
         ]
-        hits0, misses0 = cache.hits, cache.misses
-        evictions0, built0 = cache.evictions, self.simulator.traces_built
+        before = self._live_counters()
         faults, self.simulator.faults = self.simulator.faults, None
         # Warming lookups are not run cache activity: mute the cache's
         # per-op trace events for the duration (one summary event below).
@@ -762,26 +716,22 @@ class HSTuner(Tuner):
         finally:
             self.simulator.faults = faults
             cache.recorder = cache_recorder
-        d_hits = cache.hits - hits0
-        d_misses = cache.misses - misses0
-        d_evictions = cache.evictions - evictions0
-        d_built = self.simulator.traces_built - built0
-        self._prewarm = (d_hits + d_misses, d_hits, d_built)
         # Exclude the warming deltas from the run's stats window.
-        built_b, replays_b, hits_b, misses_b, evict_b = self._stats_base
-        self._stats_base = (
-            built_b + d_built,
-            replays_b,
-            hits_b + d_hits,
-            misses_b + d_misses,
-            evict_b + d_evictions,
-        )
+        delta = {k: v - before[k] for k, v in self._live_counters().items()}
+        for key, value in delta.items():
+            self._stats_base[key] += value
+        lookups = delta["cache_hits"] + delta["cache_misses"]
+        self._prewarm_stats = {
+            "prewarm_lookups": lookups,
+            "prewarm_hits": delta["cache_hits"],
+            "prewarm_builds": delta["traces_built"],
+        }
         if self.recorder.enabled:
             self.recorder.emit(
                 "cache_prewarm",
-                lookups=d_hits + d_misses,
-                hits=d_hits,
-                builds=d_built,
+                lookups=lookups,
+                hits=delta["cache_hits"],
+                builds=delta["traces_built"],
             )
 
     # -- evaluation ---------------------------------------------------------------
@@ -837,234 +787,56 @@ class HSTuner(Tuner):
         self, workload: WorkloadLike, configs: Sequence[StackConfiguration]
     ) -> list[StackTrace | None]:
         """One trace per config (``None`` for quarantined ones), built
-        once per distinct configuration -- through the cache when
-        attached, a process pool (``workers``) or the deprecated thread
-        pool (``batch_workers``) when asked.
-
-        Pool workers perform one bare attempt each; any worker failure
-        routes that configuration through the serial resilient path,
-        which retries transient faults with backoff and wraps unexpected
-        exceptions with the failing configuration's repr (so a raw
-        worker traceback can never lose which genome failed).  The
-        process pool is skipped entirely under an active fault plan:
-        fault decisions must be drawn from the parent's schedule.
-        """
-        order: list[StackConfiguration] = []
-        index: dict[StackConfiguration, int] = {}
-        for config in configs:
-            if config not in index:
-                index[config] = len(order)
-                order.append(config)
-
-        traces: list[StackTrace | None] = [None] * len(order)
-        missing: list[int] = []
-        for j, config in enumerate(order):
+        once per distinct configuration through the cache when attached.
+        Misses are built by the resilient harness, which retries
+        transient faults with backoff and wraps unexpected exceptions
+        with the failing configuration's repr."""
+        order: list[StackConfiguration] = list(dict.fromkeys(configs))
+        built: dict[StackConfiguration, StackTrace | None] = {}
+        for config in order:
             if self._resilient.is_quarantined(config):
-                continue  # stays None: served worst-case downstream
+                built[config] = None  # served worst-case downstream
+                continue
             cached = (
-                self.cache.lookup_trace(self.simulator, workload, config)
+                self.cache.lookup(self.simulator.platform, workload, config)
                 if self.cache is not None
                 else None
             )
-            if cached is None:
-                missing.append(j)
-            else:
-                traces[j] = cached
+            if cached is not None:
+                built[config] = cached
+        for config in order:
+            if config not in built:
+                built[config] = self._resilient.build_trace(
+                    workload, config, charge=True, check_cache=False
+                )
+        return [built[config] for config in configs]
 
-        if not missing:
-            return [traces[index[config]] for config in configs]
+    # -- stats window ------------------------------------------------------------
 
-        serial: list[tuple[int, int]] = []  # (order index, prior failed attempts)
-        use_process_pool = (
-            self.workers is not None
-            and self.workers >= 2
-            and len(missing) > 1
-            # Fault decisions are drawn from the parent's schedule; a
-            # worker process would consume a *copy* of the fault stream,
-            # so fault-injected runs always build serially.
-            and self.simulator.faults is None
-        )
-        if use_process_pool:
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(missing)),
-                    initializer=_trace_pool_init,
-                    initargs=(self.simulator, workload),
-                ) as pool:
-                    futures = {
-                        j: pool.submit(_trace_pool_job, order[j]) for j in missing
-                    }
-                    for j, future in futures.items():
-                        exc = future.exception()
-                        if exc is None:
-                            traces[j] = future.result()
-                            # The traversal happened in a worker; credit
-                            # it here so eval_stats match a serial run.
-                            self.simulator.traces_built += 1
-                            if self.cache is not None:
-                                self.cache.store_trace(
-                                    self.simulator, workload, order[j], traces[j]
-                                )
-                        else:
-                            self._resilient.stats.fallbacks += 1
-                            serial.append((j, 0))
-            except Exception:
-                # The pool itself broke (spawn failure, pickling issue):
-                # everything unbuilt falls back to the serial path.
-                already = {j for j, _ in serial}
-                extra = [
-                    j for j in missing if traces[j] is None and j not in already
-                ]
-                self._resilient.stats.fallbacks += len(extra)
-                serial.extend((j, 0) for j in extra)
-        elif self.batch_workers is not None and len(missing) > 1:
-            with ThreadPoolExecutor(max_workers=self.batch_workers) as pool:
-                futures = {
-                    j: pool.submit(self.simulator.trace, workload, order[j])
-                    for j in missing
-                }
-            for j, future in futures.items():
-                exc = future.exception()
-                if exc is None:
-                    traces[j] = future.result()
-                    if self.cache is not None:
-                        self.cache.store_trace(
-                            self.simulator, workload, order[j], traces[j]
-                        )
-                elif isinstance(exc, EvaluationError):
-                    # The worker's attempt counts against the retry
-                    # budget; the serial path takes over from attempt 1
-                    # (or quarantines immediately when retries are off).
-                    if self.retry_policy.max_retries >= 1:
-                        self._resilient.stats.retries += 1
-                        self._resilient._charge_failed_attempt(0, charge=True)
-                        serial.append((j, 1))
-                    else:
-                        self._resilient._quarantine(order[j], exc)
-                else:
-                    # A genuine bug in a worker: fall back to serial for
-                    # this genome so the failure (if it reproduces) is
-                    # raised with the config repr attached.
-                    self._resilient.stats.fallbacks += 1
-                    serial.append((j, 0))
-        else:
-            serial = [(j, 0) for j in missing]
-
-        for j, failed_attempts in serial:
-            traces[j] = self._resilient.build_trace(
-                workload,
-                order[j],
-                charge=True,
-                failed_attempts=failed_attempts,
-                check_cache=False,
-            )
-
-        return [traces[index[config]] for config in configs]
-
-    # -- fastpath accounting ----------------------------------------------------
-
-    def _disk_counters(self) -> tuple[int, int, int]:
-        """Live (hits, misses, stores) of the cache's persistent
-        backend; zeros without one."""
-        backend = self.cache.backend if self.cache is not None else None
-        if backend is None:
-            return (0, 0, 0)
-        return (backend.hits, backend.misses, backend.stores)
-
-    def _begin_stats_window(self) -> None:
-        self._n_evaluations = 0
-        self._prewarm = (0, 0, 0)
-        cache = self.cache
-        faults = self.simulator.faults
-        self._stats_base = (
-            self.simulator.traces_built,
-            self.simulator.trace_replays,
-            cache.hits if cache else 0,
-            cache.misses if cache else 0,
-            cache.evictions if cache else 0,
-        )
-        self._disk_base = self._disk_counters()
-        self._faults_base = (
-            faults.transient_errors_injected + faults.stragglers_injected
-            if faults is not None
-            else 0
-        )
-
-    def _fastpath_window(self) -> dict[str, int]:
-        """The run-relative fastpath counters (current minus the window
-        base), journaled at every record boundary so resume can restore
-        them."""
-        built0, replays0, hits0, misses0, evict0 = self._stats_base
-        dhits0, dmisses0, dstores0 = self._disk_base
-        dhits, dmisses, dstores = self._disk_counters()
+    def _live_counters(self) -> dict[str, int]:
+        """Current simulator and cache counters, keyed like the
+        :class:`EvaluationStats` fields they feed."""
         cache = self.cache
         return {
-            "traces_built": self.simulator.traces_built - built0,
-            "trace_replays": self.simulator.trace_replays - replays0,
-            "cache_hits": (cache.hits - hits0) if cache else 0,
-            "cache_misses": (cache.misses - misses0) if cache else 0,
-            "cache_evictions": (cache.evictions - evict0) if cache else 0,
-            "disk_hits": dhits - dhits0,
-            "disk_misses": dmisses - dmisses0,
-            "disk_stores": dstores - dstores0,
+            "traces_built": self.simulator.traces_built,
+            "trace_replays": self.simulator.trace_replays,
+            "cache_hits": cache.hits if cache else 0,
+            "cache_misses": cache.misses if cache else 0,
+            "cache_evictions": cache.evictions if cache else 0,
         }
 
-    def _restore_fastpath_window(self, window: Mapping[str, int]) -> None:
-        """Re-base the stats window so the run-relative counters equal a
-        journaled record's ``fastpath`` dict.  Replayed generations skip
-        the simulator entirely, so without this a resumed run would
-        report zeros for everything the journaled generations did --
-        including a deflated ``cache_hit_rate``.  Empty dicts (journals
-        from older builds) are left alone: replay behaves as before."""
-        if not window:
-            return
-        cache = self.cache
-        self._stats_base = (
-            self.simulator.traces_built - int(window.get("traces_built", 0)),
-            self.simulator.trace_replays - int(window.get("trace_replays", 0)),
-            (cache.hits if cache else 0) - int(window.get("cache_hits", 0)),
-            (cache.misses if cache else 0) - int(window.get("cache_misses", 0)),
-            (cache.evictions if cache else 0) - int(window.get("cache_evictions", 0)),
-        )
-        dhits, dmisses, dstores = self._disk_counters()
-        self._disk_base = (
-            dhits - int(window.get("disk_hits", 0)),
-            dmisses - int(window.get("disk_misses", 0)),
-            dstores - int(window.get("disk_stores", 0)),
-        )
+    def _stats_window(self) -> dict[str, int]:
+        """The run-relative counters (live minus base), journaled at
+        every record boundary so resume can restore them."""
+        return {k: v - self._stats_base[k] for k, v in self._live_counters().items()}
 
-    def _collect_stats(self) -> EvaluationStats:
-        built0, replays0, hits0, misses0, evict0 = self._stats_base
-        cache = self.cache
-        faults = self.simulator.faults
-        injected = (
-            faults.transient_errors_injected
-            + faults.stragglers_injected
-            - self._faults_base
-            if faults is not None
-            else 0
-        )
-        resilience = self._resilient.stats
-        prewarm_lookups, prewarm_hits, prewarm_builds = self._prewarm
-        dhits0, dmisses0, dstores0 = self._disk_base
-        dhits, dmisses, dstores = self._disk_counters()
-        return EvaluationStats(
-            evaluations=self._n_evaluations,
-            cache_hits=(cache.hits - hits0) if cache else 0,
-            cache_misses=(cache.misses - misses0) if cache else 0,
-            cache_evictions=(cache.evictions - evict0) if cache else 0,
-            traces_built=self.simulator.traces_built - built0,
-            trace_replays=self.simulator.trace_replays - replays0,
-            retries=resilience.retries,
-            timeouts=resilience.timeouts,
-            quarantined=resilience.quarantined,
-            fallbacks=resilience.fallbacks,
-            faults_injected=injected,
-            guardrail_trips=self._guardrail_trip_count(),
-            prewarm_lookups=prewarm_lookups,
-            prewarm_hits=prewarm_hits,
-            prewarm_builds=prewarm_builds,
-            disk_hits=dhits - dhits0,
-            disk_misses=dmisses - dmisses0,
-            disk_stores=dstores - dstores0,
-        )
+    def _restore_stats_window(self, window: Mapping[str, int]) -> None:
+        """Re-base the window so it equals a journaled ``fastpath``
+        dict.  Replayed generations skip the simulator entirely, so
+        without this a resumed run would report zeros for everything the
+        journaled generations did.  Keys this build does not count are
+        ignored; empty dicts (journals from older builds) change nothing."""
+        live = self._live_counters()
+        for key, value in window.items():
+            if key in live:
+                self._stats_base[key] = live[key] - int(value)

@@ -23,9 +23,7 @@ wraps the simulator's trace/replay fastpath so a failure becomes a
   skip straight to the worst-case fitness without burning more budget.
 * **Exception hygiene.**  Anything *not* an ``EvaluationError`` is a
   genuine bug; it is re-raised wrapped with the configuration repr so
-  the failing genome is never lost (see
-  :meth:`~repro.tuners.hstuner.HSTuner._traces_for` for the thread-pool
-  fallback that uses this).
+  the failing genome is never lost.
 
 The happy path performs exactly the same calls in exactly the same order
 as the unwrapped fastpath, so with no faults firing and no timeout
@@ -110,21 +108,20 @@ class ResilienceStats:
     retries: int = 0
     timeouts: int = 0
     quarantined: int = 0
-    fallbacks: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return {
             "retries": self.retries,
             "timeouts": self.timeouts,
             "quarantined": self.quarantined,
-            "fallbacks": self.fallbacks,
         }
 
     def restore(self, state: Mapping[str, int]) -> None:
+        """Restore :meth:`as_dict` counters; unknown keys (such as the
+        ``fallbacks`` older journals carry) are ignored."""
         self.retries = int(state.get("retries", 0))
         self.timeouts = int(state.get("timeouts", 0))
         self.quarantined = int(state.get("quarantined", 0))
-        self.fallbacks = int(state.get("fallbacks", 0))
 
 
 class ResilientEvaluator:
@@ -202,15 +199,12 @@ class ResilientEvaluator:
         workload: WorkloadLike,
         config: StackConfiguration,
         charge: bool = True,
-        failed_attempts: int = 0,
         check_cache: bool = True,
     ) -> StackTrace | None:
         """The trace for ``config``, retrying transient failures.
 
         Returns ``None`` when the configuration is (or becomes)
-        quarantined.  ``failed_attempts`` credits failures that already
-        happened elsewhere (a thread-pool worker's attempt) against the
-        retry budget; callers that already performed (and counted) the
+        quarantined.  Callers that already performed (and counted) the
         cache lookup pass ``check_cache=False``.  Successful traces go
         through the cache; faulted attempts raise before producing
         anything, so no partial trace is ever stored.
@@ -218,11 +212,11 @@ class ResilientEvaluator:
         if self.is_quarantined(config):
             return None
         if check_cache and self.cache is not None:
-            cached = self.cache.lookup_trace(self.simulator, workload, config)
+            cached = self.cache.lookup(self.simulator.platform, workload, config)
             if cached is not None:
                 return cached
         last: EvaluationError | None = None
-        for attempt in range(failed_attempts, self.policy.max_retries + 1):
+        for attempt in range(self.policy.max_retries + 1):
             try:
                 trace = self.simulator.trace(workload, config)
             except EvaluationError as exc:
@@ -237,7 +231,7 @@ class ResilientEvaluator:
                     f"trace construction failed for {config!r}"
                 ) from exc
             if self.cache is not None:
-                self.cache.store_trace(self.simulator, workload, config, trace)
+                self.cache.store(self.simulator.platform, workload, config, trace)
             return trace
         assert last is not None
         self._quarantine(config, last)

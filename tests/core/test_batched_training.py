@@ -1,4 +1,4 @@
-"""Batched agent pretraining: the offline fastpath's third layer.
+"""Batched agent pretraining: the opt-in offline fastpath.
 
 The vectorized trainers are allowed to consume randomness differently
 from the serial loops (array draws instead of per-sample draws), so the
@@ -200,7 +200,7 @@ def test_private_sweep_cache_counts_no_false_hits():
 
 
 def test_train_tunio_agents_pool_and_batched_path():
-    """The full offline phase on the pooled + batched fastpath trains a
+    """The full offline phase on the batched fastpath trains a
     usable agent bundle (checkpoint-level: impact normalised, stopper
     stops plateaus)."""
     platform = cori(4)
@@ -208,7 +208,7 @@ def test_train_tunio_agents_pool_and_batched_path():
     normalizer = PerfNormalizer.for_platform(platform, 4)
     agents = train_tunio_agents(
         sim, [vpic(), flash()], normalizer,
-        rng=np.random.default_rng(77), workers=2, batched=True,
+        rng=np.random.default_rng(77), batched=True,
     )
     assert agents.impact_scores.sum() == pytest.approx(1.0)
     assert np.allclose(agents.smart_config.impact_scores, agents.impact_scores)

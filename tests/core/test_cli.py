@@ -256,8 +256,6 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
     "flags",
     [
         ["--iterations", "0"],
-        ["--batch-workers", "-3"],
-        ["--batch-workers", "0"],
         ["--max-retries", "-1"],
         ["--fault-agent-at", "-2", "--fault-agent", "nan-weights"],
         ["--fault-agent", "checkpoint-truncation"],  # needs --agents-cache
@@ -269,64 +267,23 @@ def test_contradictory_flags_rejected_with_usage_error(flags):
     assert err.value.code == 2
 
 
-# -- offline fastpath flags ----------------------------------------------------
+# -- removed worker and disk-cache flags ---------------------------------------
 
 
-@pytest.mark.offline_fastpath
 @pytest.mark.parametrize(
     "flags",
     [
-        ["--workers", "-1"],
-        ["--workers", "-3"],
-        ["--cache-dir", "/tmp/x", "--no-eval-cache"],
+        ["--workers", "2"],
+        ["--cache-dir", "/tmp/x"],
+        ["--batch-workers", "2"],
     ],
 )
 def test_bad_fastpath_flags_exit_2(flags):
+    """Tuning runs one serial worker model: the pool and disk-cache
+    flags are gone and are refused as unknown options."""
     with pytest.raises(SystemExit) as err:
         main(["ior", *flags])
     assert err.value.code == 2
-
-
-@pytest.mark.offline_fastpath
-def test_batch_workers_flag_is_deprecated(capsys):
-    assert main([
-        "flash", "--tuner", "hstuner", "--iterations", "2", "--seed", "1",
-        "--batch-workers", "2",
-    ]) == 0
-    captured = capsys.readouterr()
-    assert "deprecated" in captured.err and "--workers" in captured.err
-    assert "final:" in captured.out
-
-
-@pytest.mark.offline_fastpath
-def test_workers_flag_is_result_transparent(capsys):
-    argv = ["flash", "--tuner", "hstuner", "--iterations", "3", "--seed", "3"]
-    assert main(argv) == 0
-    serial = capsys.readouterr().out
-    assert main([*argv, "--workers", "2"]) == 0
-    pooled = capsys.readouterr().out
-    assert pooled == serial  # bit-identical, fastpath line included
-
-
-@pytest.mark.offline_fastpath
-def test_cache_dir_warm_rerun_is_identical_and_hits_disk(tmp_path, capsys):
-    argv = [
-        "flash", "--tuner", "hstuner", "--iterations", "3", "--seed", "3",
-        "--cache-dir", str(tmp_path / "traces"),
-    ]
-    assert main(argv) == 0
-    cold = capsys.readouterr().out
-    assert "disk 0/" in cold  # first run: all misses, entries stored
-    assert list((tmp_path / "traces").glob("*.npz"))
-
-    assert main(argv) == 0
-    warm = capsys.readouterr().out
-    assert "(0 stored)" in warm  # warm run: everything served from disk
-
-    def strip_fastpath(text):
-        return [l for l in text.splitlines() if not l.startswith("fastpath:")]
-
-    assert strip_fastpath(warm) == strip_fastpath(cold)
 
 
 @pytest.mark.guardrails

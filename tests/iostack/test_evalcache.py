@@ -183,14 +183,13 @@ def test_evaluation_stats_derived_fields():
 
 def test_evaluation_stats_degraded_flag_and_resilience_line():
     assert not EvaluationStats().degraded
-    for field in ("retries", "timeouts", "quarantined", "fallbacks",
-                  "faults_injected"):
+    for field in ("retries", "timeouts", "quarantined", "faults_injected"):
         assert EvaluationStats(**{field: 1}).degraded
     line = EvaluationStats(
-        retries=2, timeouts=1, quarantined=3, fallbacks=4, faults_injected=5
+        retries=2, timeouts=1, quarantined=3, faults_injected=5
     ).describe_resilience()
     assert line == ("5 faults injected, 2 retries, 1 timeouts, "
-                    "3 quarantined, 4 serial fallbacks")
+                    "3 quarantined")
 
 
 # -- edge paths ----------------------------------------------------------------

@@ -95,8 +95,7 @@ def test_fastpath_line_matches_describe():
 
 
 def test_resilience_line_matches_describe_resilience():
-    stats = make_stats(retries=3, timeouts=1, quarantined=2, fallbacks=1,
-                       faults_injected=4)
+    stats = make_stats(retries=3, timeouts=1, quarantined=2, faults_injected=4)
     reg = MetricsRegistry()
     reg.ingest_eval_stats(stats)
     snapshot = reg.snapshot()

@@ -212,7 +212,7 @@ def tuned(workload, *, noise, legacy=False, **kwargs):
 @pytest.mark.parametrize("noise_name", sorted(NOISES))
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
 def test_tuning_history_matches_legacy_pipeline(workload_name, noise_name):
-    """Cache on + batch on (+ thread pool) reproduces, bit for bit, the
+    """Cache on + batch on reproduces, bit for bit, the
     tuning history of the legacy per-individual, per-repeat pipeline."""
     workload = WORKLOADS[workload_name]()
     noise = NOISES[noise_name]
@@ -224,7 +224,6 @@ def test_tuning_history_matches_legacy_pipeline(workload_name, noise_name):
         noise=noise,
         cache=EvaluationCache(),
         batch_evaluation=True,
-        batch_workers=4,
     )
     assert_histories_identical(reference, fastpath)
     assert fastpath.eval_stats is not None
@@ -232,7 +231,7 @@ def test_tuning_history_matches_legacy_pipeline(workload_name, noise_name):
 
 
 def test_fastpath_switches_are_result_transparent():
-    """Every combination of (cache, batch, workers) yields the same run."""
+    """Every combination of (cache, batch) yields the same run."""
     workload = vpic()
     noise = NOISES["seeded"]
     baseline = tuned(workload, noise=noise, cache=None, batch_evaluation=False)
@@ -240,13 +239,6 @@ def test_fastpath_switches_are_result_transparent():
         tuned(workload, noise=noise, cache=None, batch_evaluation=True),
         tuned(workload, noise=noise, cache=EvaluationCache(), batch_evaluation=False),
         tuned(workload, noise=noise, cache=EvaluationCache(), batch_evaluation=True),
-        tuned(
-            workload,
-            noise=noise,
-            cache=EvaluationCache(),
-            batch_evaluation=True,
-            batch_workers=2,
-        ),
     ]
     for variant in variants:
         assert_histories_identical(baseline, variant)

@@ -172,19 +172,3 @@ def test_stats_window_resets_between_tunes(sim):
     # the second run starts from the same default baseline: cache hit
     assert second.eval_stats.cache_hits >= 1
 
-
-def test_batch_workers_do_not_change_results(sim):
-    from repro.iostack import EvaluationCache, IOStackSimulator, NoiseModel, cori
-
-    def run(workers):
-        simulator = IOStackSimulator(cori(2), NoiseModel(seed=5))
-        tuner = small_tuner(
-            simulator, seed=9, cache=EvaluationCache(), batch_workers=workers
-        )
-        return tuner.tune(make_workload(), max_iterations=6)
-
-    serial = run(None)
-    pooled = run(4)
-    assert np.array_equal(serial.perf_series(), pooled.perf_series())
-    assert serial.best_config == pooled.best_config
-    assert serial.total_minutes == pooled.total_minutes

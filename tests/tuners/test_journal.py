@@ -2,7 +2,6 @@
 and tuning under injected faults (the robustness acceptance tests)."""
 
 import json
-import threading
 
 import numpy as np
 import pytest
@@ -15,7 +14,6 @@ from repro.iostack import (
     StackConfiguration,
     cori,
 )
-from repro.iostack.faults import TransientFaultError
 from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import (
     JOURNAL_VERSION,
@@ -34,7 +32,6 @@ def make_tuner(faults=None, cache=True, **kwargs):
     """A small deterministic tuner; call twice for identical twins."""
     sim = IOStackSimulator(cori(2), NoiseModel(seed=11), faults=faults)
     kwargs.setdefault("population_size", 4)
-    kwargs.setdefault("batch_workers", None)
     return HSTuner(
         sim,
         stopper=NoStop(),
@@ -146,27 +143,40 @@ def test_replay_cursor_hands_out_records_in_order(tmp_path):
 # -- bit-identical kill-and-resume ---------------------------------------------
 
 
-def run_and_kill_then_resume(tmp_path, faults, keep_generations, total=6):
-    """Tune to completion; replay a truncated copy; return both journals."""
-    plan = lambda: (
-        FaultPlan(seed=5, transient_error_rate=0.15, straggler_rate=0.08)
-        if faults else None
-    )
+def fault_plan(faults):
+    """The plan the resume tests inject (None for fault-free runs)."""
+    if not faults:
+        return None
+    return FaultPlan(seed=5, transient_error_rate=0.15, straggler_rate=0.08)
+
+
+def run_and_kill_then_resume(
+    tmp_path, faults, keep_generations, total=6, edit_record=None
+):
+    """Tune to completion; replay a truncated copy; return both journals.
+    ``edit_record`` may rewrite each kept record (a parsed dict) before
+    the resume, to simulate journals written by other builds."""
     full = tmp_path / "full.journal"
-    tuner = make_tuner(faults=plan())
+    tuner = make_tuner(faults=fault_plan(faults))
     tuner.attach_journal(JournalWriter(str(full), header={"h": 1}))
     tuner.tune(make_workload(), max_iterations=total)
 
     # keep header + baseline + k generations, plus a torn half-line
     lines = open(full).readlines()
     cut = tmp_path / "cut.journal"
+    kept = lines[: 2 + keep_generations]
+    if edit_record is not None:
+        kept = kept[:1] + [
+            json.dumps(edit_record(json.loads(line)), separators=(",", ":")) + "\n"
+            for line in kept[1:]
+        ]
     with open(cut, "w") as fh:
-        fh.writelines(lines[: 2 + keep_generations])
+        fh.writelines(kept)
         fh.write(lines[2 + keep_generations][:40])
 
     journal = load_journal(str(cut))
     assert journal.last_iteration == keep_generations - 1
-    resumed = make_tuner(faults=plan())
+    resumed = make_tuner(faults=fault_plan(faults))
     resumed.attach_journal(
         JournalWriter(str(cut), header={"h": 1}, resume_from=journal),
         replay=ReplayCursor(journal),
@@ -183,27 +193,62 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
     assert result.stop_reason == "budget"
 
 
-def test_resumed_run_reports_the_fresh_runs_cache_stats(tmp_path):
+def without_prewarm(stats):
+    return {k: v for k, v in stats.as_dict().items()
+            if not k.startswith("prewarm_")}
+
+
+@pytest.mark.parametrize("keep_generations", [1, 3, 5])
+@pytest.mark.parametrize("faults", [False, True])
+def test_resumed_run_reports_the_fresh_runs_cache_stats(
+    tmp_path, faults, keep_generations
+):
     """Cache-accounting regression: journal replay re-warms the trace
     cache, and those warming lookups must not inflate the resumed run's
     cache_hit_rate.  The resumed EvaluationStats match the uninterrupted
     run's exactly, with warming visible only in the prewarm_* fields."""
     _, _, resumed_result = run_and_kill_then_resume(
-        tmp_path, faults=False, keep_generations=3
+        tmp_path, faults=faults, keep_generations=keep_generations
     )
-    fresh_result = make_tuner().tune(make_workload(), max_iterations=6)
+    fresh_result = make_tuner(faults=fault_plan(faults)).tune(
+        make_workload(), max_iterations=6
+    )
     fresh, resumed = fresh_result.eval_stats, resumed_result.eval_stats
 
     assert resumed.prewarm_lookups > 0
     assert resumed.prewarm_builds > 0
     assert fresh.prewarm_lookups == 0  # uninterrupted runs never prewarm
 
-    def without_prewarm(stats):
-        return {k: v for k, v in stats.as_dict().items()
-                if not k.startswith("prewarm_")}
-
     assert without_prewarm(resumed) == without_prewarm(fresh)
     assert resumed.cache_hit_rate == fresh.cache_hit_rate
+
+
+@pytest.mark.parametrize("faults", [False, True])
+def test_resume_accepts_journals_with_retired_counters(tmp_path, faults):
+    """Journals written before the disk trace cache and the trace pools
+    were removed carry ``disk_*`` keys in ``fastpath`` and ``fallbacks``
+    in ``resilience``.  They still resume, and the resumed run equals
+    the uninterrupted one."""
+
+    def with_retired_counters(record):
+        if "fastpath" in record:
+            record["fastpath"].update(disk_hits=2, disk_misses=3, disk_stores=1)
+        if "resilience" in record:
+            record["resilience"]["fallbacks"] = 4
+        return record
+
+    full, cut, resumed = run_and_kill_then_resume(
+        tmp_path, faults=faults, keep_generations=3,
+        edit_record=with_retired_counters,
+    )
+    fresh = make_tuner(faults=fault_plan(faults)).tune(
+        make_workload(), max_iterations=6
+    )
+    assert resumed.history == fresh.history
+    assert resumed.best_config == fresh.best_config
+    assert without_prewarm(resumed.eval_stats) == without_prewarm(fresh.eval_stats)
+    # Everything after the edited records is written exactly as before.
+    assert journal_bodies(full)[4:] == journal_bodies(cut)[4:]
 
 
 @pytest.mark.faults
@@ -268,31 +313,13 @@ def test_poisoned_config_is_quarantined_not_fatal():
     assert result.best_perf > 0.0  # search still found live configs
 
 
-# -- thread-pool batch resilience ----------------------------------------------
+# -- batch resilience ------------------------------------------------------------
 
 
-def test_pool_worker_crash_falls_back_to_serial(tmp_path):
-    """A trace builder that only fails off the main thread: the pool
-    path fails, the serial fallback succeeds, the tune completes."""
-    tuner = make_tuner(batch_workers=2)
-    main = threading.main_thread()
-    bare_trace = tuner.simulator.trace
-
-    def flaky_in_threads(workload, config):
-        if threading.current_thread() is not main:
-            raise RuntimeError("thread-local state missing")
-        return bare_trace(workload, config)
-
-    tuner.simulator.trace = flaky_in_threads
-    result = tuner.tune(make_workload(), max_iterations=3)
-    assert result.eval_stats.fallbacks > 0
-    assert result.best_perf > 0
-
-
-def test_pool_worker_bug_surfaces_with_the_config_repr():
-    """A deterministic bug in a worker re-raises serially, wrapped with
-    the failing configuration's repr (never a bare pool traceback)."""
-    tuner = make_tuner(batch_workers=2, cache=False)
+def test_trace_bug_surfaces_with_the_config_repr():
+    """A deterministic bug in trace construction re-raises out of the
+    tune wrapped with the failing configuration's repr."""
+    tuner = make_tuner(cache=False)
     bare_trace = tuner.simulator.trace
     bad = StackConfiguration.default()
 
@@ -306,27 +333,3 @@ def test_pool_worker_bug_surfaces_with_the_config_repr():
         tuner.tune(make_workload(), max_iterations=2)
     assert repr(bad) in str(info.value)
     assert isinstance(info.value.__cause__, ZeroDivisionError)
-
-
-def test_pool_worker_transient_fault_retries_serially():
-    """An injected fault in a pool worker charges a retry and the serial
-    path re-attempts without crashing the batch."""
-    config = StackConfiguration.default()
-    for seed in range(300):
-        plan = FaultPlan(seed=seed, transient_error_rate=0.5)
-        try:
-            plan.check_trace(config)  # attempt 0 faulted?
-        except TransientFaultError:
-            try:
-                plan.check_trace(config)  # ...and attempt 1 succeeds?
-            except TransientFaultError:
-                continue
-            plan.reset()
-            tuner = make_tuner(faults=plan, batch_workers=2, cache=False)
-            result = tuner.tune(make_workload(), max_iterations=2)
-            assert result.eval_stats.retries > 0
-            assert result.eval_stats.fallbacks == 0
-            assert result.best_perf > 0
-            return
-        continue
-    pytest.fail("no seed faulted attempt 0 but not attempt 1")

@@ -67,7 +67,7 @@ def test_happy_path_is_bit_identical_to_bare_fastpath(workload):
         h.clock.setup_overhead + expected.charged_seconds
     )
     assert h.stats.as_dict() == {
-        "retries": 0, "timeouts": 0, "quarantined": 0, "fallbacks": 0,
+        "retries": 0, "timeouts": 0, "quarantined": 0,
     }
 
 
