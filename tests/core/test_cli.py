@@ -256,6 +256,8 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
     "flags",
     [
         ["--iterations", "0"],
+        ["--retry-backoff", "-1"],
+        ["--eval-timeout", "-5"],
         ["--max-retries", "-1"],
         ["--fault-agent-at", "-2", "--fault-agent", "nan-weights"],
         ["--fault-agent", "checkpoint-truncation"],  # needs --agents-cache
