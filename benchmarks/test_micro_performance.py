@@ -94,30 +94,6 @@ def test_cached_evaluation_speed(benchmark, sim):
     assert benchmark.stats["median"] < fast_cold / 3
 
 
-def test_batched_pretraining_speedup():
-    """The vectorized early-stopper trainer must beat the per-sample
-    loop by >= 3x on identical seeds (measured ~4.4x: matrix curve
-    generation + batched episodes + one train_batch per epoch)."""
-    import time
-
-    from repro.core.early_stopping import EarlyStoppingAgent
-
-    def train(batched):
-        rng = np.random.default_rng(7)
-        agent = EarlyStoppingAgent(rng=rng)
-        start = time.perf_counter()
-        report = agent.train_offline(rng=rng, batched=batched)
-        return time.perf_counter() - start, report
-
-    serial_s, serial_report = train(batched=False)
-    batched_s, batched_report = train(batched=True)
-    # Both arms must have done the same job, not stopped early.
-    assert serial_report.stagnated and batched_report.stagnated
-    assert batched_s < serial_s / 3, (
-        f"batched {batched_s:.2f}s vs serial {serial_s:.2f}s"
-    )
-
-
 def test_tuning_run_wall_clock(sim):
     """A 10-generation tuning run with the full fastpath stays
     interactive (the seed needed ~3 stack traversals per evaluation)."""

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.iostack.faults import FaultPlan
-from repro.rl.curves import LogCurve, LogCurveBatch, LogCurveGenerator
+from repro.rl.curves import LogCurve, LogCurveGenerator
 from repro.rl.guardrails import (
     GuardrailMonitor,
     LossDivergenceMonitor,
@@ -163,47 +163,6 @@ class EarlyStoppingAgent:
             dtype=float,
         )
 
-    def states_matrix(self, values_matrix: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`state_from_series`: the 5-feature state for
-        every iteration of every curve in a ``(count, n)`` best-so-far
-        matrix, returned as ``(count, n, 5)``.
-
-        Feature-for-feature identical to the serial construction
-        (pinned by tests), so a greedy policy makes the same decision
-        whichever path built its state.
-        """
-        cfg = self.config
-        v = np.atleast_2d(np.asarray(values_matrix, dtype=float))
-        m, n = v.shape
-        t = np.arange(n)
-
-        gain_1 = np.zeros((m, n))
-        gain_1[:, 1:] = v[:, 1:] - v[:, :-1]
-        back = np.maximum(0, t - cfg.delay)
-        gain_d = v - v[:, back]
-        gain_d[:, 0] = 0.0
-
-        # stall[i, t]: iterations since the last >=1.5%-of-current
-        # improvement, walking k = t..1 exactly like the serial loop.
-        thresholds = 0.015 * np.maximum(v, 1e-9)  # (m, n)
-        k = np.arange(1, n)
-        # qualifies[i, t, k-1]: step k improved enough, judged at t.
-        qualifies = gain_1[:, None, 1:] >= thresholds[:, :, None]
-        qualifies &= k[None, None, :] <= t[None, :, None]
-        last_k = np.max(np.where(qualifies, k[None, None, :], 0), axis=2)
-        stall = t[None, :] - last_k
-
-        return np.stack(
-            [
-                np.broadcast_to(np.minimum(2.0, t / cfg.max_iterations), (m, n)),
-                v,
-                gain_1,
-                gain_d,
-                np.minimum(4.0, stall / cfg.delay),
-            ],
-            axis=2,
-        )
-
     # -- decisions ------------------------------------------------------------
 
     def should_stop(self, values: Sequence[float], t: int, greedy: bool = True) -> bool:
@@ -252,41 +211,6 @@ class EarlyStoppingAgent:
         self.agent.q_network.fit(x, y, epochs=epochs, batch_size=64, rng=rng)
         self.agent.target_network.copy_from(self.agent.q_network)
 
-    def _monte_carlo_pretrain_batched(
-        self,
-        generator: LogCurveGenerator,
-        rng: np.random.Generator,
-        n_curves: int = 600,
-        epochs: int = 60,
-    ) -> None:
-        """Vectorized :meth:`_monte_carlo_pretrain`: the curves arrive
-        as one matrix, the discounted continue-forever returns and the
-        state features are computed array-at-a-time, and the regression
-        runs in larger minibatches.  Same warm-start economics, a
-        fraction of the python-loop cost."""
-        cfg = self.config
-        batch = generator.sample_matrix(n_curves, rng)
-        v = batch.values
-        m, n = v.shape
-
-        horizon = np.minimum(np.arange(n - 1) + cfg.delay, n - 1)
-        r = (v[:, horizon] - v[:, :-1] - cfg.iteration_cost) / cfg.delay
-        returns = np.zeros((m, n))
-        for t in range(n - 2, -1, -1):
-            returns[:, t] = r[:, t] + cfg.discount * returns[:, t + 1]
-
-        states = self.states_matrix(v)
-        per_curve = min(20, n - 1)
-        # Distinct sampled iterations per curve, one argsort instead of
-        # per-curve ``choice`` calls.
-        picks = np.argsort(rng.random((m, n - 1)), axis=1)[:, :per_curve]
-        rows = np.repeat(np.arange(m), per_curve)
-        cols = picks.ravel()
-        x = states[rows, cols]
-        y = np.stack([returns[rows, cols], np.zeros(rows.size)], axis=1)
-        self.agent.q_network.fit(x, y, epochs=epochs, batch_size=256, rng=rng)
-        self.agent.target_network.copy_from(self.agent.q_network)
-
     def train_offline(
         self,
         generator: LogCurveGenerator | None = None,
@@ -296,26 +220,15 @@ class EarlyStoppingAgent:
         stagnation_threshold: float = 0.05,
         stagnation_window: int = 5,
         validation_curves: int = 40,
-        batched: bool = False,
     ) -> OfflineTrainingReport:
         """Train on synthetic log curves: a Monte-Carlo supervised warm
         start, then episodic Q-learning until the average reward
         stagnates (the paper's <5%-over-5 criterion); finally validate
         against the curves' known ideal stop points.
-
-        ``batched=True`` runs the offline-fastpath variant: matrix curve
-        generation, vectorized state construction, lockstep episodes and
-        large-minibatch updates.  It reaches the same stagnation
-        criterion and comparable validation quality (pinned by the
-        checkpoint-level equivalence tests) but is not bit-identical to
-        the serial path -- the per-sample random streams differ.
         """
         generator = generator or LogCurveGenerator()
         rng = rng if rng is not None else self.rng
-        if batched:
-            self._monte_carlo_pretrain_batched(generator, rng)
-        else:
-            self._monte_carlo_pretrain(generator, rng)
+        self._monte_carlo_pretrain(generator, rng)
         # The warm start means little exploration is needed afterwards.
         self.agent.epsilon = 0.2
 
@@ -323,16 +236,11 @@ class EarlyStoppingAgent:
         stagnated = False
         min_epochs = 4 * stagnation_window  # let exploration decay first
         for _ in range(max_epochs):
-            if batched:
-                curve_batch = generator.sample_matrix(episodes_per_epoch, rng)
-                rewards = self._run_episode_batch(curve_batch)
-                mean_rewards.append(float(np.mean(rewards)))
-            else:
-                rewards = []
-                for _ in range(episodes_per_epoch):
-                    rewards.append(self._run_episode(generator.sample(rng), learn=True))
-                    self.agent.decay_epsilon()
-                mean_rewards.append(float(np.mean(rewards)))
+            rewards = []
+            for _ in range(episodes_per_epoch):
+                rewards.append(self._run_episode(generator.sample(rng), learn=True))
+                self.agent.decay_epsilon()
+            mean_rewards.append(float(np.mean(rewards)))
             if len(mean_rewards) >= min_epochs:
                 # Window means rather than point values: single-epoch
                 # reward estimates are too noisy to test a 5% criterion.
@@ -344,22 +252,6 @@ class EarlyStoppingAgent:
                 if (now - past) / denom < stagnation_threshold:
                     stagnated = True
                     break
-
-        if batched:
-            val = generator.sample_matrix(validation_curves, rng)
-            stops = self.evaluate_stop_points_matrix(val.values)
-            econ = self.economic_stops_matrix(val.values)
-            errors_arr = np.abs(stops - econ).astype(float)
-            total_gain = val.values[:, -1] - val.values[:, 0]
-            got = val.values[np.arange(len(val)), stops] - val.values[:, 0]
-            captured_arr = np.where(total_gain > 0, got / np.maximum(total_gain, 1e-12), 1.0)
-            return OfflineTrainingReport(
-                epochs=len(mean_rewards),
-                mean_rewards=tuple(mean_rewards),
-                validation_stop_error=float(np.mean(errors_arr)),
-                validation_gain_captured=float(np.mean(captured_arr)),
-                stagnated=stagnated,
-            )
 
         errors: list[float] = []
         captured: list[float] = []
@@ -385,13 +277,6 @@ class EarlyStoppingAgent:
         t = np.arange(curve.values.size)
         return int(np.argmax(curve.values - c * t))
 
-    def economic_stops_matrix(self, values_matrix: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`economic_stop` over a curve matrix."""
-        v = np.atleast_2d(np.asarray(values_matrix, dtype=float))
-        c = self.config.iteration_cost / self.config.delay
-        t = np.arange(v.shape[1])
-        return np.argmax(v - c * t[None, :], axis=1)
-
     def evaluate_stop_point(self, curve: LogCurve) -> int:
         """Where the greedy policy stops on a curve (its last index if it
         never stops)."""
@@ -399,21 +284,6 @@ class EarlyStoppingAgent:
             if self.should_stop(curve.values, t, greedy=True):
                 return t
         return curve.values.size - 1
-
-    def evaluate_stop_points_matrix(self, values_matrix: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`evaluate_stop_point`: one batched forward
-        pass scores every (curve, iteration) state; each curve's stop is
-        the first greedy STOP at or after the warm-up.  Greedy decisions
-        match the serial path exactly for the same weights (``argmax``
-        ties resolve to CONTINUE both ways)."""
-        v = np.atleast_2d(np.asarray(values_matrix, dtype=float))
-        m, n = v.shape
-        states = self.states_matrix(v).reshape(m * n, _STATE_DIM)
-        q = np.asarray(self.agent.q_network(states)).reshape(m, n, 2)
-        stops = q[:, :, _STOP] > q[:, :, _CONTINUE]
-        stops[:, : self.config.min_iterations] = False
-        first = np.argmax(stops, axis=1)
-        return np.where(stops.any(axis=1), first, n - 1)
 
     # -- learning machinery -----------------------------------------------------
 
@@ -462,112 +332,6 @@ class EarlyStoppingAgent:
                 self._flush(buffer, v.size - 1, v)
                 self.agent.train_step()
         return total_reward
-
-    def _run_episode_batch(self, curves: LogCurveBatch) -> np.ndarray:
-        """One epoch of lockstep episodes over a curve batch; returns
-        each episode's (undiscounted) matured continue-reward total.
-
-        The batched analogue of ``episodes_per_epoch`` serial
-        :meth:`_run_episode` calls: every episode advances one iteration
-        per step, the whole batch acts through one epsilon-greedy
-        forward pass, matured transitions are pushed as arrays, and one
-        large-minibatch :meth:`QLearningAgent.train_step` runs per
-        lockstep step instead of one per episode per step.  Training
-        dynamics are therefore checkpoint-equivalent (same stagnation
-        criterion, comparable validation quality), not bit-identical.
-        """
-        cfg = self.config
-        agent = self.agent
-        v = curves.values
-        m, n = v.shape
-        states = self.states_matrix(v)
-
-        # Matured continue reward for a decision born at t (independent
-        # of when it matures -- the horizon is pinned to born + delay).
-        horizon = np.minimum(np.arange(n) + cfg.delay, n - 1)
-        continue_reward = v[:, horizon] - v - cfg.iteration_cost
-
-        # Larger lockstep batches compensate for running one update per
-        # step instead of one per episode per step.
-        step_batch = max(agent.config.batch_size, 4 * m)
-
-        active = np.ones(m, dtype=bool)
-        end_t = np.full(m, n - 1)
-        for t in range(n - 1):
-            idx = np.flatnonzero(active)
-            if idx.size == 0:
-                break
-            if t >= cfg.min_iterations:
-                actions = agent.act_batch(states[idx, t])
-            else:
-                actions = np.zeros(idx.size, dtype=int)
-
-            stopping = idx[actions == _STOP]
-            if stopping.size:
-                # Exact trade-off reward for the stop decision, as in
-                # the serial episode.
-                remaining_gain = v[stopping, -1] - v[stopping, t]
-                saved_cost = cfg.iteration_cost * (n - 1 - t) / cfg.delay
-                agent.observe_batch(
-                    states[stopping, t],
-                    _STOP,
-                    saved_cost - remaining_gain,
-                    states[stopping, t],
-                    True,
-                )
-                # Flush their pending continues: born in (t - delay, t),
-                # matured with done=True at the stop state.
-                for born in range(max(0, t - cfg.delay + 1), t):
-                    agent.observe_batch(
-                        states[stopping, born],
-                        _CONTINUE,
-                        continue_reward[stopping, born],
-                        states[stopping, t],
-                        True,
-                    )
-                end_t[stopping] = t
-                active[stopping] = False
-
-            still = idx[actions == _CONTINUE]
-            # Advancing to t+1 matures the decision born delay steps
-            # ago, exactly like the serial buffer.mature call.
-            born = t + 1 - cfg.delay
-            if born >= 0 and still.size:
-                agent.observe_batch(
-                    states[still, born],
-                    _CONTINUE,
-                    continue_reward[still, born],
-                    states[still, t + 1],
-                    False,
-                )
-            agent.train_step(batch_size=step_batch)
-
-        # Episodes that ran to the end flush their remaining pending
-        # continues at the terminal state, exactly like the serial else
-        # branch.
-        full = np.flatnonzero(active)
-        if full.size:
-            for born in range(max(0, n - 1 - cfg.delay + 1), n - 1):
-                agent.observe_batch(
-                    states[full, born],
-                    _CONTINUE,
-                    continue_reward[full, born],
-                    states[full, n - 1],
-                    True,
-                )
-            agent.train_step(batch_size=step_batch)
-
-        # The serial episode's reward total counts continues matured
-        # inside the loop: born <= end_t - delay.
-        matured_upto = end_t - cfg.delay
-        t_grid = np.arange(n)
-        counted = t_grid[None, :] <= matured_upto[:, None]
-        totals = np.where(counted, continue_reward, 0.0).sum(axis=1)
-
-        # Serial training decays epsilon once per episode.
-        for _ in range(m):
-            agent.decay_epsilon()
-        return totals
 
     def _flush(self, buffer: DelayedRewardBuffer, t: int, v: np.ndarray) -> None:
         cfg = self.config

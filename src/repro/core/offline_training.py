@@ -169,23 +169,10 @@ def pretrain_subset_picker(
     episodes: int = 60,
     iterations_per_episode: int = 20,
     rng: np.random.Generator | None = None,
-    batched: bool = False,
 ) -> None:
     """Warm the Subset Picker's Q-network by running surrogate tuning
-    episodes against the sweep-derived impact structure.
-
-    ``batched=True`` runs every episode in lockstep: per surrogate
-    iteration the whole batch updates the State Observer through one
-    :meth:`MLP.train_batch` call, acts through one batched forward pass,
-    and trains the picker on one large minibatch -- checkpoint-level
-    equivalent to the serial loop, several times faster.
-    """
+    episodes against the sweep-derived impact structure."""
     rng = rng if rng is not None else agent.rng
-    if batched:
-        _pretrain_subset_picker_batched(
-            agent, impact_scores, episodes, iterations_per_episode, rng
-        )
-        return
     agent.set_impact_scores(impact_scores)
     names = agent.space.names
     env = _SurrogateTuning(impact_scores=agent.impact_scores, rng=rng)
@@ -198,92 +185,6 @@ def pretrain_subset_picker(
             subset = agent.subset_picker(perf * scale, subset, iteration=it)
             idx = np.array([agent.space.index_of_name(n) for n in subset])
             perf = env.step(idx)
-    agent.reset_episode()
-
-
-def _pretrain_subset_picker_batched(
-    agent: SmartConfigAgent,
-    impact_scores: np.ndarray,
-    episodes: int,
-    iterations_per_episode: int,
-    rng: np.random.Generator,
-) -> None:
-    """Lockstep surrogate pretraining: ``episodes`` analytic tuning runs
-    advance together, batching every network touch.
-
-    Mirrors the serial path's structure -- context -> observer update ->
-    state observation -> delayed reward maturation -> picker update ->
-    epsilon-greedy action -> subset materialisation -> env step -- with
-    the per-episode python/NN calls fused into array operations.
-    """
-    agent.set_impact_scores(impact_scores)
-    space = agent.space
-    names = space.names
-    n_params = len(space)
-    m = episodes
-    settings = agent.settings
-    delay = settings.delay
-    sizes = np.array(agent.subset_sizes)
-
-    env = _SurrogateTuning(impact_scores=agent.impact_scores, rng=rng)
-    perf = rng.uniform(0.05, 0.25, size=m)
-    # Subset membership one-hot per episode; episodes start on the full
-    # parameter set like the serial loop.
-    member = np.ones((m, n_params))
-    perf_trace = np.empty((iterations_per_episode, m))
-    state_hist: list[np.ndarray] = []
-    action_hist: list[np.ndarray] = []
-
-    for it in range(iterations_per_episode):
-        perf_trace[it] = perf
-        subset_frac = member.sum(axis=1) / n_params
-        contexts = np.concatenate(
-            [
-                member,
-                perf[:, None],
-                np.full((m, 1), min(2.0, it / settings.max_iterations)),
-            ],
-            axis=1,
-        )
-        reward_now = perf / subset_frac
-        agent.observer.update_batch(contexts, reward_now)
-        states = agent.observer.observe_state_batch(contexts)
-
-        # Mature the decisions born ``delay`` iterations ago, rewarded
-        # with the perf they led to (the serial delayed_reward closure).
-        born = it - delay
-        if born >= 0:
-            agent.picker.observe_batch(
-                state_hist[born],
-                action_hist[born],
-                perf / subset_frac,
-                states,
-                False,
-            )
-        agent.picker.train_step(batch_size=max(agent.picker.config.batch_size, 2 * m))
-
-        actions = agent.picker.act_batch(states)
-        state_hist.append(states)
-        action_hist.append(actions)
-        agent.picker.epsilon = max(
-            agent.picker.config.epsilon_end,
-            agent.picker.epsilon * agent.picker.config.epsilon_decay**m,
-        )
-
-        # Materialise each episode's next subset (per-episode sampling,
-        # like the serial `_materialize_subset`), then step the analytic
-        # environment for the whole batch at once.
-        member = np.zeros((m, n_params))
-        for i in range(m):
-            subset = agent._materialize_subset(int(sizes[actions[i]]))
-            for name in subset:
-                member[i, space.index_of_name(name)] = 1.0
-        covered = member @ agent.impact_scores
-        gap = np.maximum(0.0, env.ceiling - perf)
-        gain = env.rate * covered * gap
-        gain += rng.normal(0.0, 1.0, size=m) * (env.noise * np.maximum(gain, 0.01))
-        perf = np.minimum(env.ceiling, perf + np.maximum(0.0, gain))
-
     agent.reset_episode()
 
 
@@ -304,17 +205,10 @@ def train_tunio_agents(
     rng: np.random.Generator | None = None,
     curve_generator: LogCurveGenerator | None = None,
     cache: EvaluationCache | None = None,
-    batched: bool = False,
 ) -> TunIOAgents:
     """The full offline phase: sweep the representative kernels, run the
     PCA, pre-train the subset picker, and train the early stopper on
     generated log curves.  All sweeps share ``cache`` when given.
-
-    The default keeps the serial, bit-reproducible behaviour.
-    ``batched=True`` switches both pretraining phases to their
-    vectorized fastpaths, which train checkpoint-equivalent -- not
-    bit-identical -- agents, validated by the batched-training
-    equivalence tests.
     """
     rng = rng if rng is not None else np.random.default_rng()
     sweeps = [
@@ -324,10 +218,10 @@ def train_tunio_agents(
     impact = impact_from_sweeps(sweeps)
 
     smart = SmartConfigAgent(space=space, normalizer=normalizer, rng=rng)
-    pretrain_subset_picker(smart, impact, rng=rng, batched=batched)
+    pretrain_subset_picker(smart, impact, rng=rng)
 
     stopper = EarlyStoppingAgent(rng=rng)
-    stopper.train_offline(generator=curve_generator, rng=rng, batched=batched)
+    stopper.train_offline(generator=curve_generator, rng=rng)
 
     return TunIOAgents(smart_config=smart, early_stopper=stopper, impact_scores=impact)
 

@@ -77,19 +77,6 @@ class NeuralContextualBandit:
         self._updates += 1
         return loss
 
-    def update_batch(self, contexts: np.ndarray, rewards: np.ndarray) -> float:
-        """One regression step on a whole batch of (context, reward)
-        observations -- a single :meth:`MLP.train_batch` call instead of
-        one per observation."""
-        contexts = np.atleast_2d(np.asarray(contexts, dtype=float))
-        self._check_dim(contexts)
-        rewards = np.asarray(rewards, dtype=float).reshape(-1, 1)
-        if rewards.shape[0] != contexts.shape[0]:
-            raise ValueError("need one reward per context row")
-        loss = self.model.train_batch(contexts, rewards)
-        self._updates += contexts.shape[0]
-        return loss
-
     # -- arm selection -------------------------------------------------------------
 
     def select(self, candidate_contexts: np.ndarray) -> int:
@@ -109,14 +96,6 @@ class NeuralContextualBandit:
         for layer in self.model.layers[:-1]:
             x = layer.forward(x)
         return x[0]
-
-    def observe_state_batch(self, contexts: np.ndarray) -> np.ndarray:
-        """State observations for a batch of contexts, one row each."""
-        x = np.atleast_2d(np.asarray(contexts, dtype=float))
-        self._check_dim(x)
-        for layer in self.model.layers[:-1]:
-            x = layer.forward(x)
-        return x
 
     @property
     def updates_seen(self) -> int:

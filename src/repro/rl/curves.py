@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["LogCurve", "LogCurveBatch", "LogCurveGenerator"]
+__all__ = ["LogCurve", "LogCurveGenerator"]
 
 
 @dataclass(frozen=True)
@@ -41,40 +41,6 @@ class LogCurve:
             raise ValueError("a curve needs at least two points")
         if not 0 <= self.ideal_stop < self.values.size:
             raise ValueError("ideal_stop out of range")
-
-
-@dataclass(frozen=True)
-class LogCurveBatch:
-    """A batch of emulated tuning runs as one matrix.
-
-    ``values[i, t]`` is curve ``i``'s best perf up to iteration ``t``;
-    ``ideal_stops[i]`` is its tail-tolerance stop point.  The matrix
-    layout feeds the vectorized pretraining fastpath
-    (:meth:`EarlyStoppingAgent.states_matrix` and friends) without
-    materialising per-curve objects.
-    """
-
-    values: np.ndarray
-    ideal_stops: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2 or self.values.shape[1] < 2:
-            raise ValueError("a curve batch needs shape (count, n >= 2)")
-        if self.ideal_stops.shape != (self.values.shape[0],):
-            raise ValueError("need one ideal_stop per curve")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def curve(self, i: int) -> LogCurve:
-        """Curve ``i`` as a standalone :class:`LogCurve`."""
-        v = self.values[i]
-        return LogCurve(
-            values=v,
-            initial=float(v[0]),
-            final=float(v[-1]),
-            ideal_stop=int(self.ideal_stops[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -172,87 +138,3 @@ class LogCurveGenerator:
         reached = np.flatnonzero(values >= threshold)
         ideal_stop = int(reached[0]) if reached.size else n - 1
         return LogCurve(values=values, initial=float(values[0]), final=final, ideal_stop=ideal_stop)
-
-    def sample_batch(self, count: int, rng: np.random.Generator) -> list[LogCurve]:
-        if count < 1:
-            raise ValueError("count must be positive")
-        return [self.sample(rng) for _ in range(count)]
-
-    def sample_matrix(self, count: int, rng: np.random.Generator) -> LogCurveBatch:
-        """Draw ``count`` curves in one vectorized pass.
-
-        Samples the same curve family as :meth:`sample` -- staged,
-        saturating and log shapes, transient dips, measurement noise,
-        monotone best-so-far -- but with all randomness drawn as arrays,
-        so generating hundreds of curves costs a handful of numpy calls
-        instead of a python loop per curve.  The RNG consumption differs
-        from ``count`` serial :meth:`sample` calls (the distribution is
-        the same; individual curves are not), which is why the batched
-        trainers that use it are validated at the checkpoint level
-        rather than bit-for-bit.
-        """
-        if count < 1:
-            raise ValueError("count must be positive")
-        m, n = count, self.n_iterations
-        t = np.arange(n, dtype=float)
-
-        initial = rng.uniform(*self.initial_range, size=m)
-        gain = rng.uniform(*self.gain_range, size=m)
-        rate = rng.uniform(*self.rate_range, size=m)
-        kind = rng.random(m)
-        staged = kind < self.staged_fraction
-        saturating = ~staged & (kind < self.staged_fraction + self.saturating_fraction)
-
-        tau1 = rng.uniform(2.0, 6.0, size=m)[:, None]
-        tau2 = rng.uniform(*self.tau_range, size=m)[:, None]
-        split = rng.uniform(0.25, 0.65, size=m)[:, None]
-        onset = rng.integers(
-            self.surge_onset_range[0], self.surge_onset_range[1] + 1, size=m
-        )[:, None]
-        tau = rng.uniform(*self.tau_range, size=m)[:, None]
-
-        g = gain[:, None]
-        stage1 = split * g * (1.0 - np.exp(-t[None, :] / tau1))
-        stage2 = np.where(
-            t[None, :] >= onset,
-            (1.0 - split) * g * (1.0 - np.exp(-(t[None, :] - onset) / tau2)),
-            0.0,
-        )
-        trend_staged = stage1 + stage2
-        trend_sat = g * (1.0 - np.exp(-t[None, :] / tau))
-        trend_log = g * np.log1p(rate[:, None] * t[None, :]) / np.log1p(
-            rate[:, None] * (n - 1)
-        )
-        trend = initial[:, None] + np.where(
-            staged[:, None],
-            trend_staged,
-            np.where(saturating[:, None], trend_sat, trend_log),
-        )
-
-        # Transient dips, drawn per (curve, iteration) instead of the
-        # serial skip-ahead walk; overlapping dips merge, which only
-        # thickens the tail of the dip-depth distribution.
-        values = trend.copy()
-        dip_start = rng.random((m, n)) < self.dip_probability
-        dip_start[:, 0] = False
-        depth = rng.uniform(*self.dip_depth_range, size=(m, n)) * g
-        length = rng.integers(
-            self.dip_length_range[0], self.dip_length_range[1] + 1, size=(m, n)
-        )
-        for offset in range(self.dip_length_range[1]):
-            hit = dip_start & (length > offset)
-            if offset:
-                shifted = np.zeros_like(values)
-                shifted[:, offset:] = np.where(hit, depth, 0.0)[:, :-offset]
-                values -= shifted
-            else:
-                values -= np.where(hit, depth, 0.0)
-
-        if self.noise_sigma > 0:
-            values += rng.normal(0.0, 1.0, size=(m, n)) * (self.noise_sigma * g)
-
-        values = np.maximum.accumulate(np.maximum(values, 1e-6), axis=1)
-        final = values[:, -1]
-        threshold = final - self.tail_tolerance * (final - values[:, 0])
-        ideal = np.argmax(values >= threshold[:, None], axis=1)
-        return LogCurveBatch(values=values, ideal_stops=ideal.astype(int))

@@ -44,6 +44,9 @@ class QLearningConfig:
             raise ValueError("need 0 <= epsilon_end <= epsilon_start <= 1")
         if not 0.0 < self.epsilon_decay <= 1.0:
             raise ValueError("epsilon_decay must be in (0, 1]")
+        for name in ("batch_size", "replay_capacity", "target_sync_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 class QLearningAgent:
@@ -72,23 +75,6 @@ class QLearningAgent:
             return int(self.rng.integers(self.config.n_actions))
         return int(np.argmax(self.q_values(state)))
 
-    def act_batch(self, states: np.ndarray, greedy: bool = False) -> np.ndarray:
-        """Epsilon-greedy actions for a batch of states in one forward
-        pass.  Draws one uniform and one integer array per call (instead
-        of :meth:`act`'s per-state draws), so it is distributionally --
-        not bit-for-bit -- equivalent to a loop of serial calls; greedy
-        decisions are identical either way.
-        """
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        actions = np.argmax(np.asarray(self.q_network(states)), axis=1)
-        if not greedy:
-            explore = self.rng.random(states.shape[0]) < self.epsilon
-            random_actions = self.rng.integers(
-                self.config.n_actions, size=states.shape[0]
-            )
-            actions = np.where(explore, random_actions, actions)
-        return actions.astype(int)
-
     def decay_epsilon(self) -> None:
         self.epsilon = max(self.config.epsilon_end, self.epsilon * self.config.epsilon_decay)
 
@@ -102,46 +88,13 @@ class QLearningAgent:
                 raise ValueError(f"{name} shape {shape} != {expected}")
         self.replay.push(transition)
 
-    def observe_batch(
-        self,
-        states: np.ndarray,
-        actions: np.ndarray,
-        rewards: np.ndarray,
-        next_states: np.ndarray,
-        dones: np.ndarray,
-    ) -> None:
-        """Push a batch of transitions given as parallel arrays."""
-        states = np.atleast_2d(np.asarray(states, dtype=float))
-        next_states = np.atleast_2d(np.asarray(next_states, dtype=float))
-        if states.shape[1] != self.config.state_dim or next_states.shape != states.shape:
-            raise ValueError(
-                f"state shapes {states.shape}/{next_states.shape} != "
-                f"({states.shape[0]}, {self.config.state_dim})"
-            )
-        actions = np.broadcast_to(actions, (states.shape[0],))
-        rewards = np.broadcast_to(rewards, (states.shape[0],))
-        dones = np.broadcast_to(dones, (states.shape[0],))
-        for i in range(states.shape[0]):
-            self.replay.push(
-                Transition(
-                    state=states[i],
-                    action=int(actions[i]),
-                    reward=float(rewards[i]),
-                    next_state=next_states[i],
-                    done=bool(dones[i]),
-                )
-            )
-
-    def train_step(self, batch_size: int | None = None) -> float | None:
+    def train_step(self) -> float | None:
         """One minibatch update; returns the loss, or ``None`` when the
-        replay buffer is still empty.  ``batch_size`` overrides the
-        configured minibatch size (used by the batched trainers to feed
-        bigger batches through the same update)."""
+        replay buffer is still empty."""
         if len(self.replay) == 0:
             return None
-        size = batch_size if batch_size is not None else self.config.batch_size
         states, actions, rewards, next_states, dones = self.replay.sample_arrays(
-            size, self.rng
+            self.config.batch_size, self.rng
         )
 
         next_q = np.asarray(self.target_network(next_states))

@@ -59,6 +59,16 @@ def test_offline_training_report(trained_agent):
     assert len(report.mean_rewards) == report.epochs
 
 
+def test_default_offline_training_stagnates():
+    """At default settings training ends on the reward-stagnation
+    criterion, not the epoch cap, and the stopper captures most of the
+    gain on held-out curves."""
+    rng = np.random.default_rng(7)
+    report = EarlyStoppingAgent(rng=rng).train_offline(rng=rng)
+    assert report.stagnated
+    assert report.validation_gain_captured > 0.7
+
+
 def test_trained_agent_stops_on_hard_plateau(trained_agent):
     v = np.concatenate([np.linspace(0.1, 1.0, 7), np.full(43, 1.0)])
     stop = next(

@@ -12,7 +12,13 @@ from repro.core.offline_training import (
 )
 from repro.core.objective import PerfNormalizer
 from repro.core.smart_config import SmartConfigAgent
-from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, cori
+from repro.iostack import (
+    TUNED_SPACE,
+    EvaluationCache,
+    IOStackSimulator,
+    NoiseModel,
+    cori,
+)
 from repro.workloads import flash
 
 
@@ -45,6 +51,36 @@ def test_impact_scores_identify_striping(sweep):
     assert impact.sum() == pytest.approx(1.0)
     ranked = [TUNED_SPACE.names[i] for i in np.argsort(impact)[::-1]]
     assert "striping_factor" in ranked[:3]
+
+
+def test_duplicate_sweep_configs_hit_the_cache():
+    """Two sweeps over the same workload sharing one cache: the second
+    sweep's deterministic axis portion is entirely duplicated work, so
+    it must be served from cache -- and counted."""
+    sim = IOStackSimulator(cori(4), NoiseModel.quiet())
+    cache = EvaluationCache()
+    first = parameter_sweep(
+        sim, flash(), rng=np.random.default_rng(0), random_samples=0,
+        repeats=1, cache=cache,
+    )
+    second = parameter_sweep(
+        sim, flash(), rng=np.random.default_rng(1), random_samples=0,
+        repeats=1, cache=cache,
+    )
+    assert first.cache_hits == 0
+    assert second.cache_hits == len(second.perfs)  # every config duplicated
+    # The cache contract: hits replay bit-identically.
+    assert np.array_equal(first.perfs, second.perfs)
+
+
+def test_private_sweep_cache_counts_no_false_hits():
+    sim = IOStackSimulator(cori(4), NoiseModel(seed=5))
+    sweep = parameter_sweep(
+        sim, flash(), rng=np.random.default_rng(5), random_samples=4, repeats=1
+    )
+    # Axis sweeps skip the default per axis and random collisions are
+    # vanishingly rare: a private cache sees essentially no duplicates.
+    assert sweep.cache_hits == 0
 
 
 def test_impact_from_empty_rejected():

@@ -49,14 +49,6 @@ def test_saturating_curves_flatten():
     assert v[-1] - v[25] < 0.01  # flat tail
 
 
-def test_sample_batch():
-    gen = LogCurveGenerator()
-    batch = gen.sample_batch(5, np.random.default_rng(0))
-    assert len(batch) == 5
-    with pytest.raises(ValueError):
-        gen.sample_batch(0, np.random.default_rng(0))
-
-
 def test_generator_validation():
     with pytest.raises(ValueError):
         LogCurveGenerator(n_iterations=2)

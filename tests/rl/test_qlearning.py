@@ -19,6 +19,9 @@ def test_config_validation():
         QLearningConfig(state_dim=1, n_actions=1, discount=1.5)
     with pytest.raises(ValueError):
         QLearningConfig(state_dim=1, n_actions=1, epsilon_start=0.1, epsilon_end=0.5)
+    for field in ("batch_size", "replay_capacity", "target_sync_every"):
+        with pytest.raises(ValueError, match=field):
+            QLearningConfig(state_dim=1, n_actions=1, **{field: 0})
 
 
 def test_greedy_action_is_argmax(rng):
@@ -55,13 +58,6 @@ def test_observe_validates_next_state_shape(rng, next_state):
     agent = make_agent(rng)
     with pytest.raises(ValueError, match="next_state"):
         agent.observe(Transition(np.zeros(2), 0, 0.0, next_state, True))
-    assert len(agent.replay) == 0
-
-
-def test_observe_batch_validates_next_state_shape(rng):
-    agent = make_agent(rng)
-    with pytest.raises(ValueError):
-        agent.observe_batch(np.zeros((3, 2)), 0, 0.0, np.zeros((3, 1)), False)
     assert len(agent.replay) == 0
 
 

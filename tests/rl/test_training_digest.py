@@ -4,7 +4,11 @@ The two digests below were recorded with the deque replay buffer and
 the per-array Adam loop that the ring-array buffer and the flat
 parameter vector replaced; both must reproduce them bit for bit.  They
 cover Q-learning steps past a replay wraparound (capacity 100, 300
-pushes) with target syncs, and one :meth:`MLP.fit`.  Floating-point
+pushes) with target syncs, and one :meth:`MLP.fit`.  A third digest
+pins the whole serial offline phase: subset-picker pretraining on a
+fixed impact vector followed by a short early-stopper training run,
+which is the only path :func:`train_tunio_agents` trains agents on.
+Floating-point
 digests depend on the BLAS build; these were recorded with numpy's
 bundled OpenBLAS on x86-64.
 """
@@ -13,12 +17,17 @@ import hashlib
 
 import numpy as np
 
+from repro.core.early_stopping import EarlyStoppingAgent
+from repro.core.objective import PerfNormalizer
+from repro.core.offline_training import pretrain_subset_picker
+from repro.core.smart_config import SmartConfigAgent
 from repro.rl.nn import MLP
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import Transition
 
 QLEARNING_DIGEST = "f587709cd64474c3a641738a9fb09e1fbcfd8984b1aaad5abe01c438f7e56a4b"
 FIT_DIGEST = "a3a8515bc4f9818c3ae9a67ed6fb487f7a1a581e427b52c09066a92bcde4c263"
+OFFLINE_DIGEST = "1c0e2bba9b68a2986b79ff5829fb4a41f4a8fb85aa92bd649993c411636859a2"
 
 
 def digest(*parts):
@@ -58,3 +67,27 @@ def test_mlp_fit_is_pinned():
     losses = net.fit(x, y, epochs=5, batch_size=32, rng=rng)
     got = digest(losses, [net.last_loss, net.last_grad_norm], *weights(net))
     assert got == FIT_DIGEST
+
+
+def test_offline_phase_is_pinned():
+    rng = np.random.default_rng(5)
+    impact = np.arange(1.0, 13.0) ** 2
+    impact = impact / impact.sum()
+    smart = SmartConfigAgent(normalizer=PerfNormalizer(700.0, 4), rng=rng)
+    pretrain_subset_picker(smart, impact, rng=rng)
+    state = smart.get_state()
+
+    stopper = EarlyStoppingAgent(rng=rng)
+    report = stopper.train_offline(
+        rng=rng, max_epochs=2, episodes_per_epoch=4, validation_curves=4
+    )
+    got = digest(
+        [smart.picker.epsilon],
+        *(state[k] for k in sorted(state)),
+        report.mean_rewards,
+        [report.validation_stop_error, report.validation_gain_captured],
+        [stopper.agent.epsilon],
+        *weights(stopper.agent.q_network),
+        *weights(stopper.agent.target_network),
+    )
+    assert got == OFFLINE_DIGEST
