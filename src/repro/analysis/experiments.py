@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.early_stopping import RLStopper
-from repro.core.pipeline import TunIOTuner, build_tunio
+from repro.core.pipeline import TunIOTuner, make_tuner
 from repro.core.roti import RoTICurve, roti_curve
 from repro.discovery.kernel import DiscoveryOptions, discover_io
 from repro.discovery.modelgen import workload_from_source
@@ -37,7 +37,6 @@ from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.parameters import LIBRARY_CATALOG, TUNED_SPACE, stack_permutations
 from repro.iostack.simulator import WorkloadLike
 from repro.tuners.base import TuningResult
-from repro.tuners.hstuner import HSTuner
 from repro.tuners.lifecycle import (
     LifecycleModel,
     crossover_point,
@@ -170,7 +169,7 @@ def _fig02_run(
     ctx = make_context(seed)
     workload = _WORKLOADS[workload_name]()
     sim = ctx.simulator_for(workload.n_nodes, salt=salt)
-    tuner = HSTuner(sim, stopper=NoStop(), rng=ctx.rng(salt), cache=EvaluationCache())
+    tuner = make_tuner("hstuner", sim, rng=ctx.rng(salt), cache=EvaluationCache())
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -265,7 +264,7 @@ def _fig08_run(seed: int, kind: str, n_nodes: int, iterations: int) -> TuningRes
     ctx = make_context(seed)
     workload = _fig08_workload(kind)
     sim = ctx.simulator_for(n_nodes, salt=80)
-    tuner = HSTuner(sim, stopper=NoStop(), rng=ctx.rng(80), cache=EvaluationCache())
+    tuner = make_tuner("hstuner", sim, rng=ctx.rng(80), cache=EvaluationCache())
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -411,23 +410,19 @@ def _fig09_run(seed: int, repeat: int, arm: str, iterations: int) -> TuningResul
     ``rng(90 + 10r)``."""
     ctx = make_context(seed)
     workload = flash()
+    rng, cache = ctx.rng(90 + 10 * repeat), EvaluationCache()
     if arm == "impact":
         sim = ctx.simulator_for(workload.n_nodes, salt=90 + 10 * repeat)
-        tuner: HSTuner = TunIOTuner(
+        tuner = TunIOTuner(
             sim,
             smart_config=ctx.fresh_agents().smart_config,
             stopper=NoStop(),  # isolate the component: no early stopping
-            rng=ctx.rng(90 + 10 * repeat),
-            cache=EvaluationCache(),
+            rng=rng,
+            cache=cache,
         )
     else:
         sim = ctx.simulator_for(workload.n_nodes, salt=91 + 10 * repeat)
-        tuner = HSTuner(
-            sim,
-            stopper=NoStop(),
-            rng=ctx.rng(90 + 10 * repeat),
-            cache=EvaluationCache(),
-        )
+        tuner = make_tuner("hstuner", sim, rng=rng, cache=cache)
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -532,7 +527,7 @@ def _fig10_run(seed: int, iterations: int) -> TuningResult:
     ctx = make_context(seed)
     workload = hacc()
     sim = ctx.simulator_for(workload.n_nodes, salt=100)
-    tuner = HSTuner(sim, stopper=NoStop(), rng=ctx.rng(100), cache=EvaluationCache())
+    tuner = make_tuner("hstuner", sim, rng=ctx.rng(100), cache=EvaluationCache())
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -653,14 +648,14 @@ class PipelineResult:
         )
 
 
-#: (variant name, tuning target, tuner kind, sim/rng salt) -- the
-#: addressing of the six Figure 11 runs.
+#: (variant name, tuning target, :func:`make_tuner` kind, sim/rng salt)
+#: -- the addressing of the six Figure 11 runs.
 _FIG11_VARIANTS = (
-    ("hstuner-nostop", "app", "nostop", 111),
-    ("hstuner-heuristic", "app", "heuristic", 112),
+    ("hstuner-nostop", "app", "hstuner", 111),
+    ("hstuner-heuristic", "app", "hstuner-heuristic", 112),
     ("tunio", "app", "tunio", 113),
-    ("hstuner-nostop+kernel", "kernel", "nostop", 114),
-    ("hstuner-heuristic+kernel", "kernel", "heuristic", 115),
+    ("hstuner-nostop+kernel", "kernel", "hstuner", 114),
+    ("hstuner-heuristic+kernel", "kernel", "hstuner-heuristic", 115),
     ("tunio+kernel", "kernel", "tunio", 116),
 )
 
@@ -682,17 +677,14 @@ def _fig11_run(
     else:
         target = app
     sim = ctx.simulator_for(app.n_nodes, salt=salt)
-    normalizer = ctx.normalizer_for(app.n_nodes)
-    rng = ctx.rng(salt)
-    cache = EvaluationCache()
-    if tuner_kind == "tunio":
-        tuner: HSTuner = build_tunio(
-            sim, ctx.fresh_agents(), normalizer, rng=rng, cache=cache
-        )
-    elif tuner_kind == "heuristic":
-        tuner = HSTuner(sim, stopper=HeuristicStopper(), rng=rng, cache=cache)
-    else:
-        tuner = HSTuner(sim, stopper=NoStop(), rng=rng, cache=cache)
+    tuner = make_tuner(
+        tuner_kind,
+        sim,
+        agents=ctx.fresh_agents() if tuner_kind == "tunio" else None,
+        normalizer=ctx.normalizer_for(app.n_nodes),
+        rng=ctx.rng(salt),
+        cache=EvaluationCache(),
+    )
     return tuner.tune(target, max_iterations=iterations)
 
 

@@ -25,7 +25,7 @@ from .offline_training import (
     save_agents,
     train_tunio_agents,
 )
-from .pipeline import TunIOTuner, TuningSession, build_tunio
+from .pipeline import TunIOTuner, TuningSession, build_tunio, make_tuner
 from .roti import RoTICurve, roti, roti_curve
 from .spec import TuningOutcome, TuningSpec, tune_application
 from .smart_config import GuardedSubsetPicker, SmartConfigAgent, SmartConfigSettings
@@ -50,6 +50,7 @@ __all__ = [
     "TunIOTuner",
     "TuningSession",
     "build_tunio",
+    "make_tuner",
     "TuningOutcome",
     "TuningSpec",
     "tune_application",

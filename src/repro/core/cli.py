@@ -68,16 +68,14 @@ from repro.observability.profiling import deactivate as deactivate_profiler
 from repro.observability.recorder import NULL_RECORDER, Recorder, TraceRecorder
 from repro.observability.report import baseline_line, final_line, iteration_line
 from repro.rl.guardrails import CheckpointError
-from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import JournalError, ReplayCursor, load_journal
 from repro.tuners.resilience import HarnessError, RetryPolicy
-from repro.tuners.stoppers import HeuristicStopper, NoStop
 from repro.workloads import bdcats, flash, hacc, ior, macsio_vpic_dipole, vpic
 from repro.workloads.sources import canonical_hints, load_source
 
 from .objective import PerfNormalizer
 from .offline_training import load_agents, save_agents, train_tunio_agents
-from .pipeline import TuningSession, build_tunio
+from .pipeline import TUNER_KINDS, TuningSession, make_tuner
 
 __all__ = ["main", "build_parser", "build_resume_parser"]
 
@@ -98,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("workload", choices=sorted(_WORKLOADS))
     parser.add_argument(
-        "--tuner", choices=("tunio", "hstuner", "hstuner-heuristic"),
+        "--tuner", choices=TUNER_KINDS,
         default="tunio", help="pipeline to run (default: tunio)",
     )
     parser.add_argument("--iterations", type=int, default=50, help="iteration budget")
@@ -357,12 +355,25 @@ def _resume(argv: list[str]) -> int:
             f"journal {resume_args.journal} has no recorded invocation; "
             f"it was not written by tunio-tune"
         )
+    workload = saved.pop("workload", None)
+    if workload not in _WORKLOADS:
+        raise JournalError(
+            f"journal {resume_args.journal} records no known workload "
+            f"({workload!r}; expected one of {sorted(_WORKLOADS)})"
+        )
     run_parser = build_parser()
-    args = run_parser.parse_args([saved.pop("workload")])
+    args = run_parser.parse_args([workload])
     for key, value in saved.items():
         setattr(args, key, value)
     if resume_args.iterations is not None:
         args.iterations = resume_args.iterations
+    if args.iterations < len(journal.generations):
+        parser.error(
+            f"--iterations {args.iterations} is below the "
+            f"{len(journal.generations)} journaled generations; resuming "
+            f"would cut the run short and orphan them"
+        )
+    _validate(run_parser, args)
     args.journal = resume_args.journal
     # Observability is per-invocation, not part of the run's identity:
     # the resume flags replace whatever the original run used (replayed
@@ -403,6 +414,67 @@ def _run(args: argparse.Namespace, replay: ReplayCursor | None) -> int:
         if profiler is not None:
             deactivate_profiler()
         recorder.close()
+
+
+def _tuner_kind(
+    args: argparse.Namespace,
+    simulator: IOStackSimulator,
+    normalizer: PerfNormalizer,
+    rng: np.random.Generator,
+    eval_cache: EvaluationCache | None,
+    recorder: Recorder,
+) -> tuple[str, dict, str | None]:
+    """The :func:`make_tuner` kind and agent keyword arguments the flags
+    ask for, plus the guardrail trip of a rejected agent checkpoint.
+    ``tunio`` loads its agents from ``--agents-cache`` or trains them; a
+    rejected checkpoint degrades the run to ``hstuner-heuristic`` (plain
+    GA, patience stopping) instead of crashing or silently retraining.
+    """
+    if args.tuner != "tunio":
+        return args.tuner, {}, None
+    if not (args.agents_cache and os.path.exists(args.agents_cache)):
+        print("offline training (sweep + PCA + log-curve RL)...")
+        training = [vpic(), flash(), hacc()]
+        agents = train_tunio_agents(
+            simulator, training, normalizer, rng=rng, cache=eval_cache
+        )
+        if args.agents_cache:
+            save_agents(agents, args.agents_cache)
+            print(f"saved trained agents to {args.agents_cache}")
+    else:
+        if args.fault_agent == "checkpoint-truncation":
+            _truncate_checkpoint(args.agents_cache)
+            print(f"fault injection: truncated agent checkpoint {args.agents_cache}")
+        print(f"loading trained agents from {args.agents_cache}")
+        try:
+            agents = load_agents(args.agents_cache, normalizer, rng=rng)
+        except CheckpointError as exc:
+            trip = f"checkpoint:schema ({exc})"
+            if recorder.enabled:
+                # The tuner never sees this trip (it happens before one
+                # exists), so the CLI records it itself; tunio-report
+                # prepends source=="cli" trips to the run_end list when
+                # reconstructing.
+                recorder.emit(
+                    "guardrail_trip",
+                    source="cli",
+                    guardrail="checkpoint",
+                    kind="schema",
+                    detail=str(exc),
+                    trip=trip,
+                )
+            print(f"guardrails: agent checkpoint rejected: {exc}", file=sys.stderr)
+            print(
+                "guardrails: degraded mode -- tuning with plain GA "
+                "(full parameter set, patience-based stopping)"
+            )
+            return "hstuner-heuristic", {}, trip
+    kwargs = {
+        "agents": agents,
+        "normalizer": normalizer,
+        "expected_runs": args.expected_runs,
+    }
+    return "tunio", kwargs, None
 
 
 def _run_tuning(
@@ -469,80 +541,13 @@ def _run_tuning(
             f"constraints: {len(constraints)} rules armed "
             f"(n_osts={context.n_osts}, n_procs={context.n_procs})"
         )
-    checkpoint_trip: str | None = None
-    if args.tuner == "tunio":
-        agents = None
-        if args.agents_cache and os.path.exists(args.agents_cache):
-            if (
-                fault_plan is not None
-                and fault_plan.agent_fault == "checkpoint-truncation"
-            ):
-                _truncate_checkpoint(args.agents_cache)
-                print(
-                    f"fault injection: truncated agent checkpoint "
-                    f"{args.agents_cache}"
-                )
-            print(f"loading trained agents from {args.agents_cache}")
-            try:
-                agents = load_agents(args.agents_cache, normalizer, rng=rng)
-            except CheckpointError as exc:
-                checkpoint_trip = f"checkpoint:schema ({exc})"
-                if recorder.enabled:
-                    # The tuner never sees this trip (it happens before
-                    # one exists), so the CLI records it itself;
-                    # tunio-report prepends source=="cli" trips to the
-                    # run_end list when reconstructing.
-                    recorder.emit(
-                        "guardrail_trip",
-                        source="cli",
-                        guardrail="checkpoint",
-                        kind="schema",
-                        detail=str(exc),
-                        trip=checkpoint_trip,
-                    )
-                print(f"guardrails: agent checkpoint rejected: {exc}",
-                      file=sys.stderr)
-                print(
-                    "guardrails: degraded mode -- tuning with plain GA "
-                    "(full parameter set, patience-based stopping)"
-                )
-        else:
-            print("offline training (sweep + PCA + log-curve RL)...")
-            training = [vpic(), flash(), hacc()]
-            agents = train_tunio_agents(
-                simulator, training, normalizer, rng=rng, cache=eval_cache
-            )
-            if args.agents_cache:
-                save_agents(agents, args.agents_cache)
-                print(f"saved trained agents to {args.agents_cache}")
-        if agents is not None:
-            tuner = build_tunio(
-                simulator, agents, normalizer,
-                expected_runs=args.expected_runs, rng=rng,
-                cache=eval_cache, retry_policy=policy, constraints=constraints,
-                recorder=recorder,
-            )
-        else:
-            # Degraded mode: the checkpoint was rejected; tune with the
-            # plain GA under the patience heuristic instead of crashing
-            # or retraining behind the user's back.
-            tuner = HSTuner(
-                simulator, stopper=HeuristicStopper(), rng=rng,
-                cache=eval_cache, retry_policy=policy, constraints=constraints,
-                recorder=recorder,
-            )
-    elif args.tuner == "hstuner":
-        tuner = HSTuner(
-            simulator, stopper=NoStop(), rng=rng,
-            cache=eval_cache, retry_policy=policy, constraints=constraints,
-            recorder=recorder,
-        )
-    else:
-        tuner = HSTuner(
-            simulator, stopper=HeuristicStopper(), rng=rng,
-            cache=eval_cache, retry_policy=policy, constraints=constraints,
-            recorder=recorder,
-        )
+    kind, tunio_kwargs, checkpoint_trip = _tuner_kind(
+        args, simulator, normalizer, rng, eval_cache, recorder
+    )
+    tuner = make_tuner(
+        kind, simulator, rng=rng, cache=eval_cache, retry_policy=policy,
+        constraints=constraints, recorder=recorder, **tunio_kwargs,
+    )
 
     # Faults attach after offline training: the plan injects into the
     # *tuning* campaign; training sweeps run fault-free either way.

@@ -8,6 +8,8 @@
 * consulting the RL early stopper after every generation.
 
 :func:`build_tunio` wires a ready pipeline from offline-trained agents;
+:func:`make_tuner` builds any of the tuner kinds ``tunio-tune --tuner``
+names, so the map from kind to class and stopper lives here only;
 :class:`TuningSession` adds the paper's future-work interactive
 refinement: a session can be resumed for more iterations later, keeping
 the GA population, agents and clock.
@@ -27,13 +29,17 @@ from repro.rl.guardrails import GuardrailMonitor
 from repro.tuners.base import IterationRecord, TuningResult
 from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import JournalWriter, ReplayCursor
+from repro.tuners.stoppers import HeuristicStopper, NoStop
 
 from .early_stopping import GuardedStopper, RLStopper
 from .objective import PerfNormalizer
 from .offline_training import TunIOAgents
 from .smart_config import GuardedSubsetPicker, SmartConfigAgent
 
-__all__ = ["TunIOTuner", "build_tunio", "TuningSession"]
+__all__ = ["TUNER_KINDS", "TunIOTuner", "build_tunio", "make_tuner", "TuningSession"]
+
+#: The tuner kinds :func:`make_tuner` builds (``tunio-tune --tuner``).
+TUNER_KINDS = ("tunio", "hstuner", "hstuner-heuristic")
 
 
 class TunIOTuner(HSTuner):
@@ -173,6 +179,29 @@ def build_tunio(
         cache=cache,
         **kwargs,
     )
+
+
+def make_tuner(
+    kind: str,
+    simulator: IOStackSimulator,
+    *,
+    agents: TunIOAgents | None = None,
+    normalizer: PerfNormalizer | None = None,
+    **kwargs,
+) -> HSTuner:
+    """Build a tuner of one of the :data:`TUNER_KINDS`: ``tunio`` via
+    :func:`build_tunio` (needs ``agents`` and ``normalizer``), ``hstuner``
+    with :class:`NoStop`, ``hstuner-heuristic`` with
+    :class:`HeuristicStopper`.  ``kwargs`` go to the tuner."""
+    if kind == "tunio":
+        if agents is None or normalizer is None:
+            raise ValueError("the tunio tuner needs trained agents and a normalizer")
+        return build_tunio(simulator, agents, normalizer, **kwargs)
+    if kind == "hstuner":
+        return HSTuner(simulator, stopper=NoStop(), **kwargs)
+    if kind == "hstuner-heuristic":
+        return HSTuner(simulator, stopper=HeuristicStopper(), **kwargs)
+    raise ValueError(f"unknown tuner kind {kind!r} (choose from {TUNER_KINDS})")
 
 
 @dataclass

@@ -25,16 +25,9 @@ Toolbox contract (all rng arguments are numpy Generators):
 
 Only individuals with no fitness are (re)evaluated, matching DEAP's
 invalid-fitness convention -- elites carry their fitness across
-generations for free.
-
-Duplicate genomes within a generation can additionally be deduplicated
-(``dedupe_duplicates=True``): only one representative per distinct
-genome is dispatched and its fitness is shared by the duplicates.  This
-is exact for deterministic evaluators, but it changes how many times a
-stochastic evaluator is consulted (and hence any noise-stream or
-clock-charging side effects), so it is off by default; the stack tuners
-instead deduplicate at the trace level inside their batch evaluator,
-which preserves per-evaluation accounting bit-identically.
+generations for free.  Duplicate genomes are each evaluated: a
+stochastic evaluator must be consulted once per individual (the stack
+tuners share work between duplicates at the trace level instead).
 """
 
 from __future__ import annotations
@@ -62,8 +55,6 @@ class GenerationStats:
     best: Individual
     #: Individuals assigned a fitness in this generation.
     evaluations: int
-    #: Distinct genomes among them (evaluations - distinct = duplicates).
-    distinct_genomes: int = 0
 
 
 class EvolutionEngine:
@@ -87,7 +78,6 @@ class EvolutionEngine:
         population_size: int,
         n_elites: int = 1,
         rng: np.random.Generator | None = None,
-        dedupe_duplicates: bool = False,
     ):
         toolbox.validate()
         if population_size < 3:
@@ -97,7 +87,6 @@ class EvolutionEngine:
         self.toolbox = toolbox
         self.population_size = population_size
         self.n_elites = n_elites
-        self.dedupe_duplicates = dedupe_duplicates
         self.rng = rng if rng is not None else np.random.default_rng()
         self.population: list[Individual] = []
         self.history: list[GenerationStats] = []
@@ -196,33 +185,11 @@ class EvolutionEngine:
 
     # -- internals ---------------------------------------------------------------------
 
-    @staticmethod
-    def duplicate_groups(individuals: Sequence[Individual]) -> list[list[int]]:
-        """Group indices of ``individuals`` by identical genome, in
-        first-seen order.  ``[[0, 3], [1], [2]]`` means individuals 0 and
-        3 share a genome."""
-        groups: dict[bytes, list[int]] = {}
-        for i, ind in enumerate(individuals):
-            groups.setdefault(ind.genome.tobytes(), []).append(i)
-        return list(groups.values())
-
     def _evaluate_and_record(self) -> GenerationStats:
         pending = [ind for ind in self.population if not ind.evaluated]
-        groups = self.duplicate_groups(pending)
         if pending:
-            if self.dedupe_duplicates and len(groups) < len(pending):
-                # Dispatch one representative per distinct genome; the
-                # duplicates inherit its fitness.  Exact only for
-                # deterministic evaluators (see module docstring).
-                reps = [pending[g[0]] for g in groups]
-                fits = self._dispatch(reps)
-                for group, fit in zip(groups, fits):
-                    for i in group:
-                        pending[i].fitness = fit
-            else:
-                fits = self._dispatch(pending)
-                for ind, fit in zip(pending, fits):
-                    ind.fitness = fit
+            for ind, fit in zip(pending, self._dispatch(pending)):
+                ind.fitness = fit
         fitnesses = np.array([ind.fitness for ind in self.population], dtype=float)
         best = self.best
         stats = GenerationStats(
@@ -231,7 +198,6 @@ class EvolutionEngine:
             mean_fitness=float(fitnesses.mean()),
             best=best,
             evaluations=len(pending),
-            distinct_genomes=len(groups),
         )
         self.history.append(stats)
         return stats

@@ -25,7 +25,7 @@ class Toolbox:
       registered, each generation's unevaluated individuals are
       dispatched as a single call (in population order) instead of one
       ``evaluate`` call each, letting the evaluator share work across
-      the generation (trace reuse, deduplication, worker pools).  It
+      the generation (trace reuse, deduplication).  It
       must return one fitness per input individual, aligned with the
       input order.
     * ``repair(individual) -> Individual``: a deterministic projection

@@ -43,13 +43,15 @@ Journaling
 :meth:`attach_journal` arms crash-safe checkpoint/resume: completed
 generations are appended to a JSONL journal, and a replay cursor feeds
 journaled evaluations back on resume so an interrupted run continues
-bit-identically (see :mod:`repro.tuners.journal`).
+bit-identically.  The tuner only calls a
+:class:`~repro.tuners.journal.RunJournal` at fixed points of the loop;
+recording, replay and the resume cache pre-warm live there.
 """
 
 from __future__ import annotations
 
 import warnings
-from typing import Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -70,15 +72,7 @@ from repro.iostack.simulator import IOStackSimulator, StackTrace, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
 
 from .base import IterationRecord, Tuner, TuningResult
-from .journal import (
-    BaselineRecord,
-    GenerationRecord,
-    JournalError,
-    JournalWriter,
-    ReplayCursor,
-    rng_state_jsonable,
-    verify_rng,
-)
+from .journal import JournalWriter, ReplayCursor, RunJournal
 from .resilience import ResilientEvaluator, RetryPolicy
 from .stoppers import NoStop, Stopper
 
@@ -194,8 +188,6 @@ class HSTuner(Tuner):
         #: Live counter values at the start of the run's stats window;
         #: the window is live minus base (see :meth:`_live_counters`).
         self._stats_base: dict[str, int] = {}
-        #: ``prewarm_*`` fields of the run's :class:`EvaluationStats`.
-        self._prewarm_stats: dict[str, int] = {}
         #: Iteration the trace's evaluation events belong to (None before
         #: the first generation, i.e. during the baseline).
         self._trace_iteration: int | None = None
@@ -203,13 +195,7 @@ class HSTuner(Tuner):
             self.simulator, self.clock, cache=self.cache, policy=self.retry_policy
         )
         self._resilient.recorder = self.recorder
-        # Journal hooks (attach_journal); None = no journaling/replay.
-        self._journal_writer: JournalWriter | None = None
-        self._replay_cursor: ReplayCursor | None = None
-        self._replay_record: GenerationRecord | None = None
-        self._replay_pop = 0
-        self._replay_warmed = False
-        self._dispatch_log: list[list[int]] = []
+        self._journal = RunJournal(self)  # attach_journal arms it
 
     # -- journaling ----------------------------------------------------------
 
@@ -221,9 +207,7 @@ class HSTuner(Tuner):
         """Arm checkpoint/resume: ``writer`` appends each completed
         generation; ``replay`` (a cursor over a loaded journal) answers
         journaled generations on resume instead of re-simulating them."""
-        self._journal_writer = writer
-        self._replay_cursor = replay
-        self._replay_warmed = False
+        self._journal = RunJournal(self, writer, replay)
 
     # -- extension point -----------------------------------------------------
 
@@ -249,6 +233,11 @@ class HSTuner(Tuner):
     def _begin_run(self) -> None:
         """Hook called as :meth:`tune` starts a fresh run (TunIO re-arms
         its guardrails here)."""
+
+    def _journal_agent_state(self) -> dict | None:
+        """Agent state snapshot for the journal (overridden by TunIO to
+        record its impact scores); informational, not used by replay."""
+        return None
 
     # -- per-generation warning summaries -----------------------------------
 
@@ -303,7 +292,6 @@ class HSTuner(Tuner):
             self.simulator.faults.reset()
             self.simulator.faults.attach_clock(self.clock)
         self._n_evaluations = 0
-        self._prewarm_stats = {}
         self._stats_base = self._live_counters()
         self._begin_run()
         if recorder.enabled:
@@ -314,42 +302,28 @@ class HSTuner(Tuner):
                 max_iterations=max_iterations,
                 population_size=self.population_size,
                 repeats=self.repeats,
-                resumed=self._replay_cursor is not None,
+                resumed=self._journal.replay is not None,
             )
 
         result = TuningResult(tuner_name=self.name, workload_name=workload.name)
-        result.baseline_perf = self._baseline_perf(workload)
+        result.baseline_perf, replayed = self._journal.baseline(
+            lambda: self._evaluate_config(
+                workload, StackConfiguration.default(self.space), charge=False
+            )
+        )
+        if recorder.enabled:
+            recorder.emit("baseline", perf=result.baseline_perf, replayed=replayed)
 
         generation_evals: list[float] = []
 
-        def evaluate(ind: Individual) -> float:
-            self._dispatch_log.append([int(i) for i in ind.genome])
-            record = self._replay_record
-            if record is not None:
-                perf = self._replay_perf(record)
-            else:
-                config = StackConfiguration.from_genome(self.space, ind.genome)
-                perf = self._evaluate_config(workload, config, charge=True)
-            generation_evals.append(perf)
-            if recorder.enabled:
-                recorder.emit(
-                    "evaluation",
-                    iteration=self._trace_iteration,
-                    genome=[int(i) for i in ind.genome],
-                    perf=perf,
-                    replayed=record is not None,
-                )
-            return perf
-
-        def evaluate_batch(individuals: Sequence[Individual]) -> list[float]:
-            self._dispatch_log.extend(
-                [int(i) for i in ind.genome] for ind in individuals
-            )
-            record = self._replay_record
-            if record is not None:
-                perfs = [self._replay_perf(record) for _ in individuals]
-            else:
-                perfs = self._evaluate_generation(workload, individuals)
+        def dispatch(
+            individuals: Sequence[Individual],
+            live: Callable[[Sequence[Individual]], list[float]],
+        ) -> list[float]:
+            # evaluate and evaluate_batch differ only in ``live``, the
+            # evaluator a generation the journal cannot answer goes to.
+            journal = self._journal
+            perfs = journal.answer(individuals, live)
             generation_evals.extend(perfs)
             if recorder.enabled:
                 for ind, perf in zip(individuals, perfs):
@@ -358,9 +332,21 @@ class HSTuner(Tuner):
                         iteration=self._trace_iteration,
                         genome=[int(i) for i in ind.genome],
                         perf=perf,
-                        replayed=record is not None,
+                        replayed=journal.replaying,
                     )
             return perfs
+
+        def evaluate(ind: Individual) -> float:
+            def live(_: Sequence[Individual]) -> list[float]:
+                config = StackConfiguration.from_genome(self.space, ind.genome)
+                return [self._evaluate_config(workload, config, charge=True)]
+
+            return dispatch([ind], live)[0]
+
+        def evaluate_batch(individuals: Sequence[Individual]) -> list[float]:
+            return dispatch(
+                individuals, lambda inds: self._evaluate_generation(workload, inds)
+            )
 
         def generate(n: int, rng: np.random.Generator) -> list[Individual]:
             # HSTuner explores outward from the library defaults (or a
@@ -467,25 +453,10 @@ class HSTuner(Tuner):
                 self._active_subset_size = len(tuned_names)
 
             generation_evals.clear()
-            self._dispatch_log.clear()
-            self._replay_pop = 0
-            self._replay_record = (
-                self._replay_cursor.next_generation() if self._replay_cursor else None
-            )
-            if (
-                self._replay_cursor is not None
-                and self._replay_record is None
-                and not self._replay_warmed
-            ):
-                # Replay just ran dry: the next generation goes live.
-                self._warm_cache_from_journal()
-                self._replay_warmed = True
+            self._journal.begin_generation()
             resilience_before = self._resilience_counts()
             stats = engine.step()
-            replayed = self._replay_record is not None
-            if self._replay_record is not None:
-                self._finish_replay(self._replay_record)
-                self._replay_record = None
+            replayed = self._journal.end_generation()
             record = IterationRecord(
                 iteration=iteration,
                 iteration_perf=max(generation_evals) if generation_evals else stats.best_fitness,
@@ -507,10 +478,7 @@ class HSTuner(Tuner):
                     replayed=replayed,
                 )
             self._observe_iteration(record)
-            if self._journal_writer is not None:
-                self._journal_writer.write_generation(
-                    self._generation_record(iteration, tuned_names, generation_evals)
-                )
+            self._journal.record_generation(iteration, tuned_names, generation_evals)
 
             should_stop = self.stopper.should_stop(result.history)
             if recorder.enabled:
@@ -546,10 +514,9 @@ class HSTuner(Tuner):
                 else 0
             ),
             guardrail_trips=len(result.guardrail_trips),
-            **self._prewarm_stats,
+            **self._journal.prewarm_stats,
         )
-        if self._journal_writer is not None:
-            self._journal_writer.write_final(result.stop_reason, result.stopped_at)
+        self._journal.end_run(result.stop_reason, result.stopped_at)
         if recorder.enabled:
             recorder.emit(
                 "run_end",
@@ -562,176 +529,6 @@ class HSTuner(Tuner):
                 best_genome=[int(i) for i in engine.best.genome],
                 eval_stats=result.eval_stats.as_dict(),
                 guardrail_trips=list(result.guardrail_trips),
-            )
-
-    # -- journal record/replay ---------------------------------------------------
-
-    def _baseline_perf(self, workload: WorkloadLike) -> float:
-        """Evaluate (or replay) the untuned baseline and journal it."""
-        record = self._replay_cursor.baseline() if self._replay_cursor else None
-        if record is not None:
-            perf = record.perf
-            self.simulator.noise.seek(record.noise_position)
-            if self.simulator.faults is not None and record.fault_state is not None:
-                self.simulator.faults.set_state(record.fault_state)
-            self._n_evaluations = record.n_evaluations
-            self._restore_stats_window(record.fastpath)
-        else:
-            perf = self._evaluate_config(
-                workload, StackConfiguration.default(self.space), charge=False
-            )
-        if self.recorder.enabled:
-            self.recorder.emit("baseline", perf=perf, replayed=record is not None)
-        if self._journal_writer is not None:
-            self._journal_writer.write_baseline(
-                BaselineRecord(
-                    perf=perf,
-                    noise_position=self.simulator.noise.position,
-                    n_evaluations=self._n_evaluations,
-                    fault_state=(
-                        self.simulator.faults.get_state()
-                        if self.simulator.faults is not None
-                        else None
-                    ),
-                    fastpath=self._stats_window(),
-                )
-            )
-        return perf
-
-    def _replay_perf(self, record: GenerationRecord) -> float:
-        """The next journaled perf of the generation being replayed."""
-        if self._replay_pop >= len(record.perfs):
-            raise JournalError(
-                f"journal mismatch at iteration {record.iteration}: the resumed "
-                f"pipeline dispatched more evaluations than the journaled run"
-            )
-        perf = record.perfs[self._replay_pop]
-        self._replay_pop += 1
-        return perf
-
-    def _finish_replay(self, record: GenerationRecord) -> None:
-        """Restore every stream a replayed generation would have
-        consumed, then verify the replay stayed on the journaled path."""
-        if self._dispatch_log != [list(g) for g in record.dispatched]:
-            raise JournalError(
-                f"journal mismatch at iteration {record.iteration}: the resumed "
-                f"pipeline dispatched different genomes than the journaled run "
-                f"(was the journal written with different settings or seed?)"
-            )
-        self.simulator.noise.seek(record.noise_position)
-        self.clock.restore(record.clock_seconds, record.clock_evaluations)
-        self._n_evaluations = record.n_evaluations
-        if self.simulator.faults is not None and record.fault_state is not None:
-            self.simulator.faults.set_state(record.fault_state)
-        self._resilient.restore_quarantine(record.quarantine)
-        self._resilient.stats.restore(record.resilience)
-        self._restore_stats_window(record.fastpath)
-        verify_rng(record, self.rng)
-
-    def _generation_record(
-        self,
-        iteration: int,
-        tuned_names: tuple[str, ...],
-        generation_evals: Sequence[float],
-    ) -> GenerationRecord:
-        engine = self._engine
-        return GenerationRecord(
-            iteration=iteration,
-            dispatched=tuple(tuple(g) for g in self._dispatch_log),
-            perfs=tuple(generation_evals),
-            population=tuple(
-                (tuple(int(i) for i in ind.genome), float(ind.fitness))
-                for ind in engine.population
-            ),
-            subset=tuned_names,
-            noise_position=self.simulator.noise.position,
-            clock_seconds=self.clock.elapsed_seconds,
-            clock_evaluations=self.clock.n_evaluations,
-            n_evaluations=self._n_evaluations,
-            rng_state=rng_state_jsonable(self.rng),
-            fault_state=(
-                self.simulator.faults.get_state()
-                if self.simulator.faults is not None
-                else None
-            ),
-            quarantine=self._resilient.quarantine_state(),
-            resilience=self._resilient.stats.as_dict(),
-            agent_state=self._journal_agent_state(),
-            fastpath=self._stats_window(),
-        )
-
-    def _journal_agent_state(self) -> dict | None:
-        """Agent state snapshot for the journal (overridden by TunIO to
-        record its impact scores); informational, not used by replay."""
-        return None
-
-    def _warm_cache_from_journal(self) -> None:
-        """Rebuild the traces the journaled generations cached, so the
-        resumed run enters its first live generation with the same cache
-        warmth as the uninterrupted one.
-
-        Without this, revisited configurations would rebuild traces the
-        original run served from cache -- harmless for results (trace
-        construction is deterministic) except that each rebuild makes an
-        extra fault-schedule draw, which would fork the fault stream.
-        Fault checks are bypassed while warming (the journal already
-        accounts the faults that fired) and quarantined configurations
-        are skipped: nothing ever looks their traces up.  Only LRU
-        recency can differ from the uninterrupted run, which matters
-        only past ``maxsize`` distinct configurations.
-
-        Warming is bookkeeping, not tuning: its lookups and trace builds
-        are recorded in the ``prewarm_*`` fields of
-        :class:`EvaluationStats` and excluded from the run's own cache
-        counters, so a resumed run reports the same ``cache_hit_rate``
-        as the uninterrupted one.
-        """
-        if self.cache is None or self._replay_cursor is None:
-            return
-        cache = self.cache
-        genomes: dict[tuple[int, ...], None] = {}
-        for record in self._replay_cursor.journal.generations:
-            for genome in record.dispatched:
-                genomes.setdefault(tuple(genome), None)
-        configs = [StackConfiguration.default(self.space)] + [
-            StackConfiguration.from_genome(self.space, genome) for genome in genomes
-        ]
-        before = self._live_counters()
-        faults, self.simulator.faults = self.simulator.faults, None
-        # Warming lookups are not run cache activity: mute the cache's
-        # per-op trace events for the duration (one summary event below).
-        cache_recorder, cache.recorder = cache.recorder, None
-        try:
-            for config in configs:
-                if self._resilient.is_quarantined(config):
-                    continue
-                cached = cache.lookup(
-                    self.simulator.platform, self._workload, config
-                )
-                if cached is None:
-                    trace = self.simulator.trace(self._workload, config)
-                    cache.store(
-                        self.simulator.platform, self._workload, config, trace
-                    )
-        finally:
-            self.simulator.faults = faults
-            cache.recorder = cache_recorder
-        # Exclude the warming deltas from the run's stats window.
-        delta = {k: v - before[k] for k, v in self._live_counters().items()}
-        for key, value in delta.items():
-            self._stats_base[key] += value
-        lookups = delta["cache_hits"] + delta["cache_misses"]
-        self._prewarm_stats = {
-            "prewarm_lookups": lookups,
-            "prewarm_hits": delta["cache_hits"],
-            "prewarm_builds": delta["traces_built"],
-        }
-        if self.recorder.enabled:
-            self.recorder.emit(
-                "cache_prewarm",
-                lookups=lookups,
-                hits=delta["cache_hits"],
-                builds=delta["traces_built"],
             )
 
     # -- evaluation ---------------------------------------------------------------
@@ -827,16 +624,5 @@ class HSTuner(Tuner):
 
     def _stats_window(self) -> dict[str, int]:
         """The run-relative counters (live minus base), journaled at
-        every record boundary so resume can restore them."""
+        every record boundary so resume can re-base them."""
         return {k: v - self._stats_base[k] for k, v in self._live_counters().items()}
-
-    def _restore_stats_window(self, window: Mapping[str, int]) -> None:
-        """Re-base the window so it equals a journaled ``fastpath``
-        dict.  Replayed generations skip the simulator entirely, so
-        without this a resumed run would report zeros for everything the
-        journaled generations did.  Keys this build does not count are
-        ignored; empty dicts (journals from older builds) change nothing."""
-        live = self._live_counters()
-        for key, value in window.items():
-            if key in live:
-                self._stats_base[key] = live[key] - int(value)

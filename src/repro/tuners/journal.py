@@ -28,23 +28,36 @@ replayed generation boundary the live RNG state must equal the journaled
 one, otherwise the journal does not belong to this pipeline
 (:class:`JournalError`).
 
-Replaying skips the simulator entirely, so the evaluation cache is not
-warmed by journaled generations; post-resume generations rebuild traces
-on demand.  Traces from faulted attempts were never stored (they raise
-before construction), so a resumed run can never be served a faulted or
+Replaying skips the simulator entirely, so at the replay-to-live
+boundary :class:`RunJournal` pre-warms the evaluation cache once with
+the traces the journaled generations had cached; those lookups and
+builds are reported apart, in the ``prewarm_*`` stats.
+Traces from faulted attempts were never stored (they raise before
+construction), so a resumed run can never be served a faulted or
 partial trace.
+
+:class:`RunJournal` is the only code that knows the record format on
+the tuner side: :class:`~repro.tuners.hstuner.HSTuner` calls it at fixed
+points (baseline, generation start, each evaluation dispatch,
+generation end, run end) and keeps only the GA loop.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
-from typing import Any, Iterator, Mapping, Sequence
+from dataclasses import dataclass, field, fields
+from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from repro.iostack.config import StackConfiguration
 from repro.observability.profiling import maybe_span
+
+if TYPE_CHECKING:
+    from repro.ga import Individual
+
+    from .hstuner import HSTuner
 
 __all__ = [
     "JournalError",
@@ -53,6 +66,7 @@ __all__ = [
     "Journal",
     "JournalWriter",
     "ReplayCursor",
+    "RunJournal",
     "load_journal",
     "rng_state_jsonable",
 ]
@@ -74,6 +88,13 @@ def rng_state_jsonable(rng: np.random.Generator) -> dict[str, Any]:
 # -- records -----------------------------------------------------------------------
 
 
+def _as_line(kind: str, record: Any) -> dict[str, Any]:
+    """A record as one journal line: its fields in declaration order, so
+    field order is the line's key order (JSON writes tuples as lists).
+    Shallow on purpose: the writer only serialises it."""
+    return {"type": kind, **{f.name: getattr(record, f.name) for f in fields(record)}}
+
+
 @dataclass(frozen=True)
 class BaselineRecord:
     """The untuned-configuration evaluation that opens every run."""
@@ -90,14 +111,7 @@ class BaselineRecord:
     fastpath: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "type": "baseline",
-            "perf": self.perf,
-            "noise_position": self.noise_position,
-            "n_evaluations": self.n_evaluations,
-            "fault_state": self.fault_state,
-            "fastpath": self.fastpath,
-        }
+        return _as_line("baseline", self)
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "BaselineRecord":
@@ -139,24 +153,7 @@ class GenerationRecord:
     fastpath: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
-        return {
-            "type": "generation",
-            "iteration": self.iteration,
-            "dispatched": [list(g) for g in self.dispatched],
-            "perfs": list(self.perfs),
-            "population": [[list(g), f] for g, f in self.population],
-            "subset": list(self.subset),
-            "noise_position": self.noise_position,
-            "clock_seconds": self.clock_seconds,
-            "clock_evaluations": self.clock_evaluations,
-            "n_evaluations": self.n_evaluations,
-            "rng_state": self.rng_state,
-            "fault_state": self.fault_state,
-            "quarantine": self.quarantine,
-            "resilience": self.resilience,
-            "agent_state": self.agent_state,
-            "fastpath": self.fastpath,
-        }
+        return _as_line("generation", self)
 
     @classmethod
     def from_json(cls, obj: Mapping[str, Any]) -> "GenerationRecord":
@@ -399,3 +396,225 @@ def verify_rng(record: GenerationRecord, rng: np.random.Generator) -> None:
             f"diverged during replay (journal written by an incompatible "
             f"pipeline or code version)"
         )
+
+
+# -- the tuner's journal hooks ------------------------------------------------------
+
+
+class RunJournal:
+    """A tuner's journal hooks: record every boundary through ``writer``
+    and, on resume, answer the journaled generations from ``replay``
+    instead of the simulator, restoring the tuner's streams (noise,
+    faults, clock, quarantine, resilience counters, stats window) at
+    each boundary.  With neither, every hook leaves the run untouched.
+    """
+
+    def __init__(
+        self,
+        tuner: "HSTuner",
+        writer: JournalWriter | None = None,
+        replay: ReplayCursor | None = None,
+    ):
+        self.tuner = tuner
+        self.writer = writer
+        self.replay = replay
+        #: Genomes dispatched in the current generation, in order.
+        self.dispatched: list[list[int]] = []
+        #: ``prewarm_*`` fields of the run's ``EvaluationStats``.
+        self.prewarm_stats: dict[str, int] = {}
+        self._record: GenerationRecord | None = None
+        self._answered = 0
+        self._warmed = False
+
+    @property
+    def replaying(self) -> bool:
+        """Whether the current generation is answered from the journal."""
+        return self._record is not None
+
+    def baseline(self, evaluate: Callable[[], float]) -> tuple[float, bool]:
+        """Open a run: replay the journaled baseline (restoring the
+        streams it consumed) or ``evaluate()`` it live, then journal it.
+        Returns the perf and whether it was replayed."""
+        tuner = self.tuner
+        self.prewarm_stats = {}
+        record = self.replay.baseline() if self.replay is not None else None
+        if record is None:
+            perf = evaluate()
+        else:
+            perf = record.perf
+            tuner.simulator.noise.seek(record.noise_position)
+            self._restore_faults(record.fault_state)
+            tuner._n_evaluations = record.n_evaluations
+            self._restore_stats_window(record.fastpath)
+        if self.writer is not None:
+            self.writer.write_baseline(
+                BaselineRecord(
+                    perf=perf,
+                    noise_position=tuner.simulator.noise.position,
+                    n_evaluations=tuner._n_evaluations,
+                    fault_state=self._fault_state(),
+                    fastpath=tuner._stats_window(),
+                )
+            )
+        return perf, record is not None
+
+    def begin_generation(self) -> None:
+        """Fetch the generation to replay; when the journal has just run
+        dry, pre-warm the cache before the first live generation."""
+        self.dispatched.clear()
+        self._answered = 0
+        if self.replay is None:
+            return
+        self._record = self.replay.next_generation()
+        if self._record is None and not self._warmed:
+            self._prewarm_cache()
+            self._warmed = True
+
+    def answer(
+        self,
+        individuals: Sequence["Individual"],
+        live: Callable[[Sequence["Individual"]], list[float]],
+    ) -> list[float]:
+        """Log the dispatched genomes, then return their perfs: the next
+        journaled ones when replaying, else ``live(individuals)``."""
+        self.dispatched.extend([int(i) for i in ind.genome] for ind in individuals)
+        record = self._record
+        if record is None:
+            return live(individuals)
+        end = self._answered + len(individuals)
+        if end > len(record.perfs):
+            raise JournalError(
+                f"journal mismatch at iteration {record.iteration}: the resumed "
+                f"pipeline dispatched more evaluations than the journaled run"
+            )
+        perfs = list(record.perfs[self._answered : end])
+        self._answered = end
+        return perfs
+
+    def end_generation(self) -> bool:
+        """Close a generation; returns whether it was replayed.  A
+        replayed generation restores every stream its evaluations would
+        have consumed, then checks that the replay stayed on the
+        journaled path (:func:`verify_dispatch`, :func:`verify_rng`)."""
+        record, self._record = self._record, None
+        if record is None:
+            return False
+        tuner = self.tuner
+        verify_dispatch(record, self.dispatched)
+        tuner.simulator.noise.seek(record.noise_position)
+        tuner.clock.restore(record.clock_seconds, record.clock_evaluations)
+        tuner._n_evaluations = record.n_evaluations
+        self._restore_faults(record.fault_state)
+        tuner._resilient.restore_quarantine(record.quarantine)
+        tuner._resilient.stats.restore(record.resilience)
+        self._restore_stats_window(record.fastpath)
+        verify_rng(record, tuner.rng)
+        return True
+
+    def record_generation(
+        self, iteration: int, subset: tuple[str, ...], perfs: Sequence[float]
+    ) -> None:
+        """Journal the generation that just completed (the writer skips
+        generations a resumed journal already holds)."""
+        if self.writer is None:
+            return
+        tuner = self.tuner
+        self.writer.write_generation(
+            GenerationRecord(
+                iteration=iteration,
+                dispatched=tuple(tuple(g) for g in self.dispatched),
+                perfs=tuple(perfs),
+                population=tuple(
+                    (tuple(int(i) for i in ind.genome), float(ind.fitness))
+                    for ind in tuner._engine.population
+                ),
+                subset=subset,
+                noise_position=tuner.simulator.noise.position,
+                clock_seconds=tuner.clock.elapsed_seconds,
+                clock_evaluations=tuner.clock.n_evaluations,
+                n_evaluations=tuner._n_evaluations,
+                rng_state=rng_state_jsonable(tuner.rng),
+                fault_state=self._fault_state(),
+                quarantine=tuner._resilient.quarantine_state(),
+                resilience=tuner._resilient.stats.as_dict(),
+                agent_state=tuner._journal_agent_state(),
+                fastpath=tuner._stats_window(),
+            )
+        )
+
+    def end_run(self, stop_reason: str, stopped_at: int | None) -> None:
+        if self.writer is not None:
+            self.writer.write_final(stop_reason, stopped_at)
+
+    def _prewarm_cache(self) -> None:
+        """Rebuild the traces the journaled generations cached, so the
+        first live generation sees the uninterrupted run's cache hits.
+        Otherwise each rebuild would make an extra fault-schedule draw
+        and fork the fault stream.  Fault checks are bypassed (the
+        journal already accounts the faults that fired), quarantined
+        configurations are skipped, and only LRU recency can differ
+        (past ``maxsize`` distinct configurations).  The lookups and
+        builds go to :attr:`prewarm_stats`, not the tuner's stats
+        window, so ``cache_hit_rate`` matches the uninterrupted run."""
+        tuner, cache = self.tuner, self.tuner.cache
+        if cache is None or self.replay is None:
+            return
+        simulator, workload = tuner.simulator, tuner._workload
+        genomes: dict[tuple[int, ...], None] = {}
+        for record in self.replay.journal.generations:
+            for genome in record.dispatched:
+                genomes.setdefault(tuple(genome), None)
+        configs = [StackConfiguration.default(tuner.space)] + [
+            StackConfiguration.from_genome(tuner.space, genome) for genome in genomes
+        ]
+        before = tuner._live_counters()
+        faults, simulator.faults = simulator.faults, None
+        # Warming lookups are not run cache activity: mute the cache's
+        # per-op trace events for the duration (one summary event below).
+        cache_recorder, cache.recorder = cache.recorder, None
+        try:
+            for config in configs:
+                if tuner._resilient.is_quarantined(config):
+                    continue
+                if cache.lookup(simulator.platform, workload, config) is None:
+                    trace = simulator.trace(workload, config)
+                    cache.store(simulator.platform, workload, config, trace)
+        finally:
+            simulator.faults = faults
+            cache.recorder = cache_recorder
+        delta = {k: v - before[k] for k, v in tuner._live_counters().items()}
+        for key, value in delta.items():
+            tuner._stats_base[key] += value
+        lookups = delta["cache_hits"] + delta["cache_misses"]
+        self.prewarm_stats = {
+            "prewarm_lookups": lookups,
+            "prewarm_hits": delta["cache_hits"],
+            "prewarm_builds": delta["traces_built"],
+        }
+        if tuner.recorder.enabled:
+            tuner.recorder.emit(
+                "cache_prewarm",
+                lookups=lookups,
+                hits=delta["cache_hits"],
+                builds=delta["traces_built"],
+            )
+
+    def _fault_state(self) -> dict[str, Any] | None:
+        faults = self.tuner.simulator.faults
+        return faults.get_state() if faults is not None else None
+
+    def _restore_faults(self, state: dict[str, Any] | None) -> None:
+        faults = self.tuner.simulator.faults
+        if faults is not None and state is not None:
+            faults.set_state(state)
+
+    def _restore_stats_window(self, window: Mapping[str, int]) -> None:
+        """Re-base the tuner's stats window to a journaled ``fastpath``
+        dict, so replayed generations count what they did live.  Keys
+        this build does not count (or an empty, older dict) are
+        ignored."""
+        tuner = self.tuner
+        live = tuner._live_counters()
+        for key, value in window.items():
+            if key in live:
+                tuner._stats_base[key] = live[key] - int(value)

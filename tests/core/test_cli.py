@@ -147,6 +147,50 @@ def test_resume_of_completed_journal_is_refused(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
+def test_resume_below_the_journaled_generations_is_refused(tmp_path, capsys):
+    """A budget smaller than what the journal already records would
+    orphan the journaled generations behind a premature final marker."""
+    journal = tmp_path / "t.journal"
+    assert main([
+        "ior", "--tuner", "hstuner", "--iterations", "8", "--seed", "3",
+        "--journal", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    cut = tmp_path / "cut.journal"
+    cut.write_text("".join(open(journal).readlines()[:8]))  # 6 generations
+    before = cut.read_bytes()
+    with pytest.raises(SystemExit) as err:
+        main(["resume", str(cut), "--iterations", "3"])
+    assert err.value.code == 2
+    assert "6 journaled generations" in capsys.readouterr().err
+    assert cut.read_bytes() == before
+
+
+def write_header(path, args):
+    path.write_text(json.dumps({"type": "header", "version": 1, "args": args}) + "\n")
+
+
+@pytest.mark.parametrize("args", [
+    {"tuner": "hstuner", "iterations": 3},
+    {"workload": "nosuchapp", "tuner": "hstuner", "iterations": 3},
+])
+def test_resume_needs_a_known_recorded_workload(tmp_path, capsys, args):
+    journal = tmp_path / "t.journal"
+    write_header(journal, args)
+    assert main(["resume", str(journal)]) == 3
+    assert "workload" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [{"iterations": 0}, {"fault_rate": 1.5}])
+def test_resume_validates_the_recorded_invocation(tmp_path, capsys, bad):
+    journal = tmp_path / "t.journal"
+    write_header(journal, {"workload": "ior", "tuner": "hstuner", "iterations": 3, **bad})
+    with pytest.raises(SystemExit) as err:
+        main(["resume", str(journal)])
+    assert err.value.code == 2
+    assert "resuming" not in capsys.readouterr().out
+
+
 # -- observability flags -------------------------------------------------------
 
 

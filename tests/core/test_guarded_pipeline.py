@@ -23,10 +23,17 @@ from repro.core import (
     build_tunio,
 )
 from repro.core.offline_training import load_agents, save_agents
-from repro.iostack import FaultPlan, IOStackSimulator, NoiseModel, cori
+from repro.iostack import (
+    EvaluationCache,
+    FaultPlan,
+    IOStackSimulator,
+    NoiseModel,
+    cori,
+)
 from repro.rl.guardrails import CheckpointError
 from repro.tuners import HSTuner, HeuristicStopper, NoStop
 from repro.tuners.base import IterationRecord
+from repro.tuners.journal import JournalWriter, ReplayCursor, load_journal
 from repro.workloads import flash
 
 pytestmark = pytest.mark.guardrails
@@ -223,6 +230,59 @@ def test_degraded_picker_repeats_cleanly_on_reset(trained_bundle):
     second = faulted.tune(flash(), max_iterations=4)
     assert second.guardrail_trips  # re-earned, not accumulated forever
     assert len(second.guardrail_trips) <= len(first_trips) * 2
+
+
+# ---------------------------------------------------------------------------
+# journaled resume
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("agent_fault", [None, "nan-weights"])
+def test_journaled_tunio_resume_is_bit_identical(
+    trained_bundle, tmp_path, agent_fault
+):
+    """A TunIO tune cut after 4 of 10 journaled generations resumes to
+    the uninterrupted run: same history, best config, journal bytes and
+    guardrail trips.  With ``nan-weights`` engaging at iteration 6, both
+    agents trip after the cut, so the replayed generations must leave
+    the agents exactly where the live run had them."""
+    _, normalizer, agents = trained_bundle
+
+    def tuner():
+        plan = FaultPlan(
+            seed=1, transient_error_rate=0.1,
+            agent_fault=agent_fault, agent_fault_at=6,
+        )
+        sim = IOStackSimulator(cori(4), NoiseModel(seed=77), faults=plan)
+        return build_tunio(
+            sim, copy.deepcopy(agents), normalizer,
+            rng=np.random.default_rng(26), cache=EvaluationCache(),
+        )
+
+    full_path, cut_path = tmp_path / "full.journal", tmp_path / "cut.journal"
+    with JournalWriter(str(full_path), header={}) as writer:
+        live = tuner()
+        live.attach_journal(writer)
+        full = live.tune(flash(), max_iterations=10)
+    lines = full_path.read_text().splitlines(keepends=True)
+    cut_path.write_text("".join(lines[: 2 + 4]))  # header, baseline, 4 generations
+
+    journal = load_journal(str(cut_path))
+    with JournalWriter(str(cut_path), header={}, resume_from=journal) as writer:
+        replaying = tuner()
+        replaying.attach_journal(writer, replay=ReplayCursor(journal))
+        resumed = replaying.tune(flash(), max_iterations=10)
+
+    assert len(full.history) > 4  # the cut falls before the run ended
+    assert resumed.history == full.history
+    assert resumed.best_config == full.best_config
+    assert cut_path.read_bytes() == full_path.read_bytes()
+    assert resumed.guardrail_trips == full.guardrail_trips
+    tripped = {t.guardrail for t in replaying.guardrails.trips}
+    if agent_fault is None:
+        assert not tripped
+    else:
+        assert tripped == {"subset-picker", "early-stopper"}
 
 
 # ---------------------------------------------------------------------------

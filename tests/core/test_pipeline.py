@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import TuningSession, build_tunio
-from repro.tuners import HSTuner, NoStop
+from repro.core import GuardedStopper, TunIOTuner, TuningSession, build_tunio, make_tuner
+from repro.tuners import HeuristicStopper, HSTuner, NoStop
 from repro.workloads import flash
 from tests.conftest import make_workload
 
@@ -66,3 +66,26 @@ def test_session_best_before_run_rejected(trained_bundle):
     session = TuningSession(tuner=HSTuner(sim), workload=make_workload())
     with pytest.raises(RuntimeError):
         _ = session.best_perf
+
+
+@pytest.mark.parametrize(
+    "kind, cls, stopper",
+    [
+        ("tunio", TunIOTuner, GuardedStopper),
+        ("hstuner", HSTuner, NoStop),
+        ("hstuner-heuristic", HSTuner, HeuristicStopper),
+    ],
+)
+def test_make_tuner_builds_each_cli_kind(trained_bundle, kind, cls, stopper):
+    sim, normalizer, agents = trained_bundle
+    tuner = make_tuner(kind, sim, agents=agents, normalizer=normalizer, population_size=4)
+    assert type(tuner) is cls and type(tuner.stopper) is stopper
+    assert tuner.population_size == 4  # keyword arguments reach the tuner
+
+
+def test_make_tuner_rejects_unknown_kinds_and_agentless_tunio(trained_bundle):
+    sim, _, _ = trained_bundle
+    with pytest.raises(ValueError, match="unknown tuner kind"):
+        make_tuner("nostop", sim)
+    with pytest.raises(ValueError, match="needs trained agents"):
+        make_tuner("tunio", sim)

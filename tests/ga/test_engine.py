@@ -165,8 +165,7 @@ def test_seeded_runs_are_reproducible():
 # -- batched evaluation ---------------------------------------------------------
 
 
-def make_batch_engine(pop=8, elites=1, seed=0, batches=None, dedupe=False,
-                      batch_fn=None):
+def make_batch_engine(pop=8, elites=1, seed=0, batches=None, batch_fn=None):
     toolbox = make_toolbox()
     batches = batches if batches is not None else []
 
@@ -177,7 +176,7 @@ def make_batch_engine(pop=8, elites=1, seed=0, batches=None, dedupe=False,
     toolbox.register("evaluate_batch", batch_fn or evaluate_batch)
     return EvolutionEngine(
         toolbox, population_size=pop, n_elites=elites,
-        rng=np.random.default_rng(seed), dedupe_duplicates=dedupe,
+        rng=np.random.default_rng(seed),
     )
 
 
@@ -208,16 +207,7 @@ def test_batch_length_mismatch_rejected():
 # -- duplicate handling ---------------------------------------------------------
 
 
-def test_duplicate_groups_first_seen_order():
-    a = Individual(np.array([1, 2, 3]))
-    b = Individual(np.array([4, 5, 6]))
-    a2 = Individual(np.array([1, 2, 3]))
-    groups = EvolutionEngine.duplicate_groups([a, b, a2, b])
-    assert groups == [[0, 2], [1, 3]]
-    assert EvolutionEngine.duplicate_groups([]) == []
-
-
-def make_duplicate_engine(calls, dedupe, seed=0):
+def make_duplicate_engine(calls, seed=0):
     """All six generation-0 individuals share one genome."""
     toolbox = make_toolbox()
 
@@ -233,40 +223,12 @@ def make_duplicate_engine(calls, dedupe, seed=0):
     toolbox.register("evaluate", evaluate)
     return EvolutionEngine(
         toolbox, population_size=6, n_elites=1,
-        rng=np.random.default_rng(seed), dedupe_duplicates=dedupe,
+        rng=np.random.default_rng(seed),
     )
-
-
-def test_dedupe_shares_fitness_among_identical_genomes():
-    calls = []
-    engine = make_duplicate_engine(calls, dedupe=True)
-    stats = engine.step()
-    assert len(calls) == 1  # one representative for six clones
-    assert stats.evaluations == 6  # accounting still covers everyone
-    assert stats.distinct_genomes == 1
-    assert all(ind.evaluated for ind in engine.population)
 
 
 def test_dedupe_off_evaluates_every_duplicate():
     calls = []
-    engine = make_duplicate_engine(calls, dedupe=False)
-    stats = engine.step()
+    engine = make_duplicate_engine(calls)
+    engine.step()
     assert len(calls) == 6
-    assert stats.distinct_genomes == 1
-
-
-def test_dedupe_is_exact_for_deterministic_evaluators():
-    a = make_engine(seed=11)
-    b = EvolutionEngine(
-        make_toolbox(), population_size=8, n_elites=1,
-        rng=np.random.default_rng(11), dedupe_duplicates=True,
-    )
-    sa = a.run(12)
-    sb = b.run(12)
-    assert [s.best_fitness for s in sa] == [s.best_fitness for s in sb]
-
-
-def test_distinct_genomes_recorded_per_generation():
-    engine = make_engine()
-    stats = engine.step()
-    assert 1 <= stats.distinct_genomes <= stats.evaluations
