@@ -13,9 +13,9 @@ Run addressing
 --------------
 Each independent tuning run of a GA-based figure is a job function
 (``_figNN_run``) addressed purely by ``(seed, salt, ...)``: it derives
-its own simulator, RNG stream and
-:class:`~repro.iostack.evalcache.EvaluationCache` from that address, so
-nothing a run does can perturb a sibling.  The ``fig*`` functions call
+its own simulator and RNG stream from that address, and its tuner owns
+a private evaluation cache, so nothing a run does can perturb a
+sibling.  The ``fig*`` functions call
 their jobs in a plain loop; anything order-sensitive (Figure 11's shared
 ``eval_sim`` noise stream, Figure 8's accuracy check against the tuned
 app config) runs after the loop, in a fixed order.
@@ -33,7 +33,6 @@ from repro.discovery.kernel import DiscoveryOptions, discover_io
 from repro.discovery.modelgen import workload_from_source
 from repro.discovery.reducers import LoopReduction
 from repro.iostack.config import StackConfiguration
-from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.parameters import LIBRARY_CATALOG, TUNED_SPACE, stack_permutations
 from repro.iostack.simulator import WorkloadLike
 from repro.tuners.base import TuningResult
@@ -169,7 +168,7 @@ def _fig02_run(
     ctx = make_context(seed)
     workload = _WORKLOADS[workload_name]()
     sim = ctx.simulator_for(workload.n_nodes, salt=salt)
-    tuner = make_tuner("hstuner", sim, rng=ctx.rng(salt), cache=EvaluationCache())
+    tuner = make_tuner("hstuner", sim, rng=ctx.rng(salt))
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -264,7 +263,7 @@ def _fig08_run(seed: int, kind: str, n_nodes: int, iterations: int) -> TuningRes
     ctx = make_context(seed)
     workload = _fig08_workload(kind)
     sim = ctx.simulator_for(n_nodes, salt=80)
-    tuner = make_tuner("hstuner", sim, rng=ctx.rng(80), cache=EvaluationCache())
+    tuner = make_tuner("hstuner", sim, rng=ctx.rng(80))
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -410,7 +409,7 @@ def _fig09_run(seed: int, repeat: int, arm: str, iterations: int) -> TuningResul
     ``rng(90 + 10r)``."""
     ctx = make_context(seed)
     workload = flash()
-    rng, cache = ctx.rng(90 + 10 * repeat), EvaluationCache()
+    rng = ctx.rng(90 + 10 * repeat)
     if arm == "impact":
         sim = ctx.simulator_for(workload.n_nodes, salt=90 + 10 * repeat)
         tuner = TunIOTuner(
@@ -418,11 +417,10 @@ def _fig09_run(seed: int, repeat: int, arm: str, iterations: int) -> TuningResul
             smart_config=ctx.fresh_agents().smart_config,
             stopper=NoStop(),  # isolate the component: no early stopping
             rng=rng,
-            cache=cache,
         )
     else:
         sim = ctx.simulator_for(workload.n_nodes, salt=91 + 10 * repeat)
-        tuner = make_tuner("hstuner", sim, rng=rng, cache=cache)
+        tuner = make_tuner("hstuner", sim, rng=rng)
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -527,7 +525,7 @@ def _fig10_run(seed: int, iterations: int) -> TuningResult:
     ctx = make_context(seed)
     workload = hacc()
     sim = ctx.simulator_for(workload.n_nodes, salt=100)
-    tuner = make_tuner("hstuner", sim, rng=ctx.rng(100), cache=EvaluationCache())
+    tuner = make_tuner("hstuner", sim, rng=ctx.rng(100))
     return tuner.tune(workload, max_iterations=iterations)
 
 
@@ -683,7 +681,6 @@ def _fig11_run(
         agents=ctx.fresh_agents() if tuner_kind == "tunio" else None,
         normalizer=ctx.normalizer_for(app.n_nodes),
         rng=ctx.rng(salt),
-        cache=EvaluationCache(),
     )
     return tuner.tune(target, max_iterations=iterations)
 

@@ -123,11 +123,6 @@ def build_parser() -> argparse.ArgumentParser:
              "present, written after training otherwise",
     )
     parser.add_argument(
-        "--no-eval-cache", action="store_true",
-        help="disable the evaluation (trace) cache; results are identical, "
-             "only slower",
-    )
-    parser.add_argument(
         "--constraints", action="store_true",
         help="arm cross-parameter platform constraints: user seeds are "
              "validated strictly, GA offspring are repaired (stripe counts "
@@ -220,10 +215,6 @@ def build_resume_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--iterations", type=int, default=None,
         help="override the original iteration budget",
-    )
-    parser.add_argument(
-        "--no-eval-cache", action="store_true",
-        help=argparse.SUPPRESS,  # accepted only to reject it with a clear error
     )
     parser.add_argument(
         "--trace-out", type=str, default=None, metavar="PATH",
@@ -333,12 +324,6 @@ def main(argv: list[str] | None = None) -> int:
 def _resume(argv: list[str]) -> int:
     parser = build_resume_parser()
     resume_args = parser.parse_args(argv)
-    if resume_args.no_eval_cache:
-        parser.error(
-            "--no-eval-cache contradicts resume: replaying a journal re-warms "
-            "the trace cache to keep the resumed run bit-identical (the "
-            "original run's cache flag is restored from the journal)"
-        )
     if resume_args.iterations is not None and resume_args.iterations < 1:
         parser.error("--iterations must be >= 1")
     journal = load_journal(resume_args.journal)
@@ -363,8 +348,12 @@ def _resume(argv: list[str]) -> int:
         )
     run_parser = build_parser()
     args = run_parser.parse_args([workload])
+    # Flags an older build recorded but this parser no longer defines
+    # are dropped, so they never reach the run or its trace's run_args.
+    defined = vars(args)
     for key, value in saved.items():
-        setattr(args, key, value)
+        if key in defined:
+            setattr(args, key, value)
     if resume_args.iterations is not None:
         args.iterations = resume_args.iterations
     if args.iterations < len(journal.generations):
@@ -421,7 +410,7 @@ def _tuner_kind(
     simulator: IOStackSimulator,
     normalizer: PerfNormalizer,
     rng: np.random.Generator,
-    eval_cache: EvaluationCache | None,
+    eval_cache: EvaluationCache,
     recorder: Recorder,
 ) -> tuple[str, dict, str | None]:
     """The :func:`make_tuner` kind and agent keyword arguments the flags
@@ -495,7 +484,7 @@ def _run_tuning(
     platform = cori(workload.n_nodes)
     simulator = IOStackSimulator(platform, NoiseModel(seed=args.seed))
     normalizer = PerfNormalizer.for_platform(platform, workload.n_nodes)
-    eval_cache = None if args.no_eval_cache else EvaluationCache()
+    eval_cache = EvaluationCache()
 
     target = workload
     use_kernel = args.use_kernel or args.loop_reduction or args.path_switch
@@ -588,7 +577,7 @@ def _run_tuning(
         result.guardrail_trips = (checkpoint_trip,) + result.guardrail_trips
     registry = MetricsRegistry.from_run(
         result,
-        cache_stats=eval_cache.stats() if eval_cache is not None else None,
+        cache_stats=eval_cache.stats(),
         profiler=profiler,
     )
     snapshot = registry.snapshot()

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.parameters import TUNED_SPACE, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.rl.guardrails import GuardrailMonitor
@@ -158,15 +157,10 @@ def build_tunio(
     space: ParameterSpace = TUNED_SPACE,
     expected_runs: float | None = None,
     rng: np.random.Generator | None = None,
-    cache: EvaluationCache | None = None,
     **kwargs,
 ) -> TunIOTuner:
-    """Assemble a TunIO pipeline from offline-trained agents.
-
-    ``cache`` (an :class:`~repro.iostack.evalcache.EvaluationCache`) lets
-    revisited configurations skip the stack traversal; tuning results
-    are bit-identical with or without it.
-    """
+    """Assemble a TunIO pipeline from offline-trained agents; ``kwargs``
+    (``cache``, ``retry_policy``, ...) go to :class:`TunIOTuner`."""
     stopper = RLStopper(
         agents.early_stopper, normalizer, expected_runs=expected_runs
     )
@@ -176,7 +170,6 @@ def build_tunio(
         stopper=stopper,
         space=space,
         rng=rng,
-        cache=cache,
         **kwargs,
     )
 

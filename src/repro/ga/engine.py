@@ -10,13 +10,12 @@ subset picker between generations), so the engine exposes a single
 Toolbox contract (all rng arguments are numpy Generators):
 
 * ``generate(n, rng) -> list[Individual]`` -- initial population.
-* ``evaluate(individual) -> float`` -- fitness, higher is better.
+* ``evaluate_batch(individuals) -> sequence[float]`` -- fitnesses,
+  higher is better; a generation's unevaluated individuals are
+  dispatched as one batch, in population order.
 * ``select(population, rng) -> (Individual, Individual)`` -- two parents.
 * ``mate(a, b, rng) -> (Individual, Individual)`` -- two offspring.
 * ``mutate(individual, rng) -> Individual``.
-* ``evaluate_batch(individuals) -> sequence[float]`` -- optional; when
-  registered, a generation's unevaluated individuals are dispatched as
-  one batch (in population order) instead of one ``evaluate`` call each.
 * ``repair(individual) -> Individual`` -- optional; a deterministic,
   RNG-free projection applied to every bred individual (after mask
   pinning), so variation can never emit a constraint-violating genome.
@@ -203,15 +202,12 @@ class EvolutionEngine:
         return stats
 
     def _dispatch(self, individuals: list[Individual]) -> list[float]:
-        """Evaluate a list of individuals, through ``evaluate_batch``
-        when the toolbox registers one, else one ``evaluate`` call each
-        (population order either way)."""
-        if "evaluate_batch" in self.toolbox:
-            fits = [float(f) for f in self.toolbox.evaluate_batch(individuals)]
-            if len(fits) != len(individuals):
-                raise ValueError(
-                    f"evaluate_batch returned {len(fits)} fitnesses "
-                    f"for {len(individuals)} individuals"
-                )
-            return fits
-        return [float(self.toolbox.evaluate(ind)) for ind in individuals]
+        """Evaluate a list of individuals with one ``evaluate_batch``
+        call (population order)."""
+        fits = [float(f) for f in self.toolbox.evaluate_batch(individuals)]
+        if len(fits) != len(individuals):
+            raise ValueError(
+                f"evaluate_batch returned {len(fits)} fitnesses "
+                f"for {len(individuals)} individuals"
+            )
+        return fits

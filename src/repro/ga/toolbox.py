@@ -18,27 +18,24 @@ __all__ = ["Toolbox"]
 class Toolbox:
     """Named registry of callables with baked-in default arguments.
 
-    Beyond the five required entries the engine recognises two optional
-    ones:
+    The engine evaluates through one entry,
+    ``evaluate_batch(individuals) -> sequence[float]``: each generation's
+    unevaluated individuals are dispatched as a single call, in
+    population order, so the evaluator can share work across the
+    generation (trace reuse, duplicate genomes).  It must return one
+    fitness per input individual, aligned with the input order.
 
-    * ``evaluate_batch(individuals) -> sequence[float]``: when
-      registered, each generation's unevaluated individuals are
-      dispatched as a single call (in population order) instead of one
-      ``evaluate`` call each, letting the evaluator share work across
-      the generation (trace reuse, deduplication).  It
-      must return one fitness per input individual, aligned with the
-      input order.
-    * ``repair(individual) -> Individual``: a deterministic projection
-      applied to every individual the engine breeds (initial population
-      and post-variation offspring), so crossover/mutation can never
-      emit an invalid genome.  Must be idempotent, consume no
-      randomness, and return the input object unchanged when it is
-      already valid.
+    One optional entry is consulted when present:
+    ``repair(individual) -> Individual``, a deterministic projection
+    applied to every individual the engine breeds (initial population
+    and post-variation offspring), so crossover/mutation can never emit
+    an invalid genome.  It must be idempotent, consume no randomness,
+    and return the input object unchanged when it is already valid.
     """
 
-    _REQUIRED = ("generate", "evaluate", "mate", "mutate", "select")
+    _REQUIRED = ("generate", "evaluate_batch", "mate", "mutate", "select")
     #: Optional entries the engine consults when present.
-    OPTIONAL = ("evaluate_batch", "repair")
+    OPTIONAL = ("repair",)
 
     def __init__(self) -> None:
         self._registry: dict[str, Callable[..., Any]] = {}

@@ -160,37 +160,10 @@ class EvaluationStats:
         return self.cache_hits / lookups if lookups else 0.0
 
     @property
-    def degraded(self) -> bool:
-        """True when any resilience machinery engaged during the run."""
-        return bool(
-            self.retries
-            or self.timeouts
-            or self.quarantined
-            or self.faults_injected
-        )
-
-    @property
     def trace_reuse(self) -> int:
         """Replays that reused an existing trace instead of traversing
         the stack -- the simulations the fastpath avoided."""
         return max(0, self.trace_replays - self.traces_built)
-
-    def describe(self) -> str:
-        """One-line human summary for reports."""
-        return (
-            f"{self.evaluations} evaluations, "
-            f"cache hit rate {100.0 * self.cache_hit_rate:.1f}% "
-            f"({self.cache_hits}/{self.cache_hits + self.cache_misses}), "
-            f"trace reuse {self.trace_reuse}"
-        )
-
-    def describe_resilience(self) -> str:
-        """One-line summary of the run's failure handling."""
-        return (
-            f"{self.faults_injected} faults injected, "
-            f"{self.retries} retries, {self.timeouts} timeouts, "
-            f"{self.quarantined} quarantined"
-        )
 
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain dict (trace ``run_end`` events and the

@@ -4,7 +4,7 @@ Before this module, run accounting was scattered across
 :class:`~repro.iostack.evalcache.EvaluationStats` (fastpath counters on
 the result), :class:`~repro.iostack.evalcache.CacheStats` (live cache
 counters), :class:`~repro.tuners.resilience.ResilienceStats` and the
-guardrail trip list -- each with its own ad-hoc ``describe`` string.
+guardrail trip list.
 :class:`MetricsRegistry` absorbs them into named counters, gauges and
 timers with a single :meth:`~MetricsRegistry.snapshot`; the CLI summary
 lines (``fastpath:`` / ``resilience:`` / ``guardrails:``) are rendered
@@ -205,7 +205,7 @@ def _counters(snapshot: Mapping[str, Any]) -> Mapping[str, int]:
 
 def fastpath_line(snapshot: Mapping[str, Any]) -> str:
     """The ``fastpath:`` summary body, rendered from a registry
-    snapshot (same text :meth:`EvaluationStats.describe` produced)."""
+    snapshot."""
     c = _counters(snapshot)
     hits = int(c.get("cache.hits", 0))
     misses = int(c.get("cache.misses", 0))
@@ -243,8 +243,7 @@ def guardrails_line(trips: Iterable[str]) -> str:
 
 
 def snapshot_degraded(snapshot: Mapping[str, Any]) -> bool:
-    """True when any resilience machinery engaged (mirrors
-    :attr:`EvaluationStats.degraded`)."""
+    """True when any resilience machinery engaged during the run."""
     c = _counters(snapshot)
     return bool(
         c.get("resilience.retries", 0)

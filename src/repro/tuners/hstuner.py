@@ -12,31 +12,26 @@ the parameter names the next generation may vary (None = all).  TunIO's
 Smart Configuration Generation plugs in there; the base class always
 returns None, which *is* HSTuner.
 
-Evaluation fastpath
--------------------
-Evaluations ride the simulator's trace/replay fastpath and, when a
-:class:`~repro.iostack.evalcache.EvaluationCache` is attached, re-visited
-configurations (elites re-drawn by crossover, duplicate genomes, the
-default baseline) skip the stack traversal entirely.  Each generation is
-additionally dispatched as one batch: noise factors are pre-drawn in
-population order, traces are deduplicated per distinct genome, then
-every individual replays its own factor slice.  All of this is
-bit-identical to the naive per-individual, per-repeat loop -- same
-fitnesses, same noise-stream consumption, same clock charges -- the
-fastpath only removes redundant deterministic work.  :attr:`TuningResult.eval_stats` records what was
-saved.
-
-Resilience
+Evaluation
 ----------
-Every evaluation flows through a
-:class:`~repro.tuners.resilience.ResilientEvaluator`: retryable failures
-(injected faults, timeouts, non-finite measurements) are retried with
+Every evaluation -- the untuned baseline as a batch of one, then each
+generation's unevaluated individuals as one batch -- is a single
+:meth:`~repro.tuners.resilience.ResilientEvaluator.evaluate` call.  It
+pre-draws the noise factors in population order, takes each distinct
+configuration's trace from the tuner's
+:class:`~repro.iostack.evalcache.EvaluationCache` or builds it once
+(re-visited configurations -- elites re-drawn by crossover, duplicate
+genomes -- skip the stack traversal), then replays every individual's
+own factor slice.  That is bit-identical to a per-individual,
+per-repeat loop: same fitnesses, same noise-stream consumption, same
+clock charges.  :attr:`TuningResult.eval_stats` records the work saved.
+
+The same call is the resilience harness: retryable failures (injected
+faults, timeouts, non-finite measurements) are retried with
 simulated-clock-charged exponential backoff, configurations that exhaust
 their retries are quarantined at the worst-case fitness instead of
 crashing the generation, and an unexpected exception is re-raised with
-the failing genome preserved in the exception chain.  With nothing
-failing, the harness performs exactly the calls the bare fastpath
-would -- results stay bit-identical.
+the failing genome preserved in the exception chain.
 
 Journaling
 ----------
@@ -51,7 +46,7 @@ recording, replay and the resume cache pre-warm live there.
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +63,7 @@ from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
 from repro.iostack.evalcache import EvaluationCache, EvaluationStats
 from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry, ParameterSpace
-from repro.iostack.simulator import IOStackSimulator, StackTrace, WorkloadLike
+from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
 
 from .base import IterationRecord, Tuner, TuningResult
@@ -104,13 +99,10 @@ class HSTuner(Tuner):
     rng:
         Seeded generator for reproducibility.
     cache:
-        Optional evaluation cache; repeat configurations reuse their
-        stored trace (results stay bit-identical, the simulated clock is
-        still charged on hits).
-    batch_evaluation:
-        Dispatch each generation through the toolbox's ``evaluate_batch``
-        entry (deduplicates traces within the generation); results are
-        bit-identical to per-individual evaluation.
+        Evaluation cache; repeat configurations reuse their stored trace
+        (the simulated clock is still charged on hits).  ``None`` (the
+        default) gives the tuner a fresh private cache; pass one to
+        share traces between tuners.
     retry_policy:
         How evaluation failures are retried/timed-out/quarantined; see
         :class:`~repro.tuners.resilience.RetryPolicy`.  The default
@@ -153,7 +145,6 @@ class HSTuner(Tuner):
         mutation_probability: float = 0.12,
         rng: np.random.Generator | None = None,
         cache: EvaluationCache | None = None,
-        batch_evaluation: bool = True,
         retry_policy: RetryPolicy | None = None,
         constraints: ConstraintRegistry | None = None,
         seed_config: StackConfiguration | None = None,
@@ -176,8 +167,7 @@ class HSTuner(Tuner):
         self.repeats = repeats
         self.mutation_probability = mutation_probability
         self.rng = rng if rng is not None else np.random.default_rng()
-        self.cache = cache
-        self.batch_evaluation = batch_evaluation
+        self.cache = cache if cache is not None else EvaluationCache()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.constraints = constraints
         self.seed_config = seed_config
@@ -191,10 +181,6 @@ class HSTuner(Tuner):
         #: Iteration the trace's evaluation events belong to (None before
         #: the first generation, i.e. during the baseline).
         self._trace_iteration: int | None = None
-        self._resilient = ResilientEvaluator(
-            self.simulator, self.clock, cache=self.cache, policy=self.retry_policy
-        )
-        self._resilient.recorder = self.recorder
         self._journal = RunJournal(self)  # attach_journal arms it
 
     # -- journaling ----------------------------------------------------------
@@ -284,8 +270,7 @@ class HSTuner(Tuner):
         recorder = self.recorder
         recorder.bind_clock(self.clock)
         self._resilient.recorder = recorder
-        if self.cache is not None:
-            self.cache.recorder = recorder
+        self.cache.recorder = recorder
         if self.simulator.faults is not None:
             # Rewind the fault schedule and tie its degraded windows to
             # this run's clock, so repeated tunes replay the same plan.
@@ -307,21 +292,24 @@ class HSTuner(Tuner):
 
         result = TuningResult(tuner_name=self.name, workload_name=workload.name)
         result.baseline_perf, replayed = self._journal.baseline(
-            lambda: self._evaluate_config(
-                workload, StackConfiguration.default(self.space), charge=False
-            )
+            lambda: self._evaluate(
+                workload, [StackConfiguration.default(self.space)], charge=False
+            )[0]
         )
         if recorder.enabled:
             recorder.emit("baseline", perf=result.baseline_perf, replayed=replayed)
 
         generation_evals: list[float] = []
 
-        def dispatch(
-            individuals: Sequence[Individual],
-            live: Callable[[Sequence[Individual]], list[float]],
-        ) -> list[float]:
-            # evaluate and evaluate_batch differ only in ``live``, the
-            # evaluator a generation the journal cannot answer goes to.
+        def live(individuals: Sequence[Individual]) -> list[float]:
+            configs = [
+                StackConfiguration.from_genome(self.space, ind.genome)
+                for ind in individuals
+            ]
+            return self._evaluate(workload, configs, charge=True)
+
+        def evaluate_batch(individuals: Sequence[Individual]) -> list[float]:
+            # A generation the journal cannot answer is evaluated live.
             journal = self._journal
             perfs = journal.answer(individuals, live)
             generation_evals.extend(perfs)
@@ -335,18 +323,6 @@ class HSTuner(Tuner):
                         replayed=journal.replaying,
                     )
             return perfs
-
-        def evaluate(ind: Individual) -> float:
-            def live(_: Sequence[Individual]) -> list[float]:
-                config = StackConfiguration.from_genome(self.space, ind.genome)
-                return [self._evaluate_config(workload, config, charge=True)]
-
-            return dispatch([ind], live)[0]
-
-        def evaluate_batch(individuals: Sequence[Individual]) -> list[float]:
-            return dispatch(
-                individuals, lambda inds: self._evaluate_generation(workload, inds)
-            )
 
         def generate(n: int, rng: np.random.Generator) -> list[Individual]:
             # HSTuner explores outward from the library defaults (or a
@@ -382,12 +358,10 @@ class HSTuner(Tuner):
 
         toolbox = Toolbox()
         toolbox.register("generate", generate)
-        toolbox.register("evaluate", evaluate)
+        toolbox.register("evaluate_batch", evaluate_batch)
         toolbox.register("select", tournament_pair)
         toolbox.register("mate", uniform_crossover)
         toolbox.register("mutate", mutate)
-        if self.batch_evaluation:
-            toolbox.register("evaluate_batch", evaluate_batch)
         if self.constraints is not None:
             toolbox.register("repair", repair_individual, registry=self.constraints)
 
@@ -533,80 +507,18 @@ class HSTuner(Tuner):
 
     # -- evaluation ---------------------------------------------------------------
 
-    def _evaluate_config(
-        self, workload: WorkloadLike, config: StackConfiguration, charge: bool
-    ) -> float:
-        perf = self._resilient.evaluate_config(
-            workload, config, repeats=self.repeats, charge=charge
-        )
-        # Note on charging: a success is charged one run's duration (on
-        # cache hits too -- a hit saves simulation work on our side, not
-        # testbed time on the simulated cluster); failed attempts charge
-        # their launch + backoff inside the resilient evaluator.
-        self._n_evaluations += 1
-        return perf
-
-    def _evaluate_generation(
-        self, workload: WorkloadLike, individuals: Sequence[Individual]
+    def _evaluate(
+        self,
+        workload: WorkloadLike,
+        configs: Sequence[StackConfiguration],
+        charge: bool,
     ) -> list[float]:
-        """Evaluate one generation as a batch, bit-identically to a
-        per-individual loop when nothing fails.
-
-        Noise factors are pre-drawn in population order (so the noise
-        stream advances exactly as the sequential path would), traces
-        are built once per distinct genome, and each individual replays
-        its own factor slice and charges the clock.  Quarantined
-        configurations (``None`` traces) are served the worst-case
-        fitness; replay failures retry through the resilient harness.
-        """
-        configs = [
-            StackConfiguration.from_genome(self.space, ind.genome)
-            for ind in individuals
-        ]
-        factors = self.simulator.noise.sample_factors(self.repeats * len(configs))
-        traces = self._traces_for(workload, configs)
-        perfs: list[float] = []
-        for i, (config, trace) in enumerate(zip(configs, traces)):
-            self._n_evaluations += 1
-            if trace is None:
-                self._resilient.charge_quarantined(charge=True)
-                perfs.append(self.retry_policy.worst_case_perf)
-                continue
-            window = factors[i * self.repeats : (i + 1) * self.repeats]
-            perfs.append(
-                self._resilient.evaluate_trace(
-                    workload, config, trace, window, self.repeats, charge=True
-                )
-            )
-        return perfs
-
-    def _traces_for(
-        self, workload: WorkloadLike, configs: Sequence[StackConfiguration]
-    ) -> list[StackTrace | None]:
-        """One trace per config (``None`` for quarantined ones), built
-        once per distinct configuration through the cache when attached.
-        Misses are built by the resilient harness, which retries
-        transient faults with backoff and wraps unexpected exceptions
-        with the failing configuration's repr."""
-        order: list[StackConfiguration] = list(dict.fromkeys(configs))
-        built: dict[StackConfiguration, StackTrace | None] = {}
-        for config in order:
-            if self._resilient.is_quarantined(config):
-                built[config] = None  # served worst-case downstream
-                continue
-            cached = (
-                self.cache.lookup(self.simulator.platform, workload, config)
-                if self.cache is not None
-                else None
-            )
-            if cached is not None:
-                built[config] = cached
-        for config in order:
-            if config not in built:
-                built[config] = self._resilient.build_trace(
-                    workload, config, charge=True, check_cache=False
-                )
-        return [built[config] for config in configs]
+        # A success is charged one run's duration, on cache hits too: a
+        # hit saves simulation work on our side, not testbed time on the
+        # simulated cluster.  Failed attempts charge their launch and
+        # backoff inside the resilient evaluator.
+        self._n_evaluations += len(configs)
+        return self._resilient.evaluate(workload, configs, self.repeats, charge)
 
     # -- stats window ------------------------------------------------------------
 
@@ -617,9 +529,9 @@ class HSTuner(Tuner):
         return {
             "traces_built": self.simulator.traces_built,
             "trace_replays": self.simulator.trace_replays,
-            "cache_hits": cache.hits if cache else 0,
-            "cache_misses": cache.misses if cache else 0,
-            "cache_evictions": cache.evictions if cache else 0,
+            "cache_hits": cache.hits,
+            "cache_misses": cache.misses,
+            "cache_evictions": cache.evictions,
         }
 
     def _stats_window(self) -> dict[str, int]:

@@ -557,8 +557,6 @@ class RunJournal:
         builds go to :attr:`prewarm_stats`, not the tuner's stats
         window, so ``cache_hit_rate`` matches the uninterrupted run."""
         tuner, cache = self.tuner, self.tuner.cache
-        if cache is None or self.replay is None:
-            return
         simulator, workload = tuner.simulator, tuner._workload
         genomes: dict[tuple[int, ...], None] = {}
         for record in self.replay.journal.generations:

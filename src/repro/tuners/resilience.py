@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
@@ -141,7 +141,8 @@ class ResilientEvaluator:
     ):
         self.simulator = simulator
         self.clock = clock
-        self.cache = cache
+        #: Trace memo shared with the tuner; ``None`` gets a private one.
+        self.cache = cache if cache is not None else EvaluationCache()
         self.policy = policy if policy is not None else RetryPolicy()
         self.stats = ResilienceStats()
         #: config digest -> repr, for reporting and journal round-trips.
@@ -199,22 +200,16 @@ class ResilientEvaluator:
         workload: WorkloadLike,
         config: StackConfiguration,
         charge: bool = True,
-        check_cache: bool = True,
     ) -> StackTrace | None:
-        """The trace for ``config``, retrying transient failures.
+        """Build and cache the trace for ``config``, retrying transient
+        failures.
 
         Returns ``None`` when the configuration is (or becomes)
-        quarantined.  Callers that already performed (and counted) the
-        cache lookup pass ``check_cache=False``.  Successful traces go
-        through the cache; faulted attempts raise before producing
-        anything, so no partial trace is ever stored.
+        quarantined.  Faulted attempts raise before producing anything,
+        so no partial trace is ever stored.
         """
         if self.is_quarantined(config):
             return None
-        if check_cache and self.cache is not None:
-            cached = self.cache.lookup(self.simulator.platform, workload, config)
-            if cached is not None:
-                return cached
         last: EvaluationError | None = None
         for attempt in range(self.policy.max_retries + 1):
             try:
@@ -230,12 +225,34 @@ class ResilientEvaluator:
                 raise HarnessError(
                     f"trace construction failed for {config!r}"
                 ) from exc
-            if self.cache is not None:
-                self.cache.store(self.simulator.platform, workload, config, trace)
+            self.cache.store(self.simulator.platform, workload, config, trace)
             return trace
         assert last is not None
         self._quarantine(config, last)
         return None
+
+    def _traces(
+        self,
+        workload: WorkloadLike,
+        configs: Sequence[StackConfiguration],
+        charge: bool,
+    ) -> dict[StackConfiguration, StackTrace | None]:
+        """The trace of each distinct configuration, or ``None`` for a
+        quarantined one: every cache lookup first, in first-seen order,
+        then the misses are built."""
+        traces: dict[StackConfiguration, StackTrace | None] = {}
+        distinct = list(dict.fromkeys(configs))
+        for config in distinct:
+            if self.is_quarantined(config):
+                traces[config] = None
+                continue
+            cached = self.cache.lookup(self.simulator.platform, workload, config)
+            if cached is not None:
+                traces[config] = cached
+        for config in distinct:
+            if config not in traces:
+                traces[config] = self.build_trace(workload, config, charge)
+        return traces
 
     # -- evaluation -------------------------------------------------------------
 
@@ -264,9 +281,8 @@ class ResilientEvaluator:
     ) -> float:
         """Replay ``trace`` resiliently and return its perf.
 
-        The first attempt uses the pre-drawn ``factors`` slice (so the
-        batch path consumes the noise stream exactly as the serial path
-        would); retry attempts draw fresh factors.  Timeouts and
+        The first attempt uses the ``factors`` slice :meth:`evaluate`
+        pre-drew; retry attempts draw fresh factors.  Timeouts and
         non-finite measurements retry, then quarantine.
         """
         attempt_factors = factors
@@ -295,24 +311,35 @@ class ResilientEvaluator:
         self.charge_quarantined(charge)
         return self.policy.worst_case_perf
 
-    def evaluate_config(
+    def evaluate(
         self,
         workload: WorkloadLike,
-        config: StackConfiguration,
+        configs: Sequence[StackConfiguration],
         repeats: int,
         charge: bool = True,
-    ) -> float:
-        """Full resilient evaluation: build (or fetch) the trace, then
-        replay it ``repeats`` times.  Quarantined configurations are
-        served the worst-case fitness immediately."""
-        if self.is_quarantined(config):
-            self.charge_quarantined(charge)
-            return self.policy.worst_case_perf
-        trace = self.build_trace(workload, config, charge=charge)
-        if trace is None:
-            self.charge_quarantined(charge)
-            return self.policy.worst_case_perf
-        factors = self.simulator.noise.sample_factors(repeats)
-        return self.evaluate_trace(
-            workload, config, trace, factors, repeats, charge=charge
-        )
+    ) -> list[float]:
+        """Evaluate ``configs`` in order; one perf per configuration.
+
+        Noise factors are pre-drawn in input order, ``repeats`` per
+        configuration, so the noise stream advances exactly as a
+        one-at-a-time loop would.  Each distinct configuration's trace
+        is looked up in the cache or built once, then every
+        configuration replays its own factor slice.  Quarantined
+        configurations are served the worst-case fitness for one
+        rejected submission.  With ``charge`` false nothing touches the
+        clock (the untuned baseline is not tuning time).
+        """
+        factors = self.simulator.noise.sample_factors(repeats * len(configs))
+        traces = self._traces(workload, configs, charge)
+        perfs: list[float] = []
+        for i, config in enumerate(configs):
+            trace = traces[config]
+            if trace is None:
+                self.charge_quarantined(charge)
+                perfs.append(self.policy.worst_case_perf)
+                continue
+            window = factors[i * repeats : (i + 1) * repeats]
+            perfs.append(
+                self.evaluate_trace(workload, config, trace, window, repeats, charge)
+            )
+        return perfs

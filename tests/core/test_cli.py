@@ -322,11 +322,13 @@ def test_contradictory_flags_rejected_with_usage_error(flags):
         ["--workers", "2"],
         ["--cache-dir", "/tmp/x"],
         ["--batch-workers", "2"],
+        ["--no-eval-cache"],
     ],
 )
 def test_bad_fastpath_flags_exit_2(flags):
-    """Tuning runs one serial worker model: the pool and disk-cache
-    flags are gone and are refused as unknown options."""
+    """Tuning runs one serial worker model through one cached
+    evaluation path: the pool, disk-cache and cache-off flags are gone
+    and are refused as unknown options."""
     with pytest.raises(SystemExit) as err:
         main(["ior", *flags])
     assert err.value.code == 2
@@ -334,12 +336,38 @@ def test_bad_fastpath_flags_exit_2(flags):
 
 @pytest.mark.guardrails
 def test_resume_rejects_no_eval_cache(capsys):
-    """--no-eval-cache contradicts resume (replay re-warms the cache to
-    stay bit-identical), so it is refused up front."""
+    """The evaluation cache cannot be switched off, on resume either:
+    the flag is refused up front as an unknown option."""
     with pytest.raises(SystemExit) as err:
         main(["resume", "whatever.journal", "--no-eval-cache"])
     assert err.value.code == 2
-    assert "contradicts resume" in capsys.readouterr().err
+    assert "unrecognized arguments: --no-eval-cache" in capsys.readouterr().err
+
+
+@pytest.mark.observability
+def test_resume_drops_flags_this_build_no_longer_defines(tmp_path, capsys):
+    """A journal whose header records flags an older build defined
+    (``--no-eval-cache``, ``--workers``) resumes: the stale keys are
+    dropped, so they reach neither the run nor its trace's run_args."""
+    journal = tmp_path / "t.journal"
+    assert main([
+        "ior", "--tuner", "hstuner", "--iterations", "4", "--seed", "3",
+        "--fault-rate", "0.15", "--journal", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    lines = open(journal).readlines()
+    header = json.loads(lines[0])
+    header["args"].update(no_eval_cache=True, workers=2)
+    cut = tmp_path / "cut.journal"
+    cut.write_text(json.dumps(header) + "\n" + "".join(lines[1:4]))
+
+    trace = tmp_path / "resumed.jsonl"
+    assert main(["resume", str(cut), "--trace-out", str(trace)]) == 0
+    run_args = json.loads(open(trace).readline())
+    assert run_args["event"] == "run_args"
+    assert "no_eval_cache" not in run_args["args"]
+    assert "workers" not in run_args["args"]
+    assert open(cut).readlines()[1:] == lines[1:]
 
 
 @pytest.mark.guardrails

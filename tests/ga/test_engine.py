@@ -16,6 +16,11 @@ N_GENES = 6
 CARDS = [10] * N_GENES
 
 
+def batch_of(evaluate):
+    """An ``evaluate_batch`` entry calling ``evaluate`` once per individual."""
+    return lambda individuals: [evaluate(ind) for ind in individuals]
+
+
 def make_toolbox(evaluate=None):
     """A toolbox solving 'maximise the genome sum'."""
     toolbox = Toolbox()
@@ -23,7 +28,10 @@ def make_toolbox(evaluate=None):
         "generate",
         lambda n, rng: [Individual(rng.integers(0, 10, N_GENES)) for _ in range(n)],
     )
-    toolbox.register("evaluate", evaluate or (lambda ind: float(ind.genome.sum())))
+    toolbox.register(
+        "evaluate_batch",
+        batch_of(evaluate or (lambda ind: float(ind.genome.sum()))),
+    )
     toolbox.register("select", tournament_pair)
     toolbox.register("mate", uniform_crossover)
     toolbox.register(
@@ -67,6 +75,14 @@ def test_toolbox_rejects_non_callable_and_bad_names():
 def test_toolbox_validate_reports_missing():
     tb = Toolbox()
     with pytest.raises(ValueError, match="generate"):
+        tb.validate()
+
+
+def test_toolbox_evaluates_only_through_evaluate_batch():
+    tb = make_toolbox()
+    tb.unregister("evaluate_batch")
+    tb.register("evaluate", lambda ind: float(ind.genome.sum()))
+    with pytest.raises(ValueError, match="evaluate_batch"):
         tb.validate()
 
 
@@ -189,15 +205,6 @@ def test_batch_dispatch_used_and_sized_like_pending():
     assert batches == [6, 4]  # elites carried their fitness
 
 
-def test_batch_path_matches_per_individual_path():
-    a = make_engine(seed=42)
-    b = make_batch_engine(seed=42)
-    sa = a.run(10)
-    sb = b.run(10)
-    assert [s.best_fitness for s in sa] == [s.best_fitness for s in sb]
-    assert [s.mean_fitness for s in sa] == [s.mean_fitness for s in sb]
-
-
 def test_batch_length_mismatch_rejected():
     engine = make_batch_engine(batch_fn=lambda individuals: [1.0])
     with pytest.raises(ValueError, match="evaluate_batch returned"):
@@ -220,7 +227,7 @@ def make_duplicate_engine(calls, seed=0):
         return float(ind.genome.sum())
 
     toolbox.register("generate", generate)
-    toolbox.register("evaluate", evaluate)
+    toolbox.register("evaluate_batch", batch_of(evaluate))
     return EvolutionEngine(
         toolbox, population_size=6, n_elites=1,
         rng=np.random.default_rng(seed),

@@ -13,6 +13,12 @@ from repro.iostack import (
     workload_fingerprint,
 )
 from repro.iostack.evalcache import CacheStats
+from repro.observability.metrics import (
+    MetricsRegistry,
+    fastpath_line,
+    resilience_line,
+    snapshot_degraded,
+)
 from tests.conftest import make_workload
 
 
@@ -165,6 +171,12 @@ def test_cached_evaluate_is_bit_identical_under_noise():
 # -- EvaluationStats -----------------------------------------------------------
 
 
+def _snapshot(stats):
+    reg = MetricsRegistry()
+    reg.ingest_eval_stats(stats)
+    return reg.snapshot()
+
+
 def test_evaluation_stats_derived_fields():
     stats = EvaluationStats(
         evaluations=10,
@@ -175,19 +187,20 @@ def test_evaluation_stats_derived_fields():
     )
     assert stats.cache_hit_rate == 0.6
     assert stats.trace_reuse == 26
-    assert "10 evaluations" in stats.describe()
-    assert "60.0%" in stats.describe()
+    assert fastpath_line(_snapshot(stats)) == (
+        "10 evaluations, cache hit rate 60.0% (6/10), trace reuse 26"
+    )
     assert EvaluationStats().cache_hit_rate == 0.0
     assert EvaluationStats().trace_reuse == 0
 
 
 def test_evaluation_stats_degraded_flag_and_resilience_line():
-    assert not EvaluationStats().degraded
+    assert not snapshot_degraded(_snapshot(EvaluationStats()))
     for field in ("retries", "timeouts", "quarantined", "faults_injected"):
-        assert EvaluationStats(**{field: 1}).degraded
-    line = EvaluationStats(
+        assert snapshot_degraded(_snapshot(EvaluationStats(**{field: 1})))
+    line = resilience_line(_snapshot(EvaluationStats(
         retries=2, timeouts=1, quarantined=3, faults_injected=5
-    ).describe_resilience()
+    )))
     assert line == ("5 faults injected, 2 retries, 1 timeouts, "
                     "3 quarantined")
 

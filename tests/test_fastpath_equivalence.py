@@ -5,9 +5,8 @@ evaluation are pure performance work: none of them may change a single
 bit of any result.  This module pins that down against a *reference
 implementation* -- a verbatim copy of the original single-pass
 ``run()``/``evaluate()`` loop that traversed the full stack once per
-repeat -- and against the fastpath's own off switches, for the paper's
-three representative kernels under both seeded noise and the quiet
-model.
+repeat -- for the paper's three representative kernels under both
+seeded noise and the quiet model.
 """
 
 from dataclasses import replace
@@ -16,19 +15,21 @@ import numpy as np
 import pytest
 
 from repro.iostack import (
-    EvaluationCache,
     IOStackSimulator,
     NoiseModel,
     StackConfiguration,
     cori,
 )
+from repro.iostack.clock import SimulatedClock
 from repro.iostack.darshan import DarshanReport, PhaseRecord
 from repro.iostack.hdf5 import apply_hdf5
 from repro.iostack.lustre import serve_lustre, serve_metadata
 from repro.iostack.posix import serve_memory, serve_memory_metadata
 from repro.iostack.simulator import EvaluationResult
 from repro.iostack.mpiio import apply_mpiio
+from repro.iostack.parameters import TUNED_SPACE
 from repro.tuners import HSTuner, NoStop
+from repro.tuners.journal import JournalWriter, load_journal
 from repro.workloads import flash, hacc, vpic
 
 WORKLOADS = {"vpic": vpic, "flash": flash, "hacc": hacc}
@@ -187,58 +188,57 @@ def test_evaluate_matches_reference(workload_name, noise_name):
     assert fast.noise._counter == legacy.noise._counter
 
 
-def assert_histories_identical(a, b):
-    assert a.baseline_perf == b.baseline_perf
-    assert len(a.history) == len(b.history)
-    for ra, rb in zip(a.history, b.history):
-        assert ra.iteration_perf == rb.iteration_perf
-        assert ra.best_perf == rb.best_perf
-        assert ra.elapsed_minutes == rb.elapsed_minutes
-        assert ra.evaluations == rb.evaluations
-    assert a.best_perf == b.best_perf
-    assert a.best_config == b.best_config
-    assert a.total_minutes == b.total_minutes
-
-
-def tuned(workload, *, noise, legacy=False, **kwargs):
-    sim_cls = LegacySimulator if legacy else IOStackSimulator
-    sim = sim_cls(cori(workload.n_nodes), noise())
-    tuner = HSTuner(
-        sim, stopper=NoStop(), rng=np.random.default_rng(7), **kwargs
-    )
-    return tuner.tune(workload, max_iterations=5)
+def journaled_tune(workload, noise, path):
+    """A 5-iteration HSTuner run on the fastpath, journaled to ``path``."""
+    sim = IOStackSimulator(cori(workload.n_nodes), noise())
+    tuner = HSTuner(sim, stopper=NoStop(), rng=np.random.default_rng(7))
+    with JournalWriter(str(path), header={}) as writer:
+        tuner.attach_journal(writer)
+        result = tuner.tune(workload, max_iterations=5)
+    return result, load_journal(str(path))
 
 
 @pytest.mark.parametrize("noise_name", sorted(NOISES))
 @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-def test_tuning_history_matches_legacy_pipeline(workload_name, noise_name):
-    """Cache on + batch on reproduces, bit for bit, the
-    tuning history of the legacy per-individual, per-repeat pipeline."""
+def test_tuning_history_matches_legacy_pipeline(workload_name, noise_name, tmp_path):
+    """The tuner's evaluations reproduce, bit for bit, the legacy
+    per-configuration, per-repeat pipeline: re-evaluating the baseline
+    and every generation's dispatched genomes, in order, with
+    ``LegacySimulator.evaluate`` on a fresh simulator with the same
+    seed gives the journaled perfs, clock charges and noise positions."""
     workload = WORKLOADS[workload_name]()
     noise = NOISES[noise_name]
-    reference = tuned(
-        workload, noise=noise, legacy=True, batch_evaluation=False, cache=None
-    )
-    fastpath = tuned(
-        workload,
-        noise=noise,
-        cache=EvaluationCache(),
-        batch_evaluation=True,
-    )
-    assert_histories_identical(reference, fastpath)
-    assert fastpath.eval_stats is not None
-    assert fastpath.eval_stats.evaluations == reference.total_evaluations + 1
+    result, journal = journaled_tune(workload, noise, tmp_path / "run.journal")
 
+    legacy = LegacySimulator(cori(workload.n_nodes), noise())
+    runs = []
+    legacy_run = legacy.run
 
-def test_fastpath_switches_are_result_transparent():
-    """Every combination of (cache, batch) yields the same run."""
-    workload = vpic()
-    noise = NOISES["seeded"]
-    baseline = tuned(workload, noise=noise, cache=None, batch_evaluation=False)
-    variants = [
-        tuned(workload, noise=noise, cache=None, batch_evaluation=True),
-        tuned(workload, noise=noise, cache=EvaluationCache(), batch_evaluation=False),
-        tuned(workload, noise=noise, cache=EvaluationCache(), batch_evaluation=True),
-    ]
-    for variant in variants:
-        assert_histories_identical(baseline, variant)
+    def counted_run(workload, config):
+        runs.append(config)
+        return legacy_run(workload, config)
+
+    legacy.run = counted_run
+    baseline = legacy.evaluate(workload, StackConfiguration.default(), repeats=3)
+    assert baseline.perf_mbps == journal.baseline.perf == result.baseline_perf
+    assert legacy.noise.position == journal.baseline.noise_position
+
+    clock = SimulatedClock()
+    assert len(journal.generations) == len(result.history) == 5
+    for record, iteration in zip(journal.generations, result.history):
+        perfs = []
+        for genome in record.dispatched:
+            config = StackConfiguration.from_genome(TUNED_SPACE, genome)
+            evaluation = legacy.evaluate(workload, config, repeats=3)
+            perfs.append(evaluation.perf_mbps)
+            clock.charge_evaluation(evaluation.charged_seconds)
+        assert tuple(perfs) == record.perfs
+        assert clock.elapsed_seconds == record.clock_seconds
+        assert clock.n_evaluations == record.clock_evaluations
+        assert clock.elapsed_minutes == iteration.elapsed_minutes
+        assert legacy.noise.position == record.noise_position
+    assert result.best_perf == max(
+        max(record.perfs) for record in journal.generations
+    )
+    assert result.eval_stats.evaluations == result.total_evaluations + 1
+    assert len(runs) == 3 * (result.total_evaluations + 1)

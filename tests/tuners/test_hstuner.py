@@ -139,12 +139,14 @@ def test_eval_stats_surfaced_on_result(sim):
     assert res.trace_reuse_count == stats.trace_reuse
 
 
-def test_eval_stats_without_cache(sim):
-    res = small_tuner(sim).tune(make_workload(), max_iterations=3)
-    assert res.eval_stats is not None
-    assert res.eval_stats.cache_hits == 0
-    assert res.eval_stats.cache_misses == 0
-    assert res.cache_hit_rate == 0.0
+def test_default_tuner_owns_a_private_cache(sim):
+    a, b = small_tuner(sim), small_tuner(sim)
+    assert a.cache is not None and a.cache is not b.cache
+    res = a.tune(make_workload(), max_iterations=3)
+    stats = res.eval_stats
+    assert stats.cache_hits + stats.cache_misses > 0
+    assert len(a.cache) == stats.cache_misses
+    assert len(b.cache) == 0
 
 
 def test_tuning_revisits_hit_the_cache(sim):

@@ -14,6 +14,11 @@ from repro.iostack import (
     StackConfiguration,
     cori,
 )
+from repro.observability.metrics import (
+    MetricsRegistry,
+    resilience_line,
+    snapshot_degraded,
+)
 from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import (
     JOURNAL_VERSION,
@@ -28,7 +33,7 @@ from repro.tuners.stoppers import NoStop
 from tests.conftest import make_workload
 
 
-def make_tuner(faults=None, cache=True, **kwargs):
+def make_tuner(faults=None, **kwargs):
     """A small deterministic tuner; call twice for identical twins."""
     sim = IOStackSimulator(cori(2), NoiseModel(seed=11), faults=faults)
     kwargs.setdefault("population_size", 4)
@@ -36,7 +41,6 @@ def make_tuner(faults=None, cache=True, **kwargs):
         sim,
         stopper=NoStop(),
         rng=np.random.default_rng(7),
-        cache=EvaluationCache() if cache else None,
         **kwargs,
     )
 
@@ -290,13 +294,16 @@ def test_twenty_generation_tune_survives_injected_faults():
     faulted = make_tuner(faults=plan).tune(w, max_iterations=20)
 
     stats = faulted.eval_stats
-    assert stats is not None and stats.degraded
+    snapshot = MetricsRegistry.from_run(faulted).snapshot()
+    assert stats is not None and snapshot_degraded(snapshot)
     assert stats.faults_injected > 0
     assert stats.faults_injected == (
         plan.transient_errors_injected + plan.stragglers_injected
     )
     assert stats.retries > 0
-    assert "faults injected" in stats.describe_resilience()
+    assert resilience_line(snapshot) == (
+        "12 faults injected, 6 retries, 0 timeouts, 0 quarantined"
+    )
     # faults cost tuning time but must not wreck the search
     assert faulted.best_perf >= 0.5 * clean.best_perf
     assert faulted.total_minutes >= clean.total_minutes
@@ -319,7 +326,7 @@ def test_poisoned_config_is_quarantined_not_fatal():
 def test_trace_bug_surfaces_with_the_config_repr():
     """A deterministic bug in trace construction re-raises out of the
     tune wrapped with the failing configuration's repr."""
-    tuner = make_tuner(cache=False)
+    tuner = make_tuner()
     bare_trace = tuner.simulator.trace
     bad = StackConfiguration.default()
 

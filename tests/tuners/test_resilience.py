@@ -61,7 +61,7 @@ def test_happy_path_is_bit_identical_to_bare_fastpath(workload):
     expected = bare.evaluate(workload, config, repeats=3)
 
     h = harness()
-    perf = h.evaluate_config(workload, config, repeats=3)
+    perf = h.evaluate(workload, [config], repeats=3)[0]
     assert perf == expected.perf_mbps
     assert h.clock.elapsed_seconds == (
         h.clock.setup_overhead + expected.charged_seconds
@@ -73,8 +73,8 @@ def test_happy_path_is_bit_identical_to_bare_fastpath(workload):
 
 def test_charge_false_leaves_the_clock_untouched(workload):
     h = harness()
-    h.evaluate_config(workload, StackConfiguration.default(), repeats=3,
-                      charge=False)
+    h.evaluate(workload, [StackConfiguration.default()], repeats=3,
+               charge=False)
     assert h.clock.elapsed_seconds == 0.0
 
 
@@ -94,7 +94,7 @@ def test_transient_faults_retry_and_charge_backoff(workload):
         plan.reset()
         h = harness(faults=plan, policy=RetryPolicy(max_retries=3,
                                                     backoff_seconds=45.0))
-        perf = h.evaluate_config(workload, config, repeats=3)
+        perf = h.evaluate(workload, [config], repeats=3)[0]
         if h.stats.retries and not h.stats.quarantined:
             assert perf > 0
             # every failed attempt charged launch + its backoff
@@ -113,7 +113,7 @@ def test_exhausted_retries_quarantine_at_worst_case(workload):
     plan.poison(config)
     h = harness(faults=plan, policy=RetryPolicy(max_retries=2,
                                                 worst_case_perf=0.0))
-    perf = h.evaluate_config(workload, config, repeats=3)
+    perf = h.evaluate(workload, [config], repeats=3)[0]
     assert perf == 0.0
     assert h.stats.quarantined == 1
     assert h.stats.retries == 2
@@ -125,10 +125,10 @@ def test_quarantined_config_short_circuits(workload):
     config = StackConfiguration.default()
     plan.poison(config)
     h = harness(faults=plan)
-    h.evaluate_config(workload, config, repeats=3)
+    h.evaluate(workload, [config], repeats=3)
     before = h.simulator.traces_built
     t0 = h.clock.elapsed_seconds
-    assert h.evaluate_config(workload, config, repeats=3) == 0.0
+    assert h.evaluate(workload, [config], repeats=3)[0] == 0.0
     assert h.simulator.traces_built == before  # not attempted again
     assert h.clock.elapsed_seconds == t0 + h.clock.setup_overhead
 
@@ -138,7 +138,7 @@ def test_quarantine_state_round_trip(workload):
     config = StackConfiguration.default()
     plan.poison(config)
     h = harness(faults=plan)
-    h.evaluate_config(workload, config, repeats=3)
+    h.evaluate(workload, [config], repeats=3)
     state = h.quarantine_state()
     other = harness()
     other.restore_quarantine(state)
@@ -151,7 +151,7 @@ def test_quarantine_state_round_trip(workload):
 def test_timeout_kills_retries_then_quarantines(workload):
     config = StackConfiguration.default()
     h = harness(policy=RetryPolicy(max_retries=1, timeout_seconds=0.001))
-    perf = h.evaluate_config(workload, config, repeats=3)
+    perf = h.evaluate(workload, [config], repeats=3)[0]
     assert perf == 0.0
     assert h.stats.timeouts == 2  # first attempt + one retry
     assert h.stats.quarantined == 1
@@ -163,7 +163,7 @@ def test_timeout_kills_retries_then_quarantines(workload):
 
 def test_generous_timeout_never_engages(workload):
     h = harness(policy=RetryPolicy(timeout_seconds=1e9))
-    h.evaluate_config(workload, StackConfiguration.default(), repeats=3)
+    h.evaluate(workload, [StackConfiguration.default()], repeats=3)
     assert h.stats.timeouts == 0
 
 
