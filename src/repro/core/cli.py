@@ -56,9 +56,9 @@ from repro.iostack.parameters import (
 )
 from repro.iostack.simulator import IOStackSimulator
 from repro.observability.metrics import (
-    MetricsRegistry,
     fastpath_line,
     guardrails_line,
+    metrics_snapshot,
     resilience_line,
     snapshot_degraded,
 )
@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--metrics-out", type=str, default=None, metavar="PATH",
-        help="write the run's metrics-registry snapshot (counters, gauges, "
+        help="write the run's metrics snapshot (counters, gauges, "
              "timers) to PATH as JSON",
     )
     obs.add_argument(
@@ -250,6 +250,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--retry-backoff must be >= 0")
     if args.eval_timeout is not None and args.eval_timeout <= 0:
         parser.error("--eval-timeout must be positive")
+    if args.expected_runs is not None and args.expected_runs <= 0:
+        parser.error("--expected-runs must be positive")
     if args.fault_agent_at < 0:
         parser.error("--fault-agent-at must be >= 0")
     if args.fault_agent == "checkpoint-truncation" and not args.agents_cache:
@@ -575,12 +577,7 @@ def _run_tuning(
     print("\n" + final_line(result))
     if checkpoint_trip is not None:
         result.guardrail_trips = (checkpoint_trip,) + result.guardrail_trips
-    registry = MetricsRegistry.from_run(
-        result,
-        cache_stats=eval_cache.stats(),
-        profiler=profiler,
-    )
-    snapshot = registry.snapshot()
+    snapshot = metrics_snapshot(result, cache=eval_cache, profiler=profiler)
     if result.eval_stats is not None:
         print(f"fastpath: {fastpath_line(snapshot)}")
         if snapshot_degraded(snapshot):

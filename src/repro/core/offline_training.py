@@ -83,20 +83,28 @@ def parameter_sweep(
     """The paper's "simple parameter sweep": one-at-a-time axis sweeps
     from the default configuration plus uniform random samples.
 
-    Every evaluation routes through an :class:`EvaluationCache` (the
-    shared ``cache`` when given, a sweep-private one otherwise), so
-    duplicate configurations skip the stack traversal; the hits are
-    counted on :attr:`SweepResult.cache_hits`.  Results are bit-identical
-    with or without a shared cache (the cache contract).
+    Every evaluation looks its trace up in an :class:`EvaluationCache`
+    (the shared ``cache`` when given, a sweep-private one otherwise), so
+    duplicate configurations skip the stack traversal; the sweep counts
+    the hits on :attr:`SweepResult.cache_hits`.  Results are
+    bit-identical with or without a shared cache (the cache contract).
     """
     rng = rng if rng is not None else np.random.default_rng()
     cache = cache if cache is not None else EvaluationCache()
-    hits_before = cache.hits
+    platform = simulator.platform
     configs: list[np.ndarray] = []
     perfs: list[float] = []
+    hits = 0
 
     def run(config: StackConfiguration) -> None:
-        result = cache.evaluate(simulator, workload, config, repeats=repeats)
+        nonlocal hits
+        trace = cache.lookup(platform, workload, config)
+        if trace is None:
+            trace = simulator.trace(workload, config)
+            cache.store(platform, workload, config, trace)
+        else:
+            hits += 1
+        result = simulator.evaluate_trace(trace, repeats=repeats)
         configs.append(config.normalized())
         perfs.append(result.perf_mbps)
 
@@ -116,7 +124,7 @@ def parameter_sweep(
         workload_name=workload.name,
         configs=np.array(configs),
         perfs=np.array(perfs),
-        cache_hits=cache.hits - hits_before,
+        cache_hits=hits,
     )
 
 

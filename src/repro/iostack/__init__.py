@@ -11,7 +11,6 @@ from .cluster import Platform, cori, testbed
 from .config import StackConfiguration, from_xml, to_xml
 from .darshan import DarshanReport, PhaseRecord
 from .evalcache import (
-    CacheStats,
     EvaluationCache,
     EvaluationStats,
     workload_fingerprint,
@@ -87,7 +86,6 @@ __all__ = [
     "PhaseTrace",
     "StreamTrace",
     "WorkloadLike",
-    "CacheStats",
     "EvaluationCache",
     "EvaluationStats",
     "workload_fingerprint",

@@ -41,7 +41,6 @@ from .simulator import EvaluationResult, IOStackSimulator, StackTrace, WorkloadL
 
 __all__ = [
     "workload_fingerprint",
-    "CacheStats",
     "EvaluationStats",
     "EvaluationCache",
 ]
@@ -98,30 +97,17 @@ def workload_fingerprint(workload: WorkloadLike) -> Hashable:
 # -- statistics --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """Hit/miss/eviction counters of one cache."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    size: int = 0
-    maxsize: int = 0
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-
-@dataclass(frozen=True)
+@dataclass
 class EvaluationStats:
-    """Fastpath accounting for one tuning run, surfaced on
-    :class:`~repro.tuners.base.TuningResult` and in the CLI report."""
+    """The counter record of one tuning run, surfaced on
+    :class:`~repro.tuners.base.TuningResult` and in the CLI report.
+
+    The run's :class:`~repro.tuners.resilience.ResilientEvaluator` owns
+    it and counts where it branches: evaluations, cache lookups that hit
+    or miss, stores that evicted, traces built and replayed, retries,
+    timeouts and quarantines.  The tuner fills in the fault, guardrail
+    and ``prewarm_*`` fields as the run ends.
+    """
 
     #: Configuration evaluations performed (baseline included).
     evaluations: int = 0
@@ -145,9 +131,9 @@ class EvaluationStats:
     #: training divergence, degenerate policies); details live on
     #: :attr:`~repro.tuners.base.TuningResult.guardrail_trips`.
     guardrail_trips: int = 0
-    #: Journal-resume cache warming, accounted separately from the run's
-    #: own lookups so :attr:`cache_hit_rate` matches the uninterrupted
-    #: run (warming the cache is bookkeeping, not tuning behaviour).
+    #: Journal-resume cache warming, counted apart from the run's own
+    #: lookups so :attr:`cache_hit_rate` matches the uninterrupted run
+    #: (warming the cache is bookkeeping, not tuning behaviour).
     prewarm_lookups: int = 0
     prewarm_hits: int = 0
     prewarm_builds: int = 0
@@ -183,6 +169,10 @@ class EvaluationCache:
         Maximum number of cached traces; least-recently-used entries are
         evicted beyond it.  A 12-parameter tuning run touches a few
         hundred distinct configurations, so the default is generous.
+
+    The cache keeps no counters: it outlives a tuning run (the CLI
+    shares one with offline training), so :meth:`lookup` and
+    :meth:`store` report what happened and the caller counts it.
     """
 
     def __init__(self, maxsize: int = 4096):
@@ -190,9 +180,6 @@ class EvaluationCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._entries: OrderedDict[Hashable, StackTrace] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         #: Optional trace recorder (duck-typed; see
         #: :mod:`repro.observability.recorder`).  None by default so the
         #: cache has no observability import and untraced runs pay one
@@ -203,21 +190,8 @@ class EvaluationCache:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop all entries (counters are kept)."""
+        """Drop all entries."""
         self._entries.clear()
-
-    def stats(self) -> CacheStats:
-        return CacheStats(
-            hits=self.hits,
-            misses=self.misses,
-            evictions=self.evictions,
-            size=len(self._entries),
-            maxsize=self.maxsize,
-        )
-
-    @property
-    def hit_rate(self) -> float:
-        return self.stats().hit_rate
 
     # -- lookups ---------------------------------------------------------------
 
@@ -232,17 +206,15 @@ class EvaluationCache:
     def lookup(
         self, platform: Platform, workload: WorkloadLike, config: StackConfiguration
     ) -> StackTrace | None:
-        """The cached trace, or None.  Counts a hit or a miss and
-        refreshes LRU recency on hits."""
+        """The cached trace (a hit, which refreshes its LRU recency), or
+        None (a miss)."""
         key = self.key_for(platform, workload, config)
         trace = self._entries.get(key)
         recorder = self.recorder
         if trace is None:
-            self.misses += 1
             if recorder is not None and recorder.enabled:
                 recorder.emit("cache", op="miss")
             return None
-        self.hits += 1
         self._entries.move_to_end(key)
         if recorder is not None and recorder.enabled:
             recorder.emit("cache", op="hit")
@@ -254,20 +226,21 @@ class EvaluationCache:
         workload: WorkloadLike,
         config: StackConfiguration,
         trace: StackTrace,
-    ) -> None:
+    ) -> bool:
         """Remember a trace, evicting the least recently used entry
-        beyond ``maxsize``."""
+        beyond ``maxsize``; returns whether an entry was evicted."""
         key = self.key_for(platform, workload, config)
         self._entries[key] = trace
         self._entries.move_to_end(key)
         recorder = self.recorder
         if recorder is not None and recorder.enabled:
             recorder.emit("cache", op="store")
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-            if recorder is not None and recorder.enabled:
-                recorder.emit("cache", op="evict")
+        if len(self._entries) <= self.maxsize:
+            return False
+        self._entries.popitem(last=False)
+        if recorder is not None and recorder.enabled:
+            recorder.emit("cache", op="evict")
+        return True
 
     def get_trace(
         self,

@@ -3,9 +3,9 @@
 The substrate the paper's evaluation figures are drawn from: a
 :class:`TraceRecorder` appending schema-versioned JSONL events as a run
 unfolds (``NullRecorder`` keeps untraced runs bit-identical and
-overhead-free), a :class:`MetricsRegistry` absorbing the scattered
-fastpath/resilience/guardrail counters into one queryable snapshot, and
-:func:`maybe_span` profiling hooks around the pipeline's hot paths.
+overhead-free), :func:`metrics_snapshot` turning a run's one counter
+record into a JSON-ready snapshot, and :func:`maybe_span` profiling
+hooks around the pipeline's hot paths.
 ``tunio-report`` (:mod:`repro.observability.report`, imported lazily to
 keep this package dependency-light) reconstructs curves and summaries
 from a trace file alone.
@@ -13,12 +13,9 @@ from a trace file alone.
 
 from .events import ENVELOPE_KEYS, EVENT_TYPES, SCHEMA_VERSION, validate_event
 from .metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
     fastpath_line,
     guardrails_line,
+    metrics_snapshot,
     resilience_line,
     snapshot_degraded,
 )
@@ -50,10 +47,7 @@ __all__ = [
     "TraceRecorder",
     "iter_trace",
     "read_trace",
-    "Counter",
-    "Gauge",
-    "Timer",
-    "MetricsRegistry",
+    "metrics_snapshot",
     "fastpath_line",
     "resilience_line",
     "guardrails_line",

@@ -34,9 +34,9 @@ from repro.iostack.evalcache import EvaluationStats
 from repro.tuners.base import IterationRecord, TuningResult
 
 from .metrics import (
-    MetricsRegistry,
     fastpath_line,
     guardrails_line,
+    metrics_snapshot,
     resilience_line,
     snapshot_degraded,
 )
@@ -184,8 +184,7 @@ def render_report(events: list[Mapping[str, Any]], source: str) -> str:
     lines.append("")
     lines.append(final_line(result))
     if result.eval_stats is not None:
-        registry = MetricsRegistry.from_run(result)
-        snapshot = registry.snapshot()
+        snapshot = metrics_snapshot(result)
         lines.append(f"fastpath: {fastpath_line(snapshot)}")
         if snapshot_degraded(snapshot):
             lines.append(f"resilience: {resilience_line(snapshot)}")
@@ -198,7 +197,6 @@ def render_report(events: list[Mapping[str, Any]], source: str) -> str:
 
 def _json_payload(events: list[Mapping[str, Any]]) -> dict[str, Any]:
     result = reconstruct_result(events)
-    registry = MetricsRegistry.from_run(result)
     return {
         "workload": result.workload_name,
         "tuner": result.tuner_name,
@@ -210,7 +208,7 @@ def _json_payload(events: list[Mapping[str, Any]]) -> dict[str, Any]:
         "total_evaluations": result.total_evaluations,
         "guardrail_trips": list(result.guardrail_trips),
         "history": [dataclasses.asdict(record) for record in result.history],
-        "metrics": registry.snapshot(),
+        "metrics": metrics_snapshot(result),
     }
 
 

@@ -23,7 +23,6 @@ from .lifecycle import (
 )
 from .resilience import (
     HarnessError,
-    ResilienceStats,
     ResilientEvaluator,
     RetryPolicy,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "ReplayCursor",
     "load_journal",
     "HarnessError",
-    "ResilienceStats",
     "ResilientEvaluator",
     "RetryPolicy",
     "LifecycleModel",

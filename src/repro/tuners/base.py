@@ -58,8 +58,8 @@ class TuningResult:
     stop_reason: str = "completed"
     #: Iteration index at which the stopper fired (None if it didn't).
     stopped_at: int | None = None
-    #: Evaluation-fastpath accounting (cache hit rate, trace reuse...);
-    #: populated by tuners that track it, None otherwise.
+    #: The run's counter record (evaluations, cache hits, trace reuse,
+    #: retries...); populated by tuners that track it, None otherwise.
     eval_stats: EvaluationStats | None = None
     #: Human-readable agent guardrail trips ("guardrail:kind at
     #: iteration N (detail)"); empty when the agents stayed healthy (or
@@ -83,17 +83,6 @@ class TuningResult:
     @property
     def total_evaluations(self) -> int:
         return sum(r.evaluations for r in self.history)
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Evaluation-cache hit rate of the run (0.0 when untracked)."""
-        return self.eval_stats.cache_hit_rate if self.eval_stats else 0.0
-
-    @property
-    def trace_reuse_count(self) -> int:
-        """Simulated runs served by replaying a stored trace instead of
-        traversing the stack (0 when untracked)."""
-        return self.eval_stats.trace_reuse if self.eval_stats else 0
 
     @property
     def gain(self) -> float:

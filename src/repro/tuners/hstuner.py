@@ -24,7 +24,12 @@ configuration's trace from the tuner's
 genomes -- skip the stack traversal), then replays every individual's
 own factor slice.  That is bit-identical to a per-individual,
 per-repeat loop: same fitnesses, same noise-stream consumption, same
-clock charges.  :attr:`TuningResult.eval_stats` records the work saved.
+clock charges.
+
+Each :meth:`tune` builds a fresh evaluator, and the evaluator counts the
+run's work on its own record; :attr:`TuningResult.eval_stats` is a copy
+of it, completed with the fault, guardrail and resume pre-warm counts
+when the run ends.
 
 The same call is the resilience harness: retryable failures (injected
 faults, timeouts, non-finite measurements) are retried with
@@ -45,6 +50,7 @@ recording, replay and the resume cache pre-warm live there.
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from typing import Sequence
 
@@ -174,10 +180,6 @@ class HSTuner(Tuner):
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.clock = SimulatedClock()
         self._active_subset_size: int | None = None
-        self._n_evaluations = 0
-        #: Live counter values at the start of the run's stats window;
-        #: the window is live minus base (see :meth:`_live_counters`).
-        self._stats_base: dict[str, int] = {}
         #: Iteration the trace's evaluation events belong to (None before
         #: the first generation, i.e. during the baseline).
         self._trace_iteration: int | None = None
@@ -227,26 +229,18 @@ class HSTuner(Tuner):
 
     # -- per-generation warning summaries -----------------------------------
 
-    def _resilience_counts(self) -> dict[str, int]:
-        s = self._resilient.stats
-        return {
-            "retries": s.retries,
-            "timeouts": s.timeouts,
-            "quarantined": s.quarantined,
-        }
-
     def _warn_generation_events(
-        self, iteration: int, before: dict[str, int]
+        self, iteration: int, before: EvaluationStats
     ) -> None:
         """Emit at most one resilience summary per generation (instead
         of one line per retried evaluation) plus any queued guardrail
         warnings -- each trip kind surfaces once per run, not once per
         decision."""
-        after = self._resilience_counts()
+        after = self._resilient.stats
         parts = [
-            f"{after[key] - before[key]} {key}"
-            for key in after
-            if after[key] > before[key]
+            f"{getattr(after, key) - getattr(before, key)} {key}"
+            for key in ("retries", "timeouts", "quarantined")
+            if getattr(after, key) > getattr(before, key)
         ]
         lines = []
         if parts:
@@ -276,8 +270,6 @@ class HSTuner(Tuner):
             # this run's clock, so repeated tunes replay the same plan.
             self.simulator.faults.reset()
             self.simulator.faults.attach_clock(self.clock)
-        self._n_evaluations = 0
-        self._stats_base = self._live_counters()
         self._begin_run()
         if recorder.enabled:
             recorder.emit(
@@ -428,7 +420,7 @@ class HSTuner(Tuner):
 
             generation_evals.clear()
             self._journal.begin_generation()
-            resilience_before = self._resilience_counts()
+            resilience_before = dataclasses.replace(self._resilient.stats)
             stats = engine.step()
             replayed = self._journal.end_generation()
             record = IterationRecord(
@@ -476,10 +468,8 @@ class HSTuner(Tuner):
         )
         faults = self.simulator.faults
         result.guardrail_trips = self._guardrail_trips()
-        result.eval_stats = EvaluationStats(
-            evaluations=self._n_evaluations,
-            **self._stats_window(),
-            **self._resilient.stats.as_dict(),
+        result.eval_stats = dataclasses.replace(
+            self._resilient.stats,
             # The plan is rewound at the start of every tune, so its
             # injection counters are already run-relative.
             faults_injected=(
@@ -517,24 +507,4 @@ class HSTuner(Tuner):
         # hit saves simulation work on our side, not testbed time on the
         # simulated cluster.  Failed attempts charge their launch and
         # backoff inside the resilient evaluator.
-        self._n_evaluations += len(configs)
         return self._resilient.evaluate(workload, configs, self.repeats, charge)
-
-    # -- stats window ------------------------------------------------------------
-
-    def _live_counters(self) -> dict[str, int]:
-        """Current simulator and cache counters, keyed like the
-        :class:`EvaluationStats` fields they feed."""
-        cache = self.cache
-        return {
-            "traces_built": self.simulator.traces_built,
-            "trace_replays": self.simulator.trace_replays,
-            "cache_hits": cache.hits,
-            "cache_misses": cache.misses,
-            "cache_evictions": cache.evictions,
-        }
-
-    def _stats_window(self) -> dict[str, int]:
-        """The run-relative counters (live minus base), journaled at
-        every record boundary so resume can re-base them."""
-        return {k: v - self._stats_base[k] for k, v in self._live_counters().items()}

@@ -28,10 +28,16 @@ replayed generation boundary the live RNG state must equal the journaled
 one, otherwise the journal does not belong to this pipeline
 (:class:`JournalError`).
 
+Every record also carries the run's counters at its boundary
+(``n_evaluations`` and the ``resilience`` and ``fastpath`` dicts);
+replay writes them back into the evaluator's
+:class:`~repro.iostack.evalcache.EvaluationStats`, so a resumed run
+counts what the uninterrupted one did.
+
 Replaying skips the simulator entirely, so at the replay-to-live
 boundary :class:`RunJournal` pre-warms the evaluation cache once with
-the traces the journaled generations had cached; those lookups and
-builds are reported apart, in the ``prewarm_*`` stats.
+the traces the journaled generations had cached; it counts those
+lookups and builds itself, reported apart in the ``prewarm_*`` stats.
 Traces from faulted attempts were never stored (they raise before
 construction), so a resumed run can never be served a faulted or
 partial trace.
@@ -56,6 +62,7 @@ from repro.observability.profiling import maybe_span
 
 if TYPE_CHECKING:
     from repro.ga import Individual
+    from repro.iostack.evalcache import EvaluationStats
 
     from .hstuner import HSTuner
 
@@ -72,6 +79,13 @@ __all__ = [
 ]
 
 JOURNAL_VERSION = 1
+
+#: The evaluator counters a record's ``resilience`` and ``fastpath``
+#: dicts carry, in key order.
+_RESILIENCE_KEYS = ("retries", "timeouts", "quarantined")
+_FASTPATH_KEYS = (
+    "traces_built", "trace_replays", "cache_hits", "cache_misses", "cache_evictions"
+)
 
 
 class JournalError(Exception):
@@ -103,11 +117,11 @@ class BaselineRecord:
     noise_position: int
     n_evaluations: int
     fault_state: dict[str, Any] | None = None
-    #: Run-relative fastpath counters (cache hits/misses/evictions,
-    #: traces built/replayed) at this record's boundary.  Restored on
-    #: replay so a resumed run's :class:`EvaluationStats` match the
-    #: uninterrupted run's; empty in journals from older builds (replay
-    #: then skips the restore, as before).
+    #: The run's fastpath counters (cache hits/misses/evictions, traces
+    #: built/replayed) at this record's boundary.  Restored into the
+    #: evaluator's record on replay so a resumed run's
+    #: :class:`EvaluationStats` match the uninterrupted run's; empty in
+    #: journals from older builds (replay then skips the restore).
     fastpath: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
@@ -405,8 +419,8 @@ class RunJournal:
     """A tuner's journal hooks: record every boundary through ``writer``
     and, on resume, answer the journaled generations from ``replay``
     instead of the simulator, restoring the tuner's streams (noise,
-    faults, clock, quarantine, resilience counters, stats window) at
-    each boundary.  With neither, every hook leaves the run untouched.
+    faults, clock, quarantine) and the evaluator's counters at each
+    boundary.  With neither, every hook leaves the run untouched.
     """
 
     def __init__(
@@ -444,16 +458,16 @@ class RunJournal:
             perf = record.perf
             tuner.simulator.noise.seek(record.noise_position)
             self._restore_faults(record.fault_state)
-            tuner._n_evaluations = record.n_evaluations
-            self._restore_stats_window(record.fastpath)
+            self._restore_counts(record.n_evaluations, record.fastpath)
         if self.writer is not None:
+            stats = tuner._resilient.stats
             self.writer.write_baseline(
                 BaselineRecord(
                     perf=perf,
                     noise_position=tuner.simulator.noise.position,
-                    n_evaluations=tuner._n_evaluations,
+                    n_evaluations=stats.evaluations,
                     fault_state=self._fault_state(),
-                    fastpath=tuner._stats_window(),
+                    fastpath=_counts(stats, _FASTPATH_KEYS),
                 )
             )
         return perf, record is not None
@@ -503,11 +517,12 @@ class RunJournal:
         verify_dispatch(record, self.dispatched)
         tuner.simulator.noise.seek(record.noise_position)
         tuner.clock.restore(record.clock_seconds, record.clock_evaluations)
-        tuner._n_evaluations = record.n_evaluations
         self._restore_faults(record.fault_state)
         tuner._resilient.restore_quarantine(record.quarantine)
-        tuner._resilient.stats.restore(record.resilience)
-        self._restore_stats_window(record.fastpath)
+        stats = tuner._resilient.stats
+        for key in _RESILIENCE_KEYS:
+            setattr(stats, key, int(record.resilience.get(key, 0)))
+        self._restore_counts(record.n_evaluations, record.fastpath)
         verify_rng(record, tuner.rng)
         return True
 
@@ -519,6 +534,7 @@ class RunJournal:
         if self.writer is None:
             return
         tuner = self.tuner
+        stats = tuner._resilient.stats
         self.writer.write_generation(
             GenerationRecord(
                 iteration=iteration,
@@ -532,13 +548,13 @@ class RunJournal:
                 noise_position=tuner.simulator.noise.position,
                 clock_seconds=tuner.clock.elapsed_seconds,
                 clock_evaluations=tuner.clock.n_evaluations,
-                n_evaluations=tuner._n_evaluations,
+                n_evaluations=stats.evaluations,
                 rng_state=rng_state_jsonable(tuner.rng),
                 fault_state=self._fault_state(),
                 quarantine=tuner._resilient.quarantine_state(),
-                resilience=tuner._resilient.stats.as_dict(),
+                resilience=_counts(stats, _RESILIENCE_KEYS),
                 agent_state=tuner._journal_agent_state(),
-                fastpath=tuner._stats_window(),
+                fastpath=_counts(stats, _FASTPATH_KEYS),
             )
         )
 
@@ -554,8 +570,9 @@ class RunJournal:
         journal already accounts the faults that fired), quarantined
         configurations are skipped, and only LRU recency can differ
         (past ``maxsize`` distinct configurations).  The lookups and
-        builds go to :attr:`prewarm_stats`, not the tuner's stats
-        window, so ``cache_hit_rate`` matches the uninterrupted run."""
+        builds are counted here, into :attr:`prewarm_stats`, not on the
+        evaluator's record, so ``cache_hit_rate`` matches the
+        uninterrupted run."""
         tuner, cache = self.tuner, self.tuner.cache
         simulator, workload = tuner.simulator, tuner._workload
         genomes: dict[tuple[int, ...], None] = {}
@@ -565,7 +582,7 @@ class RunJournal:
         configs = [StackConfiguration.default(tuner.space)] + [
             StackConfiguration.from_genome(tuner.space, genome) for genome in genomes
         ]
-        before = tuner._live_counters()
+        lookups = hits = builds = 0
         faults, simulator.faults = simulator.faults, None
         # Warming lookups are not run cache activity: mute the cache's
         # per-op trace events for the duration (one summary event below).
@@ -574,28 +591,23 @@ class RunJournal:
             for config in configs:
                 if tuner._resilient.is_quarantined(config):
                     continue
+                lookups += 1
                 if cache.lookup(simulator.platform, workload, config) is None:
                     trace = simulator.trace(workload, config)
                     cache.store(simulator.platform, workload, config, trace)
+                    builds += 1
+                else:
+                    hits += 1
         finally:
             simulator.faults = faults
             cache.recorder = cache_recorder
-        delta = {k: v - before[k] for k, v in tuner._live_counters().items()}
-        for key, value in delta.items():
-            tuner._stats_base[key] += value
-        lookups = delta["cache_hits"] + delta["cache_misses"]
         self.prewarm_stats = {
             "prewarm_lookups": lookups,
-            "prewarm_hits": delta["cache_hits"],
-            "prewarm_builds": delta["traces_built"],
+            "prewarm_hits": hits,
+            "prewarm_builds": builds,
         }
         if tuner.recorder.enabled:
-            tuner.recorder.emit(
-                "cache_prewarm",
-                lookups=lookups,
-                hits=delta["cache_hits"],
-                builds=delta["traces_built"],
-            )
+            tuner.recorder.emit("cache_prewarm", lookups=lookups, hits=hits, builds=builds)
 
     def _fault_state(self) -> dict[str, Any] | None:
         faults = self.tuner.simulator.faults
@@ -606,13 +618,19 @@ class RunJournal:
         if faults is not None and state is not None:
             faults.set_state(state)
 
-    def _restore_stats_window(self, window: Mapping[str, int]) -> None:
-        """Re-base the tuner's stats window to a journaled ``fastpath``
-        dict, so replayed generations count what they did live.  Keys
-        this build does not count (or an empty, older dict) are
-        ignored."""
-        tuner = self.tuner
-        live = tuner._live_counters()
-        for key, value in window.items():
-            if key in live:
-                tuner._stats_base[key] = live[key] - int(value)
+    def _restore_counts(self, evaluations: int, fastpath: Mapping[str, int]) -> None:
+        """Write a record's evaluation count and ``fastpath`` dict back
+        into the evaluator's record, so replayed generations count what
+        they did live.  Keys this build does not journal are ignored,
+        and an empty (older) dict leaves the fastpath counters as they
+        are."""
+        stats = self.tuner._resilient.stats
+        stats.evaluations = evaluations
+        for key, value in fastpath.items():
+            if key in _FASTPATH_KEYS:
+                setattr(stats, key, int(value))
+
+
+def _counts(stats: "EvaluationStats", keys: Sequence[str]) -> dict[str, int]:
+    """The named counters of ``stats``, in ``keys`` order."""
+    return {key: getattr(stats, key) for key in keys}

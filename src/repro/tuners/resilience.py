@@ -28,17 +28,24 @@ wraps the simulator's trace/replay fastpath so a failure becomes a
 The happy path performs exactly the same calls in exactly the same order
 as the unwrapped fastpath, so with no faults firing and no timeout
 tripping, results remain bit-identical to the pre-harness pipeline.
+
+Every evaluation of a tuning run passes through one evaluator, so it
+owns the run's only counter record, :attr:`ResilientEvaluator.stats`
+(an :class:`~repro.iostack.evalcache.EvaluationStats`), and counts at
+the points where it already branches: evaluations, cache hits and
+misses, evicting stores, traces built and replayed, retries, timeouts
+and quarantines.  The counts are run-local by construction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
-from repro.iostack.evalcache import EvaluationCache
+from repro.iostack.evalcache import EvaluationCache, EvaluationStats
 from repro.iostack.faults import (
     EvaluationError,
     EvaluationTimeout,
@@ -51,7 +58,7 @@ from repro.iostack.simulator import (
     WorkloadLike,
 )
 
-__all__ = ["HarnessError", "RetryPolicy", "ResilienceStats", "ResilientEvaluator"]
+__all__ = ["HarnessError", "RetryPolicy", "ResilientEvaluator"]
 
 
 class HarnessError(Exception):
@@ -101,35 +108,12 @@ class RetryPolicy:
         return self.backoff_seconds * self.backoff_multiplier**attempt
 
 
-@dataclass
-class ResilienceStats:
-    """Mutable failure-handling counters for one tuning run."""
-
-    retries: int = 0
-    timeouts: int = 0
-    quarantined: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "quarantined": self.quarantined,
-        }
-
-    def restore(self, state: Mapping[str, int]) -> None:
-        """Restore :meth:`as_dict` counters; unknown keys (such as the
-        ``fallbacks`` older journals carry) are ignored."""
-        self.retries = int(state.get("retries", 0))
-        self.timeouts = int(state.get("timeouts", 0))
-        self.quarantined = int(state.get("quarantined", 0))
-
-
 class ResilientEvaluator:
     """Retry/timeout/quarantine wrapper around the evaluation fastpath.
 
     One instance serves one tuning run; it shares the tuner's simulator,
     cache and simulated clock so every failure is charged where a real
-    testbed would charge it.
+    testbed would charge it, and counts the run's work on :attr:`stats`.
     """
 
     def __init__(
@@ -144,7 +128,8 @@ class ResilientEvaluator:
         #: Trace memo shared with the tuner; ``None`` gets a private one.
         self.cache = cache if cache is not None else EvaluationCache()
         self.policy = policy if policy is not None else RetryPolicy()
-        self.stats = ResilienceStats()
+        #: The run's counter record (journal replay restores it).
+        self.stats = EvaluationStats()
         #: config digest -> repr, for reporting and journal round-trips.
         self.quarantine: dict[str, str] = {}
         #: Optional trace recorder (duck-typed; see
@@ -225,7 +210,9 @@ class ResilientEvaluator:
                 raise HarnessError(
                     f"trace construction failed for {config!r}"
                 ) from exc
-            self.cache.store(self.simulator.platform, workload, config, trace)
+            self.stats.traces_built += 1
+            if self.cache.store(self.simulator.platform, workload, config, trace):
+                self.stats.cache_evictions += 1
             return trace
         assert last is not None
         self._quarantine(config, last)
@@ -247,7 +234,10 @@ class ResilientEvaluator:
                 traces[config] = None
                 continue
             cached = self.cache.lookup(self.simulator.platform, workload, config)
-            if cached is not None:
+            if cached is None:
+                self.stats.cache_misses += 1
+            else:
+                self.stats.cache_hits += 1
                 traces[config] = cached
         for config in distinct:
             if config not in traces:
@@ -287,6 +277,7 @@ class ResilientEvaluator:
         """
         attempt_factors = factors
         for attempt in range(self.policy.max_retries + 1):
+            self.stats.trace_replays += len(attempt_factors)
             try:
                 evaluation = self._validated(
                     self.simulator.evaluate_trace_with_factors(trace, attempt_factors)
@@ -329,6 +320,7 @@ class ResilientEvaluator:
         rejected submission.  With ``charge`` false nothing touches the
         clock (the untuned baseline is not tuning time).
         """
+        self.stats.evaluations += len(configs)
         factors = self.simulator.noise.sample_factors(repeats * len(configs))
         traces = self._traces(workload, configs, charge)
         perfs: list[float] = []

@@ -220,6 +220,43 @@ def test_trace_and_metrics_flags_write_files(tmp_path, capsys):
 
 
 @pytest.mark.observability
+def test_metrics_out_equals_the_report_rebuilt_from_the_trace(tmp_path, capsys):
+    """One counter record per run: the counters ``--metrics-out`` writes
+    equal the ones ``tunio-report --json`` rebuilds from the same run's
+    trace, and a resume from a cut journal reports the same counters
+    except its own cache pre-warm."""
+    from repro.observability.report import main as report_main
+
+    def counters(name, argv):
+        metrics, trace = tmp_path / f"{name}.json", tmp_path / f"{name}.jsonl"
+        assert main([
+            *argv, "--metrics-out", str(metrics), "--trace-out", str(trace),
+        ]) == 0
+        capsys.readouterr()
+        written = json.load(open(metrics))["counters"]
+        assert report_main([str(trace), "--json"]) == 0
+        rebuilt = json.loads(capsys.readouterr().out)["metrics"]["counters"]
+        assert written == rebuilt
+        return written
+
+    journal = tmp_path / "full.journal"
+    full = counters("full", [
+        "ior", "--tuner", "hstuner", "--iterations", "6", "--seed", "3",
+        "--fault-rate", "0.15", "--journal", str(journal),
+    ])
+    assert full["resilience.retries"] > 0 and full["cache.prewarm_lookups"] == 0
+    cut = tmp_path / "cut.journal"
+    cut.write_text("".join(open(journal).readlines()[:4]))
+    resumed = counters("resumed", ["resume", str(cut)])
+    assert resumed["cache.prewarm_lookups"] > 0
+
+    def own(c):
+        return {k: v for k, v in c.items() if not k.startswith("cache.prewarm_")}
+
+    assert own(resumed) == own(full)
+
+
+@pytest.mark.observability
 def test_traced_run_is_bit_identical_to_untraced(tmp_path, capsys):
     argv = ["ior", "--tuner", "hstuner", "--iterations", "3", "--seed", "3"]
     assert main(argv) == 0
@@ -305,6 +342,7 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
         ["--max-retries", "-1"],
         ["--fault-agent-at", "-2", "--fault-agent", "nan-weights"],
         ["--fault-agent", "checkpoint-truncation"],  # needs --agents-cache
+        ["--expected-runs", "0"],  # refused before offline training
     ],
 )
 def test_contradictory_flags_rejected_with_usage_error(flags):
@@ -414,19 +452,28 @@ def test_agent_fault_degrades_and_reports(tmp_path, capsys):
 
 @pytest.mark.guardrails
 def test_truncated_checkpoint_degrades_and_reports(tmp_path, capsys):
+    from repro.observability.report import main as report_main
+
     cache = tmp_path / "agents.npz"
     assert main([
         "flash", "--iterations", "2", "--seed", "5",
         "--agents-cache", str(cache),
     ]) == 0
     capsys.readouterr()
+    metrics, trace = tmp_path / "metrics.json", tmp_path / "run.jsonl"
     assert main([
         "flash", "--iterations", "3", "--seed", "5",
         "--agents-cache", str(cache),
         "--fault-agent", "checkpoint-truncation",
+        "--metrics-out", str(metrics), "--trace-out", str(trace),
     ]) == 0
     captured = capsys.readouterr()
     assert "rejected" in captured.err or "checkpoint" in captured.err
     assert "degraded" in captured.out
-    assert "guardrails:" in captured.out
+    assert "guardrails: 1 trip(s)" in captured.out
     assert "checkpoint:schema" in captured.out
+    # the rejected checkpoint is the run's one trip, in both snapshots
+    assert json.load(open(metrics))["counters"]["guardrail.trips"] == 1
+    assert report_main([str(trace), "--json"]) == 0
+    rebuilt = json.loads(capsys.readouterr().out)
+    assert rebuilt["metrics"]["counters"]["guardrail.trips"] == 1

@@ -12,13 +12,13 @@ from repro.iostack import (
     cori,
     workload_fingerprint,
 )
-from repro.iostack.evalcache import CacheStats
 from repro.observability.metrics import (
-    MetricsRegistry,
     fastpath_line,
+    metrics_snapshot,
     resilience_line,
     snapshot_degraded,
 )
+from repro.tuners.base import TuningResult
 from tests.conftest import make_workload
 
 
@@ -69,8 +69,7 @@ def test_miss_then_hit(sim):
     trace = sim.trace(w, config)
     cache.store(sim.platform, w, config, trace)
     assert cache.lookup(sim.platform, w, config) is trace
-    assert (cache.hits, cache.misses) == (1, 1)
-    assert cache.hit_rate == 0.5
+    assert len(cache) == 1
 
 
 def test_distinct_configs_do_not_collide(sim):
@@ -97,22 +96,20 @@ def test_lru_eviction_order(sim):
     for config in (a, b):
         cache.store(sim.platform, w, config, sim.trace(w, config))
     cache.lookup(sim.platform, w, a)  # refresh a: b is now LRU
-    cache.store(sim.platform, w, c, sim.trace(w, c))
+    assert cache.store(sim.platform, w, c, sim.trace(w, c))  # evicted
     assert len(cache) == 2
-    assert cache.evictions == 1
     assert cache.lookup(sim.platform, w, a) is not None
     assert cache.lookup(sim.platform, w, b) is None  # evicted
     assert cache.lookup(sim.platform, w, c) is not None
 
 
-def test_clear_drops_entries_keeps_counters(sim):
+def test_clear_drops_entries(sim):
     cache = EvaluationCache()
     w = make_workload()
     config = StackConfiguration.default()
     cache.get_trace(sim, w, config)
     cache.clear()
     assert len(cache) == 0
-    assert cache.misses == 1
     assert cache.lookup(sim.platform, w, config) is None
 
 
@@ -121,17 +118,15 @@ def test_maxsize_validation():
         EvaluationCache(maxsize=0)
 
 
-def test_stats_snapshot(sim):
-    cache = EvaluationCache(maxsize=8)
+def test_store_reports_evictions(sim):
+    cache = EvaluationCache(maxsize=1)
     w = make_workload()
-    config = StackConfiguration.default()
-    cache.get_trace(sim, w, config)
-    cache.get_trace(sim, w, config)
-    stats = cache.stats()
-    assert stats == CacheStats(hits=1, misses=1, evictions=0, size=1, maxsize=8)
-    assert stats.lookups == 2
-    assert stats.hit_rate == 0.5
-    assert CacheStats().hit_rate == 0.0
+    a, b = random_configs(2)
+    assert cache.store(sim.platform, w, a, sim.trace(w, a)) is False
+    assert cache.store(sim.platform, w, a, sim.trace(w, a)) is False  # re-store
+    assert cache.store(sim.platform, w, b, sim.trace(w, b)) is True
+    assert cache.lookup(sim.platform, w, a) is None
+    assert len(cache) == 1
 
 
 # -- cached evaluation ---------------------------------------------------------
@@ -144,7 +139,7 @@ def test_get_trace_builds_once(sim):
     first = cache.get_trace(sim, w, config)
     second = cache.get_trace(sim, w, config)
     assert second is first
-    assert sim.traces_built == 1
+    assert len(cache) == 1
 
 
 def test_cached_evaluate_is_bit_identical_under_noise():
@@ -153,6 +148,9 @@ def test_cached_evaluate_is_bit_identical_under_noise():
     cached_sim = IOStackSimulator(cori(2), NoiseModel(seed=21))
     plain_sim = IOStackSimulator(cori(2), NoiseModel(seed=21))
     cache = EvaluationCache()
+    built = []
+    trace = cached_sim.trace
+    cached_sim.trace = lambda *args: built.append(args) or trace(*args)
     for _ in range(4):  # first round misses, later rounds hit
         a = cache.evaluate(cached_sim, w, config, repeats=3)
         b = plain_sim.evaluate(w, config, repeats=3)
@@ -161,9 +159,7 @@ def test_cached_evaluate_is_bit_identical_under_noise():
         assert a.read_bandwidth_mbps == b.read_bandwidth_mbps
         assert a.charged_seconds == b.charged_seconds
         assert a.report == b.report
-    assert cache.hits == 3
-    assert cached_sim.traces_built == 1
-    assert plain_sim.traces_built == 4
+    assert len(built) == 1  # one trace built, three rounds served from it
     # both consumed the noise stream identically
     assert cached_sim.noise._counter == plain_sim.noise._counter
 
@@ -172,9 +168,7 @@ def test_cached_evaluate_is_bit_identical_under_noise():
 
 
 def _snapshot(stats):
-    reg = MetricsRegistry()
-    reg.ingest_eval_stats(stats)
-    return reg.snapshot()
+    return metrics_snapshot(TuningResult("hstuner", "w", eval_stats=stats))
 
 
 def test_evaluation_stats_derived_fields():
@@ -245,10 +239,11 @@ def test_eviction_pressure_never_grows_past_maxsize(sim):
     cache = EvaluationCache(maxsize=3)
     w = make_workload()
     configs = random_configs(10, seed=3)
+    evicted = 0
     for config in configs:
-        cache.store(sim.platform, w, config, sim.trace(w, config))
+        evicted += cache.store(sim.platform, w, config, sim.trace(w, config))
         assert len(cache) <= 3
-    assert cache.evictions == 7
+    assert evicted == 7
     # only the three most recently stored survive
     for config in configs[:-3]:
         assert cache.lookup(sim.platform, w, config) is None
@@ -261,8 +256,8 @@ def test_restoring_same_key_does_not_evict(sim):
     w = make_workload()
     a, b = random_configs(2)
     for config in (a, b, a, a):
-        cache.store(sim.platform, w, config, sim.trace(w, config))
-    assert len(cache) == 2 and cache.evictions == 0
+        assert not cache.store(sim.platform, w, config, sim.trace(w, config))
+    assert len(cache) == 2
 
 
 def test_faulted_traces_are_never_stored_or_served():

@@ -191,16 +191,21 @@ def test_inactive_plan_is_bit_identical_to_no_plan():
     assert bare.evaluate(w, config).perf_mbps == planned.evaluate(w, config).perf_mbps
 
 
-def test_trace_fault_raises_before_any_work():
+def test_trace_fault_raises_before_any_work(monkeypatch):
+    from repro.iostack import simulator as simulator_module
+
     sim = IOStackSimulator(
         cori(2), NoiseModel(seed=11), faults=FaultPlan(seed=0)
     )
     config = StackConfiguration.default()
     sim.faults.poison(config)
-    built = sim.traces_built
+    layer_calls = []
+    monkeypatch.setattr(
+        simulator_module, "apply_hdf5", lambda *a: layer_calls.append(a)
+    )
     with pytest.raises(PoisonedConfigError):
         sim.trace(make_workload(), config)
-    assert sim.traces_built == built  # no partial trace was constructed
+    assert layer_calls == []  # no partial trace was constructed
 
 
 def test_straggler_lowers_bandwidth_and_lengthens_runtime():

@@ -1,15 +1,14 @@
-"""The metrics registry and the shared summary-line formatters."""
+"""The metrics snapshot and the shared summary-line formatters."""
+
+import json
 
 import pytest
 
-from repro.iostack.evalcache import CacheStats, EvaluationStats
+from repro.iostack.evalcache import EvaluationCache, EvaluationStats
 from repro.observability.metrics import (
-    Counter,
-    Gauge,
-    MetricsRegistry,
-    Timer,
     fastpath_line,
     guardrails_line,
+    metrics_snapshot,
     resilience_line,
     snapshot_degraded,
 )
@@ -19,44 +18,29 @@ from repro.tuners.base import IterationRecord, TuningResult
 pytestmark = pytest.mark.observability
 
 
-def test_counter_only_increases():
-    c = Counter()
-    c.inc()
-    c.inc(4)
-    assert c.value == 5
-    with pytest.raises(ValueError):
-        c.inc(-1)
+def snapshot_of(stats):
+    """The snapshot of an empty run carrying ``stats``."""
+    return metrics_snapshot(TuningResult("hstuner", "w", eval_stats=stats))
 
 
-def test_gauge_and_timer():
-    g = Gauge()
-    assert g.value is None
-    g.set(3)
-    assert g.value == 3.0
-    t = Timer()
-    assert t.mean_seconds == 0.0
-    t.observe(0.5)
-    t.observe(1.5)
-    assert t.count == 2 and t.mean_seconds == 1.0
-    d = t.as_dict()
-    assert d["min_seconds"] == 0.5 and d["max_seconds"] == 1.5
-    with pytest.raises(ValueError):
-        t.observe(-0.1)
-
-
-def test_registry_accessors_and_snapshot():
-    reg = MetricsRegistry()
-    reg.counter("b").inc(2)
-    reg.counter("a").inc(1)
-    reg.gauge("g").set(0.5)
-    reg.timer("t").observe(0.25)
-    assert "a" in reg and "missing" not in reg
-    assert reg.names() == ("a", "b", "g", "t")
-    snap = reg.snapshot()
-    assert list(snap["counters"]) == ["a", "b"]  # sorted for stable JSON
-    assert snap["gauges"]["g"] == 0.5
-    assert snap["timers"]["t"]["count"] == 1
-    assert reg.counter("a") is reg.counter("a")  # create-on-first-use, stable
+def test_snapshot_is_sorted_json_with_float_gauges():
+    profiler = Profiler()
+    profiler.record("b.span", 0.5)
+    profiler.record("a.span", 0.25)
+    snap = metrics_snapshot(
+        make_result(), cache=EvaluationCache(maxsize=8), profiler=profiler
+    )
+    assert list(snap) == ["counters", "gauges", "timers"]
+    for section in snap.values():
+        assert list(section) == sorted(section)  # sorted for stable JSON
+    assert all(type(v) is int for v in snap["counters"].values())
+    assert all(type(v) is float for v in snap["gauges"].values())
+    assert snap["gauges"]["cache.maxsize"] == 8.0
+    assert snap["timers"]["profile.a.span"] == {
+        "count": 1, "total_seconds": 0.25, "mean_seconds": 0.25,
+        "min_seconds": 0.25, "max_seconds": 0.25,
+    }
+    assert json.loads(json.dumps(snap)) == snap
 
 
 def make_stats(**overrides):
@@ -71,20 +55,18 @@ def make_stats(**overrides):
 def test_ingest_eval_stats_maps_every_counter():
     stats = make_stats(retries=2, faults_injected=3, guardrail_trips=1,
                        prewarm_lookups=6, prewarm_hits=4, prewarm_builds=2)
-    reg = MetricsRegistry()
-    reg.ingest_eval_stats(stats)
-    c = reg.snapshot()["counters"]
+    snap = snapshot_of(stats)
+    c = snap["counters"]
     assert c["evaluations"] == 20
     assert c["cache.hits"] == 5 and c["cache.misses"] == 15
     assert c["trace.built"] == 15 and c["trace.replays"] == 40
     assert c["trace.reuse"] == stats.trace_reuse == 25
     assert c["resilience.retries"] == 2
     assert c["faults.injected"] == 3
-    assert c["guardrail.trips"] == 1
     assert c["cache.prewarm_lookups"] == 6
     assert c["cache.prewarm_hits"] == 4
     assert c["cache.prewarm_builds"] == 2
-    assert reg.snapshot()["gauges"]["cache.hit_rate"] == stats.cache_hit_rate
+    assert snap["gauges"]["cache.hit_rate"] == stats.cache_hit_rate
 
 
 def test_fastpath_line_matches_describe():
@@ -96,23 +78,17 @@ def test_fastpath_line_matches_describe():
     for stats, line in zip(
         (make_stats(), EvaluationStats(), make_stats(cache_hits=0)), expected
     ):
-        reg = MetricsRegistry()
-        reg.ingest_eval_stats(stats)
-        assert fastpath_line(reg.snapshot()) == line
+        assert fastpath_line(snapshot_of(stats)) == line
 
 
 def test_resilience_line_matches_describe_resilience():
     stats = make_stats(retries=3, timeouts=1, quarantined=2, faults_injected=4)
-    reg = MetricsRegistry()
-    reg.ingest_eval_stats(stats)
-    snapshot = reg.snapshot()
+    snapshot = snapshot_of(stats)
     assert resilience_line(snapshot) == (
         "4 faults injected, 3 retries, 1 timeouts, 2 quarantined"
     )
     assert snapshot_degraded(snapshot) is True
-    clean = MetricsRegistry()
-    clean.ingest_eval_stats(make_stats())
-    assert snapshot_degraded(clean.snapshot()) is False
+    assert snapshot_degraded(snapshot_of(make_stats())) is False
 
 
 def test_guardrails_line_counts_before_dedup():
@@ -137,24 +113,34 @@ def test_from_run_absorbs_result_cache_and_profiler():
     result.eval_stats = make_stats()
     profiler = Profiler()
     profiler.record("simulator.trace", 0.25)
-    reg = MetricsRegistry.from_run(
-        result,
-        cache_stats=CacheStats(hits=5, misses=15, size=9, maxsize=512),
-        profiler=profiler,
+    snap = metrics_snapshot(
+        result, cache=EvaluationCache(maxsize=512), profiler=profiler
     )
-    snap = reg.snapshot()
     assert snap["gauges"]["run.baseline_perf_mbps"] == 100.0
     assert snap["gauges"]["run.best_perf_mbps"] == 160.0
     assert snap["gauges"]["run.gain_mbps"] == 60.0
     assert snap["gauges"]["run.total_minutes"] == 20.0
     assert snap["counters"]["run.iterations"] == 2
     assert snap["counters"]["run.total_evaluations"] == 16
-    assert snap["gauges"]["cache.size"] == 9.0
+    assert snap["gauges"]["cache.size"] == 0.0
+    assert snap["gauges"]["cache.maxsize"] == 512.0
     assert snap["timers"]["profile.simulator.trace"]["count"] == 1
 
 
 def test_from_run_without_eval_stats_still_counts_trips():
     result = make_result()
     result.guardrail_trips = ("checkpoint:schema (bad)",)
-    snap = MetricsRegistry.from_run(result).snapshot()
+    snap = metrics_snapshot(result)
     assert snap["counters"]["guardrail.trips"] == 1
+    assert "evaluations" not in snap["counters"]
+
+
+def test_trip_count_includes_trips_the_tuner_did_not_count():
+    """The CLI prepends a rejected-checkpoint trip to the result after
+    the tuner filled in its own count; the snapshot counts the result's
+    trips."""
+    result = make_result()
+    result.eval_stats = make_stats(guardrail_trips=0)
+    result.guardrail_trips = ("checkpoint:schema (bad)",)
+    assert metrics_snapshot(result)["counters"]["guardrail.trips"] == 1
+    assert "guardrail.trips" not in metrics_snapshot(make_result())["counters"]

@@ -135,8 +135,9 @@ def test_eval_stats_surfaced_on_result(sim):
     # with a cache, traversals happen only on misses
     assert stats.cache_misses == stats.traces_built
     assert stats.trace_reuse == stats.trace_replays - stats.traces_built
-    assert res.cache_hit_rate == stats.cache_hit_rate
-    assert res.trace_reuse_count == stats.trace_reuse
+    # the result holds a copy of the evaluator's record, not the record
+    assert stats == tuner._resilient.stats
+    assert stats is not tuner._resilient.stats
 
 
 def test_default_tuner_owns_a_private_cache(sim):
@@ -156,7 +157,7 @@ def test_tuning_revisits_hit_the_cache(sim):
     tuner = small_tuner(sim, cache=cache)
     res = tuner.tune(make_workload(), max_iterations=10)
     assert res.eval_stats.cache_hits > 0  # the GA re-draws configurations
-    assert res.trace_reuse_count > 0
+    assert res.eval_stats.trace_reuse > 0
 
 
 def test_stats_window_resets_between_tunes(sim):
@@ -165,7 +166,7 @@ def test_stats_window_resets_between_tunes(sim):
     tuner = small_tuner(sim, cache=EvaluationCache())
     first = tuner.tune(make_workload(), max_iterations=3)
     second = tuner.tune(make_workload(), max_iterations=3)
-    # counters are deltas over the run, not cumulative across runs
+    # each tune counts on its own evaluator, not cumulatively
     assert second.eval_stats.evaluations == first.eval_stats.evaluations
     assert (
         second.eval_stats.trace_replays
@@ -173,4 +174,19 @@ def test_stats_window_resets_between_tunes(sim):
     )
     # the second run starts from the same default baseline: cache hit
     assert second.eval_stats.cache_hits >= 1
+
+
+def test_tuners_sharing_a_cache_count_only_their_own_work(sim):
+    from repro.iostack import EvaluationCache
+
+    cache = EvaluationCache()
+    first, second = (small_tuner(sim, cache=cache) for _ in range(2))
+    a = first.tune(make_workload(), max_iterations=3).eval_stats
+    assert a.cache_misses == a.traces_built == len(cache) > 0
+    b = second.tune(make_workload(), max_iterations=3).eval_stats
+    # the second tune finds the first one's traces but counts only its
+    # own lookups, builds and replays
+    assert b.cache_hits >= 1
+    assert b.traces_built == b.cache_misses == len(cache) - a.traces_built
+    assert b.trace_replays == second.repeats * b.evaluations
 

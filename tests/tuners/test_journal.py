@@ -15,7 +15,7 @@ from repro.iostack import (
     cori,
 )
 from repro.observability.metrics import (
-    MetricsRegistry,
+    metrics_snapshot,
     resilience_line,
     snapshot_degraded,
 )
@@ -294,7 +294,7 @@ def test_twenty_generation_tune_survives_injected_faults():
     faulted = make_tuner(faults=plan).tune(w, max_iterations=20)
 
     stats = faulted.eval_stats
-    snapshot = MetricsRegistry.from_run(faulted).snapshot()
+    snapshot = metrics_snapshot(faulted)
     assert stats is not None and snapshot_degraded(snapshot)
     assert stats.faults_injected > 0
     assert stats.faults_injected == (

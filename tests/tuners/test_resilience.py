@@ -13,6 +13,7 @@ from repro.iostack import (
     cori,
 )
 from repro.iostack.clock import SimulatedClock
+from repro.iostack.evalcache import EvaluationStats
 from repro.iostack.faults import EvaluationError
 from repro.tuners.resilience import HarnessError, ResilientEvaluator, RetryPolicy
 from tests.conftest import make_workload
@@ -66,9 +67,9 @@ def test_happy_path_is_bit_identical_to_bare_fastpath(workload):
     assert h.clock.elapsed_seconds == (
         h.clock.setup_overhead + expected.charged_seconds
     )
-    assert h.stats.as_dict() == {
-        "retries": 0, "timeouts": 0, "quarantined": 0,
-    }
+    assert h.stats == EvaluationStats(
+        evaluations=1, cache_misses=1, traces_built=1, trace_replays=3
+    )
 
 
 def test_charge_false_leaves_the_clock_untouched(workload):
@@ -126,10 +127,12 @@ def test_quarantined_config_short_circuits(workload):
     plan.poison(config)
     h = harness(faults=plan)
     h.evaluate(workload, [config], repeats=3)
-    before = h.simulator.traces_built
+    lookups = h.stats.cache_hits + h.stats.cache_misses
     t0 = h.clock.elapsed_seconds
     assert h.evaluate(workload, [config], repeats=3)[0] == 0.0
-    assert h.simulator.traces_built == before  # not attempted again
+    # not looked up or attempted again
+    assert h.stats.cache_hits + h.stats.cache_misses == lookups
+    assert h.stats.traces_built == 0
     assert h.clock.elapsed_seconds == t0 + h.clock.setup_overhead
 
 
