@@ -254,6 +254,11 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--expected-runs must be positive")
     if args.fault_agent_at < 0:
         parser.error("--fault-agent-at must be >= 0")
+    if args.fault_agent is not None and args.tuner != "tunio":
+        parser.error(
+            f"--fault-agent needs --tuner tunio (the {args.tuner} tuner "
+            f"runs no agent to inject into)"
+        )
     if args.fault_agent == "checkpoint-truncation" and not args.agents_cache:
         parser.error(
             "--fault-agent checkpoint-truncation needs --agents-cache PATH "

@@ -41,16 +41,11 @@ import numpy as np
 
 from repro.iostack.faults import FaultPlan
 from repro.rl.curves import LogCurve, LogCurveGenerator
-from repro.rl.guardrails import (
-    GuardrailMonitor,
-    LossDivergenceMonitor,
-    corrupt_network,
-    qagent_weight_issue,
-)
+from repro.rl.guardrails import AgentGuard, GuardrailMonitor
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import DelayedRewardBuffer, Transition
 from repro.tuners.base import IterationRecord
-from repro.tuners.stoppers import FallbackStopper, Stopper
+from repro.tuners.stoppers import HeuristicStopper
 
 from .objective import PerfNormalizer
 
@@ -438,36 +433,30 @@ class RLStopper:
         return bool(decision)
 
 
-class GuardedStopper(FallbackStopper):
-    """Guardrail wrapper around :class:`RLStopper`.
+class GuardedStopper:
+    """Guardrail wrapper around :class:`RLStopper`, with the paper's
+    5%/5 patience heuristic as its fallback.
 
-    A :class:`~repro.tuners.stoppers.FallbackStopper` whose trip
-    conditions are evaluated automatically each call:
+    Holds one :class:`~repro.rl.guardrails.AgentGuard` over the RL
+    stopper's q-network and target network.  The guard applies an
+    engaged weight fault, scans both networks before the RL stopper
+    runs (before it would consume any agent RNG) and, after a healthy
+    decision, checks the q-network's loss and gradient norm.
 
-    * **weight health** -- before the RL stopper runs (and before it
-      would consume any agent RNG), its Q-networks are scanned for
-      non-finite or exploded weights;
-    * **training health** -- after a healthy decision, the Q-network's
-      last loss / gradient-norm telemetry feeds a
-      :class:`~repro.rl.guardrails.LossDivergenceMonitor`;
-    * **degenerate-policy watchdog** -- a stop decision below the
-      agent's ``min_iterations`` warm-up is impossible for a healthy
-      policy (``EarlyStoppingAgent.should_stop`` hard-returns False
-      there), so two consecutive such decisions trip the guardrail.
-      Single suppressed decisions are withheld (``False``) rather than
-      obeyed.
+    The stopper adds only the check on its own output, a
+    degenerate-policy watchdog: a stop decision below the agent's
+    ``min_iterations`` warm-up is impossible for a healthy policy
+    (``EarlyStoppingAgent.should_stop`` hard-returns False there), so
+    two consecutive such decisions trip the guard.  A single one is
+    withheld (``False``) rather than obeyed.  A stop after the warm-up
+    looks like a healthy decision and is obeyed, so a ``stop-now`` fault
+    that engages after the warm-up stops the run with no trip.
 
-    On any trip the stopper degrades permanently to the fallback
-    (default: the paper's 5%/5 patience heuristic).  Because every check
-    runs before the RL agent draws randomness, a run degraded at
-    iteration ``k`` consumes exactly the same downstream random streams
-    as a run that never had an RL stopper -- the degraded-mode
-    bit-reproducibility contract.
-
-    Fault injection (``FaultPlan.agent_fault``): ``nan-weights`` /
-    ``explode-weights`` corrupt the Q-networks once when the fault
-    activates; ``stop-now`` forces a stop decision without consulting
-    the agent (caught by the watchdog when it fires inside the warm-up).
+    Once the guard trips, every decision for the rest of the run comes
+    from the heuristic.  Because every check runs before the RL agent
+    draws randomness, a run degraded at iteration ``k`` consumes exactly
+    the same downstream random streams as a run that never had an RL
+    stopper -- the degraded-mode bit-reproducibility contract.
     """
 
     def __init__(
@@ -475,60 +464,28 @@ class GuardedStopper(FallbackStopper):
         primary: RLStopper,
         monitor: GuardrailMonitor | None = None,
         fault_source: Callable[[], FaultPlan | None] | None = None,
-        fallback: Stopper | None = None,
     ):
-        super().__init__(primary, fallback)
-        self.monitor = monitor if monitor is not None else GuardrailMonitor()
-        self._fault_source = fault_source
-        self._corrupted = False
+        self.primary = primary
+        self.fallback = HeuristicStopper()
+        agent = primary.agent.agent
+        self.guard = AgentGuard(
+            "early-stopper",
+            (("q-network", agent.q_network), ("target-network", agent.target_network)),
+            monitor,
+            fault_source,
+        )
         self._early_stop_streak = 0
-        # Same rationale as GuardedSubsetPicker: healthy online-RL losses
-        # are orders-of-magnitude volatile; only numerical runaway trips.
-        self._loss_monitor = LossDivergenceMonitor(divergence_factor=1e6)
-        self.name = f"guarded({self.primary.name}->{self.fallback.name})"
-
-    def _trip(self, kind: str, detail: str, iteration: int | None = None) -> None:
-        self.monitor.trip("early-stopper", kind, detail, iteration=iteration)
-        self.degrade(f"{kind}: {detail}")
-
-    def _active_fault(self, iteration: int) -> str | None:
-        if self._fault_source is None:
-            return None
-        plan = self._fault_source()
-        if plan is None:
-            return None
-        return plan.agent_fault_active(iteration)
-
-    def _apply_corruption(self, mode: str) -> None:
-        if self._corrupted:
-            return
-        self._corrupted = True
-        agent = self.primary.agent.agent
-        corrupt_network(agent.q_network, mode)
-        corrupt_network(agent.target_network, mode)
-
-    @property
-    def expected_runs(self) -> float | None:
-        """The wrapped RL stopper's patience input (the wrapper keeps the
-        :class:`RLStopper` attribute surface for callers)."""
-        return self.primary.expected_runs
+        self.name = f"guarded({primary.name}->{self.fallback.name})"
 
     def should_stop(self, history: Sequence[IterationRecord]) -> bool:
-        if self.degraded:
+        guard = self.guard
+        if guard.degraded:
             return self.fallback.should_stop(history)
         if not history:
             return False
         t = len(history) - 1
-
-        fault = self._active_fault(t)
-        if fault in ("nan-weights", "explode-weights"):
-            self._apply_corruption(fault)
-
-        # Pre-call weight scan: trips before any agent RNG is consumed.
-        issue = qagent_weight_issue(self.primary.agent.agent)
-        if issue is not None:
-            kind = "non-finite-weights" if "non-finite" in issue else "exploded-weights"
-            self._trip(kind, issue, t)
+        fault = guard.before_call(t)
+        if guard.degraded:
             return self.fallback.should_stop(history)
 
         if fault == "stop-now":
@@ -536,22 +493,18 @@ class GuardedStopper(FallbackStopper):
         else:
             decision = self.primary.should_stop(history)
             q_network = self.primary.agent.agent.q_network
-            reason = self._loss_monitor.observe(
-                q_network.last_loss, q_network.last_grad_norm
-            )
-            if reason is not None:
-                self._trip("training-divergence", reason, t)
+            guard.check_training([(q_network.last_loss, q_network.last_grad_norm)], t)
+            if guard.degraded:
                 return self.fallback.should_stop(history)
 
-        # Degenerate-policy watchdog: a healthy policy cannot stop inside
-        # the warm-up window, so repeated attempts mean it is broken.
-        if decision and t < self.primary.agent.config.min_iterations:
+        warmup = self.primary.agent.config.min_iterations
+        if decision and t < warmup:
             self._early_stop_streak += 1
             if self._early_stop_streak >= 2:
-                self._trip(
+                guard.trip(
                     "degenerate-policy",
                     f"stop requested at iteration {t}, inside the "
-                    f"{self.primary.agent.config.min_iterations}-iteration warm-up, "
+                    f"{warmup}-iteration warm-up, "
                     f"{self._early_stop_streak} times in a row",
                     t,
                 )
@@ -561,7 +514,6 @@ class GuardedStopper(FallbackStopper):
         return decision
 
     def reset(self) -> None:
-        super().reset()
-        self._corrupted = False
+        self.guard.reset()
+        self.primary.reset()
         self._early_stop_streak = 0
-        self._loss_monitor.reset()

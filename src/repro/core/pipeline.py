@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.iostack.parameters import TUNED_SPACE, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
-from repro.rl.guardrails import GuardrailMonitor
 from repro.tuners.base import IterationRecord, TuningResult
 from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import JournalWriter, ReplayCursor
@@ -45,16 +44,17 @@ class TunIOTuner(HSTuner):
     """HSTuner with TunIO's Smart Configuration Generation and RL early
     stopping attached.
 
-    Both agents run behind guardrails (see :mod:`repro.rl.guardrails`):
-    the subset picker through a
+    Both agents run behind one :class:`~repro.rl.guardrails.AgentGuard`
+    each (see :mod:`repro.rl.guardrails`): the subset picker through a
     :class:`~repro.core.smart_config.GuardedSubsetPicker` and an
-    :class:`RLStopper` through a :class:`GuardedStopper`, sharing one
-    :class:`~repro.rl.guardrails.GuardrailMonitor` (``self.guardrails``).
-    On a healthy run the guardrails are pure observers -- results are
-    bit-identical to unguarded wiring.  When one trips, the affected
-    component degrades to plain-GA behaviour (full parameter set /
-    patience-heuristic stopping) for the rest of the run, and the trips
-    are reported on :class:`~repro.tuners.base.TuningResult`.
+    :class:`RLStopper` through a :class:`GuardedStopper`, both recording
+    trips on the tuner's :class:`~repro.rl.guardrails.GuardrailMonitor`
+    (``self.guardrails``, owned by :class:`HSTuner`).  On a healthy run
+    the guards are pure observers -- results are bit-identical to
+    unguarded wiring.  When one trips, the affected component degrades
+    to plain-GA behaviour (full parameter set / patience-heuristic
+    stopping) for the rest of the run, and the trips are reported on
+    :class:`~repro.tuners.base.TuningResult`.
     """
 
     name = "tunio"
@@ -67,19 +67,13 @@ class TunIOTuner(HSTuner):
         space: ParameterSpace = TUNED_SPACE,
         **kwargs,
     ):
-        self.guardrails = GuardrailMonitor()
+        super().__init__(simulator, space=space, stopper=stopper, **kwargs)
         # Reads the *current* fault plan each call (the attribute is
         # swapped around journal cache warming and by tests).
         fault_source = lambda: simulator.faults  # noqa: E731
-        self._picker = GuardedSubsetPicker(
-            smart_config, self.guardrails, fault_source=fault_source
-        )
+        self._picker = GuardedSubsetPicker(smart_config, self.guardrails, fault_source)
         if isinstance(stopper, RLStopper):
-            stopper = GuardedStopper(
-                stopper, self.guardrails, fault_source=fault_source
-            )
-        super().__init__(simulator, space=space, stopper=stopper, **kwargs)
-        self.guardrails.recorder = self.recorder
+            self.stopper = GuardedStopper(stopper, self.guardrails, fault_source)
         self.smart_config = smart_config
         self._current_subset: tuple[str, ...] | None = None
         self._last_best_norm: float | None = None
@@ -91,8 +85,9 @@ class TunIOTuner(HSTuner):
     ) -> tuple[str, ...] | None:
         if iteration == 0:
             # Generation 0 evaluates the seed population; the agent takes
-            # over from the first bred generation.
-            self._picker.reset_episode()
+            # over from the first bred generation.  A fresh run (or a
+            # journal replay) re-arms the picker here.
+            self._picker.reset()
             self._current_subset = None
             self._last_best_norm = None
             return None
@@ -131,23 +126,6 @@ class TunIOTuner(HSTuner):
         if self.guardrails.trips:
             state["guardrail_trips"] = [str(t) for t in self.guardrails.trips]
         return state
-
-    # -- guardrail surfaces -------------------------------------------------------
-
-    def _begin_run(self) -> None:
-        # tune() starts a fresh run: re-arm the guardrails so a journal
-        # replay re-earns its trips deterministically.  (In-session
-        # resume() does not pass here, so degradation persists across
-        # interactive refinement, as it must.)
-        self.guardrails.reset()
-        self._picker.reset()
-        # (tune() has already reset the stopper, guarded or not.)
-
-    def _drain_guardrail_warnings(self) -> list[str]:
-        return self.guardrails.drain_warnings()
-
-    def _guardrail_trips(self) -> tuple[str, ...]:
-        return tuple(str(t) for t in self.guardrails.trips)
 
 
 def build_tunio(

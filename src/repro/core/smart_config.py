@@ -31,19 +31,20 @@ import numpy as np
 from repro.iostack.faults import FaultPlan
 from repro.iostack.parameters import ParameterSpace, TUNED_SPACE
 from repro.rl.bandit import NeuralContextualBandit
-from repro.rl.guardrails import (
-    GuardrailMonitor,
-    LossDivergenceMonitor,
-    bandit_weight_issue,
-    corrupt_network,
-    qagent_weight_issue,
-)
+from repro.rl.guardrails import AgentGuard, GuardrailMonitor
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import DelayedRewardBuffer
 
 from .objective import PerfNormalizer
 
 __all__ = ["SmartConfigSettings", "SmartConfigAgent", "GuardedSubsetPicker"]
+
+#: Identical non-full subsets in a row that mean the picker's policy
+#: collapsed.  Healthy pickers never repeat a non-full subset more than
+#: twice in a row (exploration keeps reshuffling the top-k), so 6 has a
+#: 3x margin against false positives while still firing inside a short
+#: early-stopped run.
+CONSTANT_WINDOW = 6
 
 
 @dataclass(frozen=True)
@@ -259,37 +260,25 @@ class SmartConfigAgent:
 class GuardedSubsetPicker:
     """Guardrail wrapper around :class:`SmartConfigAgent`.
 
-    Sits between the pipeline and the agent and enforces three kinds of
-    safety property without perturbing a healthy agent:
+    Holds one :class:`~repro.rl.guardrails.AgentGuard` over the
+    picker's q-network and target network and the observer's reward
+    model.  The guard applies an engaged weight fault, scans the
+    networks before every call (before any agent RNG draw) and, after a
+    healthy call, checks the q-network's loss and gradient norm and then
+    the observer's loss against one running baseline.
 
-    * **weight health** -- before every call that would consume agent
-      RNG, the picker's Q-networks and the observer bandit are scanned
-      for non-finite or exploded weights.  A dirty network trips the
-      guardrail *before* any random draw, so a degraded run consumes
-      exactly the same GA random stream as a plain-GA run;
-    * **training health** -- after a healthy call, the networks' last
-      loss / gradient-norm telemetry feeds a
-      :class:`~repro.rl.guardrails.LossDivergenceMonitor`;
-    * **output sanity** -- the returned subset must be non-empty, use
-      known parameter names, match a configured subset size, and not
-      repeat identically for ``constant_window`` consecutive calls
-      (degenerate-policy watchdog; full-space subsets are exempt since
-      repeating "tune everything" is the legitimate fallback).  Healthy
-      pickers empirically never repeat a non-full subset more than
-      twice in a row (exploration keeps reshuffling the top-k), so the
-      default window of 6 has a 3x margin against false positives
-      while still firing inside a short early-stopped run.
+    The picker adds only the checks on its own output: the subset must
+    be non-empty, use known parameter names, match a configured subset
+    size, and not repeat identically :data:`CONSTANT_WINDOW` times in a
+    row (degenerate-policy watchdog; full-space subsets are exempt since
+    repeating "tune everything" is the legitimate fallback).
 
-    Once any guardrail trips, the wrapper is permanently **degraded**
-    for the rest of the run and :meth:`pick` returns ``None``, which the
-    pipeline interprets as "tune the full parameter set" (plain-GA
-    behaviour).  :meth:`reset` re-arms the wrapper so a journal replay
-    re-earns the trip deterministically.
-
-    Fault injection (``FaultPlan.agent_fault``) is applied here: weight
-    corruption modes corrupt the underlying networks once when the fault
-    activates, and forced-output modes bypass the agent entirely (again
-    before any RNG draw, keeping degraded runs bit-reproducible).
+    Once anything trips, :meth:`pick` returns ``None`` for the rest of
+    the run, which the pipeline reads as "tune the full parameter set"
+    (plain-GA behaviour).  :meth:`reset` re-arms it at the start of a
+    run.  The forced-output fault modes (``empty-subset``,
+    ``constant-subset``) bypass the agent, again before any RNG draw,
+    so degraded runs stay bit-reproducible.
     """
 
     def __init__(
@@ -297,69 +286,31 @@ class GuardedSubsetPicker:
         agent: SmartConfigAgent,
         monitor: GuardrailMonitor | None = None,
         fault_source: Callable[[], FaultPlan | None] | None = None,
-        constant_window: int = 6,
     ):
-        if constant_window < 2:
-            raise ValueError("constant_window must be >= 2")
         self.agent = agent
-        self.monitor = monitor if monitor is not None else GuardrailMonitor()
-        self._fault_source = fault_source
-        self.constant_window = constant_window
-        self._degraded_reason: str | None = None
-        self._corrupted = False
+        self.guard = AgentGuard(
+            "subset-picker",
+            (
+                ("q-network", agent.picker.q_network),
+                ("target-network", agent.picker.target_network),
+                ("reward-model", agent.observer.model),
+            ),
+            monitor,
+            fault_source,
+        )
         self._forced_constant: tuple[str, ...] | None = None
         self._repeat_subset: tuple[str, ...] | None = None
         self._repeat_count = 0
-        # Online-RL losses legitimately jump orders of magnitude when the
-        # reward scale shifts (a new best perf rescales the Q-targets);
-        # only true numerical runaway -- many orders beyond any healthy
-        # Q-value -- may trip, or healthy runs would spuriously degrade.
-        self._loss_monitor = LossDivergenceMonitor(divergence_factor=1e6)
-
-    # -- degradation state ---------------------------------------------------------
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded_reason is not None
-
-    @property
-    def degraded_reason(self) -> str | None:
-        return self._degraded_reason
-
-    def _trip(self, kind: str, detail: str, iteration: int | None = None) -> None:
-        self.monitor.trip("subset-picker", kind, detail, iteration=iteration)
-        if self._degraded_reason is None:
-            self._degraded_reason = f"{kind}: {detail}"
 
     def reset(self) -> None:
-        """Re-arm the guardrails (used by journal replay; the trip is
-        re-earned deterministically from the same fault plan)."""
-        self._degraded_reason = None
-        self._corrupted = False
+        """Start a run: re-arm the guard (a journal replay re-earns its
+        trips from the same fault plan) and clear the agent's episode
+        state; learned weights and impact scores persist."""
+        self.guard.reset()
+        self.agent.reset_episode()
         self._forced_constant = None
         self._repeat_subset = None
         self._repeat_count = 0
-        self._loss_monitor.reset()
-
-    # -- fault injection -----------------------------------------------------------
-
-    def _active_fault(self, iteration: int) -> str | None:
-        if self._fault_source is None:
-            return None
-        plan = self._fault_source()
-        if plan is None:
-            return None
-        return plan.agent_fault_active(iteration)
-
-    def _apply_corruption(self, mode: str) -> None:
-        if self._corrupted:
-            return
-        self._corrupted = True
-        corrupt_network(self.agent.picker.q_network, mode)
-        corrupt_network(self.agent.picker.target_network, mode)
-        corrupt_network(self.agent.observer.model, mode)
-
-    # -- guarded Table I call ------------------------------------------------------
 
     def pick(
         self,
@@ -369,23 +320,13 @@ class GuardedSubsetPicker:
     ) -> tuple[str, ...] | None:
         """Guarded ``subset_picker``; ``None`` means *degraded: tune the
         full parameter set*."""
-        if self.degraded:
+        guard = self.guard
+        if guard.degraded:
+            return None
+        fault = guard.before_call(iteration)
+        if guard.degraded:
             return None
 
-        fault = self._active_fault(iteration)
-        if fault in ("nan-weights", "explode-weights"):
-            self._apply_corruption(fault)
-
-        # Pre-call weight scan: trips before any agent RNG is consumed.
-        issue = qagent_weight_issue(self.agent.picker)
-        if issue is None:
-            issue = bandit_weight_issue(self.agent.observer)
-        if issue is not None:
-            kind = "non-finite-weights" if "non-finite" in issue else "exploded-weights"
-            self._trip(kind, issue, iteration)
-            return None
-
-        # Forced degenerate outputs bypass the agent (and its RNG).
         if fault == "empty-subset":
             subset: tuple[str, ...] = ()
         elif fault == "constant-subset":
@@ -396,48 +337,47 @@ class GuardedSubsetPicker:
             subset = self._forced_constant
         else:
             subset = self.agent.subset_picker(perf_mbps, current_parameter_set, iteration)
-            reason = self._loss_monitor.observe(
-                self.agent.picker.q_network.last_loss,
-                self.agent.picker.q_network.last_grad_norm,
+            q_network = self.agent.picker.q_network
+            guard.check_training(
+                [
+                    (q_network.last_loss, q_network.last_grad_norm),
+                    (self.agent.observer.model.last_loss, None),
+                ],
+                iteration,
             )
-            if reason is None:
-                reason = self._loss_monitor.observe(self.agent.observer.model.last_loss)
-            if reason is not None:
-                self._trip("training-divergence", reason, iteration)
+            if guard.degraded:
                 return None
-
         return self._checked(subset, iteration)
 
     def _checked(self, subset: tuple[str, ...], iteration: int) -> tuple[str, ...] | None:
+        trip = self.guard.trip
         if not subset:
-            self._trip("invalid-output", "picker returned an empty subset", iteration)
+            trip("invalid-output", "picker returned an empty subset", iteration)
             return None
         unknown = [p for p in subset if p not in self.agent.space.names]
         if unknown:
-            self._trip(
+            trip(
                 "invalid-output",
                 f"picker returned unknown parameter(s) {unknown!r}",
                 iteration,
             )
             return None
         if len(subset) not in self.agent.subset_sizes:
-            self._trip(
+            trip(
                 "invalid-output",
                 f"subset size {len(subset)} not in configured sizes "
                 f"{self.agent.subset_sizes!r}",
                 iteration,
             )
             return None
-        # Degenerate-policy watchdog: the same non-full subset repeated
-        # ``constant_window`` times in a row means the policy collapsed.
         if len(subset) < len(self.agent.space):
             if subset == self._repeat_subset:
                 self._repeat_count += 1
             else:
                 self._repeat_subset = subset
                 self._repeat_count = 1
-            if self._repeat_count >= self.constant_window:
-                self._trip(
+            if self._repeat_count >= CONSTANT_WINDOW:
+                trip(
                     "degenerate-policy",
                     f"subset {subset!r} repeated {self._repeat_count} times",
                     iteration,
@@ -448,24 +388,6 @@ class GuardedSubsetPicker:
             self._repeat_count = 0
         return subset
 
-    # -- transparent delegation ----------------------------------------------------
-
-    def reset_episode(self) -> None:
-        self.agent.reset_episode()
-        self._repeat_subset = None
-        self._repeat_count = 0
-
     def credit_subset(self, subset: Sequence[str], perf_delta_norm: float) -> None:
-        if self.degraded:
-            return
-        self.agent.credit_subset(subset, perf_delta_norm)
-
-    @property
-    def impact_scores(self) -> np.ndarray:
-        return self.agent.impact_scores
-
-    def get_state(self) -> dict[str, np.ndarray]:
-        return self.agent.get_state()
-
-    def set_state(self, state: dict[str, np.ndarray]) -> None:
-        self.agent.set_state(state)
+        if not self.guard.degraded:
+            self.agent.credit_subset(subset, perf_delta_norm)

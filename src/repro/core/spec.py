@@ -25,10 +25,9 @@ from repro.tuners.base import TuningResult
 from repro.tuners.stoppers import AnyStopper, TimeBudgetStopper
 from repro.workloads import flash, hacc, vpic
 
-from .early_stopping import RLStopper
 from .objective import PerfNormalizer
 from .offline_training import TunIOAgents, train_tunio_agents
-from .pipeline import TunIOTuner
+from .pipeline import build_tunio
 
 __all__ = ["TuningSpec", "TuningOutcome", "tune_application"]
 
@@ -153,18 +152,14 @@ def tune_application(
             rng=rng,
         )
 
-    stopper = RLStopper(
-        agents.early_stopper, normalizer, expected_runs=spec.expected_runs
+    tuner = build_tunio(
+        simulator, agents, normalizer,
+        expected_runs=spec.expected_runs, repeats=spec.repeats, rng=rng,
     )
     if spec.budget_minutes is not None:
-        stopper = AnyStopper(stopper, TimeBudgetStopper(spec.budget_minutes))
-    tuner = TunIOTuner(
-        simulator,
-        smart_config=agents.smart_config,
-        stopper=stopper,
-        repeats=spec.repeats,
-        rng=rng,
-    )
+        # Combined after construction, so the RL stopper stays guarded.
+        budget = TimeBudgetStopper(spec.budget_minutes)
+        tuner.stopper = AnyStopper(tuner.stopper, budget)
     result = tuner.tune(target, max_iterations=spec.max_iterations)
 
     from repro.iostack.config import StackConfiguration

@@ -75,7 +75,8 @@ __all__ = [
 #:   NaN (silent in-memory corruption).
 #: * ``explode-weights`` -- weights overwritten with huge finite values
 #:   (a training blow-up that never went non-finite).
-#: * ``stop-now`` -- degenerate always-stop early-stopper policy.
+#: * ``stop-now`` -- degenerate always-stop early-stopper policy (caught
+#:   only inside the stopper's warm-up; after it, the stop is obeyed).
 #: * ``empty-subset`` -- the subset picker emits empty subsets.
 #: * ``constant-subset`` -- the subset picker emits the same fixed
 #:   subset forever, ignoring its inputs.
@@ -185,11 +186,13 @@ class FaultPlan:
         Simulated-clock intervals of file-system degradation.
     agent_fault, agent_fault_at:
         Agent-level fault mode (one of :data:`AGENT_FAULT_MODES`, or
-        ``None``) and the tuning iteration it engages at.  Consumed by
-        the guarded agent wrappers
+        ``None``) and the tuning iteration it engages at.  Weight faults
+        are applied by each agent's :class:`repro.rl.guardrails.AgentGuard`,
+        forced outputs by the guarded agents that hold one
         (:class:`repro.core.smart_config.GuardedSubsetPicker`,
-        :class:`repro.core.early_stopping.GuardedStopper`) and the CLI's
-        checkpoint path; deterministic (no random stream involved).
+        :class:`repro.core.early_stopping.GuardedStopper`), and
+        ``checkpoint-truncation`` by the CLI's checkpoint path;
+        deterministic (no random stream involved).
     """
 
     seed: int = 0

@@ -11,14 +11,13 @@ from .bandit import NeuralContextualBandit
 from .curves import LogCurve, LogCurveGenerator
 from .env import Box, Discrete, Env
 from .guardrails import (
+    AgentGuard,
     CheckpointError,
     GuardrailMonitor,
     GuardrailTrip,
     LossDivergenceMonitor,
-    bandit_weight_issue,
     corrupt_network,
     network_weight_issue,
-    qagent_weight_issue,
     validate_agent_checkpoint,
 )
 from .nn import ACTIVATIONS, Adam, Dense, MLP
@@ -33,14 +32,13 @@ from .replay import DelayedRewardBuffer, ReplayBuffer, Transition
 
 __all__ = [
     "NeuralContextualBandit",
+    "AgentGuard",
     "CheckpointError",
     "GuardrailMonitor",
     "GuardrailTrip",
     "LossDivergenceMonitor",
-    "bandit_weight_issue",
     "corrupt_network",
     "network_weight_issue",
-    "qagent_weight_issue",
     "validate_agent_checkpoint",
     "LogCurve",
     "LogCurveGenerator",

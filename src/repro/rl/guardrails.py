@@ -9,9 +9,7 @@ returns *something*, and the GA dutifully obeys it for a whole campaign.
 
 This module supplies the detection layer:
 
-* **Weight checks** -- :func:`network_weight_issue` (and the
-  :class:`~repro.rl.qlearning.QLearningAgent` /
-  :class:`~repro.rl.bandit.NeuralContextualBandit` conveniences) scan an
+* **Weight checks** -- :func:`network_weight_issue` scans an
   :class:`~repro.rl.nn.MLP`'s parameters for non-finite or exploded
   values.  Scans are pure reads: no forward pass, no RNG, no state
   change -- calling them on a healthy agent leaves a tuning run
@@ -23,29 +21,32 @@ This module supplies the detection layer:
 * **Trip bookkeeping** -- :class:`GuardrailMonitor` records every
   :class:`GuardrailTrip` and deduplicates the user-facing warnings (one
   line per distinct guardrail/kind, however many evaluations re-trip it).
+* **The agent guard** -- :class:`AgentGuard` is the one place the
+  "is this agent broken?" decision lives: it applies an engaged weight
+  fault, scans the agent's labelled networks before each call, checks
+  its training telemetry after it, and holds the permanent ``degraded``
+  state.  Both guarded agents hold one:
+  :class:`repro.core.smart_config.GuardedSubsetPicker` (degrades to the
+  full parameter set) and :class:`repro.core.early_stopping.GuardedStopper`
+  (degrades to the patience heuristic); each adds only the checks on
+  its own outputs.
 * **Checkpoint validation** -- :func:`validate_agent_checkpoint` checks
   an agent checkpoint's schema, version and value sanity before any
   weight is installed; :class:`CheckpointError` is the single failure
   type the pipeline (and the CLI's exit-code mapping) handles.
-
-What to *do* about a trip lives with the components that can degrade
-gracefully: :class:`repro.core.smart_config.GuardedSubsetPicker`,
-:class:`repro.core.early_stopping.GuardedStopper` and
-:class:`repro.tuners.stoppers.FallbackStopper`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
 from .nn import MLP
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .bandit import NeuralContextualBandit
-    from .qlearning import QLearningAgent
+    from repro.iostack.faults import FaultPlan
 
 __all__ = [
     "CHECKPOINT_VERSION",
@@ -53,9 +54,8 @@ __all__ = [
     "GuardrailTrip",
     "GuardrailMonitor",
     "LossDivergenceMonitor",
+    "AgentGuard",
     "network_weight_issue",
-    "qagent_weight_issue",
-    "bandit_weight_issue",
     "corrupt_network",
     "validate_agent_checkpoint",
 ]
@@ -150,18 +150,6 @@ class GuardrailMonitor:
         out, self._pending = self._pending, []
         return out
 
-    def describe(self) -> str:
-        """One-line summary for the CLI's ``guardrails:`` report."""
-        if not self._trips:
-            return "clean"
-        kinds: dict[tuple[str, str], int] = {}
-        for t in self._trips:
-            kinds[(t.guardrail, t.kind)] = kinds.get((t.guardrail, t.kind), 0) + 1
-        parts = [
-            f"{g}:{k}" + (f" x{n}" if n > 1 else "") for (g, k), n in kinds.items()
-        ]
-        return f"{len(self._trips)} trip(s) [{', '.join(parts)}]"
-
     def reset(self) -> None:
         self._trips.clear()
         self._seen.clear()
@@ -183,27 +171,6 @@ def network_weight_issue(mlp: MLP, limit: float = WEIGHT_LIMIT) -> str | None:
             peak = float(np.abs(arr).max()) if arr.size else 0.0
             if peak > limit:
                 return f"exploded {label} in layer {i} (|w| up to {peak:.3g})"
-    return None
-
-
-def qagent_weight_issue(agent: "QLearningAgent", limit: float = WEIGHT_LIMIT) -> str | None:
-    """Weight issue in a Q-learning agent's online or target network."""
-    issue = network_weight_issue(agent.q_network, limit)
-    if issue is not None:
-        return f"q-network: {issue}"
-    issue = network_weight_issue(agent.target_network, limit)
-    if issue is not None:
-        return f"target-network: {issue}"
-    return None
-
-
-def bandit_weight_issue(
-    bandit: "NeuralContextualBandit", limit: float = WEIGHT_LIMIT
-) -> str | None:
-    """Weight issue in a contextual bandit's reward model."""
-    issue = network_weight_issue(bandit.model, limit)
-    if issue is not None:
-        return f"reward-model: {issue}"
     return None
 
 
@@ -237,14 +204,18 @@ class LossDivergenceMonitor:
     (:attr:`MLP.last_loss` / :attr:`MLP.last_grad_norm`);
     :meth:`observe` returns a trip reason when the stream goes bad, and
     ``None`` while it is healthy.  Divergence means the loss exceeds
-    ``divergence_factor`` times the running baseline established over
-    the first ``warmup`` healthy observations -- a slowly rising loss is
-    normal online-RL noise, a 100x jump is a broken optimiser.
+    ``divergence_factor`` times the running mean of the healthy losses
+    seen so far, judged once ``warmup`` of them are in.  The default
+    factor is 1e6: online-RL losses legitimately jump orders of
+    magnitude when the reward scale shifts (a new best perf rescales the
+    Q-targets), so only true numerical runaway -- many orders beyond any
+    healthy Q-value -- may trip, or healthy runs would spuriously
+    degrade.
     """
 
     def __init__(
         self,
-        divergence_factor: float = 100.0,
+        divergence_factor: float = 1e6,
         grad_limit: float = 1e6,
         warmup: int = 5,
     ):
@@ -290,6 +261,92 @@ class LossDivergenceMonitor:
     def reset(self) -> None:
         self._seen = 0
         self._baseline = 0.0
+
+
+# -- the agent guard ------------------------------------------------------------------
+
+#: Agent fault modes that corrupt the networks (``FaultPlan.agent_fault``).
+_WEIGHT_FAULTS = ("nan-weights", "explode-weights")
+
+
+class AgentGuard:
+    """What every guarded agent shares: fault injection, the weight and
+    training-health checks, and the permanent ``degraded`` state.
+
+    ``networks`` are the agent's labelled networks, e.g.
+    ``(("q-network", ...), ("target-network", ...))``, scanned in that
+    order before every call; a trip's detail names the first unusable
+    one.  Trips are recorded on ``monitor`` under ``guardrail``.
+    ``fault_source`` returns the *current*
+    :class:`~repro.iostack.faults.FaultPlan`; it is read on every call
+    because the simulator's plan is swapped around journal cache warming.
+
+    Every check is a pure read made before the agent would draw a random
+    number, so a healthy guarded agent is bit-identical to a bare one,
+    and a run degraded at iteration ``k`` consumes the same random
+    streams as one wired with the fallback from the start.  Once tripped
+    the guard stays degraded until :meth:`reset`, which a fresh tune (or
+    a journal replay) calls so the trip is re-earned deterministically.
+    """
+
+    def __init__(
+        self,
+        guardrail: str,
+        networks: Sequence[tuple[str, MLP]],
+        monitor: GuardrailMonitor | None = None,
+        fault_source: Callable[[], "FaultPlan | None"] | None = None,
+    ):
+        self.guardrail = guardrail
+        self.networks = tuple(networks)
+        self.monitor = monitor if monitor is not None else GuardrailMonitor()
+        self._fault_source = fault_source
+        self._loss_monitor = LossDivergenceMonitor()
+        self._corrupted = False
+        self.degraded = False
+
+    def trip(self, kind: str, detail: str, iteration: int | None = None) -> None:
+        """Record a trip and degrade for the rest of the run."""
+        self.monitor.trip(self.guardrail, kind, detail, iteration=iteration)
+        self.degraded = True
+
+    def before_call(self, iteration: int) -> str | None:
+        """The pre-call checks; returns the agent fault engaged at
+        ``iteration`` (``None`` without one).
+
+        An engaged weight fault corrupts the networks, once per run;
+        then the networks are scanned and the first unusable one trips
+        the guard (the caller checks :attr:`degraded`)."""
+        plan = self._fault_source() if self._fault_source is not None else None
+        fault = plan.agent_fault_active(iteration) if plan is not None else None
+        if fault in _WEIGHT_FAULTS and not self._corrupted:
+            self._corrupted = True
+            for _, net in self.networks:
+                corrupt_network(net, fault)
+        for label, net in self.networks:
+            issue = network_weight_issue(net)
+            if issue is not None:
+                kind = "non-finite" if issue.startswith("non-finite") else "exploded"
+                self.trip(f"{kind}-weights", f"{label}: {issue}", iteration)
+                break
+        return fault
+
+    def check_training(
+        self,
+        telemetry: Sequence[tuple[float | None, float | None]],
+        iteration: int,
+    ) -> None:
+        """Feed a call's ``(loss, grad_norm)`` pairs, in order, to the
+        guard's one running loss baseline; the first bad pair trips."""
+        for loss, grad_norm in telemetry:
+            reason = self._loss_monitor.observe(loss, grad_norm)
+            if reason is not None:
+                self.trip("training-divergence", reason, iteration)
+                return
+
+    def reset(self) -> None:
+        self.degraded = False
+        self._corrupted = False
+        self._loss_monitor.reset()
 
 
 # -- checkpoint validation -------------------------------------------------------------

@@ -71,6 +71,7 @@ from repro.iostack.evalcache import EvaluationCache, EvaluationStats
 from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
+from repro.rl.guardrails import GuardrailMonitor
 
 from .base import IterationRecord, Tuner, TuningResult
 from .journal import JournalWriter, ReplayCursor, RunJournal
@@ -179,6 +180,8 @@ class HSTuner(Tuner):
         self.seed_config = seed_config
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.clock = SimulatedClock()
+        #: Trips of the agents' guardrails (none for the plain tuner).
+        self.guardrails = GuardrailMonitor()
         self._active_subset_size: int | None = None
         #: Iteration the trace's evaluation events belong to (None before
         #: the first generation, i.e. during the baseline).
@@ -209,19 +212,6 @@ class HSTuner(Tuner):
     def _observe_iteration(self, record: IterationRecord) -> None:
         """Hook called after each iteration (TunIO feeds its agents)."""
 
-    def _drain_guardrail_warnings(self) -> list[str]:
-        """Deduplicated guardrail warning lines queued since the last
-        drain (overridden by tuners that carry a guardrail monitor)."""
-        return []
-
-    def _guardrail_trips(self) -> tuple[str, ...]:
-        """Guardrail trips recorded this run (none for the plain tuner)."""
-        return ()
-
-    def _begin_run(self) -> None:
-        """Hook called as :meth:`tune` starts a fresh run (TunIO re-arms
-        its guardrails here)."""
-
     def _journal_agent_state(self) -> dict | None:
         """Agent state snapshot for the journal (overridden by TunIO to
         record its impact scores); informational, not used by replay."""
@@ -247,7 +237,7 @@ class HSTuner(Tuner):
             lines.append(
                 f"iteration {iteration}: resilience events: " + ", ".join(parts)
             )
-        lines.extend(self._drain_guardrail_warnings())
+        lines.extend(self.guardrails.drain_warnings())
         for line in lines:
             warnings.warn(line, RuntimeWarning, stacklevel=3)
 
@@ -270,7 +260,11 @@ class HSTuner(Tuner):
             # this run's clock, so repeated tunes replay the same plan.
             self.simulator.faults.reset()
             self.simulator.faults.attach_clock(self.clock)
-        self._begin_run()
+        # A fresh run re-arms the guardrails, so a journal replay
+        # re-earns its trips deterministically; in-session resume() does
+        # not pass here, so degradation persists across refinement.
+        self.guardrails.reset()
+        self.guardrails.recorder = recorder
         if recorder.enabled:
             recorder.emit(
                 "run_start",
@@ -467,7 +461,7 @@ class HSTuner(Tuner):
             self.space, engine.best.genome
         )
         faults = self.simulator.faults
-        result.guardrail_trips = self._guardrail_trips()
+        result.guardrail_trips = tuple(str(t) for t in self.guardrails.trips)
         result.eval_stats = dataclasses.replace(
             self._resilient.stats,
             # The plan is rewound at the start of every tune, so its

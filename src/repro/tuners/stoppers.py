@@ -29,7 +29,6 @@ __all__ = [
     "MaxPerfOracleStopper",
     "TimeBudgetStopper",
     "AnyStopper",
-    "FallbackStopper",
 ]
 
 
@@ -147,47 +146,3 @@ class AnyStopper:
         for s in self.stoppers:
             s.reset()
 
-
-class FallbackStopper:
-    """Delegates to ``primary`` until :meth:`degrade` is called, then to
-    ``fallback`` -- permanently for the rest of the run.
-
-    This is the degraded-mode substrate for the guarded RL stopper: when
-    a guardrail declares the RL policy untrustworthy, the pipeline keeps
-    tuning under the plain patience heuristic instead of crashing or
-    obeying a broken agent.  While not degraded the wrapper is
-    transparent (one delegated call, no extra state), so healthy runs
-    stay bit-identical.  :meth:`reset` clears the degradation: a fresh
-    tune (or a journal replay) must re-earn the trip through the same
-    deterministic checks, which is what keeps resumed runs on the
-    journaled path.
-    """
-
-    def __init__(self, primary: Stopper, fallback: Stopper | None = None):
-        self.primary = primary
-        self.fallback = fallback if fallback is not None else HeuristicStopper()
-        self._degraded_reason: str | None = None
-        self.name = f"fallback({self.primary.name}->{self.fallback.name})"
-
-    @property
-    def degraded(self) -> bool:
-        return self._degraded_reason is not None
-
-    @property
-    def degraded_reason(self) -> str | None:
-        return self._degraded_reason
-
-    def degrade(self, reason: str) -> None:
-        """Switch to the fallback stopper for the rest of the run."""
-        if self._degraded_reason is None:
-            self._degraded_reason = reason
-
-    def should_stop(self, history: Sequence[IterationRecord]) -> bool:
-        if self._degraded_reason is not None:
-            return self.fallback.should_stop(history)
-        return self.primary.should_stop(history)
-
-    def reset(self) -> None:
-        self._degraded_reason = None
-        self.primary.reset()
-        self.fallback.reset()

@@ -343,6 +343,7 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
         ["--fault-agent-at", "-2", "--fault-agent", "nan-weights"],
         ["--fault-agent", "checkpoint-truncation"],  # needs --agents-cache
         ["--expected-runs", "0"],  # refused before offline training
+        ["--tuner", "hstuner", "--fault-agent", "nan-weights"],  # no agent
     ],
 )
 def test_contradictory_flags_rejected_with_usage_error(flags):

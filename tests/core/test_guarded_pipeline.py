@@ -39,6 +39,24 @@ from repro.workloads import flash
 pytestmark = pytest.mark.guardrails
 
 
+#: The exact trips each injected fault earns in the tests below; the
+#: trip strings are part of the journal, trace and CLI output.
+WEIGHT_FAULT_TRIPS = {
+    "nan-weights": (
+        "early-stopper:non-finite-weights at iteration 0 "
+        "(q-network: non-finite weights in layer 0)",
+        "subset-picker:non-finite-weights at iteration 1 "
+        "(q-network: non-finite weights in layer 0)",
+    ),
+    "explode-weights": (
+        "early-stopper:exploded-weights at iteration 0 "
+        "(q-network: exploded weights in layer 0 (|w| up to 1e+30))",
+        "subset-picker:exploded-weights at iteration 1 "
+        "(q-network: exploded weights in layer 0 (|w| up to 1e+30))",
+    ),
+}
+
+
 def make_sim(agent_fault: str | None = None, at: int = 0) -> IOStackSimulator:
     faults = (
         FaultPlan(agent_fault=agent_fault, agent_fault_at=at, seed=1)
@@ -97,7 +115,7 @@ def test_guarded_picker_matches_raw_agent(trained_bundle):
     guarded_agent = copy.deepcopy(agents).smart_config
     raw_agent = copy.deepcopy(agents).smart_config
     picker = GuardedSubsetPicker(guarded_agent)
-    picker.reset_episode()
+    picker.reset()
     raw_agent.reset_episode()
     subset_g = subset_r = None
     for it in range(1, 9):
@@ -105,7 +123,7 @@ def test_guarded_picker_matches_raw_agent(trained_bundle):
         subset_g = picker.pick(perf, subset_g, iteration=it)
         subset_r = raw_agent.subset_picker(perf, subset_r, iteration=it)
         assert subset_g == subset_r
-    assert not picker.degraded
+    assert not picker.guard.degraded
 
 
 def test_guarded_stopper_matches_raw_stopper(trained_bundle):
@@ -119,7 +137,7 @@ def test_guarded_stopper_matches_raw_stopper(trained_bundle):
         perf = 1500.0 + 400.0 * it
         history.append(record(it, perf, perf))
         assert guarded.should_stop(history) == raw.should_stop(history)
-    assert not guarded.degraded
+    assert not guarded.guard.degraded
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +165,7 @@ def test_weight_corruption_degrades_to_plain_hstuner(trained_bundle, mode):
     assert_same_run(degraded, reference)
     guardrails = {t.guardrail for t in faulted.guardrails.trips}
     assert guardrails == {"subset-picker", "early-stopper"}
+    assert degraded.guardrail_trips == WEIGHT_FAULT_TRIPS[mode]
     assert degraded.eval_stats.guardrail_trips == len(degraded.guardrail_trips)
 
 
@@ -171,7 +190,10 @@ def test_empty_subset_fault_degrades_the_picker_only(trained_bundle):
     assert_same_run(degraded, reference)
     guardrails = {t.guardrail for t in faulted.guardrails.trips}
     assert guardrails == {"subset-picker"}
-    assert any("invalid-output" in t for t in degraded.guardrail_trips)
+    assert degraded.guardrail_trips == (
+        "subset-picker:invalid-output at iteration 1 "
+        "(picker returned an empty subset)",
+    )
 
 
 def test_stop_now_fault_degrades_the_stopper_only(trained_bundle):
@@ -196,12 +218,15 @@ def test_stop_now_fault_degrades_the_stopper_only(trained_bundle):
     assert_same_run(degraded, reference)
     guardrails = {t.guardrail for t in faulted.guardrails.trips}
     assert guardrails == {"early-stopper"}
-    assert any("degenerate-policy" in t for t in degraded.guardrail_trips)
+    assert degraded.guardrail_trips == (
+        "early-stopper:degenerate-policy at iteration 1 (stop requested at "
+        "iteration 1, inside the 4-iteration warm-up, 2 times in a row)",
+    )
 
 
 def test_constant_subset_fault_trips_the_watchdog(trained_bundle):
     """A policy collapsed onto one small subset is detected after
-    ``constant_window`` identical picks; the run completes degraded."""
+    ``CONSTANT_WINDOW`` identical picks; the run completes degraded."""
     _, normalizer, agents = trained_bundle
     tuner = TunIOTuner(
         make_sim("constant-subset", at=1),
@@ -211,7 +236,10 @@ def test_constant_subset_fault_trips_the_watchdog(trained_bundle):
     )
     result = tuner.tune(flash(), max_iterations=12)
     assert len(result.history) == 12  # completed despite the fault
-    assert any("degenerate-policy" in t for t in result.guardrail_trips)
+    assert result.guardrail_trips == (
+        "subset-picker:degenerate-policy at iteration 6 "
+        "(subset ('striping_factor', 'cb_nodes') repeated 6 times)",
+    )
     # After the trip the pipeline tunes the full parameter set again.
     assert len(result.history[-1].tuned_parameters) == 12
 

@@ -46,7 +46,7 @@ def test_expected_runs_passthrough(trained_bundle):
     tuner = build_tunio(
         sim, agents, normalizer, expected_runs=1e6, rng=np.random.default_rng(4)
     )
-    assert tuner.stopper.expected_runs == 1e6
+    assert tuner.stopper.primary.expected_runs == 1e6
 
 
 def test_session_resume_accumulates(trained_bundle):

@@ -1,8 +1,11 @@
 """TuningSpec and the one-call tune_application pipeline."""
 
+import copy
+
 import pytest
 
 from repro.core.spec import TuningOutcome, TuningSpec, tune_application
+from repro.iostack import FaultPlan, IOStackSimulator, NoiseModel, cori
 from repro.discovery.reducers import IOPathSwitching, LoopReduction
 from repro.workloads.sources import canonical_hints, load_source
 
@@ -56,6 +59,24 @@ def test_budget_constraint_enforced(trained_bundle):
     # The budget fired well before the iteration cap.
     assert len(out.result.history) < 40
     assert out.result.total_minutes < 120
+
+
+def test_budgeted_run_keeps_the_rl_stopper_guarded(trained_bundle):
+    """The minute budget is combined with the *guarded* RL stopper, so a
+    weight fault trips the early-stopper guardrail on a budgeted spec."""
+    _, _, agents = trained_bundle
+    hints = canonical_hints("macsio")
+    sim = IOStackSimulator(
+        cori(hints.n_nodes), NoiseModel(seed=6),
+        faults=FaultPlan(agent_fault="nan-weights"),
+    )
+    spec = TuningSpec(max_iterations=10, budget_minutes=60, seed=6)
+    out = tune_application(
+        load_source("macsio"), hints, spec,
+        name="macsio", agents=copy.deepcopy(agents), simulator=sim,
+    )
+    tripped = {trip.split(":")[0] for trip in out.result.guardrail_trips}
+    assert tripped == {"early-stopper", "subset-picker"}
 
 
 def test_full_application_mode(trained_bundle):

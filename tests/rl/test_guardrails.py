@@ -4,8 +4,10 @@ bookkeeping/dedup, and checkpoint schema validation."""
 import numpy as np
 import pytest
 
+from repro.iostack.faults import FaultPlan
 from repro.rl.guardrails import (
     CHECKPOINT_VERSION,
+    AgentGuard,
     CheckpointError,
     GuardrailMonitor,
     LossDivergenceMonitor,
@@ -123,6 +125,65 @@ def test_monitor_parameter_validation():
         LossDivergenceMonitor(warmup=0)
 
 
+def test_monitor_default_divergence_factor_is_1e6():
+    """Online-RL losses jump orders of magnitude on reward-scale shifts;
+    only a runaway beyond 1e6x the running mean trips by default."""
+    monitor = LossDivergenceMonitor(warmup=1)
+    assert monitor.observe(1.0) is None
+    assert monitor.observe(1e5) is None
+    assert "divergence" in monitor.observe(1e12)
+
+
+# ---------------------------------------------------------------------------
+# the agent guard
+# ---------------------------------------------------------------------------
+
+
+def test_guard_scans_labelled_networks_and_names_the_dirty_one():
+    q, model = make_net(0), make_net(1)
+    guard = AgentGuard("subset-picker", (("q-network", q), ("reward-model", model)))
+    assert guard.before_call(0) is None
+    assert not guard.degraded
+    corrupt_network(model, "explode-weights")
+    guard.before_call(1)
+    assert guard.degraded
+    assert [str(t) for t in guard.monitor.trips] == [
+        "subset-picker:exploded-weights at iteration 1 "
+        "(reward-model: exploded weights in layer 0 (|w| up to 1e+30))"
+    ]
+
+
+def test_guard_applies_an_engaged_weight_fault_once_per_run():
+    net = make_net()
+    plan = FaultPlan(agent_fault="nan-weights", agent_fault_at=2)
+    guard = AgentGuard("early-stopper", (("q-network", net),), fault_source=lambda: plan)
+    assert guard.before_call(1) is None
+    assert not guard.degraded
+    assert guard.before_call(2) == "nan-weights"
+    assert guard.degraded
+    assert not np.isfinite(net.layers[0].weight).any()
+    net.copy_from(make_net())
+    guard.before_call(3)  # still engaged, but not re-applied
+    assert np.isfinite(net.layers[0].weight).all()
+    assert len(guard.monitor.trips) == 1
+    guard.reset()
+    assert not guard.degraded
+    guard.before_call(3)  # a fresh run re-earns the trip
+    assert guard.degraded and len(guard.monitor.trips) == 2
+
+
+def test_guard_checks_telemetry_pairs_in_order_against_one_baseline():
+    guard = AgentGuard("subset-picker", ())
+    for it in range(3):
+        guard.check_training([(1.0, 1.0), (1.0, None)], it)
+    assert not guard.degraded
+    guard.check_training([(1.0, 2e6), (float("nan"), None)], 7)
+    assert [str(t) for t in guard.monitor.trips] == [
+        "subset-picker:training-divergence at iteration 7 "
+        "(gradient explosion (|grad| 2e+06 > limit 1e+06))"
+    ]
+
+
 # ---------------------------------------------------------------------------
 # trip bookkeeping
 # ---------------------------------------------------------------------------
@@ -154,14 +215,6 @@ def test_trip_string_is_self_describing():
     monitor = GuardrailMonitor()
     trip = monitor.trip("early-stopper", "degenerate-policy", "stop at t=1", iteration=1)
     assert str(trip) == "early-stopper:degenerate-policy at iteration 1 (stop at t=1)"
-
-
-def test_describe_counts_repeats():
-    monitor = GuardrailMonitor()
-    assert monitor.describe() == "clean"
-    monitor.trip("subset-picker", "invalid-output", "empty subset")
-    monitor.trip("subset-picker", "invalid-output", "empty subset")
-    assert "x2" in monitor.describe()
 
 
 def test_reset_rearms_dedup():
