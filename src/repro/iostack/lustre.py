@@ -131,7 +131,7 @@ def serve_lustre(
         if stream.alignment >= stripe_size and stream.alignment % stripe_size == 0:
             conflict *= 0.3
         conflict_ops = stream.total_ops * conflict
-        revocation = 3.0 * (platform.rpc_latency + float(sizes.mean()) / ost_bw)
+        revocation = 3.0 * (platform.rpc_latency + stream.mean_size / ost_bw)
         # Spreading objects over OSTs relieves revocation queues only
         # weakly (quarter power): conflicts follow the byte-range
         # interleaving, which striping does not change.

@@ -145,6 +145,7 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ValueError("duplicate parameter names in space")
         self._params: tuple[Parameter, ...] = tuple(parameters)
+        self._names: tuple[str, ...] = tuple(names)
         self._by_name: dict[str, Parameter] = {p.name: p for p in self._params}
 
     # -- container protocol -------------------------------------------------
@@ -174,7 +175,7 @@ class ParameterSpace:
     @property
     def names(self) -> tuple[str, ...]:
         """Parameter names in genome order."""
-        return tuple(p.name for p in self._params)
+        return self._names
 
     @property
     def cardinalities(self) -> tuple[int, ...]:

@@ -12,7 +12,8 @@ the stack parameters act on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 from typing import Literal
 
 import numpy as np
@@ -82,7 +83,13 @@ class RequestStream:
         sizes = np.asarray(self.sizes, dtype=np.float64)
         if sizes.ndim != 1 or sizes.size == 0:
             raise ValueError("sizes must be a non-empty 1-D array")
-        if np.any(sizes <= 0):
+        # A NaN or infinite size makes the mean non-finite, so one
+        # reduction both validates the sample and yields ``mean_size``
+        # (sum / size is exactly what ``ndarray.mean`` computes).
+        mean = float(sizes.sum() / sizes.size)
+        if not math.isfinite(mean):
+            raise ValueError("request sizes must be finite")
+        if sizes.min() <= 0:
             raise ValueError("request sizes must be positive")
         if sizes.size > MAX_SAMPLE:
             raise ValueError(f"sample longer than MAX_SAMPLE={MAX_SAMPLE}")
@@ -101,6 +108,7 @@ class RequestStream:
         if self.nodes < 0:
             raise ValueError("nodes must be >= 0")
         object.__setattr__(self, "sizes", sizes)
+        object.__setattr__(self, "_mean_size", mean)
 
     def nodes_spanned(self, n_nodes: int, procs_per_node: int) -> int:
         """Nodes the issuing processes occupy on a given machine shape."""
@@ -114,7 +122,7 @@ class RequestStream:
     @property
     def mean_size(self) -> float:
         """Mean request size of the sample, in bytes."""
-        return float(self.sizes.mean())
+        return self._mean_size
 
     @property
     def scale(self) -> float:
@@ -183,9 +191,9 @@ class RequestStream:
         reduced kernel back to full-application volume."""
         if factor <= 0:
             raise ValueError("factor must be positive")
-        return replace(
-            self,
-            total_ops=max(1, int(round(self.total_ops * factor))),
+        return self.with_sizes(
+            self.sizes,
+            max(1, int(round(self.total_ops * factor))),
             total_bytes=max(1, int(round(self.total_bytes * factor))),
         )
 
@@ -194,17 +202,32 @@ class RequestStream:
         sizes: np.ndarray,
         total_ops: int,
         total_bytes: int | None = None,
-        **overrides: object,
+        *,
+        n_procs: int | None = None,
+        contiguity: float | None = None,
+        interleave: float | None = None,
+        alignment: int | None = None,
+        nodes: int | None = None,
     ) -> "RequestStream":
-        """A new stream with a transformed size sample and totals."""
-        if total_bytes is None:
-            total_bytes = self.total_bytes  # transforms usually conserve bytes
-        return replace(
-            self,
-            sizes=np.asarray(sizes, dtype=np.float64),
+        """A new stream with a transformed size sample and totals; the
+        keyword arguments override the matching fields, the rest are
+        kept.  Built by a direct constructor call (every
+        ``__post_init__`` check still runs): transforms sit on the
+        per-trace path, where ``dataclasses.replace`` costs more than
+        the arithmetic."""
+        return RequestStream(
+            op=self.op,
+            sizes=sizes,
             total_ops=total_ops,
-            total_bytes=total_bytes,
-            **overrides,  # type: ignore[arg-type]
+            # transforms usually conserve bytes
+            total_bytes=self.total_bytes if total_bytes is None else total_bytes,
+            n_procs=self.n_procs if n_procs is None else n_procs,
+            shared_file=self.shared_file,
+            contiguity=self.contiguity if contiguity is None else contiguity,
+            interleave=self.interleave if interleave is None else interleave,
+            collective_capable=self.collective_capable,
+            alignment=self.alignment if alignment is None else alignment,
+            nodes=self.nodes if nodes is None else nodes,
         )
 
     def aligned(self, boundary: int) -> "RequestStream":
@@ -215,12 +238,7 @@ class RequestStream:
         what changes is how requests map onto stripes downstream."""
         if boundary <= 1:
             return self
-        return self.with_sizes(
-            self.sizes,
-            self.total_ops,
-            total_bytes=self.total_bytes,
-            alignment=boundary,
-        )
+        return self.with_sizes(self.sizes, self.total_ops, alignment=boundary)
 
     def coalesce(self, buffer_size: int) -> "RequestStream":
         """Greedily merge consecutive sequential requests into buffers of

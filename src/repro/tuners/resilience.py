@@ -146,7 +146,8 @@ class ResilientEvaluator:
     # -- quarantine -------------------------------------------------------------
 
     def is_quarantined(self, config: StackConfiguration) -> bool:
-        return config_digest(config) in self.quarantine
+        # Most runs never quarantine anything: skip the digest then.
+        return bool(self.quarantine) and config_digest(config) in self.quarantine
 
     def _quarantine(self, config: StackConfiguration, cause: Exception) -> None:
         self.quarantine[config_digest(config)] = repr(config)

@@ -25,6 +25,10 @@ def test_small_streams_sample_everything():
 def test_lognormal_stream_consistent_totals(rng):
     s = RequestStream.lognormal("write", 4096, 1.0, 10_000, 16, rng)
     assert s.total_bytes == pytest.approx(s.mean_size * s.total_ops, abs=1.0)
+    # the stored mean is bit-identical to the sample's, as is a transform's
+    assert s.mean_size == float(s.sizes.mean())
+    merged = s.coalesce(64 * 1024)
+    assert merged.mean_size == float(merged.sizes.mean())
     assert np.all(s.sizes >= 1.0)
 
 
@@ -39,6 +43,11 @@ def test_lognormal_stream_consistent_totals(rng):
         dict(alignment=0),
         dict(nodes=-1),
         dict(op="append"),
+        dict(sizes=np.array([np.nan, 10.0])),
+        dict(sizes=np.array([np.inf, 10.0])),
+        dict(sizes=np.array([-np.inf, 10.0])),
+        dict(sizes=np.array([0.0, 10.0])),
+        dict(sizes=np.array([-5.0, 10.0])),
     ],
 )
 def test_invalid_fields_rejected(kwargs):
@@ -83,6 +92,21 @@ def test_aligned_preserves_bytes_and_sets_marker():
     assert a.alignment == 1024 * 1024
     assert a.total_bytes == s.total_bytes
     assert a.total_ops == s.total_ops
+
+
+def test_with_sizes_overrides_only_the_named_fields():
+    s = RequestStream.uniform(
+        "read", 4096, 100, 8, shared_file=False, contiguity=0.5, interleave=0.3,
+        collective_capable=False,
+    )
+    t = s.with_sizes(s.sizes * 2, 50, n_procs=2, nodes=3)
+    assert (t.op, t.total_ops, t.total_bytes) == ("read", 50, s.total_bytes)
+    assert (t.n_procs, t.nodes, t.alignment) == (2, 3, 1)
+    assert (t.shared_file, t.contiguity, t.interleave) == (False, 0.5, 0.3)
+    assert not t.collective_capable
+    assert t.mean_size == 2 * s.mean_size
+    with pytest.raises(ValueError):
+        s.with_sizes(s.sizes, 50, contiguity=float("nan"))
 
 
 def test_aligned_noop_for_boundary_one():

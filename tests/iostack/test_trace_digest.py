@@ -1,0 +1,44 @@
+"""Pinned trace digest: the layer models' arithmetic is bit-reproducible.
+
+One sha256 over ``repr`` of every trace the simulator builds for the
+bundled workloads, a loop-reduced kernel and a memory-tier variant, each
+under the default configuration and 60 seeded random ones.  ``repr`` of
+a trace spells every float at full round-trip precision, so any change
+to the HDF5, MPI-IO, Lustre or POSIX models that moves a single bit of a
+service time, byte count or op count changes the digest.
+
+``tests/test_fastpath_equivalence.py`` cannot catch such a change: its
+reference simulator calls the same layer functions.  This digest was
+recorded before the per-trace overhead work (single ``mean_size``,
+direct stream construction, once-per-node-count platform scaling) and
+must survive it unchanged.
+"""
+
+import hashlib
+
+import numpy as np
+
+from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
+from repro.workloads import bdcats, flash, hacc, ior, macsio_vpic_dipole, vpic
+
+TRACE_DIGEST = "1183ca46059b9ea2393ac3d0b1327563bf6e485a0db39e2f7d073de397591b55"
+
+RANDOM_CONFIGS = 60
+
+
+def workloads():
+    yield from (flash(), hacc(), vpic(), bdcats(), ior(), macsio_vpic_dipole())
+    yield macsio_vpic_dipole().loop_reduced(0.01)
+    yield vpic().switched_to_memory()
+
+
+def test_traces_are_pinned():
+    sim = IOStackSimulator(cori(), NoiseModel.quiet())
+    rng = np.random.default_rng(2026)
+    h = hashlib.sha256()
+    for workload in workloads():
+        configs = [StackConfiguration.default()]
+        configs += [StackConfiguration.random(rng) for _ in range(RANDOM_CONFIGS)]
+        for config in configs:
+            h.update(repr(sim.trace(workload, config)).encode())
+    assert h.hexdigest() == TRACE_DIGEST

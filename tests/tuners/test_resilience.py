@@ -15,6 +15,7 @@ from repro.iostack import (
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.evalcache import EvaluationStats
 from repro.iostack.faults import EvaluationError
+from repro.tuners import resilience
 from repro.tuners.resilience import HarnessError, ResilientEvaluator, RetryPolicy
 from tests.conftest import make_workload
 
@@ -22,6 +23,10 @@ from tests.conftest import make_workload
 @pytest.fixture
 def workload():
     return make_workload()
+
+
+def _digest_forbidden(config):
+    raise AssertionError("config_digest called")
 
 
 def harness(faults=None, policy=None, cache=None, seed=11):
@@ -136,7 +141,7 @@ def test_quarantined_config_short_circuits(workload):
     assert h.clock.elapsed_seconds == t0 + h.clock.setup_overhead
 
 
-def test_quarantine_state_round_trip(workload):
+def test_quarantine_state_round_trip(workload, monkeypatch):
     plan = FaultPlan(seed=0)
     config = StackConfiguration.default()
     plan.poison(config)
@@ -144,8 +149,18 @@ def test_quarantine_state_round_trip(workload):
     h.evaluate(workload, [config], repeats=3)
     state = h.quarantine_state()
     other = harness()
+    with monkeypatch.context() as m:
+        # an empty quarantine answers without digesting the configuration
+        m.setattr(resilience, "config_digest", _digest_forbidden)
+        assert not other.is_quarantined(config)
     other.restore_quarantine(state)
     assert other.is_quarantined(config)
+    # the restored entry is honoured: worst case served, nothing traced
+    assert other.evaluate(workload, [config], repeats=3) == [other.policy.worst_case_perf]
+    assert other.stats.traces_built == 0
+    # a configuration outside the quarantine is still traced
+    other.evaluate(workload, [config.with_values(striping_factor=8)], repeats=3)
+    assert other.stats.traces_built == 1
 
 
 # -- timeout -------------------------------------------------------------------
