@@ -117,6 +117,31 @@ class RequestStream:
         packed = -(-self.n_procs // procs_per_node)  # ceil div
         return max(1, min(packed, n_nodes))
 
+    def memo_key(self) -> tuple:
+        """The stream's key in a layer memo (see
+        :meth:`~repro.iostack.simulator.IOStackSimulator.memo_scope`).
+
+        Every field enters; ``sizes`` by the identity of its array, so a
+        key never hashes a sample.  Transforms that leave the sizes alone
+        share the array, which is what lets their outputs hit.  An
+        equal-content copy of ``sizes`` gets a different key: a miss,
+        never a false hit.  The id stays valid only while the array
+        lives, so a memo entry must hold the stream it was keyed by.
+        """
+        return (
+            self.op,
+            id(self.sizes),
+            self.total_ops,
+            self.total_bytes,
+            self.n_procs,
+            self.shared_file,
+            self.contiguity,
+            self.interleave,
+            self.collective_capable,
+            self.alignment,
+            self.nodes,
+        )
+
     # -- derived quantities ---------------------------------------------------
 
     @property

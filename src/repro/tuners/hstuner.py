@@ -26,6 +26,10 @@ own factor slice.  That is bit-identical to a per-individual,
 per-repeat loop: same fitnesses, same noise-stream consumption, same
 clock charges.
 
+Each :meth:`tune` and :meth:`resume` runs inside the simulator's
+:meth:`~repro.iostack.simulator.IOStackSimulator.memo_scope`, so its
+traces share layer results and nothing of them outlives the call.
+
 Each :meth:`tune` builds a fresh evaluator, and the evaluator counts the
 run's work on its own record; :attr:`TuningResult.eval_stats` is a copy
 of it, completed with the fault, guardrail and resume pre-warm counts
@@ -246,6 +250,16 @@ class HSTuner(Tuner):
     def tune(self, workload: WorkloadLike, max_iterations: int = 50) -> TuningResult:
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
+        # The simulator shares layer results between this run's traces
+        # only; the scope is released however the run ends.
+        with self.simulator.memo_scope():
+            self._start_run(workload, max_iterations)
+            self._run_iterations(max_iterations)
+        return self._result
+
+    def _start_run(self, workload: WorkloadLike, max_iterations: int) -> None:
+        """Reset the run state, evaluate the baseline and build the GA
+        engine that :meth:`_run_iterations` steps."""
         self.clock.reset()
         self.stopper.reset()
         self._resilient = ResilientEvaluator(
@@ -363,8 +377,6 @@ class HSTuner(Tuner):
         self._result = result
         self._generation_evals = generation_evals
         self._workload = workload
-        self._run_iterations(max_iterations)
-        return result
 
     def resume(self, extra_iterations: int) -> TuningResult:
         """Continue a finished :meth:`tune` run for more iterations,
@@ -373,7 +385,8 @@ class HSTuner(Tuner):
             raise RuntimeError("nothing to resume; call tune() first")
         if extra_iterations < 1:
             raise ValueError("extra_iterations must be >= 1")
-        self._run_iterations(extra_iterations)
+        with self.simulator.memo_scope():
+            self._run_iterations(extra_iterations)
         return self._result
 
     def _perturbed(self, seed: Individual, rng: np.random.Generator) -> Individual:

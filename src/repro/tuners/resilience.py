@@ -321,6 +321,9 @@ class ResilientEvaluator:
         rejected submission.  With ``charge`` false nothing touches the
         clock (the untuned baseline is not tuning time).
         """
+        # Checked before anything is counted, built or cached.
+        if repeats < 1:
+            raise ValueError("repeats must be >= 1")
         self.stats.evaluations += len(configs)
         factors = self.simulator.noise.sample_factors(repeats * len(configs))
         traces = self._traces(workload, configs, charge)

@@ -7,6 +7,8 @@ integration fixtures (trained agents) are session-scoped.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -17,11 +19,28 @@ from repro.iostack import (
     TUNED_SPACE,
     cori,
 )
+from repro.iostack import simulator as simulator_module
 from repro.iostack.cluster import testbed as make_testbed
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.workloads import Workload
 from repro.workloads.base import LoopGroup
+
+
+@pytest.fixture
+def layer_calls(monkeypatch) -> Counter:
+    """Counts, by name, of the memoized layer models' calls from
+    :meth:`IOStackSimulator.trace`."""
+    calls: Counter = Counter()
+    for name in ("apply_hdf5", "apply_mpiio", "serve_lustre"):
+        layer = getattr(simulator_module, name)
+
+        def counted(*args, _name=name, _layer=layer):
+            calls[_name] += 1
+            return _layer(*args)
+
+        monkeypatch.setattr(simulator_module, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -1,5 +1,7 @@
 """Request and metadata stream representation and transforms."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +141,42 @@ def test_nodes_spanned_inference():
     sparse = RequestStream.uniform("write", 100, 100, 64, nodes=50)
     assert sparse.nodes_spanned(n_nodes=500, procs_per_node=32) == 50
     assert sparse.nodes_spanned(n_nodes=10, procs_per_node=32) == 10
+
+
+# -- memo keys ----------------------------------------------------------------------
+
+
+def test_memo_key_differs_in_every_single_field():
+    base = RequestStream.uniform("write", 4096, 100, 4)
+    changed = {
+        "op": "read",
+        "sizes": base.sizes * 2.0,
+        "total_ops": base.total_ops + 1,
+        "total_bytes": base.total_bytes + 1,
+        "n_procs": base.n_procs + 1,
+        "shared_file": not base.shared_file,
+        "contiguity": 0.5,
+        "interleave": 0.5,
+        "collective_capable": not base.collective_capable,
+        "alignment": 4096,
+        "nodes": 2,
+    }
+    assert set(changed) == {f.name for f in dataclasses.fields(RequestStream)}
+    # Held alive, so no size array's id can be reused mid-test.
+    variants = [dataclasses.replace(base, **{k: v}) for k, v in changed.items()]
+    keys = {base.memo_key()} | {v.memo_key() for v in variants}
+    assert len(keys) == len(variants) + 1
+
+
+def test_memo_key_holds_sizes_by_identity():
+    base = RequestStream.uniform("write", 4096, 100, 4, alignment=4096)
+    # Transforms that keep the sizes share the array, and so the key.
+    kept = base.with_sizes(base.sizes, base.total_ops)
+    assert kept.memo_key() == base.memo_key()
+    # An equal-content copy misses: it never hits falsely.
+    copy = dataclasses.replace(base, sizes=base.sizes.copy())
+    assert np.array_equal(copy.sizes, base.sizes)
+    assert copy.memo_key() != base.memo_key()
 
 
 # -- metadata stream --------------------------------------------------------------

@@ -1,9 +1,12 @@
 """The composed stack simulator and Darshan reports."""
 
+from collections import Counter
+
 import pytest
 
 from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
 from repro.iostack.cluster import testbed as make_testbed
+from repro.workloads import Workload
 from tests.conftest import make_workload
 
 MiB = 1024 * 1024
@@ -63,6 +66,13 @@ def test_evaluate_rejects_zero_repeats(sim, default_config, small_workload):
         sim.evaluate(small_workload, default_config, repeats=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1.0])
+def test_evaluate_trace_rejects_nonsense_noise_factors(sim, default_config, small_workload, bad):
+    trace = sim.trace(small_workload, default_config)
+    with pytest.raises(ValueError, match="noise factor 1 must be finite and positive"):
+        sim.evaluate_trace_with_factors(trace, [1.0, bad, 1.0])
+
+
 def test_tuned_beats_default(quiet_sim, default_config, tuned_config):
     from repro.workloads import flash
 
@@ -98,3 +108,65 @@ def test_report_summary_keys(sim, default_config, small_workload):
         "write_bandwidth_mbps", "meta_ops",
     ):
         assert key in summary
+
+
+# -- layer memo --------------------------------------------------------------------
+
+
+def traced_calls(sim, calls, workload, config):
+    """The trace of ``workload`` under ``config`` and its layer calls."""
+    before = Counter(calls)
+    trace = sim.trace(workload, config)
+    return trace, calls - before
+
+
+def test_traces_in_one_scope_share_layer_results(sim, default_config, layer_calls):
+    w = make_workload()
+    first, first_calls = traced_calls(sim, layer_calls, w, default_config)
+    # Outside a scope every trace pays in full.
+    again, again_calls = traced_calls(sim, layer_calls, w, default_config)
+    assert again == first and again_calls == first_calls
+    with sim.memo_scope():
+        traced_calls(sim, layer_calls, w, default_config)
+        hit, hit_calls = traced_calls(sim, layer_calls, w, default_config)
+        # Only the lustre slice changed: HDF5 and MPI-IO are served
+        # from the memo.
+        wider = default_config.with_values(striping_factor=16)
+        wider_trace, wider_calls = traced_calls(sim, layer_calls, w, wider)
+    assert hit == first and not hit_calls
+    assert set(wider_calls) == {"serve_lustre"}
+    assert wider_trace == sim.trace(w, wider)
+
+
+def test_equal_content_sizes_miss_the_memo(sim, default_config, layer_calls):
+    a, b = make_workload(), make_workload()
+    with sim.memo_scope():
+        trace_a, calls_a = traced_calls(sim, layer_calls, a, default_config)
+        trace_b, calls_b = traced_calls(sim, layer_calls, b, default_config)
+    assert trace_a == trace_b
+    assert calls_b == calls_a
+
+
+def test_memo_scope_is_released_on_exit_and_on_raise(sim):
+    assert sim._memo is None
+    with sim.memo_scope():
+        outer = sim._memo
+        with sim.memo_scope():
+            assert sim._memo is not outer
+        assert sim._memo is outer
+    assert sim._memo is None
+    with pytest.raises(RuntimeError):
+        with sim.memo_scope():
+            raise RuntimeError("mid-run failure")
+    assert sim._memo is None
+
+
+def test_memo_keys_pin_the_node_count(default_config):
+    sim = IOStackSimulator(cori(4), NoiseModel.quiet())
+    small = make_workload(n_procs=64, n_nodes=1)
+    # The same phase objects on twice the nodes.
+    big = Workload(name=small.name, n_procs=64, n_nodes=2, loops=small.loops)
+    expected = IOStackSimulator(cori(4), NoiseModel.quiet()).trace(big, default_config)
+    with sim.memo_scope():
+        assert sim.trace(small, default_config) != expected
+        assert sim.trace(big, default_config) == expected

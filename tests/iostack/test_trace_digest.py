@@ -11,10 +11,13 @@ service time, byte count or op count changes the digest.
 reference simulator calls the same layer functions.  This digest was
 recorded before the per-trace overhead work (single ``mean_size``,
 direct stream construction, once-per-node-count platform scaling) and
-must survive it unchanged.
+must survive it unchanged.  It must also survive the layer memo: the
+same traces built inside one shared :meth:`IOStackSimulator.memo_scope`,
+each after a one-gene mutant that fills the memo, give the same digest.
 """
 
 import hashlib
+from collections import Counter
 
 import numpy as np
 
@@ -42,3 +45,39 @@ def test_traces_are_pinned():
         for config in configs:
             h.update(repr(sim.trace(workload, config)).encode())
     assert h.hexdigest() == TRACE_DIGEST
+
+
+def one_gene_mutant(config, rng):
+    """``config`` with one gene moved to another of its values."""
+    genome = config.genome()
+    i = int(rng.integers(genome.size))
+    cardinality = config.space.cardinalities[i]
+    genome[i] = (genome[i] + 1 + rng.integers(cardinality - 1)) % cardinality
+    return StackConfiguration.from_genome(config.space, genome)
+
+
+def test_traces_are_pinned_inside_one_shared_memo_scope(layer_calls):
+    sim = IOStackSimulator(cori(), NoiseModel.quiet())
+    rng = np.random.default_rng(2026)
+    mutant_rng = np.random.default_rng(7)
+    h = hashlib.sha256()
+    pinned_calls = Counter()
+    phases = lustre_streams = 0
+    with sim.memo_scope():
+        for workload in workloads():
+            configs = [StackConfiguration.default()]
+            configs += [StackConfiguration.random(rng) for _ in range(RANDOM_CONFIGS)]
+            for config in configs:
+                sim.trace(workload, one_gene_mutant(config, mutant_rng))
+                before = Counter(layer_calls)
+                h.update(repr(sim.trace(workload, config)).encode())
+                pinned_calls.update(layer_calls - before)
+                phases += len(workload.phases())
+                lustre_streams += sum(
+                    len(p.data) for p in workload.phases() if p.tier == "lustre"
+                )
+    assert h.hexdigest() == TRACE_DIGEST
+    # The pinned traces were served partly from the memo.
+    assert pinned_calls["apply_hdf5"] < phases
+    assert pinned_calls["apply_mpiio"] < lustre_streams
+    assert pinned_calls["serve_lustre"] < lustre_streams

@@ -190,3 +190,44 @@ def test_tuners_sharing_a_cache_count_only_their_own_work(sim):
     assert b.traces_built == b.cache_misses == len(cache) - a.traces_built
     assert b.trace_replays == second.repeats * b.evaluations
 
+
+# -- layer memo lifetime -----------------------------------------------------------
+
+
+def test_tune_and_resume_leave_no_layer_memo(sim):
+    tuner = small_tuner(sim)
+    tuner.tune(make_workload(), max_iterations=3)
+    assert sim._memo is None
+    tuner.resume(2)
+    assert sim._memo is None
+
+
+def test_a_tune_that_raises_leaves_no_layer_memo(sim):
+    tuner = small_tuner(sim)
+
+    def fail_from_third(record):
+        if record.iteration >= 2:
+            raise RuntimeError("mid-run failure")
+
+    tuner._observe_iteration = fail_from_third
+    with pytest.raises(RuntimeError, match="mid-run failure"):
+        tuner.tune(make_workload(), max_iterations=5)
+    assert sim._memo is None
+    with pytest.raises(RuntimeError, match="mid-run failure"):
+        tuner.resume(1)
+    assert sim._memo is None
+
+
+def test_each_tune_starts_with_an_empty_layer_memo(layer_calls):
+    sim = IOStackSimulator(cori(2), NoiseModel.quiet())
+    workload = make_workload()
+    streams_per_trace = sum(len(p.data) for p in workload.phases())
+    counts, results = [], []
+    for _ in range(2):
+        layer_calls.clear()
+        results.append(small_tuner(sim, seed=4).tune(workload, max_iterations=4))
+        counts.append(layer_calls["serve_lustre"])
+    assert counts[0] == counts[1] > 0
+    assert np.array_equal(results[0].perf_series(), results[1].perf_series())
+    # Within a tune the memo serves part of the traffic.
+    assert counts[0] < results[0].eval_stats.traces_built * streams_per_trace

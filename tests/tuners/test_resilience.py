@@ -77,6 +77,16 @@ def test_happy_path_is_bit_identical_to_bare_fastpath(workload):
     )
 
 
+@pytest.mark.parametrize("repeats", [0, -2])
+def test_bad_repeats_are_rejected_before_any_state_changes(workload, repeats):
+    h = harness()
+    with pytest.raises(ValueError, match="repeats must be >= 1"):
+        h.evaluate(workload, [StackConfiguration.default()], repeats=repeats)
+    assert h.stats == EvaluationStats()
+    assert len(h.cache) == 0
+    assert h.simulator.noise.position == 0
+
+
 def test_charge_false_leaves_the_clock_untouched(workload):
     h = harness()
     h.evaluate(workload, [StackConfiguration.default()], repeats=3,
