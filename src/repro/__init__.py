@@ -49,7 +49,6 @@ from repro.core import (
     TunIOTuner,
     TuningSession,
     build_tunio,
-    perf_objective,
     roti,
     roti_curve,
     train_tunio_agents,
@@ -96,7 +95,6 @@ __all__ = [
     "TunIOTuner",
     "TuningSession",
     "build_tunio",
-    "perf_objective",
     "roti",
     "roti_curve",
     "train_tunio_agents",

@@ -14,7 +14,7 @@ from .early_stopping import (
     OfflineTrainingReport,
     RLStopper,
 )
-from .objective import PerfNormalizer, perf_objective
+from .objective import PerfNormalizer
 from .offline_training import (
     SweepResult,
     TunIOAgents,
@@ -38,7 +38,6 @@ __all__ = [
     "OfflineTrainingReport",
     "RLStopper",
     "PerfNormalizer",
-    "perf_objective",
     "SweepResult",
     "TunIOAgents",
     "impact_from_sweeps",

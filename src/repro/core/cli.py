@@ -62,9 +62,6 @@ from repro.observability.metrics import (
     resilience_line,
     snapshot_degraded,
 )
-from repro.observability.profiling import Profiler
-from repro.observability.profiling import activate as activate_profiler
-from repro.observability.profiling import deactivate as deactivate_profiler
 from repro.observability.recorder import NULL_RECORDER, Recorder, TraceRecorder
 from repro.observability.report import baseline_line, final_line, iteration_line
 from repro.rl.guardrails import CheckpointError
@@ -194,13 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     obs.add_argument(
         "--metrics-out", type=str, default=None, metavar="PATH",
-        help="write the run's metrics snapshot (counters, gauges, "
-             "timers) to PATH as JSON",
-    )
-    obs.add_argument(
-        "--profile", action="store_true",
-        help="time the pipeline's hot paths (stack traversal, NN "
-             "forward/backward, journal fsync) and print a span report",
+        help="write the run's metrics snapshot (counters and gauges) "
+             "to PATH as JSON",
     )
     return parser
 
@@ -224,10 +216,6 @@ def build_resume_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--metrics-out", type=str, default=None, metavar="PATH",
         help="write the resumed run's metrics snapshot to PATH as JSON",
-    )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="print a profiling span report for the resumed run",
     )
     return parser
 
@@ -376,7 +364,6 @@ def _resume(argv: list[str]) -> int:
     # generations are re-emitted, so a resume trace stands alone).
     args.trace_out = resume_args.trace_out
     args.metrics_out = resume_args.metrics_out
-    args.profile = resume_args.profile
     print(
         f"resuming {args.workload} from {resume_args.journal} "
         f"({len(journal.generations)} journaled generations)"
@@ -395,20 +382,15 @@ def _truncate_checkpoint(path: str) -> None:
 def _run(args: argparse.Namespace, replay: ReplayCursor | None) -> int:
     """Set up the observability surfaces, then run the campaign.
 
-    The recorder and profiler are pure observers (no RNG, no clock), so
-    a traced or profiled run stays bit-identical to a bare one.
+    The recorder is a pure observer (no RNG, no clock), so a traced run
+    stays bit-identical to a bare one.
     """
     recorder = (
         TraceRecorder(args.trace_out) if args.trace_out else NULL_RECORDER
     )
-    profiler = Profiler() if args.profile else None
-    if profiler is not None:
-        activate_profiler(profiler)
     try:
-        return _run_tuning(args, replay, recorder, profiler)
+        return _run_tuning(args, replay, recorder)
     finally:
-        if profiler is not None:
-            deactivate_profiler()
         recorder.close()
 
 
@@ -477,7 +459,6 @@ def _run_tuning(
     args: argparse.Namespace,
     replay: ReplayCursor | None,
     recorder: Recorder,
-    profiler: Profiler | None,
 ) -> int:
     if recorder.enabled:
         recorder.emit(
@@ -582,7 +563,7 @@ def _run_tuning(
     print("\n" + final_line(result))
     if checkpoint_trip is not None:
         result.guardrail_trips = (checkpoint_trip,) + result.guardrail_trips
-    snapshot = metrics_snapshot(result, cache=eval_cache, profiler=profiler)
+    snapshot = metrics_snapshot(result, cache=eval_cache)
     if result.eval_stats is not None:
         print(f"fastpath: {fastpath_line(snapshot)}")
         if snapshot_degraded(snapshot):
@@ -597,9 +578,6 @@ def _run_tuning(
     if result.best_config is not None:
         print("\nH5Tuner override file:")
         print(to_xml(result.best_config))
-    if profiler is not None:
-        print()
-        print(profiler.report())
     return 0
 
 

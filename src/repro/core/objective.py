@@ -1,11 +1,11 @@
-"""The paper's I/O performance objective and its normalisations.
+"""The normalisation of the paper's I/O performance objective.
 
-``perf = (1 - alpha) * BW_r + alpha * BW_w`` where alpha is the ratio of
-bytes written over total bytes transferred and the bandwidths are in
-MB/s.  The RL agents consume *normalised* perf: the paper normalises by
-``1 / (BW_single x num_nodes)`` -- one node's achievable bandwidth times
-the node count -- and normalises subset sizes by the total parameter
-count.
+``perf = (1 - alpha) * BW_r + alpha * BW_w`` (computed by
+:meth:`~repro.iostack.simulator.IOStackSimulator.evaluate_trace_with_factors`),
+where alpha is the ratio of bytes written over total bytes transferred
+and the bandwidths are in MB/s.  The RL agents consume *normalised*
+perf: the paper normalises by ``1 / (BW_single x num_nodes)`` -- one
+node's achievable bandwidth times the node count.
 """
 
 from __future__ import annotations
@@ -17,27 +17,7 @@ from repro.iostack.cluster import Platform
 from repro.iostack.faults import EvaluationError
 from repro.iostack.units import bytes_per_sec_to_mb_per_sec
 
-__all__ = ["perf_objective", "PerfNormalizer"]
-
-
-def perf_objective(write_bw_mbps: float, read_bw_mbps: float, alpha: float) -> float:
-    """The paper's objective, in MB/s.
-
-    ``alpha`` is the write fraction of transferred bytes in [0, 1].
-    Non-finite bandwidths raise :class:`~repro.iostack.faults.EvaluationError`
-    (a corrupted measurement is a retryable evaluation failure, not a
-    crash of the tuning loop).
-    """
-    if not 0.0 <= alpha <= 1.0:
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
-    if not (math.isfinite(write_bw_mbps) and math.isfinite(read_bw_mbps)):
-        raise EvaluationError(
-            f"non-finite bandwidth measurement: write={write_bw_mbps!r} "
-            f"read={read_bw_mbps!r}"
-        )
-    if write_bw_mbps < 0 or read_bw_mbps < 0:
-        raise ValueError("bandwidths must be >= 0")
-    return (1.0 - alpha) * read_bw_mbps + alpha * write_bw_mbps
+__all__ = ["PerfNormalizer"]
 
 
 @dataclass(frozen=True)
@@ -92,16 +72,3 @@ class PerfNormalizer:
         if perf_mbps < 0:
             raise ValueError("perf must be >= 0")
         return perf_mbps / self.scale_mbps
-
-    def denormalize(self, value: float) -> float:
-        return value * self.scale_mbps
-
-    def normalized_subset_reward(
-        self, perf_mbps: float, subset_size: int, total_parameters: int
-    ) -> float:
-        """The Smart Configuration Generation reward:
-        ``norm(perf) / norm(num_parameters_subset)`` -- performance per
-        tuned parameter, favouring small high-impact subsets."""
-        if not 1 <= subset_size <= total_parameters:
-            raise ValueError("subset_size must be in [1, total_parameters]")
-        return self.normalize(perf_mbps) / (subset_size / total_parameters)

@@ -63,19 +63,6 @@ class RoTICurve:
         """RoTI at the end of the run (what the user actually got)."""
         return float(self.values[-1])
 
-    def at_minutes(self, minutes: float) -> float:
-        """RoTI at (or just before) a given tuning time.
-
-        Duplicate time points are legal (a retry- or straggler-charged
-        iteration can end at the same ``elapsed_minutes`` as its
-        predecessor); querying a tied timestamp returns the *last*
-        record at it -- ``side="right"`` places the insertion point past
-        every tie, so the ``- 1`` lands on the final one.
-        """
-        idx = int(np.searchsorted(self.minutes, minutes, side="right")) - 1
-        if idx < 0:
-            raise ValueError(f"no RoTI data at or before {minutes} minutes")
-        return float(self.values[idx])
 
 
 def roti_curve(result: TuningResult) -> RoTICurve:

@@ -24,9 +24,6 @@ COLUMN_LIMIT = 200
 
 _NO_SPACE_BEFORE = {";", ",", ")", "]", "++", "--", ".", "->"}
 _NO_SPACE_AFTER = {"(", "[", "!", "~", ".", "->"}
-_UNARY_CONTEXT = {"(", "[", ",", "=", "+", "-", "*", "/", "%", "<", ">", "<=", ">=",
-                  "==", "!=", "&&", "||", "!", "&", "|", "^", "return", ";", "{",
-                  "+=", "-=", "*=", "/=", "?", ":"}
 
 
 def _join(tokens: list[Token]) -> str:

@@ -111,9 +111,6 @@ class ParsedSource:
     #: function name -> lines that call it.
     call_sites: dict[str, list[int]] = field(default_factory=dict)
 
-    def line_calls(self, index: int) -> tuple[CallInfo, ...]:
-        return self.lines[index].calls
-
     def enclosing_headers(self, index: int) -> list[int]:
         """All transitive contextual parents of a line, innermost first."""
         out: list[int] = []

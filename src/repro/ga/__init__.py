@@ -9,13 +9,11 @@ from .engine import EvolutionEngine, GenerationStats
 from .individual import Individual
 from .operators import (
     apply_mask,
-    indexed_mutation,
-    one_point_crossover,
     repair_individual,
     uniform_crossover,
     uniform_reset_mutation,
 )
-from .selection import elites, tournament_pair, tournament_selection
+from .selection import elites, tournament_pair
 from .toolbox import Toolbox
 
 __all__ = [
@@ -23,13 +21,10 @@ __all__ = [
     "GenerationStats",
     "Individual",
     "apply_mask",
-    "indexed_mutation",
-    "one_point_crossover",
     "repair_individual",
     "uniform_crossover",
     "uniform_reset_mutation",
     "elites",
     "tournament_pair",
-    "tournament_selection",
     "Toolbox",
 ]

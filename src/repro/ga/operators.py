@@ -10,7 +10,7 @@ untouched by crossover and mutation.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -21,15 +21,10 @@ if TYPE_CHECKING:  # layering: ga never imports iostack at runtime
 
 __all__ = [
     "uniform_crossover",
-    "one_point_crossover",
-    "indexed_mutation",
     "uniform_reset_mutation",
     "apply_mask",
     "repair_individual",
 ]
-
-#: A neighbour function: (gene position, current index, rng) -> new index.
-NeighborFn = Callable[[int, int, np.random.Generator], int]
 
 
 def _validate_pair(a: Individual, b: Individual) -> None:
@@ -63,44 +58,6 @@ def uniform_crossover(
     ga, gb = a.genome.copy(), b.genome.copy()
     ga[swap], gb[swap] = gb[swap], ga[swap]
     return Individual(ga), Individual(gb)
-
-
-def one_point_crossover(
-    a: Individual,
-    b: Individual,
-    rng: np.random.Generator,
-    mask: Sequence[bool] | np.ndarray | None = None,
-) -> tuple[Individual, Individual]:
-    """Classic single cut point, restricted to masked positions."""
-    _validate_pair(a, b)
-    m = _as_mask(mask, a.genome.size)
-    point = int(rng.integers(1, a.genome.size)) if a.genome.size > 1 else 0
-    swap = np.zeros(a.genome.size, dtype=bool)
-    swap[point:] = True
-    swap &= m
-    ga, gb = a.genome.copy(), b.genome.copy()
-    ga[swap], gb[swap] = gb[swap], ga[swap]
-    return Individual(ga), Individual(gb)
-
-
-def indexed_mutation(
-    ind: Individual,
-    rng: np.random.Generator,
-    neighbor: NeighborFn,
-    per_gene_probability: float = 0.2,
-    mask: Sequence[bool] | np.ndarray | None = None,
-) -> Individual:
-    """Mutate each masked gene with the given probability via a
-    parameter-aware neighbour function (ordinal parameters drift to
-    adjacent candidate values; categorical ones re-draw)."""
-    if not 0.0 <= per_gene_probability <= 1.0:
-        raise ValueError("per_gene_probability must be in [0, 1]")
-    m = _as_mask(mask, ind.genome.size)
-    genome = ind.genome.copy()
-    hits = (rng.random(genome.size) < per_gene_probability) & m
-    for pos in np.flatnonzero(hits):
-        genome[pos] = neighbor(int(pos), int(genome[pos]), rng)
-    return Individual(genome)
 
 
 def uniform_reset_mutation(

@@ -4,8 +4,7 @@ The paper's pipeline "employs elitism ... to ensure the best solution
 found so far is always carried through", counter-balanced by "tournament
 selection, a technique where three individuals are chosen randomly from
 the population ... and the best two are carried forward as parents".
-Both are implemented exactly in that form, plus a generic k-way
-tournament for library users.
+Both are implemented exactly in that form.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ import numpy as np
 
 from .individual import Individual
 
-__all__ = ["tournament_pair", "tournament_selection", "elites"]
+__all__ = ["tournament_pair", "elites"]
 
 
 def _require_evaluated(population: Sequence[Individual]) -> None:
@@ -40,31 +39,6 @@ def tournament_pair(
         reverse=True,
     )
     return chosen[0], chosen[1]
-
-
-def tournament_selection(
-    population: Sequence[Individual],
-    n: int,
-    rng: np.random.Generator,
-    tournament_size: int = 3,
-) -> list[Individual]:
-    """Generic k-way tournament: repeat ``n`` times: sample
-    ``tournament_size`` individuals, keep the best."""
-    if tournament_size < 1:
-        raise ValueError("tournament_size must be >= 1")
-    if not population:
-        raise ValueError("population is empty")
-    _require_evaluated(population)
-    k = min(tournament_size, len(population))
-    out: list[Individual] = []
-    for _ in range(n):
-        picks = rng.choice(len(population), size=k, replace=False)
-        best = max(
-            (population[int(i)] for i in picks),
-            key=lambda ind: ind.fitness,  # type: ignore[arg-type, return-value]
-        )
-        out.append(best)
-    return out
 
 
 def elites(population: Sequence[Individual], n: int) -> list[Individual]:

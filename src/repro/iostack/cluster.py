@@ -79,11 +79,6 @@ class Platform:
     def total_procs(self) -> int:
         return self.n_nodes * self.procs_per_node
 
-    @property
-    def aggregate_ost_bandwidth(self) -> float:
-        """Peak file-system bandwidth visible to this job."""
-        return self.n_osts * self.ost_bandwidth * self.ost_utilization
-
     def scaled_to(self, n_nodes: int) -> "Platform":
         """The same machine with a different allocation size (the paper's
         component tests use 4 nodes; the end-to-end test uses 500)."""

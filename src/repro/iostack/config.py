@@ -129,12 +129,6 @@ class StackConfiguration(Mapping[str, Any]):
             n: v for n, v in self._values.items() if v != self._space[n].default
         }
 
-    def hamming_distance(self, other: "StackConfiguration") -> int:
-        """Number of parameters at which two configurations differ."""
-        if self._space != other._space:
-            raise ValueError("configurations from different spaces")
-        return int(sum(self._values[n] != other._values[n] for n in self._space.names))
-
     # -- functional updates ----------------------------------------------------------
 
     def with_values(self, **updates: Any) -> "StackConfiguration":

@@ -253,9 +253,6 @@ class FaultPlan:
         """Register a configuration that always fails."""
         self._poisoned[config_digest(config)] = repr(config)
 
-    def is_poisoned(self, config: "StackConfiguration") -> bool:
-        return config_digest(config) in self._poisoned
-
     def attach_clock(self, clock: "SimulatedClock | None") -> None:
         """Tie degraded windows to a tuning clock (the harness does this
         at the start of every tune)."""

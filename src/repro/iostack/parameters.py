@@ -115,21 +115,6 @@ class Parameter:
         """Draw a uniformly random candidate value."""
         return self.values[int(rng.integers(self.cardinality))]
 
-    def neighbor_index(self, index: int, rng: np.random.Generator) -> int:
-        """Mutate an index: ordinal parameters step to an adjacent value
-        (95% of the time) or, rarely, jump uniformly -- the rare long
-        jump is what lets a run escape a mid-tuning plateau late, the
-        dynamic Figure 10(a) shows; boolean/categorical parameters
-        re-draw uniformly among the other values."""
-        if not 0 <= index < self.cardinality:
-            raise IndexError(f"index {index} out of range for {self.name!r}")
-        if self.cardinality == 1:
-            return index
-        if self.kind == "ordinal" and rng.random() < 0.95:
-            step = 1 if rng.random() < 0.5 else -1
-            return int(np.clip(index + step, 0, self.cardinality - 1))
-        choices = [i for i in range(self.cardinality) if i != index]
-        return int(choices[int(rng.integers(len(choices)))])
 
 
 class ParameterSpace:
@@ -482,10 +467,6 @@ class ConstraintRegistry:
     def __iter__(self) -> Iterator[Any]:
         return iter(self.constraints)
 
-    def with_context(self, context: ConstraintContext) -> "ConstraintRegistry":
-        """The same rules bound to a different run context."""
-        return ConstraintRegistry(self.space, self.constraints, context)
-
     def violations(
         self, values: Mapping[str, Any], context: ConstraintContext | None = None
     ) -> list[ConstraintViolation]:
@@ -719,10 +700,6 @@ class LibraryCatalog:
         if per_discrete < 1 or per_continuous < 1:
             raise ValueError("value counts must be >= 1")
         return per_discrete**self.discrete * per_continuous**self.continuous
-
-    @property
-    def total_parameters(self) -> int:
-        return self.discrete + self.continuous
 
 
 #: Figure 1's library population.  Counts are conservative lower bounds on

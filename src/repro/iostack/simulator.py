@@ -34,7 +34,7 @@ Layer memo
 Every layer model is a pure function of its inputs, and a GA child
 differs from its parents in a few genes, so most of the stack a trace
 walks was already walked by an earlier trace of the same tune.
-:meth:`IOStackSimulator._trace` looks each layer up in a
+:meth:`IOStackSimulator.trace` looks each layer up in a
 :class:`_LayerMemo` before calling it:
 
 * HDF5 by the phase object and the hdf5 value slice; the entry also
@@ -73,7 +73,6 @@ from .noise import NoiseModel
 from .phase import IOPhase
 from .posix import serve_memory, serve_memory_metadata
 from .requests import RequestStream
-from repro.observability.profiling import maybe_span
 
 __all__ = [
     "WorkloadLike",
@@ -250,10 +249,6 @@ class IOStackSimulator:
         :class:`~repro.iostack.faults.PoisonedConfigError` *before* any
         work is done -- a faulted attempt never yields a partial trace.
         """
-        with maybe_span("simulator.trace"):
-            return self._trace(workload, config)
-
-    def _trace(self, workload: WorkloadLike, config: StackConfiguration) -> StackTrace:
         if self.faults is not None:
             self.faults.check_trace(config)
         # Simulators are normally built for the job's node count; scaling

@@ -21,7 +21,6 @@ GB = 1000 * MB
 US = 1e-6
 MS = 1e-3
 MINUTE = 60.0
-HOUR = 3600.0
 
 
 def bytes_per_sec_to_mb_per_sec(value: float) -> float:
@@ -29,19 +28,9 @@ def bytes_per_sec_to_mb_per_sec(value: float) -> float:
     return value / MB
 
 
-def mb_per_sec_to_bytes_per_sec(value: float) -> float:
-    """Convert a bandwidth in MB/s (decimal megabytes) to bytes/second."""
-    return value * MB
-
-
 def seconds_to_minutes(value: float) -> float:
     """Convert a duration in seconds to minutes."""
     return value / MINUTE
-
-
-def minutes_to_seconds(value: float) -> float:
-    """Convert a duration in minutes to seconds."""
-    return value * MINUTE
 
 
 def format_bytes(n: float) -> str:
@@ -53,11 +42,3 @@ def format_bytes(n: float) -> str:
             return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
         n /= 1024.0
     raise AssertionError("unreachable")
-
-
-def format_bandwidth(bytes_per_sec: float) -> str:
-    """Render a bandwidth in human units (MB/s or GB/s, decimal)."""
-    mbps = bytes_per_sec_to_mb_per_sec(bytes_per_sec)
-    if mbps >= 1000.0:
-        return f"{mbps / 1000.0:.2f} GB/s"
-    return f"{mbps:.2f} MB/s"

@@ -1,11 +1,10 @@
-"""Observability: structured run tracing, metrics, and profiling.
+"""Observability: structured run tracing and metrics.
 
 The substrate the paper's evaluation figures are drawn from: a
 :class:`TraceRecorder` appending schema-versioned JSONL events as a run
 unfolds (``NullRecorder`` keeps untraced runs bit-identical and
-overhead-free), :func:`metrics_snapshot` turning a run's one counter
-record into a JSON-ready snapshot, and :func:`maybe_span` profiling
-hooks around the pipeline's hot paths.
+overhead-free) and :func:`metrics_snapshot` turning a run's one counter
+record into a JSON-ready snapshot of counters and gauges.
 ``tunio-report`` (:mod:`repro.observability.report`, imported lazily to
 keep this package dependency-light) reconstructs curves and summaries
 from a trace file alone.
@@ -18,14 +17,6 @@ from .metrics import (
     metrics_snapshot,
     resilience_line,
     snapshot_degraded,
-)
-from .profiling import (
-    Profiler,
-    SpanStats,
-    activate,
-    active_profiler,
-    deactivate,
-    maybe_span,
 )
 from .recorder import (
     NULL_RECORDER,
@@ -52,10 +43,4 @@ __all__ = [
     "resilience_line",
     "guardrails_line",
     "snapshot_degraded",
-    "Profiler",
-    "SpanStats",
-    "activate",
-    "deactivate",
-    "active_profiler",
-    "maybe_span",
 ]

@@ -12,7 +12,7 @@ emits is one JSON object per line (JSONL) with a fixed envelope:
     1-based emission sequence number, strictly increasing within one
     trace file (detects torn/reordered traces).
 ``wall_s``
-    Wall-clock seconds since the recorder was opened (profiling and
+    Wall-clock seconds since the recorder was opened (timing and
     overhead analysis; no tuning decision ever reads it).
 ``sim_minutes``
     Simulated tuning-clock minutes at emission time (present once the

@@ -4,7 +4,7 @@ A tuning run keeps one counter record,
 :class:`~repro.iostack.evalcache.EvaluationStats`, filled by its
 evaluator.  :func:`metrics_snapshot` turns a finished
 :class:`~repro.tuners.base.TuningResult` (plus, optionally, the cache
-occupancy and a profiler) into named counters, gauges and timers; the
+occupancy) into named counters and gauges; the
 CLI summary lines (``fastpath:`` / ``resilience:`` / ``guardrails:``)
 are rendered *from the snapshot* by :func:`fastpath_line` and friends,
 so ``tunio-tune`` (``--metrics-out``) and ``tunio-report`` (``--json``,
@@ -30,18 +30,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.iostack.evalcache import EvaluationCache
     from repro.tuners.base import TuningResult
 
-    from .profiling import Profiler
-
 
 def metrics_snapshot(
     result: "TuningResult",
     cache: "EvaluationCache | None" = None,
-    profiler: "Profiler | None" = None,
 ) -> dict[str, Any]:
     """The run's metrics as plain JSON-serialisable values: integer
-    ``counters``, float ``gauges`` and per-span ``timers``, each sorted
-    by name.  The cache adds its occupancy gauges, the profiler its
-    ``profile.*`` timers."""
+    ``counters`` and float ``gauges``, each sorted by name.  The cache
+    adds its occupancy gauges."""
     counters: dict[str, int] = {
         "run.iterations": len(result.history),
         "run.total_evaluations": result.total_evaluations,
@@ -78,13 +74,9 @@ def metrics_snapshot(
     if cache is not None:
         gauges["cache.size"] = float(len(cache))
         gauges["cache.maxsize"] = float(cache.maxsize)
-    timers = {}
-    if profiler is not None:
-        timers = {f"profile.{name}": t for name, t in profiler.snapshot().items()}
     return {
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),
-        "timers": dict(sorted(timers.items())),
     }
 
 

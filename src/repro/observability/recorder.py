@@ -120,11 +120,6 @@ class TraceRecorder:
         """Stamp subsequent events with ``clock.elapsed_minutes``."""
         self.clock = clock
 
-    @property
-    def n_events(self) -> int:
-        """Events emitted so far."""
-        return self._seq
-
     def emit(self, event: str, **fields: Any) -> None:
         """Append one event.  Emitting after :meth:`close` is a no-op so
         late stragglers (a cache still carrying this recorder) cannot

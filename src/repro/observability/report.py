@@ -18,7 +18,8 @@ formats: ``tunio-tune`` imports :func:`baseline_line`,
 and the offline report cannot drift apart.
 
 Exit codes: 0 success, 1 incomplete trace (no ``run_end``), 2 missing or
-invalid trace file.
+invalid trace file (including an event that lacks, or mistypes, a
+payload field the reconstruction reads).
 """
 
 from __future__ import annotations
@@ -89,12 +90,26 @@ def _eval_stats_from(payload: Mapping[str, Any] | None) -> EvaluationStats | Non
     return EvaluationStats(**{k: v for k, v in payload.items() if k in known})
 
 
+def _field(event: Mapping[str, Any], key: str, cast: Any) -> Any:
+    """``cast(event[key])``, or :class:`ValueError` naming the event's
+    ``seq`` when the field is missing or of the wrong type."""
+    try:
+        return cast(event[key])
+    except (KeyError, TypeError, ValueError):
+        problem = "lacks" if key not in event else "has a malformed"
+        raise ValueError(
+            f"{event['event']} event seq {event['seq']} {problem} field {key!r}"
+        ) from None
+
+
 def reconstruct_result(events: Iterable[Mapping[str, Any]]) -> TuningResult:
     """The :class:`TuningResult` a trace's events describe.
 
     ``generation`` duplicates (journal-resume re-emission) resolve to
     the last event per iteration; an incomplete trace (no ``run_end``)
     reconstructs what was recorded with ``stop_reason="incomplete"``.
+    An event missing a payload field read here raises
+    :class:`ValueError`.
     """
     tuner_name = "?"
     workload_name = "?"
@@ -108,24 +123,24 @@ def reconstruct_result(events: Iterable[Mapping[str, Any]]) -> TuningResult:
             tuner_name = event.get("tuner", tuner_name)
             workload_name = event.get("workload", workload_name)
         elif kind == "baseline":
-            baseline_perf = float(event["perf"])
+            baseline_perf = _field(event, "perf", float)
         elif kind == "generation":
-            generations[int(event["iteration"])] = event
+            generations[_field(event, "iteration", int)] = event
         elif kind == "guardrail_trip" and event.get("source") == "cli":
-            cli_trips.append(str(event["trip"]))
+            cli_trips.append(_field(event, "trip", str))
         elif kind == "run_end":
             run_end = event
 
     history = [
         IterationRecord(
-            iteration=int(event["iteration"]),
-            iteration_perf=float(event["iteration_perf"]),
-            best_perf=float(event["best_perf"]),
-            elapsed_minutes=float(event["elapsed_minutes"]),
-            evaluations=int(event["evaluations"]),
+            iteration=iteration,
+            iteration_perf=_field(event, "iteration_perf", float),
+            best_perf=_field(event, "best_perf", float),
+            elapsed_minutes=_field(event, "elapsed_minutes", float),
+            evaluations=_field(event, "evaluations", int),
             tuned_parameters=tuple(event.get("subset") or ()),
         )
-        for _, event in sorted(generations.items())
+        for iteration, event in sorted(generations.items())
     ]
     result = TuningResult(
         tuner_name=tuner_name,
@@ -139,7 +154,7 @@ def reconstruct_result(events: Iterable[Mapping[str, Any]]) -> TuningResult:
         stopped_at = run_end.get("stopped_at")
         result.stopped_at = int(stopped_at) if stopped_at is not None else None
         if "baseline_perf" in run_end:
-            result.baseline_perf = float(run_end["baseline_perf"])
+            result.baseline_perf = _field(run_end, "baseline_perf", float)
         result.eval_stats = _eval_stats_from(run_end.get("eval_stats"))
         result.guardrail_trips = tuple(cli_trips) + tuple(
             run_end.get("guardrail_trips") or ()
@@ -240,10 +255,15 @@ def main(argv: list[str] | None = None) -> int:
     if not events:
         print(f"tunio-report: {args.trace} holds no events", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(_json_payload(events), indent=2, sort_keys=True))
-    else:
-        print(render_report(events, args.trace))
+    try:
+        if args.json:
+            text = json.dumps(_json_payload(events), indent=2, sort_keys=True)
+        else:
+            text = render_report(events, args.trace)
+    except ValueError as exc:
+        print(f"tunio-report: invalid trace: {exc}", file=sys.stderr)
+        return 2
+    print(text)
     complete = any(event["event"] == "run_end" for event in events)
     if not complete:
         print(

@@ -1,6 +1,6 @@
-"""Reinforcement-learning substrate: numpy neural networks, a Gym-style
-environment API, contextual bandits, NN Q-learning, delayed-reward
-replay, log-curve generation and PCA impact analysis.
+"""Reinforcement-learning substrate: numpy neural networks, contextual
+bandits, NN Q-learning, delayed-reward replay, log-curve generation and
+PCA impact analysis.
 
 This package replaces the paper's Keras + OpenAI Gym dependencies with
 self-contained implementations of exactly the pieces TunIO's two agents
@@ -9,7 +9,6 @@ use.
 
 from .bandit import NeuralContextualBandit
 from .curves import LogCurve, LogCurveGenerator
-from .env import Box, Discrete, Env
 from .guardrails import (
     AgentGuard,
     CheckpointError,
@@ -23,7 +22,6 @@ from .guardrails import (
 from .nn import ACTIVATIONS, Adam, Dense, MLP
 from .pca import (
     PCAResult,
-    correlation_impact,
     parameter_impact,
     principal_components,
 )
@@ -42,15 +40,11 @@ __all__ = [
     "validate_agent_checkpoint",
     "LogCurve",
     "LogCurveGenerator",
-    "Box",
-    "Discrete",
-    "Env",
     "ACTIVATIONS",
     "Adam",
     "Dense",
     "MLP",
     "PCAResult",
-    "correlation_impact",
     "parameter_impact",
     "principal_components",
     "QLearningAgent",

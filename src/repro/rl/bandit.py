@@ -59,7 +59,6 @@ class NeuralContextualBandit:
             hidden_activation="relu",
             learning_rate=learning_rate,
         )
-        self._updates = 0
 
     # -- reward modelling ------------------------------------------------------
 
@@ -73,9 +72,7 @@ class NeuralContextualBandit:
         """One online regression step on an observed (context, reward)."""
         context = np.asarray(context, dtype=float)
         self._check_dim(np.atleast_2d(context))
-        loss = self.model.train_batch(context[None, :], np.array([[reward]]))
-        self._updates += 1
-        return loss
+        return self.model.train_batch(context[None, :], np.array([[reward]]))
 
     # -- arm selection -------------------------------------------------------------
 
@@ -96,10 +93,6 @@ class NeuralContextualBandit:
         for layer in self.model.layers[:-1]:
             x = layer.forward(x)
         return x[0]
-
-    @property
-    def updates_seen(self) -> int:
-        return self._updates
 
     def _check_dim(self, contexts: np.ndarray) -> None:
         if contexts.shape[1] != self.context_dim:

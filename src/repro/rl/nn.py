@@ -21,8 +21,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.observability.profiling import maybe_span
-
 __all__ = ["Dense", "MLP", "Adam", "ACTIVATIONS"]
 
 
@@ -250,14 +248,13 @@ class MLP:
     def forward(self, x: np.ndarray) -> np.ndarray:
         """Batch forward pass; accepts (n, in) or (in,) and preserves the
         input's batch shape on output."""
-        with maybe_span("nn.forward"):
-            x = np.asarray(x, dtype=np.float64)
-            single = x.ndim == 1
-            if single:
-                x = x[None, :]
-            for layer in self.layers:
-                x = layer.forward(x)
-            return x[0] if single else x
+        x = np.asarray(x, dtype=np.float64)
+        single = x.ndim == 1
+        if single:
+            x = x[None, :]
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x[0] if single else x
 
     __call__ = forward
 
@@ -271,10 +268,9 @@ class MLP:
         """
         x = _as_batch(x)
         y = _as_batch(y)
-        with maybe_span("nn.forward"):
-            pred = x
-            for layer in self.layers:
-                pred = layer.forward(pred)
+        pred = x
+        for layer in self.layers:
+            pred = layer.forward(pred)
         if pred.shape != y.shape:
             raise ValueError(f"target shape {y.shape} != prediction shape {pred.shape}")
         mask = ~np.isnan(y)
@@ -282,10 +278,9 @@ class MLP:
         diff = np.where(mask, pred - y, 0.0)
         loss = float((diff**2).sum() / n)
         grad = 2.0 * diff / n
-        with maybe_span("nn.backward"):
-            for layer, (dw, db) in zip(reversed(self.layers), reversed(self._grad_views)):
-                grad, _, _ = layer.backward(grad, dw, db)
-            self.optimizer.step(self._grads)
+        for layer, (dw, db) in zip(reversed(self.layers), reversed(self._grad_views)):
+            grad, _, _ = layer.backward(grad, dw, db)
+        self.optimizer.step(self._grads)
         self.last_loss = loss
         return loss
 

@@ -5,9 +5,7 @@ The paper's offline training "performs a Principal Component Analysis
 isolate the most impactful parameters".  :func:`parameter_impact`
 implements that: PCA over the design matrix augmented with the observed
 ``perf`` column; a parameter's impact is how strongly it co-loads with
-``perf`` across components, weighted by explained variance.  A plain
-|correlation| ranking is provided for comparison and as a fallback for
-tiny samples.
+``perf`` across components, weighted by explained variance.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PCAResult", "principal_components", "parameter_impact", "correlation_impact"]
+__all__ = ["PCAResult", "principal_components", "parameter_impact"]
 
 
 @dataclass(frozen=True)
@@ -27,13 +25,6 @@ class PCAResult:
     explained_variance: np.ndarray  # eigenvalues, descending
     mean: np.ndarray
     scale: np.ndarray
-
-    @property
-    def explained_variance_ratio(self) -> np.ndarray:
-        total = self.explained_variance.sum()
-        if total <= 0:
-            return np.zeros_like(self.explained_variance)
-        return self.explained_variance / total
 
 
 def _standardise(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -91,18 +82,3 @@ def parameter_impact(configs: np.ndarray, perfs: np.ndarray) -> np.ndarray:
         return np.full(configs.shape[1], 1.0 / configs.shape[1])
     return raw / total
 
-
-def correlation_impact(configs: np.ndarray, perfs: np.ndarray) -> np.ndarray:
-    """|Pearson correlation| of each parameter with perf, normalised to
-    sum to 1 (baseline ranking for comparison with PCA)."""
-    configs = np.asarray(configs, dtype=float)
-    perfs = np.asarray(perfs, dtype=float)
-    if perfs.shape != (configs.shape[0],):
-        raise ValueError("perfs length must match configs rows")
-    z, _, _ = _standardise(configs)
-    p, _, _ = _standardise(perfs[:, None])
-    corr = np.abs((z * p).mean(axis=0))
-    total = corr.sum()
-    if total <= 1e-15:
-        return np.full(configs.shape[1], 1.0 / configs.shape[1])
-    return corr / total

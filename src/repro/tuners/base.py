@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -104,12 +103,6 @@ class TuningResult:
                 return record.iteration
         return None
 
-    def minutes_to_reach(self, perf_mbps: float) -> float | None:
-        """Elapsed minutes when a target perf was first met, or None."""
-        for record in self.history:
-            if record.best_perf >= perf_mbps:
-                return record.elapsed_minutes
-        return None
 
 
 class Tuner(abc.ABC):

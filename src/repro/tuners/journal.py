@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.iostack.config import StackConfiguration
-from repro.observability.profiling import maybe_span
 
 if TYPE_CHECKING:
     from repro.ga import Individual
@@ -216,14 +215,15 @@ class Journal:
         return self.final is not None
 
 
-def _iter_records(path: str) -> Iterator[tuple[dict[str, Any], int]]:
-    """Yield ``(record, end_offset)`` for decodable JSON lines; stop at
-    the first torn/undecodable line (a crash mid-append leaves at most
-    one, at the end).  ``end_offset`` is the byte offset just past the
-    record's newline, so the caller knows where the valid prefix ends."""
+def _iter_records(path: str) -> Iterator[tuple[dict[str, Any], int, int]]:
+    """Yield ``(record, end_offset, line_number)`` for decodable JSON
+    lines; stop at the first torn/undecodable line (a crash mid-append
+    leaves at most one, at the end).  ``end_offset`` is the byte offset
+    just past the record's newline, so the caller knows where the valid
+    prefix ends."""
     offset = 0
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             offset += len(line.encode("utf-8"))
             stripped = line.strip()
             if not stripped:
@@ -236,20 +236,35 @@ def _iter_records(path: str) -> Iterator[tuple[dict[str, Any], int]]:
                 return
             if not isinstance(obj, dict) or "type" not in obj:
                 return
-            yield obj, offset
+            yield obj, offset, lineno
+
+
+def _parse_record(cls: Any, obj: Mapping[str, Any], where: str) -> Any:
+    """``cls.from_json(obj)``, or :class:`JournalError` naming the line.
+
+    A complete line that fails to parse is damage, not a torn append, so
+    it is reported rather than crashing or misreporting the run."""
+    try:
+        return cls.from_json(obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise JournalError(
+            f"{where}: malformed {obj['type']} record ({detail})"
+        ) from None
 
 
 def load_journal(path: str) -> Journal:
     """Parse a journal file, tolerating a torn trailing line.
 
     Raises :class:`JournalError` when the file is missing, does not
-    start with a valid header, or interleaves generations out of order.
+    start with a valid header, holds a complete record with a missing
+    or mistyped field, or interleaves generations out of order.
     """
     if not os.path.exists(path):
         raise JournalError(f"journal not found: {path}")
     records = _iter_records(path)
     try:
-        header, end = next(records)
+        header, end, _ = next(records)
     except StopIteration:
         raise JournalError(f"journal is empty: {path}") from None
     if header.get("type") != "header":
@@ -260,12 +275,13 @@ def load_journal(path: str) -> Journal:
             f"unsupported journal version {version!r} (supported: {JOURNAL_VERSION})"
         )
     journal = Journal(header=header, valid_bytes=end)
-    for obj, end in records:
+    for obj, end, lineno in records:
         kind = obj["type"]
+        where = f"{path}:{lineno}"
         if kind == "baseline":
-            journal.baseline = BaselineRecord.from_json(obj)
+            journal.baseline = _parse_record(BaselineRecord, obj, where)
         elif kind == "generation":
-            record = GenerationRecord.from_json(obj)
+            record = _parse_record(GenerationRecord, obj, where)
             if record.iteration != journal.last_iteration + 1:
                 raise JournalError(
                     f"journal generations out of order: expected iteration "
@@ -318,10 +334,9 @@ class JournalWriter:
             self._fh = open(path, "a", encoding="utf-8")
 
     def _append(self, obj: Mapping[str, Any]) -> None:
-        with maybe_span("journal.fsync"):
-            self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
+        self._fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
 
     def write_baseline(self, record: BaselineRecord) -> None:
         if self._baseline_recorded:

@@ -21,7 +21,7 @@ application's metrics (the paper multiplies by the loop reduction).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from repro.iostack.phase import IOPhase
@@ -180,28 +180,6 @@ class Workload:
             loops=tuple(
                 replace(l, phases=tuple(p.switched_to_memory() for p in l.phases))
                 for l in self.loops
-            ),
-        )
-
-    def with_compute_scaled(self, factor: float) -> "Workload":
-        """Scale every phase's compute time by ``factor``.
-
-        ``factor=0`` models a perfect I/O kernel (all non-I/O statements
-        removed); a small residual factor models the buffer
-        initialisation the slicer must keep because H5Dwrite depends on
-        it.
-        """
-        if factor < 0:
-            raise ValueError("factor must be >= 0")
-
-        def scale(p: IOPhase) -> IOPhase:
-            return replace(p, compute_seconds=p.compute_seconds * factor)
-
-        return replace(
-            self,
-            fixed_phases=tuple(scale(p) for p in self.fixed_phases),
-            loops=tuple(
-                replace(l, phases=tuple(scale(p) for p in l.phases)) for l in self.loops
             ),
         )
 

@@ -200,11 +200,10 @@ def test_trace_and_metrics_flags_write_files(tmp_path, capsys):
     metrics = tmp_path / "metrics.json"
     assert main([
         "ior", "--tuner", "hstuner", "--iterations", "3", "--seed", "3",
-        "--trace-out", str(trace), "--metrics-out", str(metrics), "--profile",
+        "--trace-out", str(trace), "--metrics-out", str(metrics),
     ]) == 0
     out = capsys.readouterr().out
     assert "fastpath:" in out
-    assert "profile:" in out and "simulator.trace" in out
     assert f"metrics written to {metrics}" in out
 
     events = [json.loads(line) for line in open(trace)]
@@ -214,9 +213,9 @@ def test_trace_and_metrics_flags_write_files(tmp_path, capsys):
     assert events[0]["args"]["seed"] == 3 and events[0]["resumed"] is False
 
     snapshot = json.load(open(metrics))
+    assert list(snapshot) == ["counters", "gauges"]
     assert snapshot["counters"]["run.iterations"] == 3
     assert "cache.hit_rate" in snapshot["gauges"]
-    assert any(k.startswith("profile.") for k in snapshot["timers"])
 
 
 @pytest.mark.observability
@@ -329,6 +328,19 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
     assert "not written by tunio-tune" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [
+    {"type": "generation", "iteration": 0},
+    {"type": "baseline", "perf": "abc", "noise_position": 0, "n_evaluations": 1},
+], ids=["missing-field", "wrong-type"])
+def test_resume_malformed_record_maps_to_exit_3(tmp_path, capsys, bad):
+    journal = tmp_path / "t.journal"
+    header = {"type": "header", "version": 1, "args": {"workload": "ior"}}
+    journal.write_text(json.dumps(header) + "\n" + json.dumps(bad) + "\n")
+    assert main(["resume", str(journal)]) == 3
+    err = capsys.readouterr().err
+    assert "journal error" in err and f"{journal}:2: malformed" in err
+
+
 # -- guardrails / constraints --------------------------------------------------
 
 
@@ -352,7 +364,7 @@ def test_contradictory_flags_rejected_with_usage_error(flags):
     assert err.value.code == 2
 
 
-# -- removed worker and disk-cache flags ---------------------------------------
+# -- removed worker, disk-cache and profiler flags -----------------------------
 
 
 @pytest.mark.parametrize(
@@ -362,15 +374,18 @@ def test_contradictory_flags_rejected_with_usage_error(flags):
         ["--cache-dir", "/tmp/x"],
         ["--batch-workers", "2"],
         ["--no-eval-cache"],
+        ["--profile"],
     ],
 )
 def test_bad_fastpath_flags_exit_2(flags):
     """Tuning runs one serial worker model through one cached
-    evaluation path: the pool, disk-cache and cache-off flags are gone
-    and are refused as unknown options."""
-    with pytest.raises(SystemExit) as err:
-        main(["ior", *flags])
-    assert err.value.code == 2
+    evaluation path, and perfbench's tracer is the one layer timer: the
+    pool, disk-cache, cache-off and profiler flags are gone and are
+    refused as unknown options, on a run and on a resume."""
+    for argv in (["ior", *flags], ["resume", "whatever.journal", *flags]):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
 
 
 @pytest.mark.guardrails
@@ -386,8 +401,9 @@ def test_resume_rejects_no_eval_cache(capsys):
 @pytest.mark.observability
 def test_resume_drops_flags_this_build_no_longer_defines(tmp_path, capsys):
     """A journal whose header records flags an older build defined
-    (``--no-eval-cache``, ``--workers``) resumes: the stale keys are
-    dropped, so they reach neither the run nor its trace's run_args."""
+    (``--no-eval-cache``, ``--workers``, ``--profile``) resumes: the
+    stale keys are dropped, so they reach neither the run nor its
+    trace's run_args."""
     journal = tmp_path / "t.journal"
     assert main([
         "ior", "--tuner", "hstuner", "--iterations", "4", "--seed", "3",
@@ -396,7 +412,7 @@ def test_resume_drops_flags_this_build_no_longer_defines(tmp_path, capsys):
     capsys.readouterr()
     lines = open(journal).readlines()
     header = json.loads(lines[0])
-    header["args"].update(no_eval_cache=True, workers=2)
+    header["args"].update(no_eval_cache=True, workers=2, profile=True)
     cut = tmp_path / "cut.journal"
     cut.write_text(json.dumps(header) + "\n" + "".join(lines[1:4]))
 
@@ -406,6 +422,7 @@ def test_resume_drops_flags_this_build_no_longer_defines(tmp_path, capsys):
     assert run_args["event"] == "run_args"
     assert "no_eval_cache" not in run_args["args"]
     assert "workers" not in run_args["args"]
+    assert "profile" not in run_args["args"]
     assert open(cut).readlines()[1:] == lines[1:]
 
 

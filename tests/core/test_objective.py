@@ -1,38 +1,13 @@
 """The perf objective and its normalisation."""
 
 import pytest
-from hypothesis import given, strategies as st
 
-from repro.core.objective import PerfNormalizer, perf_objective
+from repro.core.objective import PerfNormalizer
 from repro.iostack import cori
-
-
-def test_write_only_alpha_one():
-    assert perf_objective(write_bw_mbps=500.0, read_bw_mbps=0.0, alpha=1.0) == 500.0
-
-
-def test_read_only_alpha_zero():
-    assert perf_objective(write_bw_mbps=0.0, read_bw_mbps=300.0, alpha=0.0) == 300.0
-
-
-@given(
-    st.floats(0.0, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1.0)
-)
-def test_objective_is_convex_combination(w, r, a):
-    perf = perf_objective(w, r, a)
-    assert min(w, r) - 1e-6 <= perf <= max(w, r) + 1e-6
-
-
-def test_objective_validation():
-    with pytest.raises(ValueError):
-        perf_objective(1.0, 1.0, alpha=1.5)
-    with pytest.raises(ValueError):
-        perf_objective(-1.0, 1.0, alpha=0.5)
 
 
 def test_normalizer_roundtrip():
     norm = PerfNormalizer(single_node_bandwidth_mbps=700.0, num_nodes=4)
-    assert norm.denormalize(norm.normalize(1234.0)) == pytest.approx(1234.0)
     assert norm.normalize(norm.scale_mbps) == pytest.approx(1.0)
 
 
@@ -53,25 +28,6 @@ def test_normalizer_validation():
     norm = PerfNormalizer(1.0, 1)
     with pytest.raises(ValueError):
         norm.normalize(-1.0)
-
-
-def test_subset_reward_favors_small_subsets():
-    norm = PerfNormalizer(single_node_bandwidth_mbps=700.0, num_nodes=4)
-    small = norm.normalized_subset_reward(1000.0, subset_size=2, total_parameters=12)
-    large = norm.normalized_subset_reward(1000.0, subset_size=12, total_parameters=12)
-    assert small == pytest.approx(6 * large)
-    with pytest.raises(ValueError):
-        norm.normalized_subset_reward(1000.0, subset_size=0, total_parameters=12)
-
-
-def test_non_finite_bandwidths_raise_evaluation_error():
-    from repro.iostack.faults import EvaluationError
-
-    for bad in (float("nan"), float("inf"), float("-inf")):
-        with pytest.raises(EvaluationError, match="non-finite"):
-            perf_objective(bad, 100.0, 0.5)
-        with pytest.raises(EvaluationError, match="non-finite"):
-            perf_objective(100.0, bad, 0.5)
 
 
 def test_normalize_rejects_non_finite_perf():

@@ -30,15 +30,6 @@ def test_curve_from_result():
     assert curve.final == 8.0
 
 
-def test_curve_at_minutes():
-    res = make_result([200.0, 400.0], [10.0, 20.0])
-    curve = roti_curve(res)
-    assert curve.at_minutes(15.0) == 10.0
-    assert curve.at_minutes(20.0) == 15.0
-    with pytest.raises(ValueError):
-        curve.at_minutes(5.0)
-
-
 def test_curve_validation():
     with pytest.raises(ValueError):
         RoTICurve(minutes=np.array([1.0]), values=np.array([1.0, 2.0]))
@@ -52,17 +43,6 @@ def test_negative_gain_allowed():
     # A regressing run has negative RoTI, not an error.
     res = make_result([50.0], [10.0])
     assert roti_curve(res).final == -5.0
-
-
-def test_tied_timestamps_land_on_the_last_record():
-    # A retry- or straggler-charged iteration can end at the same
-    # elapsed_minutes as its predecessor; the query must see the later
-    # (cumulative-best) record, not the stale tie.
-    res = make_result([200.0, 300.0, 400.0], [10.0, 20.0, 20.0])
-    curve = roti_curve(res)
-    assert curve.at_minutes(20.0) == 15.0  # (400-100)/20: the last tied record
-    assert curve.at_minutes(19.0) == 10.0
-    assert curve.at_minutes(25.0) == 15.0
 
 
 def test_non_monotonic_minutes_rejected():
@@ -89,7 +69,6 @@ def test_single_iteration_curve():
     curve = roti_curve(make_result([250.0], [5.0]))
     assert curve.peak == curve.final == 30.0
     assert curve.peak_minutes == 5.0
-    assert curve.at_minutes(5.0) == 30.0
 
 
 def test_zero_time_iterations_are_masked():

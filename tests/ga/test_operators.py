@@ -7,8 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.ga import (
     Individual,
     apply_mask,
-    indexed_mutation,
-    one_point_crossover,
     uniform_crossover,
     uniform_reset_mutation,
 )
@@ -43,29 +41,9 @@ def test_uniform_crossover_parents_untouched(rng):
     assert np.all(a.genome == 0) and np.all(b.genome == 5)
 
 
-def test_one_point_crossover_is_one_cut(rng):
-    a, b = parents()
-    ca, cb = one_point_crossover(a, b, rng)
-    switches = int(np.sum(np.abs(np.diff((ca.genome == 5).astype(int)))))
-    assert switches <= 1
-
-
 def test_crossover_length_mismatch_rejected(rng):
     with pytest.raises(ValueError):
         uniform_crossover(Individual(np.zeros(3, dtype=int)), Individual(np.zeros(4, dtype=int)), rng)
-
-
-def test_indexed_mutation_uses_neighbor_fn(rng):
-    ind = Individual(np.full(6, 3))
-    out = indexed_mutation(ind, rng, neighbor=lambda pos, idx, r: idx + 1, per_gene_probability=1.0)
-    assert np.all(out.genome == 4)
-    assert np.all(ind.genome == 3)
-
-
-def test_indexed_mutation_zero_probability_is_identity(rng):
-    ind = Individual(np.arange(6))
-    out = indexed_mutation(ind, rng, neighbor=lambda p, i, r: 0, per_gene_probability=0.0)
-    assert out.same_genome(ind)
 
 
 def test_uniform_reset_stays_in_range(rng):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ga import Individual, elites, tournament_pair, tournament_selection
+from repro.ga import Individual, elites, tournament_pair
 
 
 def population(fitnesses):
@@ -36,13 +36,6 @@ def test_tournament_pressure_favors_fit(rng):
     )
     # P(best in 3-of-10 sample) = 1 - C(9,3)/C(10,3) = 0.3
     assert 50 < wins < 130
-
-
-def test_tournament_selection_count(rng):
-    pop = population([1.0, 5.0, 3.0, 2.0])
-    out = tournament_selection(pop, 10, rng, tournament_size=2)
-    assert len(out) == 10
-    assert all(ind in pop for ind in out)
 
 
 def test_elites_sorted_best_first():

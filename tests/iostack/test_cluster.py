@@ -27,13 +27,6 @@ def test_total_procs():
     assert cori(4).total_procs == 128
 
 
-def test_aggregate_ost_bandwidth():
-    p = make_testbed()
-    assert p.aggregate_ost_bandwidth == pytest.approx(
-        p.n_osts * p.ost_bandwidth * p.ost_utilization
-    )
-
-
 def test_validation():
     good = make_testbed()
     import dataclasses

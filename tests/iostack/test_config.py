@@ -55,13 +55,6 @@ def test_layer_slicing():
     assert "sieve_buf_size" in hdf5 and "cb_nodes" not in hdf5
 
 
-def test_hamming_distance():
-    a = StackConfiguration.default()
-    b = a.with_values(cb_nodes=8, romio_collective=True)
-    assert a.hamming_distance(b) == 2
-    assert a.hamming_distance(a) == 0
-
-
 def test_genome_roundtrip():
     rng = np.random.default_rng(0)
     cfg = StackConfiguration.random(rng)

@@ -55,26 +55,6 @@ def test_sample_returns_candidate(rng):
         assert p.sample(rng) in p.values
 
 
-def test_ordinal_neighbor_moves_are_mostly_adjacent(rng):
-    p = make_param(values=tuple(range(16)), default=0)
-    moves = [abs(p.neighbor_index(8, rng) - 8) for _ in range(500)]
-    adjacent = sum(1 for m in moves if m == 1)
-    assert adjacent > 400  # ~95% adjacent
-    assert all(0 <= p.neighbor_index(i, rng) < 16 for i in range(16) for _ in range(3))
-
-
-def test_boolean_neighbor_always_flips(rng):
-    p = Parameter("b", "hdf5", (False, True), False, kind="boolean")
-    assert all(p.neighbor_index(0, rng) == 1 for _ in range(10))
-    assert all(p.neighbor_index(1, rng) == 0 for _ in range(10))
-
-
-def test_neighbor_index_bounds_checked(rng):
-    p = make_param()
-    with pytest.raises(IndexError):
-        p.neighbor_index(99, rng)
-
-
 # -- ParameterSpace ------------------------------------------------------------
 
 
@@ -149,7 +129,6 @@ def test_catalog_permutation_rule():
     cat = LibraryCatalog("X", discrete=3, continuous=2)
     assert cat.permutations() == 2**3 * 5**2
     assert cat.permutations(per_discrete=3, per_continuous=2) == 3**3 * 2**2
-    assert cat.total_parameters == 5
     with pytest.raises(ValueError):
         cat.permutations(per_discrete=0)
 

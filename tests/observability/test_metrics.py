@@ -12,7 +12,6 @@ from repro.observability.metrics import (
     resilience_line,
     snapshot_degraded,
 )
-from repro.observability.profiling import Profiler
 from repro.tuners.base import IterationRecord, TuningResult
 
 pytestmark = pytest.mark.observability
@@ -24,22 +23,13 @@ def snapshot_of(stats):
 
 
 def test_snapshot_is_sorted_json_with_float_gauges():
-    profiler = Profiler()
-    profiler.record("b.span", 0.5)
-    profiler.record("a.span", 0.25)
-    snap = metrics_snapshot(
-        make_result(), cache=EvaluationCache(maxsize=8), profiler=profiler
-    )
-    assert list(snap) == ["counters", "gauges", "timers"]
+    snap = metrics_snapshot(make_result(), cache=EvaluationCache(maxsize=8))
+    assert list(snap) == ["counters", "gauges"]
     for section in snap.values():
         assert list(section) == sorted(section)  # sorted for stable JSON
     assert all(type(v) is int for v in snap["counters"].values())
     assert all(type(v) is float for v in snap["gauges"].values())
     assert snap["gauges"]["cache.maxsize"] == 8.0
-    assert snap["timers"]["profile.a.span"] == {
-        "count": 1, "total_seconds": 0.25, "mean_seconds": 0.25,
-        "min_seconds": 0.25, "max_seconds": 0.25,
-    }
     assert json.loads(json.dumps(snap)) == snap
 
 
@@ -108,14 +98,10 @@ def make_result():
     return result
 
 
-def test_from_run_absorbs_result_cache_and_profiler():
+def test_from_run_absorbs_result_and_cache():
     result = make_result()
     result.eval_stats = make_stats()
-    profiler = Profiler()
-    profiler.record("simulator.trace", 0.25)
-    snap = metrics_snapshot(
-        result, cache=EvaluationCache(maxsize=512), profiler=profiler
-    )
+    snap = metrics_snapshot(result, cache=EvaluationCache(maxsize=512))
     assert snap["gauges"]["run.baseline_perf_mbps"] == 100.0
     assert snap["gauges"]["run.best_perf_mbps"] == 160.0
     assert snap["gauges"]["run.gain_mbps"] == 60.0
@@ -124,7 +110,7 @@ def test_from_run_absorbs_result_cache_and_profiler():
     assert snap["counters"]["run.total_evaluations"] == 16
     assert snap["gauges"]["cache.size"] == 0.0
     assert snap["gauges"]["cache.maxsize"] == 512.0
-    assert snap["timers"]["profile.simulator.trace"]["count"] == 1
+    assert list(snap) == ["counters", "gauges"]
 
 
 def test_from_run_without_eval_stats_still_counts_trips():

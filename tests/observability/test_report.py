@@ -182,6 +182,17 @@ def test_main_missing_and_invalid_traces_exit_2(tmp_path, capsys):
     assert "invalid trace" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_main_event_missing_a_payload_field_exits_2(tmp_path, capsys, flags):
+    trace = tmp_path / "bad.jsonl"
+    trace.write_text('{"schema":1,"event":"generation","seq":2,"wall_s":0}\n')
+    assert main([str(trace), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("tunio-report: invalid trace: ")
+    assert "seq 2" in captured.err and "'iteration'" in captured.err
+    assert captured.out == ""
+
+
 def test_main_incomplete_trace_warns_and_exits_1(tmp_path, capsys):
     trace = tmp_path / "cut.jsonl"
     with TraceRecorder(trace) as rec:

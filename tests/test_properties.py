@@ -44,7 +44,8 @@ def test_simulator_conservation_laws(seed):
     # Writes may be inflated (read-modify-write) but never dropped.
     assert report.posix_bytes_written >= report.app_bytes_written
     # Bandwidth cannot exceed the platform's aggregate OST peak.
-    ceiling = SIM.platform.aggregate_ost_bandwidth / 1e6  # MB/s
+    p = SIM.platform
+    ceiling = p.n_osts * p.ost_bandwidth * p.ost_utilization / 1e6  # MB/s
     assert report.write_bandwidth_mbps <= ceiling * 1.01
 
 

@@ -50,6 +50,4 @@ def test_series_accessors():
 def test_reach_queries():
     res = make_result()
     assert res.iterations_to_reach(200.0) == 1
-    assert res.minutes_to_reach(200.0) == 20.0
     assert res.iterations_to_reach(999.0) is None
-    assert res.minutes_to_reach(999.0) is None

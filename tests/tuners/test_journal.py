@@ -92,6 +92,23 @@ def test_load_rejects_out_of_order_generations(tmp_path):
         load_journal(str(path))
 
 
+@pytest.mark.parametrize("record, problem", [
+    ({"type": "generation", "iteration": 0}, "missing field 'dispatched'"),
+    ({"type": "baseline", "perf": "abc", "noise_position": 0,
+      "n_evaluations": 1}, "could not convert"),
+], ids=["missing-field", "wrong-type"])
+def test_load_rejects_a_complete_malformed_record(tmp_path, record, problem):
+    """A whole line that fails to parse is damage, not a torn append:
+    it is a journal error naming the line."""
+    path = tmp_path / "m.journal"
+    path.write_text(
+        json.dumps({"type": "header", "version": JOURNAL_VERSION}) + "\n"
+        + json.dumps(record) + "\n"
+    )
+    with pytest.raises(JournalError, match=f"m.journal:2: malformed .*{problem}"):
+        load_journal(str(path))
+
+
 def test_torn_trailing_line_is_dropped_and_truncated_on_resume(tmp_path):
     path = tmp_path / "torn.journal"
     writer = JournalWriter(str(path), header={"k": "v"})

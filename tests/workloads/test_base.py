@@ -60,15 +60,6 @@ def test_switched_to_memory_marks_all_phases():
     assert "memio" in w.name
 
 
-def test_with_compute_scaled():
-    w = make_workload(compute_seconds=4.0, n_iterations=3)
-    zero = w.with_compute_scaled(0.0)
-    assert zero.compute_seconds == 0.0
-    assert zero.write_ops == w.write_ops
-    with pytest.raises(ValueError):
-        w.with_compute_scaled(-1.0)
-
-
 def test_without_fixed_phases():
     log_phase = IOPhase(
         name="logging",
