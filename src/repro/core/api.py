@@ -43,7 +43,8 @@ class TunIO:
     early_stopper:
         An (ideally offline-trained) Early Stopping agent.
     normalizer:
-        Perf normalisation for the agents' internal units.
+        Perf normalisation for the agents' internal units; both
+        :meth:`stop` and :meth:`subset_picker` read perf through it.
     """
 
     def __init__(
@@ -54,7 +55,7 @@ class TunIO:
     ):
         self.smart_config = smart_config
         self.early_stopper = early_stopper
-        self.normalizer = normalizer
+        self.normalizer = smart_config.normalizer = normalizer
         self._perf_series: list[float] = []
 
     # -- Table I ------------------------------------------------------------------

@@ -27,6 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
 from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.parameters import ParameterSpace, TUNED_SPACE
@@ -38,6 +39,7 @@ from repro.rl.guardrails import (
     validate_agent_checkpoint,
 )
 from repro.rl.pca import parameter_impact
+from repro.tuners.resilience import ResilientEvaluator
 
 from .early_stopping import EarlyStoppingAgent
 from .objective import PerfNormalizer
@@ -64,10 +66,6 @@ class SweepResult:
     configs: np.ndarray
     #: (n_runs,) observed perf in MB/s.
     perfs: np.ndarray
-    #: Trace-cache hits during the sweep (duplicate configurations --
-    #: the default revisited per axis, random samples colliding with
-    #: axis points -- that skipped the stack traversal).
-    cache_hits: int = 0
 
 
 def parameter_sweep(
@@ -83,48 +81,32 @@ def parameter_sweep(
     """The paper's "simple parameter sweep": one-at-a-time axis sweeps
     from the default configuration plus uniform random samples.
 
-    Every evaluation looks its trace up in an :class:`EvaluationCache`
-    (the shared ``cache`` when given, a sweep-private one otherwise), so
-    duplicate configurations skip the stack traversal; the sweep counts
-    the hits on :attr:`SweepResult.cache_hits`.  Results are
-    bit-identical with or without a shared cache (the cache contract).
+    The configurations (the default, the axis points, then the random
+    samples) are scored in one
+    :meth:`~repro.tuners.resilience.ResilientEvaluator.evaluate` call,
+    the same path a tuning run takes, on a clock of its own: sweeping
+    is not tuning time.  Traces come from ``cache`` when given (shared
+    across sweeps), a sweep-private one otherwise; results are
+    bit-identical either way (the cache contract).
     """
     rng = rng if rng is not None else np.random.default_rng()
-    cache = cache if cache is not None else EvaluationCache()
-    platform = simulator.platform
-    configs: list[np.ndarray] = []
-    perfs: list[float] = []
-    hits = 0
-
-    def run(config: StackConfiguration) -> None:
-        nonlocal hits
-        trace = cache.lookup(platform, workload, config)
-        if trace is None:
-            trace = simulator.trace(workload, config)
-            cache.store(platform, workload, config, trace)
-        else:
-            hits += 1
-        result = simulator.evaluate_trace(trace, repeats=repeats)
-        configs.append(config.normalized())
-        perfs.append(result.perf_mbps)
-
     default = StackConfiguration.default(space)
-    run(default)
+    configs = [default]
     for param in space:
         step = max(1, param.cardinality // axis_points)
         for idx in range(0, param.cardinality, step):
             value = param.values[idx]
             if value == param.default:
                 continue
-            run(default.with_values(**{param.name: value}))
-    for _ in range(random_samples):
-        run(StackConfiguration.random(rng, space))
+            configs.append(default.with_values(**{param.name: value}))
+    configs.extend(StackConfiguration.random(rng, space) for _ in range(random_samples))
 
+    evaluator = ResilientEvaluator(simulator, SimulatedClock(), cache)
+    perfs = evaluator.evaluate(workload, configs, repeats, charge=False)
     return SweepResult(
         workload_name=workload.name,
-        configs=np.array(configs),
+        configs=np.array([config.normalized() for config in configs]),
         perfs=np.array(perfs),
-        cache_hits=hits,
     )
 
 

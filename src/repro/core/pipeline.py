@@ -26,7 +26,7 @@ from repro.iostack.parameters import TUNED_SPACE, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.tuners.base import IterationRecord, TuningResult
 from repro.tuners.hstuner import HSTuner
-from repro.tuners.journal import JournalWriter, ReplayCursor
+from repro.tuners.journal import JournalError, JournalWriter, ReplayCursor
 from repro.tuners.stoppers import HeuristicStopper, NoStop
 
 from .early_stopping import GuardedStopper, RLStopper
@@ -138,7 +138,12 @@ def build_tunio(
     **kwargs,
 ) -> TunIOTuner:
     """Assemble a TunIO pipeline from offline-trained agents; ``kwargs``
-    (``cache``, ``retry_policy``, ...) go to :class:`TunIOTuner`."""
+    (``cache``, ``retry_policy``, ...) go to :class:`TunIOTuner`.
+
+    ``normalizer`` is the job's: both agents read perf through it, so
+    agents trained at another node count see perf in the range they
+    were trained on."""
+    agents.smart_config.normalizer = normalizer
     stopper = RLStopper(
         agents.early_stopper, normalizer, expected_runs=expected_runs
     )
@@ -188,7 +193,10 @@ class TuningSession:
     With ``journal_path`` set, every completed generation is appended to
     a crash-safe JSONL journal (see :mod:`repro.tuners.journal`); pass a
     :class:`~repro.tuners.journal.ReplayCursor` over the loaded journal
-    as ``replay`` to resume an interrupted run bit-identically.
+    as ``replay`` to resume an interrupted run bit-identically.  A
+    journal records one run and ends with its ``final`` record, so a
+    journaled session runs once: a second :meth:`run` raises
+    :class:`~repro.tuners.journal.JournalError`.
     """
 
     tuner: HSTuner
@@ -213,6 +221,11 @@ class TuningSession:
                 )
                 self.tuner.attach_journal(self._writer, self.replay)
             self.result = self.tuner.tune(self.workload, max_iterations=iterations)
+        elif self.journal_path is not None:
+            raise JournalError(
+                f"journal {self.journal_path} already ends with its run's final "
+                f"record; a journaled session runs once"
+            )
         else:
             self.result = self.tuner.resume(extra_iterations=iterations)
         return self.result

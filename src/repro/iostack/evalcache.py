@@ -5,30 +5,31 @@ re-draws duplicate genomes, elites are re-examined, sweeps revisit the
 default, and every experiment starts from the untuned baseline.  The
 stack traversal is deterministic given ``(platform, workload, config)``,
 so :class:`EvaluationCache` memoizes the *noise-free trace* (see
-:class:`~repro.iostack.simulator.StackTrace`) under an LRU policy and
-replays cached traces with fresh noise.
+:class:`~repro.iostack.simulator.StackTrace`) under an LRU policy.  The
+cache is storage only: :class:`~repro.tuners.resilience.ResilientEvaluator`
+is the one caller that looks traces up, builds the misses, stores them,
+replays them with fresh noise and counts and reports all of it.
 
 Caching the trace rather than the finished
 :class:`~repro.iostack.simulator.EvaluationResult` is what keeps cached
 runs bit-identical to uncached ones: a hit still draws its own noise
 factors (consuming the noise stream exactly like a cold evaluation) and
-still reports its own noisy bandwidths, so tuning histories do not
-depend on whether the cache is enabled.  Only the expensive layer-model
-traversal is skipped.  The simulated clock is likewise still charged by
-the caller on hits -- a cache hit saves *our* wall-clock, not the
-simulated testbed's, so RoTI and time accounting are unchanged.
+still reports its own noisy bandwidths.  Only the expensive layer-model
+traversal is skipped.  The simulated clock is likewise still charged on
+hits -- a cache hit saves *our* wall-clock, not the simulated
+testbed's, so RoTI and time accounting are unchanged.
 
 The key is ``(platform, workload fingerprint, configuration)``; the
 configuration hashes its parameter space and values, so spaces and
 genomes are distinguished.  Workload fingerprints digest the full phase
-structure (streams, sizes samples, metadata, tier) and are memoized per
-workload object.
+structure (streams, sizes samples, metadata, tier); each cache memoizes
+the fingerprint of the last workload it saw, which is the only one
+during a tune or a sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable
@@ -37,7 +38,7 @@ import numpy as np
 
 from .cluster import Platform
 from .config import StackConfiguration
-from .simulator import EvaluationResult, IOStackSimulator, StackTrace, WorkloadLike
+from .simulator import StackTrace, WorkloadLike
 
 __all__ = [
     "workload_fingerprint",
@@ -64,34 +65,15 @@ def _freeze(obj: Any) -> Hashable:
     return obj
 
 
-#: id(workload) -> (weakref to the workload, fingerprint).  The weakref
-#: guards against id reuse after garbage collection.
-_FINGERPRINTS: dict[int, tuple[weakref.ref, Hashable]] = {}
-
-
 def workload_fingerprint(workload: WorkloadLike) -> Hashable:
     """A hashable digest of everything the simulator reads from a
-    workload: name, job shape and the full phase structure.
-
-    Memoized per live workload object (phases are immutable), so
-    repeated evaluations of the same workload pay the structural walk
-    once.
-    """
-    key = id(workload)
-    cached = _FINGERPRINTS.get(key)
-    if cached is not None and cached[0]() is workload:
-        return cached[1]
-    fingerprint = (
+    workload: name, job shape and the full phase structure."""
+    return (
         workload.name,
         workload.n_procs,
         workload.n_nodes,
         _freeze(tuple(workload.phases())),
     )
-    try:
-        _FINGERPRINTS[key] = (weakref.ref(workload), fingerprint)
-    except TypeError:  # object does not support weakrefs; skip memoization
-        pass
-    return fingerprint
 
 
 # -- statistics --------------------------------------------------------------------
@@ -170,9 +152,10 @@ class EvaluationCache:
         evicted beyond it.  A 12-parameter tuning run touches a few
         hundred distinct configurations, so the default is generous.
 
-    The cache keeps no counters: it outlives a tuning run (the CLI
-    shares one with offline training), so :meth:`lookup` and
-    :meth:`store` report what happened and the caller counts it.
+    The cache keeps no counters and emits no events: it outlives a
+    tuning run (the CLI shares one with offline training), so
+    :meth:`lookup` and :meth:`store` report what happened and the
+    evaluator counts and traces it.
     """
 
     def __init__(self, maxsize: int = 4096):
@@ -180,28 +163,25 @@ class EvaluationCache:
             raise ValueError("maxsize must be >= 1")
         self.maxsize = maxsize
         self._entries: OrderedDict[Hashable, StackTrace] = OrderedDict()
-        #: Optional trace recorder (duck-typed; see
-        #: :mod:`repro.observability.recorder`).  None by default so the
-        #: cache has no observability import and untraced runs pay one
-        #: attribute read per lookup.
-        self.recorder = None
+        #: The last workload keyed and its fingerprint.  Holding the
+        #: workload keeps its identity valid; one entry is enough
+        #: because a tune or a sweep keys a single workload.
+        self._fingerprint: tuple[WorkloadLike, Hashable] | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop all entries."""
-        self._entries.clear()
-
     # -- lookups ---------------------------------------------------------------
 
-    @staticmethod
     def key_for(
-        platform: Platform, workload: WorkloadLike, config: StackConfiguration
+        self, platform: Platform, workload: WorkloadLike, config: StackConfiguration
     ) -> Hashable:
         """The memo key: platform, workload fingerprint, configuration
         (which hashes its space and values)."""
-        return (platform, workload_fingerprint(workload), config)
+        memo = self._fingerprint
+        if memo is None or memo[0] is not workload:
+            memo = self._fingerprint = (workload, workload_fingerprint(workload))
+        return (platform, memo[1], config)
 
     def lookup(
         self, platform: Platform, workload: WorkloadLike, config: StackConfiguration
@@ -210,14 +190,8 @@ class EvaluationCache:
         None (a miss)."""
         key = self.key_for(platform, workload, config)
         trace = self._entries.get(key)
-        recorder = self.recorder
-        if trace is None:
-            if recorder is not None and recorder.enabled:
-                recorder.emit("cache", op="miss")
-            return None
-        self._entries.move_to_end(key)
-        if recorder is not None and recorder.enabled:
-            recorder.emit("cache", op="hit")
+        if trace is not None:
+            self._entries.move_to_end(key)
         return trace
 
     def store(
@@ -232,42 +206,7 @@ class EvaluationCache:
         key = self.key_for(platform, workload, config)
         self._entries[key] = trace
         self._entries.move_to_end(key)
-        recorder = self.recorder
-        if recorder is not None and recorder.enabled:
-            recorder.emit("cache", op="store")
         if len(self._entries) <= self.maxsize:
             return False
         self._entries.popitem(last=False)
-        if recorder is not None and recorder.enabled:
-            recorder.emit("cache", op="evict")
         return True
-
-    def get_trace(
-        self,
-        simulator: IOStackSimulator,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-    ) -> StackTrace:
-        """The trace for ``(simulator.platform, workload, config)``,
-        built on a miss and remembered under LRU."""
-        trace = self.lookup(simulator.platform, workload, config)
-        if trace is None:
-            trace = simulator.trace(workload, config)
-            self.store(simulator.platform, workload, config, trace)
-        return trace
-
-    def evaluate(
-        self,
-        simulator: IOStackSimulator,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-        repeats: int = 3,
-    ) -> EvaluationResult:
-        """Drop-in replacement for :meth:`IOStackSimulator.evaluate`.
-
-        Bit-identical to the uncached call for any noise model: hits and
-        misses alike draw ``repeats`` fresh factors from the simulator's
-        noise stream and replay them over the (cached or fresh) trace.
-        """
-        trace = self.get_trace(simulator, workload, config)
-        return simulator.evaluate_trace(trace, repeats=repeats)

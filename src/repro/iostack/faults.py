@@ -16,7 +16,7 @@ Fault taxonomy
   :class:`TransientFaultError` with probability ``transient_error_rate``.
   The decision is drawn per ``(config, attempt)``, so a retry of the same
   configuration sees an independent draw and the schedule does not depend
-  on thread timing.
+  on the order configurations are traced in.
 * **Latency stragglers** -- a replayed run's service times are inflated
   by ``straggler_slowdown`` with probability ``straggler_rate`` (an
   evaluation that lands on a slow OST or a congested router).  Stragglers
@@ -47,7 +47,6 @@ leaves every simulated result bit-identical to running without one.
 from __future__ import annotations
 
 import hashlib
-import threading
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -212,7 +211,6 @@ class FaultPlan:
     _trace_attempts: dict[str, int] = field(default_factory=dict, repr=False)
     _replay_counter: int = field(default=0, repr=False)
     _clock: "SimulatedClock | None" = field(default=None, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.transient_error_rate < 1.0:
@@ -265,9 +263,8 @@ class FaultPlan:
 
         Raises :class:`PoisonedConfigError` or
         :class:`TransientFaultError` when the attempt faults; otherwise
-        returns (and leaves the traversal untouched).  Thread-safe: the
-        per-config attempt counter is advanced under a lock, and the
-        decision depends only on ``(seed, config digest, attempt)``.
+        returns (and leaves the traversal untouched).  The decision
+        depends only on ``(seed, config digest, attempt)``.
         """
         digest = config_digest(config)
         poisoned = self._poisoned.get(digest)
@@ -275,15 +272,13 @@ class FaultPlan:
             raise PoisonedConfigError(f"poisoned configuration {poisoned}")
         if self.transient_error_rate <= 0:
             return
-        with self._lock:
-            attempt = self._trace_attempts.get(digest, 0)
-            self._trace_attempts[digest] = attempt + 1
+        attempt = self._trace_attempts.get(digest, 0)
+        self._trace_attempts[digest] = attempt + 1
         rng = np.random.default_rng(
             (self.seed ^ _TRACE_SALT, int(digest, 16), attempt)
         )
         if rng.random() < self.transient_error_rate:
-            with self._lock:
-                self.transient_errors_injected += 1
+            self.transient_errors_injected += 1
             raise TransientFaultError(
                 f"injected transient fault (attempt {attempt}) evaluating {config!r}"
             )

@@ -16,15 +16,14 @@ exactly the number of factors it returns -- :meth:`sample_factors(n)
 <sample_factors>` consumes the counter identically to ``n`` calls of
 :meth:`sample_factor`, so a vectorized consumer and a loop observe the
 same sequence.  Because the counter is mutable shared state, handing one
-model instance to two experiments interleaves their streams.  Use
-:meth:`clone` to duplicate a model *including* its position (replay from
-here), or :meth:`spawn` to derive an independent stream (fresh counter,
-decorrelated seed) for a worker or a second experiment.
+model instance to two experiments interleaves their streams; give each
+experiment its own model (a different ``seed`` for an independent
+stream), and use :meth:`seek` to replay from a recorded position.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -116,25 +115,6 @@ class NoiseModel:
         if position < 0:
             raise ValueError("position must be >= 0")
         self._counter = position
-
-    # -- copy semantics ---------------------------------------------------------
-
-    def clone(self) -> "NoiseModel":
-        """An exact copy *including* the run counter: the clone replays
-        the remainder of this model's sequence without advancing it."""
-        return replace(self)
-
-    def spawn(self, stream: int = 1) -> "NoiseModel":
-        """An independent model for a parallel worker or a second
-        experiment: same volatility shape, a seed decorrelated by
-        ``stream`` and a fresh counter.  ``spawn(0)`` restarts this
-        model's own sequence from the beginning."""
-        if stream < 0:
-            raise ValueError("stream must be >= 0")
-        # Deterministic across processes (no str hashing): golden-ratio
-        # mixing of the stream index into the base seed.
-        seed = self.seed if stream == 0 else (self.seed ^ (0x9E3779B9 * stream)) & 0x7FFFFFFF
-        return replace(self, seed=seed, _counter=0)
 
     @classmethod
     def quiet(cls) -> "NoiseModel":

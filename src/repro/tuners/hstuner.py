@@ -268,7 +268,6 @@ class HSTuner(Tuner):
         recorder = self.recorder
         recorder.bind_clock(self.clock)
         self._resilient.recorder = recorder
-        self.cache.recorder = recorder
         if self.simulator.faults is not None:
             # Rewind the fault schedule and tie its degraded windows to
             # this run's clock, so repeated tunes replay the same plan.

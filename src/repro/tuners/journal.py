@@ -36,8 +36,10 @@ counts what the uninterrupted one did.
 
 Replaying skips the simulator entirely, so at the replay-to-live
 boundary :class:`RunJournal` pre-warms the evaluation cache once with
-the traces the journaled generations had cached; it counts those
-lookups and builds itself, reported apart in the ``prewarm_*`` stats.
+the traces the journaled generations had cached, through a throwaway
+:class:`~repro.tuners.resilience.ResilientEvaluator`; its lookups and
+builds of the distinct configurations are reported apart in the
+``prewarm_*`` stats.
 Traces from faulted attempts were never stored (they raise before
 construction), so a resumed run can never be served a faulted or
 partial trace.
@@ -58,6 +60,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.iostack.config import StackConfiguration
+
+from .resilience import ResilientEvaluator
 
 if TYPE_CHECKING:
     from repro.ga import Individual
@@ -258,7 +262,8 @@ def load_journal(path: str) -> Journal:
 
     Raises :class:`JournalError` when the file is missing, does not
     start with a valid header, holds a complete record with a missing
-    or mistyped field, or interleaves generations out of order.
+    or mistyped field, interleaves generations out of order, or holds
+    any record after the ``final`` one.
     """
     if not os.path.exists(path):
         raise JournalError(f"journal not found: {path}")
@@ -278,6 +283,8 @@ def load_journal(path: str) -> Journal:
     for obj, end, lineno in records:
         kind = obj["type"]
         where = f"{path}:{lineno}"
+        if journal.final is not None:
+            raise JournalError(f"{where}: {kind} record after the final record")
         if kind == "baseline":
             journal.baseline = _parse_record(BaselineRecord, obj, where)
         elif kind == "generation":
@@ -581,48 +588,37 @@ class RunJournal:
         """Rebuild the traces the journaled generations cached, so the
         first live generation sees the uninterrupted run's cache hits.
         Otherwise each rebuild would make an extra fault-schedule draw
-        and fork the fault stream.  Fault checks are bypassed (the
-        journal already accounts the faults that fired), quarantined
-        configurations are skipped, and only LRU recency can differ
-        (past ``maxsize`` distinct configurations).  The lookups and
-        builds are counted here, into :attr:`prewarm_stats`, not on the
-        evaluator's record, so ``cache_hit_rate`` matches the
-        uninterrupted run."""
-        tuner, cache = self.tuner, self.tuner.cache
-        simulator, workload = tuner.simulator, tuner._workload
-        genomes: dict[tuple[int, ...], None] = {}
-        for record in self.replay.journal.generations:
-            for genome in record.dispatched:
-                genomes.setdefault(tuple(genome), None)
+        and fork the fault stream.  The configurations go through a
+        throwaway evaluator's :meth:`~ResilientEvaluator.traces` with
+        the run's quarantine (quarantined ones are skipped) and no
+        recorder; fault checks are bypassed (the journal already
+        accounts the faults that fired), and only LRU recency can differ
+        (past ``maxsize`` distinct configurations).  Its counts become
+        :attr:`prewarm_stats`, not the run's record, so
+        ``cache_hit_rate`` matches the uninterrupted run."""
+        tuner = self.tuner
+        simulator = tuner.simulator
         configs = [StackConfiguration.default(tuner.space)] + [
-            StackConfiguration.from_genome(tuner.space, genome) for genome in genomes
+            StackConfiguration.from_genome(tuner.space, genome)
+            for record in self.replay.journal.generations
+            for genome in record.dispatched
         ]
-        lookups = hits = builds = 0
+        warm = ResilientEvaluator(simulator, tuner.clock, cache=tuner.cache)
+        warm.quarantine = tuner._resilient.quarantine
         faults, simulator.faults = simulator.faults, None
-        # Warming lookups are not run cache activity: mute the cache's
-        # per-op trace events for the duration (one summary event below).
-        cache_recorder, cache.recorder = cache.recorder, None
         try:
-            for config in configs:
-                if tuner._resilient.is_quarantined(config):
-                    continue
-                lookups += 1
-                if cache.lookup(simulator.platform, workload, config) is None:
-                    trace = simulator.trace(workload, config)
-                    cache.store(simulator.platform, workload, config, trace)
-                    builds += 1
-                else:
-                    hits += 1
+            warm.traces(tuner._workload, configs, charge=False)
         finally:
             simulator.faults = faults
-            cache.recorder = cache_recorder
-        self.prewarm_stats = {
-            "prewarm_lookups": lookups,
-            "prewarm_hits": hits,
-            "prewarm_builds": builds,
+        stats = warm.stats
+        counts = {
+            "lookups": stats.cache_hits + stats.cache_misses,
+            "hits": stats.cache_hits,
+            "builds": stats.traces_built,
         }
+        self.prewarm_stats = {f"prewarm_{key}": n for key, n in counts.items()}
         if tuner.recorder.enabled:
-            tuner.recorder.emit("cache_prewarm", lookups=lookups, hits=hits, builds=builds)
+            tuner.recorder.emit("cache_prewarm", **counts)
 
     def _fault_state(self) -> dict[str, Any] | None:
         faults = self.tuner.simulator.faults

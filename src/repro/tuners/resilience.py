@@ -29,12 +29,17 @@ The happy path performs exactly the same calls in exactly the same order
 as the unwrapped fastpath, so with no faults firing and no timeout
 tripping, results remain bit-identical to the pre-harness pipeline.
 
-Every evaluation of a tuning run passes through one evaluator, so it
-owns the run's only counter record, :attr:`ResilientEvaluator.stats`
-(an :class:`~repro.iostack.evalcache.EvaluationStats`), and counts at
-the points where it already branches: evaluations, cache hits and
-misses, evicting stores, traces built and replayed, retries, timeouts
-and quarantines.  The counts are run-local by construction.
+The evaluator is the only code that touches the trace cache: tuning
+runs, the offline parameter sweep and the journal's resume pre-warm all
+look traces up, build and store them through it.  Every evaluation of a
+tuning run passes through one evaluator, so it owns the run's only
+counter record, :attr:`ResilientEvaluator.stats` (an
+:class:`~repro.iostack.evalcache.EvaluationStats`), and counts -- and,
+with a recorder attached, emits the ``cache`` and ``retry`` trace
+events -- at the points where it already branches: evaluations, cache
+hits and misses, stores and evictions, traces built and replayed,
+retries, timeouts and quarantines.  The counts are run-local by
+construction.
 """
 
 from __future__ import annotations
@@ -143,6 +148,12 @@ class ResilientEvaluator:
         if recorder is not None and recorder.enabled:
             recorder.emit("retry", kind=kind, config=config_digest(config), **fields)
 
+    def _emit_cache(self, op: str) -> None:
+        """Emit one ``cache`` trace event (no-op untraced)."""
+        recorder = self.recorder
+        if recorder is not None and recorder.enabled:
+            recorder.emit("cache", op=op)
+
     # -- quarantine -------------------------------------------------------------
 
     def is_quarantined(self, config: StackConfiguration) -> bool:
@@ -212,14 +223,17 @@ class ResilientEvaluator:
                     f"trace construction failed for {config!r}"
                 ) from exc
             self.stats.traces_built += 1
-            if self.cache.store(self.simulator.platform, workload, config, trace):
+            evicted = self.cache.store(self.simulator.platform, workload, config, trace)
+            self._emit_cache("store")
+            if evicted:
                 self.stats.cache_evictions += 1
+                self._emit_cache("evict")
             return trace
         assert last is not None
         self._quarantine(config, last)
         return None
 
-    def _traces(
+    def traces(
         self,
         workload: WorkloadLike,
         configs: Sequence[StackConfiguration],
@@ -227,7 +241,8 @@ class ResilientEvaluator:
     ) -> dict[StackConfiguration, StackTrace | None]:
         """The trace of each distinct configuration, or ``None`` for a
         quarantined one: every cache lookup first, in first-seen order,
-        then the misses are built."""
+        then the misses are built (:meth:`build_trace`).  The journal's
+        resume pre-warm calls this directly to fill the cache."""
         traces: dict[StackConfiguration, StackTrace | None] = {}
         distinct = list(dict.fromkeys(configs))
         for config in distinct:
@@ -237,8 +252,10 @@ class ResilientEvaluator:
             cached = self.cache.lookup(self.simulator.platform, workload, config)
             if cached is None:
                 self.stats.cache_misses += 1
+                self._emit_cache("miss")
             else:
                 self.stats.cache_hits += 1
+                self._emit_cache("hit")
                 traces[config] = cached
         for config in distinct:
             if config not in traces:
@@ -326,7 +343,7 @@ class ResilientEvaluator:
             raise ValueError("repeats must be >= 1")
         self.stats.evaluations += len(configs)
         factors = self.simulator.noise.sample_factors(repeats * len(configs))
-        traces = self._traces(workload, configs, charge)
+        traces = self.traces(workload, configs, charge)
         perfs: list[float] = []
         for i, config in enumerate(configs):
             trace = traces[config]

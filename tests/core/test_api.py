@@ -1,9 +1,12 @@
 """The Table I facade: stop / discover_io / subset_picker."""
 
+import copy
+
 import numpy as np
 import pytest
 
-from repro.core import TunIO
+from repro.core import PerfNormalizer, TunIO
+from repro.iostack import cori
 from repro.discovery import DiscoveryOptions, LoopReduction
 from repro.workloads.sources import canonical_hints, load_source
 
@@ -12,6 +15,17 @@ from repro.workloads.sources import canonical_hints, load_source
 def facade(trained_bundle):
     _, normalizer, agents = trained_bundle
     return TunIO(agents.smart_config, agents.early_stopper, normalizer)
+
+
+def test_stop_and_subset_picker_share_the_facades_normalizer(trained_bundle):
+    """The facade's normalizer is the job's: the subset picker reads
+    perf through it too, not through the one it was trained with."""
+    _, _, agents = trained_bundle
+    agents = copy.deepcopy(agents)
+    job = PerfNormalizer.for_platform(cori(500), 500)
+    facade = TunIO(agents.smart_config, agents.early_stopper, job)
+    assert facade.smart_config.normalizer is job
+    assert facade.smart_config._normalize(job.scale_mbps) == job.normalize(job.scale_mbps)
 
 
 def test_stop_accumulates_series(facade):

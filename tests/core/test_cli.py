@@ -147,6 +147,23 @@ def test_resume_of_completed_journal_is_refused(tmp_path, capsys):
     assert "nothing to resume" in capsys.readouterr().err
 
 
+def test_resume_of_a_journal_with_records_after_final_maps_to_exit_3(
+    tmp_path, capsys
+):
+    journal = tmp_path / "t.journal"
+    assert main([
+        "ior", "--tuner", "hstuner", "--iterations", "2",
+        "--journal", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    lines = open(journal).readlines()
+    with open(journal, "a") as fh:
+        fh.write(lines[-2])  # the last generation again, after final
+    assert main(["resume", str(journal)]) == 3
+    err = capsys.readouterr().err
+    assert f"{journal}:{len(lines) + 1}: generation record after the final" in err
+
+
 def test_resume_below_the_journaled_generations_is_refused(tmp_path, capsys):
     """A budget smaller than what the journal already records would
     orphan the journaled generations behind a premature final marker."""

@@ -18,6 +18,7 @@ import pytest
 from repro.core import (
     GuardedStopper,
     GuardedSubsetPicker,
+    PerfNormalizer,
     RLStopper,
     TunIOTuner,
     build_tunio,
@@ -34,7 +35,7 @@ from repro.rl.guardrails import CheckpointError
 from repro.tuners import HSTuner, HeuristicStopper, NoStop
 from repro.tuners.base import IterationRecord
 from repro.tuners.journal import JournalWriter, ReplayCursor, load_journal
-from repro.workloads import flash
+from repro.workloads import bdcats, flash
 
 pytestmark = pytest.mark.guardrails
 
@@ -106,6 +107,30 @@ def test_healthy_run_never_trips(trained_bundle):
     assert result.guardrail_trips == ()
     assert not tuner.guardrails.tripped()
     assert result.eval_stats.guardrail_trips == 0
+
+
+def test_picker_reads_perf_through_the_jobs_normalizer(trained_bundle):
+    """A 500-node BD-CATS tune with 4-node-trained agents: the subset
+    picker normalizes perf with the job's normalizer, so its perf input
+    stays inside ``PerfNormalizer.normalize``'s documented range (about
+    [0, 1.5]) and nothing trips.  With the training normalizer the
+    input reached 40+ and blew the Q-network up."""
+    _, _, agents = trained_bundle
+    agents = copy.deepcopy(agents)
+    app = bdcats()
+    platform = cori(app.n_nodes)
+    normalizer = PerfNormalizer.for_platform(platform, app.n_nodes)
+    seen = []
+    picker = agents.smart_config
+    normalize = picker._normalize
+    picker._normalize = lambda perf: seen.append(normalize(perf)) or seen[-1]
+    tuner = build_tunio(
+        IOStackSimulator(platform, NoiseModel(seed=0)), agents, normalizer,
+        rng=np.random.default_rng(0),
+    )
+    result = tuner.tune(app, max_iterations=15)
+    assert seen and max(seen) <= 1.5
+    assert result.guardrail_trips == ()
 
 
 def test_guarded_picker_matches_raw_agent(trained_bundle):

@@ -5,7 +5,8 @@ import pytest
 
 from repro.core import GuardedStopper, TunIOTuner, TuningSession, build_tunio, make_tuner
 from repro.tuners import HeuristicStopper, HSTuner, NoStop
-from repro.workloads import flash
+from repro.tuners.journal import JournalError, load_journal
+from repro.workloads import flash, ior
 from tests.conftest import make_workload
 
 
@@ -59,6 +60,25 @@ def test_session_resume_accumulates(trained_bundle):
     assert second is first
     assert len(second.history) == 7
     assert session.best_perf == second.best_perf
+
+
+def test_journaled_session_runs_once(trained_bundle, tmp_path):
+    """A journal ends with its run's ``final`` record: a second run()
+    on a journaled session is refused before it tunes, and the journal
+    keeps exactly the first run."""
+    sim, _, _ = trained_bundle
+    path = tmp_path / "s.journal"
+    tuner = make_tuner("hstuner", sim, rng=np.random.default_rng(6))
+    session = TuningSession(tuner, ior(), journal_path=str(path))
+    first = session.run(3)
+    written = path.read_bytes()
+    with pytest.raises(JournalError, match="runs once"):
+        session.run(2)
+    session.close()
+    assert path.read_bytes() == written
+    assert len(first.history) == 3
+    journal = load_journal(str(path))
+    assert journal.completed and len(journal.generations) == 3
 
 
 def test_session_best_before_run_rejected(trained_bundle):

@@ -12,6 +12,7 @@ from repro.iostack import (
     cori,
     workload_fingerprint,
 )
+from repro.iostack.clock import SimulatedClock
 from repro.observability.metrics import (
     fastpath_line,
     metrics_snapshot,
@@ -19,6 +20,7 @@ from repro.observability.metrics import (
     snapshot_degraded,
 )
 from repro.tuners.base import TuningResult
+from repro.tuners.resilience import ResilientEvaluator
 from tests.conftest import make_workload
 
 
@@ -103,16 +105,6 @@ def test_lru_eviction_order(sim):
     assert cache.lookup(sim.platform, w, c) is not None
 
 
-def test_clear_drops_entries(sim):
-    cache = EvaluationCache()
-    w = make_workload()
-    config = StackConfiguration.default()
-    cache.get_trace(sim, w, config)
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.lookup(sim.platform, w, config) is None
-
-
 def test_maxsize_validation():
     with pytest.raises(ValueError):
         EvaluationCache(maxsize=0)
@@ -133,35 +125,43 @@ def test_store_reports_evictions(sim):
 
 
 def test_get_trace_builds_once(sim):
+    """Getting a trace twice through the evaluator builds it once and
+    serves the second request from the cache."""
     cache = EvaluationCache()
+    evaluator = ResilientEvaluator(sim, SimulatedClock(), cache)
     w = make_workload()
     config = StackConfiguration.default()
-    first = cache.get_trace(sim, w, config)
-    second = cache.get_trace(sim, w, config)
+    first = evaluator.traces(w, [config], charge=False)[config]
+    second = evaluator.traces(w, [config], charge=False)[config]
+    assert first is not None
     assert second is first
     assert len(cache) == 1
+    assert evaluator.stats.traces_built == 1
+    assert (evaluator.stats.cache_misses, evaluator.stats.cache_hits) == (1, 1)
 
 
 def test_cached_evaluate_is_bit_identical_under_noise():
+    """The evaluator's cached path against the simulator's uncached one:
+    one trace is built and later rounds are served from it, with the
+    same perf and the same noise-stream consumption."""
     w = make_workload()
     config = StackConfiguration.default()
     cached_sim = IOStackSimulator(cori(2), NoiseModel(seed=21))
     plain_sim = IOStackSimulator(cori(2), NoiseModel(seed=21))
     cache = EvaluationCache()
+    evaluator = ResilientEvaluator(cached_sim, SimulatedClock(), cache)
     built = []
     trace = cached_sim.trace
     cached_sim.trace = lambda *args: built.append(args) or trace(*args)
     for _ in range(4):  # first round misses, later rounds hit
-        a = cache.evaluate(cached_sim, w, config, repeats=3)
+        [a] = evaluator.evaluate(w, [config], repeats=3, charge=False)
         b = plain_sim.evaluate(w, config, repeats=3)
-        assert a.perf_mbps == b.perf_mbps
-        assert a.write_bandwidth_mbps == b.write_bandwidth_mbps
-        assert a.read_bandwidth_mbps == b.read_bandwidth_mbps
-        assert a.charged_seconds == b.charged_seconds
-        assert a.report == b.report
+        assert a == b.perf_mbps
     assert len(built) == 1  # one trace built, three rounds served from it
+    assert len(cache) == 1
+    assert (evaluator.stats.cache_misses, evaluator.stats.cache_hits) == (1, 3)
     # both consumed the noise stream identically
-    assert cached_sim.noise._counter == plain_sim.noise._counter
+    assert cached_sim.noise.position == plain_sim.noise.position
 
 
 # -- EvaluationStats -----------------------------------------------------------
@@ -202,10 +202,10 @@ def test_evaluation_stats_degraded_flag_and_resilience_line():
 # -- edge paths ----------------------------------------------------------------
 
 
-def test_fingerprint_skips_memo_for_non_weakrefable_workloads():
-    """Objects without weakref support (e.g. slotted ad-hoc workload
-    shims) hit the TypeError branch: fingerprinting still works, it just
-    recomputes per call instead of memoizing."""
+def test_fingerprint_of_a_slotted_workload(sim):
+    """Fingerprinting reads only the workload protocol, so ad-hoc shims
+    without a ``__dict__`` or weakref support fingerprint and key like
+    any workload."""
 
     class SlottedWorkload:
         __slots__ = ("name", "n_procs", "n_nodes", "_phases")
@@ -219,11 +219,6 @@ def test_fingerprint_skips_memo_for_non_weakrefable_workloads():
         def phases(self):
             return self._phases
 
-    with pytest.raises(TypeError):
-        import weakref
-
-        weakref.ref(SlottedWorkload(()))  # the premise of this test
-
     w = SlottedWorkload(tuple(make_workload().phases()))
     first = workload_fingerprint(w)
     assert workload_fingerprint(w) == first
@@ -233,6 +228,60 @@ def test_fingerprint_skips_memo_for_non_weakrefable_workloads():
         SlottedWorkload(tuple(make_workload().phases()))
     ) == first
     assert workload_fingerprint(SlottedWorkload(())) != first
+    cache = EvaluationCache()
+    config = StackConfiguration.default()
+    cache.store(sim.platform, w, config, sim.trace(w, config))
+    twin = SlottedWorkload(tuple(make_workload().phases()))
+    assert cache.lookup(sim.platform, twin, config) is not None
+
+
+def test_cache_fingerprints_each_workload_once_in_a_row(sim, monkeypatch):
+    """The cache memoizes the last workload's fingerprint: repeated
+    lookups of one workload walk its phases once, and switching
+    workloads recomputes."""
+    from repro.iostack import evalcache
+
+    calls = []
+    fingerprint = evalcache.workload_fingerprint
+    monkeypatch.setattr(
+        evalcache, "workload_fingerprint", lambda w: calls.append(w) or fingerprint(w)
+    )
+    cache = EvaluationCache()
+    a, b = make_workload(), make_workload(n_procs=128)
+    for config in random_configs(5):
+        cache.lookup(sim.platform, a, config)
+    assert calls == [a]
+    cache.lookup(sim.platform, b, StackConfiguration.default())
+    cache.lookup(sim.platform, a, StackConfiguration.default())
+    assert calls == [a, b, a]
+
+
+def test_fingerprints_do_not_outlive_their_caches(sim):
+    """Fingerprints live on the cache that computed them: 50 fresh
+    BD-CATS workloads keyed through short-lived caches leave nothing
+    behind once the caches are gone."""
+    import gc
+    import tracemalloc
+
+    from repro.workloads import bdcats
+
+    config = StackConfiguration.default()
+
+    def key_one():
+        EvaluationCache().lookup(sim.platform, bdcats(), config)
+
+    key_one()  # warm module-level state before measuring
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(50):
+            key_one()
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 0.5 * 2**20
 
 
 def test_eviction_pressure_never_grows_past_maxsize(sim):
@@ -263,7 +312,7 @@ def test_restoring_same_key_does_not_evict(sim):
 def test_faulted_traces_are_never_stored_or_served():
     """A faulted attempt raises before the trace exists, so the cache
     can never memoize -- and never serve -- a partial trace."""
-    from repro.iostack import FaultPlan, PoisonedConfigError
+    from repro.iostack import FaultPlan
 
     plan = FaultPlan(seed=0)
     config = StackConfiguration.default()
@@ -271,11 +320,15 @@ def test_faulted_traces_are_never_stored_or_served():
     sim = IOStackSimulator(cori(2), NoiseModel(seed=11), faults=plan)
     cache = EvaluationCache()
     w = make_workload()
-    with pytest.raises(PoisonedConfigError):
-        cache.get_trace(sim, w, config)
+    evaluator = ResilientEvaluator(sim, SimulatedClock(), cache)
+    assert evaluator.evaluate(w, [config], repeats=1, charge=False) == [0.0]
+    assert evaluator.stats.quarantined == 1
     assert len(cache) == 0
     assert cache.lookup(sim.platform, w, config) is None
     # once the fault clears, a real trace is built and cached normally
     sim.faults = None
-    trace = cache.get_trace(sim, w, config)
-    assert cache.lookup(sim.platform, w, config) is trace
+    ResilientEvaluator(sim, SimulatedClock(), cache).evaluate(
+        w, [config], repeats=1, charge=False
+    )
+    assert len(cache) == 1
+    assert cache.lookup(sim.platform, w, config) is not None

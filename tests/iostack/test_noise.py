@@ -95,53 +95,3 @@ def test_sample_factors_zero_and_negative():
     assert noise._counter == 0
     with pytest.raises(ValueError):
         noise.sample_factors(-1)
-
-
-# -- clone / spawn --------------------------------------------------------------
-
-
-def test_clone_replays_from_current_position():
-    original = NoiseModel(seed=6)
-    original.sample_factors(5)
-    copy = original.clone()
-    rest_of_copy = [copy.sample_factor() for _ in range(5)]
-    rest_of_original = [original.sample_factor() for _ in range(5)]
-    assert rest_of_copy == rest_of_original
-
-
-def test_clone_does_not_advance_the_original():
-    original = NoiseModel(seed=6)
-    expected = NoiseModel(seed=6).sample_factor()
-    original.clone().sample_factors(10)
-    assert original.sample_factor() == expected
-
-
-def test_spawn_streams_are_decorrelated_and_reproducible():
-    base = NoiseModel(seed=3)
-    s1 = [base.spawn(1).sample_factor() for _ in range(5)]
-    s2 = [base.spawn(2).sample_factor() for _ in range(5)]
-    s1_again = [base.spawn(1).sample_factor() for _ in range(5)]
-    assert s1 == s1_again
-    assert s1 != s2
-    assert s1 != [NoiseModel(seed=3).sample_factor() for _ in range(5)]
-
-
-def test_spawn_zero_restarts_own_sequence():
-    base = NoiseModel(seed=3)
-    base.sample_factors(10)  # advance the parent
-    restarted = base.spawn(0)
-    assert restarted.sample_factor() == NoiseModel(seed=3).sample_factor()
-
-
-def test_spawn_keeps_volatility_shape():
-    base = NoiseModel(sigma=0.3, spike_probability=0.1, spike_slowdown=4.0, seed=1)
-    child = base.spawn(5)
-    assert (child.sigma, child.spike_probability, child.spike_slowdown) == (
-        0.3, 0.1, 4.0,
-    )
-    assert child._counter == 0
-
-
-def test_spawn_rejects_negative_stream():
-    with pytest.raises(ValueError):
-        NoiseModel(seed=1).spawn(-1)

@@ -109,6 +109,25 @@ def test_load_rejects_a_complete_malformed_record(tmp_path, record, problem):
         load_journal(str(path))
 
 
+def test_load_rejects_records_after_final(tmp_path):
+    """A run ends with its final record: anything journaled after it
+    (a second run appended to a finished journal) is a journal error
+    naming the line, not extra generations of a completed run."""
+    path = tmp_path / "f.journal"
+    tuner = make_tuner()
+    tuner.attach_journal(JournalWriter(str(path), header={"h": 1}))
+    tuner.tune(make_workload(), max_iterations=2)
+    tuner._journal.writer.close()
+    lines = open(path).readlines()
+    assert json.loads(lines[-1])["type"] == "final"
+    with open(path, "a") as fh:
+        fh.write(lines[2])  # a generation after the final record
+    with pytest.raises(
+        JournalError, match=f"f.journal:{len(lines) + 1}: generation record after the final"
+    ):
+        load_journal(str(path))
+
+
 def test_torn_trailing_line_is_dropped_and_truncated_on_resume(tmp_path):
     path = tmp_path / "torn.journal"
     writer = JournalWriter(str(path), header={"k": "v"})
