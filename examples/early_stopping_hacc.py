@@ -22,7 +22,7 @@ from repro import (
     train_tunio_agents,
     vpic,
 )
-from repro.tuners import HSTuner
+from repro.tuners import HSTuner, first_stop
 
 
 def main() -> None:
@@ -48,19 +48,12 @@ def main() -> None:
     print("best GB/s per iteration:")
     print("  " + " ".join(f"{v:.2f}" for v in series))
 
-    def replay(stopper) -> int:
-        stopper.reset()
-        for i in range(len(full.history)):
-            if stopper.should_stop(full.history[: i + 1]):
-                return i
-        return len(full.history) - 1
-
     rl = RLStopper(agents.early_stopper, normalizer, online_learning=False)
     heuristic = HeuristicStopper(threshold=0.05, window=5)
 
     print(f"\nuntuned: {full.baseline_perf / 1000:.2f} GB/s")
-    for name, stop in (("TunIO RL stopper", replay(rl)),
-                       ("heuristic 5%/5", replay(heuristic)),
+    for name, stop in (("TunIO RL stopper", first_stop(rl, full.history)),
+                       ("heuristic 5%/5", first_stop(heuristic, full.history)),
                        ("full budget", len(full.history) - 1)):
         rec = full.history[stop]
         roti = (rec.best_perf - full.baseline_perf) / rec.elapsed_minutes

@@ -50,14 +50,10 @@ class ExperimentContext:
         from repro.core.smart_config import SmartConfigAgent
 
         smart = SmartConfigAgent(
-            space=self.agents.smart_config.space,
-            normalizer=self.agents.smart_config.normalizer,
-            rng=self.rng(0xC10E),
+            self.agents.smart_config.normalizer, rng=self.rng(0xC10E)
         )
         smart.set_state(self.agents.smart_config.get_state())
-        stopper = EarlyStoppingAgent(
-            config=self.agents.early_stopper.config, rng=self.rng(0xC10F)
-        )
+        stopper = EarlyStoppingAgent(rng=self.rng(0xC10F))
         stopper.set_weights(self.agents.early_stopper.get_weights())
         return TunIOAgents(
             smart_config=smart,

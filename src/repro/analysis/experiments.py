@@ -9,16 +9,15 @@ Seeds: every runner takes a ``seed`` so results are reproducible; the
 shared offline-trained agents come from
 :func:`repro.analysis.context.make_context`.
 
-Run addressing
---------------
-Each independent tuning run of a GA-based figure is a job function
-(``_figNN_run``) addressed purely by ``(seed, salt, ...)``: it derives
-its own simulator and RNG stream from that address, and its tuner owns
-a private evaluation cache, so nothing a run does can perturb a
-sibling.  The ``fig*`` functions call
-their jobs in a plain loop; anything order-sensitive (Figure 11's shared
-``eval_sim`` noise stream, Figure 8's accuracy check against the tuned
-app config) runs after the loop, in a fixed order.
+Independent runs
+----------------
+Each independent tuning run of a GA-based figure is a function
+(``_figNN_run``) of ``(seed, salt, ...)`` alone: it builds its own
+workload, simulator and RNG stream from those values, and its tuner
+owns a private evaluation cache, so nothing a run does can perturb
+another.  Anything order-sensitive (Figure 11's shared ``eval_sim``
+noise stream, Figure 8's accuracy check against the tuned app config)
+runs after the tuning runs, in a fixed order.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ import numpy as np
 
 from repro.core.early_stopping import RLStopper
 from repro.core.pipeline import TunIOTuner, make_tuner
-from repro.core.roti import RoTICurve, roti_curve
+from repro.core.roti import RoTICurve, roti, roti_curve
 from repro.discovery.kernel import DiscoveryOptions, discover_io
 from repro.discovery.modelgen import workload_from_source
 from repro.discovery.reducers import LoopReduction
@@ -43,7 +42,12 @@ from repro.tuners.lifecycle import (
     untuned_model,
     viability_point,
 )
-from repro.tuners.stoppers import HeuristicStopper, NoStop
+from repro.tuners.stoppers import (
+    HeuristicStopper,
+    MaxPerfOracleStopper,
+    NoStop,
+    first_stop,
+)
 from repro.workloads import bdcats, flash, hacc, vpic
 from repro.workloads.sources import canonical_hints, load_source
 
@@ -61,8 +65,8 @@ __all__ = [
     "fig12_lifecycle",
 ]
 
-#: Workload constructors addressable by name (jobs take names, not
-#: workload objects).
+#: Workload constructors by name; a run builds a fresh workload from the
+#: name it is given.
 _WORKLOADS = {"hacc": hacc, "flash": flash, "vpic": vpic, "bdcats": bdcats}
 
 
@@ -537,46 +541,27 @@ def fig10_early_stopping(seed: int = 0, iterations: int = 50) -> EarlyStoppingRe
     history = full.history
 
     def outcome(name: str, stop_iter: int) -> StopperOutcome:
-        rec = history[min(stop_iter, len(history) - 1)]
+        rec = history[stop_iter]
         return StopperOutcome(
             name=name,
             iteration=rec.iteration,
             perf_mbps=rec.best_perf,
             minutes=rec.elapsed_minutes,
-            roti=(rec.best_perf - full.baseline_perf) / rec.elapsed_minutes,
+            roti=roti(rec.best_perf, full.baseline_perf, rec.elapsed_minutes),
         )
 
     # Perfect: the stop with the best possible RoTI.
-    rotis = [
-        (r.best_perf - full.baseline_perf) / r.elapsed_minutes for r in history
-    ]
+    rotis = [roti(r.best_perf, full.baseline_perf, r.elapsed_minutes) for r in history]
     perfect = outcome("perfect", int(np.argmax(rotis)))
 
-    # TunIO's RL stopper, replayed over the history.
+    # TunIO's RL stopper, the heuristic and the (exact) max-perf oracle,
+    # each replayed over the history.
     rl = RLStopper(ctx.fresh_agents().early_stopper, ctx.normalizer, online_learning=False)
-    rl.reset()
-    tunio_stop = len(history) - 1
-    for i in range(len(history)):
-        if rl.should_stop(history[: i + 1]):
-            tunio_stop = i
-            break
-
-    heuristic = HeuristicStopper()
-    heuristic_stop = len(history) - 1
-    for i in range(len(history)):
-        if heuristic.should_stop(history[: i + 1]):
-            heuristic_stop = i
-            break
-
-    best_perf = max(r.best_perf for r in history)
-    maxperf_stop = next(
-        i for i, r in enumerate(history) if r.best_perf >= best_perf
-    )
-
+    oracle = MaxPerfOracleStopper(max(r.best_perf for r in history))
     outcomes = (
-        outcome("tunio-rl", tunio_stop),
-        outcome("max-perf-oracle", maxperf_stop),
-        outcome("heuristic-5%/5", heuristic_stop),
+        outcome("tunio-rl", first_stop(rl, history)),
+        outcome("max-perf-oracle", first_stop(oracle, history)),
+        outcome("heuristic-5%/5", first_stop(HeuristicStopper(), history)),
         outcome("full-budget", len(history) - 1),
     )
     return EarlyStoppingResult(full_run=full, outcomes=outcomes, perfect=perfect)

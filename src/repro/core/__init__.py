@@ -9,7 +9,6 @@ training phase.
 from .api import TunIO
 from .early_stopping import (
     EarlyStoppingAgent,
-    EarlyStoppingConfig,
     GuardedStopper,
     OfflineTrainingReport,
     RLStopper,
@@ -28,12 +27,11 @@ from .offline_training import (
 from .pipeline import TunIOTuner, TuningSession, build_tunio, make_tuner
 from .roti import RoTICurve, roti, roti_curve
 from .spec import TuningOutcome, TuningSpec, tune_application
-from .smart_config import GuardedSubsetPicker, SmartConfigAgent, SmartConfigSettings
+from .smart_config import GuardedSubsetPicker, SmartConfigAgent
 
 __all__ = [
     "TunIO",
     "EarlyStoppingAgent",
-    "EarlyStoppingConfig",
     "GuardedStopper",
     "OfflineTrainingReport",
     "RLStopper",
@@ -58,5 +56,4 @@ __all__ = [
     "roti_curve",
     "GuardedSubsetPicker",
     "SmartConfigAgent",
-    "SmartConfigSettings",
 ]

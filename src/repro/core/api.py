@@ -68,13 +68,16 @@ class TunIO:
         """
         if current_iteration < 0:
             raise ValueError("current_iteration must be >= 0")
-        if current_iteration != len(self._perf_series):
-            # Restarted or out-of-order pipeline: resynchronise.
-            self._perf_series = self._perf_series[:current_iteration]
+        expected = len(self._perf_series)
+        if current_iteration > expected:
+            raise ValueError(
+                f"current_iteration {current_iteration} skips ahead; the next "
+                f"iteration is {expected}"
+            )
+        # A restarted pipeline goes back: resynchronise.
+        del self._perf_series[current_iteration:]
         self._perf_series.append(self.normalizer.normalize(best_perf))
-        return self.early_stopper.should_stop(
-            self._perf_series, current_iteration, greedy=True
-        )
+        return self.early_stopper.should_stop(self._perf_series, current_iteration)
 
     def discover_io(
         self,

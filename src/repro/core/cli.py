@@ -16,14 +16,14 @@ Robustness features ride the same entry point: ``--fault-rate`` /
 agent-level faults (weight corruption, forced degenerate policies,
 checkpoint truncation) that the guardrails detect and survive by
 degrading to plain-GA tuning, ``--constraints`` arms cross-parameter
-validation/repair, ``--max-retries`` / ``--eval-timeout`` shape the
+repair of GA offspring, ``--max-retries`` / ``--eval-timeout`` shape the
 resilient harness, and ``--journal PATH`` arms crash-safe
 checkpointing.  An interrupted journaled run continues bit-identically
 with::
 
     tunio-tune resume tuning.journal
 
-Exit codes: 2 invalid input/constraint violation/missing file, 3
+Exit codes: 2 invalid input/missing file, 3
 journal error, 4 harness failure, 5 evaluation failure, 6 rejected
 agent checkpoint.
 """
@@ -49,11 +49,7 @@ from repro.iostack.faults import (
     FaultPlan,
 )
 from repro.iostack.noise import NoiseModel
-from repro.iostack.parameters import (
-    ConstraintContext,
-    ConstraintViolationError,
-    default_constraints,
-)
+from repro.iostack.parameters import ConstraintContext, default_constraints
 from repro.iostack.simulator import IOStackSimulator
 from repro.observability.metrics import (
     fastpath_line,
@@ -121,9 +117,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--constraints", action="store_true",
-        help="arm cross-parameter platform constraints: user seeds are "
-             "validated strictly, GA offspring are repaired (stripe counts "
-             "vs OSTs, aggregators vs MPI ranks, alignment divisibility)",
+        help="arm cross-parameter platform constraints: GA offspring are "
+             "repaired (stripe counts vs OSTs, aggregators vs MPI ranks, "
+             "alignment divisibility)",
     )
     faults = parser.add_argument_group(
         "fault injection (seeded, deterministic; off by default)"
@@ -305,10 +301,6 @@ def main(argv: list[str] | None = None) -> int:
         return 6
     except FileNotFoundError as exc:
         print(f"tunio-tune: file not found: {exc.filename or exc}",
-              file=sys.stderr)
-        return 2
-    except ConstraintViolationError as exc:
-        print(f"tunio-tune: configuration violates platform constraints:\n{exc}",
               file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -11,13 +11,13 @@ Design of the decision problem:
 
 * **State** (5 features): iteration fraction ``t/T``, normalised
   best-so-far perf, gain over the last iteration, gain over the last
-  ``delay`` iterations, and the (normalised) number of iterations since
+  :data:`DELAY` iterations, and the (normalised) number of iterations since
   the last meaningful improvement -- the plateau-length signal.
 * **Actions**: 0 = continue, 1 = stop (terminal).  Offline, stopping is
   rewarded with the exact trade-off it chose -- tuning cost saved minus
   gain forfeited -- which the generator knows because it made the curve.
 * **Reward for continue**, matured with the paper's 5-iteration delay:
-  the normalised perf gained over the next ``delay`` iterations minus a
+  the normalised perf gained over the next :data:`DELAY` iterations minus a
   per-window tuning cost.  With discounting, Q(continue) is the expected
   remaining (cost-adjusted) gain, so the greedy policy stops exactly
   when further tuning no longer pays -- and rides out early plateaus,
@@ -50,7 +50,6 @@ from repro.tuners.stoppers import HeuristicStopper
 from .objective import PerfNormalizer
 
 __all__ = [
-    "EarlyStoppingConfig",
     "OfflineTrainingReport",
     "EarlyStoppingAgent",
     "RLStopper",
@@ -61,30 +60,37 @@ _STATE_DIM = 5
 _CONTINUE, _STOP = 0, 1
 
 
-@dataclass(frozen=True)
-class EarlyStoppingConfig:
-    """Hyper-parameters of the early-stopping agent."""
+#: Reward-maturation delay in iterations (the paper uses 5).
+DELAY = 5
+#: Normalised-perf cost of one ``DELAY``-iteration window of tuning.
+ITERATION_COST = 0.025
+#: Nominal iteration budget used to normalise the iteration feature.
+MAX_ITERATIONS = 50
+DISCOUNT = 0.97
+HIDDEN = (32, 32)
+LEARNING_RATE = 1e-3
+#: Iterations the agent will never stop before (warm-up; a tuner
+#: cannot meaningfully stop before it has seen any trend).
+MIN_ITERATIONS = 4
+#: Offline training stops once the mean reward of the last
+#: ``STAGNATION_WINDOW`` epochs improves on the window before it by less
+#: than ``STAGNATION_THRESHOLD`` (the paper's <5%-over-5-epochs rule).
+STAGNATION_THRESHOLD = 0.05
+STAGNATION_WINDOW = 5
+#: Curves and fitting epochs of the Monte-Carlo warm start.
+_PRETRAIN_CURVES = 600
+_PRETRAIN_EPOCHS = 60
 
-    #: Reward-maturation delay in iterations (the paper uses 5).
-    delay: int = 5
-    #: Normalised-perf cost of one ``delay``-iteration window of tuning.
-    iteration_cost: float = 0.025
-    #: Nominal iteration budget used to normalise the iteration feature.
-    max_iterations: int = 50
-    discount: float = 0.97
-    hidden: tuple[int, ...] = (32, 32)
-    learning_rate: float = 1e-3
-    #: Iterations the agent will never stop before (warm-up; a tuner
-    #: cannot meaningfully stop before it has seen any trend).
-    min_iterations: int = 4
 
-    def __post_init__(self) -> None:
-        if self.delay < 1 or self.max_iterations < 2:
-            raise ValueError("delay and max_iterations must be positive")
-        if self.iteration_cost < 0:
-            raise ValueError("iteration_cost must be >= 0")
-        if self.min_iterations < 0:
-            raise ValueError("min_iterations must be >= 0")
+def _continue_reward(v: Sequence[float], cost: float) -> Callable[[int, int], float]:
+    """The delayed reward of continuing at iteration ``born`` of the
+    normalised series ``v``: the perf gained over the next ``DELAY``
+    iterations (clipped to the end of the series) minus ``cost``."""
+
+    def reward(born: int, now: int) -> float:
+        return float(v[min(born + DELAY, len(v) - 1)] - v[born]) - cost
+
+    return reward
 
 
 @dataclass(frozen=True)
@@ -103,20 +109,15 @@ class OfflineTrainingReport:
 class EarlyStoppingAgent:
     """The Q-learning stop/continue agent."""
 
-    def __init__(
-        self,
-        config: EarlyStoppingConfig | None = None,
-        rng: np.random.Generator | None = None,
-    ):
-        self.config = config or EarlyStoppingConfig()
+    def __init__(self, rng: np.random.Generator | None = None):
         self.rng = rng if rng is not None else np.random.default_rng()
         self.agent = QLearningAgent(
             QLearningConfig(
                 state_dim=_STATE_DIM,
                 n_actions=2,
-                hidden=self.config.hidden,
-                learning_rate=self.config.learning_rate,
-                discount=self.config.discount,
+                hidden=HIDDEN,
+                learning_rate=LEARNING_RATE,
+                discount=DISCOUNT,
                 epsilon_start=1.0,
                 epsilon_end=0.02,
                 epsilon_decay=0.997,
@@ -131,12 +132,11 @@ class EarlyStoppingAgent:
     def state_from_series(self, values: Sequence[float], t: int) -> np.ndarray:
         """Build the 5-feature state from a best-so-far perf series
         (normalised units) at iteration ``t``."""
-        cfg = self.config
         v = np.asarray(values, dtype=float)
         if not 0 <= t < v.size:
             raise IndexError(f"iteration {t} outside series of length {v.size}")
         gain_1 = v[t] - v[t - 1] if t >= 1 else 0.0
-        back = max(0, t - cfg.delay)
+        back = max(0, t - DELAY)
         gain_d = v[t] - v[back] if t >= 1 else 0.0
         # Iterations since the last improvement of >=1.5% of current
         # perf (smaller gains are indistinguishable from measurement
@@ -149,32 +149,28 @@ class EarlyStoppingAgent:
             stall += 1
         return np.array(
             [
-                min(2.0, t / cfg.max_iterations),
+                min(2.0, t / MAX_ITERATIONS),
                 v[t],
                 gain_1,
                 gain_d,
-                min(4.0, stall / cfg.delay),
+                min(4.0, stall / DELAY),
             ],
             dtype=float,
         )
 
     # -- decisions ------------------------------------------------------------
 
-    def should_stop(self, values: Sequence[float], t: int, greedy: bool = True) -> bool:
+    def should_stop(self, values: Sequence[float], t: int) -> bool:
         """Greedy stop/continue decision at iteration ``t`` of a series."""
-        if t < self.config.min_iterations:
+        if t < MIN_ITERATIONS:
             return False
         state = self.state_from_series(values, t)
-        return self.agent.act(state, greedy=greedy) == _STOP
+        return self.agent.act(state, greedy=True) == _STOP
 
     # -- offline training ------------------------------------------------------
 
     def _monte_carlo_pretrain(
-        self,
-        generator: LogCurveGenerator,
-        rng: np.random.Generator,
-        n_curves: int = 600,
-        epochs: int = 60,
+        self, generator: LogCurveGenerator, rng: np.random.Generator
     ) -> None:
         """Supervised warm start: regress Q(s, continue) onto the true
         discounted continue-forever return of each state (computable
@@ -182,20 +178,19 @@ class EarlyStoppingAgent:
         Q(s, stop) onto zero.  This pins the stop/continue boundary to
         the cost-vs-remaining-gain economics before the episodic phase
         refines it."""
-        cfg = self.config
         states: list[np.ndarray] = []
         targets: list[np.ndarray] = []
-        for _ in range(n_curves):
+        for _ in range(_PRETRAIN_CURVES):
             v = generator.sample(rng).values
             n = v.size
             # Per-step matured reward, pro-rated from the delay window.
             r = np.empty(n - 1)
             for t in range(n - 1):
-                horizon = min(t + cfg.delay, n - 1)
-                r[t] = ((v[horizon] - v[t]) - cfg.iteration_cost) / cfg.delay
+                horizon = min(t + DELAY, n - 1)
+                r[t] = ((v[horizon] - v[t]) - ITERATION_COST) / DELAY
             returns = np.zeros(n)
             for t in range(n - 2, -1, -1):
-                returns[t] = r[t] + cfg.discount * returns[t + 1]
+                returns[t] = r[t] + DISCOUNT * returns[t + 1]
             # Sample a handful of states per curve to keep the set varied.
             for t in rng.choice(n - 1, size=min(20, n - 1), replace=False):
                 t = int(t)
@@ -203,17 +198,16 @@ class EarlyStoppingAgent:
                 targets.append(np.array([returns[t], 0.0]))
         x = np.stack(states)
         y = np.stack(targets)
-        self.agent.q_network.fit(x, y, epochs=epochs, batch_size=64, rng=rng)
+        self.agent.q_network.fit(
+            x, y, epochs=_PRETRAIN_EPOCHS, batch_size=64, rng=rng
+        )
         self.agent.target_network.copy_from(self.agent.q_network)
 
     def train_offline(
         self,
-        generator: LogCurveGenerator | None = None,
         rng: np.random.Generator | None = None,
         max_epochs: int = 40,
         episodes_per_epoch: int = 32,
-        stagnation_threshold: float = 0.05,
-        stagnation_window: int = 5,
         validation_curves: int = 40,
     ) -> OfflineTrainingReport:
         """Train on synthetic log curves: a Monte-Carlo supervised warm
@@ -221,7 +215,7 @@ class EarlyStoppingAgent:
         stagnates (the paper's <5%-over-5 criterion); finally validate
         against the curves' known ideal stop points.
         """
-        generator = generator or LogCurveGenerator()
+        generator = LogCurveGenerator()
         rng = rng if rng is not None else self.rng
         self._monte_carlo_pretrain(generator, rng)
         # The warm start means little exploration is needed afterwards.
@@ -229,22 +223,22 @@ class EarlyStoppingAgent:
 
         mean_rewards: list[float] = []
         stagnated = False
-        min_epochs = 4 * stagnation_window  # let exploration decay first
+        min_epochs = 4 * STAGNATION_WINDOW  # let exploration decay first
         for _ in range(max_epochs):
             rewards = []
             for _ in range(episodes_per_epoch):
-                rewards.append(self._run_episode(generator.sample(rng), learn=True))
+                rewards.append(self._run_episode(generator.sample(rng)))
                 self.agent.decay_epsilon()
             mean_rewards.append(float(np.mean(rewards)))
             if len(mean_rewards) >= min_epochs:
                 # Window means rather than point values: single-epoch
                 # reward estimates are too noisy to test a 5% criterion.
-                now = float(np.mean(mean_rewards[-stagnation_window:]))
+                now = float(np.mean(mean_rewards[-STAGNATION_WINDOW:]))
                 past = float(
-                    np.mean(mean_rewards[-2 * stagnation_window : -stagnation_window])
+                    np.mean(mean_rewards[-2 * STAGNATION_WINDOW : -STAGNATION_WINDOW])
                 )
                 denom = abs(past) if abs(past) > 1e-9 else 1.0
-                if (now - past) / denom < stagnation_threshold:
+                if (now - past) / denom < STAGNATION_THRESHOLD:
                     stagnated = True
                     break
 
@@ -268,7 +262,7 @@ class EarlyStoppingAgent:
     def economic_stop(self, curve: LogCurve) -> int:
         """The cost-optimal stop point under this agent's iteration
         cost: argmax of perf minus the pro-rated tuning cost."""
-        c = self.config.iteration_cost / self.config.delay
+        c = ITERATION_COST / DELAY
         t = np.arange(curve.values.size)
         return int(np.argmax(curve.values - c * t))
 
@@ -276,40 +270,42 @@ class EarlyStoppingAgent:
         """Where the greedy policy stops on a curve (its last index if it
         never stops)."""
         for t in range(curve.values.size):
-            if self.should_stop(curve.values, t, greedy=True):
+            if self.should_stop(curve.values, t):
                 return t
         return curve.values.size - 1
 
     # -- learning machinery -----------------------------------------------------
 
-    def _run_episode(self, curve: LogCurve, learn: bool) -> float:
+    def _run_episode(self, curve: LogCurve) -> float:
         """One training episode over a synthetic curve; returns the
         (undiscounted) episode reward."""
-        cfg = self.config
         v = curve.values
-        buffer = DelayedRewardBuffer(delay=cfg.delay)
+        buffer = DelayedRewardBuffer(delay=DELAY)
+        continue_reward = _continue_reward(v, ITERATION_COST)
         total_reward = 0.0
 
-        def continue_reward(born: int, now: int) -> float:
-            horizon = min(born + cfg.delay, v.size - 1)
-            return float(v[horizon] - v[born]) - cfg.iteration_cost
+        def flush(t: int) -> None:
+            # The episode is over: every pending decision matures now.
+            for tr in buffer.mature(
+                t, continue_reward, self.state_from_series(v, t), done=True
+            ):
+                self.agent.observe(tr)
 
         t = 0
         while t < v.size - 1:
             state = self.state_from_series(v, t)
-            action = self.agent.act(state) if t >= cfg.min_iterations else _CONTINUE
+            action = self.agent.act(state) if t >= MIN_ITERATIONS else _CONTINUE
             if action == _STOP:
-                if learn:
-                    # Offline we know the whole curve, so the stop action
-                    # gets the exact trade-off it chose: the gain it
-                    # forfeited versus the tuning cost it saved.
-                    remaining_gain = float(v[-1] - v[t])
-                    saved_cost = cfg.iteration_cost * (v.size - 1 - t) / cfg.delay
-                    self.agent.observe(
-                        Transition(state, _STOP, saved_cost - remaining_gain, state, done=True)
-                    )
-                    self._flush(buffer, t, v)
-                    self.agent.train_step()
+                # Offline we know the whole curve, so the stop action
+                # gets the exact trade-off it chose: the gain it
+                # forfeited versus the tuning cost it saved.
+                remaining_gain = float(v[-1] - v[t])
+                saved_cost = ITERATION_COST * (v.size - 1 - t) / DELAY
+                self.agent.observe(
+                    Transition(state, _STOP, saved_cost - remaining_gain, state, done=True)
+                )
+                flush(t)
+                self.agent.train_step()
                 break
             buffer.remember(state, _CONTINUE, t)
             t += 1
@@ -318,25 +314,12 @@ class EarlyStoppingAgent:
             )
             for tr in matured:
                 total_reward += tr.reward
-                if learn:
-                    self.agent.observe(tr)
-            if learn:
-                self.agent.train_step()
+                self.agent.observe(tr)
+            self.agent.train_step()
         else:
-            if learn:
-                self._flush(buffer, v.size - 1, v)
-                self.agent.train_step()
+            flush(v.size - 1)
+            self.agent.train_step()
         return total_reward
-
-    def _flush(self, buffer: DelayedRewardBuffer, t: int, v: np.ndarray) -> None:
-        cfg = self.config
-
-        def reward(born: int, now: int) -> float:
-            horizon = min(born + cfg.delay, v.size - 1)
-            return float(v[horizon] - v[born]) - cfg.iteration_cost
-
-        for tr in buffer.mature(t, reward, self.state_from_series(v, t), done=True):
-            self.agent.observe(tr)
 
     # -- checkpointing -------------------------------------------------------------
 
@@ -387,7 +370,7 @@ class RLStopper:
         self.online_learning = online_learning
         self.name = "tunio-rl-stopper"
         self._series: list[float] = []
-        self._buffer = DelayedRewardBuffer(delay=agent.config.delay)
+        self._buffer = DelayedRewardBuffer(delay=DELAY)
 
     def reset(self) -> None:
         self._series.clear()
@@ -406,14 +389,8 @@ class RLStopper:
         t = len(self._series) - 1
 
         if self.online_learning and t >= 1:
-            cfg = self.agent.config
-            cost = cfg.iteration_cost * self._patience_scale()
             v = self._series
-
-            def reward(born: int, now: int) -> float:
-                horizon = min(born + cfg.delay, len(v) - 1)
-                return float(v[horizon] - v[born]) - cost
-
+            reward = _continue_reward(v, ITERATION_COST * self._patience_scale())
             state_prev = self.agent.state_from_series(v, t - 1)
             self._buffer.remember(state_prev, _CONTINUE, t - 1)
             for tr in self._buffer.mature(
@@ -422,14 +399,14 @@ class RLStopper:
                 self.agent.agent.observe(tr)
             self.agent.agent.train_step()
 
-        decision = self.agent.should_stop(self._series, t, greedy=True)
+        decision = self.agent.should_stop(self._series, t)
         if decision and self.expected_runs is not None:
             # Patience: with many production runs ahead, require the
             # projected remaining gain to be truly negligible before
             # accepting the stop (scale the Q-margin by patience).
             q = self.agent.agent.q_values(self.agent.state_from_series(self._series, t))
             margin = q[_STOP] - q[_CONTINUE]
-            decision = margin >= (self._patience_scale() - 1.0) * self.agent.config.iteration_cost
+            decision = margin >= (self._patience_scale() - 1.0) * ITERATION_COST
         return bool(decision)
 
 
@@ -444,8 +421,8 @@ class GuardedStopper:
     decision, checks the q-network's loss and gradient norm.
 
     The stopper adds only the check on its own output, a
-    degenerate-policy watchdog: a stop decision below the agent's
-    ``min_iterations`` warm-up is impossible for a healthy policy
+    degenerate-policy watchdog: a stop decision below the
+    :data:`MIN_ITERATIONS` warm-up is impossible for a healthy policy
     (``EarlyStoppingAgent.should_stop`` hard-returns False there), so
     two consecutive such decisions trip the guard.  A single one is
     withheld (``False``) rather than obeyed.  A stop after the warm-up
@@ -497,14 +474,13 @@ class GuardedStopper:
             if guard.degraded:
                 return self.fallback.should_stop(history)
 
-        warmup = self.primary.agent.config.min_iterations
-        if decision and t < warmup:
+        if decision and t < MIN_ITERATIONS:
             self._early_stop_streak += 1
             if self._early_stop_streak >= 2:
                 guard.trip(
                     "degenerate-policy",
                     f"stop requested at iteration {t}, inside the "
-                    f"{warmup}-iteration warm-up, "
+                    f"{MIN_ITERATIONS}-iteration warm-up, "
                     f"{self._early_stop_streak} times in a row",
                     t,
                 )

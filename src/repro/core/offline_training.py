@@ -30,9 +30,8 @@ import numpy as np
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
 from repro.iostack.evalcache import EvaluationCache
-from repro.iostack.parameters import ParameterSpace, TUNED_SPACE
+from repro.iostack.parameters import TUNED_SPACE
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
-from repro.rl.curves import LogCurveGenerator
 from repro.rl.guardrails import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -56,6 +55,11 @@ __all__ = [
     "load_agents",
 ]
 
+#: Points per parameter axis of the one-at-a-time sweep.
+_AXIS_POINTS = 6
+#: Iterations of one surrogate subset-tuning episode.
+_SURROGATE_ITERATIONS = 20
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -71,8 +75,6 @@ class SweepResult:
 def parameter_sweep(
     simulator: IOStackSimulator,
     workload: WorkloadLike,
-    space: ParameterSpace = TUNED_SPACE,
-    axis_points: int = 6,
     random_samples: int = 8,
     rng: np.random.Generator | None = None,
     repeats: int = 3,
@@ -90,16 +92,16 @@ def parameter_sweep(
     bit-identical either way (the cache contract).
     """
     rng = rng if rng is not None else np.random.default_rng()
-    default = StackConfiguration.default(space)
+    default = StackConfiguration.default()
     configs = [default]
-    for param in space:
-        step = max(1, param.cardinality // axis_points)
+    for param in TUNED_SPACE:
+        step = max(1, param.cardinality // _AXIS_POINTS)
         for idx in range(0, param.cardinality, step):
             value = param.values[idx]
             if value == param.default:
                 continue
             configs.append(default.with_values(**{param.name: value}))
-    configs.extend(StackConfiguration.random(rng, space) for _ in range(random_samples))
+    configs.extend(StackConfiguration.random(rng) for _ in range(random_samples))
 
     evaluator = ResilientEvaluator(simulator, SimulatedClock(), cache)
     perfs = evaluator.evaluate(workload, configs, repeats, charge=False)
@@ -157,23 +159,21 @@ def pretrain_subset_picker(
     agent: SmartConfigAgent,
     impact_scores: np.ndarray,
     episodes: int = 60,
-    iterations_per_episode: int = 20,
     rng: np.random.Generator | None = None,
 ) -> None:
     """Warm the Subset Picker's Q-network by running surrogate tuning
     episodes against the sweep-derived impact structure."""
     rng = rng if rng is not None else agent.rng
     agent.set_impact_scores(impact_scores)
-    names = agent.space.names
     env = _SurrogateTuning(impact_scores=agent.impact_scores, rng=rng)
-    scale = agent.normalizer.scale_mbps if agent.normalizer is not None else 1000.0
+    scale = agent.normalizer.scale_mbps
     for _ in range(episodes):
         agent.reset_episode()
         perf = env.reset()
-        subset: tuple[str, ...] = names
-        for it in range(iterations_per_episode):
+        subset: tuple[str, ...] = TUNED_SPACE.names
+        for it in range(_SURROGATE_ITERATIONS):
             subset = agent.subset_picker(perf * scale, subset, iteration=it)
-            idx = np.array([agent.space.index_of_name(n) for n in subset])
+            idx = np.array([TUNED_SPACE.index_of_name(n) for n in subset])
             perf = env.step(idx)
     agent.reset_episode()
 
@@ -191,9 +191,7 @@ def train_tunio_agents(
     simulator: IOStackSimulator,
     training_workloads: Sequence[WorkloadLike],
     normalizer: PerfNormalizer,
-    space: ParameterSpace = TUNED_SPACE,
     rng: np.random.Generator | None = None,
-    curve_generator: LogCurveGenerator | None = None,
     cache: EvaluationCache | None = None,
 ) -> TunIOAgents:
     """The full offline phase: sweep the representative kernels, run the
@@ -202,16 +200,16 @@ def train_tunio_agents(
     """
     rng = rng if rng is not None else np.random.default_rng()
     sweeps = [
-        parameter_sweep(simulator, w, space, rng=rng, cache=cache)
+        parameter_sweep(simulator, w, rng=rng, cache=cache)
         for w in training_workloads
     ]
     impact = impact_from_sweeps(sweeps)
 
-    smart = SmartConfigAgent(space=space, normalizer=normalizer, rng=rng)
+    smart = SmartConfigAgent(normalizer, rng=rng)
     pretrain_subset_picker(smart, impact, rng=rng)
 
     stopper = EarlyStoppingAgent(rng=rng)
-    stopper.train_offline(generator=curve_generator, rng=rng)
+    stopper.train_offline(rng=rng)
 
     return TunIOAgents(smart_config=smart, early_stopper=stopper, impact_scores=impact)
 
@@ -233,7 +231,6 @@ def save_agents(agents: TunIOAgents, path: str | Path) -> None:
 def load_agents(
     path: str | Path,
     normalizer: PerfNormalizer,
-    space: ParameterSpace = TUNED_SPACE,
     rng: np.random.Generator | None = None,
 ) -> TunIOAgents:
     """Restore a :func:`save_agents` checkpoint.
@@ -257,7 +254,7 @@ def load_agents(
             f"truncated or corrupted -- delete it and retrain"
         ) from exc
     validate_agent_checkpoint(data, path=str(path))
-    smart = SmartConfigAgent(space=space, normalizer=normalizer, rng=rng)
+    smart = SmartConfigAgent(normalizer, rng=rng)
     stopper = EarlyStoppingAgent(rng=rng)
     try:
         smart.set_state(

@@ -22,7 +22,6 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.iostack.parameters import TUNED_SPACE, ParameterSpace
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.tuners.base import IterationRecord, TuningResult
 from repro.tuners.hstuner import HSTuner
@@ -64,10 +63,9 @@ class TunIOTuner(HSTuner):
         simulator: IOStackSimulator,
         smart_config: SmartConfigAgent,
         stopper: RLStopper,
-        space: ParameterSpace = TUNED_SPACE,
         **kwargs,
     ):
-        super().__init__(simulator, space=space, stopper=stopper, **kwargs)
+        super().__init__(simulator, stopper=stopper, **kwargs)
         # Reads the *current* fault plan each call (the attribute is
         # swapped around journal cache warming and by tests).
         fault_source = lambda: simulator.faults  # noqa: E731
@@ -110,7 +108,7 @@ class TunIOTuner(HSTuner):
         return subset
 
     def _observe_iteration(self, record: IterationRecord) -> None:
-        norm = self.smart_config._normalize(record.best_perf)
+        norm = self.smart_config.normalizer.normalize(record.best_perf)
         if self._current_subset is not None and self._last_best_norm is not None:
             self._picker.credit_subset(
                 self._current_subset, norm - self._last_best_norm
@@ -132,7 +130,6 @@ def build_tunio(
     simulator: IOStackSimulator,
     agents: TunIOAgents,
     normalizer: PerfNormalizer,
-    space: ParameterSpace = TUNED_SPACE,
     expected_runs: float | None = None,
     rng: np.random.Generator | None = None,
     **kwargs,
@@ -151,7 +148,6 @@ def build_tunio(
         simulator,
         smart_config=agents.smart_config,
         stopper=stopper,
-        space=space,
         rng=rng,
         **kwargs,
     )

@@ -17,19 +17,18 @@ The subset itself is materialised from a ranked **impact score** per
 parameter: initialised offline (parameter sweep + PCA on representative
 kernels, see :mod:`.offline_training`) and updated online by crediting
 the parameters of a subset with the normalised improvement it produced.
-The picker's discrete action chooses the subset *size*; the top-k
-parameters by impact fill it (with light exploration swaps).
+The picker's discrete action chooses the subset *size*; the top-ranked
+parameter plus impact-weighted draws fill it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.iostack.faults import FaultPlan
-from repro.iostack.parameters import ParameterSpace, TUNED_SPACE
+from repro.iostack.parameters import TUNED_SPACE
 from repro.rl.bandit import NeuralContextualBandit
 from repro.rl.guardrails import AgentGuard, GuardrailMonitor
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
@@ -37,7 +36,7 @@ from repro.rl.replay import DelayedRewardBuffer
 
 from .objective import PerfNormalizer
 
-__all__ = ["SmartConfigSettings", "SmartConfigAgent", "GuardedSubsetPicker"]
+__all__ = ["SmartConfigAgent", "GuardedSubsetPicker"]
 
 #: Identical non-full subsets in a row that mean the picker's policy
 #: collapsed.  Healthy pickers never repeat a non-full subset more than
@@ -47,90 +46,67 @@ __all__ = ["SmartConfigSettings", "SmartConfigAgent", "GuardedSubsetPicker"]
 CONSTANT_WINDOW = 6
 
 
-@dataclass(frozen=True)
-class SmartConfigSettings:
-    """Hyper-parameters of the Smart Configuration Generation agent."""
-
-    #: Candidate subset sizes the picker chooses among.
-    subset_sizes: tuple[int, ...] = (2, 3, 4, 6, 8, 12)
-    #: Reward-maturation delay in iterations (the paper uses 5).
-    delay: int = 5
-    #: Width of the state observation (bandit hidden layer).
-    state_dim: int = 16
-    #: EMA rate for online impact-score updates.
-    impact_learning_rate: float = 0.25
-    #: Probability of swapping one subset member for an excluded
-    #: parameter (exploration of the ranking).
-    swap_probability: float = 0.25
-    discount: float = 0.9
-    learning_rate: float = 2e-3
-    #: Nominal iteration budget for feature normalisation.
-    max_iterations: int = 50
-
-    def __post_init__(self) -> None:
-        if not self.subset_sizes or any(k < 1 for k in self.subset_sizes):
-            raise ValueError("subset_sizes must be positive")
-        if not 0.0 <= self.swap_probability <= 1.0:
-            raise ValueError("swap_probability must be in [0, 1]")
-        if self.delay < 0:
-            raise ValueError("delay must be >= 0")
+#: Candidate subset sizes the picker chooses among.
+SUBSET_SIZES = (2, 3, 4, 6, 8, 12)
+#: Reward-maturation delay in iterations (the paper uses 5).
+DELAY = 5
+#: Width of the state observation (bandit hidden layer).
+STATE_DIM = 16
+#: EMA rate for online impact-score updates.
+IMPACT_LEARNING_RATE = 0.25
+DISCOUNT = 0.9
+LEARNING_RATE = 2e-3
+#: Nominal iteration budget for feature normalisation.
+MAX_ITERATIONS = 50
 
 
 class SmartConfigAgent:
-    """Ranks parameters by impact and picks the next tuning subset."""
+    """Ranks parameters by impact and picks the next tuning subset.
+
+    ``normalizer`` maps raw MB/s to the agent's normalised perf units.
+    """
 
     def __init__(
         self,
-        space: ParameterSpace = TUNED_SPACE,
-        normalizer: PerfNormalizer | None = None,
-        settings: SmartConfigSettings | None = None,
+        normalizer: PerfNormalizer,
         rng: np.random.Generator | None = None,
     ):
-        self.space = space
-        self.settings = settings or SmartConfigSettings()
         self.normalizer = normalizer
         self.rng = rng if rng is not None else np.random.default_rng()
-        n = len(space)
-        sizes = tuple(k for k in self.settings.subset_sizes if k <= n)
-        if not sizes:
-            raise ValueError("no subset size fits the space")
-        self.subset_sizes = sizes
+        n = len(TUNED_SPACE)
         #: Per-parameter impact scores, normalised to sum to 1.
         self.impact_scores = np.full(n, 1.0 / n)
         # Context: subset membership one-hot + [norm perf, iter fraction].
         self.observer = NeuralContextualBandit(
             context_dim=n + 2,
-            state_dim=self.settings.state_dim,
-            learning_rate=self.settings.learning_rate,
+            state_dim=STATE_DIM,
+            learning_rate=LEARNING_RATE,
             rng=self.rng,
         )
         self.picker = QLearningAgent(
             QLearningConfig(
-                state_dim=self.settings.state_dim,
-                n_actions=len(sizes),
+                state_dim=STATE_DIM,
+                n_actions=len(SUBSET_SIZES),
                 hidden=(24,),
-                learning_rate=self.settings.learning_rate,
-                discount=self.settings.discount,
+                learning_rate=LEARNING_RATE,
+                discount=DISCOUNT,
                 epsilon_start=0.4,
                 epsilon_end=0.05,
                 epsilon_decay=0.99,
             ),
             self.rng,
         )
-        self._delayed = DelayedRewardBuffer(delay=self.settings.delay)
+        self._delayed = DelayedRewardBuffer(delay=DELAY)
         self._perf_trace: list[float] = []
-        self._last_state: np.ndarray | None = None
 
     # -- context / state ---------------------------------------------------------
 
     def _context(self, subset: Sequence[str], perf_norm: float, iteration: int) -> np.ndarray:
-        onehot = np.array([1.0 if p in subset else 0.0 for p in self.space.names])
-        extra = np.array([perf_norm, min(2.0, iteration / self.settings.max_iterations)])
+        onehot = np.array([1.0 if p in subset else 0.0 for p in TUNED_SPACE.names])
+        extra = np.array([perf_norm, min(2.0, iteration / MAX_ITERATIONS)])
         return np.concatenate([onehot, extra])
 
     def _normalize(self, perf_mbps: float) -> float:
-        if self.normalizer is None:
-            return perf_mbps / 1000.0  # fall back to GB/s units
         return self.normalizer.normalize(perf_mbps)
 
     # -- impact ranking ------------------------------------------------------------
@@ -138,7 +114,7 @@ class SmartConfigAgent:
     def set_impact_scores(self, scores: Sequence[float]) -> None:
         """Install offline-trained impact scores (sum-normalised)."""
         arr = np.asarray(scores, dtype=float)
-        if arr.shape != (len(self.space),):
+        if arr.shape != (len(TUNED_SPACE),):
             raise ValueError("scores must have one entry per parameter")
         if np.any(arr < 0) or arr.sum() <= 0:
             raise ValueError("scores must be non-negative and not all zero")
@@ -147,7 +123,7 @@ class SmartConfigAgent:
     def ranked_parameters(self) -> tuple[str, ...]:
         """All parameters, most impactful first."""
         order = np.argsort(self.impact_scores)[::-1]
-        return tuple(self.space.names[i] for i in order)
+        return tuple(TUNED_SPACE.names[i] for i in order)
 
     def _materialize_subset(self, k: int) -> tuple[str, ...]:
         """Fill a subset of size ``k``: the top-ranked parameter is
@@ -157,7 +133,7 @@ class SmartConfigAgent:
         subsets, so online credit assignment can promote a parameter the
         offline sweep under-rated -- interaction-only effects like
         collective I/O depend on this."""
-        names = list(self.space.names)
+        names = list(TUNED_SPACE.names)
         order = np.argsort(self.impact_scores)[::-1]
         subset = [names[order[0]]]
         if k > 1:
@@ -182,19 +158,19 @@ class SmartConfigAgent:
         subset for the next iteration (Table I: ``subset_picker(perf,
         current_parameter_set) -> next_parameter_set``)."""
         perf_norm = self._normalize(perf_mbps)
-        current = tuple(current_parameter_set or self.space.names)
+        current = tuple(current_parameter_set or TUNED_SPACE.names)
 
         # Mature delayed rewards from decisions >= delay iterations old.
         self._perf_trace.append(perf_norm)
 
         context = self._context(current, perf_norm, iteration)
-        reward_now = perf_norm / (len(current) / len(self.space))
+        reward_now = perf_norm / (len(current) / len(TUNED_SPACE))
         self.observer.update(context, reward_now)
         state = self.observer.observe_state(context)
 
         def delayed_reward(born: int, now: int) -> float:
             horizon = min(now, len(self._perf_trace) - 1)
-            return self._perf_trace[horizon] / (len(current) / len(self.space))
+            return self._perf_trace[horizon] / (len(current) / len(TUNED_SPACE))
 
         for tr in self._delayed.mature(iteration, delayed_reward, state, done=False):
             self.picker.observe(tr)
@@ -204,7 +180,7 @@ class SmartConfigAgent:
         self._delayed.remember(state, action, iteration)
         self.picker.decay_epsilon()
 
-        k = self.subset_sizes[action]
+        k = SUBSET_SIZES[action]
         return self._materialize_subset(k)
 
     # -- online impact updates ------------------------------------------------------------
@@ -214,18 +190,18 @@ class SmartConfigAgent:
         change their tuning iteration produced."""
         if not subset:
             return
-        beta = self.settings.impact_learning_rate
+        beta = IMPACT_LEARNING_RATE
         scores = self.impact_scores.copy()
         if perf_delta_norm > 0:
             credit = perf_delta_norm / len(subset)
             for name in subset:
-                i = self.space.index_of_name(name)
+                i = TUNED_SPACE.index_of_name(name)
                 scores[i] = (1.0 - beta) * scores[i] + beta * (scores[i] + credit)
         else:
             # A fruitless iteration mildly debits its subset so stale
             # rankings erode and other parameters get their turn.
             for name in subset:
-                i = self.space.index_of_name(name)
+                i = TUNED_SPACE.index_of_name(name)
                 scores[i] *= 1.0 - 0.25 * beta
         self.impact_scores = scores / scores.sum()
 
@@ -235,7 +211,6 @@ class SmartConfigAgent:
         from the applications it is exposed to'."""
         self._delayed.clear()
         self._perf_trace.clear()
-        self._last_state = None
 
     # -- checkpointing -------------------------------------------------------------------
 
@@ -354,7 +329,7 @@ class GuardedSubsetPicker:
         if not subset:
             trip("invalid-output", "picker returned an empty subset", iteration)
             return None
-        unknown = [p for p in subset if p not in self.agent.space.names]
+        unknown = [p for p in subset if p not in TUNED_SPACE.names]
         if unknown:
             trip(
                 "invalid-output",
@@ -362,15 +337,15 @@ class GuardedSubsetPicker:
                 iteration,
             )
             return None
-        if len(subset) not in self.agent.subset_sizes:
+        if len(subset) not in SUBSET_SIZES:
             trip(
                 "invalid-output",
                 f"subset size {len(subset)} not in configured sizes "
-                f"{self.agent.subset_sizes!r}",
+                f"{SUBSET_SIZES!r}",
                 iteration,
             )
             return None
-        if len(subset) < len(self.agent.space):
+        if len(subset) < len(TUNED_SPACE):
             if subset == self._repeat_subset:
                 self._repeat_count += 1
             else:

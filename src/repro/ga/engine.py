@@ -5,7 +5,7 @@ Drives the classic evaluate -> select -> mate -> mutate loop through a
 (for subset tuning).  The engine is deliberately DEAP-shaped: the tuning
 pipeline owns the outer loop (it consults the early stopper and the
 subset picker between generations), so the engine exposes a single
-:meth:`step` advancing one generation, plus a convenience :meth:`run`.
+:meth:`step` advancing one generation.
 
 Toolbox contract (all rng arguments are numpy Generators):
 
@@ -32,7 +32,7 @@ tuners share work between duplicates at the trace level instead).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -151,23 +151,6 @@ class EvolutionEngine:
         self.population = next_pop
         self._generation += 1
         return self._evaluate_and_record()
-
-    def run(
-        self,
-        n_generations: int,
-        should_stop: Callable[[GenerationStats], bool] | None = None,
-    ) -> list[GenerationStats]:
-        """Run up to ``n_generations`` (including generation 0 if not yet
-        initialised), stopping early when ``should_stop`` returns True."""
-        if n_generations < 1:
-            raise ValueError("n_generations must be >= 1")
-        out: list[GenerationStats] = []
-        for _ in range(n_generations):
-            stats = self.step()
-            out.append(stats)
-            if should_stop is not None and should_stop(stats):
-                break
-        return out
 
     # -- accessors --------------------------------------------------------------------
 

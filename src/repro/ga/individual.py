@@ -39,10 +39,6 @@ class Individual:
     def evaluated(self) -> bool:
         return self.fitness is not None
 
-    def clone(self) -> "Individual":
-        """An unevaluated copy (operators invalidate fitness)."""
-        return Individual(self.genome.copy())
-
     def same_genome(self, other: "Individual") -> bool:
         return bool(np.array_equal(self.genome, other.genome))
 

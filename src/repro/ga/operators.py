@@ -17,7 +17,7 @@ import numpy as np
 from .individual import Individual
 
 if TYPE_CHECKING:  # layering: ga never imports iostack at runtime
-    from repro.iostack.parameters import ConstraintContext, ConstraintRegistry
+    from repro.iostack.parameters import ConstraintRegistry
 
 __all__ = [
     "uniform_crossover",
@@ -94,11 +94,7 @@ def apply_mask(
     return Individual(genome)
 
 
-def repair_individual(
-    ind: Individual,
-    registry: "ConstraintRegistry",
-    context: "ConstraintContext | None" = None,
-) -> Individual:
+def repair_individual(ind: Individual, registry: "ConstraintRegistry") -> Individual:
     """Project an individual onto the constraint-satisfying region.
 
     Delegates to the registry's deterministic, idempotent genome repair
@@ -111,7 +107,7 @@ def repair_individual(
     RNG stream untouched, which is what keeps constraint-free runs
     bit-identical to runs where the registry never fires.
     """
-    repaired = registry.repair_genome(ind.genome, context)
+    repaired = registry.repair_genome(ind.genome)
     if np.array_equal(repaired, ind.genome):
         return ind
     return Individual(repaired)

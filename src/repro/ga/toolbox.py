@@ -45,16 +45,10 @@ class Toolbox:
         pre-applied (``functools.partial`` semantics)."""
         if not callable(fn):
             raise TypeError(f"{name!r} must be registered with a callable")
-        if name.startswith("_") or name in ("register", "unregister", "validate"):
+        if name.startswith("_") or name in ("register", "validate"):
             raise ValueError(f"illegal toolbox entry name {name!r}")
         partial = functools.partial(fn, *args, **kwargs) if (args or kwargs) else fn
         self._registry[name] = partial
-
-    def unregister(self, name: str) -> None:
-        try:
-            del self._registry[name]
-        except KeyError:
-            raise KeyError(f"no toolbox entry named {name!r}") from None
 
     def __contains__(self, name: str) -> bool:
         return name in self._registry

@@ -32,7 +32,6 @@ from .parameters import (
     ConstraintContext,
     ConstraintRegistry,
     ConstraintViolation,
-    ConstraintViolationError,
     DivisibilityConstraint,
     LibraryCatalog,
     Parameter,
@@ -72,7 +71,6 @@ __all__ = [
     "ConstraintContext",
     "ConstraintRegistry",
     "ConstraintViolation",
-    "ConstraintViolationError",
     "UpperBoundConstraint",
     "DivisibilityConstraint",
     "default_constraints",

@@ -15,13 +15,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .parameters import (
-    TUNED_SPACE,
-    ConstraintContext,
-    ConstraintRegistry,
-    ConstraintViolation,
-    ParameterSpace,
-)
+from .parameters import TUNED_SPACE, ParameterSpace
 
 __all__ = ["StackConfiguration", "to_xml", "from_xml"]
 
@@ -137,38 +131,6 @@ class StackConfiguration(Mapping[str, Any]):
         merged.update(updates)
         return StackConfiguration(self._space, merged)
 
-    # -- cross-parameter constraints ----------------------------------------------
-
-    def violations(
-        self,
-        registry: "ConstraintRegistry",
-        context: "ConstraintContext | None" = None,
-    ) -> list["ConstraintViolation"]:
-        """Constraints of ``registry`` this configuration violates."""
-        return registry.violations(self._values, context)
-
-    def validate(
-        self,
-        registry: "ConstraintRegistry",
-        context: "ConstraintContext | None" = None,
-    ) -> None:
-        """Raise :class:`~repro.iostack.parameters.ConstraintViolationError`
-        if any constraint of ``registry`` fails; actionable per-violation
-        messages include the repaired value."""
-        registry.validate(self._values, context)
-
-    def repaired(
-        self,
-        registry: "ConstraintRegistry",
-        context: "ConstraintContext | None" = None,
-    ) -> "StackConfiguration":
-        """A constraint-clean copy (``self`` when already clean, so the
-        happy path allocates nothing new)."""
-        fixed = registry.repair(self._values, context)
-        if fixed == self._values:
-            return self
-        return StackConfiguration(self._space, fixed)
-
 
 def to_xml(config: StackConfiguration) -> str:
     """Serialise to the H5Tuner-style XML override file.
@@ -197,7 +159,7 @@ def to_xml(config: StackConfiguration) -> str:
     return ET.tostring(root, encoding="unicode")
 
 
-def from_xml(text: str, space: ParameterSpace = TUNED_SPACE) -> StackConfiguration:
+def from_xml(text: str) -> StackConfiguration:
     """Parse an H5Tuner-style XML override file produced by :func:`to_xml`.
 
     Unlisted parameters take their defaults, matching H5Tuner semantics
@@ -211,10 +173,10 @@ def from_xml(text: str, space: ParameterSpace = TUNED_SPACE) -> StackConfigurati
         if section.tag not in _SECTION_LAYERS:
             raise ValueError(f"unknown section <{section.tag}>")
         for child in section:
-            if child.tag not in space:
+            if child.tag not in TUNED_SPACE:
                 raise KeyError(f"unknown parameter {child.tag!r}")
-            values[child.tag] = _parse(child.text or "", space[child.tag].values)
-    return StackConfiguration(space, values)
+            values[child.tag] = _parse(child.text or "", TUNED_SPACE[child.tag].values)
+    return StackConfiguration(TUNED_SPACE, values)
 
 
 def _render(value: Any) -> str:

@@ -35,7 +35,6 @@ __all__ = [
     "stack_permutations",
     "ConstraintContext",
     "ConstraintViolation",
-    "ConstraintViolationError",
     "UpperBoundConstraint",
     "DivisibilityConstraint",
     "ConstraintRegistry",
@@ -121,8 +120,8 @@ class ParameterSpace:
     """An ordered, immutable collection of :class:`Parameter` objects.
 
     Provides genome encoding (value <-> index vectors), permutation
-    counting, uniform sampling, and subspace selection -- everything the
-    GA and the RL subset picker need.
+    counting and uniform sampling -- everything the GA and the RL subset
+    picker need.
     """
 
     def __init__(self, parameters: Sequence[Parameter]):
@@ -216,17 +215,6 @@ class ParameterSpace:
             out[j] = 0.0 if p.cardinality == 1 else int(i) / (p.cardinality - 1)
         return out
 
-    # -- subspaces ---------------------------------------------------------------
-
-    def subset(self, names: Sequence[str]) -> "ParameterSpace":
-        """A new space containing only ``names``, preserving this space's
-        order (not the order of ``names``)."""
-        wanted = set(names)
-        unknown = wanted - set(self.names)
-        if unknown:
-            raise KeyError(f"unknown parameters: {sorted(unknown)}")
-        return ParameterSpace([p for p in self._params if p.name in wanted])
-
 
 # -- cross-parameter constraints ----------------------------------------------------
 #
@@ -289,19 +277,6 @@ class ConstraintViolation:
         return f"[{self.constraint}] {self.message}"
 
 
-class ConstraintViolationError(ValueError):
-    """A configuration failed strict validation.
-
-    Carries the individual :class:`ConstraintViolation` entries so
-    callers (the CLI) can render each with its suggested fix.
-    """
-
-    def __init__(self, violations: Sequence[ConstraintViolation]):
-        self.violations = tuple(violations)
-        lines = "; ".join(str(v) for v in self.violations)
-        super().__init__(f"configuration violates {len(self.violations)} constraint(s): {lines}")
-
-
 def _largest_candidate_leq(param: Parameter, bound: int) -> Any | None:
     """The largest numeric candidate <= bound (None when all exceed it)."""
     ok = [v for v in param.values if isinstance(v, (int, float)) and v <= bound]
@@ -315,7 +290,7 @@ class UpperBoundConstraint:
     or to ``None`` when the context does not pin one (constraint
     skipped).  Repair clamps to the largest candidate within the bound
     (or the smallest candidate overall if every candidate exceeds it --
-    validate still reports that residue).
+    check still reports that residue).
     """
 
     def __init__(self, param: str, bound: Callable[[ConstraintContext], int | None],
@@ -328,22 +303,20 @@ class UpperBoundConstraint:
     def parameters(self) -> tuple[str, ...]:
         return (self.param,)
 
-    def check(self, values: Mapping[str, Any], space: ParameterSpace,
+    def check(self, values: Mapping[str, Any],
               context: ConstraintContext) -> ConstraintViolation | None:
-        if self.param not in space:
-            return None
         limit = self.bound(context)
         if limit is None:
             return None
         value = values[self.param]
         if value <= limit:
             return None
-        suggestion = _largest_candidate_leq(space[self.param], limit)
+        suggestion = _largest_candidate_leq(TUNED_SPACE[self.param], limit)
         hint = (
             f"; repair would set {self.param}={suggestion}"
             if suggestion is not None
             else f"; no candidate value of {self.param} fits (smallest is "
-                 f"{min(space[self.param].values)})"
+                 f"{min(TUNED_SPACE[self.param].values)})"
         )
         return ConstraintViolation(
             constraint=self.name,
@@ -351,16 +324,13 @@ class UpperBoundConstraint:
             message=f"{self.param}={value} exceeds {self.description} ({limit}){hint}",
         )
 
-    def repair(self, values: dict[str, Any], space: ParameterSpace,
-               context: ConstraintContext) -> bool:
-        if self.param not in space:
-            return False
+    def repair(self, values: dict[str, Any], context: ConstraintContext) -> bool:
         limit = self.bound(context)
         if limit is None or values[self.param] <= limit:
             return False
-        candidate = _largest_candidate_leq(space[self.param], limit)
+        candidate = _largest_candidate_leq(TUNED_SPACE[self.param], limit)
         if candidate is None:
-            candidate = min(space[self.param].values)
+            candidate = min(TUNED_SPACE[self.param].values)
         if values[self.param] == candidate:
             return False
         values[self.param] = candidate
@@ -393,14 +363,12 @@ class DivisibilityConstraint:
             return True
         return dividend % divisor == 0
 
-    def check(self, values: Mapping[str, Any], space: ParameterSpace,
+    def check(self, values: Mapping[str, Any],
               context: ConstraintContext) -> ConstraintViolation | None:
-        if self.divisor not in space or self.dividend not in space:
-            return None
         a, b = values[self.divisor], values[self.dividend]
         if self._divides(a, b):
             return None
-        fix = self._best_divisor(space[self.divisor], b)
+        fix = self._best_divisor(TUNED_SPACE[self.divisor], b)
         hint = f"; repair would set {self.divisor}={fix}" if fix is not None else ""
         return ConstraintViolation(
             constraint=self.name,
@@ -416,16 +384,14 @@ class DivisibilityConstraint:
         ]
         return max(ok) if ok else None
 
-    def repair(self, values: dict[str, Any], space: ParameterSpace,
-               context: ConstraintContext) -> bool:
-        if self.divisor not in space or self.dividend not in space:
-            return False
+    def repair(self, values: dict[str, Any], context: ConstraintContext) -> bool:
         a, b = values[self.divisor], values[self.dividend]
         if self._divides(a, b):
             return False
-        candidate = self._best_divisor(space[self.divisor], b)
+        divisor = TUNED_SPACE[self.divisor]
+        candidate = self._best_divisor(divisor, b)
         if candidate is None:
-            candidate = min(v for v in space[self.divisor].values if isinstance(v, int))
+            candidate = min(v for v in divisor.values if isinstance(v, int))
         if values[self.divisor] == candidate:
             return False
         values[self.divisor] = candidate
@@ -439,13 +405,13 @@ _MAX_REPAIR_PASSES = 8
 
 
 class ConstraintRegistry:
-    """An ordered set of cross-parameter constraints over one space.
+    """An ordered set of cross-parameter constraints over
+    :data:`TUNED_SPACE`, evaluated against one run's context.
 
-    ``validate`` is the strict gate for user-supplied configurations
-    (raises :class:`ConstraintViolationError` with one actionable line
-    per violation); ``repair`` is the deterministic, idempotent projection
-    the GA applies to every bred genome so variation can never emit an
-    invalid individual.  Because every repair step only *lowers* the
+    ``violations`` lists the broken rules with one actionable line each;
+    ``repair`` is the deterministic, idempotent projection the GA applies
+    to every bred genome so variation can never emit an invalid
+    individual.  Because every repair step only *lowers* the
     offending parameter to the largest satisfying candidate, repair
     converges to the same fixed point whatever order the constraints are
     applied in (chaotic iteration of deflationary monotone operators).
@@ -453,11 +419,9 @@ class ConstraintRegistry:
 
     def __init__(
         self,
-        space: ParameterSpace,
         constraints: Sequence[Any],
         context: ConstraintContext | None = None,
     ):
-        self.space = space
         self.constraints = tuple(constraints)
         self.context = context if context is not None else ConstraintContext()
 
@@ -467,30 +431,16 @@ class ConstraintRegistry:
     def __iter__(self) -> Iterator[Any]:
         return iter(self.constraints)
 
-    def violations(
-        self, values: Mapping[str, Any], context: ConstraintContext | None = None
-    ) -> list[ConstraintViolation]:
+    def violations(self, values: Mapping[str, Any]) -> list[ConstraintViolation]:
         """Every violated constraint for a full name->value assignment."""
-        ctx = context if context is not None else self.context
         out = []
         for constraint in self.constraints:
-            violation = constraint.check(values, self.space, ctx)
+            violation = constraint.check(values, self.context)
             if violation is not None:
                 out.append(violation)
         return out
 
-    def validate(
-        self, values: Mapping[str, Any], context: ConstraintContext | None = None
-    ) -> None:
-        """Strict gate: raise :class:`ConstraintViolationError` listing
-        every violation (with its suggested repair) if any rule fails."""
-        found = self.violations(values, context)
-        if found:
-            raise ConstraintViolationError(found)
-
-    def repair(
-        self, values: Mapping[str, Any], context: ConstraintContext | None = None
-    ) -> dict[str, Any]:
+    def repair(self, values: Mapping[str, Any]) -> dict[str, Any]:
         """A constraint-clean copy of ``values``.
 
         Deterministic and idempotent: repairing an already-clean
@@ -498,12 +448,11 @@ class ConstraintRegistry:
         changes nothing.  Runs the constraint list to a fixed point so
         one repair cannot un-satisfy an earlier rule.
         """
-        ctx = context if context is not None else self.context
         out = dict(values)
         for _ in range(_MAX_REPAIR_PASSES):
             changed = False
             for constraint in self.constraints:
-                changed |= constraint.repair(out, self.space, ctx)
+                changed |= constraint.repair(out, self.context)
             if not changed:
                 return out
         raise RuntimeError(
@@ -511,25 +460,18 @@ class ConstraintRegistry:
             f"(registry {self.constraints!r} is not deflationary)"
         )  # pragma: no cover - guarded by construction
 
-    def repair_genome(
-        self,
-        indices: Sequence[int] | np.ndarray,
-        context: ConstraintContext | None = None,
-    ) -> np.ndarray:
+    def repair_genome(self, indices: Sequence[int] | np.ndarray) -> np.ndarray:
         """Genome-level repair: decode, repair, re-encode.  Returns the
         input array unchanged (same object) when already clean, so GA
         callers can cheaply detect no-ops."""
-        values = self.space.decode(indices)
-        repaired = self.repair(values, context)
+        values = TUNED_SPACE.decode(indices)
+        repaired = self.repair(values)
         if repaired == values:
             return np.asarray(indices, dtype=np.int64)
-        return self.space.encode(repaired)
+        return TUNED_SPACE.encode(repaired)
 
 
-def default_constraints(
-    space: ParameterSpace | None = None,
-    context: ConstraintContext | None = None,
-) -> ConstraintRegistry:
+def default_constraints(context: ConstraintContext | None = None) -> ConstraintRegistry:
     """The stock rules for the paper's HDF5/MPI-IO/Lustre space.
 
     ===================  =======================================================
@@ -542,14 +484,8 @@ def default_constraints(
     stripe-divides-cb    ``cb_buffer_size % striping_unit == 0`` (each ROMIO
                          flush covers whole stripes)
     ===================  =======================================================
-
-    Constraints referring to parameters absent from ``space`` are kept
-    but skip silently, so subset spaces work unchanged.
     """
-    if space is None:
-        space = TUNED_SPACE
     return ConstraintRegistry(
-        space,
         (
             UpperBoundConstraint(
                 "striping_factor",

@@ -159,7 +159,7 @@ class GuardrailMonitor:
 # -- weight checks -------------------------------------------------------------------
 
 
-def network_weight_issue(mlp: MLP, limit: float = WEIGHT_LIMIT) -> str | None:
+def network_weight_issue(mlp: MLP) -> str | None:
     """Why an MLP's parameters are unusable, or ``None`` if healthy.
 
     Pure read: no forward pass, no RNG draw, no mutation.
@@ -169,7 +169,7 @@ def network_weight_issue(mlp: MLP, limit: float = WEIGHT_LIMIT) -> str | None:
             if not np.all(np.isfinite(arr)):
                 return f"non-finite {label} in layer {i}"
             peak = float(np.abs(arr).max()) if arr.size else 0.0
-            if peak > limit:
+            if peak > WEIGHT_LIMIT:
                 return f"exploded {label} in layer {i} (|w| up to {peak:.3g})"
     return None
 

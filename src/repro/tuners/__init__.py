@@ -33,6 +33,7 @@ from .stoppers import (
     NoStop,
     Stopper,
     TimeBudgetStopper,
+    first_stop,
 )
 
 __all__ = [
@@ -58,5 +59,6 @@ __all__ = [
     "MaxPerfOracleStopper",
     "NoStop",
     "Stopper",
+    "first_stop",
     "TimeBudgetStopper",
 ]

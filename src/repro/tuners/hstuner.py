@@ -72,7 +72,7 @@ from repro.ga import (
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
 from repro.iostack.evalcache import EvaluationCache, EvaluationStats
-from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry, ParameterSpace
+from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
 from repro.rl.guardrails import GuardrailMonitor
@@ -88,6 +88,9 @@ __all__ = ["HSTuner"]
 #: (only a degenerate space -- all cardinalities 1 -- exhausts this).
 _MAX_PERTURBATION_ATTEMPTS = 16
 
+#: Per-gene mutation rate of offspring over the full parameter set.
+MUTATION_PROBABILITY = 0.12
+
 
 class HSTuner(Tuner):
     """GA-based I/O stack tuner (the paper's baseline pipeline).
@@ -96,8 +99,6 @@ class HSTuner(Tuner):
     ----------
     simulator:
         The stack simulator standing in for the testbed.
-    space:
-        Parameter space to tune (defaults to the paper's 12 parameters).
     population_size, n_elites:
         GA shape; the paper's pipeline uses elitism (1 elite) with
         3-way-tournament parent selection.
@@ -105,8 +106,6 @@ class HSTuner(Tuner):
         Stopping strategy consulted after every generation.
     repeats:
         Runs averaged per evaluation (3 in the paper's methodology).
-    mutation_probability:
-        Per-gene mutation rate of offspring.
     rng:
         Seeded generator for reproducibility.
     cache:
@@ -123,15 +122,9 @@ class HSTuner(Tuner):
         :class:`~repro.iostack.parameters.ConstraintRegistry`.  When
         given, a ``repair`` hook is registered in the GA toolbox so
         every bred individual (initial population and post-variation
-        offspring) is projected onto the constraint-satisfying region,
-        and a user-supplied ``seed_config`` is strictly validated up
-        front (raising with one actionable message per violation).
+        offspring) is projected onto the constraint-satisfying region.
         ``None`` (the default) changes nothing -- runs stay bit-identical
         to pre-constraint builds.
-    seed_config:
-        Optional starting configuration for the GA (defaults to the
-        library defaults).  Must belong to ``space``; validated against
-        ``constraints`` when both are given.
     recorder:
         Optional :class:`~repro.observability.recorder.Recorder`; a
         :class:`~repro.observability.recorder.TraceRecorder` streams the
@@ -148,40 +141,25 @@ class HSTuner(Tuner):
     def __init__(
         self,
         simulator: IOStackSimulator,
-        space: ParameterSpace = TUNED_SPACE,
         population_size: int = 6,
         n_elites: int = 1,
         stopper: Stopper | None = None,
         repeats: int = 3,
-        mutation_probability: float = 0.12,
         rng: np.random.Generator | None = None,
         cache: EvaluationCache | None = None,
         retry_policy: RetryPolicy | None = None,
         constraints: ConstraintRegistry | None = None,
-        seed_config: StackConfiguration | None = None,
         recorder: Recorder | None = None,
     ):
-        if seed_config is not None and seed_config.space != space:
-            raise ValueError(
-                "seed_config belongs to a different parameter space than the tuner"
-            )
-        if constraints is not None and seed_config is not None:
-            # Strict gate for user-supplied seeds: fail fast with one
-            # actionable message per violation (bred individuals are
-            # repaired instead, never rejected).
-            seed_config.validate(constraints)
         self.simulator = simulator
-        self.space = space
         self.population_size = population_size
         self.n_elites = n_elites
         self.stopper = stopper if stopper is not None else NoStop()
         self.repeats = repeats
-        self.mutation_probability = mutation_probability
         self.rng = rng if rng is not None else np.random.default_rng()
         self.cache = cache if cache is not None else EvaluationCache()
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.constraints = constraints
-        self.seed_config = seed_config
         self.recorder = recorder if recorder is not None else NULL_RECORDER
         self.clock = SimulatedClock()
         #: Trips of the agents' guardrails (none for the plain tuner).
@@ -292,7 +270,7 @@ class HSTuner(Tuner):
         result = TuningResult(tuner_name=self.name, workload_name=workload.name)
         result.baseline_perf, replayed = self._journal.baseline(
             lambda: self._evaluate(
-                workload, [StackConfiguration.default(self.space)], charge=False
+                workload, [StackConfiguration.default()], charge=False
             )[0]
         )
         if recorder.enabled:
@@ -302,7 +280,7 @@ class HSTuner(Tuner):
 
         def live(individuals: Sequence[Individual]) -> list[float]:
             configs = [
-                StackConfiguration.from_genome(self.space, ind.genome)
+                StackConfiguration.from_genome(TUNED_SPACE, ind.genome)
                 for ind in individuals
             ]
             return self._evaluate(workload, configs, charge=True)
@@ -324,16 +302,12 @@ class HSTuner(Tuner):
             return perfs
 
         def generate(n: int, rng: np.random.Generator) -> list[Individual]:
-            # HSTuner explores outward from the library defaults (or a
-            # user-supplied seed): the initial population is the seed
-            # configuration plus neighbour perturbations of it.
-            # (Uniform-random seeding would start the search deep inside
-            # the space and skip the climb the paper's tuning curves
-            # show.)
-            if self.seed_config is not None:
-                seed = Individual(self.seed_config.genome())
-            else:
-                seed = Individual(self.space.encode(self.space.default_values()))
+            # HSTuner explores outward from the library defaults: the
+            # initial population is the default configuration plus
+            # neighbour perturbations of it.  (Uniform-random seeding
+            # would start the search deep inside the space and skip the
+            # climb the paper's tuning curves show.)
+            seed = Individual(TUNED_SPACE.encode(TUNED_SPACE.default_values()))
             population = [seed]
             while len(population) < n:
                 population.append(self._perturbed(seed, rng))
@@ -346,12 +320,12 @@ class HSTuner(Tuner):
             # active subset: the expected number of mutated genes per
             # child stays constant however narrow the mask is -- which is
             # exactly why a small high-impact subset converges faster.
-            active = self._active_subset_size or len(self.space)
-            rate = min(0.6, self.mutation_probability * len(self.space) / active)
+            active = self._active_subset_size or len(TUNED_SPACE)
+            rate = min(0.6, MUTATION_PROBABILITY * len(TUNED_SPACE) / active)
             return uniform_reset_mutation(
                 ind,
                 rng,
-                cardinalities=self.space.cardinalities,
+                cardinalities=TUNED_SPACE.cardinalities,
                 per_gene_probability=rate,
             )
 
@@ -398,7 +372,7 @@ class HSTuner(Tuner):
             candidate = uniform_reset_mutation(
                 seed,
                 rng,
-                cardinalities=self.space.cardinalities,
+                cardinalities=TUNED_SPACE.cardinalities,
                 per_gene_probability=0.15,
             )
             if not candidate.same_genome(seed):
@@ -416,12 +390,12 @@ class HSTuner(Tuner):
             tuned_names: tuple[str, ...]
             if subset is None:
                 engine.set_mask(None)
-                tuned_names = self.space.names
+                tuned_names = TUNED_SPACE.names
                 self._active_subset_size = None
             else:
-                mask = np.array([n in subset for n in self.space.names])
+                mask = np.array([n in subset for n in TUNED_SPACE.names])
                 engine.set_mask(mask)
-                tuned_names = tuple(n for n in self.space.names if n in subset)
+                tuned_names = tuple(n for n in TUNED_SPACE.names if n in subset)
                 self._active_subset_size = len(tuned_names)
 
             generation_evals.clear()
@@ -470,7 +444,7 @@ class HSTuner(Tuner):
 
         self._trace_iteration = None
         result.best_config = StackConfiguration.from_genome(
-            self.space, engine.best.genome
+            TUNED_SPACE, engine.best.genome
         )
         faults = self.simulator.faults
         result.guardrail_trips = tuple(str(t) for t in self.guardrails.trips)

@@ -60,6 +60,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.iostack.config import StackConfiguration
+from repro.iostack.parameters import TUNED_SPACE
 
 from .resilience import ResilientEvaluator
 
@@ -598,8 +599,8 @@ class RunJournal:
         ``cache_hit_rate`` matches the uninterrupted run."""
         tuner = self.tuner
         simulator = tuner.simulator
-        configs = [StackConfiguration.default(tuner.space)] + [
-            StackConfiguration.from_genome(tuner.space, genome)
+        configs = [StackConfiguration.default()] + [
+            StackConfiguration.from_genome(TUNED_SPACE, genome)
             for record in self.replay.journal.generations
             for genome in record.dispatched
         ]

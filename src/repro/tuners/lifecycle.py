@@ -59,18 +59,9 @@ def lifecycle_model(
     )
 
 
-def untuned_model(
-    simulator: IOStackSimulator,
-    workload: WorkloadLike,
-    space=None,
-) -> LifecycleModel:
+def untuned_model(simulator: IOStackSimulator, workload: WorkloadLike) -> LifecycleModel:
     """The no-tuning reference line (zero intercept, default config)."""
-    config = (
-        StackConfiguration.default(space)
-        if space is not None
-        else StackConfiguration.default()
-    )
-    evaluation = simulator.evaluate(workload, config, repeats=3)
+    evaluation = simulator.evaluate(workload, StackConfiguration.default(), repeats=3)
     return LifecycleModel(
         name="no-tuning",
         tuning_minutes=0.0,

@@ -13,7 +13,8 @@ The paper compares four ways to end a tuning run (Figure 10):
   RLStopper`, which implements the same :class:`Stopper` protocol.
 
 A stopper sees the running history (one :class:`IterationRecord` per
-iteration) and answers "stop now?".
+iteration) and answers "stop now?"; :func:`first_stop` replays one over a
+finished run's history.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "MaxPerfOracleStopper",
     "TimeBudgetStopper",
     "AnyStopper",
+    "first_stop",
 ]
 
 
@@ -93,18 +95,15 @@ class MaxPerfOracleStopper:
 
     name = "max-perf-oracle"
 
-    def __init__(self, optimal_perf_mbps: float, tolerance: float = 0.005):
+    def __init__(self, optimal_perf_mbps: float):
         if optimal_perf_mbps <= 0:
             raise ValueError("optimal_perf_mbps must be positive")
-        if tolerance < 0:
-            raise ValueError("tolerance must be >= 0")
         self.optimal = optimal_perf_mbps
-        self.tolerance = tolerance
 
     def should_stop(self, history: Sequence[IterationRecord]) -> bool:
         if not history:
             return False
-        return history[-1].best_perf >= self.optimal * (1.0 - self.tolerance)
+        return history[-1].best_perf >= self.optimal
 
     def reset(self) -> None:
         pass
@@ -146,3 +145,13 @@ class AnyStopper:
         for s in self.stoppers:
             s.reset()
 
+
+def first_stop(stopper: Stopper, history: Sequence[IterationRecord]) -> int:
+    """Replay ``stopper`` over a finished run's ``history``: the index of
+    the first iteration it stops at, or the last index if it never
+    stops."""
+    stopper.reset()
+    for i in range(len(history)):
+        if stopper.should_stop(history[: i + 1]):
+            return i
+    return len(history) - 1

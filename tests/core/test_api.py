@@ -56,6 +56,18 @@ def test_stop_rejects_negative_iteration(facade):
         facade.stop(-1, 100.0)
 
 
+@pytest.mark.parametrize("skipped_to", [2, 6])
+def test_stop_rejects_a_skipped_iteration(facade, skipped_to):
+    """Skipping ahead (inside the warm-up or past it) names the expected
+    iteration and stores nothing, so the series never shifts a perf to
+    the wrong index."""
+    facade.reset()
+    facade.stop(0, 100.0)
+    with pytest.raises(ValueError, match="next iteration is 1"):
+        facade.stop(skipped_to, 120.0)
+    assert len(facade._perf_series) == 1
+
+
 def test_discover_io_returns_kernel(facade):
     kernel = facade.discover_io(
         load_source("macsio"),

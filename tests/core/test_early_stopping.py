@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.early_stopping import (
+    DELAY,
+    ITERATION_COST,
     EarlyStoppingAgent,
-    EarlyStoppingConfig,
     RLStopper,
 )
 from repro.core.objective import PerfNormalizer
@@ -19,15 +20,6 @@ def trained_agent():
     agent = EarlyStoppingAgent(rng=rng)
     agent.train_offline(rng=rng)
     return agent
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        EarlyStoppingConfig(delay=0)
-    with pytest.raises(ValueError):
-        EarlyStoppingConfig(iteration_cost=-1.0)
-    with pytest.raises(ValueError):
-        EarlyStoppingConfig(min_iterations=-1)
 
 
 def test_state_features():
@@ -89,7 +81,7 @@ def test_economic_stop_is_argmax(trained_agent):
     gen = LogCurveGenerator()
     curve = gen.sample(np.random.default_rng(3))
     t = trained_agent.economic_stop(curve)
-    c = trained_agent.config.iteration_cost / trained_agent.config.delay
+    c = ITERATION_COST / DELAY
     objective = curve.values - c * np.arange(curve.values.size)
     assert t == int(np.argmax(objective))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.objective import PerfNormalizer
-from repro.core.smart_config import SmartConfigAgent, SmartConfigSettings
+from repro.core.smart_config import SUBSET_SIZES, SmartConfigAgent
 from repro.iostack import TUNED_SPACE
 
 
@@ -12,15 +12,6 @@ from repro.iostack import TUNED_SPACE
 def agent(rng):
     norm = PerfNormalizer(single_node_bandwidth_mbps=700.0, num_nodes=4)
     return SmartConfigAgent(normalizer=norm, rng=rng)
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SmartConfigSettings(subset_sizes=())
-    with pytest.raises(ValueError):
-        SmartConfigSettings(subset_sizes=(0,))
-    with pytest.raises(ValueError):
-        SmartConfigSettings(swap_probability=1.5)
 
 
 def test_initial_impact_uniform(agent):
@@ -45,7 +36,7 @@ def test_set_impact_scores_validation(agent):
 
 def test_subset_picker_returns_valid_subsets(agent):
     subset = agent.subset_picker(500.0, None, iteration=0)
-    assert len(subset) in agent.subset_sizes
+    assert len(subset) in SUBSET_SIZES
     assert len(set(subset)) == len(subset)
     assert all(name in TUNED_SPACE for name in subset)
 
@@ -100,9 +91,3 @@ def test_state_roundtrip(agent, rng):
     assert np.allclose(
         other.observer.observe_state(ctx), agent.observer.observe_state(ctx)
     )
-
-
-def test_no_normalizer_falls_back(rng):
-    agent = SmartConfigAgent(rng=rng)
-    subset = agent.subset_picker(1000.0, None, iteration=0)
-    assert subset

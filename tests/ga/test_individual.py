@@ -22,14 +22,6 @@ def test_validation():
         Individual(np.array([-1, 0]))
 
 
-def test_clone_drops_fitness():
-    ind = Individual(np.array([1, 2]), fitness=3.5)
-    clone = ind.clone()
-    assert clone.fitness is None
-    assert clone.same_genome(ind)
-    assert not ind.evaluated or ind.fitness == 3.5
-
-
 def test_evaluated_flag():
     ind = Individual(np.array([0]))
     assert not ind.evaluated

@@ -1,5 +1,5 @@
-"""Cross-parameter constraint registry: strict validation, deterministic
-repair, and the algebraic properties the GA relies on (idempotence,
+"""Cross-parameter constraint registry: actionable violations,
+deterministic repair, and the algebraic properties the GA relies on (idempotence,
 order-stability, RNG-neutrality)."""
 
 import random
@@ -17,7 +17,6 @@ from repro.iostack import (
 from repro.iostack.parameters import (
     ConstraintContext,
     ConstraintRegistry,
-    ConstraintViolationError,
     default_constraints,
 )
 
@@ -79,33 +78,26 @@ def test_context_for_run_reads_platform_and_workload():
 
 
 # ---------------------------------------------------------------------------
-# strict validation
+# violations
 # ---------------------------------------------------------------------------
 
 
-def test_validate_raises_with_actionable_messages():
+def test_violations_carry_actionable_messages():
     default = StackConfiguration.default()
     values = {name: default[name] for name in default}
     values["striping_factor"] = max(
         v for v in TUNED_SPACE["striping_factor"].values if v > TIGHT.n_osts
     )
-    with pytest.raises(ConstraintViolationError) as err:
-        REGISTRY.validate(values)
-    message = str(err.value)
+    (violation,) = REGISTRY.violations(values)
+    message = str(violation)
     assert "stripe-vs-osts" in message
     assert "repair would set striping_factor=" in message
-    assert err.value.violations[0].parameter == "striping_factor"
+    assert violation.parameter == "striping_factor"
 
 
 def test_clean_configuration_validates_silently():
     config = StackConfiguration.default()
-    config.validate(REGISTRY)  # must not raise
-    assert config.violations(REGISTRY) == []
-
-
-def test_repaired_returns_same_object_when_clean():
-    config = StackConfiguration.default().repaired(REGISTRY)
-    assert config.repaired(REGISTRY) is config
+    assert REGISTRY.violations(dict(config)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +137,7 @@ def test_repair_fixed_point_is_order_stable(seed, shuffle_seed):
     baseline = REGISTRY.repair(values)
     rules = list(REGISTRY)
     random.Random(shuffle_seed).shuffle(rules)
-    shuffled = ConstraintRegistry(TUNED_SPACE, rules, TIGHT)
+    shuffled = ConstraintRegistry(rules, TIGHT)
     assert shuffled.repair(values) == baseline
 
 
@@ -188,8 +180,8 @@ def test_repair_individual_is_identity_on_clean_genomes():
     """Clean individuals come back as the *same object* (fitness kept,
     no RNG consumed) -- the property that keeps constraint-armed GA runs
     bit-identical when variation happens to produce valid children."""
-    config = StackConfiguration.default().repaired(REGISTRY)
-    ind = Individual(config.genome())
+    clean = REGISTRY.repair(dict(StackConfiguration.default()))
+    ind = Individual(TUNED_SPACE.encode(clean))
     assert repair_individual(ind, REGISTRY) is ind
 
 

@@ -103,13 +103,6 @@ def test_decode_rejects_wrong_length():
         TUNED_SPACE.decode([0, 1])
 
 
-def test_subset_preserves_space_order():
-    sub = TUNED_SPACE.subset(["cb_nodes", "sieve_buf_size"])
-    assert sub.names == ("sieve_buf_size", "cb_nodes")  # genome order
-    with pytest.raises(KeyError):
-        TUNED_SPACE.subset(["nope"])
-
-
 def test_duplicate_names_rejected():
     p = make_param()
     with pytest.raises(ValueError):

@@ -122,7 +122,6 @@ def test_tunio_pipeline_is_deterministic(stack):
 
     def clone():
         smart = SmartConfigAgent(
-            space=agents.smart_config.space,
             normalizer=normalizer,
             rng=np.random.default_rng(555),
         )

@@ -127,10 +127,10 @@ def test_loop_reduction_never_increases_volume(fraction):
 @settings(max_examples=10, deadline=None)
 @given(st.integers(0, 2**31 - 1))
 def test_elitism_makes_best_monotone(seed):
-    from tests.ga.test_engine import make_engine
+    from tests.ga.test_engine import make_engine, run_generations
 
     engine = make_engine(seed=seed, elites=1)
-    best = [s.best_fitness for s in engine.run(12)]
+    best = [s.best_fitness for s in run_generations(engine, 12)]
     assert all(b >= a for a, b in zip(best, best[1:]))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.iostack import IOStackSimulator, NoiseModel, cori
+from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, cori
 from repro.tuners import HeuristicStopper, HSTuner, NoStop
 from repro.tuners.hstuner import HSTuner as HSTunerClass
 from tests.conftest import make_workload
@@ -102,7 +102,7 @@ def test_perturbed_always_differs_from_seed(sim):
     from repro.ga import Individual
 
     tuner = small_tuner(sim)
-    seed_ind = Individual(tuner.space.encode(tuner.space.default_values()))
+    seed_ind = Individual(TUNED_SPACE.encode(TUNED_SPACE.default_values()))
     rng = np.random.default_rng(0)
     for _ in range(300):
         assert not tuner._perturbed(seed_ind, rng).same_genome(seed_ind)
@@ -111,7 +111,7 @@ def test_perturbed_always_differs_from_seed(sim):
 def test_initial_population_contains_default_only_once(sim):
     tuner = small_tuner(sim)
     tuner.tune(make_workload(), max_iterations=1)
-    default = tuner.space.encode(tuner.space.default_values())
+    default = TUNED_SPACE.encode(TUNED_SPACE.default_values())
     population = tuner._engine.population  # still generation 0 after 1 step
     assert np.array_equal(population[0].genome, default)
     for ind in population[1:]:

@@ -9,6 +9,7 @@ from repro.tuners.stoppers import (
     NoStop,
     Stopper,
     TimeBudgetStopper,
+    first_stop,
 )
 
 
@@ -70,9 +71,16 @@ def test_heuristic_validation():
 def test_max_perf_oracle():
     stopper = MaxPerfOracleStopper(optimal_perf_mbps=100.0)
     assert not stopper.should_stop(history([50.0, 80.0]))
-    assert stopper.should_stop(history([50.0, 99.9]))
+    assert not stopper.should_stop(history([50.0, 99.9]))
+    assert stopper.should_stop(history([50.0, 100.0]))
     with pytest.raises(ValueError):
         MaxPerfOracleStopper(0.0)
+
+
+def test_first_stop_replays_a_finished_history():
+    h = history([1.0, 2.0, 3.0, 3.0])
+    assert first_stop(MaxPerfOracleStopper(3.0), h) == 2
+    assert first_stop(NoStop(), h) == 3  # never stops: the last index
 
 
 def test_time_budget():
