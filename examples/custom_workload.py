@@ -60,7 +60,7 @@ def main() -> None:
         print(f"{name}={value!s:9s}: {perf / 1000:.2f} GB/s ({perf / base:.2f}x)")
 
     print("\n== tuning with different stoppers ==")
-    for stopper in (NoStop(), HeuristicStopper(threshold=0.05, window=5)):
+    for stopper in (NoStop(), HeuristicStopper()):
         tuner = HSTuner(simulator, stopper=stopper, rng=np.random.default_rng(7))
         result = tuner.tune(workload, max_iterations=30)
         print(

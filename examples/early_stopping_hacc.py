@@ -49,7 +49,7 @@ def main() -> None:
     print("  " + " ".join(f"{v:.2f}" for v in series))
 
     rl = RLStopper(agents.early_stopper, normalizer, online_learning=False)
-    heuristic = HeuristicStopper(threshold=0.05, window=5)
+    heuristic = HeuristicStopper()
 
     print(f"\nuntuned: {full.baseline_perf / 1000:.2f} GB/s")
     for name, stop in (("TunIO RL stopper", first_stop(rl, full.history)),

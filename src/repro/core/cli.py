@@ -238,6 +238,8 @@ def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None
         parser.error("--expected-runs must be positive")
     if args.fault_agent_at < 0:
         parser.error("--fault-agent-at must be >= 0")
+    if args.loop_reduction is not None and not 0.0 < args.loop_reduction <= 1.0:
+        parser.error("--loop-reduction must be in (0, 1]")
     if args.fault_agent is not None and args.tuner != "tunio":
         parser.error(
             f"--fault-agent needs --tuner tunio (the {args.tuner} tuner "
@@ -467,7 +469,9 @@ def _run_tuning(
     eval_cache = EvaluationCache()
 
     target = workload
-    use_kernel = args.use_kernel or args.loop_reduction or args.path_switch
+    use_kernel = (
+        args.use_kernel or args.loop_reduction is not None or args.path_switch is not None
+    )
     if use_kernel:
         from repro.workloads.sources import available_sources
 
@@ -479,9 +483,9 @@ def _run_tuning(
             )
             return 2
         reducers: list[Reducer] = []
-        if args.loop_reduction:
+        if args.loop_reduction is not None:
             reducers.append(LoopReduction(args.loop_reduction))
-        if args.path_switch:
+        if args.path_switch is not None:
             reducers.append(IOPathSwitching(args.path_switch))
         kernel = discover_io(
             load_source(args.workload),

@@ -31,7 +31,6 @@ from .reducers import (
     ComputeSimulation,
     IOPathSwitching,
     LoopReduction,
-    NullReduction,
     PathSwitchRecord,
     Reducer,
     ReducerOutcome,
@@ -68,7 +67,6 @@ __all__ = [
     "ComputeSimulation",
     "IOPathSwitching",
     "LoopReduction",
-    "NullReduction",
     "PathSwitchRecord",
     "Reducer",
     "ReducerOutcome",

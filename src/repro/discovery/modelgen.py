@@ -28,7 +28,7 @@ from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MAX_SAMPLE, MetadataStream, RequestStream
 from repro.iostack.units import MiB
 
-from repro.workloads.base import LoopGroup, Workload
+from repro.workloads.base import Workload
 
 from .constants import ConstantEnv
 from .formatter import format_source
@@ -562,8 +562,10 @@ def _assemble(interp: _Interp, name: str, extrapolation_factor: float) -> Worklo
     )
     tier = "memory" if memory_tier else "lustre"
 
+    # Phase order is setup, logging, then each loop's first/steady
+    # blocks: replay accumulates per-phase times in this order.
     fixed: list[IOPhase] = []
-    loops: list[LoopGroup] = []
+    loop_blocks: list[IOPhase] = []
     log_events: list[_Event] = []
 
     # Top-level (setup/finalise) events become one fixed phase.
@@ -593,7 +595,6 @@ def _assemble(interp: _Interp, name: str, extrapolation_factor: float) -> Worklo
         meta_first = [e for e in first_extra if e.kind == "meta"]
         compute_first = sum(e.size for e in first_extra if e.kind == "compute")
 
-        blocks: list[IOPhase] = []
         first = _phase_from_events(
             f"loop{i}_first",
             data_iter + data_first,
@@ -604,36 +605,27 @@ def _assemble(interp: _Interp, name: str, extrapolation_factor: float) -> Worklo
             tier,
         )
         if first is not None:
-            blocks.append(first)
+            loop_blocks.append(first)
         if loop.iterations > 1:
             steady = _phase_from_events(
                 f"loop{i}_steady", data_iter, meta_iter, compute_iter,
                 loop.iterations - 1, hints, tier,
             )
             if steady is not None:
-                blocks.append(steady)
-        if blocks:
-            loops.append(
-                LoopGroup(
-                    name=f"io_loop_{i}",
-                    n_iterations=loop.iterations,
-                    phases=tuple(blocks),
-                )
-            )
+                loop_blocks.append(steady)
 
     log_phase = _logging_phase(log_events, hints, tier)
     if log_phase is not None:
         fixed.append(log_phase)
 
-    if not fixed and not loops:
+    if not fixed and not loop_blocks:
         raise ModelGenError(f"source {name!r} produced no I/O or compute events")
 
     return Workload(
         name=name,
         n_procs=hints.n_procs,
         n_nodes=hints.n_nodes,
-        fixed_phases=tuple(fixed),
-        loops=tuple(loops),
+        phases=(*fixed, *loop_blocks),
         extrapolation_factor=extrapolation_factor,
     )
 

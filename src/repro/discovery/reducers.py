@@ -2,7 +2,7 @@
 reconstruction.
 
 The paper ships two ("they are optional to apply -- a null reduction
-step could be used instead"):
+step could be used instead"; here that is an empty reducer tuple):
 
 * :class:`LoopReduction` -- run only a percentage of the iterations of
   loops containing I/O, recording the scale factor so "the scalable
@@ -16,7 +16,7 @@ step could be used instead"):
 * :class:`IOPathSwitching` -- prepend every opened path with a
   memory-backed prefix (``/dev/shm``) so evaluations avoid slow storage.
 
-Three of the paper's future-work transforms are also provided:
+Two of the paper's future-work transforms are also provided:
 
 * :class:`BlindWriteRemoval` -- drop H5Dwrite calls to datasets that are
   never read back within the kernel.
@@ -24,7 +24,6 @@ Three of the paper's future-work transforms are also provided:
   calls of the statically estimated duration ("simulating necessary
   compute"): the kernel keeps the application's timing shape without
   doing the work.
-* :class:`NullReduction` -- the identity transform.
 
 Each reducer returns a new source plus typed records describing what it
 changed; the records drive metric extrapolation in the harness.
@@ -47,7 +46,6 @@ __all__ = [
     "BlindWriteRecord",
     "ReducerOutcome",
     "Reducer",
-    "NullReduction",
     "LoopReduction",
     "IOPathSwitching",
     "BlindWriteRemoval",
@@ -95,9 +93,9 @@ class ReducerOutcome:
     reductions: tuple[ReductionRecord, ...] = ()
     path_switches: tuple[PathSwitchRecord, ...] = ()
     removed_writes: tuple[BlindWriteRecord, ...] = ()
-    #: Nominal multiplier for scalable I/O metrics.  The paper multiplies
-    #: by the *requested* reduction (e.g. 100x for 1%), not the achieved
-    #: per-loop ratio; :class:`LoopReduction` records it here.
+    #: Multiplier for scalable I/O metrics: :class:`LoopReduction`
+    #: records the achieved reduction (original/kept iterations, e.g.
+    #: 85x when 1% of an 85-iteration loop keeps one iteration).
     extrapolation_factor: float = 1.0
 
 
@@ -107,13 +105,6 @@ class Reducer(abc.ABC):
     @abc.abstractmethod
     def apply(self, source: str) -> ReducerOutcome:
         """Transform ``source`` (already formatted or not) and report."""
-
-
-class NullReduction(Reducer):
-    """Identity: formats the source and changes nothing."""
-
-    def apply(self, source: str) -> ReducerOutcome:
-        return ReducerOutcome(source=format_source(source))
 
 
 # Matches `for (init ; VAR < BOUND ; update)` capturing the three parts.

@@ -50,7 +50,6 @@ class GenerationStats:
 
     generation: int
     best_fitness: float
-    mean_fitness: float
     best: Individual
     #: Individuals assigned a fitness in this generation.
     evaluations: int
@@ -88,7 +87,6 @@ class EvolutionEngine:
         self.n_elites = n_elites
         self.rng = rng if rng is not None else np.random.default_rng()
         self.population: list[Individual] = []
-        self.history: list[GenerationStats] = []
         self._generation = 0
         self._mask: np.ndarray | None = None
 
@@ -127,8 +125,7 @@ class EvolutionEngine:
             ]
         if "repair" in self.toolbox:
             self.population = [self.toolbox.repair(ind) for ind in self.population]
-        stats = self._evaluate_and_record()
-        return stats
+        return self._evaluate_and_record()
 
     def step(self) -> GenerationStats:
         """Advance one generation and return its stats."""
@@ -172,17 +169,13 @@ class EvolutionEngine:
         if pending:
             for ind, fit in zip(pending, self._dispatch(pending)):
                 ind.fitness = fit
-        fitnesses = np.array([ind.fitness for ind in self.population], dtype=float)
         best = self.best
-        stats = GenerationStats(
+        return GenerationStats(
             generation=self._generation,
             best_fitness=float(best.fitness),  # type: ignore[arg-type]
-            mean_fitness=float(fitnesses.mean()),
             best=best,
             evaluations=len(pending),
         )
-        self.history.append(stats)
-        return stats
 
     def _dispatch(self, individuals: list[Individual]) -> list[float]:
         """Evaluate a list of individuals with one ``evaluate_batch``

@@ -34,8 +34,6 @@ class Toolbox:
     """
 
     _REQUIRED = ("generate", "evaluate_batch", "mate", "mutate", "select")
-    #: Optional entries the engine consults when present.
-    OPTIONAL = ("repair",)
 
     def __init__(self) -> None:
         self._registry: dict[str, Callable[..., Any]] = {}

@@ -4,9 +4,7 @@ The paper's fitness function monitors bandwidth "using monitoring hooks
 such as Darshan".  :class:`DarshanReport` is the simulator's equivalent: a
 per-run record of byte and operation counters at the application level
 (what the program asked for) and the POSIX level (what reached storage
-after the stack transformed it), plus timing.  The Figure 8(c)
-kernel-similarity experiment compares these counters between the original
-application and its generated I/O kernels.
+after the stack transformed it), plus timing.
 """
 
 from __future__ import annotations
@@ -108,8 +106,8 @@ class DarshanReport:
         self.phases.append(record)
 
     def summary(self) -> dict[str, float]:
-        """Flat dict of the headline counters; convenient for tabulation
-        and for the Fig 8(c) similarity comparison."""
+        """Flat dict of the headline counters; convenient for
+        tabulation."""
         return {
             "app_bytes_written": float(self.app_bytes_written),
             "app_bytes_read": float(self.app_bytes_read),

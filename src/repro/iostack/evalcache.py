@@ -72,7 +72,7 @@ def workload_fingerprint(workload: WorkloadLike) -> Hashable:
         workload.name,
         workload.n_procs,
         workload.n_nodes,
-        _freeze(tuple(workload.phases())),
+        _freeze(tuple(workload.phases)),
     )
 
 

@@ -10,7 +10,7 @@ streams carry 100 steps' worth of operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .requests import MetadataStream, RequestStream
 
@@ -78,22 +78,3 @@ class IOPhase:
     @property
     def read_ops(self) -> int:
         return sum(s.total_ops for s in self.data if s.op == "read")
-
-    # -- transforms --------------------------------------------------------------
-
-    def scaled(self, io_factor: float, compute_factor: float | None = None) -> "IOPhase":
-        """Scale I/O volume (and optionally compute) by a factor; used by
-        loop reduction."""
-        if compute_factor is None:
-            compute_factor = io_factor
-        return replace(
-            self,
-            compute_seconds=self.compute_seconds * compute_factor,
-            data=tuple(s.scaled_ops(io_factor) for s in self.data),
-            metadata=None if self.metadata is None else self.metadata.scaled_ops(io_factor),
-        )
-
-    def switched_to_memory(self) -> "IOPhase":
-        """Retarget the phase at the node-local memory tier (I/O path
-        switching: paths prefixed with /dev/shm)."""
-        return replace(self, tier="memory")

@@ -13,7 +13,7 @@ the stack parameters act on.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
@@ -210,18 +210,6 @@ class RequestStream:
 
     # -- transforms (used by layer models) ----------------------------------------
 
-    def scaled_ops(self, factor: float) -> "RequestStream":
-        """Multiply the operation count (and bytes) by ``factor`` keeping
-        the size distribution -- used by loop reduction to extrapolate a
-        reduced kernel back to full-application volume."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return self.with_sizes(
-            self.sizes,
-            max(1, int(round(self.total_ops * factor))),
-            total_bytes=max(1, int(round(self.total_bytes * factor))),
-        )
-
     def with_sizes(
         self,
         sizes: np.ndarray,
@@ -325,9 +313,3 @@ class MetadataStream:
     @property
     def ops_per_proc(self) -> float:
         return self.total_ops / self.n_procs
-
-    def scaled_ops(self, factor: float) -> "MetadataStream":
-        """Multiply the operation count by ``factor``."""
-        if factor <= 0:
-            raise ValueError("factor must be positive")
-        return replace(self, total_ops=max(0, int(round(self.total_ops * factor))))

@@ -19,6 +19,9 @@ from .nn import MLP
 
 __all__ = ["NeuralContextualBandit"]
 
+#: Hidden layer widths between the context and the state layer.
+HIDDEN = (32,)
+
 
 class NeuralContextualBandit:
     """Contextual bandit with an MLP reward model.
@@ -38,7 +41,6 @@ class NeuralContextualBandit:
         self,
         context_dim: int,
         state_dim: int = 16,
-        hidden: tuple[int, ...] = (32,),
         learning_rate: float = 1e-3,
         rng: np.random.Generator | None = None,
     ):
@@ -47,7 +49,7 @@ class NeuralContextualBandit:
         self.context_dim = context_dim
         self.state_dim = state_dim
         self.model = MLP(
-            [context_dim, *hidden, state_dim, 1],
+            [context_dim, *HIDDEN, state_dim, 1],
             rng if rng is not None else np.random.default_rng(),
             hidden_activation="relu",
             learning_rate=learning_rate,

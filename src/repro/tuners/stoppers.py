@@ -57,28 +57,27 @@ class NoStop:
         pass
 
 
-class HeuristicStopper:
-    """Stop when perf improved by less than ``threshold`` (relative) over
-    the last ``window`` iterations -- the paper's 5%/5-iteration
-    heuristic baseline."""
+#: The heuristic baseline stops below this relative improvement...
+HEURISTIC_THRESHOLD = 0.05
+#: ...over this many iterations (the paper's 5%/5-iteration rule).
+HEURISTIC_WINDOW = 5
 
-    def __init__(self, threshold: float = 0.05, window: int = 5):
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.threshold = threshold
-        self.window = window
-        self.name = f"heuristic-{threshold:.0%}/{window}"
+
+class HeuristicStopper:
+    """Stop when perf improved by less than :data:`HEURISTIC_THRESHOLD`
+    (relative) over the last :data:`HEURISTIC_WINDOW` iterations -- the
+    paper's 5%/5-iteration heuristic baseline."""
+
+    name = f"heuristic-{HEURISTIC_THRESHOLD:.0%}/{HEURISTIC_WINDOW}"
 
     def should_stop(self, history: Sequence[IterationRecord]) -> bool:
-        if len(history) <= self.window:
+        if len(history) <= HEURISTIC_WINDOW:
             return False
-        past = history[-1 - self.window].best_perf
+        past = history[-1 - HEURISTIC_WINDOW].best_perf
         now = history[-1].best_perf
         if past <= 0:
             return False
-        return (now - past) / past < self.threshold
+        return (now - past) / past < HEURISTIC_THRESHOLD
 
     def reset(self) -> None:
         pass

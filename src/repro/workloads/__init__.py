@@ -6,7 +6,7 @@ behavioural model the simulator runs.  The matching C sources (for
 Application I/O Discovery) live in :mod:`repro.workloads.sources`.
 """
 
-from .base import LoopGroup, Workload
+from .base import Workload
 from .bdcats import bdcats
 from .flash import flash
 from .generator import DumpSpec, build_dump_workload
@@ -16,7 +16,6 @@ from .macsio import DUMP_LOOP_ITERATIONS, macsio_vpic_dipole
 from .vpic import vpic
 
 __all__ = [
-    "LoopGroup",
     "Workload",
     "bdcats",
     "flash",

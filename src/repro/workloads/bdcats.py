@@ -19,7 +19,7 @@ from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack.units import MiB
 
-from .base import LoopGroup, Workload
+from .base import Workload
 
 __all__ = ["bdcats"]
 
@@ -95,9 +95,5 @@ def bdcats(
         name="bd-cats",
         n_procs=n_procs,
         n_nodes=n_nodes,
-        loops=(
-            LoopGroup(
-                name="snapshot_loop", n_iterations=n_snapshots, phases=tuple(blocks)
-            ),
-        ),
+        phases=tuple(blocks),
     )

@@ -18,7 +18,7 @@ from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack.units import MiB
 
-from .base import LoopGroup, Workload
+from .base import Workload
 
 __all__ = ["flash"]
 
@@ -93,9 +93,5 @@ def flash(
         name="flash-io",
         n_procs=n_procs,
         n_nodes=n_nodes,
-        loops=(
-            LoopGroup(
-                name="checkpoint_loop", n_iterations=n_checkpoints, phases=tuple(blocks)
-            ),
-        ),
+        phases=tuple(blocks),
     )

@@ -18,7 +18,7 @@ from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack.units import MiB
 
-from .base import LoopGroup, Workload
+from .base import Workload
 
 __all__ = ["DumpSpec", "build_dump_workload"]
 
@@ -95,10 +95,11 @@ class DumpSpec:
 def build_dump_workload(spec: DumpSpec) -> Workload:
     """Materialise a :class:`Workload` from a :class:`DumpSpec`.
 
-    The dump loop becomes a :class:`LoopGroup` with a heavier first
-    block; logging becomes a fixed phase (it is not inside the marked
-    I/O loop from the slicer's perspective -- the kernel transform drops
-    it wholesale via :meth:`Workload.without_fixed_phases`).
+    The dump loop becomes a heavier ``dump_first`` block and a
+    ``dump_steady`` block for the remaining dumps.  Logging becomes one
+    ``logging`` phase placed ahead of the dump blocks; it is not HDF5
+    I/O, so the source slicer of Application I/O Discovery leaves it out
+    of the generated kernel.
     """
     s = spec
     request_size = max(1, s.bytes_per_proc_per_dump // s.writes_per_proc_per_dump)
@@ -151,12 +152,11 @@ def build_dump_workload(spec: DumpSpec) -> Workload:
     blocks: list[IOPhase] = [first]
     if s.n_dumps > 1:
         blocks.append(dump_phase("dump_steady", s.n_dumps - 1, 1.0))
-    loop = LoopGroup(name="dump_loop", n_iterations=s.n_dumps, phases=tuple(blocks))
 
-    fixed: list[IOPhase] = []
+    logging: list[IOPhase] = []
     if s.log_lines_per_proc_per_dump > 0:
         log_ops = max(1, round(s.log_lines_per_proc_per_dump * s.n_procs * s.n_dumps))
-        fixed.append(
+        logging.append(
             IOPhase(
                 name="logging",
                 compute_seconds=0.0,
@@ -179,6 +179,5 @@ def build_dump_workload(spec: DumpSpec) -> Workload:
         name=s.name,
         n_procs=s.n_procs,
         n_nodes=s.n_nodes,
-        fixed_phases=tuple(fixed),
-        loops=(loop,),
+        phases=(*logging, *blocks),
     )

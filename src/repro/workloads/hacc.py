@@ -15,7 +15,7 @@ from __future__ import annotations
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 
-from .base import LoopGroup, Workload
+from .base import Workload
 
 __all__ = ["hacc", "BYTES_PER_PARTICLE"]
 
@@ -74,9 +74,5 @@ def hacc(
         name="hacc-io",
         n_procs=n_procs,
         n_nodes=n_nodes,
-        loops=(
-            LoopGroup(
-                name="checkpoint_loop", n_iterations=n_checkpoints, phases=tuple(blocks)
-            ),
-        ),
+        phases=tuple(blocks),
     )

@@ -15,7 +15,7 @@ from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack.units import MiB
 
-from .base import LoopGroup, Workload
+from .base import Workload
 
 __all__ = ["ior"]
 
@@ -93,7 +93,5 @@ def ior(
         name=f"ior-{mode}",
         n_procs=n_procs,
         n_nodes=n_nodes,
-        loops=(
-            LoopGroup(name="segment_loop", n_iterations=n_segments, phases=tuple(blocks)),
-        ),
+        phases=tuple(blocks),
     )

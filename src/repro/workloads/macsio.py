@@ -9,9 +9,9 @@ print statements -- that account for the kernel's ~19% write-op
 undercount in Figure 8(c) while being a negligible share of bytes).
 
 The dump-loop length (85) is chosen so that 1% loop reduction keeps
-``ceil(0.85) = 1`` iteration: extrapolating by the nominal 100x then
-*over*-reports operations (first-dump setup ops are counted 100 times),
-reproducing the compensation effect Figure 8(c) describes.
+``ceil(0.85) = 1`` iteration: extrapolating it by 85x counts the
+first-dump setup ops 85 times, which partly offsets the logging ops the
+kernel drops -- the compensation effect Figure 8(c) describes.
 """
 
 from __future__ import annotations

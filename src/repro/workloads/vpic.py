@@ -19,7 +19,7 @@ from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack.units import MiB
 
-from .base import LoopGroup, Workload
+from .base import Workload
 
 __all__ = ["vpic", "N_PROPERTIES"]
 
@@ -85,7 +85,5 @@ def vpic(
         name="vpic-io",
         n_procs=n_procs,
         n_nodes=n_nodes,
-        loops=(
-            LoopGroup(name="timestep_loop", n_iterations=n_steps, phases=tuple(blocks)),
-        ),
+        phases=tuple(blocks),
     )

@@ -24,7 +24,6 @@ from repro.iostack.cluster import testbed as make_testbed
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.workloads import Workload
-from repro.workloads.base import LoopGroup
 
 
 @pytest.fixture
@@ -113,33 +112,35 @@ def make_workload(
     compute_seconds: float = 2.0,
     **stream_kwargs,
 ) -> Workload:
-    """A small synthetic workload for unit tests."""
-    stream = RequestStream.uniform(
-        "write",
-        request_size,
-        writes_per_proc * n_procs,
-        n_procs,
-        contiguity=0.8,
-        interleave=0.4,
-        **stream_kwargs,
-    )
-    meta = MetadataStream(total_ops=8 * n_procs, n_procs=n_procs)
-    phase = IOPhase(
-        name="dump",
-        compute_seconds=compute_seconds,
-        data=(stream,),
-        metadata=meta,
-        chunked=True,
-        chunk_size=1024 * 1024,
-        working_set_per_proc=8 * 1024 * 1024,
-    )
-    steady = phase.scaled(n_iterations - 1) if n_iterations > 1 else None
-    phases = (phase,) if steady is None else (phase, steady)
+    """A small synthetic workload for unit tests: a one-iteration first
+    block and, for ``n_iterations > 1``, a steady block carrying the
+    remaining iterations."""
+
+    def block(iterations: int) -> IOPhase:
+        stream = RequestStream.uniform(
+            "write",
+            request_size,
+            writes_per_proc * n_procs * iterations,
+            n_procs,
+            contiguity=0.8,
+            interleave=0.4,
+            **stream_kwargs,
+        )
+        return IOPhase(
+            name="dump",
+            compute_seconds=compute_seconds * iterations,
+            data=(stream,),
+            metadata=MetadataStream(total_ops=8 * n_procs * iterations, n_procs=n_procs),
+            chunked=True,
+            chunk_size=1024 * 1024,
+            working_set_per_proc=8 * 1024 * 1024,
+        )
+
+    blocks = [block(1)]
+    if n_iterations > 1:
+        blocks.append(block(n_iterations - 1))
     return Workload(
-        name="test-workload",
-        n_procs=n_procs,
-        n_nodes=n_nodes,
-        loops=(LoopGroup("loop", n_iterations, phases),),
+        name="test-workload", n_procs=n_procs, n_nodes=n_nodes, phases=tuple(blocks)
     )
 
 

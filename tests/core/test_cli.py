@@ -51,6 +51,25 @@ def test_agents_cache_roundtrip(tmp_path, capsys):
     assert "loading trained agents" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])
+def test_loop_reduction_out_of_range_exit_2(fraction, capsys):
+    """``--loop-reduction 0`` is refused as a usage error, not taken to
+    mean "tune the full application"."""
+    with pytest.raises(SystemExit) as err:
+        main(["macsio", "--tuner", "hstuner", "--iterations", "1",
+              "--loop-reduction", fraction])
+    assert err.value.code == 2
+    assert "--loop-reduction must be in (0, 1]" in capsys.readouterr().err
+
+
+def test_empty_path_switch_is_refused(capsys):
+    """``--path-switch ""`` reaches the reducer, which refuses it,
+    instead of being ignored."""
+    assert main(["macsio", "--tuner", "hstuner", "--iterations", "1",
+                 "--path-switch", ""]) == 2
+    assert "prefix must be an absolute path" in capsys.readouterr().err
+
+
 def test_kernel_mode_requires_bundled_source(capsys):
     assert main(["ior", "--use-kernel", "--iterations", "2"]) == 2
     assert "no bundled C source" in capsys.readouterr().err

@@ -75,7 +75,7 @@ def test_path_switching_in_pipeline():
         DiscoveryOptions(hints=hints, reducers=(IOPathSwitching("/dev/shm"),)),
     )
     w = k.to_workload()
-    assert all(p.tier == "memory" for p in w.phases())
+    assert all(p.tier == "memory" for p in w.phases)
 
 
 def test_explain_lists_every_line(macsio_kernel):

@@ -6,7 +6,6 @@ from repro.discovery.reducers import (
     BlindWriteRemoval,
     IOPathSwitching,
     LoopReduction,
-    NullReduction,
 )
 
 SRC = """
@@ -26,13 +25,6 @@ int main(void)
   return 0;
 }
 """
-
-
-def test_null_reduction_is_identity():
-    out = NullReduction().apply(SRC)
-    assert out.reductions == ()
-    assert out.extrapolation_factor == 1.0
-    assert "H5Dwrite" in out.source
 
 
 def test_loop_reduction_shrinks_outermost_only():

@@ -124,10 +124,9 @@ def test_elites_not_reevaluated():
 
 def test_generation_counter_and_history():
     engine = make_engine()
-    run_generations(engine, 5)
+    stats = run_generations(engine, 5)
     assert engine.generation == 4  # gen 0 + 4 steps
-    assert len(engine.history) == 5
-    assert [s.generation for s in engine.history] == list(range(5))
+    assert [s.generation for s in stats] == list(range(5))
 
 
 def test_mask_pins_genes_to_incumbent():

@@ -208,30 +208,27 @@ def test_fingerprint_of_a_slotted_workload(sim):
     any workload."""
 
     class SlottedWorkload:
-        __slots__ = ("name", "n_procs", "n_nodes", "_phases")
+        __slots__ = ("name", "n_procs", "n_nodes", "phases")
 
         def __init__(self, phases):
             self.name = "slotted"
             self.n_procs = 4
             self.n_nodes = 1
-            self._phases = phases
+            self.phases = phases
 
-        def phases(self):
-            return self._phases
-
-    w = SlottedWorkload(tuple(make_workload().phases()))
+    w = SlottedWorkload(make_workload().phases)
     first = workload_fingerprint(w)
     assert workload_fingerprint(w) == first
     assert hash(first)
     # a structurally equal twin agrees, a different one does not
     assert workload_fingerprint(
-        SlottedWorkload(tuple(make_workload().phases()))
+        SlottedWorkload(make_workload().phases)
     ) == first
     assert workload_fingerprint(SlottedWorkload(())) != first
     cache = EvaluationCache()
     config = StackConfiguration.default()
     cache.store(sim.platform, w, config, sim.trace(w, config))
-    twin = SlottedWorkload(tuple(make_workload().phases()))
+    twin = SlottedWorkload(make_workload().phases)
     assert cache.lookup(sim.platform, twin, config) is not None
 
 

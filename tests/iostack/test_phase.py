@@ -1,4 +1,4 @@
-"""IOPhase aggregation and transforms."""
+"""IOPhase aggregation and validation."""
 
 import pytest
 
@@ -37,30 +37,6 @@ def test_phase_validation():
         make_phase(tier="tape")
     with pytest.raises(ValueError):
         IOPhase(name="x", compute_seconds=0.0, data=(), chunked=True, chunk_size=0)
-
-
-def test_scaled_scales_io_and_compute():
-    p = make_phase(compute=10.0)
-    half = p.scaled(0.5)
-    assert half.write_ops == 50
-    assert half.bytes_written == 50_000
-    assert half.compute_seconds == pytest.approx(5.0)
-    assert half.metadata.total_ops == 20
-
-
-def test_scaled_with_separate_compute_factor():
-    p = make_phase(compute=10.0)
-    s = p.scaled(0.5, compute_factor=1.0)
-    assert s.compute_seconds == pytest.approx(10.0)
-    assert s.write_ops == 50
-
-
-def test_switched_to_memory():
-    p = make_phase()
-    m = p.switched_to_memory()
-    assert m.tier == "memory"
-    assert p.tier == "lustre"  # original untouched
-    assert m.bytes_written == p.bytes_written
 
 
 def test_empty_data_phase_is_legal():

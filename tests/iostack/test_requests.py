@@ -4,7 +4,6 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from repro.iostack.requests import MAX_SAMPLE, MetadataStream, RequestStream
 
@@ -77,15 +76,6 @@ def test_oversized_sample_rejected():
 
 
 # -- transforms -----------------------------------------------------------------
-
-
-@given(st.floats(min_value=0.01, max_value=100.0))
-def test_scaled_ops_scales_totals(factor):
-    s = RequestStream.uniform("write", 100, 1000, 4)
-    scaled = s.scaled_ops(factor)
-    assert scaled.total_ops == max(1, round(1000 * factor))
-    assert scaled.total_bytes == max(1, round(100_000 * factor))
-    assert np.array_equal(scaled.sizes, s.sizes)
 
 
 def test_aligned_preserves_bytes_and_sets_marker():
@@ -185,7 +175,6 @@ def test_memo_key_holds_sizes_by_identity():
 def test_metadata_stream_basics():
     m = MetadataStream(total_ops=1000, n_procs=10)
     assert m.ops_per_proc == 100
-    assert m.scaled_ops(0.5).total_ops == 500
 
 
 def test_metadata_stream_validation():
@@ -195,5 +184,3 @@ def test_metadata_stream_validation():
         MetadataStream(total_ops=1, n_procs=0)
     with pytest.raises(ValueError):
         MetadataStream(total_ops=1, n_procs=1, write_fraction=2.0)
-    with pytest.raises(ValueError):
-        MetadataStream(total_ops=10, n_procs=1).scaled_ops(0.0)

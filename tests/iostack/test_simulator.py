@@ -1,5 +1,6 @@
 """The composed stack simulator and Darshan reports."""
 
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -25,7 +26,7 @@ def test_run_produces_consistent_report(sim, default_config):
     assert report.write_seconds > 0
     assert report.runtime_seconds >= report.compute_seconds
     assert report.alpha == pytest.approx(1.0)  # write-only workload
-    assert len(report.phases) == len(w.phases())
+    assert len(report.phases) == len(w.phases)
 
 
 def test_quiet_runs_are_deterministic(sim, default_config):
@@ -83,7 +84,10 @@ def test_tuned_beats_default(quiet_sim, default_config, tuned_config):
 
 
 def test_memory_tier_ignores_lustre_parameters(sim, default_config, tuned_config):
-    w = make_workload().switched_to_memory()
+    lustre = make_workload()
+    w = dataclasses.replace(
+        lustre, phases=tuple(dataclasses.replace(p, tier="memory") for p in lustre.phases)
+    )
     a = sim.evaluate(w, default_config).perf_mbps
     b = sim.evaluate(w, tuned_config.with_values(sieve_buf_size=64 * 1024)).perf_mbps
     # Lustre/MPI-IO knobs have no effect on the memory tier.
@@ -165,7 +169,7 @@ def test_memo_keys_pin_the_node_count(default_config):
     sim = IOStackSimulator(cori(4), NoiseModel.quiet())
     small = make_workload(n_procs=64, n_nodes=1)
     # The same phase objects on twice the nodes.
-    big = Workload(name=small.name, n_procs=64, n_nodes=2, loops=small.loops)
+    big = Workload(name=small.name, n_procs=64, n_nodes=2, phases=small.phases)
     expected = IOStackSimulator(cori(4), NoiseModel.quiet()).trace(big, default_config)
     with sim.memo_scope():
         assert sim.trace(small, default_config) != expected

@@ -1,8 +1,9 @@
 """Pinned trace digest: the layer models' arithmetic is bit-reproducible.
 
 One sha256 over ``repr`` of every trace the simulator builds for the
-bundled workloads, a loop-reduced kernel and a memory-tier variant, each
-under the default configuration and 60 seeded random ones.  ``repr`` of
+bundled workloads, a MACSio variant without its steady dump block (what
+1% loop reduction of its 85-dump loop keeps) and a memory-tier VPIC,
+each under the default configuration and 60 seeded random ones.  ``repr`` of
 a trace spells every float at full round-trip precision, so any change
 to the HDF5, MPI-IO, Lustre or POSIX models that moves a single bit of a
 service time, byte count or op count changes the digest.
@@ -16,6 +17,7 @@ same traces built inside one shared :meth:`IOStackSimulator.memo_scope`,
 each after a one-gene mutant that fills the memo, give the same digest.
 """
 
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -31,8 +33,19 @@ RANDOM_CONFIGS = 60
 
 def workloads():
     yield from (flash(), hacc(), vpic(), bdcats(), ior(), macsio_vpic_dipole())
-    yield macsio_vpic_dipole().loop_reduced(0.01)
-    yield vpic().switched_to_memory()
+    macsio = macsio_vpic_dipole()
+    yield dataclasses.replace(
+        macsio,
+        name=f"{macsio.name}+loopred",
+        phases=macsio.phases[:-1],
+        extrapolation_factor=100.0,
+    )
+    memory = vpic()
+    yield dataclasses.replace(
+        memory,
+        name=f"{memory.name}+memio",
+        phases=tuple(dataclasses.replace(p, tier="memory") for p in memory.phases),
+    )
 
 
 def test_traces_are_pinned():
@@ -72,9 +85,9 @@ def test_traces_are_pinned_inside_one_shared_memo_scope(layer_calls):
                 before = Counter(layer_calls)
                 h.update(repr(sim.trace(workload, config)).encode())
                 pinned_calls.update(layer_calls - before)
-                phases += len(workload.phases())
+                phases += len(workload.phases)
                 lustre_streams += sum(
-                    len(p.data) for p in workload.phases() if p.tier == "lustre"
+                    len(p.data) for p in workload.phases if p.tier == "lustre"
                 )
     assert h.hexdigest() == TRACE_DIGEST
     # The pinned traces were served partly from the memo.

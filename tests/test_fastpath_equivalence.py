@@ -57,7 +57,7 @@ class LegacySimulator(IOStackSimulator):
         report = DarshanReport()
         noise_factor = self.noise.sample_factor()
 
-        for phase in workload.phases():
+        for phase in workload.phases:
             phase_io = 0.0
             phase_meta = 0.0
 

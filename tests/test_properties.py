@@ -6,6 +6,8 @@ extrapolation identities, GA monotonicity under elitism, and the
 formatter/parser contract on generated programs.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,7 +69,10 @@ def test_memory_tier_never_slower_than_lustre(seed):
     config = random_config(seed)
     w = make_workload()
     lustre = SIM.run(w, config).io_seconds
-    memory = SIM.run(w.switched_to_memory(), config).io_seconds
+    in_memory = dataclasses.replace(
+        w, phases=tuple(dataclasses.replace(p, tier="memory") for p in w.phases)
+    )
+    memory = SIM.run(in_memory, config).io_seconds
     assert memory <= lustre
 
 
@@ -87,6 +92,56 @@ def test_evaluation_deterministic_under_quiet_noise(seed):
 # ---------------------------------------------------------------------------
 
 
+def dump_loop_program(n_steps: int) -> str:
+    """A C program whose HDF5 dump loop runs ``n_steps`` times, with a
+    compute loop and a first-iteration-only extra write in its body."""
+    return f"""
+#include <hdf5.h>
+#define N_STEPS {n_steps}
+#define ELEMS 4096
+int main(void)
+{{
+    double *buf = (double *) malloc(ELEMS * sizeof(double));
+    hsize_t dims[1] = {{ELEMS}};
+    hid_t fid = H5Fcreate("out.h5", H5F_ACC_TRUNC, H5P_DEFAULT, H5P_DEFAULT);
+    hid_t sid = H5Screate_simple(1, dims, NULL);
+    for (int step = 0; step < N_STEPS; step++)
+    {{
+        for (int k = 0; k < ELEMS; k++)
+        {{
+            buf[k] = buf[k] * 1.5 + step;
+        }}
+        if (step == 0)
+        {{
+            H5Dwrite(fid, H5T_NATIVE_DOUBLE, sid, H5S_ALL, H5P_DEFAULT, buf);
+        }}
+        hid_t did = H5Dcreate2(fid, "d", H5T_NATIVE_DOUBLE, sid, H5P_DEFAULT, H5P_DEFAULT, H5P_DEFAULT);
+        H5Dwrite(did, H5T_NATIVE_DOUBLE, sid, H5S_ALL, H5P_DEFAULT, buf);
+        H5Dclose(did);
+    }}
+    H5Fclose(fid);
+    return 0;
+}}
+"""
+
+
+def kernel_workloads(n_steps: int, fraction: float):
+    """The discovered kernel of :func:`dump_loop_program` without and
+    with :class:`~repro.discovery.reducers.LoopReduction` at ``fraction``."""
+    from repro.discovery import DiscoveryOptions, LoopReduction, discover_io
+    from repro.discovery.modelgen import ModelHints
+
+    source = dump_loop_program(n_steps)
+    hints = ModelHints(n_procs=8, n_nodes=2)
+    full = discover_io(source, "dump", DiscoveryOptions(hints=hints))
+    reduced = discover_io(
+        source,
+        "dump",
+        DiscoveryOptions(hints=hints, reducers=(LoopReduction(fraction),)),
+    )
+    return full.to_workload(), reduced.to_workload()
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(2, 200),
@@ -94,12 +149,9 @@ def test_evaluation_deterministic_under_quiet_noise(seed):
 )
 def test_loop_reduction_extrapolation_identity(n_iterations, fraction):
     """reduced metrics x extrapolation ~= original metrics, up to the
-    ceil-rounding overcount the paper describes (bounded by one extra
-    iteration's worth per loop)."""
-    w = make_workload(n_iterations=n_iterations)
-    reduced = w.loop_reduced(fraction)
-    if reduced is w:  # too small to reduce
-        return
+    overcount of the kept first iteration the paper describes (bounded
+    by one iteration's worth per loop)."""
+    w, reduced = kernel_workloads(n_iterations, fraction)
     factor = reduced.extrapolation_factor
     extrapolated = reduced.bytes_written * factor
     # The kept leading block over-weights the first iteration: the error
@@ -110,10 +162,9 @@ def test_loop_reduction_extrapolation_identity(n_iterations, fraction):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.floats(0.001, 1.0))
-def test_loop_reduction_never_increases_volume(fraction):
-    w = make_workload(n_iterations=100)
-    reduced = w.loop_reduced(fraction)
+@given(st.integers(2, 200), st.floats(0.001, 1.0))
+def test_loop_reduction_never_increases_volume(n_iterations, fraction):
+    w, reduced = kernel_workloads(n_iterations, fraction)
     assert reduced.bytes_written <= w.bytes_written
     assert reduced.write_ops <= w.write_ops
     assert reduced.compute_seconds <= w.compute_seconds + 1e-9

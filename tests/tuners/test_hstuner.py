@@ -43,7 +43,7 @@ def test_clock_charges_every_evaluation(sim):
 
 
 def test_stopper_ends_run(sim):
-    tuner = small_tuner(sim, stopper=HeuristicStopper(threshold=0.05, window=3))
+    tuner = small_tuner(sim, stopper=HeuristicStopper())
     res = tuner.tune(make_workload(), max_iterations=40)
     assert res.stop_reason == "stopper"
     assert res.stopped_at is not None
@@ -221,7 +221,7 @@ def test_a_tune_that_raises_leaves_no_layer_memo(sim):
 def test_each_tune_starts_with_an_empty_layer_memo(layer_calls):
     sim = IOStackSimulator(cori(2), NoiseModel.quiet())
     workload = make_workload()
-    streams_per_trace = sum(len(p.data) for p in workload.phases())
+    streams_per_trace = sum(len(p.data) for p in workload.phases)
     counts, results = [], []
     for _ in range(2):
         layer_calls.clear()

@@ -3,7 +3,14 @@
 import pytest
 
 from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
-from repro.workloads import bdcats, flash, hacc, macsio_vpic_dipole, vpic
+from repro.workloads import (
+    DUMP_LOOP_ITERATIONS,
+    bdcats,
+    flash,
+    hacc,
+    macsio_vpic_dipole,
+    vpic,
+)
 
 
 ALL_COMPONENT_APPS = [vpic, flash, hacc, macsio_vpic_dipole]
@@ -33,7 +40,7 @@ def test_write_only_apps(factory):
 
 def test_macsio_logging_share_matches_figure_8c():
     w = macsio_vpic_dipole()
-    logging = next(p for p in w.fixed_phases if p.name == "logging")
+    logging = next(p for p in w.phases if p.name == "logging")
     share = logging.write_ops / w.write_ops
     assert 0.15 < share < 0.25  # paper: 19.05% of ops
     assert logging.bytes_written / w.bytes_written < 1e-4
@@ -97,7 +104,7 @@ def test_factories_validate_arguments():
 
 def test_first_iteration_blocks_are_heavier():
     w = macsio_vpic_dipole()
-    first, steady = w.loops[0].phases
-    per_iter_first = first.write_ops
-    per_iter_steady = steady.write_ops / (w.loops[0].n_iterations - 1)
+    blocks = {p.name: p for p in w.phases}
+    per_iter_first = blocks["dump_first"].write_ops
+    per_iter_steady = blocks["dump_steady"].write_ops / (DUMP_LOOP_ITERATIONS - 1)
     assert per_iter_first > per_iter_steady

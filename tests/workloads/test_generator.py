@@ -28,13 +28,14 @@ def test_volumes_match_spec():
 
 def test_first_dump_extra_ops():
     w = build_dump_workload(spec(first_dump_extra_ops_fraction=0.5))
-    first = w.loops[0].phases[0]
+    first = next(p for p in w.phases if p.name == "dump_first")
     assert first.write_ops == round(4 * 8 * 1.5)
 
 
 def test_logging_phase_generated():
     w = build_dump_workload(spec(log_lines_per_proc_per_dump=2.0))
-    logging = next(p for p in w.fixed_phases if p.name == "logging")
+    assert [p.name for p in w.phases] == ["logging", "dump_first", "dump_steady"]
+    logging = next(p for p in w.phases if p.name == "logging")
     assert logging.write_ops == 2 * 8 * 10
     assert not logging.data[0].collective_capable
     assert not logging.data[0].shared_file
@@ -48,12 +49,12 @@ def test_read_fraction_adds_read_stream():
 
 def test_no_logging_no_fixed_phase():
     w = build_dump_workload(spec())
-    assert w.fixed_phases == ()
+    assert [p.name for p in w.phases] == ["dump_first", "dump_steady"]
 
 
 def test_single_dump_loop():
     w = build_dump_workload(spec(n_dumps=1))
-    assert len(w.loops[0].phases) == 1
+    assert [p.name for p in w.phases] == ["dump_first"]
 
 
 def test_spec_validation():

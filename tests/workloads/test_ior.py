@@ -24,17 +24,17 @@ def test_write_only_mode():
 def test_fpp_streams_are_private_files():
     fpp = ior(file_per_process=True)
     shared = ior(file_per_process=False)
-    fpp_streams = [s for p in fpp.phases() for s in p.data]
+    fpp_streams = [s for p in fpp.phases for s in p.data]
     assert all(not s.shared_file for s in fpp_streams)
     assert all(s.interleave == 0.0 for s in fpp_streams)
-    shared_streams = [s for p in shared.phases() for s in p.data]
+    shared_streams = [s for p in shared.phases for s in p.data]
     assert all(s.shared_file for s in shared_streams)
 
 
 def test_fpp_has_heavier_metadata():
     fpp = ior(file_per_process=True)
     shared = ior(file_per_process=False)
-    meta = lambda w: sum(p.metadata.total_ops for p in w.phases() if p.metadata)
+    meta = lambda w: sum(p.metadata.total_ops for p in w.phases if p.metadata)
     assert meta(fpp) > 2 * meta(shared)
 
 

@@ -48,8 +48,8 @@ def test_macsio_source_tracks_factory():
     coded = macsio_vpic_dipole()
     assert modelled.bytes_written == pytest.approx(coded.bytes_written, rel=0.25)
     # Both carry a logging phase of the same ops share.
-    m_log = next(p for p in modelled.fixed_phases if p.name == "logging")
-    c_log = next(p for p in coded.fixed_phases if p.name == "logging")
+    m_log = next(p for p in modelled.phases if p.name == "logging")
+    c_log = next(p for p in coded.phases if p.name == "logging")
     m_share = m_log.write_ops / modelled.write_ops
     c_share = c_log.write_ops / coded.write_ops
     assert m_share == pytest.approx(c_share, abs=0.05)
