@@ -284,16 +284,17 @@ class EarlyStoppingAgent:
         continue_reward = _continue_reward(v, ITERATION_COST)
         total_reward = 0.0
 
-        def flush(t: int) -> None:
+        def flush(t: int, state: np.ndarray) -> None:
             # The episode is over: every pending decision matures now.
-            for tr in buffer.mature(
-                t, continue_reward, self.state_from_series(v, t), done=True
-            ):
+            for tr in buffer.mature(t, continue_reward, state, done=True):
                 self.agent.observe(tr)
 
+        # Each iteration's state is built once: it is the next state of
+        # the decisions maturing at ``t`` and the input of the decision
+        # made at ``t``.
         t = 0
+        state = self.state_from_series(v, t)
         while t < v.size - 1:
-            state = self.state_from_series(v, t)
             action = self.agent.act(state) if t >= MIN_ITERATIONS else _CONTINUE
             if action == _STOP:
                 # Offline we know the whole curve, so the stop action
@@ -304,20 +305,18 @@ class EarlyStoppingAgent:
                 self.agent.observe(
                     Transition(state, _STOP, saved_cost - remaining_gain, state, done=True)
                 )
-                flush(t)
+                flush(t, state)
                 self.agent.train_step()
                 break
             buffer.remember(state, _CONTINUE, t)
             t += 1
-            matured = buffer.mature(
-                t, continue_reward, self.state_from_series(v, t), done=False
-            )
-            for tr in matured:
+            state = self.state_from_series(v, t)
+            for tr in buffer.mature(t, continue_reward, state, done=False):
                 total_reward += tr.reward
                 self.agent.observe(tr)
             self.agent.train_step()
         else:
-            flush(v.size - 1)
+            flush(t, state)
             self.agent.train_step()
         return total_reward
 

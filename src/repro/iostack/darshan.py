@@ -104,21 +104,3 @@ class DarshanReport:
 
     def record_phase(self, record: PhaseRecord) -> None:
         self.phases.append(record)
-
-    def summary(self) -> dict[str, float]:
-        """Flat dict of the headline counters; convenient for
-        tabulation."""
-        return {
-            "app_bytes_written": float(self.app_bytes_written),
-            "app_bytes_read": float(self.app_bytes_read),
-            "app_write_ops": float(self.app_write_ops),
-            "app_read_ops": float(self.app_read_ops),
-            "posix_bytes_written": float(self.posix_bytes_written),
-            "posix_bytes_read": float(self.posix_bytes_read),
-            "posix_write_ops": float(self.posix_write_ops),
-            "posix_read_ops": float(self.posix_read_ops),
-            "meta_ops": float(self.meta_ops),
-            "runtime_seconds": self.runtime_seconds,
-            "write_bandwidth_mbps": self.write_bandwidth_mbps,
-            "read_bandwidth_mbps": self.read_bandwidth_mbps,
-        }

@@ -101,14 +101,47 @@ class Dense:
         self.bias = np.zeros(out_features)
         self.activation = activation
         self._act, self._act_grad = ACTIVATIONS[activation]
-        # forward cache
+        # forward cache: the input, the output and, for tanh and
+        # sigmoid, the pre-activation
         self._x: np.ndarray | None = None
         self._z: np.ndarray | None = None
+        self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
-        self._z = x @ self.weight + self.bias
-        return self._act(self._z)
+        out = np.dot(x, self.weight)
+        out += self.bias
+        if self._act is _relu:
+            # In place: ``out > 0`` then equals ``z > 0`` (NaN included),
+            # so backward needs no copy of the pre-activation.
+            np.maximum(out, 0.0, out=out)
+        elif self._act is not _linear:
+            self._z = out
+            out = self._act(out)
+        self._out = out
+        return out
+
+    def _parameter_gradients(
+        self,
+        grad_out: np.ndarray,
+        dw: np.ndarray | None,
+        db: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(dL/dz, dL/dW, dL/db)`` for ``grad_out`` = dL/d(output)."""
+        if self._x is None:
+            raise RuntimeError("backward called before forward")
+        # The linear derivative is all ones: skipping the multiply by it
+        # gives the same bits, as does multiplying by the boolean ReLU
+        # mask instead of its float copy.
+        if self._act is _linear:
+            dz = grad_out
+        elif self._act is _relu:
+            dz = grad_out * (self._out > 0.0)
+        else:
+            dz = grad_out * self._act_grad(self._z)
+        dw = np.matmul(self._x.T, dz, out=dw)
+        db = np.add.reduce(dz, axis=0, out=db)
+        return dz, dw, db
 
     def backward(
         self,
@@ -121,15 +154,8 @@ class Dense:
         ``dw``/``db``, when given, receive the parameter gradients in
         place (:class:`MLP` passes views into its flat gradient buffer).
         """
-        if self._x is None or self._z is None:
-            raise RuntimeError("backward called before forward")
-        # The linear derivative is all ones: skipping the multiply by it
-        # gives the same bits.
-        dz = grad_out if self._act is _linear else grad_out * self._act_grad(self._z)
-        dw = np.matmul(self._x.T, dz, out=dw)
-        db = np.add.reduce(dz, axis=0, out=db)
-        dx = dz @ self.weight.T
-        return dx, dw, db
+        dz, dw, db = self._parameter_gradients(grad_out, dw, db)
+        return dz @ self.weight.T, dw, db
 
     @property
     def parameters(self) -> list[np.ndarray]:
@@ -156,6 +182,9 @@ class Adam:
         self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self._m = np.zeros_like(parameters)
         self._v = np.zeros_like(parameters)
+        # Scratch vectors, so a step allocates nothing.
+        self._step = np.empty_like(parameters)
+        self._scale = np.empty_like(parameters)
         self._t = 0
 
     def step(self, gradient: np.ndarray) -> None:
@@ -166,12 +195,23 @@ class Adam:
         self._t += 1
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
-        m, v = self._m, self._v
+        m, v, step, scale = self._m, self._v, self._step, self._scale
+        # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
         m *= self.beta1
-        m += (1.0 - self.beta1) * gradient
+        np.multiply(gradient, 1.0 - self.beta1, out=step)
+        m += step
         v *= self.beta2
-        v += (1.0 - self.beta2) * gradient * gradient
-        self.parameters -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+        np.multiply(gradient, 1.0 - self.beta2, out=step)
+        step *= gradient
+        v += step
+        # parameters -= lr*(m/b1t) / (sqrt(v/b2t) + eps)
+        np.divide(m, b1t, out=step)
+        step *= self.learning_rate
+        np.divide(v, b2t, out=scale)
+        np.sqrt(scale, out=scale)
+        scale += self.epsilon
+        step /= scale
+        self.parameters -= step
 
 
 class MLP:
@@ -273,13 +313,21 @@ class MLP:
             pred = layer.forward(pred)
         if pred.shape != y.shape:
             raise ValueError(f"target shape {y.shape} != prediction shape {pred.shape}")
-        mask = ~np.isnan(y)
-        n = max(1, np.count_nonzero(mask))
-        diff = np.where(mask, pred - y, 0.0)
-        loss = float((diff**2).sum() / n)
-        grad = 2.0 * diff / n
-        for layer, (dw, db) in zip(reversed(self.layers), reversed(self._grad_views)):
-            grad, _, _ = layer.backward(grad, dw, db)
+        # Masked entries (NaN targets) contribute neither loss nor
+        # gradient, and only the unmasked ones count towards the mean.
+        masked = np.isnan(y)
+        n = max(1, masked.size - np.count_nonzero(masked))
+        diff = np.subtract(pred, y)
+        diff[masked] = 0.0
+        loss = float(np.add.reduce(diff * diff, axis=None) / n)
+        grad = diff  # dL/d(pred) = 2 * diff / n, in place
+        grad *= 2.0
+        grad /= n
+        layers, views = self.layers, self._grad_views
+        for i in range(len(layers) - 1, 0, -1):
+            grad, _, _ = layers[i].backward(grad, *views[i])
+        # The input layer's input gradient would go unused.
+        layers[0]._parameter_gradients(grad, *views[0])
         self.optimizer.step(self._grads)
         self.last_loss = loss
         return loss

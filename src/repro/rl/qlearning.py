@@ -97,10 +97,16 @@ class QLearningAgent:
             self.config.batch_size, self.rng
         )
 
-        next_q = np.asarray(self.target_network(next_states))
-        bootstrap = np.where(dones, 0.0, self.config.discount * next_q.max(axis=1))
-        targets = np.full((states.shape[0], self.config.n_actions), np.nan)
-        targets[np.arange(states.shape[0]), actions] = rewards + bootstrap
+        # target = reward + discount * max Q'(s'), without the bootstrap
+        # on terminal transitions; every other action's target is NaN.
+        bootstrap = np.maximum.reduce(self.target_network(next_states), axis=1)
+        bootstrap *= self.config.discount
+        bootstrap[dones] = 0.0
+        bootstrap += rewards
+        rows = states.shape[0]
+        targets = np.empty((rows, self.config.n_actions))
+        targets.fill(np.nan)
+        targets[np.arange(rows), actions] = bootstrap
 
         loss = self.q_network.train_batch(states, targets)
         self._train_steps += 1

@@ -34,7 +34,7 @@ class ReplayBuffer:
     """Bounded FIFO store with uniform minibatch sampling.
 
     Transitions live in numpy ring arrays, one per field, so a minibatch
-    is one fancy index per field.  The arrays start small and double on
+    is one ``take`` per field.  The arrays start small and double on
     demand up to ``capacity``; once full, each push overwrites the
     oldest transition.  Sample index ``i`` always means the ``i``-th
     oldest transition, as in a ``deque(maxlen=capacity)``.
@@ -110,7 +110,7 @@ class ReplayBuffer:
         idx = rng.integers(self._size, size=min(batch_size, self._size))
         if self._head:
             idx += self._head
-            idx[idx >= self._size] -= self._size
+            np.remainder(idx, self._size, out=idx)
         return idx
 
     def sample(self, batch_size: int, rng: np.random.Generator) -> list[Transition]:
@@ -138,11 +138,11 @@ class ReplayBuffer:
         """
         rows = self._sample_rows(batch_size, rng)
         return (
-            self._states[rows],
-            self._actions[rows],
-            self._rewards[rows],
-            self._next_states[rows],
-            self._dones[rows],
+            self._states.take(rows, axis=0),
+            self._actions.take(rows),
+            self._rewards.take(rows),
+            self._next_states.take(rows, axis=0),
+            self._dones.take(rows),
         )
 
     def clear(self) -> None:

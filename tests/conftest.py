@@ -12,6 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core import PerfNormalizer, train_tunio_agents
+from repro.core.offline_training import save_agents
 from repro.iostack import (
     IOStackSimulator,
     NoiseModel,
@@ -23,7 +25,30 @@ from repro.iostack import simulator as simulator_module
 from repro.iostack.cluster import testbed as make_testbed
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
-from repro.workloads import Workload
+from repro.workloads import Workload, flash, hacc, vpic
+
+
+@pytest.fixture(scope="session")
+def trained_bundle():
+    """Simulator, normalizer and offline-trained agents, trained once
+    per session (training takes a few seconds)."""
+    platform = cori(4)
+    sim = IOStackSimulator(platform, NoiseModel(seed=77))
+    normalizer = PerfNormalizer.for_platform(platform, 4)
+    agents = train_tunio_agents(
+        sim, [vpic(), flash(), hacc()], normalizer,
+        rng=np.random.default_rng(77),
+    )
+    return sim, normalizer, agents
+
+
+@pytest.fixture(scope="session")
+def agents_checkpoint(trained_bundle, tmp_path_factory):
+    """An ``--agents-cache`` checkpoint of :func:`trained_bundle`'s
+    agents.  Copy it before handing it to a run that may change it."""
+    path = tmp_path_factory.mktemp("agents") / "agents.npz"
+    save_agents(trained_bundle[2], path)
+    return path
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 """The tunio-tune CLI (smoke coverage at tiny budgets)."""
 
 import json
+import shutil
 
 import pytest
 
@@ -481,11 +482,12 @@ def test_constraints_flag_arms_and_reports(capsys):
 
 
 @pytest.mark.guardrails
-def test_agent_fault_degrades_and_reports(tmp_path, capsys):
+def test_agent_fault_degrades_and_reports(agents_checkpoint, tmp_path, capsys):
     """End-to-end acceptance: with an agent fault injected, the run
     completes, falls back to plain-GA tuning, and reports the trips on
     a ``guardrails:`` line."""
     cache = tmp_path / "agents.npz"
+    shutil.copyfile(agents_checkpoint, cache)
     assert main([
         "flash", "--iterations", "2", "--seed", "5",
         "--agents-cache", str(cache),
@@ -505,10 +507,11 @@ def test_agent_fault_degrades_and_reports(tmp_path, capsys):
 
 
 @pytest.mark.guardrails
-def test_truncated_checkpoint_degrades_and_reports(tmp_path, capsys):
+def test_truncated_checkpoint_degrades_and_reports(agents_checkpoint, tmp_path, capsys):
     from repro.observability.report import main as report_main
 
     cache = tmp_path / "agents.npz"
+    shutil.copyfile(agents_checkpoint, cache)
     assert main([
         "flash", "--iterations", "2", "--seed", "5",
         "--agents-cache", str(cache),

@@ -105,15 +105,6 @@ def test_platform_scales_to_workload_nodes(default_config):
     assert 1.0 * t_small < t_big < 8 * t_small
 
 
-def test_report_summary_keys(sim, default_config, small_workload):
-    summary = sim.run(small_workload, default_config).summary()
-    for key in (
-        "app_bytes_written", "posix_bytes_written", "runtime_seconds",
-        "write_bandwidth_mbps", "meta_ops",
-    ):
-        assert key in summary
-
-
 # -- layer memo --------------------------------------------------------------------
 
 
