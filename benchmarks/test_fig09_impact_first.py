@@ -9,7 +9,7 @@ from repro.analysis import fig09_impact_first
 
 
 def test_fig09_impact_first(run_once):
-    result = run_once(fig09_impact_first, seed=0, repeats=3)
+    result = run_once(fig09_impact_first, seed=0)
     print("\n" + result.report())
 
     assert result.impact_first_iteration is not None

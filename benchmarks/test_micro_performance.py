@@ -38,14 +38,12 @@ def test_discovery_pipeline_speed(benchmark):
 
 
 def test_config_encode_decode_speed(benchmark):
-    from repro.iostack import TUNED_SPACE
-
     rng = np.random.default_rng(0)
     config = StackConfiguration.random(rng)
     genome = config.genome()
 
     def roundtrip():
-        return StackConfiguration.from_genome(TUNED_SPACE, genome)
+        return StackConfiguration.from_genome(genome)
 
     assert benchmark(roundtrip) == config
 

@@ -66,7 +66,6 @@ from repro.iostack import (
     NoiseModel,
     StackConfiguration,
     cori,
-    testbed,
 )
 from repro.tuners import (
     HeuristicStopper,
@@ -108,7 +107,6 @@ __all__ = [
     "NoiseModel",
     "StackConfiguration",
     "cori",
-    "testbed",
     "HeuristicStopper",
     "HSTuner",
     "NoStop",

@@ -71,22 +71,27 @@ class ExperimentContext:
         return PerfNormalizer.for_platform(self.platform, n_nodes)
 
 
-def make_context(seed: int = 0, n_nodes: int = 4) -> ExperimentContext:
+#: Nodes of the platform the agents are trained on (the paper's
+#: 4-node training runs).
+TRAINING_NODES = 4
+
+
+def make_context(seed: int = 0) -> ExperimentContext:
     """The experiment context for a seed, cached or built.
 
     Offline training follows the paper: sweep VPIC, FLASH and HACC
-    kernels, PCA the results, pre-train the subset picker, train the
-    early stopper on generated log curves.  Training is cached per
-    (seed, n_nodes) within the process.
+    kernels on a :data:`TRAINING_NODES`-node platform, PCA the results,
+    pre-train the subset picker, train the early stopper on generated
+    log curves.  Training is cached per seed within the process.
     """
-    return _build_context(seed, n_nodes)
+    return _build_context(seed)
 
 
 @lru_cache(maxsize=4)
-def _build_context(seed: int, n_nodes: int) -> ExperimentContext:
-    platform = cori(n_nodes)
+def _build_context(seed: int) -> ExperimentContext:
+    platform = cori(TRAINING_NODES)
     simulator = IOStackSimulator(platform, NoiseModel(seed=seed))
-    normalizer = PerfNormalizer.for_platform(platform, n_nodes)
+    normalizer = PerfNormalizer.for_platform(platform, TRAINING_NODES)
     agents = train_tunio_agents(
         simulator,
         [vpic(), flash(), hacc()],

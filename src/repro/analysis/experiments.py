@@ -428,19 +428,21 @@ def _fig09_run(seed: int, repeat: int, arm: str, iterations: int) -> TuningResul
     return tuner.tune(workload, max_iterations=iterations)
 
 
-def fig09_impact_first(
-    seed: int = 0, iterations: int = 50, repeats: int = 3
-) -> ImpactFirstResult:
+#: Runs of each Figure 9 arm.
+FIG09_REPEATS = 3
+
+
+def fig09_impact_first(seed: int = 0, iterations: int = 50) -> ImpactFirstResult:
     """Figure 9: attach Smart Configuration Generation to the pipeline
     for FLASH and compare against the pipeline without it.
 
-    GA runs are stochastic, so both arms run ``repeats`` times; the
-    reported iteration counts are medians and the plotted curves come
-    from the median-ranked impact-first run.
+    GA runs are stochastic, so both arms run :data:`FIG09_REPEATS`
+    times; the reported iteration counts are medians and the plotted
+    curves come from the median-ranked impact-first run.
     """
     runs = [
         _fig09_run(seed, r, arm, iterations)
-        for r in range(repeats)
+        for r in range(FIG09_REPEATS)
         for arm in ("impact", "baseline")
     ]
     impact_runs = runs[0::2]

@@ -44,8 +44,8 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def format_series(label: str, values: Sequence[float], width: int = 60) -> str:
-    """One labelled numeric series, downsampled to fit the width."""
+def format_series(label: str, values: Sequence[float]) -> str:
+    """One labelled numeric series, downsampled to about 16 points."""
     arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         return f"{label}: (empty)"
@@ -73,13 +73,14 @@ def format_comparison(rows: Sequence[ComparisonRow], title: str) -> str:
     )
 
 
-def ascii_chart(
-    series: dict[str, Sequence[float]],
-    height: int = 12,
-    width: int = 70,
-    ylabel: str = "",
-) -> str:
-    """Render one or more numeric series as an ASCII line chart.
+#: Rows and columns of an :func:`ascii_chart` plot area.
+CHART_HEIGHT = 12
+CHART_WIDTH = 70
+
+
+def ascii_chart(series: dict[str, Sequence[float]], ylabel: str = "") -> str:
+    """Render one or more numeric series as a
+    :data:`CHART_HEIGHT` x :data:`CHART_WIDTH` ASCII line chart.
 
     Each series gets its own marker; the y-axis is shared.  Used by the
     experiment reports so the regenerated "figures" read as figures in a
@@ -95,6 +96,7 @@ def ascii_chart(
     hi = max(float(v.max()) for v in arrays.values())
     if hi <= lo:
         hi = lo + 1.0
+    height, width = CHART_HEIGHT, CHART_WIDTH
     markers = "*o+x#@%&"
     grid = [[" "] * width for _ in range(height)]
 

@@ -438,8 +438,8 @@ class GuardedStopper:
     def __init__(
         self,
         primary: RLStopper,
-        monitor: GuardrailMonitor | None = None,
-        fault_source: Callable[[], FaultPlan | None] | None = None,
+        monitor: GuardrailMonitor,
+        fault_source: Callable[[], FaultPlan | None],
     ):
         self.primary = primary
         self.fallback = HeuristicStopper()

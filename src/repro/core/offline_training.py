@@ -59,6 +59,12 @@ __all__ = [
 _AXIS_POINTS = 6
 #: Iterations of one surrogate subset-tuning episode.
 _SURROGATE_ITERATIONS = 20
+#: The surrogate's normalised perf ceiling, the share of the remaining
+#: headroom a full-impact subset gains per iteration, and the relative
+#: spread of that gain.
+_SURROGATE_CEILING = 1.0
+_SURROGATE_RATE = 0.5
+_SURROGATE_NOISE = 0.03
 
 
 @dataclass(frozen=True)
@@ -137,9 +143,6 @@ class _SurrogateTuning:
 
     impact_scores: np.ndarray
     rng: np.random.Generator
-    ceiling: float = 1.0
-    rate: float = 0.5
-    noise: float = 0.03
     perf: float = 0.1
 
     def reset(self) -> float:
@@ -148,10 +151,10 @@ class _SurrogateTuning:
 
     def step(self, subset_indices: np.ndarray) -> float:
         covered = float(self.impact_scores[subset_indices].sum())
-        gap = max(0.0, self.ceiling - self.perf)
-        gain = self.rate * covered * gap
-        gain += float(self.rng.normal(0.0, self.noise * max(gain, 0.01)))
-        self.perf = min(self.ceiling, self.perf + max(0.0, gain))
+        gap = max(0.0, _SURROGATE_CEILING - self.perf)
+        gain = _SURROGATE_RATE * covered * gap
+        gain += float(self.rng.normal(0.0, _SURROGATE_NOISE * max(gain, 0.01)))
+        self.perf = min(_SURROGATE_CEILING, self.perf + max(0.0, gain))
         return self.perf
 
 

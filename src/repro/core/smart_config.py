@@ -259,8 +259,8 @@ class GuardedSubsetPicker:
     def __init__(
         self,
         agent: SmartConfigAgent,
-        monitor: GuardrailMonitor | None = None,
-        fault_source: Callable[[], FaultPlan | None] | None = None,
+        monitor: GuardrailMonitor,
+        fault_source: Callable[[], FaultPlan | None],
     ):
         self.agent = agent
         self.guard = AgentGuard(

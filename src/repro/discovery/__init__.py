@@ -28,7 +28,6 @@ from .reconstruct import annotate_source, reconstruct_kernel
 from .reducers import (
     BlindWriteRecord,
     BlindWriteRemoval,
-    ComputeSimulation,
     IOPathSwitching,
     LoopReduction,
     PathSwitchRecord,
@@ -64,7 +63,6 @@ __all__ = [
     "reconstruct_kernel",
     "BlindWriteRecord",
     "BlindWriteRemoval",
-    "ComputeSimulation",
     "IOPathSwitching",
     "LoopReduction",
     "PathSwitchRecord",

@@ -502,8 +502,8 @@ def _record_events(
                 )
             )
         elif call.name in ("usleep", "sleep"):
-            # Simulated compute (the ComputeSimulation reducer emits
-            # usleep calls carrying the estimated loop duration).
+            # An explicit sleep in the source (user code passed to
+            # tune_application may contain one) is compute time.
             text = line.text
             arg = text[text.find("(") + 1 : text.find(")")]
             value = interp.env.try_resolve(arg.strip())

@@ -16,14 +16,10 @@ step could be used instead"; here that is an empty reducer tuple):
 * :class:`IOPathSwitching` -- prepend every opened path with a
   memory-backed prefix (``/dev/shm``) so evaluations avoid slow storage.
 
-Two of the paper's future-work transforms are also provided:
+One of the paper's future-work transforms is also provided:
 
 * :class:`BlindWriteRemoval` -- drop H5Dwrite calls to datasets that are
   never read back within the kernel.
-* :class:`ComputeSimulation` -- replace pure-compute loops with usleep
-  calls of the statically estimated duration ("simulating necessary
-  compute"): the kernel keeps the application's timing shape without
-  doing the work.
 
 Each reducer returns a new source plus typed records describing what it
 changed; the records drive metric extrapolation in the harness.
@@ -49,7 +45,6 @@ __all__ = [
     "LoopReduction",
     "IOPathSwitching",
     "BlindWriteRemoval",
-    "ComputeSimulation",
 ]
 
 
@@ -269,101 +264,3 @@ class BlindWriteRemoval(Reducer):
             source="\n".join(keep) + "\n", removed_writes=tuple(records)
         )
 
-
-class ComputeSimulation(Reducer):
-    """Replace pure-compute loops with ``usleep`` calls of the same
-    estimated duration (the paper's future-work "simulating necessary
-    compute").
-
-    Unlike the plain kernel -- which drops compute entirely and therefore
-    under-reports the application's end-to-end runtime -- a
-    compute-simulated kernel preserves the run's *timing* shape (useful
-    when tuning interacts with compute/I/O phasing) while performing
-    none of the arithmetic.  Loop durations are estimated with the same
-    static cost model the workload generator uses
-    (:class:`~repro.discovery.modelgen.ModelHints.statement_cost`).
-
-    Only loops that contain no I/O calls and whose trip count resolves
-    statically are replaced.
-    """
-
-    def __init__(self, statement_cost: float = 2e-9, io_prefixes: tuple[str, ...] = ("H5",)):
-        if statement_cost <= 0:
-            raise ValueError("statement_cost must be positive")
-        self.statement_cost = statement_cost
-        self.io_prefixes = io_prefixes
-
-    def apply(self, source: str) -> ReducerOutcome:
-        from .constants import UnresolvableExpression  # local: avoid cycle noise
-
-        formatted = format_source(source)
-        parsed = parse_source(formatted)
-        env = ConstantEnv.from_parsed(parsed)
-
-        # Headers of loops containing any I/O-prefixed call (kept as-is).
-        io_loops: set[int] = set()
-        for line in parsed.lines:
-            if any(c.name.startswith(self.io_prefixes) for c in line.calls):
-                for header in parsed.enclosing_headers(line.index):
-                    io_loops.add(header)
-
-        lines = [line.text for line in parsed.lines]
-        simulated: list[ReductionRecord] = []
-        drop: set[int] = set()
-        for line in parsed.lines:
-            if line.kind != LineKind.FOR or line.index in io_loops:
-                continue
-            # Loops nested inside another *compute* loop fold into the
-            # outer replacement; living inside an I/O loop is fine (that
-            # is exactly MACSio's per-dump compute).
-            if any(
-                parsed.lines[h].kind == LineKind.FOR and h not in io_loops
-                for h in parsed.enclosing_headers(line.index)
-            ):
-                continue
-            match = _FOR_RE.match(line.text)
-            if match is None:
-                continue
-            bound = env.try_resolve(match.group("bound").strip())
-            if bound is None:
-                continue
-            iterations = bound + 1 if match.group("op") == "<=" else bound
-            if iterations <= 0 or line.block_open is None or line.block_close is None:
-                continue
-            body = range(line.block_open + 1, line.block_close)
-            statements = sum(
-                1
-                for i in body
-                if parsed.lines[i].kind in (LineKind.DECL, LineKind.EXPR)
-            )
-            nested = 1
-            for i in body:
-                inner = parsed.lines[i]
-                if inner.kind == LineKind.FOR:
-                    m = _FOR_RE.match(inner.text)
-                    b = env.try_resolve(m.group("bound").strip()) if m else None
-                    if b:
-                        nested = max(nested, b)
-            micros = max(
-                1, int(iterations * nested * max(1, statements) * self.statement_cost * 1e6)
-            )
-            indent = line.text[: len(line.text) - len(line.text.lstrip())]
-            lines[line.index] = (
-                f"{indent}usleep({micros}); /* tunio:compute-simulated "
-                f"{iterations}x{nested} iters */"
-            )
-            drop.update(range(line.block_open, line.block_close + 1))
-            simulated.append(
-                ReductionRecord(
-                    line_index=line.index,
-                    variable=match.group("var"),
-                    original_iterations=iterations,
-                    reduced_iterations=1,
-                )
-            )
-
-        kept = [text for i, text in enumerate(lines) if i not in drop]
-        return ReducerOutcome(
-            source="\n".join(kept) + "\n",
-            reductions=tuple(simulated),
-        )

@@ -1,8 +1,9 @@
 """A small evolutionary-algorithm framework (the reproduction's DEAP).
 
-Provides integer-genome individuals, masked crossover/mutation operators,
-the paper's tournament + elitism selection scheme, a DEAP-style toolbox
-and a generational engine the tuning pipelines drive one step at a time.
+Provides integer-genome individuals, crossover/mutation operators, the
+subset mask that pins genes outside the tuned subset, the paper's
+tournament + elitism selection scheme, a DEAP-style toolbox and a
+generational engine the tuning pipelines drive one step at a time.
 """
 
 from .engine import EvolutionEngine, GenerationStats

@@ -109,20 +109,13 @@ class EvolutionEngine:
     def initialize(self) -> GenerationStats:
         """Create and evaluate generation 0.
 
-        If a mask is already active, every generated individual is pinned
-        to the first one (the seed/incumbent) outside the mask, so subset
-        tuning constrains the whole run including generation 0.
-        """
+        Generation 0 is never masked: the tuners pick no subset before
+        the first bred generation, and a mask only pins offspring."""
         if self.population:
             raise RuntimeError("engine already initialized")
         self.population = list(self.toolbox.generate(self.population_size, self.rng))
         if len(self.population) != self.population_size:
             raise ValueError("generate() returned the wrong number of individuals")
-        if self._mask is not None:
-            seed = self.population[0]
-            self.population = [seed] + [
-                apply_mask(ind, seed, self._mask) for ind in self.population[1:]
-            ]
         if "repair" in self.toolbox:
             self.population = [self.toolbox.repair(ind) for ind in self.population]
         return self._evaluate_and_record()

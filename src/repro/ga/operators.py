@@ -1,11 +1,10 @@
 """Variation operators: crossover and mutation over integer genomes.
 
 All operators take and return :class:`~repro.ga.individual.Individual`
-objects and never modify their inputs.  Each accepts an optional ``mask``
--- a boolean vector marking the genome positions that may vary.  The
-mask is how Impact-First tuning confines the search to the RL-selected
-parameter subset: unmasked genes are copied from the incumbent and left
-untouched by crossover and mutation.
+objects and never modify their inputs.  Crossover and mutation vary
+every gene; Impact-First tuning confines the search to the RL-selected
+parameter subset afterwards, with :func:`apply_mask` pinning the genes
+outside it to the incumbent's values.
 """
 
 from __future__ import annotations
@@ -26,35 +25,18 @@ __all__ = [
     "repair_individual",
 ]
 
-
-def _validate_pair(a: Individual, b: Individual) -> None:
-    if a.genome.size != b.genome.size:
-        raise ValueError("parents have different genome lengths")
-
-
-def _as_mask(mask: Sequence[bool] | np.ndarray | None, size: int) -> np.ndarray:
-    if mask is None:
-        return np.ones(size, dtype=bool)
-    arr = np.asarray(mask, dtype=bool)
-    if arr.shape != (size,):
-        raise ValueError(f"mask shape {arr.shape} does not match genome size {size}")
-    return arr
+#: Probability that uniform crossover exchanges a gene.
+SWAP_PROBABILITY = 0.5
 
 
 def uniform_crossover(
-    a: Individual,
-    b: Individual,
-    rng: np.random.Generator,
-    swap_probability: float = 0.5,
-    mask: Sequence[bool] | np.ndarray | None = None,
+    a: Individual, b: Individual, rng: np.random.Generator
 ) -> tuple[Individual, Individual]:
-    """Exchange each masked gene between the parents with probability
-    ``swap_probability``; unmasked genes are inherited unchanged."""
-    _validate_pair(a, b)
-    if not 0.0 <= swap_probability <= 1.0:
-        raise ValueError("swap_probability must be in [0, 1]")
-    m = _as_mask(mask, a.genome.size)
-    swap = (rng.random(a.genome.size) < swap_probability) & m
+    """Exchange each gene between the parents with probability
+    :data:`SWAP_PROBABILITY`."""
+    if a.genome.size != b.genome.size:
+        raise ValueError("parents have different genome lengths")
+    swap = rng.random(a.genome.size) < SWAP_PROBABILITY
     ga, gb = a.genome.copy(), b.genome.copy()
     ga[swap], gb[swap] = gb[swap], ga[swap]
     return Individual(ga), Individual(gb)
@@ -65,18 +47,16 @@ def uniform_reset_mutation(
     rng: np.random.Generator,
     cardinalities: Sequence[int],
     per_gene_probability: float = 0.1,
-    mask: Sequence[bool] | np.ndarray | None = None,
 ) -> Individual:
-    """Re-draw each masked gene uniformly from its candidate range with
-    the given probability (pure exploration; no ordinal structure)."""
+    """Re-draw each gene uniformly from its candidate range with the
+    given probability (pure exploration; no ordinal structure)."""
     cards = np.asarray(cardinalities, dtype=np.int64)
     if cards.shape != (ind.genome.size,):
         raise ValueError("cardinalities must match genome length")
     if np.any(cards < 1):
         raise ValueError("cardinalities must be >= 1")
-    m = _as_mask(mask, ind.genome.size)
     genome = ind.genome.copy()
-    hits = (rng.random(genome.size) < per_gene_probability) & m
+    hits = rng.random(genome.size) < per_gene_probability
     for pos in np.flatnonzero(hits):
         genome[pos] = int(rng.integers(cards[pos]))
     return Individual(genome)
@@ -89,9 +69,12 @@ def apply_mask(
     values.  Used when entering a new subset-tuning iteration: genes
     outside the active subset are pinned to the best configuration found
     so far."""
-    m = _as_mask(mask, offspring.genome.size)
-    genome = np.where(m, offspring.genome, incumbent.genome)
-    return Individual(genome)
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != offspring.genome.shape:
+        raise ValueError(
+            f"mask shape {m.shape} does not match genome size {offspring.genome.size}"
+        )
+    return Individual(np.where(m, offspring.genome, incumbent.genome))
 
 
 def repair_individual(ind: Individual, registry: "ConstraintRegistry") -> Individual:

@@ -7,14 +7,10 @@ substitution rationale.
 """
 
 from .clock import SimulatedClock
-from .cluster import Platform, cori, testbed
+from .cluster import Platform, cori
 from .config import StackConfiguration, from_xml, to_xml
 from .darshan import DarshanReport, PhaseRecord
-from .evalcache import (
-    EvaluationCache,
-    EvaluationStats,
-    workload_fingerprint,
-)
+from .evalcache import EvaluationCache, workload_fingerprint
 from .faults import (
     AGENT_FAULT_MODES,
     DegradedWindow,
@@ -55,7 +51,6 @@ __all__ = [
     "SimulatedClock",
     "Platform",
     "cori",
-    "testbed",
     "StackConfiguration",
     "from_xml",
     "to_xml",
@@ -85,7 +80,6 @@ __all__ = [
     "StreamTrace",
     "WorkloadLike",
     "EvaluationCache",
-    "EvaluationStats",
     "workload_fingerprint",
     "AGENT_FAULT_MODES",
     "DegradedWindow",

@@ -65,10 +65,6 @@ class SimulatedClock:
         self._elapsed += self.setup_overhead + run_seconds
         self._n_evaluations += 1
 
-    def checkpoint(self) -> float:
-        """Return the current elapsed seconds; useful to compute deltas."""
-        return self._elapsed
-
     def reset(self) -> None:
         """Zero the clock (new tuning session)."""
         self._elapsed = 0.0

@@ -15,7 +15,7 @@ from typing import Any, Iterator, Mapping
 
 import numpy as np
 
-from .parameters import TUNED_SPACE, ParameterSpace
+from .parameters import TUNED_SPACE
 
 __all__ = ["StackConfiguration", "to_xml", "from_xml"]
 
@@ -25,47 +25,43 @@ _SECTION_LAYERS = {v: k for k, v in _LAYER_SECTIONS.items()}
 
 
 class StackConfiguration(Mapping[str, Any]):
-    """An immutable assignment of values to every parameter of a space.
+    """An immutable assignment of values to every parameter of
+    :data:`~repro.iostack.parameters.TUNED_SPACE`.
 
     Behaves as a read-only mapping from parameter name to value.  Equality
-    and hashing consider both the space and the values, so configurations
-    can be used as dict keys (e.g. for evaluation caching).
+    and hashing consider the values, so configurations can be used as
+    dict keys (e.g. for evaluation caching).
     """
 
-    __slots__ = ("_space", "_values", "_hash")
+    __slots__ = ("_values", "_hash")
 
-    def __init__(self, space: ParameterSpace, values: Mapping[str, Any]):
-        unknown = set(values) - set(space.names)
+    def __init__(self, values: Mapping[str, Any]):
+        unknown = set(values) - set(TUNED_SPACE.names)
         if unknown:
             raise KeyError(f"values for unknown parameters: {sorted(unknown)}")
-        merged = space.default_values()
+        merged = TUNED_SPACE.default_values()
         merged.update(values)
         # Validate through encode (raises on non-candidate values).
-        space.encode(merged)
-        self._space = space
+        TUNED_SPACE.encode(merged)
         self._values = merged
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def default(cls, space: ParameterSpace = TUNED_SPACE) -> "StackConfiguration":
+    def default(cls) -> "StackConfiguration":
         """The untuned configuration (all library defaults)."""
-        return cls(space, {})
+        return cls({})
 
     @classmethod
-    def random(
-        cls, rng: np.random.Generator, space: ParameterSpace = TUNED_SPACE
-    ) -> "StackConfiguration":
+    def random(cls, rng: np.random.Generator) -> "StackConfiguration":
         """A uniformly random configuration."""
-        return cls(space, space.random_values(rng))
+        return cls(TUNED_SPACE.random_values(rng))
 
     @classmethod
-    def from_genome(
-        cls, space: ParameterSpace, indices: np.ndarray | list[int]
-    ) -> "StackConfiguration":
+    def from_genome(cls, indices: np.ndarray | list[int]) -> "StackConfiguration":
         """Build from an index vector in genome order."""
-        return cls(space, space.decode(indices))
+        return cls(TUNED_SPACE.decode(indices))
 
     # -- mapping protocol ------------------------------------------------------
 
@@ -73,54 +69,45 @@ class StackConfiguration(Mapping[str, Any]):
         return self._values[name]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._space.names)
+        return iter(TUNED_SPACE.names)
 
     def __len__(self) -> int:
-        return len(self._space)
+        return len(TUNED_SPACE)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, StackConfiguration):
             return NotImplemented
-        return self._space == other._space and self._values == other._values
+        return self._values == other._values
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(
-                (self._space.names, tuple(self._values[n] for n in self._space.names))
-            )
+            self._hash = hash(tuple(self._values[n] for n in TUNED_SPACE.names))
         return self._hash
 
     def __repr__(self) -> str:
-        non_default = {
-            n: v for n, v in self._values.items() if v != self._space[n].default
-        }
-        return f"StackConfiguration({non_default or 'defaults'})"
+        return f"StackConfiguration({self.changed_parameters() or 'defaults'})"
 
     # -- accessors ----------------------------------------------------------------
 
-    @property
-    def space(self) -> ParameterSpace:
-        return self._space
-
     def genome(self) -> np.ndarray:
         """Index-vector encoding in genome order."""
-        return self._space.encode(self._values)
+        return TUNED_SPACE.encode(self._values)
 
     def normalized(self) -> np.ndarray:
         """Values mapped to [0,1]^n; NN feature representation."""
-        return self._space.normalized(self.genome())
+        return TUNED_SPACE.normalized(self.genome())
 
     def layer(self, layer: str) -> dict[str, Any]:
         """All values consumed by one stack layer."""
         return {
-            p.name: self._values[p.name] for p in self._space if p.layer == layer
+            p.name: self._values[p.name] for p in TUNED_SPACE if p.layer == layer
         }
 
     def changed_parameters(self) -> dict[str, Any]:
         """Parameters whose value differs from the library default (the
         paper reports e.g. 'seven parameters changed from defaults')."""
         return {
-            n: v for n, v in self._values.items() if v != self._space[n].default
+            n: v for n, v in self._values.items() if v != TUNED_SPACE[n].default
         }
 
     # -- functional updates ----------------------------------------------------------
@@ -129,7 +116,7 @@ class StackConfiguration(Mapping[str, Any]):
         """A new configuration with some parameters replaced."""
         merged = dict(self._values)
         merged.update(updates)
-        return StackConfiguration(self._space, merged)
+        return StackConfiguration(merged)
 
 
 def to_xml(config: StackConfiguration) -> str:
@@ -176,7 +163,7 @@ def from_xml(text: str) -> StackConfiguration:
             if child.tag not in TUNED_SPACE:
                 raise KeyError(f"unknown parameter {child.tag!r}")
             values[child.tag] = _parse(child.text or "", TUNED_SPACE[child.tag].values)
-    return StackConfiguration(TUNED_SPACE, values)
+    return StackConfiguration(values)
 
 
 def _render(value: Any) -> str:

@@ -20,8 +20,7 @@ hits -- a cache hit saves *our* wall-clock, not the simulated
 testbed's, so RoTI and time accounting are unchanged.
 
 The key is ``(platform, workload fingerprint, configuration)``; the
-configuration hashes its parameter space and values, so spaces and
-genomes are distinguished.  Workload fingerprints digest the full phase
+configuration hashes its values, so distinct genomes are distinct keys.  Workload fingerprints digest the full phase
 structure (streams, sizes samples, metadata, tier); each cache memoizes
 the fingerprint of the last workload it saw, which is the only one
 during a tune or a sweep.
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Hashable
 
 import numpy as np
@@ -40,11 +38,7 @@ from .cluster import Platform
 from .config import StackConfiguration
 from .simulator import StackTrace, WorkloadLike
 
-__all__ = [
-    "workload_fingerprint",
-    "EvaluationStats",
-    "EvaluationCache",
-]
+__all__ = ["workload_fingerprint", "EvaluationCache"]
 
 
 # -- workload fingerprinting -------------------------------------------------------
@@ -74,69 +68,6 @@ def workload_fingerprint(workload: WorkloadLike) -> Hashable:
         workload.n_nodes,
         _freeze(tuple(workload.phases)),
     )
-
-
-# -- statistics --------------------------------------------------------------------
-
-
-@dataclass
-class EvaluationStats:
-    """The counter record of one tuning run, surfaced on
-    :class:`~repro.tuners.base.TuningResult` and in the CLI report.
-
-    The run's :class:`~repro.tuners.resilience.ResilientEvaluator` owns
-    it and counts where it branches: evaluations, cache lookups that hit
-    or miss, stores that evicted, traces built and replayed, retries,
-    timeouts and quarantines.  The tuner fills in the fault, guardrail
-    and ``prewarm_*`` fields as the run ends.
-    """
-
-    #: Configuration evaluations performed (baseline included).
-    evaluations: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    cache_evictions: int = 0
-    #: Full stack traversals performed by the simulator.
-    traces_built: int = 0
-    #: Reports derived from a stored trace (``repeats`` per evaluation).
-    trace_replays: int = 0
-    #: Evaluation attempts repeated after a retryable failure.
-    retries: int = 0
-    #: Evaluations that exceeded the simulated per-evaluation timeout.
-    timeouts: int = 0
-    #: Configurations that exhausted their retries and were assigned the
-    #: worst-case fitness instead of crashing the generation.
-    quarantined: int = 0
-    #: Faults the plan injected (transient errors + stragglers).
-    faults_injected: int = 0
-    #: Agent guardrail trips recorded during the run (weight corruption,
-    #: training divergence, degenerate policies); details live on
-    #: :attr:`~repro.tuners.base.TuningResult.guardrail_trips`.
-    guardrail_trips: int = 0
-    #: Journal-resume cache warming, counted apart from the run's own
-    #: lookups so :attr:`cache_hit_rate` matches the uninterrupted run
-    #: (warming the cache is bookkeeping, not tuning behaviour).
-    prewarm_lookups: int = 0
-    prewarm_hits: int = 0
-    prewarm_builds: int = 0
-
-    @property
-    def cache_hit_rate(self) -> float:
-        """Hit rate of the run's own lookups; cache pre-warming on
-        journal resume is excluded (see the ``prewarm_*`` fields)."""
-        lookups = self.cache_hits + self.cache_misses
-        return self.cache_hits / lookups if lookups else 0.0
-
-    @property
-    def trace_reuse(self) -> int:
-        """Replays that reused an existing trace instead of traversing
-        the stack -- the simulations the fastpath avoided."""
-        return max(0, self.trace_replays - self.traces_built)
-
-    def as_dict(self) -> dict[str, int]:
-        """All counters as a plain dict (trace ``run_end`` events and the
-        ``--metrics-out`` snapshot)."""
-        return dataclasses.asdict(self)
 
 
 # -- the cache ---------------------------------------------------------------------
@@ -177,7 +108,7 @@ class EvaluationCache:
         self, platform: Platform, workload: WorkloadLike, config: StackConfiguration
     ) -> Hashable:
         """The memo key: platform, workload fingerprint, configuration
-        (which hashes its space and values)."""
+        (which hashes its values)."""
         memo = self._fingerprint
         if memo is None or memo[0] is not workload:
             memo = self._fingerprint = (workload, workload_fingerprint(workload))

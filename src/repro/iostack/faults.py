@@ -52,6 +52,8 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
+from .parameters import TUNED_SPACE
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us)
     from .clock import SimulatedClock
     from .config import StackConfiguration
@@ -119,10 +121,10 @@ def config_digest(config: "StackConfiguration") -> str:
     ``hash(config)`` folds in randomized string hashes, so it cannot key
     fault schedules or quarantine entries that must survive a process
     restart (journal resume).  This digest walks the parameter names and
-    values in space order instead.
+    values in :data:`~repro.iostack.parameters.TUNED_SPACE` order instead.
     """
     h = hashlib.blake2b(digest_size=8)
-    for name in config.space.names:
+    for name in TUNED_SPACE.names:
         h.update(name.encode())
         h.update(b"=")
         h.update(repr(config[name]).encode())

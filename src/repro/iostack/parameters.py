@@ -148,11 +148,6 @@ class ParameterSpace:
             return self._params[key]
         return self._by_name[key]
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, ParameterSpace):
-            return NotImplemented
-        return self._params == other._params
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"ParameterSpace({[p.name for p in self._params]})"
 

@@ -31,14 +31,3 @@ def bytes_per_sec_to_mb_per_sec(value: float) -> float:
 def seconds_to_minutes(value: float) -> float:
     """Convert a duration in seconds to minutes."""
     return value / MINUTE
-
-
-def format_bytes(n: float) -> str:
-    """Render a byte count with a binary suffix, e.g. ``format_bytes(2048)
-    == '2.0 KiB'``.  Useful in reports and ``__repr__`` methods."""
-    n = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB", "TiB"):
-        if abs(n) < 1024.0 or unit == "TiB":
-            return f"{n:.1f} {unit}" if unit != "B" else f"{int(n)} B"
-        n /= 1024.0
-    raise AssertionError("unreachable")

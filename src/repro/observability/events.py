@@ -46,7 +46,7 @@ event              payload fields
 ``run_end``        ``stop_reason``, ``stopped_at``, ``best_perf``,
                    ``baseline_perf``, ``total_minutes``,
                    ``total_evaluations``, ``best_genome``, ``eval_stats``
-                   (the :class:`~repro.iostack.evalcache.EvaluationStats`
+                   (the :class:`~repro.tuners.resilience.EvaluationStats`
                    dict), ``guardrail_trips``
 =================  ==============================================================
 

@@ -1,7 +1,7 @@
 """The metrics snapshot: one JSON-ready dict of a run's counters.
 
 A tuning run keeps one counter record,
-:class:`~repro.iostack.evalcache.EvaluationStats`, filled by its
+:class:`~repro.tuners.resilience.EvaluationStats`, filled by its
 evaluator.  :func:`metrics_snapshot` turns a finished
 :class:`~repro.tuners.base.TuningResult` (plus, optionally, the cache
 occupancy) into named counters and gauges; the

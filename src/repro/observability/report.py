@@ -31,8 +31,8 @@ import os
 import sys
 from typing import Any, Iterable, Mapping
 
-from repro.iostack.evalcache import EvaluationStats
 from repro.tuners.base import IterationRecord, TuningResult
+from repro.tuners.resilience import EvaluationStats
 
 from .metrics import (
     fastpath_line,

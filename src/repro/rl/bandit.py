@@ -51,7 +51,6 @@ class NeuralContextualBandit:
         self.model = MLP(
             [context_dim, *HIDDEN, state_dim, 1],
             rng if rng is not None else np.random.default_rng(),
-            hidden_activation="relu",
             learning_rate=learning_rate,
         )
 

@@ -196,6 +196,18 @@ def corrupt_network(mlp: MLP, mode: str) -> None:
 # -- training monitors ----------------------------------------------------------------
 
 
+#: A loss more than this many times the running mean of the healthy
+#: losses is divergence.  Online-RL losses legitimately jump orders of
+#: magnitude when the reward scale shifts (a new best perf rescales the
+#: Q-targets), so only true numerical runaway -- many orders beyond any
+#: healthy Q-value -- may trip, or healthy runs would spuriously degrade.
+DIVERGENCE_FACTOR = 1e6
+#: Gradient norm beyond which a training step is an explosion.
+GRAD_LIMIT = 1e6
+#: Healthy losses seen before divergence is judged.
+DIVERGENCE_WARMUP = 5
+
+
 class LossDivergenceMonitor:
     """Watches a training-loss stream for divergence and exploding
     gradients.
@@ -204,30 +216,12 @@ class LossDivergenceMonitor:
     (:attr:`MLP.last_loss` / :attr:`MLP.last_grad_norm`);
     :meth:`observe` returns a trip reason when the stream goes bad, and
     ``None`` while it is healthy.  Divergence means the loss exceeds
-    ``divergence_factor`` times the running mean of the healthy losses
-    seen so far, judged once ``warmup`` of them are in.  The default
-    factor is 1e6: online-RL losses legitimately jump orders of
-    magnitude when the reward scale shifts (a new best perf rescales the
-    Q-targets), so only true numerical runaway -- many orders beyond any
-    healthy Q-value -- may trip, or healthy runs would spuriously
-    degrade.
+    :data:`DIVERGENCE_FACTOR` times the running mean of the healthy
+    losses seen so far, judged once :data:`DIVERGENCE_WARMUP` of them
+    are in; a gradient norm above :data:`GRAD_LIMIT` is an explosion.
     """
 
-    def __init__(
-        self,
-        divergence_factor: float = 1e6,
-        grad_limit: float = 1e6,
-        warmup: int = 5,
-    ):
-        if divergence_factor <= 1.0:
-            raise ValueError("divergence_factor must be > 1")
-        if grad_limit <= 0:
-            raise ValueError("grad_limit must be positive")
-        if warmup < 1:
-            raise ValueError("warmup must be >= 1")
-        self.divergence_factor = divergence_factor
-        self.grad_limit = grad_limit
-        self.warmup = warmup
+    def __init__(self) -> None:
         self._seen = 0
         self._baseline = 0.0
 
@@ -240,16 +234,16 @@ class LossDivergenceMonitor:
         if grad_norm is not None:
             if not np.isfinite(grad_norm):
                 return f"non-finite gradient norm ({grad_norm})"
-            if grad_norm > self.grad_limit:
+            if grad_norm > GRAD_LIMIT:
                 return (
                     f"gradient explosion (|grad| {grad_norm:.3g} "
-                    f"> limit {self.grad_limit:.3g})"
+                    f"> limit {GRAD_LIMIT:.3g})"
                 )
-        if self._seen >= self.warmup:
-            threshold = self.divergence_factor * max(self._baseline, 1e-12)
+        if self._seen >= DIVERGENCE_WARMUP:
+            threshold = DIVERGENCE_FACTOR * max(self._baseline, 1e-12)
             if loss > threshold:
                 return (
-                    f"loss divergence ({loss:.3g} > {self.divergence_factor:g}x "
+                    f"loss divergence ({loss:.3g} > {DIVERGENCE_FACTOR:g}x "
                     f"baseline {self._baseline:.3g})"
                 )
         # Running mean of healthy losses only (a diverged step must not
@@ -293,12 +287,12 @@ class AgentGuard:
         self,
         guardrail: str,
         networks: Sequence[tuple[str, MLP]],
-        monitor: GuardrailMonitor | None = None,
-        fault_source: Callable[[], "FaultPlan | None"] | None = None,
+        monitor: GuardrailMonitor,
+        fault_source: Callable[[], "FaultPlan | None"],
     ):
         self.guardrail = guardrail
         self.networks = tuple(networks)
-        self.monitor = monitor if monitor is not None else GuardrailMonitor()
+        self.monitor = monitor
         self._fault_source = fault_source
         self._loss_monitor = LossDivergenceMonitor()
         self._corrupted = False
@@ -316,7 +310,7 @@ class AgentGuard:
         An engaged weight fault corrupts the networks, once per run;
         then the networks are scanned and the first unusable one trips
         the guard (the caller checks :attr:`degraded`)."""
-        plan = self._fault_source() if self._fault_source is not None else None
+        plan = self._fault_source()
         fault = plan.agent_fault_active(iteration) if plan is not None else None
         if fault in _WEIGHT_FAULTS and not self._corrupted:
             self._corrupted = True

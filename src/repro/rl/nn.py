@@ -2,8 +2,9 @@
 Keras).
 
 Implements exactly what the paper's agents need: dense feed-forward
-networks with ReLU/tanh hidden layers, mean-squared-error loss, and the
-Adam optimizer, all in numpy with explicit seeding.  Networks are built
+networks with ReLU hidden layers and a linear output layer,
+mean-squared-error loss, and the Adam optimizer, all in numpy with
+explicit seeding.  Networks are built
 with :class:`MLP` and trained with :meth:`MLP.train_batch`; weights can
 be exported/imported as plain dicts of arrays for checkpointing the
 offline-trained agents.
@@ -17,58 +18,22 @@ arithmetic per element is the same as stepping each array on its own.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 __all__ = ["Dense", "MLP", "Adam", "ACTIVATIONS"]
 
+#: The layer activations: ReLU for every hidden layer, linear for the
+#: output layer (Q-values and regression).
+ACTIVATIONS = ("relu", "linear")
+HIDDEN_ACTIVATION = "relu"
+OUTPUT_ACTIVATION = "linear"
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
-def _relu_grad(x: np.ndarray) -> np.ndarray:
-    return (x > 0.0).astype(x.dtype)
-
-
-def _tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
-def _tanh_grad(x: np.ndarray) -> np.ndarray:
-    return 1.0 - np.tanh(x) ** 2
-
-
-def _linear(x: np.ndarray) -> np.ndarray:
-    return x
-
-
-def _linear_grad(x: np.ndarray) -> np.ndarray:
-    return np.ones_like(x)
-
-
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def _sigmoid_grad(x: np.ndarray) -> np.ndarray:
-    s = _sigmoid(x)
-    return s * (1.0 - s)
-
-
-#: name -> (activation, derivative w.r.t. pre-activation)
-ACTIVATIONS: dict[str, tuple[Callable[[np.ndarray], np.ndarray], Callable[[np.ndarray], np.ndarray]]] = {
-    "relu": (_relu, _relu_grad),
-    "tanh": (_tanh, _tanh_grad),
-    "linear": (_linear, _linear_grad),
-    "sigmoid": (_sigmoid, _sigmoid_grad),
-}
+#: Adam's moment decay rates and the guard added to its denominator.
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 def _as_batch(a: np.ndarray) -> np.ndarray:
@@ -79,7 +44,8 @@ def _as_batch(a: np.ndarray) -> np.ndarray:
 
 
 class Dense:
-    """One fully connected layer with He/Xavier initialisation."""
+    """One fully connected layer with He (ReLU) or Xavier (linear)
+    initialisation."""
 
     def __init__(
         self,
@@ -94,30 +60,23 @@ class Dense:
             raise ValueError(
                 f"unknown activation {activation!r}; known: {sorted(ACTIVATIONS)}"
             )
-        scale = np.sqrt(2.0 / in_features) if activation == "relu" else np.sqrt(
-            1.0 / in_features
-        )
+        self.activation = activation
+        self._relu = activation == "relu"
+        scale = np.sqrt((2.0 if self._relu else 1.0) / in_features)
         self.weight = rng.normal(0.0, scale, size=(in_features, out_features))
         self.bias = np.zeros(out_features)
-        self.activation = activation
-        self._act, self._act_grad = ACTIVATIONS[activation]
-        # forward cache: the input, the output and, for tanh and
-        # sigmoid, the pre-activation
+        # forward cache: the input and the output
         self._x: np.ndarray | None = None
-        self._z: np.ndarray | None = None
         self._out: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         out = np.dot(x, self.weight)
         out += self.bias
-        if self._act is _relu:
+        if self._relu:
             # In place: ``out > 0`` then equals ``z > 0`` (NaN included),
             # so backward needs no copy of the pre-activation.
             np.maximum(out, 0.0, out=out)
-        elif self._act is not _linear:
-            self._z = out
-            out = self._act(out)
         self._out = out
         return out
 
@@ -133,12 +92,7 @@ class Dense:
         # The linear derivative is all ones: skipping the multiply by it
         # gives the same bits, as does multiplying by the boolean ReLU
         # mask instead of its float copy.
-        if self._act is _linear:
-            dz = grad_out
-        elif self._act is _relu:
-            dz = grad_out * (self._out > 0.0)
-        else:
-            dz = grad_out * self._act_grad(self._z)
+        dz = grad_out * (self._out > 0.0) if self._relu else grad_out
         dw = np.matmul(self._x.T, dz, out=dw)
         db = np.add.reduce(dz, axis=0, out=db)
         return dz, dw, db
@@ -165,21 +119,13 @@ class Dense:
 class Adam:
     """Adam optimizer over one flat parameter vector, updated in place."""
 
-    def __init__(
-        self,
-        parameters: np.ndarray,
-        learning_rate: float = 1e-3,
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        epsilon: float = 1e-8,
-    ):
+    def __init__(self, parameters: np.ndarray, learning_rate: float = 1e-3):
         if learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not isinstance(parameters, np.ndarray) or parameters.ndim != 1:
             raise ValueError("parameters must be one flat array")
         self.parameters = parameters
         self.learning_rate = learning_rate
-        self.beta1, self.beta2, self.epsilon = beta1, beta2, epsilon
         self._m = np.zeros_like(parameters)
         self._v = np.zeros_like(parameters)
         # Scratch vectors, so a step allocates nothing.
@@ -193,15 +139,15 @@ class Adam:
                 f"gradient shape {gradient.shape} != parameter shape {self.parameters.shape}"
             )
         self._t += 1
-        b1t = 1.0 - self.beta1**self._t
-        b2t = 1.0 - self.beta2**self._t
+        b1t = 1.0 - ADAM_BETA1**self._t
+        b2t = 1.0 - ADAM_BETA2**self._t
         m, v, step, scale = self._m, self._v, self._step, self._scale
         # m = b1*m + (1-b1)*g and v = b2*v + ((1-b2)*g)*g
-        m *= self.beta1
-        np.multiply(gradient, 1.0 - self.beta1, out=step)
+        m *= ADAM_BETA1
+        np.multiply(gradient, 1.0 - ADAM_BETA1, out=step)
         m += step
-        v *= self.beta2
-        np.multiply(gradient, 1.0 - self.beta2, out=step)
+        v *= ADAM_BETA2
+        np.multiply(gradient, 1.0 - ADAM_BETA2, out=step)
         step *= gradient
         v += step
         # parameters -= lr*(m/b1t) / (sqrt(v/b2t) + eps)
@@ -209,23 +155,19 @@ class Adam:
         step *= self.learning_rate
         np.divide(v, b2t, out=scale)
         np.sqrt(scale, out=scale)
-        scale += self.epsilon
+        scale += ADAM_EPSILON
         step /= scale
         self.parameters -= step
 
 
 class MLP:
-    """Feed-forward network trained with MSE + Adam.
+    """Feed-forward network trained with MSE + Adam: ReLU hidden layers
+    and a linear output layer.
 
     Parameters
     ----------
     layer_sizes:
         ``[in, hidden..., out]`` -- at least two entries.
-    hidden_activation:
-        Activation for all hidden layers.
-    output_activation:
-        Activation for the final layer ("linear" for Q-values and
-        regression).
     rng:
         Seeded generator for weight initialisation.
     learning_rate:
@@ -236,15 +178,13 @@ class MLP:
         self,
         layer_sizes: Sequence[int],
         rng: np.random.Generator,
-        hidden_activation: str = "relu",
-        output_activation: str = "linear",
         learning_rate: float = 1e-3,
     ):
         if len(layer_sizes) < 2:
             raise ValueError("need at least input and output sizes")
         self.layers: list[Dense] = []
         for i, (a, b) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
-            act = output_activation if i == len(layer_sizes) - 2 else hidden_activation
+            act = OUTPUT_ACTIVATION if i == len(layer_sizes) - 2 else HIDDEN_ACTIVATION
             self.layers.append(Dense(a, b, act, rng))
         # One flat parameter vector and a matching gradient buffer; the
         # layers' arrays become views into them (see ``_bind_views``).

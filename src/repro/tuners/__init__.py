@@ -22,6 +22,7 @@ from .lifecycle import (
     viability_point,
 )
 from .resilience import (
+    EvaluationStats,
     HarnessError,
     ResilientEvaluator,
     RetryPolicy,
@@ -46,6 +47,7 @@ __all__ = [
     "JournalWriter",
     "ReplayCursor",
     "load_journal",
+    "EvaluationStats",
     "HarnessError",
     "ResilientEvaluator",
     "RetryPolicy",

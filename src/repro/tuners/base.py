@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.iostack.config import StackConfiguration
-from repro.iostack.evalcache import EvaluationStats
+
+from .resilience import EvaluationStats
 
 __all__ = ["IterationRecord", "TuningResult", "Tuner"]
 

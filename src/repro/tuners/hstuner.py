@@ -71,7 +71,7 @@ from repro.ga import (
 )
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
-from repro.iostack.evalcache import EvaluationCache, EvaluationStats
+from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.parameters import TUNED_SPACE, ConstraintRegistry
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.observability.recorder import NULL_RECORDER, Recorder
@@ -79,7 +79,7 @@ from repro.rl.guardrails import GuardrailMonitor
 
 from .base import IterationRecord, Tuner, TuningResult
 from .journal import JournalWriter, ReplayCursor, RunJournal
-from .resilience import ResilientEvaluator, RetryPolicy
+from .resilience import EvaluationStats, ResilientEvaluator, RetryPolicy
 from .stoppers import NoStop, Stopper
 
 __all__ = ["HSTuner"]
@@ -280,7 +280,7 @@ class HSTuner(Tuner):
 
         def live(individuals: Sequence[Individual]) -> list[float]:
             configs = [
-                StackConfiguration.from_genome(TUNED_SPACE, ind.genome)
+                StackConfiguration.from_genome(ind.genome)
                 for ind in individuals
             ]
             return self._evaluate(workload, configs, charge=True)
@@ -443,9 +443,7 @@ class HSTuner(Tuner):
             result.stop_reason = "budget"
 
         self._trace_iteration = None
-        result.best_config = StackConfiguration.from_genome(
-            TUNED_SPACE, engine.best.genome
-        )
+        result.best_config = StackConfiguration.from_genome(engine.best.genome)
         faults = self.simulator.faults
         result.guardrail_trips = tuple(str(t) for t in self.guardrails.trips)
         result.eval_stats = dataclasses.replace(

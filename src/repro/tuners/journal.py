@@ -31,7 +31,7 @@ one, otherwise the journal does not belong to this pipeline
 Every record also carries the run's counters at its boundary
 (``n_evaluations`` and the ``resilience`` and ``fastpath`` dicts);
 replay writes them back into the evaluator's
-:class:`~repro.iostack.evalcache.EvaluationStats`, so a resumed run
+:class:`~repro.tuners.resilience.EvaluationStats`, so a resumed run
 counts what the uninterrupted one did.
 
 Replaying skips the simulator entirely, so at the replay-to-live
@@ -60,13 +60,11 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.iostack.config import StackConfiguration
-from repro.iostack.parameters import TUNED_SPACE
 
-from .resilience import ResilientEvaluator
+from .resilience import EvaluationStats, ResilientEvaluator
 
 if TYPE_CHECKING:
     from repro.ga import Individual
-    from repro.iostack.evalcache import EvaluationStats
 
     from .hstuner import HSTuner
 
@@ -402,10 +400,6 @@ class ReplayCursor:
         self._next += 1
         return record
 
-    @property
-    def exhausted(self) -> bool:
-        return self._next >= len(self.journal.generations)
-
 
 def verify_dispatch(
     record: GenerationRecord, genomes: Sequence[Sequence[int]]
@@ -600,7 +594,7 @@ class RunJournal:
         tuner = self.tuner
         simulator = tuner.simulator
         configs = [StackConfiguration.default()] + [
-            StackConfiguration.from_genome(TUNED_SPACE, genome)
+            StackConfiguration.from_genome(genome)
             for record in self.replay.journal.generations
             for genome in record.dispatched
         ]
@@ -643,6 +637,6 @@ class RunJournal:
                 setattr(stats, key, int(value))
 
 
-def _counts(stats: "EvaluationStats", keys: Sequence[str]) -> dict[str, int]:
+def _counts(stats: EvaluationStats, keys: Sequence[str]) -> dict[str, int]:
     """The named counters of ``stats``, in ``keys`` order."""
     return {key: getattr(stats, key) for key in keys}

@@ -18,7 +18,7 @@ wraps the simulator's trace/replay fastpath so a failure becomes a
   measurement is discarded, and the attempt counts as a retryable
   failure.  Stragglers injected by a fault plan surface here.
 * **Quarantine.**  A configuration that exhausts its retries joins the
-  quarantine list: it is assigned ``worst_case_perf`` (so the GA simply
+  quarantine list: it is assigned :data:`WORST_CASE_PERF` (so the GA simply
   selects away from it) and later evaluations of the same configuration
   skip straight to the worst-case fitness without burning more budget.
 * **Exception hygiene.**  Anything *not* an ``EvaluationError`` is a
@@ -34,7 +34,7 @@ runs, the offline parameter sweep and the journal's resume pre-warm all
 look traces up, build and store them through it.  Every evaluation of a
 tuning run passes through one evaluator, so it owns the run's only
 counter record, :attr:`ResilientEvaluator.stats` (an
-:class:`~repro.iostack.evalcache.EvaluationStats`), and counts -- and,
+:class:`EvaluationStats`), and counts -- and,
 with a recorder attached, emits the ``cache`` and ``retry`` trace
 events -- at the points where it already branches: evaluations, cache
 hits and misses, stores and evictions, traces built and replayed,
@@ -44,13 +44,14 @@ construction.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
-from repro.iostack.evalcache import EvaluationCache, EvaluationStats
+from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.faults import (
     EvaluationError,
     EvaluationTimeout,
@@ -63,12 +64,19 @@ from repro.iostack.simulator import (
     WorkloadLike,
 )
 
-__all__ = ["HarnessError", "RetryPolicy", "ResilientEvaluator"]
+__all__ = ["HarnessError", "RetryPolicy", "EvaluationStats", "ResilientEvaluator"]
 
 
 class HarnessError(Exception):
     """A non-retryable failure inside the evaluation harness, wrapped
     with the configuration that triggered it."""
+
+
+#: Each retry's backoff wait is this many times the previous one's.
+BACKOFF_MULTIPLIER = 2.0
+#: Fitness (MB/s) assigned to quarantined configurations: the true worst
+#: case, so the GA never selects one.
+WORST_CASE_PERF = 0.0
 
 
 @dataclass(frozen=True)
@@ -79,38 +87,88 @@ class RetryPolicy:
     ----------
     max_retries:
         Re-attempts after the first failure before quarantining.
-    backoff_seconds, backoff_multiplier:
+    backoff_seconds:
         Simulated wait before retry ``k`` is ``backoff_seconds *
-        backoff_multiplier**k`` (exponential backoff, charged to the
+        BACKOFF_MULTIPLIER**k`` (exponential backoff, charged to the
         tuning clock).
     timeout_seconds:
         Simulated per-evaluation deadline; ``None`` disables timeouts.
-    worst_case_perf:
-        Fitness assigned to quarantined configurations (MB/s).  0.0 is
-        the true worst case: the GA will never select it.
     """
 
     max_retries: int = 2
     backoff_seconds: float = 30.0
-    backoff_multiplier: float = 2.0
     timeout_seconds: float | None = None
-    worst_case_perf: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.backoff_seconds < 0:
             raise ValueError("backoff_seconds must be >= 0")
-        if self.backoff_multiplier < 1.0:
-            raise ValueError("backoff_multiplier must be >= 1")
         if self.timeout_seconds is not None and self.timeout_seconds <= 0:
             raise ValueError("timeout_seconds must be positive (or None)")
-        if self.worst_case_perf < 0:
-            raise ValueError("worst_case_perf must be >= 0")
 
     def backoff_for(self, attempt: int) -> float:
         """Simulated backoff wait before re-attempt ``attempt + 1``."""
-        return self.backoff_seconds * self.backoff_multiplier**attempt
+        return self.backoff_seconds * BACKOFF_MULTIPLIER**attempt
+
+
+@dataclass
+class EvaluationStats:
+    """The counter record of one tuning run, surfaced on
+    :class:`~repro.tuners.base.TuningResult` and in the CLI report.
+
+    The run's :class:`ResilientEvaluator` owns it and counts where it branches: evaluations, cache lookups that hit
+    or miss, stores that evicted, traces built and replayed, retries,
+    timeouts and quarantines.  The tuner fills in the fault, guardrail
+    and ``prewarm_*`` fields as the run ends.
+    """
+
+    #: Configuration evaluations performed (baseline included).
+    evaluations: int = 0
+    cache_hits: int = 0
+    cache_misses: int = 0
+    cache_evictions: int = 0
+    #: Full stack traversals performed by the simulator.
+    traces_built: int = 0
+    #: Reports derived from a stored trace (``repeats`` per evaluation).
+    trace_replays: int = 0
+    #: Evaluation attempts repeated after a retryable failure.
+    retries: int = 0
+    #: Evaluations that exceeded the simulated per-evaluation timeout.
+    timeouts: int = 0
+    #: Configurations that exhausted their retries and were assigned the
+    #: worst-case fitness instead of crashing the generation.
+    quarantined: int = 0
+    #: Faults the plan injected (transient errors + stragglers).
+    faults_injected: int = 0
+    #: Agent guardrail trips recorded during the run (weight corruption,
+    #: training divergence, degenerate policies); details live on
+    #: :attr:`~repro.tuners.base.TuningResult.guardrail_trips`.
+    guardrail_trips: int = 0
+    #: Journal-resume cache warming, counted apart from the run's own
+    #: lookups so :attr:`cache_hit_rate` matches the uninterrupted run
+    #: (warming the cache is bookkeeping, not tuning behaviour).
+    prewarm_lookups: int = 0
+    prewarm_hits: int = 0
+    prewarm_builds: int = 0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Hit rate of the run's own lookups; cache pre-warming on
+        journal resume is excluded (see the ``prewarm_*`` fields)."""
+        lookups = self.cache_hits + self.cache_misses
+        return self.cache_hits / lookups if lookups else 0.0
+
+    @property
+    def trace_reuse(self) -> int:
+        """Replays that reused an existing trace instead of traversing
+        the stack -- the simulations the fastpath avoided."""
+        return max(0, self.trace_replays - self.traces_built)
+
+    def as_dict(self) -> dict[str, int]:
+        """All counters as a plain dict (trace ``run_end`` events and the
+        ``--metrics-out`` snapshot)."""
+        return dataclasses.asdict(self)
 
 
 class ResilientEvaluator:
@@ -318,7 +376,7 @@ class ResilientEvaluator:
                 attempt_factors = self.simulator.noise.sample_factors(repeats)
         self._quarantine(config, last)
         self.charge_quarantined(charge)
-        return self.policy.worst_case_perf
+        return WORST_CASE_PERF
 
     def evaluate(
         self,
@@ -349,7 +407,7 @@ class ResilientEvaluator:
             trace = traces[config]
             if trace is None:
                 self.charge_quarantined(charge)
-                perfs.append(self.policy.worst_case_perf)
+                perfs.append(WORST_CASE_PERF)
                 continue
             window = factors[i * repeats : (i + 1) * repeats]
             perfs.append(

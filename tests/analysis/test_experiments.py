@@ -76,9 +76,11 @@ def test_fresh_agents_are_isolated():
 
 def test_ascii_chart_smoke():
     from repro.analysis import ascii_chart
+    from repro.analysis.reporting import CHART_HEIGHT, CHART_WIDTH
 
-    out = ascii_chart({"a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]}, height=6, width=20)
+    out = ascii_chart({"a": [1.0, 2.0, 3.0], "b": [3.0, 2.0, 1.0]})
     lines = out.splitlines()
-    assert len(lines) == 9  # 6 rows + axis + xlabel + legend
+    assert len(lines) == CHART_HEIGHT + 3  # rows + axis + xlabel + legend
+    assert all(len(line) == 12 + CHART_WIDTH for line in lines[:CHART_HEIGHT])
     assert "* a" in lines[-1] and "o b" in lines[-1]
     assert ascii_chart({}) == "(no data)"

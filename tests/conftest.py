@@ -22,10 +22,36 @@ from repro.iostack import (
     cori,
 )
 from repro.iostack import simulator as simulator_module
-from repro.iostack.cluster import testbed as make_testbed
+from repro.iostack.cluster import Platform
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
+from repro.iostack.units import GB, MB, MS, US
 from repro.workloads import Workload, flash, hacc, vpic
+
+
+def make_testbed(n_nodes: int = 2) -> Platform:
+    """A small, fast-to-simulate platform for unit tests: few OSTs, low
+    proc counts, exaggerated latencies so parameter effects are easy to
+    assert on."""
+    return Platform(
+        name=f"testbed-{n_nodes}n",
+        n_nodes=n_nodes,
+        procs_per_node=4,
+        nic_bandwidth=2 * GB,
+        network_latency=10 * US,
+        client_lustre_bandwidth=800 * MB,
+        n_osts=16,
+        ost_bandwidth=1 * GB,
+        ost_utilization=0.8,
+        rpc_latency=1 * MS,
+        max_rpcs_in_flight=4,
+        mds_latency=1 * MS,
+        mds_throughput=5_000.0,
+        memory_bandwidth=20 * GB,
+        syscall_overhead=5 * US,
+        lock_contention_coeff=0.5,
+        read_contention_coeff=0.3,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -41,22 +41,26 @@ def test_never_stops_before_warmup():
     assert not agent.should_stop([1.0, 1.0, 1.0], 2)
 
 
-def test_offline_training_report(trained_agent):
-    # The fixture trained it; re-derive a fresh report quickly.
+@pytest.fixture(scope="module")
+def seed7_report():
+    """The report of one default offline training at seed 7; it stops by
+    stagnation at epoch 20."""
     rng = np.random.default_rng(7)
-    agent = EarlyStoppingAgent(rng=rng)
-    report = agent.train_offline(rng=rng, max_epochs=25)
+    return EarlyStoppingAgent(rng=rng).train_offline(rng=rng)
+
+
+def test_offline_training_report(seed7_report):
+    report = seed7_report
     assert report.epochs >= 20
     assert report.validation_gain_captured > 0.7
     assert len(report.mean_rewards) == report.epochs
 
 
-def test_default_offline_training_stagnates():
+def test_default_offline_training_stagnates(seed7_report):
     """At default settings training ends on the reward-stagnation
     criterion, not the epoch cap, and the stopper captures most of the
     gain on held-out curves."""
-    rng = np.random.default_rng(7)
-    report = EarlyStoppingAgent(rng=rng).train_offline(rng=rng)
+    report = seed7_report
     assert report.stagnated
     assert report.validation_gain_captured > 0.7
 

@@ -31,7 +31,7 @@ from repro.iostack import (
     NoiseModel,
     cori,
 )
-from repro.rl.guardrails import CheckpointError
+from repro.rl.guardrails import CheckpointError, GuardrailMonitor
 from repro.tuners import HSTuner, HeuristicStopper, NoStop
 from repro.tuners.base import IterationRecord
 from repro.tuners.journal import JournalWriter, ReplayCursor, load_journal
@@ -139,7 +139,7 @@ def test_guarded_picker_matches_raw_agent(trained_bundle):
     _, _, agents = trained_bundle
     guarded_agent = copy.deepcopy(agents).smart_config
     raw_agent = copy.deepcopy(agents).smart_config
-    picker = GuardedSubsetPicker(guarded_agent)
+    picker = GuardedSubsetPicker(guarded_agent, GuardrailMonitor(), lambda: None)
     picker.reset()
     raw_agent.reset_episode()
     subset_g = subset_r = None
@@ -155,7 +155,9 @@ def test_guarded_stopper_matches_raw_stopper(trained_bundle):
     _, normalizer, agents = trained_bundle
     raw = RLStopper(copy.deepcopy(agents).early_stopper, normalizer)
     guarded = GuardedStopper(
-        RLStopper(copy.deepcopy(agents).early_stopper, normalizer)
+        RLStopper(copy.deepcopy(agents).early_stopper, normalizer),
+        GuardrailMonitor(),
+        lambda: None,
     )
     history: list[IterationRecord] = []
     for it in range(8):

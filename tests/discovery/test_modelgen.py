@@ -77,6 +77,18 @@ def test_compute_loops_become_time():
     assert w.compute_seconds == pytest.approx(2.0, rel=0.01)
 
 
+def test_sleep_calls_become_time():
+    src = SIMPLE.replace(
+        "        hid_t did = H5Dcreate2",
+        """        usleep(150000);
+        sleep(1);
+        hid_t did = H5Dcreate2""",
+    )
+    w = workload_from_source(src, "sleepy", HINTS)
+    # (0.15 s + 1 s) x 10 steps.
+    assert w.compute_seconds == pytest.approx(11.5)
+
+
 def test_rank_guard_scopes_to_single_proc():
     src = SIMPLE.replace(
         "        H5Dwrite(did, H5T_NATIVE_DOUBLE, sid, H5S_ALL, H5P_DEFAULT, buf);",

@@ -111,57 +111,3 @@ def test_reducers_compose():
     assert "step < 1" in second.source
     assert "/dev/shm/out/data.h5" in second.source
 
-
-def test_compute_simulation_replaces_pure_compute_loops():
-    from repro.discovery.reducers import ComputeSimulation
-
-    src = """
-#define STEPS 4
-#define WORK 50000000
-int main(void)
-{
-  double acc = 0.0;
-  hid_t f = H5Fcreate("o.h5", H5F_ACC_TRUNC, H5P_DEFAULT, H5P_DEFAULT);
-  for (int step = 0; step < STEPS; step++)
-  {
-    for (long it = 0; it < WORK; it++)
-    {
-      acc = acc * 0.5 + 1.0;
-    }
-    H5Dwrite(f, 0, 0, 0, 0, 0);
-  }
-  return 0;
-}
-"""
-    out = ComputeSimulation(statement_cost=2e-9).apply(src)
-    assert len(out.reductions) == 1
-    assert "usleep(" in out.source
-    assert "acc * 0.5" not in out.source
-    # The I/O loop and its write survive untouched.
-    assert "H5Dwrite" in out.source
-    assert "step < STEPS" in out.source
-    # 5e7 iterations x 1 statement x 2 ns = 0.1 s = 100000 us.
-    usleep_line = next(l for l in out.source.splitlines() if "usleep" in l)
-    micros = int(usleep_line.split("(")[1].split(")")[0])
-    assert micros == pytest.approx(100_000, rel=0.1)
-
-
-def test_compute_simulation_preserves_workload_timing():
-    from repro.discovery import workload_from_source
-    from repro.discovery.reducers import ComputeSimulation
-    from repro.workloads.sources import canonical_hints, load_source
-
-    hints = canonical_hints("macsio")
-    source = load_source("macsio")
-    out = ComputeSimulation().apply(source)
-    app = workload_from_source(source, "app", hints)
-    sim = workload_from_source(out.source, "sim", hints)
-    assert sim.compute_seconds == pytest.approx(app.compute_seconds, rel=0.05)
-    assert sim.bytes_written == app.bytes_written
-
-
-def test_compute_simulation_validation():
-    from repro.discovery.reducers import ComputeSimulation
-
-    with pytest.raises(ValueError):
-        ComputeSimulation(statement_cost=0)

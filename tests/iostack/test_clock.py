@@ -49,11 +49,3 @@ def test_reset_zeroes_everything():
     clock.reset()
     assert clock.elapsed_seconds == 0.0
     assert clock.n_evaluations == 0
-
-
-def test_checkpoint_returns_current_elapsed():
-    clock = SimulatedClock(setup_overhead=0.0)
-    clock.charge_evaluation(60.0)
-    mark = clock.checkpoint()
-    clock.charge_evaluation(60.0)
-    assert clock.elapsed_seconds - mark == pytest.approx(60.0)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.iostack.cluster import Platform, cori
-from repro.iostack.cluster import testbed as make_testbed
+from tests.conftest import make_testbed
 
 
 def test_cori_matches_public_figures():

@@ -29,7 +29,7 @@ def test_non_candidate_value_rejected():
 
 def test_unknown_parameter_rejected():
     with pytest.raises(KeyError):
-        StackConfiguration(TUNED_SPACE, {"bogus": 1})
+        StackConfiguration({"bogus": 1})
 
 
 def test_mapping_protocol():
@@ -58,7 +58,7 @@ def test_layer_slicing():
 def test_genome_roundtrip():
     rng = np.random.default_rng(0)
     cfg = StackConfiguration.random(rng)
-    again = StackConfiguration.from_genome(TUNED_SPACE, cfg.genome())
+    again = StackConfiguration.from_genome(cfg.genome())
     assert again == cfg
 
 

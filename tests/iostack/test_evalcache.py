@@ -5,7 +5,6 @@ import pytest
 
 from repro.iostack import (
     EvaluationCache,
-    EvaluationStats,
     IOStackSimulator,
     NoiseModel,
     StackConfiguration,
@@ -20,7 +19,7 @@ from repro.observability.metrics import (
     snapshot_degraded,
 )
 from repro.tuners.base import TuningResult
-from repro.tuners.resilience import ResilientEvaluator
+from repro.tuners.resilience import EvaluationStats, ResilientEvaluator
 from tests.conftest import make_workload
 
 

@@ -2,11 +2,11 @@
 
 import pytest
 
-from repro.iostack.cluster import testbed as make_testbed
 from repro.iostack.hdf5 import apply_hdf5
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack import StackConfiguration
+from tests.conftest import make_testbed
 
 MiB = 1024 * 1024
 PLATFORM = make_testbed()

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.iostack import StackConfiguration
-from repro.iostack.cluster import testbed as make_testbed
 from repro.iostack.mpiio import apply_mpiio
 from repro.iostack.requests import RequestStream
+from tests.conftest import make_testbed
 
 MiB = 1024 * 1024
 PLATFORM = make_testbed(n_nodes=2)

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.iostack.cluster import testbed as make_testbed
 from repro.iostack.posix import serve_memory, serve_memory_metadata
 from repro.iostack.requests import MetadataStream, RequestStream
+from tests.conftest import make_testbed
 
 PLATFORM = make_testbed(n_nodes=2)
 

@@ -6,9 +6,8 @@ from collections import Counter
 import pytest
 
 from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
-from repro.iostack.cluster import testbed as make_testbed
 from repro.workloads import Workload
-from tests.conftest import make_workload
+from tests.conftest import make_testbed, make_workload
 
 MiB = 1024 * 1024
 

@@ -23,7 +23,7 @@ from collections import Counter
 
 import numpy as np
 
-from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
+from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, StackConfiguration, cori
 from repro.workloads import bdcats, flash, hacc, ior, macsio_vpic_dipole, vpic
 
 TRACE_DIGEST = "1183ca46059b9ea2393ac3d0b1327563bf6e485a0db39e2f7d073de397591b55"
@@ -64,9 +64,9 @@ def one_gene_mutant(config, rng):
     """``config`` with one gene moved to another of its values."""
     genome = config.genome()
     i = int(rng.integers(genome.size))
-    cardinality = config.space.cardinalities[i]
+    cardinality = TUNED_SPACE.cardinalities[i]
     genome[i] = (genome[i] + 1 + rng.integers(cardinality - 1)) % cardinality
-    return StackConfiguration.from_genome(config.space, genome)
+    return StackConfiguration.from_genome(genome)
 
 
 def test_traces_are_pinned_inside_one_shared_memo_scope(layer_calls):

@@ -1,4 +1,4 @@
-"""Unit conversions and formatting helpers."""
+"""Unit conversions."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,11 +24,3 @@ def test_bandwidth_conversion_is_monotone(value):
     assert units.bytes_per_sec_to_mb_per_sec(value * 2) == pytest.approx(
         2 * units.bytes_per_sec_to_mb_per_sec(value)
     )
-
-
-def test_format_bytes_picks_sensible_suffix():
-    assert units.format_bytes(512) == "512 B"
-    assert units.format_bytes(2048) == "2.0 KiB"
-    assert units.format_bytes(3 * units.MiB) == "3.0 MiB"
-    assert units.format_bytes(5 * units.GiB) == "5.0 GiB"
-    assert "TiB" in units.format_bytes(3 * units.TiB)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.iostack.evalcache import EvaluationCache, EvaluationStats
+from repro.iostack.evalcache import EvaluationCache
 from repro.observability.metrics import (
     fastpath_line,
     guardrails_line,
@@ -13,6 +13,7 @@ from repro.observability.metrics import (
     snapshot_degraded,
 )
 from repro.tuners.base import IterationRecord, TuningResult
+from repro.tuners.resilience import EvaluationStats
 
 pytestmark = pytest.mark.observability
 

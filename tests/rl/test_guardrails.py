@@ -7,6 +7,9 @@ import pytest
 from repro.iostack.faults import FaultPlan
 from repro.rl.guardrails import (
     CHECKPOINT_VERSION,
+    DIVERGENCE_FACTOR,
+    DIVERGENCE_WARMUP,
+    GRAD_LIMIT,
     AgentGuard,
     CheckpointError,
     GuardrailMonitor,
@@ -72,8 +75,8 @@ def test_unknown_corruption_mode_rejected():
 
 
 def test_monitor_accepts_a_healthy_stream():
-    monitor = LossDivergenceMonitor(divergence_factor=100.0, warmup=3)
-    for loss in [1.0, 0.8, 0.9, 0.7, 0.85, 0.6]:
+    monitor = LossDivergenceMonitor()
+    for loss in [1.0, 0.8, 0.9, 0.7, 0.85, 0.6, 40.0, 0.5]:
         assert monitor.observe(loss, grad_norm=1.0) is None
 
 
@@ -82,18 +85,22 @@ def test_monitor_ignores_missing_telemetry():
     assert monitor.observe(None) is None
 
 
+def healthy_warmup(monitor):
+    for _ in range(DIVERGENCE_WARMUP):
+        assert monitor.observe(1.0) is None
+
+
 def test_monitor_trips_on_divergence_after_warmup():
-    monitor = LossDivergenceMonitor(divergence_factor=100.0, warmup=3)
-    for loss in [1.0, 1.0, 1.0]:
-        assert monitor.observe(loss) is None
-    reason = monitor.observe(1e5)
+    monitor = LossDivergenceMonitor()
+    healthy_warmup(monitor)
+    reason = monitor.observe(1e7)
     assert reason is not None and "divergence" in reason
 
 
 def test_monitor_is_quiet_during_warmup():
     """A wild early loss establishes the baseline instead of tripping."""
-    monitor = LossDivergenceMonitor(divergence_factor=100.0, warmup=5)
-    assert monitor.observe(1e6) is None
+    monitor = LossDivergenceMonitor()
+    assert monitor.observe(1e12) is None
 
 
 def test_monitor_trips_on_non_finite_loss_immediately():
@@ -103,33 +110,26 @@ def test_monitor_trips_on_non_finite_loss_immediately():
 
 
 def test_monitor_trips_on_gradient_explosion():
-    monitor = LossDivergenceMonitor(grad_limit=1e3)
+    monitor = LossDivergenceMonitor()
+    assert monitor.observe(1.0, grad_norm=GRAD_LIMIT) is None
     reason = monitor.observe(1.0, grad_norm=1e9)
     assert reason is not None and "gradient explosion" in reason
 
 
 def test_monitor_reset_restarts_warmup():
-    monitor = LossDivergenceMonitor(divergence_factor=10.0, warmup=1)
-    assert monitor.observe(1.0) is None
-    assert monitor.observe(1e4) is not None
+    monitor = LossDivergenceMonitor()
+    healthy_warmup(monitor)
+    assert monitor.observe(1e7) is not None
     monitor.reset()
-    assert monitor.observe(1e4) is None  # back in warmup
-
-
-def test_monitor_parameter_validation():
-    with pytest.raises(ValueError):
-        LossDivergenceMonitor(divergence_factor=1.0)
-    with pytest.raises(ValueError):
-        LossDivergenceMonitor(grad_limit=0)
-    with pytest.raises(ValueError):
-        LossDivergenceMonitor(warmup=0)
+    assert monitor.observe(1e7) is None  # back in warmup
 
 
 def test_monitor_default_divergence_factor_is_1e6():
     """Online-RL losses jump orders of magnitude on reward-scale shifts;
-    only a runaway beyond 1e6x the running mean trips by default."""
-    monitor = LossDivergenceMonitor(warmup=1)
-    assert monitor.observe(1.0) is None
+    only a runaway beyond 1e6x the running mean trips."""
+    assert DIVERGENCE_FACTOR == 1e6
+    monitor = LossDivergenceMonitor()
+    healthy_warmup(monitor)
     assert monitor.observe(1e5) is None
     assert "divergence" in monitor.observe(1e12)
 
@@ -141,7 +141,10 @@ def test_monitor_default_divergence_factor_is_1e6():
 
 def test_guard_scans_labelled_networks_and_names_the_dirty_one():
     q, model = make_net(0), make_net(1)
-    guard = AgentGuard("subset-picker", (("q-network", q), ("reward-model", model)))
+    guard = AgentGuard(
+        "subset-picker", (("q-network", q), ("reward-model", model)),
+        GuardrailMonitor(), lambda: None,
+    )
     assert guard.before_call(0) is None
     assert not guard.degraded
     corrupt_network(model, "explode-weights")
@@ -156,7 +159,7 @@ def test_guard_scans_labelled_networks_and_names_the_dirty_one():
 def test_guard_applies_an_engaged_weight_fault_once_per_run():
     net = make_net()
     plan = FaultPlan(agent_fault="nan-weights", agent_fault_at=2)
-    guard = AgentGuard("early-stopper", (("q-network", net),), fault_source=lambda: plan)
+    guard = AgentGuard("early-stopper", (("q-network", net),), GuardrailMonitor(), lambda: plan)
     assert guard.before_call(1) is None
     assert not guard.degraded
     assert guard.before_call(2) == "nan-weights"
@@ -173,7 +176,7 @@ def test_guard_applies_an_engaged_weight_fault_once_per_run():
 
 
 def test_guard_checks_telemetry_pairs_in_order_against_one_baseline():
-    guard = AgentGuard("subset-picker", ())
+    guard = AgentGuard("subset-picker", (), GuardrailMonitor(), lambda: None)
     for it in range(3):
         guard.check_training([(1.0, 1.0), (1.0, None)], it)
     assert not guard.degraded

@@ -3,10 +3,12 @@
 ``reference_*`` below are verbatim copies of the earlier
 ``Dense.forward``/``Dense.backward``, ``MLP.train_batch`` and
 ``Adam.step`` (one fresh array per operation, the ReLU derivative as a
-float copy of the mask, every layer's input gradient computed).  The
-current code must give the same outputs, losses, gradient norms and
-weights, bit for bit, on every path the agents train on: each
-activation, a batch of one (the contextual bandit), a ragged last
+float copy of the mask, every layer's input gradient computed); only
+the layer's activation and Adam's constants are looked up where the
+current code keeps them.  The current code must give the same outputs,
+losses, gradient norms and weights, bit for bit, on every path the
+agents train on: ReLU hidden layers with a linear output, a batch of
+one (the contextual bandit), a ragged last
 :meth:`MLP.fit` batch, NaN-masked Q-learning targets and NaN weights
 (the ``nan-weights`` fault).
 """
@@ -19,7 +21,7 @@ import pytest
 from repro.core import early_stopping
 from repro.core.early_stopping import MIN_ITERATIONS, EarlyStoppingAgent
 from repro.rl.curves import LogCurveGenerator
-from repro.rl.nn import MLP, _as_batch, _linear
+from repro.rl.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, MLP, _as_batch
 
 STEPS = 50
 
@@ -27,18 +29,36 @@ STEPS = 50
 # -- the earlier implementation, verbatim ---------------------------------------
 
 
+def _relu(x):
+    return np.maximum(x, 0.0)
+
+
+def _relu_grad(x):
+    return (x > 0.0).astype(x.dtype)
+
+
+def _linear(x):
+    return x
+
+
+#: layer activation -> (activation, derivative w.r.t. pre-activation)
+REFERENCE_ACTIVATIONS = {"relu": (_relu, _relu_grad), "linear": (_linear, None)}
+
+
 def reference_forward(self, x):
+    act, _ = REFERENCE_ACTIVATIONS[self.activation]
     self._x = x
     self._z = x @ self.weight + self.bias
-    return self._act(self._z)
+    return act(self._z)
 
 
 def reference_backward(self, grad_out, dw=None, db=None):
+    act, act_grad = REFERENCE_ACTIVATIONS[self.activation]
     if self._x is None or self._z is None:
         raise RuntimeError("backward called before forward")
     # The linear derivative is all ones: skipping the multiply by it
     # gives the same bits.
-    dz = grad_out if self._act is _linear else grad_out * self._act_grad(self._z)
+    dz = grad_out if act is _linear else grad_out * act_grad(self._z)
     dw = np.matmul(self._x.T, dz, out=dw)
     db = np.add.reduce(dz, axis=0, out=db)
     dx = dz @ self.weight.T
@@ -51,14 +71,14 @@ def reference_adam_step(self, gradient):
             f"gradient shape {gradient.shape} != parameter shape {self.parameters.shape}"
         )
     self._t += 1
-    b1t = 1.0 - self.beta1**self._t
-    b2t = 1.0 - self.beta2**self._t
+    b1t = 1.0 - ADAM_BETA1**self._t
+    b2t = 1.0 - ADAM_BETA2**self._t
     m, v = self._m, self._v
-    m *= self.beta1
-    m += (1.0 - self.beta1) * gradient
-    v *= self.beta2
-    v += (1.0 - self.beta2) * gradient * gradient
-    self.parameters -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + self.epsilon)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * gradient
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * gradient * gradient
+    self.parameters -= self.learning_rate * (m / b1t) / (np.sqrt(v / b2t) + ADAM_EPSILON)
 
 
 def reference_train_batch(self, x, y):
@@ -133,19 +153,9 @@ def regression_batches(rng, n_in, n_out, batch, steps=STEPS):
 # -- the tests -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid", "linear"])
-def test_train_batch_matches_reference(activation):
-    net, ref = twins([4, 16, 8, 2], 3, hidden_activation=activation, learning_rate=3e-3)
+def test_train_batch_matches_reference():
+    net, ref = twins([4, 16, 8, 2], 3, learning_rate=3e-3)
     assert_lockstep(net, ref, regression_batches(np.random.default_rng(4), 4, 2, 32))
-
-
-@pytest.mark.parametrize("activation", ["relu", "tanh", "sigmoid"])
-def test_non_linear_output_layer_matches_reference(activation):
-    net, ref = twins(
-        [3, 8, 2], 5, hidden_activation=activation, output_activation=activation,
-        learning_rate=1e-2,
-    )
-    assert_lockstep(net, ref, regression_batches(np.random.default_rng(6), 3, 2, 16))
 
 
 def test_batch_of_one_matches_reference():
@@ -191,10 +201,9 @@ def test_nan_masked_q_targets_match_reference():
     assert_lockstep(net, ref, batches)
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
-def test_nan_weights_match_reference(activation):
+def test_nan_weights_match_reference():
     """The ``nan-weights`` fault path: NaN spreads the same way."""
-    net, ref = twins([5, 16, 16, 2], 15, hidden_activation=activation)
+    net, ref = twins([5, 16, 16, 2], 15)
     for model in (net, ref):
         model.layers[1].weight[3, 4] = np.nan
     rng = np.random.default_rng(16)

@@ -1,16 +1,16 @@
 """Pinned training digests: the serial training path is bit-reproducible.
 
-The two digests below were recorded with the deque replay buffer and
-the per-array Adam loop that the ring-array buffer and the flat
-parameter vector replaced; both must reproduce them bit for bit.  They
-cover Q-learning steps past a replay wraparound (capacity 100, 300
-pushes) with target syncs, and one :meth:`MLP.fit`.  A third digest
-pins the whole serial offline phase: subset-picker pretraining on a
-fixed impact vector followed by a short early-stopper training run,
-which is the only path :func:`train_tunio_agents` trains agents on.
-Floating-point
-digests depend on the BLAS build; these were recorded with numpy's
-bundled OpenBLAS on x86-64.
+The Q-learning digest below was recorded with the deque replay buffer
+and the per-array Adam loop that the ring-array buffer and the flat
+parameter vector replaced, and must reproduce bit for bit.  It covers
+Q-learning steps past a replay wraparound (capacity 100, 300 pushes)
+with target syncs.  A second digest pins one :meth:`MLP.fit` of a ReLU
+network.  A third digest pins the whole serial offline phase:
+subset-picker pretraining on a fixed impact vector followed by a short
+early-stopper training run, which is the only path
+:func:`train_tunio_agents` trains agents on.  Floating-point digests
+depend on the BLAS build; these were recorded with numpy's bundled
+OpenBLAS on x86-64.
 """
 
 import hashlib
@@ -26,7 +26,7 @@ from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import Transition
 
 QLEARNING_DIGEST = "f587709cd64474c3a641738a9fb09e1fbcfd8984b1aaad5abe01c438f7e56a4b"
-FIT_DIGEST = "a3a8515bc4f9818c3ae9a67ed6fb487f7a1a581e427b52c09066a92bcde4c263"
+FIT_DIGEST = "02fed12f69e5d957c7a23c68a2f8babaeb57b6165791a6dc87a0add1cfeaae80"
 OFFLINE_DIGEST = "1c0e2bba9b68a2986b79ff5829fb4a41f4a8fb85aa92bd649993c411636859a2"
 
 
@@ -61,7 +61,7 @@ def test_qlearning_train_steps_are_pinned():
 
 def test_mlp_fit_is_pinned():
     rng = np.random.default_rng(11)
-    net = MLP([4, 16, 8, 2], rng, hidden_activation="tanh", learning_rate=3e-3)
+    net = MLP([4, 16, 8, 2], rng, learning_rate=3e-3)
     x = rng.normal(size=(200, 4))
     y = np.stack([x[:, 0] - x[:, 1], np.sin(x[:, 2])], axis=1)
     losses = net.fit(x, y, epochs=5, batch_size=32, rng=rng)

@@ -27,7 +27,6 @@ from repro.iostack.lustre import serve_lustre, serve_metadata
 from repro.iostack.posix import serve_memory, serve_memory_metadata
 from repro.iostack.simulator import EvaluationResult
 from repro.iostack.mpiio import apply_mpiio
-from repro.iostack.parameters import TUNED_SPACE
 from repro.tuners import HSTuner, NoStop
 from repro.tuners.journal import JournalWriter, load_journal
 from repro.workloads import flash, hacc, vpic
@@ -228,7 +227,7 @@ def test_tuning_history_matches_legacy_pipeline(workload_name, noise_name, tmp_p
     for record, iteration in zip(journal.generations, result.history):
         perfs = []
         for genome in record.dispatched:
-            config = StackConfiguration.from_genome(TUNED_SPACE, genome)
+            config = StackConfiguration.from_genome(genome)
             evaluation = legacy.evaluate(workload, config, repeats=3)
             perfs.append(evaluation.perf_mbps)
             clock.charge_evaluation(evaluation.charged_seconds)

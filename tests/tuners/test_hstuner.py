@@ -61,13 +61,19 @@ def test_seeded_runs_reproduce(sim):
 def test_subset_restriction_pins_other_genes(sim):
     class OnlyStripes(HSTunerClass):
         def _select_subset(self, iteration, history):
-            return ("striping_factor",)
+            # As in TunIO, generation 0 is the unmasked seed population.
+            return None if iteration == 0 else ("striping_factor",)
+
+        def _observe_iteration(self, record):
+            if record.iteration == 0:
+                self.first_best = self._engine.best.genome.copy()
 
     tuner = OnlyStripes(sim, rng=np.random.default_rng(1))
     res = tuner.tune(make_workload(), max_iterations=10)
-    changed = res.best_config.changed_parameters()
-    assert set(changed) <= {"striping_factor"}
-    assert all(len(r.tuned_parameters) == 1 for r in res.history)
+    pinned = np.arange(len(TUNED_SPACE)) != TUNED_SPACE.index_of_name("striping_factor")
+    assert np.array_equal(res.best_config.genome()[pinned], tuner.first_best[pinned])
+    assert res.history[0].tuned_parameters == TUNED_SPACE.names
+    assert all(r.tuned_parameters == ("striping_factor",) for r in res.history[1:])
 
 
 def test_resume_continues_history(sim):

@@ -177,7 +177,7 @@ def test_replay_cursor_hands_out_records_in_order(tmp_path):
     assert cursor.baseline() is journal.baseline
     assert cursor.baseline() is None  # consumed
     assert [cursor.next_generation().iteration for _ in range(3)] == [0, 1, 2]
-    assert cursor.next_generation() is None and cursor.exhausted
+    assert cursor.next_generation() is None
 
 
 # -- bit-identical kill-and-resume ---------------------------------------------

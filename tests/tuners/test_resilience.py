@@ -13,10 +13,14 @@ from repro.iostack import (
     cori,
 )
 from repro.iostack.clock import SimulatedClock
-from repro.iostack.evalcache import EvaluationStats
 from repro.iostack.faults import EvaluationError
 from repro.tuners import resilience
-from repro.tuners.resilience import HarnessError, ResilientEvaluator, RetryPolicy
+from repro.tuners.resilience import (
+    EvaluationStats,
+    HarnessError,
+    ResilientEvaluator,
+    RetryPolicy,
+)
 from tests.conftest import make_workload
 
 
@@ -43,9 +47,8 @@ def harness(faults=None, policy=None, cache=None, seed=11):
     [
         {"max_retries": -1},
         {"backoff_seconds": -1.0},
-        {"backoff_multiplier": 0.5},
+        {"timeout_seconds": -1.0},
         {"timeout_seconds": 0.0},
-        {"worst_case_perf": -1.0},
     ],
 )
 def test_policy_rejects_bad_values(kwargs):
@@ -54,8 +57,8 @@ def test_policy_rejects_bad_values(kwargs):
 
 
 def test_backoff_is_exponential():
-    policy = RetryPolicy(backoff_seconds=10.0, backoff_multiplier=3.0)
-    assert [policy.backoff_for(k) for k in range(3)] == [10.0, 30.0, 90.0]
+    policy = RetryPolicy(backoff_seconds=10.0)
+    assert [policy.backoff_for(k) for k in range(3)] == [10.0, 20.0, 40.0]
 
 
 # -- happy path ----------------------------------------------------------------
@@ -127,8 +130,7 @@ def test_exhausted_retries_quarantine_at_worst_case(workload):
     plan = FaultPlan(seed=0)
     config = StackConfiguration.default()
     plan.poison(config)
-    h = harness(faults=plan, policy=RetryPolicy(max_retries=2,
-                                                worst_case_perf=0.0))
+    h = harness(faults=plan, policy=RetryPolicy(max_retries=2))
     perf = h.evaluate(workload, [config], repeats=3)[0]
     assert perf == 0.0
     assert h.stats.quarantined == 1
@@ -166,7 +168,7 @@ def test_quarantine_state_round_trip(workload, monkeypatch):
     other.restore_quarantine(state)
     assert other.is_quarantined(config)
     # the restored entry is honoured: worst case served, nothing traced
-    assert other.evaluate(workload, [config], repeats=3) == [other.policy.worst_case_perf]
+    assert other.evaluate(workload, [config], repeats=3) == [resilience.WORST_CASE_PERF]
     assert other.stats.traces_built == 0
     # a configuration outside the quarantine is still traced
     other.evaluate(workload, [config.with_values(striping_factor=8)], repeats=3)
