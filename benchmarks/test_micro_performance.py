@@ -76,7 +76,7 @@ def test_cached_evaluation_speed(benchmark, sim):
     for _ in range(5):  # best-of-5: the seed's per-repeat loop shape
         start = time.perf_counter()
         for _ in range(3):
-            sim.run(w, config)
+            sim.replay(sim.trace(w, config), sim.noise.sample_factor())
         legacy_cold = min(legacy_cold, time.perf_counter() - start)
 
     fast_cold = float("inf")

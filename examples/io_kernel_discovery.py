@@ -7,7 +7,11 @@ Shows the paper's Figure 4/5 pipeline on the bundled MACSio source:
 * the reconstructed, compilable I/O kernel;
 * the optional reducers (1% loop reduction, /dev/shm path switching);
 * how faithfully each kernel variant tracks the original application's
-  Darshan-level metrics (the Figure 8(c) comparison).
+  bytes written and write operations (the Figure 8(c) comparison).
+
+Tuning fitness reads only bandwidth and runtime, from the simulator's
+per-run timing (``IOStackSimulator.replay``); the byte and op totals
+compared here come from the workloads themselves.
 """
 
 from repro import DiscoveryOptions, IOPathSwitching, LoopReduction, discover_io

@@ -400,12 +400,13 @@ class RLStopper:
 
         decision = self.agent.should_stop(self._series, t)
         if decision and self.expected_runs is not None:
-            # Patience: with many production runs ahead, require the
-            # projected remaining gain to be truly negligible before
-            # accepting the stop (scale the Q-margin by patience).
+            # Patience: with more production runs ahead than the
+            # reference, a stop must beat continuing by a Q-margin that
+            # grows with the patience factor; fewer runs add no margin.
             q = self.agent.agent.q_values(self.agent.state_from_series(self._series, t))
             margin = q[_STOP] - q[_CONTINUE]
-            decision = margin >= (self._patience_scale() - 1.0) * ITERATION_COST
+            patience = 1.0 / self._patience_scale()
+            decision = margin >= max(0.0, patience - 1.0) * ITERATION_COST
         return bool(decision)
 
 

@@ -9,7 +9,6 @@ substitution rationale.
 from .clock import SimulatedClock
 from .cluster import Platform, cori
 from .config import StackConfiguration, from_xml, to_xml
-from .darshan import DarshanReport, PhaseRecord
 from .evalcache import EvaluationCache, workload_fingerprint
 from .faults import (
     AGENT_FAULT_MODES,
@@ -54,8 +53,6 @@ __all__ = [
     "StackConfiguration",
     "from_xml",
     "to_xml",
-    "DarshanReport",
-    "PhaseRecord",
     "NoiseModel",
     "LIBRARY_CATALOG",
     "TUNED_SPACE",

@@ -54,6 +54,12 @@ def make_testbed(n_nodes: int = 2) -> Platform:
     )
 
 
+def run_once(sim: IOStackSimulator, workload, config) -> tuple[float, float, float]:
+    """One simulated run of ``workload`` under ``config`` with the next
+    noise factor: ``(write_seconds, read_seconds, runtime_seconds)``."""
+    return sim.replay(sim.trace(workload, config), sim.noise.sample_factor())
+
+
 @pytest.fixture(scope="session")
 def trained_bundle():
     """Simulator, normalizer and offline-trained agents, trained once

@@ -140,20 +140,31 @@ def test_rl_stopper_online_learning_runs(trained_agent):
 
 
 def test_expected_runs_increases_patience(trained_agent):
+    """Many production runs make the stopper more patient; fewer runs
+    than the reference never make it wait longer."""
     norm = PerfNormalizer(700.0, 4)
     patient = RLStopper(
         trained_agent, norm, expected_runs=1e7, online_learning=False
     )
-    eager = RLStopper(trained_agent, norm, online_learning=False)
-    perfs = list(np.linspace(300, 2500, 6)) + [2500.0] * 44
+    default = RLStopper(trained_agent, norm, online_learning=False)
+    few = RLStopper(trained_agent, norm, expected_runs=10, online_learning=False)
+    # Plateau curves: a linear rise over ``rise`` iterations, then flat.
+    curves = [
+        list(np.linspace(300, top, rise)) + [top] * (50 - rise)
+        for rise in (3, 5, 8, 12)
+        for top in (1200.0, 2500.0, 4000.0)
+    ]
 
-    def stop_at(stopper):
+    def stop_at(stopper, perfs):
         stopper.reset()
         for i in range(len(perfs)):
             if stopper.should_stop(history(perfs[: i + 1])):
                 return i
         return len(perfs)
 
-    assert stop_at(patient) >= stop_at(eager)
+    for perfs in curves:
+        assert stop_at(patient, perfs) >= stop_at(default, perfs)
+        assert stop_at(few, perfs) <= stop_at(default, perfs)
+    assert any(stop_at(patient, perfs) > stop_at(default, perfs) for perfs in curves)
     with pytest.raises(ValueError):
         RLStopper(trained_agent, norm, expected_runs=0)

@@ -1,4 +1,4 @@
-"""The composed stack simulator and Darshan reports."""
+"""The composed stack simulator: traces, replayed runs and evaluation."""
 
 import dataclasses
 from collections import Counter
@@ -7,7 +7,7 @@ import pytest
 
 from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
 from repro.workloads import Workload
-from tests.conftest import make_testbed, make_workload
+from tests.conftest import make_testbed, make_workload, run_once
 
 MiB = 1024 * 1024
 
@@ -19,37 +19,44 @@ def sim():
 
 def test_run_produces_consistent_report(sim, default_config):
     w = make_workload()
-    report = sim.run(w, default_config)
-    assert report.app_bytes_written == w.bytes_written
-    assert report.app_write_ops == w.write_ops
-    assert report.write_seconds > 0
-    assert report.runtime_seconds >= report.compute_seconds
-    assert report.alpha == pytest.approx(1.0)  # write-only workload
-    assert len(report.phases) == len(w.phases)
+    trace = sim.trace(w, default_config)
+    assert sum(phase.bytes_written for phase in trace.phases) == w.bytes_written
+    assert sum(phase.write_ops for phase in trace.phases) == w.write_ops
+    assert len(trace.phases) == len(w.phases)
+    write_seconds, _, runtime_seconds = sim.replay(trace, sim.noise.sample_factor())
+    assert write_seconds > 0
+    assert runtime_seconds >= sum(phase.compute_seconds for phase in trace.phases)
+    assert sim.evaluate(w, default_config).alpha == pytest.approx(1.0)  # write-only workload
 
 
 def test_quiet_runs_are_deterministic(sim, default_config):
     w = make_workload()
-    a = sim.run(w, default_config)
-    b = sim.run(w, default_config)
-    assert a.runtime_seconds == b.runtime_seconds
-    assert a.write_bandwidth == b.write_bandwidth
+    assert run_once(sim, w, default_config) == run_once(sim, w, default_config)
+    a = sim.evaluate(w, default_config, repeats=1)
+    b = sim.evaluate(w, default_config, repeats=1)
+    assert a.write_bandwidth_mbps == b.write_bandwidth_mbps
 
 
 def test_noise_perturbs_io_not_compute(default_config):
     noisy = IOStackSimulator(make_testbed(2), NoiseModel(sigma=0.3, seed=1))
     w = make_workload()
-    a = noisy.run(w, default_config)
-    b = noisy.run(w, default_config)
-    assert a.io_seconds != b.io_seconds
-    assert a.compute_seconds == b.compute_seconds
+    trace = noisy.trace(w, default_config)
+    factors = [noisy.noise.sample_factor() for _ in range(2)]
+    a, b = (noisy.replay(trace, f) for f in factors)
+    assert a[0] + a[1] != b[0] + b[1]
+    # Compute and HDF5 overhead are noise-free: only the service times
+    # (transfers and metadata) scale with the factor.
+    fixed = sum(phase.compute_seconds + phase.overhead_seconds for phase in trace.phases)
+    serviced = noisy.replay(trace, 1.0)[2] - fixed
+    for factor, (_, _, runtime_seconds) in zip(factors, (a, b)):
+        assert runtime_seconds - fixed == pytest.approx(factor * serviced)
 
 
 def test_evaluate_charges_one_run(sim, default_config):
     w = make_workload()
     res = sim.evaluate(w, default_config, repeats=3)
-    single = sim.run(w, default_config)
-    assert res.charged_seconds == pytest.approx(single.runtime_seconds)
+    _, _, runtime_seconds = run_once(sim, w, default_config)
+    assert res.charged_seconds == pytest.approx(runtime_seconds)
     assert res.perf_mbps > 0
     assert res.alpha == pytest.approx(1.0)
 
@@ -97,8 +104,8 @@ def test_platform_scales_to_workload_nodes(default_config):
     sim = IOStackSimulator(cori(4), NoiseModel.quiet())
     small = make_workload(n_procs=64, n_nodes=2)
     big = make_workload(n_procs=256, n_nodes=8)
-    t_small = sim.run(small, default_config).runtime_seconds
-    t_big = sim.run(big, default_config).runtime_seconds
+    t_small = run_once(sim, small, default_config)[2]
+    t_big = run_once(sim, big, default_config)[2]
     # 4x the traffic over 4x the clients: runtime grows roughly linearly
     # with volume plus bounded contention -- never quadratically.
     assert 1.0 * t_small < t_big < 8 * t_small

@@ -21,20 +21,20 @@ from repro import (
     build_tunio,
     cori,
     discover_io,
-    train_tunio_agents,
 )
-from repro.workloads import flash, hacc, vpic
+from repro.core.offline_training import load_agents
+from repro.workloads import flash, vpic
 from repro.workloads.sources import canonical_hints, load_source
 
 
 @pytest.fixture(scope="module")
-def stack():
+def stack(agents_checkpoint):
+    """A fresh seed-99 simulator and fresh copies of the session's
+    offline-trained agents."""
     platform = cori(4)
     sim = IOStackSimulator(platform, NoiseModel(seed=99))
     normalizer = PerfNormalizer.for_platform(platform, 4)
-    agents = train_tunio_agents(
-        sim, [vpic(), flash(), hacc()], normalizer, rng=np.random.default_rng(99)
-    )
+    agents = load_agents(agents_checkpoint, normalizer, rng=np.random.default_rng(99))
     return sim, normalizer, agents
 
 

@@ -19,7 +19,7 @@ from repro.iostack import (
     TUNED_SPACE,
     cori,
 )
-from tests.conftest import make_workload
+from tests.conftest import make_workload, run_once
 
 SIM = IOStackSimulator(cori(2), NoiseModel.quiet())
 
@@ -40,15 +40,23 @@ def test_simulator_conservation_laws(seed):
     and achieved bandwidth below the hardware's aggregate ceiling."""
     w = make_workload()
     config = random_config(seed)
-    report = SIM.run(w, config)
-    assert report.runtime_seconds > 0
-    assert report.write_seconds > 0
+    trace = SIM.trace(w, config)
+    write_seconds, _, runtime_seconds = SIM.replay(trace, SIM.noise.sample_factor())
+    assert runtime_seconds > 0
+    assert write_seconds > 0
     # Writes may be inflated (read-modify-write) but never dropped.
-    assert report.posix_bytes_written >= report.app_bytes_written
+    posix_bytes_written = sum(
+        stream.total_bytes
+        for phase in trace.phases
+        for stream in phase.streams
+        if stream.op == "write"
+    )
+    assert posix_bytes_written >= sum(phase.bytes_written for phase in trace.phases)
     # Bandwidth cannot exceed the platform's aggregate OST peak.
     p = SIM.platform
     ceiling = p.n_osts * p.ost_bandwidth * p.ost_utilization / 1e6  # MB/s
-    assert report.write_bandwidth_mbps <= ceiling * 1.01
+    result = SIM.evaluate_trace_with_factors(trace, [SIM.noise.sample_factor()])
+    assert result.write_bandwidth_mbps <= ceiling * 1.01
 
 
 @settings(max_examples=20, deadline=None)
@@ -58,8 +66,8 @@ def test_more_data_takes_longer(seed):
     config = random_config(seed)
     small = make_workload(writes_per_proc=32)
     big = make_workload(writes_per_proc=64)
-    t_small = SIM.run(small, config).io_seconds
-    t_big = SIM.run(big, config).io_seconds
+    t_small = sum(run_once(SIM, small, config)[:2])
+    t_big = sum(run_once(SIM, big, config)[:2])
     assert t_big >= t_small * 0.99
 
 
@@ -68,11 +76,11 @@ def test_more_data_takes_longer(seed):
 def test_memory_tier_never_slower_than_lustre(seed):
     config = random_config(seed)
     w = make_workload()
-    lustre = SIM.run(w, config).io_seconds
+    lustre = sum(run_once(SIM, w, config)[:2])
     in_memory = dataclasses.replace(
         w, phases=tuple(dataclasses.replace(p, tier="memory") for p in w.phases)
     )
-    memory = SIM.run(in_memory, config).io_seconds
+    memory = sum(run_once(SIM, in_memory, config)[:2])
     assert memory <= lustre
 
 
