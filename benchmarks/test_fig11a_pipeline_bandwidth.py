@@ -20,7 +20,7 @@ def test_fig11a_pipeline_bandwidth(run_once):
     # TunIO stops early (paper: iteration 9 of 50).
     assert len(tunio.result.history) <= 15
     # Massive tuning-time saving versus the no-stop baseline (paper ~73%).
-    saving = 1 - tunio.result.total_minutes / nostop.result.total_minutes
+    saving = result.tuning_time_saving
     assert saving > 0.5, f"tuning-time saving only {saving:.0%}"
     # TunIO's found configuration is competitive with the full-budget
     # baseline's on the real application (paper: within ~3%).

@@ -88,7 +88,7 @@ def main(argv: list[str] | None = None) -> int:
         kwargs: dict = {}
         if parameterized:
             kwargs["seed"] = args.seed
-            if args.iterations is not None and name != "fig12":
+            if args.iterations is not None:
                 kwargs["iterations"] = args.iterations
         if name == "fig12" and "fig11" in results:
             kwargs["pipeline"] = results["fig11"]

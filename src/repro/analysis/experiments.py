@@ -11,13 +11,18 @@ shared offline-trained agents come from
 
 Independent runs
 ----------------
-Each independent tuning run of a GA-based figure is a function
-(``_figNN_run``) of ``(seed, salt, ...)`` alone: it builds its own
-workload, simulator and RNG stream from those values, and its tuner
-owns a private evaluation cache, so nothing a run does can perturb
-another.  Anything order-sensitive (Figure 11's shared ``eval_sim``
-noise stream, Figure 8's accuracy check against the tuned app config)
-runs after the tuning runs, in a fixed order.
+Every tuning run of Figures 2, 8, 10 and 11 is one :func:`_tune` call,
+``_tune(seed, workload, kind, salt, iterations)``: it builds a simulator
+with its own noise stream (``ctx.simulator_for(workload.n_nodes, salt)``),
+draws the GA stream ``ctx.rng(salt)``, gives a ``tunio`` tuner a private
+copy of the trained agents, and its tuner owns a private evaluation
+cache, so nothing a run does can perturb another.  A figure builds each
+workload (discovered kernels included) once and hands the same object
+to every run that tunes it.  Figure 9 keeps its own arms: its impact arm
+is TunIO without early stopping, and its baseline's simulator salt
+differs from its GA salt.  Anything order-sensitive (Figure 11's shared
+``eval_sim`` noise stream, Figure 8's accuracy check against the tuned
+app config) runs after the tuning runs, in a fixed order.
 """
 
 from __future__ import annotations
@@ -65,9 +70,22 @@ __all__ = [
     "fig12_lifecycle",
 ]
 
-#: Workload constructors by name; a run builds a fresh workload from the
-#: name it is given.
-_WORKLOADS = {"hacc": hacc, "flash": flash, "vpic": vpic, "bdcats": bdcats}
+
+def _tune(
+    seed: int, workload: WorkloadLike, kind: str, salt: int, iterations: int
+) -> TuningResult:
+    """One figure tuning run: a :func:`make_tuner` ``kind`` tuning
+    ``workload`` for ``iterations`` on the simulator and GA stream that
+    ``salt`` derives from ``seed``."""
+    ctx = make_context(seed)
+    tuner = make_tuner(
+        kind,
+        ctx.simulator_for(workload.n_nodes, salt=salt),
+        agents=ctx.fresh_agents() if kind == "tunio" else None,
+        normalizer=ctx.normalizer_for(workload.n_nodes),
+        rng=ctx.rng(salt),
+    )
+    return tuner.tune(workload, max_iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -165,23 +183,12 @@ def _log_fit_r2(values: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
 
 
-def _fig02_run(
-    seed: int, salt: int, workload_name: str, iterations: int
-) -> TuningResult:
-    """One Figure 2 tuning run, addressed by (seed, salt, workload)."""
-    ctx = make_context(seed)
-    workload = _WORKLOADS[workload_name]()
-    sim = ctx.simulator_for(workload.n_nodes, salt=salt)
-    tuner = make_tuner("hstuner", sim, rng=ctx.rng(salt))
-    return tuner.tune(workload, max_iterations=iterations)
-
-
 def fig02_log_curves(seed: int = 0, iterations: int = 50) -> LogCurvesResult:
     """Figure 2: tune HACC, FLASH and VPIC with plain HSTuner and show
     the logarithmic shape of the bandwidth-vs-iteration curves."""
     runs = [
-        _fig02_run(seed, salt + 20, name, iterations)
-        for salt, name in enumerate(("hacc", "flash", "vpic"))
+        _tune(seed, workload(), "hstuner", salt + 20, iterations)
+        for salt, workload in enumerate((hacc, flash, vpic))
     ]
     results: dict[str, TuningResult] = {}
     fits: dict[str, float] = {}
@@ -210,6 +217,16 @@ class DiscoveryRoTIResult:
     #: Reduced kernel's reported-bandwidth accuracy vs the application.
     reduced_bandwidth_accuracy: float
 
+    @property
+    def time_to_peak_saving(self) -> float:
+        """Fraction of the app's time-to-peak-RoTI the kernel saves (8a)."""
+        return 1.0 - self.kernel_curve.peak_minutes / max(self.app_curve.peak_minutes, 1e-9)
+
+    @property
+    def loop_reduction_boost(self) -> float:
+        """Reduced kernel's peak RoTI over the app's (8b)."""
+        return self.reduced_curve.peak / max(self.app_curve.peak, 1e-9)
+
     def report(self) -> str:
         rows = []
         for label, curve, res in (
@@ -232,58 +249,43 @@ class DiscoveryRoTIResult:
             rows,
             title="Figures 8(a)/8(b): Return on Tuning Investment, MACSio (VPIC-dipole)",
         )
-        boost = self.reduced_curve.peak / max(self.app_curve.peak, 1e-9)
-        saved = 1.0 - self.kernel_curve.peak_minutes / max(self.app_curve.peak_minutes, 1e-9)
         return (
             f"{table}\n"
-            f"kernel time-to-peak reduction: {100 * saved:.1f}% "
+            f"kernel time-to-peak reduction: {100 * self.time_to_peak_saving:.1f}% "
             f"(paper: 14%)\n"
-            f"loop-reduction peak-RoTI boost: {boost:.1f}x (paper: >9x)\n"
+            f"loop-reduction peak-RoTI boost: {self.loop_reduction_boost:.1f}x "
+            f"(paper: >9x)\n"
             f"reduced-kernel bandwidth accuracy: "
             f"{100 * self.reduced_bandwidth_accuracy:.2f}% (paper: 97.10%)"
         )
 
 
-def _fig08_workload(kind: str) -> WorkloadLike:
-    """The MACSio workload for one Figure 8 pipeline ('app', 'kernel'
-    or 'reduced'); discovery is deterministic, so every rebuild yields
-    the same workload."""
+def _macsio_workloads() -> tuple[WorkloadLike, WorkloadLike, WorkloadLike]:
+    """MACSio as the full application, as its I/O kernel and as the
+    1%-loop-reduced kernel, each built once."""
     source = load_source("macsio")
     hints = canonical_hints("macsio")
-    if kind == "app":
-        return workload_from_source(source, "macsio-app", hints)
-    if kind == "kernel":
-        return discover_io(source, "macsio", DiscoveryOptions(hints=hints)).to_workload()
-    return discover_io(
+    app = workload_from_source(source, "macsio-app", hints)
+    kernel = discover_io(source, "macsio", DiscoveryOptions(hints=hints)).to_workload()
+    reduced = discover_io(
         source, "macsio",
         DiscoveryOptions(hints=hints, reducers=(LoopReduction(0.01),)),
     ).to_workload()
-
-
-def _fig08_run(seed: int, kind: str, n_nodes: int, iterations: int) -> TuningResult:
-    """One Figure 8 pipeline run (same salt for all three: the GA
-    trajectory is held constant so the figure isolates evaluation
-    cost)."""
-    ctx = make_context(seed)
-    workload = _fig08_workload(kind)
-    sim = ctx.simulator_for(n_nodes, salt=80)
-    tuner = make_tuner("hstuner", sim, rng=ctx.rng(80))
-    return tuner.tune(workload, max_iterations=iterations)
+    return app, kernel, reduced
 
 
 def fig08_discovery(seed: int = 0, iterations: int = 40) -> DiscoveryRoTIResult:
     """Figures 8(a)/(b): tune MACSio as the full application, as its I/O
     kernel, and as the 1%-loop-reduced kernel; compare RoTI curves."""
     ctx = make_context(seed)
-    app = _fig08_workload("app")
-    reduced_workload = _fig08_workload("reduced")
+    app, kernel, reduced = _macsio_workloads()
 
     # All three pipelines run the same GA trajectory (same seed and
     # noise), so the time difference is the evaluation-cost saving of the
     # kernel, not GA luck -- the quantity Figure 8 isolates.
     app_res, kern_res, red_res = [
-        _fig08_run(seed, kind, app.n_nodes, iterations)
-        for kind in ("app", "kernel", "reduced")
+        _tune(seed, workload, "hstuner", 80, iterations)
+        for workload in (app, kernel, reduced)
     ]
 
     # Reported-bandwidth accuracy of the reduced kernel: evaluate the same
@@ -291,7 +293,7 @@ def fig08_discovery(seed: int = 0, iterations: int = 40) -> DiscoveryRoTIResult:
     sim = ctx.simulator_for(app.n_nodes, salt=99)
     config = app_res.best_config or StackConfiguration.default()
     app_perf = sim.evaluate(app, config).perf_mbps
-    red_perf = sim.evaluate(reduced_workload, config).perf_mbps
+    red_perf = sim.evaluate(reduced, config).perf_mbps
     accuracy = 1.0 - abs(red_perf - app_perf) / app_perf
 
     return DiscoveryRoTIResult(
@@ -336,15 +338,7 @@ def fig08c_kernel_similarity() -> KernelSimilarityResult:
     """Figure 8(c): absolute percentage error of bytes-written and
     write-op counts for the kernel and the loop-reduced kernel (with its
     metrics multiplied by the loop reduction)."""
-    source = load_source("macsio")
-    hints = canonical_hints("macsio")
-    app = workload_from_source(source, "macsio-app", hints)
-    kernel = discover_io(source, "macsio", DiscoveryOptions(hints=hints)).to_workload()
-    reduced_k = discover_io(
-        source, "macsio",
-        DiscoveryOptions(hints=hints, reducers=(LoopReduction(0.01),)),
-    )
-    reduced = reduced_k.to_workload()
+    app, kernel, reduced = _macsio_workloads()
 
     def err(measured: float, truth: float) -> float:
         return abs(measured - truth) / truth
@@ -502,10 +496,14 @@ class EarlyStoppingResult:
     outcomes: tuple[StopperOutcome, ...]
     perfect: StopperOutcome
 
+    def percent_of_best(self, outcome: StopperOutcome) -> float:
+        """``outcome``'s RoTI as a percentage of the perfect stop's."""
+        return 100.0 * outcome.roti / max(self.perfect.roti, 1e-9)
+
     def report(self) -> str:
         rows = [
             [o.name, o.iteration, o.perf_mbps / 1000.0, o.minutes, o.roti,
-             100.0 * o.roti / max(self.perfect.roti, 1e-9)]
+             self.percent_of_best(o)]
             for o in (self.perfect, *self.outcomes)
         ]
         table = format_table(
@@ -526,20 +524,11 @@ class EarlyStoppingResult:
         )
 
 
-def _fig10_run(seed: int, iterations: int) -> TuningResult:
-    """The single full-budget HACC run Figure 10 replays stoppers over."""
-    ctx = make_context(seed)
-    workload = hacc()
-    sim = ctx.simulator_for(workload.n_nodes, salt=100)
-    tuner = make_tuner("hstuner", sim, rng=ctx.rng(100))
-    return tuner.tune(workload, max_iterations=iterations)
-
-
 def fig10_early_stopping(seed: int = 0, iterations: int = 50) -> EarlyStoppingResult:
     """Figure 10: run HACC for the full budget, then replay each
     stopping method over the recorded history."""
     ctx = make_context(seed)
-    full = _fig10_run(seed, iterations)
+    full = _tune(seed, hacc(), "hstuner", 100, iterations)
     history = full.history
 
     def outcome(name: str, stop_iter: int) -> StopperOutcome:
@@ -598,6 +587,12 @@ class PipelineResult:
                 return v
         raise KeyError(name)
 
+    @property
+    def tuning_time_saving(self) -> float:
+        """Fraction of HSTuner-NoStop's tuning time TunIO saves (11a)."""
+        tunio = self.get("tunio").result.total_minutes
+        return 1.0 - tunio / self.get("hstuner-nostop").result.total_minutes
+
     def report(self) -> str:
         rows = [
             [
@@ -614,9 +609,6 @@ class PipelineResult:
             rows,
             title="Figure 11: end-to-end tuning of BD-CATS (500 nodes / 1600 procs)",
         )
-        tunio = self.get("tunio")
-        nostop = self.get("hstuner-nostop")
-        saving = 1.0 - tunio.result.total_minutes / nostop.result.total_minutes
         chart = ascii_chart(
             {
                 v.name: v.result.perf_series() / 1000.0
@@ -628,7 +620,8 @@ class PipelineResult:
         return (
             f"{table}\n"
             f"untuned app bandwidth: {self.app_baseline_mbps / 1000.0:.2f} GB/s\n"
-            f"TunIO tuning-time reduction vs HSTuner-NoStop: {100 * saving:.1f}% "
+            f"TunIO tuning-time reduction vs HSTuner-NoStop: "
+            f"{100 * self.tuning_time_saving:.1f}% "
             f"(paper: ~73%)\n\n{chart}"
         )
 
@@ -645,38 +638,18 @@ _FIG11_VARIANTS = (
 )
 
 
-def _fig11_run(
-    seed: int, target_kind: str, tuner_kind: str, salt: int, iterations: int
-) -> TuningResult:
-    """One Figure 11 pipeline variant.  The variant's ``app_perf``
-    evaluation is NOT done here: it consumes the shared ``eval_sim``
-    noise stream in variant order, after all runs, in
-    :func:`fig11_pipeline`."""
-    ctx = make_context(seed)
-    app = bdcats()
-    if target_kind == "kernel":
-        hints = canonical_hints("bdcats")
-        target: WorkloadLike = discover_io(
-            load_source("bdcats"), "bdcats", DiscoveryOptions(hints=hints)
-        ).to_workload()
-    else:
-        target = app
-    sim = ctx.simulator_for(app.n_nodes, salt=salt)
-    tuner = make_tuner(
-        tuner_kind,
-        sim,
-        agents=ctx.fresh_agents() if tuner_kind == "tunio" else None,
-        normalizer=ctx.normalizer_for(app.n_nodes),
-        rng=ctx.rng(salt),
-    )
-    return tuner.tune(target, max_iterations=iterations)
-
-
 def fig11_pipeline(seed: int = 0, iterations: int = 50) -> PipelineResult:
     """Figure 11: BD-CATS tuned by HSTuner (no stop / heuristic stop) and
     TunIO, each on the full application and on the I/O kernel."""
     ctx = make_context(seed)
     app = bdcats()
+    targets = {
+        "app": app,
+        "kernel": discover_io(
+            load_source("bdcats"), "bdcats",
+            DiscoveryOptions(hints=canonical_hints("bdcats")),
+        ).to_workload(),
+    }
 
     # The shared evaluation stream: baseline first, then each variant's
     # best config in variant order.
@@ -684,12 +657,12 @@ def fig11_pipeline(seed: int = 0, iterations: int = 50) -> PipelineResult:
     baseline = eval_sim.evaluate(app, StackConfiguration.default()).perf_mbps
 
     results = [
-        _fig11_run(seed, target_kind, tuner_kind, salt, iterations)
-        for _name, target_kind, tuner_kind, salt in _FIG11_VARIANTS
+        _tune(seed, targets[target], kind, salt, iterations)
+        for _name, target, kind, salt in _FIG11_VARIANTS
     ]
 
     variants = []
-    for (name, _target_kind, _tuner_kind, _salt), res in zip(_FIG11_VARIANTS, results):
+    for (name, _target, _kind, _salt), res in zip(_FIG11_VARIANTS, results):
         config = res.best_config or StackConfiguration.default()
         app_perf = eval_sim.evaluate(app, config).perf_mbps
         variants.append(
@@ -741,15 +714,16 @@ class LifecycleResult:
 
 
 def fig12_lifecycle(
-    seed: int = 0, pipeline: PipelineResult | None = None
+    seed: int = 0, iterations: int = 50, pipeline: PipelineResult | None = None
 ) -> LifecycleResult:
     """Figure 12: derive lifecycle models from the Figure 11 runs (TunIO
-    vs H5Tuner full-budget) and locate the viability/crossover points."""
+    vs H5Tuner full-budget) and locate the viability/crossover points.
+    Without ``pipeline``, Figure 11 runs here at ``iterations``."""
     ctx = make_context(seed)
     app = bdcats()
     sim = ctx.simulator_for(app.n_nodes, salt=120)
     if pipeline is None:
-        pipeline = fig11_pipeline(seed)
+        pipeline = fig11_pipeline(seed, iterations)
     tunio_model = lifecycle_model(sim, app, pipeline.get("tunio").result, name="tunio")
     hstuner_model = lifecycle_model(
         sim, app, pipeline.get("hstuner-nostop").result, name="h5tuner"

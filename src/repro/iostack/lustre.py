@@ -22,6 +22,7 @@ Metadata operations are served by a single MDS with bounded throughput.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping
 
@@ -92,7 +93,7 @@ def serve_lustre(
         server_bw /= (
             1.0
             + platform.read_contention_coeff
-            * np.sqrt(max(0.0, clients_per_ost - 1.0))
+            * math.sqrt(max(0.0, clients_per_ost - 1.0))
         )
 
     # Multiple sequential writer streams multiplexed onto one OST object

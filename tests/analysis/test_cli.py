@@ -46,3 +46,13 @@ def test_bad_arguments_exit_2_before_any_work(figure_calls, capsys, argv, messag
     assert err.value.code == 2
     assert message in capsys.readouterr().err
     assert figure_calls == []
+
+
+def test_fig12_alone_runs_figure_11_at_the_given_budget(capsys):
+    def fig12_section(argv):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out
+        return out[out.index("Figure 12"):]
+
+    alone = fig12_section(["fig12", "--iterations", "8"])
+    assert alone == fig12_section(["fig11", "fig12", "--iterations", "8"])

@@ -2,16 +2,29 @@
 GA-based figures are exercised end-to-end by the benchmark harness and
 only smoke-checked here."""
 
+import hashlib
+
 import pytest
 
 from repro.analysis import (
     fig01_search_space,
     fig02_log_curves,
+    fig08_discovery,
     fig08c_kernel_similarity,
+    fig09_impact_first,
+    fig10_early_stopping,
+    fig11_pipeline,
+    fig12_lifecycle,
     make_context,
 )
 from repro.analysis.experiments import _log_fit_r2
 import numpy as np
+
+#: sha256 over every figure's ``report()`` at seed 0 with 8-iteration
+#: budgets (Figure 12 on the Figure 11 result).  A refactor of the
+#: runners must leave it unchanged; a change that moves a figure on
+#: purpose re-records it.
+FIGURE_REPORTS_DIGEST = "9a31cc0792549e425dab89d63dea4cbab5ae38998c27cdbdbd6014f01677f700"
 
 
 def test_fig01_matches_paper_shape():
@@ -84,3 +97,19 @@ def test_ascii_chart_smoke():
     assert all(len(line) == 12 + CHART_WIDTH for line in lines[:CHART_HEIGHT])
     assert "* a" in lines[-1] and "o b" in lines[-1]
     assert ascii_chart({}) == "(no data)"
+
+
+def test_figure_reports_are_pinned():
+    pipeline = fig11_pipeline(seed=0, iterations=8)
+    reports = [
+        fig01_search_space().report(),
+        fig02_log_curves(seed=0, iterations=8).report(),
+        fig08_discovery(seed=0, iterations=8).report(),
+        fig08c_kernel_similarity().report(),
+        fig09_impact_first(seed=0, iterations=8).report(),
+        fig10_early_stopping(seed=0, iterations=8).report(),
+        pipeline.report(),
+        fig12_lifecycle(seed=0, pipeline=pipeline).report(),
+    ]
+    digest = hashlib.sha256("\n".join(reports).encode()).hexdigest()
+    assert digest == FIGURE_REPORTS_DIGEST

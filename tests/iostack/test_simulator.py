@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
-from repro.workloads import Workload
+from repro.workloads import Workload, bdcats, ior
 from tests.conftest import make_testbed, make_workload, run_once
 
 MiB = 1024 * 1024
@@ -59,6 +59,14 @@ def test_evaluate_charges_one_run(sim, default_config):
     assert res.charged_seconds == pytest.approx(runtime_seconds)
     assert res.perf_mbps > 0
     assert res.alpha == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("workload", [ior, bdcats])
+def test_evaluate_of_a_reading_workload_returns_python_floats(workload, default_config):
+    sim = IOStackSimulator(cori(), NoiseModel.quiet())
+    res = sim.evaluate(workload(), default_config)
+    for field in dataclasses.fields(res):
+        assert type(getattr(res, field.name)) is float, field.name
 
 
 def test_evaluate_perf_is_weighted_objective(sim, default_config):

@@ -15,6 +15,12 @@ direct stream construction, once-per-node-count platform scaling) and
 must survive it unchanged.  It must also survive the layer memo: the
 same traces built inside one shared :meth:`IOStackSimulator.memo_scope`,
 each after a one-gene mutant that fills the memo, give the same digest.
+
+The digest was re-recorded once without any value moving: the Lustre
+read-contention term switched from ``np.sqrt`` to ``math.sqrt``, so read
+streams' ``base_seconds`` became Python floats and ``repr`` stopped
+spelling them ``np.float64(...)``.  A digest over the same traces with
+every float written as ``float(x).hex()`` was equal before and after.
 """
 
 import dataclasses
@@ -26,7 +32,7 @@ import numpy as np
 from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, StackConfiguration, cori
 from repro.workloads import bdcats, flash, hacc, ior, macsio_vpic_dipole, vpic
 
-TRACE_DIGEST = "1183ca46059b9ea2393ac3d0b1327563bf6e485a0db39e2f7d073de397591b55"
+TRACE_DIGEST = "3d28bffae7b5a4f1d30580f5d87905d7c828e2fd5eb00ae20f0238b7d07cac5b"
 
 RANDOM_CONFIGS = 60
 
