@@ -117,3 +117,36 @@ def test_tuning_run_wall_clock(sim):
     assert result.best_perf > 0
     assert len(result.history) == 10
     assert elapsed < 2.0  # ~60 evaluations; well under interactive budget
+
+
+def test_noise_factor_speed():
+    """Bulk-seeded noise factors beat one fresh generator per factor by
+    at least 1.5x, with the same values.  Both paths run in this process,
+    so the ratio does not depend on host speed."""
+    import time
+
+    def legacy_factors(seed, n):
+        # the per-counter draw NoiseModel.sample_factor made before bulk
+        # seeding, copied verbatim (default sigma and spikes)
+        out = []
+        for counter in range(n):
+            rng = np.random.default_rng((seed, counter))
+            factor = float(rng.lognormal(mean=0.0, sigma=0.12))
+            if rng.random() < 0.06:
+                factor *= 2.0
+            out.append(factor)
+        return out
+
+    batches, size = 50, 15
+    legacy = bulk = float("inf")
+    for _ in range(5):  # best-of-5, alternating the two paths
+        start = time.perf_counter()
+        expected = legacy_factors(3, batches * size)
+        legacy = min(legacy, time.perf_counter() - start)
+
+        start = time.perf_counter()
+        noise = NoiseModel(seed=3)
+        got = [noise.sample_factors(size) for _ in range(batches)]
+        bulk = min(bulk, time.perf_counter() - start)
+        assert np.concatenate(got).tolist() == expected
+    assert bulk * 1.5 < legacy

@@ -217,6 +217,10 @@ def build_resume_parser() -> argparse.ArgumentParser:
 
 
 def _validate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
+    if args.fault_seed is not None and args.fault_seed < 0:
+        parser.error("--fault-seed must be >= 0")
     if args.iterations < 1:
         parser.error("--iterations must be >= 1")
     if not 0.0 <= args.fault_rate < 1.0:

@@ -52,6 +52,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
 
+from ._streams import SeededStreams, check_seed, first_uniform
 from .parameters import TUNED_SPACE
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (simulator imports us)
@@ -213,8 +214,12 @@ class FaultPlan:
     _trace_attempts: dict[str, int] = field(default_factory=dict, repr=False)
     _replay_counter: int = field(default=0, repr=False)
     _clock: "SimulatedClock | None" = field(default=None, repr=False)
+    _replay_streams: SeededStreams = field(
+        default_factory=SeededStreams, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if not 0.0 <= self.transient_error_rate < 1.0:
             raise ValueError("transient_error_rate must be in [0, 1)")
         if not 0.0 <= self.straggler_rate < 1.0:
@@ -294,8 +299,9 @@ class FaultPlan:
         self._replay_counter += 1
         slowdown = 1.0
         if self.straggler_rate > 0:
-            rng = np.random.default_rng((self.seed ^ _REPLAY_SALT, counter))
-            if rng.random() < self.straggler_rate:
+            # The first ``random()`` of ``default_rng((seed ^ salt, counter))``.
+            [state] = self._replay_streams.states(self.seed ^ _REPLAY_SALT, counter, 1)
+            if first_uniform(*state) < self.straggler_rate:
                 slowdown *= self.straggler_slowdown
                 self.stragglers_injected += 1
         if self.degraded_windows and self._clock is not None:

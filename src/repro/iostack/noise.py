@@ -19,6 +19,13 @@ same sequence.  Because the counter is mutable shared state, handing one
 model instance to two experiments interleaves their streams; give each
 experiment its own model (a different ``seed`` for an independent
 stream), and use :meth:`seek` to replay from a recorded position.
+
+Factor ``k`` is what ``np.random.default_rng((seed, k))`` draws: a
+lognormal, then the spike's uniform.  Rather than build that generator
+per factor, the model computes the generators' seeded states in bulk,
+a block ahead of the counter (:mod:`repro.iostack._streams`), and sets
+each on one scratch generator it owns before drawing; the values are
+the per-counter generator's, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._streams import SeededStreams, check_seed
 
 __all__ = ["NoiseModel"]
 
@@ -53,8 +62,16 @@ class NoiseModel:
     spike_slowdown: float = 2.0
     seed: int = 0
     _counter: int = field(default=0, repr=False)
+    _streams: SeededStreams = field(
+        default_factory=SeededStreams, init=False, repr=False, compare=False
+    )
+    _rng: np.random.Generator = field(
+        default_factory=lambda: np.random.Generator(np.random.PCG64(0)),
+        init=False, repr=False, compare=False,
+    )
 
     def __post_init__(self) -> None:
+        check_seed(self.seed)
         if self.sigma < 0:
             raise ValueError("sigma must be >= 0")
         if not 0.0 <= self.spike_probability < 1.0:
@@ -69,35 +86,41 @@ class NoiseModel:
 
     def sample_factor(self) -> float:
         """Next multiplicative factor on I/O time (>= ~0.7, unbounded
-        above during spikes)."""
-        counter = self._counter
-        self._counter += 1
-        if self.deterministic:
-            return 1.0
-        rng = np.random.default_rng((self.seed, counter))
-        factor = float(rng.lognormal(mean=0.0, sigma=self.sigma)) if self.sigma > 0 else 1.0
-        if self.spike_probability > 0 and rng.random() < self.spike_probability:
-            factor *= self.spike_slowdown
-        return factor
+        above during spikes): the one-element case of
+        :meth:`sample_factors`."""
+        return float(self.sample_factors(1)[0])
 
     def sample_factors(self, n: int) -> np.ndarray:
         """The next ``n`` factors as one array.
 
         Consumes the run counter identically to ``n`` calls of
         :meth:`sample_factor`: factor ``i`` of the result is derived from
-        ``(seed, counter + i)``.  Each factor has its own counter-keyed
-        generator, so the draw itself cannot be a single vectorized rng
-        call -- but quiet models short-circuit to ``ones(n)`` and noisy
-        models pay only the per-counter generator setup.
+        ``(seed, counter + i)``.  Quiet models short-circuit to
+        ``ones(n)``; noisy models set each counter's seeded state,
+        computed in bulk, on the model's one scratch generator and draw
+        from it.
         """
         if n < 0:
             raise ValueError("n must be >= 0")
+        counter = self._counter
+        self._counter += n
         if self.deterministic:
-            self._counter += n
             return np.ones(n)
+        rng = self._rng
+        bitgen = rng.bit_generator
+        sigma, spike_probability = self.sigma, self.spike_probability
         out = np.empty(n)
-        for i in range(n):
-            out[i] = self.sample_factor()
+        for i, (state, inc) in enumerate(self._streams.states(self.seed, counter, n)):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            factor = rng.lognormal(0.0, sigma) if sigma > 0 else 1.0
+            if spike_probability > 0 and rng.random() < spike_probability:
+                factor *= self.spike_slowdown
+            out[i] = factor
         return out
 
     # -- stream position --------------------------------------------------------

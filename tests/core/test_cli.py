@@ -20,6 +20,16 @@ def test_unknown_workload_rejected():
         build_parser().parse_args(["gromacs"])
 
 
+@pytest.mark.parametrize(
+    "flags", [["--seed", "-1"], ["--fault-seed", "-1", "--fault-rate", "0.1"]]
+)
+def test_negative_seed_rejected_naming_the_seed(flags, capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["flash", "--tuner", "hstuner", *flags])
+    assert err.value.code == 2
+    assert f"{flags[0]} must be >= 0" in capsys.readouterr().err
+
+
 def test_hstuner_run(capsys):
     assert main(["flash", "--tuner", "hstuner", "--iterations", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out

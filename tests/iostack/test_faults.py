@@ -15,6 +15,7 @@ from repro.iostack import (
     cori,
 )
 from repro.iostack.clock import SimulatedClock
+from repro.iostack.faults import _REPLAY_SALT
 from tests.conftest import make_workload
 
 
@@ -169,6 +170,73 @@ def test_degraded_window_follows_the_clock():
     assert plan.replay_slowdown() == 3.0
     clock.advance(60.0)  # t=2.5 min, past
     assert plan.replay_slowdown() == 1.0
+
+
+def legacy_replay_slowdown(plan):
+    """``FaultPlan.replay_slowdown`` as it was before the straggler stream
+    was seeded in bulk, copied verbatim: one fresh generator keyed on
+    ``(seed ^ salt, counter)`` per replayed run."""
+    counter = plan._replay_counter
+    plan._replay_counter += 1
+    slowdown = 1.0
+    if plan.straggler_rate > 0:
+        rng = np.random.default_rng((plan.seed ^ _REPLAY_SALT, counter))
+        if rng.random() < plan.straggler_rate:
+            slowdown *= plan.straggler_slowdown
+            plan.stragglers_injected += 1
+    if plan.degraded_windows and plan._clock is not None:
+        minutes = plan._clock.elapsed_minutes
+        for window in plan.degraded_windows:
+            if window.covers(minutes):
+                slowdown *= window.slowdown
+    return slowdown
+
+
+# The last seed's salted key has four uint32 words and takes the per-key
+# seeding fallback.
+@pytest.mark.parametrize("seed", [0, 11, 2**64 + 5, 2**96 + 3])
+@pytest.mark.parametrize("rate", [0.3, 1.0 - 1e-12])
+def test_straggler_stream_matches_the_per_run_formula(rate, seed):
+    clock = SimulatedClock(setup_overhead=0.0)
+    plans = [
+        FaultPlan(
+            seed=seed,
+            straggler_rate=rate,
+            straggler_slowdown=5.0,
+            degraded_windows=(DegradedWindow(1.0, 2.0, 3.0),),
+        )
+        for _ in range(2)
+    ]
+    for plan in plans:
+        plan.attach_clock(clock)
+    plan, oracle = plans
+
+    def replays(n):
+        got = [plan.replay_slowdown() for _ in range(n)]
+        assert got == [legacy_replay_slowdown(oracle) for _ in range(n)]
+        assert plan.stragglers_injected == oracle.stragglers_injected
+        assert plan.get_state() == oracle.get_state()
+        return got
+
+    replays(40)  # past the first read-ahead block
+    clock.advance(90.0)  # inside the degraded window
+    assert set(replays(20)) <= {3.0, 15.0}
+    clock.advance(60.0)  # past it
+    for counter in (12345, 2**32 - 7, 3):  # arbitrary positions, and past 2**32
+        state = dict(plan.get_state(), replay_counter=counter)
+        plan.set_state(state)
+        oracle.set_state(state)
+        replays(15)
+    plan.reset()
+    oracle.reset()
+    replays(20)
+    assert plan.stragglers_injected > 0
+
+
+@pytest.mark.parametrize("seed", [-1, 2.0, False])
+def test_seed_must_be_a_non_negative_int(seed):
+    with pytest.raises(ValueError, match="seed"):
+        FaultPlan(seed=seed, straggler_rate=0.5)
 
 
 # -- simulator hooks -----------------------------------------------------------

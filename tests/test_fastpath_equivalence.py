@@ -34,6 +34,8 @@ from repro.iostack.units import bytes_per_sec_to_mb_per_sec
 from repro.tuners import HSTuner, NoStop
 from repro.tuners.journal import JournalWriter, load_journal
 from repro.workloads import bdcats, flash, hacc, ior, vpic
+from tests.iostack.test_faults import legacy_replay_slowdown
+from tests.iostack.test_noise import legacy_sample_factor
 
 # The paper's three checkpoint kernels write only; IOR (read back) and
 # BD-CATS (read-heavy) pin the read side of every result too.
@@ -128,6 +130,8 @@ class LegacySimulator(IOStackSimulator):
     it replaced rather than against another formulation of it.
     ``replay`` and ``evaluate_trace_with_factors`` are verbatim copies of
     the report-building replay that the lean per-run timing replaced.
+    Its noise factors and straggler draws come from verbatim copies of
+    the per-counter generators that bulk seeding replaced.
     """
 
     def run(self, workload, config):
@@ -138,7 +142,7 @@ class LegacySimulator(IOStackSimulator):
         striping_unit = int(lustre_values["striping_unit"])
 
         report = DarshanReport()
-        noise_factor = self.noise.sample_factor()
+        noise_factor = legacy_sample_factor(self.noise)
 
         for phase in workload.phases:
             phase_io = 0.0
@@ -229,7 +233,7 @@ class LegacySimulator(IOStackSimulator):
 
     def replay(self, trace, noise_factor):
         if self.faults is not None:
-            slowdown = self.faults.replay_slowdown()
+            slowdown = legacy_replay_slowdown(self.faults)
             if slowdown != 1.0:
                 noise_factor = noise_factor * slowdown
         report = DarshanReport()
