@@ -11,12 +11,13 @@ under turbulence.
 
 Fault taxonomy
 --------------
-* **Transient evaluation errors** -- a stack traversal
-  (:meth:`~repro.iostack.simulator.IOStackSimulator.trace`) raises
-  :class:`TransientFaultError` with probability ``transient_error_rate``.
-  The decision is drawn per ``(config, attempt)``, so a retry of the same
-  configuration sees an independent draw and the schedule does not depend
-  on the order configurations are traced in.
+* **Transient evaluation errors** -- an evaluation attempt (one launch
+  of the application, checked by :meth:`FaultPlan.check_trace` before
+  the run is replayed) raises :class:`TransientFaultError` with
+  probability ``transient_error_rate``.  The check runs once per
+  attempt whether or not the evaluator had the configuration's trace
+  cached, so the schedule never depends on the trace cache; a retry is
+  a new attempt with its own draw.
 * **Latency stragglers** -- a replayed run's service times are inflated
   by ``straggler_slowdown`` with probability ``straggler_rate`` (an
   evaluation that lands on a slow OST or a congested router).  Stragglers
@@ -33,15 +34,17 @@ Fault taxonomy
 Determinism contract
 --------------------
 Like :class:`~repro.iostack.noise.NoiseModel`, a plan is seeded and
-stream-positional: the transient-error decision for a configuration's
-``k``-th attempt depends only on ``(seed, config digest, k)``, and the
-straggler decision for the ``k``-th replay depends only on ``(seed,
-k)``.  The per-config attempt counters and the replay counter are the
-only mutable state; :meth:`get_state`/:meth:`set_state` round-trip them
-through JSON for the tuning journal, so a resumed run replays the exact
-fault schedule of the interrupted one.  A plan never touches the noise
-stream, and an inactive plan (all rates zero, no windows, no poison)
-leaves every simulated result bit-identical to running without one.
+stream-positional: the transient-error decision for the run's ``k``-th
+evaluation attempt depends only on ``(seed, k)``, whatever configuration
+it evaluates, and the straggler decision for the ``k``-th replay depends
+only on ``(seed, k)``.  The attempt and replay counters are the only
+mutable stream state; :meth:`get_state`/:meth:`set_state` round-trip
+them through JSON for the tuning journal, so a resumed run replays the
+exact fault schedule of the interrupted one.  Poisoned configurations
+are keyed by :func:`config_digest` and fail on every attempt.  A plan
+never touches the noise stream, and an inactive plan (all rates zero,
+no windows, no poison) leaves every simulated result bit-identical to
+running without one.
 """
 
 from __future__ import annotations
@@ -49,8 +52,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
-
-import numpy as np
 
 from ._streams import SeededStreams, check_seed, first_uniform
 from .parameters import TUNED_SPACE
@@ -180,7 +181,7 @@ class FaultPlan:
     seed:
         Base seed of every fault decision stream.
     transient_error_rate:
-        Per-attempt probability that a stack traversal raises
+        Per-attempt probability that an evaluation attempt raises
         :class:`TransientFaultError`.
     straggler_rate, straggler_slowdown:
         Per-replay probability and magnitude of a latency straggler.
@@ -211,9 +212,12 @@ class FaultPlan:
     stragglers_injected: int = field(default=0, repr=False)
 
     _poisoned: dict[str, str] = field(default_factory=dict, repr=False)
-    _trace_attempts: dict[str, int] = field(default_factory=dict, repr=False)
+    _trace_counter: int = field(default=0, repr=False)
     _replay_counter: int = field(default=0, repr=False)
     _clock: "SimulatedClock | None" = field(default=None, repr=False)
+    _trace_streams: SeededStreams = field(
+        default_factory=SeededStreams, init=False, repr=False, compare=False
+    )
     _replay_streams: SeededStreams = field(
         default_factory=SeededStreams, init=False, repr=False, compare=False
     )
@@ -266,28 +270,26 @@ class FaultPlan:
     # -- decision streams --------------------------------------------------------
 
     def check_trace(self, config: "StackConfiguration") -> None:
-        """Fault decision for one stack-traversal attempt of ``config``.
+        """Fault decision for one evaluation attempt of ``config``.
 
         Raises :class:`PoisonedConfigError` or
         :class:`TransientFaultError` when the attempt faults; otherwise
-        returns (and leaves the traversal untouched).  The decision
-        depends only on ``(seed, config digest, attempt)``.
+        returns.  The transient decision is the first ``random()`` of
+        ``default_rng((seed ^ salt, k))`` for the ``k``-th attempt.
         """
-        digest = config_digest(config)
-        poisoned = self._poisoned.get(digest)
-        if poisoned is not None:
-            raise PoisonedConfigError(f"poisoned configuration {poisoned}")
+        if self._poisoned:
+            poisoned = self._poisoned.get(config_digest(config))
+            if poisoned is not None:
+                raise PoisonedConfigError(f"poisoned configuration {poisoned}")
         if self.transient_error_rate <= 0:
             return
-        attempt = self._trace_attempts.get(digest, 0)
-        self._trace_attempts[digest] = attempt + 1
-        rng = np.random.default_rng(
-            (self.seed ^ _TRACE_SALT, int(digest, 16), attempt)
-        )
-        if rng.random() < self.transient_error_rate:
+        counter = self._trace_counter
+        self._trace_counter += 1
+        [state] = self._trace_streams.states(self.seed ^ _TRACE_SALT, counter, 1)
+        if first_uniform(*state) < self.transient_error_rate:
             self.transient_errors_injected += 1
             raise TransientFaultError(
-                f"injected transient fault (attempt {attempt}) evaluating {config!r}"
+                f"injected transient fault (attempt {counter}) evaluating {config!r}"
             )
 
     def replay_slowdown(self) -> float:
@@ -318,7 +320,7 @@ class FaultPlan:
         injection counters) for the tuning journal."""
         return {
             "replay_counter": self._replay_counter,
-            "trace_attempts": dict(self._trace_attempts),
+            "trace_counter": self._trace_counter,
             "transient_errors_injected": self.transient_errors_injected,
             "stragglers_injected": self.stragglers_injected,
         }
@@ -326,9 +328,7 @@ class FaultPlan:
     def set_state(self, state: Mapping[str, Any]) -> None:
         """Restore stream positions captured by :meth:`get_state`."""
         self._replay_counter = int(state["replay_counter"])
-        self._trace_attempts = {
-            str(k): int(v) for k, v in state["trace_attempts"].items()
-        }
+        self._trace_counter = int(state["trace_counter"])
         self.transient_errors_injected = int(
             state.get("transient_errors_injected", 0)
         )
@@ -337,6 +337,6 @@ class FaultPlan:
     def reset(self) -> None:
         """Rewind every decision stream to its start (new campaign)."""
         self._replay_counter = 0
-        self._trace_attempts.clear()
+        self._trace_counter = 0
         self.transient_errors_injected = 0
         self.stragglers_injected = 0

@@ -39,8 +39,8 @@ event              payload fields
                    ``degraded``, ``stop``)
 ``guardrail_trip`` ``guardrail``, ``kind``, ``detail``, ``iteration``
 ``cache``          ``op`` (``hit`` | ``miss`` | ``store`` | ``evict``)
-``cache_prewarm``  journal-resume cache warming summary: ``lookups``,
-                   ``hits``, ``builds``
+``cache_prewarm``  retired: no run emits it; older traces that hold it
+                   (``lookups``, ``hits``, ``builds``) still validate
 ``retry``          ``kind`` (``retry`` | ``timeout`` | ``quarantine``),
                    ``config``, optional ``attempt``/``detail``
 ``run_end``        ``stop_reason``, ``stopped_at``, ``best_perf``,

@@ -55,9 +55,6 @@ def metrics_snapshot(
             "cache.hits": stats.cache_hits,
             "cache.misses": stats.cache_misses,
             "cache.evictions": stats.cache_evictions,
-            "cache.prewarm_lookups": stats.prewarm_lookups,
-            "cache.prewarm_hits": stats.prewarm_hits,
-            "cache.prewarm_builds": stats.prewarm_builds,
             "trace.built": stats.traces_built,
             "trace.replays": stats.trace_replays,
             "trace.reuse": stats.trace_reuse,

@@ -29,6 +29,7 @@ __all__ = [
     "TraceRecorder",
     "read_trace",
     "iter_trace",
+    "iter_jsonl",
 ]
 
 
@@ -161,28 +162,39 @@ class TraceRecorder:
         self.close()
 
 
-def iter_trace(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
-    """Yield validated events from a trace file, in order.
+def iter_jsonl(path: str | os.PathLike) -> Iterator[tuple[dict[str, Any], int, int]]:
+    """Yield ``(object, end_offset, line_number)`` for each line of a
+    JSONL file (the run trace and the tuning journal share this reader).
 
-    Tolerates a torn trailing line (a run killed mid-write) by stopping
-    there; anything else undecodable raises :class:`ValueError` with the
-    offending line number.
+    ``end_offset`` is the byte offset just past the line.  One rule
+    tells a torn write from damage: a final line without its newline is
+    torn (the writer was killed mid-append) and is dropped; any other
+    line that is not a JSON object raises :class:`ValueError` naming
+    ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    offset = 0
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
+            if not line.endswith(b"\n"):
+                return
+            offset += len(line)
             try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError:
-                if line.endswith("\n"):
-                    raise ValueError(
-                        f"{os.fspath(path)}:{lineno}: undecodable trace line"
-                    ) from None
-                return  # torn final line: the run was killed mid-write
-            validate_event(record)
-            yield record
+                obj = json.loads(line)
+            except ValueError:
+                obj = None
+            if not isinstance(obj, dict):
+                raise ValueError(
+                    f"{os.fspath(path)}:{lineno}: undecodable line (not a JSON object)"
+                )
+            yield obj, offset, lineno
+
+
+def iter_trace(path: str | os.PathLike) -> Iterator[dict[str, Any]]:
+    """Yield validated events from a trace file, in order (see
+    :func:`iter_jsonl` for how a torn or damaged line is handled)."""
+    for record, _, _ in iter_jsonl(path):
+        validate_event(record)
+        yield record
 
 
 def read_trace(path: str | os.PathLike) -> list[dict[str, Any]]:

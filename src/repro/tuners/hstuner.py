@@ -32,8 +32,8 @@ traces share layer results and nothing of them outlives the call.
 
 Each :meth:`tune` builds a fresh evaluator, and the evaluator counts the
 run's work on its own record; :attr:`TuningResult.eval_stats` is a copy
-of it, completed with the fault, guardrail and resume pre-warm counts
-when the run ends.
+of it, completed with the fault and guardrail counts when the run
+ends.
 
 The same call is the resilience harness: retryable failures (injected
 faults, timeouts, non-finite measurements) are retried with
@@ -49,7 +49,7 @@ generations are appended to a JSONL journal, and a replay cursor feeds
 journaled evaluations back on resume so an interrupted run continues
 bit-identically.  The tuner only calls a
 :class:`~repro.tuners.journal.RunJournal` at fixed points of the loop;
-recording, replay and the resume cache pre-warm live there.
+recording and replay live there.
 """
 
 from __future__ import annotations
@@ -456,7 +456,6 @@ class HSTuner(Tuner):
                 else 0
             ),
             guardrail_trips=len(result.guardrail_trips),
-            **self._journal.prewarm_stats,
         )
         self._journal.end_run(result.stop_reason, result.stopped_at)
         if recorder.enabled:

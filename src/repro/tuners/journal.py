@@ -7,8 +7,10 @@ GA generation the tuner appends one JSON line carrying the population
 (genomes and fitnesses), the dispatched evaluations and their measured
 perfs, the RNG state, the noise/fault stream positions, the simulated
 clock, the quarantine list and the agent state.  Each line is flushed
-and fsynced, so a kill at any instant leaves a valid prefix (a torn
-final line is detected and dropped on load).
+and fsynced, so a kill at any instant leaves a valid prefix: a final
+line without its newline is torn and dropped on load, and any other
+line that does not parse is damage, reported as a :class:`JournalError`
+naming the file and line.
 
 Resume semantics (bit-identical by construction)
 ------------------------------------------------
@@ -29,20 +31,14 @@ one, otherwise the journal does not belong to this pipeline
 (:class:`JournalError`).
 
 Every record also carries the run's counters at its boundary
-(``n_evaluations`` and the ``resilience`` and ``fastpath`` dicts);
-replay writes them back into the evaluator's
-:class:`~repro.tuners.resilience.EvaluationStats`, so a resumed run
-counts what the uninterrupted one did.
-
-Replaying skips the simulator entirely, so at the replay-to-live
-boundary :class:`RunJournal` pre-warms the evaluation cache once with
-the traces the journaled generations had cached, through a throwaway
-:class:`~repro.tuners.resilience.ResilientEvaluator`; its lookups and
-builds of the distinct configurations are reported apart in the
-``prewarm_*`` stats.
-Traces from faulted attempts were never stored (they raise before
-construction), so a resumed run can never be served a faulted or
-partial trace.
+(``n_evaluations``, ``trace_replays`` and the ``resilience`` dict) and
+its quarantine list; replay writes them back into the evaluator, so a
+resumed run counts what the uninterrupted one did.  The journal holds
+nothing of the trace cache: the cache is a memo, and no fault draw,
+noise draw or clock charge depends on whether a trace was cached, so
+the resumed run goes live with a cold cache and still continues the
+uninterrupted run exactly.  Its cache and build counters count the
+resuming process's own lookups and builds.
 
 :class:`RunJournal` is the only code that knows the record format on
 the tuner side: :class:`~repro.tuners.hstuner.HSTuner` calls it at fixed
@@ -55,13 +51,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, fields
-from typing import TYPE_CHECKING, Any, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.iostack.config import StackConfiguration
+from repro.observability.recorder import iter_jsonl
 
-from .resilience import EvaluationStats, ResilientEvaluator
+from .resilience import EvaluationStats
 
 if TYPE_CHECKING:
     from repro.ga import Individual
@@ -80,14 +76,13 @@ __all__ = [
     "rng_state_jsonable",
 ]
 
-JOURNAL_VERSION = 1
+#: Version 2 draws transient faults per evaluation attempt; a version 1
+#: journal would resume onto a different fault schedule, so it is refused.
+JOURNAL_VERSION = 2
 
-#: The evaluator counters a record's ``resilience`` and ``fastpath``
-#: dicts carry, in key order.
+#: The evaluator counters a record's ``resilience`` dict carries, in key
+#: order.
 _RESILIENCE_KEYS = ("retries", "timeouts", "quarantined")
-_FASTPATH_KEYS = (
-    "traces_built", "trace_replays", "cache_hits", "cache_misses", "cache_evictions"
-)
 
 
 class JournalError(Exception):
@@ -118,13 +113,11 @@ class BaselineRecord:
     perf: float
     noise_position: int
     n_evaluations: int
+    #: Trace replays so far (a retried evaluation replays again).
+    trace_replays: int = 0
     fault_state: dict[str, Any] | None = None
-    #: The run's fastpath counters (cache hits/misses/evictions, traces
-    #: built/replayed) at this record's boundary.  Restored into the
-    #: evaluator's record on replay so a resumed run's
-    #: :class:`EvaluationStats` match the uninterrupted run's; empty in
-    #: journals from older builds (replay then skips the restore).
-    fastpath: dict[str, int] = field(default_factory=dict)
+    quarantine: dict[str, str] = field(default_factory=dict)
+    resilience: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
         return _as_line("baseline", self)
@@ -135,8 +128,10 @@ class BaselineRecord:
             perf=float(obj["perf"]),
             noise_position=int(obj["noise_position"]),
             n_evaluations=int(obj["n_evaluations"]),
+            trace_replays=int(obj.get("trace_replays", 0)),
             fault_state=obj.get("fault_state"),
-            fastpath=dict(obj.get("fastpath", {})),
+            quarantine=dict(obj.get("quarantine", {})),
+            resilience=dict(obj.get("resilience", {})),
         )
 
 
@@ -160,13 +155,12 @@ class GenerationRecord:
     clock_evaluations: int
     n_evaluations: int
     rng_state: dict[str, Any]
+    #: Trace replays so far (see :attr:`BaselineRecord.trace_replays`).
+    trace_replays: int = 0
     fault_state: dict[str, Any] | None = None
     quarantine: dict[str, str] = field(default_factory=dict)
     resilience: dict[str, int] = field(default_factory=dict)
     agent_state: dict[str, Any] | None = None
-    #: Run-relative fastpath counters at this generation's boundary
-    #: (see :attr:`BaselineRecord.fastpath`).
-    fastpath: dict[str, int] = field(default_factory=dict)
 
     def to_json(self) -> dict[str, Any]:
         return _as_line("generation", self)
@@ -186,11 +180,11 @@ class GenerationRecord:
             clock_evaluations=int(obj["clock_evaluations"]),
             n_evaluations=int(obj["n_evaluations"]),
             rng_state=dict(obj["rng_state"]),
+            trace_replays=int(obj.get("trace_replays", 0)),
             fault_state=obj.get("fault_state"),
             quarantine=dict(obj.get("quarantine", {})),
             resilience=dict(obj.get("resilience", {})),
             agent_state=obj.get("agent_state"),
-            fastpath=dict(obj.get("fastpath", {})),
         )
 
 
@@ -218,30 +212,6 @@ class Journal:
         return self.final is not None
 
 
-def _iter_records(path: str) -> Iterator[tuple[dict[str, Any], int, int]]:
-    """Yield ``(record, end_offset, line_number)`` for decodable JSON
-    lines; stop at the first torn/undecodable line (a crash mid-append
-    leaves at most one, at the end).  ``end_offset`` is the byte offset
-    just past the record's newline, so the caller knows where the valid
-    prefix ends."""
-    offset = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            offset += len(line.encode("utf-8"))
-            stripped = line.strip()
-            if not stripped:
-                continue
-            if not line.endswith("\n"):
-                return  # torn final line without its newline
-            try:
-                obj = json.loads(stripped)
-            except json.JSONDecodeError:
-                return
-            if not isinstance(obj, dict) or "type" not in obj:
-                return
-            yield obj, offset, lineno
-
-
 def _parse_record(cls: Any, obj: Mapping[str, Any], where: str) -> Any:
     """``cls.from_json(obj)``, or :class:`JournalError` naming the line.
 
@@ -260,17 +230,20 @@ def load_journal(path: str) -> Journal:
     """Parse a journal file, tolerating a torn trailing line.
 
     Raises :class:`JournalError` when the file is missing, does not
-    start with a valid header, holds a complete record with a missing
-    or mistyped field, interleaves generations out of order, or holds
+    start with a valid header, holds a complete line that is not a JSON
+    object (naming the line), a complete record with a missing or
+    mistyped field, interleaves generations out of order, or holds
     any record after the ``final`` one.
     """
     if not os.path.exists(path):
         raise JournalError(f"journal not found: {path}")
-    records = _iter_records(path)
     try:
-        header, end, _ = next(records)
-    except StopIteration:
-        raise JournalError(f"journal is empty: {path}") from None
+        records = list(iter_jsonl(path))
+    except ValueError as exc:
+        raise JournalError(str(exc)) from None
+    if not records:
+        raise JournalError(f"journal is empty: {path}")
+    header, end, _ = records[0]
     if header.get("type") != "header":
         raise JournalError(f"journal does not start with a header: {path}")
     version = header.get("version")
@@ -279,8 +252,8 @@ def load_journal(path: str) -> Journal:
             f"unsupported journal version {version!r} (supported: {JOURNAL_VERSION})"
         )
     journal = Journal(header=header, valid_bytes=end)
-    for obj, end, lineno in records:
-        kind = obj["type"]
+    for obj, end, lineno in records[1:]:
+        kind = obj.get("type")
         where = f"{path}:{lineno}"
         if journal.final is not None:
             raise JournalError(f"{where}: {kind} record after the final record")
@@ -297,7 +270,7 @@ def load_journal(path: str) -> Journal:
         elif kind == "final":
             journal.final = obj
         else:
-            raise JournalError(f"unknown journal record type {kind!r}")
+            raise JournalError(f"{where}: unknown journal record type {kind!r}")
         journal.valid_bytes = end
     return journal
 
@@ -451,11 +424,8 @@ class RunJournal:
         self.replay = replay
         #: Genomes dispatched in the current generation, in order.
         self.dispatched: list[list[int]] = []
-        #: ``prewarm_*`` fields of the run's ``EvaluationStats``.
-        self.prewarm_stats: dict[str, int] = {}
         self._record: GenerationRecord | None = None
         self._answered = 0
-        self._warmed = False
 
     @property
     def replaying(self) -> bool:
@@ -466,40 +436,35 @@ class RunJournal:
         """Open a run: replay the journaled baseline (restoring the
         streams it consumed) or ``evaluate()`` it live, then journal it.
         Returns the perf and whether it was replayed."""
-        tuner = self.tuner
-        self.prewarm_stats = {}
         record = self.replay.baseline() if self.replay is not None else None
         if record is None:
             perf = evaluate()
         else:
             perf = record.perf
-            tuner.simulator.noise.seek(record.noise_position)
-            self._restore_faults(record.fault_state)
-            self._restore_counts(record.n_evaluations, record.fastpath)
+            self._restore(record)
         if self.writer is not None:
+            tuner = self.tuner
             stats = tuner._resilient.stats
             self.writer.write_baseline(
                 BaselineRecord(
                     perf=perf,
                     noise_position=tuner.simulator.noise.position,
                     n_evaluations=stats.evaluations,
+                    trace_replays=stats.trace_replays,
                     fault_state=self._fault_state(),
-                    fastpath=_counts(stats, _FASTPATH_KEYS),
+                    quarantine=tuner._resilient.quarantine_state(),
+                    resilience=_counts(stats, _RESILIENCE_KEYS),
                 )
             )
         return perf, record is not None
 
     def begin_generation(self) -> None:
-        """Fetch the generation to replay; when the journal has just run
-        dry, pre-warm the cache before the first live generation."""
+        """Fetch the generation to replay (none once the journal has run
+        dry: the tuner goes live)."""
         self.dispatched.clear()
         self._answered = 0
-        if self.replay is None:
-            return
-        self._record = self.replay.next_generation()
-        if self._record is None and not self._warmed:
-            self._prewarm_cache()
-            self._warmed = True
+        if self.replay is not None:
+            self._record = self.replay.next_generation()
 
     def answer(
         self,
@@ -530,17 +495,10 @@ class RunJournal:
         record, self._record = self._record, None
         if record is None:
             return False
-        tuner = self.tuner
         verify_dispatch(record, self.dispatched)
-        tuner.simulator.noise.seek(record.noise_position)
-        tuner.clock.restore(record.clock_seconds, record.clock_evaluations)
-        self._restore_faults(record.fault_state)
-        tuner._resilient.restore_quarantine(record.quarantine)
-        stats = tuner._resilient.stats
-        for key in _RESILIENCE_KEYS:
-            setattr(stats, key, int(record.resilience.get(key, 0)))
-        self._restore_counts(record.n_evaluations, record.fastpath)
-        verify_rng(record, tuner.rng)
+        self.tuner.clock.restore(record.clock_seconds, record.clock_evaluations)
+        self._restore(record)
+        verify_rng(record, self.tuner.rng)
         return True
 
     def record_generation(
@@ -567,11 +525,11 @@ class RunJournal:
                 clock_evaluations=tuner.clock.n_evaluations,
                 n_evaluations=stats.evaluations,
                 rng_state=rng_state_jsonable(tuner.rng),
+                trace_replays=stats.trace_replays,
                 fault_state=self._fault_state(),
                 quarantine=tuner._resilient.quarantine_state(),
                 resilience=_counts(stats, _RESILIENCE_KEYS),
                 agent_state=tuner._journal_agent_state(),
-                fastpath=_counts(stats, _FASTPATH_KEYS),
             )
         )
 
@@ -579,62 +537,27 @@ class RunJournal:
         if self.writer is not None:
             self.writer.write_final(stop_reason, stopped_at)
 
-    def _prewarm_cache(self) -> None:
-        """Rebuild the traces the journaled generations cached, so the
-        first live generation sees the uninterrupted run's cache hits.
-        Otherwise each rebuild would make an extra fault-schedule draw
-        and fork the fault stream.  The configurations go through a
-        throwaway evaluator's :meth:`~ResilientEvaluator.traces` with
-        the run's quarantine (quarantined ones are skipped) and no
-        recorder; fault checks are bypassed (the journal already
-        accounts the faults that fired), and only LRU recency can differ
-        (past ``maxsize`` distinct configurations).  Its counts become
-        :attr:`prewarm_stats`, not the run's record, so
-        ``cache_hit_rate`` matches the uninterrupted run."""
-        tuner = self.tuner
-        simulator = tuner.simulator
-        configs = [StackConfiguration.default()] + [
-            StackConfiguration.from_genome(genome)
-            for record in self.replay.journal.generations
-            for genome in record.dispatched
-        ]
-        warm = ResilientEvaluator(simulator, tuner.clock, cache=tuner.cache)
-        warm.quarantine = tuner._resilient.quarantine
-        faults, simulator.faults = simulator.faults, None
-        try:
-            warm.traces(tuner._workload, configs, charge=False)
-        finally:
-            simulator.faults = faults
-        stats = warm.stats
-        counts = {
-            "lookups": stats.cache_hits + stats.cache_misses,
-            "hits": stats.cache_hits,
-            "builds": stats.traces_built,
-        }
-        self.prewarm_stats = {f"prewarm_{key}": n for key, n in counts.items()}
-        if tuner.recorder.enabled:
-            tuner.recorder.emit("cache_prewarm", **counts)
-
     def _fault_state(self) -> dict[str, Any] | None:
         faults = self.tuner.simulator.faults
         return faults.get_state() if faults is not None else None
 
-    def _restore_faults(self, state: dict[str, Any] | None) -> None:
-        faults = self.tuner.simulator.faults
-        if faults is not None and state is not None:
-            faults.set_state(state)
-
-    def _restore_counts(self, evaluations: int, fastpath: Mapping[str, int]) -> None:
-        """Write a record's evaluation count and ``fastpath`` dict back
-        into the evaluator's record, so replayed generations count what
-        they did live.  Keys this build does not journal are ignored,
-        and an empty (older) dict leaves the fastpath counters as they
-        are."""
-        stats = self.tuner._resilient.stats
-        stats.evaluations = evaluations
-        for key, value in fastpath.items():
-            if key in _FASTPATH_KEYS:
-                setattr(stats, key, int(value))
+    def _restore(self, record: BaselineRecord | GenerationRecord) -> None:
+        """Put back what a record's evaluations consumed and counted:
+        the noise and fault stream positions, the quarantine list and
+        the evaluator's run counters (its cache and build counters stay
+        this process's own)."""
+        tuner = self.tuner
+        tuner.simulator.noise.seek(record.noise_position)
+        faults = tuner.simulator.faults
+        if faults is not None and record.fault_state is not None:
+            faults.set_state(record.fault_state)
+        evaluator = tuner._resilient
+        evaluator.restore_quarantine(record.quarantine)
+        stats = evaluator.stats
+        stats.evaluations = record.n_evaluations
+        stats.trace_replays = record.trace_replays
+        for key in _RESILIENCE_KEYS:
+            setattr(stats, key, int(record.resilience.get(key, 0)))
 
 
 def _counts(stats: EvaluationStats, keys: Sequence[str]) -> dict[str, int]:

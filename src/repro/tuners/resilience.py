@@ -7,6 +7,13 @@ configuration reliably wedges the middleware.  :class:`ResilientEvaluator`
 wraps the simulator's trace/replay fastpath so a failure becomes a
 *decision* (retry, time out, quarantine) instead of a crash:
 
+* **One retry loop.**  Every attempt of an evaluation first asks the
+  simulator's fault plan whether the launch faults
+  (:meth:`~repro.iostack.faults.FaultPlan.check_trace`, once per
+  attempt, on a cache hit as on a miss), then replays the trace.
+  Building a trace never faults, so transient faults, poisoned
+  configurations, timeouts and non-finite measurements all retry in
+  :meth:`ResilientEvaluator.evaluate_trace`.
 * **Bounded retry with exponential backoff.**  A retryable failure (any
   :class:`~repro.iostack.faults.EvaluationError`) is re-attempted up to
   ``max_retries`` times.  Each retry charges the simulated tuning clock
@@ -30,16 +37,16 @@ as the unwrapped fastpath, so with no faults firing and no timeout
 tripping, results remain bit-identical to the pre-harness pipeline.
 
 The evaluator is the only code that touches the trace cache: tuning
-runs, the offline parameter sweep and the journal's resume pre-warm all
-look traces up, build and store them through it.  Every evaluation of a
-tuning run passes through one evaluator, so it owns the run's only
-counter record, :attr:`ResilientEvaluator.stats` (an
-:class:`EvaluationStats`), and counts -- and,
-with a recorder attached, emits the ``cache`` and ``retry`` trace
-events -- at the points where it already branches: evaluations, cache
-hits and misses, stores and evictions, traces built and replayed,
-retries, timeouts and quarantines.  The counts are run-local by
-construction.
+runs and the offline parameter sweep look traces up, build and store
+them through it.  The cache is a pure memo: whether a trace was cached
+changes no fault draw, no noise draw and no clock charge.  Every
+evaluation of a tuning run passes through one evaluator, so it owns the
+run's only counter record, :attr:`ResilientEvaluator.stats` (an
+:class:`EvaluationStats`), and counts -- and, with a recorder
+attached, emits the ``cache`` and ``retry`` trace events -- at the
+points where it already branches: evaluations, cache hits and misses,
+stores and evictions, traces built and replayed, retries, timeouts and
+quarantines.  The counts are run-local by construction.
 """
 
 from __future__ import annotations
@@ -117,10 +124,13 @@ class EvaluationStats:
     """The counter record of one tuning run, surfaced on
     :class:`~repro.tuners.base.TuningResult` and in the CLI report.
 
-    The run's :class:`ResilientEvaluator` owns it and counts where it branches: evaluations, cache lookups that hit
-    or miss, stores that evicted, traces built and replayed, retries,
-    timeouts and quarantines.  The tuner fills in the fault, guardrail
-    and ``prewarm_*`` fields as the run ends.
+    The run's :class:`ResilientEvaluator` owns it and counts where it
+    branches: evaluations, cache lookups that hit or miss, stores that
+    evicted, traces built and replayed, retries, timeouts and
+    quarantines.  The tuner fills in the fault and guardrail fields as
+    the run ends.  The cache and build counters count this process's
+    memo work: a run resumed from its journal restores the others and
+    counts only its own lookups and builds.
     """
 
     #: Configuration evaluations performed (baseline included).
@@ -145,24 +155,19 @@ class EvaluationStats:
     #: training divergence, degenerate policies); details live on
     #: :attr:`~repro.tuners.base.TuningResult.guardrail_trips`.
     guardrail_trips: int = 0
-    #: Journal-resume cache warming, counted apart from the run's own
-    #: lookups so :attr:`cache_hit_rate` matches the uninterrupted run
-    #: (warming the cache is bookkeeping, not tuning behaviour).
-    prewarm_lookups: int = 0
-    prewarm_hits: int = 0
-    prewarm_builds: int = 0
 
     @property
     def cache_hit_rate(self) -> float:
-        """Hit rate of the run's own lookups; cache pre-warming on
-        journal resume is excluded (see the ``prewarm_*`` fields)."""
+        """Hit rate of the cache lookups counted in this process."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
 
     @property
     def trace_reuse(self) -> int:
         """Replays that reused an existing trace instead of traversing
-        the stack -- the simulations the fastpath avoided."""
+        the stack -- the simulations the fastpath avoided.  On a resumed
+        run the replays include the journaled generations', which this
+        process did not build."""
         return max(0, self.trace_replays - self.traces_built)
 
     def as_dict(self) -> dict[str, int]:
@@ -251,56 +256,31 @@ class ResilientEvaluator:
     # -- trace construction -----------------------------------------------------
 
     def build_trace(
-        self,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-        charge: bool = True,
-    ) -> StackTrace | None:
-        """Build and cache the trace for ``config``, retrying transient
-        failures.
-
-        Returns ``None`` when the configuration is (or becomes)
-        quarantined.  Faulted attempts raise before producing anything,
-        so no partial trace is ever stored.
-        """
-        if self.is_quarantined(config):
-            return None
-        last: EvaluationError | None = None
-        for attempt in range(self.policy.max_retries + 1):
-            try:
-                trace = self.simulator.trace(workload, config)
-            except EvaluationError as exc:
-                last = exc
-                if attempt < self.policy.max_retries:
-                    self.stats.retries += 1
-                    self._charge_failed_attempt(attempt, charge)
-                    self._emit_retry("retry", config, attempt=attempt, detail=str(exc))
-                continue
-            except Exception as exc:
-                raise HarnessError(
-                    f"trace construction failed for {config!r}"
-                ) from exc
-            self.stats.traces_built += 1
-            evicted = self.cache.store(self.simulator.platform, workload, config, trace)
-            self._emit_cache("store")
-            if evicted:
-                self.stats.cache_evictions += 1
-                self._emit_cache("evict")
-            return trace
-        assert last is not None
-        self._quarantine(config, last)
-        return None
+        self, workload: WorkloadLike, config: StackConfiguration
+    ) -> StackTrace:
+        """Build ``config``'s trace and store it in the cache.  Building
+        never faults, so any exception is a bug: it is re-raised as a
+        :class:`HarnessError` naming the configuration."""
+        try:
+            trace = self.simulator.trace(workload, config)
+        except Exception as exc:
+            raise HarnessError(
+                f"trace construction failed for {config!r}"
+            ) from exc
+        self.stats.traces_built += 1
+        evicted = self.cache.store(self.simulator.platform, workload, config, trace)
+        self._emit_cache("store")
+        if evicted:
+            self.stats.cache_evictions += 1
+            self._emit_cache("evict")
+        return trace
 
     def traces(
-        self,
-        workload: WorkloadLike,
-        configs: Sequence[StackConfiguration],
-        charge: bool,
+        self, workload: WorkloadLike, configs: Sequence[StackConfiguration]
     ) -> dict[StackConfiguration, StackTrace | None]:
         """The trace of each distinct configuration, or ``None`` for a
         quarantined one: every cache lookup first, in first-seen order,
-        then the misses are built (:meth:`build_trace`).  The journal's
-        resume pre-warm calls this directly to fill the cache."""
+        then the misses are built (:meth:`build_trace`)."""
         traces: dict[StackConfiguration, StackTrace | None] = {}
         distinct = list(dict.fromkeys(configs))
         for config in distinct:
@@ -317,7 +297,7 @@ class ResilientEvaluator:
                 traces[config] = cached
         for config in distinct:
             if config not in traces:
-                traces[config] = self.build_trace(workload, config, charge)
+                traces[config] = self.build_trace(workload, config)
         return traces
 
     # -- evaluation -------------------------------------------------------------
@@ -345,16 +325,23 @@ class ResilientEvaluator:
         repeats: int,
         charge: bool = True,
     ) -> float:
-        """Replay ``trace`` resiliently and return its perf.
+        """Evaluate ``config`` from its ``trace`` and return its perf: the
+        harness's one retry loop.
 
-        The first attempt uses the ``factors`` slice :meth:`evaluate`
-        pre-drew; retry attempts draw fresh factors.  Timeouts and
-        non-finite measurements retry, then quarantine.
+        Each attempt first draws the fault plan's decision for the
+        launch (:meth:`~repro.iostack.faults.FaultPlan.check_trace`),
+        then replays the trace and rejects non-finite and timed-out
+        measurements.  The first attempt uses the ``factors`` slice
+        :meth:`evaluate` pre-drew; every retry draws fresh factors.  A
+        configuration whose attempts all fail is quarantined.
         """
+        faults = self.simulator.faults
         attempt_factors = factors
         for attempt in range(self.policy.max_retries + 1):
-            self.stats.trace_replays += len(attempt_factors)
             try:
+                if faults is not None:
+                    faults.check_trace(config)
+                self.stats.trace_replays += len(attempt_factors)
                 evaluation = self._validated(
                     self.simulator.evaluate_trace_with_factors(trace, attempt_factors)
                 )
@@ -401,7 +388,7 @@ class ResilientEvaluator:
             raise ValueError("repeats must be >= 1")
         self.stats.evaluations += len(configs)
         factors = self.simulator.noise.sample_factors(repeats * len(configs))
-        traces = self.traces(workload, configs, charge)
+        traces = self.traces(workload, configs)
         perfs: list[float] = []
         for i, config in enumerate(configs):
             trace = traces[config]

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from repro.core.cli import build_parser, build_resume_parser, main
+from repro.tuners.journal import JOURNAL_VERSION
 
 
 def test_parser_defaults():
@@ -166,6 +167,47 @@ def test_journal_then_resume_reproduces_the_run(tmp_path, capsys):
     assert history(resumed_out) == history(full_out)
 
 
+def test_resume_of_a_journal_damaged_mid_file_maps_to_exit_3(tmp_path, capsys):
+    """A complete line cut short in the middle of a journal is damage,
+    not a torn append: resume names the line, exits 3 and leaves the
+    file untouched (it must not truncate it and re-run the rest)."""
+    journal = tmp_path / "j.jsonl"
+    assert main([
+        "flash", "--tuner", "hstuner", "--iterations", "6", "--seed", "3",
+        "--journal", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    lines = open(journal).readlines()
+    lines[3] = lines[3][:40] + "\n"  # generation 1, newline kept
+    journal.write_text("".join(lines))
+    damaged = journal.read_bytes()
+    assert main(["resume", str(journal)]) == 3
+    captured = capsys.readouterr()
+    assert f"{journal}:4: " in captured.err and "resuming" not in captured.out
+    assert journal.read_bytes() == damaged
+
+
+def test_resume_of_a_version_1_journal_maps_to_exit_3(tmp_path, capsys):
+    """Version 1 journals drew transient faults per trace build, so their
+    faulted runs would resume onto a different fault schedule: they are
+    refused, not replayed."""
+    journal = tmp_path / "v1.journal"
+    assert main([
+        "ior", "--tuner", "hstuner", "--iterations", "3", "--seed", "3",
+        "--fault-rate", "0.15", "--journal", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    lines = open(journal).readlines()
+    header = json.loads(lines[0])
+    assert header["version"] == JOURNAL_VERSION == 2
+    header["version"] = 1
+    journal.write_text(json.dumps(header) + "\n" + "".join(lines[1:3]))
+    before = journal.read_bytes()
+    assert main(["resume", str(journal)]) == 3
+    assert "unsupported journal version 1" in capsys.readouterr().err
+    assert journal.read_bytes() == before
+
+
 def test_resume_of_completed_journal_is_refused(tmp_path, capsys):
     journal = tmp_path / "t.journal"
     assert main([
@@ -214,7 +256,8 @@ def test_resume_below_the_journaled_generations_is_refused(tmp_path, capsys):
 
 
 def write_header(path, args):
-    path.write_text(json.dumps({"type": "header", "version": 1, "args": args}) + "\n")
+    header = {"type": "header", "version": JOURNAL_VERSION, "args": args}
+    path.write_text(json.dumps(header) + "\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -269,8 +312,8 @@ def test_trace_and_metrics_flags_write_files(tmp_path, capsys):
 def test_metrics_out_equals_the_report_rebuilt_from_the_trace(tmp_path, capsys):
     """One counter record per run: the counters ``--metrics-out`` writes
     equal the ones ``tunio-report --json`` rebuilds from the same run's
-    trace, and a resume from a cut journal reports the same counters
-    except its own cache pre-warm."""
+    trace, and a resume from a cut journal reports the same run counters.
+    Its cache and build counters count its own memo work only."""
     from repro.observability.report import main as report_main
 
     def counters(name, argv):
@@ -290,16 +333,22 @@ def test_metrics_out_equals_the_report_rebuilt_from_the_trace(tmp_path, capsys):
         "ior", "--tuner", "hstuner", "--iterations", "6", "--seed", "3",
         "--fault-rate", "0.15", "--journal", str(journal),
     ])
-    assert full["resilience.retries"] > 0 and full["cache.prewarm_lookups"] == 0
+    assert full["resilience.retries"] > 0
     cut = tmp_path / "cut.journal"
     cut.write_text("".join(open(journal).readlines()[:4]))
     resumed = counters("resumed", ["resume", str(cut)])
-    assert resumed["cache.prewarm_lookups"] > 0
 
-    def own(c):
-        return {k: v for k, v in c.items() if not k.startswith("cache.prewarm_")}
+    memo = ("cache.hits", "cache.misses", "cache.evictions", "trace.built", "trace.reuse")
 
-    assert own(resumed) == own(full)
+    def run(c):
+        assert set(memo) <= set(c)
+        return {k: v for k, v in c.items() if k not in memo}
+
+    assert run(resumed) == run(full)
+    # two of the six generations were replayed, so the resume looked up less
+    assert (resumed["cache.hits"] + resumed["cache.misses"]
+            < full["cache.hits"] + full["cache.misses"])
+    assert resumed["trace.built"] == resumed["cache.misses"]
 
 
 @pytest.mark.observability
@@ -370,7 +419,7 @@ def test_resume_missing_journal_maps_to_exit_3(capsys):
 
 def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
     bogus = tmp_path / "b.journal"
-    bogus.write_text('{"type":"header","version":1}\n')
+    bogus.write_text(json.dumps({"type": "header", "version": JOURNAL_VERSION}) + "\n")
     assert main(["resume", str(bogus)]) == 3
     assert "not written by tunio-tune" in capsys.readouterr().err
 
@@ -381,7 +430,7 @@ def test_resume_foreign_journal_maps_to_exit_3(tmp_path, capsys):
 ], ids=["missing-field", "wrong-type"])
 def test_resume_malformed_record_maps_to_exit_3(tmp_path, capsys, bad):
     journal = tmp_path / "t.journal"
-    header = {"type": "header", "version": 1, "args": {"workload": "ior"}}
+    header = {"type": "header", "version": JOURNAL_VERSION, "args": {"workload": "ior"}}
     journal.write_text(json.dumps(header) + "\n" + json.dumps(bad) + "\n")
     assert main(["resume", str(journal)]) == 3
     err = capsys.readouterr().err

@@ -130,8 +130,8 @@ def test_get_trace_builds_once(sim):
     evaluator = ResilientEvaluator(sim, SimulatedClock(), cache)
     w = make_workload()
     config = StackConfiguration.default()
-    first = evaluator.traces(w, [config], charge=False)[config]
-    second = evaluator.traces(w, [config], charge=False)[config]
+    first = evaluator.traces(w, [config])[config]
+    second = evaluator.traces(w, [config])[config]
     assert first is not None
     assert second is first
     assert len(cache) == 1
@@ -306,8 +306,11 @@ def test_restoring_same_key_does_not_evict(sim):
 
 
 def test_faulted_traces_are_never_stored_or_served():
-    """A faulted attempt raises before the trace exists, so the cache
-    can never memoize -- and never serve -- a partial trace."""
+    """Building a trace never faults: a fault belongs to an evaluation
+    attempt, which runs after the trace exists.  So the cache only ever
+    holds complete traces -- a poisoned configuration's cached trace is
+    the one a fault-free simulator builds -- and serving it later
+    changes no fault decision."""
     from repro.iostack import FaultPlan
 
     plan = FaultPlan(seed=0)
@@ -319,12 +322,11 @@ def test_faulted_traces_are_never_stored_or_served():
     evaluator = ResilientEvaluator(sim, SimulatedClock(), cache)
     assert evaluator.evaluate(w, [config], repeats=1, charge=False) == [0.0]
     assert evaluator.stats.quarantined == 1
-    assert len(cache) == 0
-    assert cache.lookup(sim.platform, w, config) is None
-    # once the fault clears, a real trace is built and cached normally
-    sim.faults = None
-    ResilientEvaluator(sim, SimulatedClock(), cache).evaluate(
-        w, [config], repeats=1, charge=False
-    )
     assert len(cache) == 1
-    assert cache.lookup(sim.platform, w, config) is not None
+    clean = IOStackSimulator(cori(2), NoiseModel(seed=11)).trace(w, config)
+    assert repr(cache.lookup(sim.platform, w, config)) == repr(clean)
+    # once the fault clears, the cached trace is served, not rebuilt
+    sim.faults = None
+    served = ResilientEvaluator(sim, SimulatedClock(), cache)
+    served.evaluate(w, [config], repeats=1, charge=False)
+    assert (served.stats.cache_hits, served.stats.traces_built) == (1, 0)

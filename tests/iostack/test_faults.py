@@ -15,7 +15,8 @@ from repro.iostack import (
     cori,
 )
 from repro.iostack.clock import SimulatedClock
-from repro.iostack.faults import _REPLAY_SALT
+from repro.iostack.faults import _REPLAY_SALT, _TRACE_SALT
+from repro.tuners.resilience import WORST_CASE_PERF, ResilientEvaluator, RetryPolicy
 from tests.conftest import make_workload
 
 
@@ -92,41 +93,72 @@ def test_transient_schedule_differs_across_seeds():
     assert a != b
 
 
-def test_transient_schedule_is_per_config():
+def test_transient_schedule_is_per_attempt():
+    """The decision for the run's ``k``-th attempt depends on ``(seed,
+    k)`` only: two plans checking different configurations fault at the
+    same attempts."""
     x, y = random_configs(2)
-    plan = FaultPlan(seed=3, transient_error_rate=0.5)
-    assert faulted_attempts(plan, x, 32) != faulted_attempts(plan, y, 32)
+    a = faulted_attempts(FaultPlan(seed=3, transient_error_rate=0.5), x, 32)
+    b = faulted_attempts(FaultPlan(seed=3, transient_error_rate=0.5), y, 32)
+    assert a == b
+    assert any(a) and not all(a)
 
 
 def test_transient_schedule_is_order_independent():
-    """The decision for (config, attempt) must not depend on the order
-    configurations are traced in: the evaluator looks every
-    configuration up before it builds the misses."""
+    """Which attempts fault does not depend on the configurations
+    checked or their order, so a cache hit and a miss see the same
+    schedule."""
     configs = random_configs(8, seed=5)
 
     def schedule(order):
         plan = FaultPlan(seed=9, transient_error_rate=0.4)
-        outcomes = {}
+        outcomes = []
         for attempt in range(4):
             for config in order:
                 try:
                     plan.check_trace(config)
-                    outcomes[(config_digest(config), attempt)] = False
+                    outcomes.append(False)
                 except TransientFaultError:
-                    outcomes[(config_digest(config), attempt)] = True
+                    outcomes.append(True)
         return outcomes
 
     permuted = [configs[i] for i in np.random.default_rng(1).permutation(8)]
     assert schedule(configs) == schedule(permuted)
-    assert any(schedule(configs).values())  # some attempts did fault
+    assert any(schedule(configs))  # some attempts did fault
+
+
+# The last seed's salted key has four uint32 words and takes the per-key
+# seeding fallback.
+@pytest.mark.parametrize("seed", [0, 9, 2**96 + 3])
+def test_transient_stream_matches_the_per_attempt_formula(seed):
+    """Attempt ``k`` faults exactly when the first ``random()`` of
+    ``default_rng((seed ^ salt, k))`` is below the rate, also after a
+    state round-trip to an arbitrary counter."""
+    rate = 0.3
+    plan = FaultPlan(seed=seed, transient_error_rate=rate)
+    config = StackConfiguration.default()
+
+    def expected(start, n):
+        return [
+            np.random.default_rng((seed ^ _TRACE_SALT, k)).random() < rate
+            for k in range(start, start + n)
+        ]
+
+    got = faulted_attempts(plan, config, 40)  # past the first read-ahead block
+    assert got == expected(0, 40)
+    assert plan.transient_errors_injected == sum(got)
+    for counter in (12345, 2**32 - 7, 3):
+        plan.set_state(dict(plan.get_state(), trace_counter=counter))
+        assert faulted_attempts(plan, config, 15) == expected(counter, 15)
+        assert plan.get_state()["trace_counter"] == counter + 15
 
 
 def test_zero_rate_never_faults_and_makes_no_draws():
     plan = FaultPlan(seed=0, transient_error_rate=0.0)
     config = StackConfiguration.default()
     assert faulted_attempts(plan, config, 16) == [False] * 16
-    # rate 0 short-circuits: not even attempt counters advance
-    assert plan.get_state()["trace_attempts"] == {}
+    # rate 0 short-circuits: not even the attempt counter advances
+    assert plan.get_state()["trace_counter"] == 0
 
 
 # -- poisoned configurations ---------------------------------------------------
@@ -251,20 +283,22 @@ def test_inactive_plan_is_bit_identical_to_no_plan():
 
 
 def test_trace_fault_raises_before_any_work(monkeypatch):
-    from repro.iostack import simulator as simulator_module
-
+    """Building a trace never faults; a faulted evaluation attempt
+    raises at its fault check, before the trace is replayed."""
     sim = IOStackSimulator(
         cori(2), NoiseModel(seed=11), faults=FaultPlan(seed=0)
     )
     config = StackConfiguration.default()
     sim.faults.poison(config)
-    layer_calls = []
-    monkeypatch.setattr(
-        simulator_module, "apply_hdf5", lambda *a: layer_calls.append(a)
-    )
-    with pytest.raises(PoisonedConfigError):
-        sim.trace(make_workload(), config)
-    assert layer_calls == []  # no partial trace was constructed
+    trace = sim.trace(make_workload(), config)
+    replays = []
+    monkeypatch.setattr(sim, "replay", lambda *a: replays.append(a))
+    evaluator = ResilientEvaluator(sim, SimulatedClock(), policy=RetryPolicy(max_retries=2))
+    perf = evaluator.evaluate_trace(make_workload(), config, trace, [1.0], repeats=1)
+    assert perf == WORST_CASE_PERF
+    assert replays == []  # no attempt got past its fault check
+    assert evaluator.stats.trace_replays == 0
+    assert evaluator.stats.retries == 2 and evaluator.stats.quarantined == 1
 
 
 def test_straggler_lowers_bandwidth_and_lengthens_runtime():
@@ -312,7 +346,7 @@ def test_reset_rewinds_to_the_start():
     plan.reset()
     assert plan.get_state() == {
         "replay_counter": 0,
-        "trace_attempts": {},
+        "trace_counter": 0,
         "transient_errors_injected": 0,
         "stragglers_injected": 0,
     }

@@ -44,19 +44,26 @@ def make_stats(**overrides):
 
 
 def test_ingest_eval_stats_maps_every_counter():
-    stats = make_stats(retries=2, faults_injected=3, guardrail_trips=1,
-                       prewarm_lookups=6, prewarm_hits=4, prewarm_builds=2)
+    stats = make_stats(retries=2, timeouts=4, quarantined=1, cache_evictions=6,
+                       faults_injected=3, guardrail_trips=1)
     snap = snapshot_of(stats)
     c = snap["counters"]
     assert c["evaluations"] == 20
     assert c["cache.hits"] == 5 and c["cache.misses"] == 15
+    assert c["cache.evictions"] == 6
     assert c["trace.built"] == 15 and c["trace.replays"] == 40
     assert c["trace.reuse"] == stats.trace_reuse == 25
     assert c["resilience.retries"] == 2
+    assert c["resilience.timeouts"] == 4 and c["resilience.quarantined"] == 1
     assert c["faults.injected"] == 3
-    assert c["cache.prewarm_lookups"] == 6
-    assert c["cache.prewarm_hits"] == 4
-    assert c["cache.prewarm_builds"] == 2
+    assert c["guardrail.trips"] == 0  # counted from the result's trips
+    assert sorted(c) == sorted([
+        "run.iterations", "run.total_evaluations", "evaluations",
+        "cache.hits", "cache.misses", "cache.evictions", "trace.built",
+        "trace.replays", "trace.reuse", "resilience.retries",
+        "resilience.timeouts", "resilience.quarantined", "faults.injected",
+        "guardrail.trips",
+    ])
     assert snap["gauges"]["cache.hit_rate"] == stats.cache_hit_rate
 
 

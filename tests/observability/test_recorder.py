@@ -124,6 +124,22 @@ def test_mid_file_corruption_raises_with_line_number(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("damage", [
+    '{"schema":1,"event":"gen\n',  # a complete line cut short
+    '[1, 2]\n',  # valid JSON, not an object
+])
+def test_only_a_final_line_without_its_newline_is_torn(tmp_path, damage):
+    """A complete (newline-terminated) line that is not a JSON object is
+    damage wherever it is, also as the last line; it is reported with
+    its ``path:line``."""
+    path = tmp_path / "t.jsonl"
+    with TraceRecorder(path) as rec:
+        rec.emit("run_start")
+    path.write_text(path.read_text() + damage)
+    with pytest.raises(ValueError, match=f"{path}:2: undecodable"):
+        read_trace(path)
+
+
 @pytest.mark.parametrize(
     "record, match",
     [

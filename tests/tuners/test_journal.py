@@ -12,6 +12,7 @@ from repro.iostack import (
     IOStackSimulator,
     NoiseModel,
     StackConfiguration,
+    TransientFaultError,
     cori,
 )
 from repro.observability.metrics import (
@@ -30,6 +31,7 @@ from repro.tuners.journal import (
 )
 from repro.tuners.resilience import HarnessError, RetryPolicy
 from repro.tuners.stoppers import NoStop
+from repro.workloads import flash
 from tests.conftest import make_workload
 
 
@@ -107,6 +109,29 @@ def test_load_rejects_a_complete_malformed_record(tmp_path, record, problem):
     )
     with pytest.raises(JournalError, match=f"m.journal:2: malformed .*{problem}"):
         load_journal(str(path))
+
+
+@pytest.mark.parametrize("damage", [
+    lambda line: line[:40] + "\n",  # cut short, newline kept
+    lambda line: "[]\n",  # valid JSON, not an object
+    lambda line: json.dumps({"perf": 1.0}) + "\n",  # no record type
+], ids=["cut-short", "not-an-object", "untyped"])
+def test_load_rejects_a_damaged_line_mid_file(tmp_path, damage):
+    """Only a final line without its newline is a torn append; a damaged
+    complete line is a journal error naming it, and loading leaves the
+    file as it was."""
+    path = tmp_path / "d.journal"
+    tuner = make_tuner()
+    tuner.attach_journal(JournalWriter(str(path), header={"h": 1}))
+    tuner.tune(make_workload(), max_iterations=4)
+    tuner._journal.writer.close()
+    lines = open(path).readlines()
+    lines[3] = damage(lines[3])
+    path.write_text("".join(lines))
+    before = path.read_bytes()
+    with pytest.raises(JournalError, match="d.journal:4: "):
+        load_journal(str(path))
+    assert path.read_bytes() == before
 
 
 def test_load_rejects_records_after_final(tmp_path):
@@ -233,46 +258,59 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
     assert result.stop_reason == "budget"
 
 
-def without_prewarm(stats):
-    return {k: v for k, v in stats.as_dict().items()
-            if not k.startswith("prewarm_")}
+#: ``EvaluationStats`` fields that count the process's own trace-cache
+#: work.  The journal does not carry them: a resumed run counts only its
+#: own lookups and builds.
+MEMO_COUNTERS = ("cache_hits", "cache_misses", "cache_evictions", "traces_built")
+
+
+def run_counters(stats):
+    """Every ``EvaluationStats`` counter except the memo ones."""
+    counters = stats.as_dict()
+    assert set(MEMO_COUNTERS) <= set(counters)
+    return {k: v for k, v in counters.items() if k not in MEMO_COUNTERS}
 
 
 @pytest.mark.parametrize("keep_generations", [1, 3, 5])
 @pytest.mark.parametrize("faults", [False, True])
-def test_resumed_run_reports_the_fresh_runs_cache_stats(
+def test_resumed_run_reports_the_fresh_runs_run_counters(
     tmp_path, faults, keep_generations
 ):
-    """Cache-accounting regression: journal replay re-warms the trace
-    cache, and those warming lookups must not inflate the resumed run's
-    cache_hit_rate.  The resumed EvaluationStats match the uninterrupted
-    run's exactly, with warming visible only in the prewarm_* fields."""
-    _, _, resumed_result = run_and_kill_then_resume(
+    """A resumed run restores every run counter from its journal, so it
+    reports the uninterrupted run's evaluations, replays, retries,
+    timeouts, quarantines and injected faults.  Its cache counters count
+    what it did itself: one lookup per distinct configuration of each
+    generation it ran live, starting from a cold cache."""
+    full, _, resumed_result = run_and_kill_then_resume(
         tmp_path, faults=faults, keep_generations=keep_generations
     )
     fresh_result = make_tuner(faults=fault_plan(faults)).tune(
         make_workload(), max_iterations=6
     )
     fresh, resumed = fresh_result.eval_stats, resumed_result.eval_stats
+    assert run_counters(resumed) == run_counters(fresh)
+    assert resumed.quarantined == 0  # so every live configuration was looked up
 
-    assert resumed.prewarm_lookups > 0
-    assert resumed.prewarm_builds > 0
-    assert fresh.prewarm_lookups == 0  # uninterrupted runs never prewarm
-
-    assert without_prewarm(resumed) == without_prewarm(fresh)
-    assert resumed.cache_hit_rate == fresh.cache_hit_rate
+    live = journal_bodies(full)[1 + keep_generations:-1]
+    lookups = sum(len({tuple(g) for g in record["dispatched"]}) for record in live)
+    assert resumed.cache_hits + resumed.cache_misses == lookups
+    assert resumed.traces_built == resumed.cache_misses
+    assert lookups < fresh.cache_hits + fresh.cache_misses
 
 
 @pytest.mark.parametrize("faults", [False, True])
 def test_resume_accepts_journals_with_retired_counters(tmp_path, faults):
-    """Journals written before the disk trace cache and the trace pools
-    were removed carry ``disk_*`` keys in ``fastpath`` and ``fallbacks``
-    in ``resilience``.  They still resume, and the resumed run equals
-    the uninterrupted one."""
+    """Records written by older builds of this journal version may carry
+    counters this build no longer journals: the trace cache's
+    ``fastpath`` dict (with the disk cache's ``disk_*`` keys) and
+    ``fallbacks`` in ``resilience``.  They are ignored; the resumed run
+    equals the uninterrupted one."""
 
     def with_retired_counters(record):
-        if "fastpath" in record:
-            record["fastpath"].update(disk_hits=2, disk_misses=3, disk_stores=1)
+        record["fastpath"] = dict(
+            traces_built=9, cache_hits=8, cache_misses=7, cache_evictions=6,
+            disk_hits=2, disk_misses=3, disk_stores=1,
+        )
         if "resilience" in record:
             record["resilience"]["fallbacks"] = 4
         return record
@@ -286,7 +324,7 @@ def test_resume_accepts_journals_with_retired_counters(tmp_path, faults):
     )
     assert resumed.history == fresh.history
     assert resumed.best_config == fresh.best_config
-    assert without_prewarm(resumed.eval_stats) == without_prewarm(fresh.eval_stats)
+    assert run_counters(resumed.eval_stats) == run_counters(fresh.eval_stats)
     # Everything after the edited records is written exactly as before.
     assert journal_bodies(full)[4:] == journal_bodies(cut)[4:]
 
@@ -338,11 +376,91 @@ def test_twenty_generation_tune_survives_injected_faults():
     )
     assert stats.retries > 0
     assert resilience_line(snapshot) == (
-        "12 faults injected, 6 retries, 0 timeouts, 0 quarantined"
+        "14 faults injected, 8 retries, 0 timeouts, 0 quarantined"
     )
     # faults cost tuning time but must not wreck the search
     assert faulted.best_perf >= 0.5 * clean.best_perf
     assert faulted.total_minutes >= clean.total_minutes
+
+
+def faulted_flash_run(tmp_path, name, seed, cache):
+    """A journaled 12-generation FLASH tune under transient faults."""
+    workload = flash()
+    plan = FaultPlan(seed=seed, transient_error_rate=0.15)
+    sim = IOStackSimulator(cori(workload.n_nodes), NoiseModel(seed=seed), faults=plan)
+    tuner = HSTuner(
+        sim, stopper=NoStop(), rng=np.random.default_rng(seed), cache=cache,
+        retry_policy=RetryPolicy(max_retries=3),
+    )
+    path = tmp_path / f"{name}.journal"
+    with JournalWriter(str(path), header={"seed": seed}) as writer:
+        tuner.attach_journal(writer)
+        result = tuner.tune(workload, max_iterations=12)
+    return result, path.read_bytes()
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("seed", [9, 11])
+def test_fault_schedule_does_not_depend_on_the_cache(tmp_path, seed):
+    """A transient fault belongs to an evaluation attempt, so a cache
+    that holds one trace (every re-visit rebuilt) gives the same run as
+    the default cache: same history, best config, simulated minutes,
+    retries, injected faults and journal bytes."""
+    default, default_bytes = faulted_flash_run(tmp_path, "default", seed, EvaluationCache())
+    tiny, tiny_bytes = faulted_flash_run(tmp_path, "tiny", seed, EvaluationCache(maxsize=1))
+    assert tiny.history == default.history
+    assert tiny.best_config == default.best_config
+    assert tiny.total_minutes == default.total_minutes
+    assert tiny.eval_stats.retries == default.eval_stats.retries > 0
+    assert tiny.eval_stats.faults_injected == default.eval_stats.faults_injected
+    assert tiny_bytes == default_bytes
+    # the memo did differ: the one-trace cache rebuilt re-visited configurations
+    assert tiny.eval_stats.cache_hits < default.eval_stats.cache_hits
+    assert tiny.eval_stats.traces_built > default.eval_stats.traces_built
+
+
+@pytest.mark.faults
+@pytest.mark.parametrize("max_retries", [1, 3])
+def test_kill_after_a_faulted_baseline_resumes_bit_identically(tmp_path, max_retries):
+    """The baseline record carries what the baseline's evaluation left:
+    its retries and, when they ran out, the quarantined default
+    configuration.  A journal cut right after it resumes to the
+    uninterrupted run."""
+
+    def attempts(seed):
+        plan = FaultPlan(seed=seed, transient_error_rate=0.5)
+        faulted = []
+        for _ in range(3):
+            try:
+                plan.check_trace(StackConfiguration.default())
+                faulted.append(False)
+            except TransientFaultError:
+                faulted.append(True)
+        return faulted
+
+    # the baseline's first two attempts fault and its third succeeds
+    seed = next(s for s in range(100) if attempts(s) == [True, True, False])
+
+    def tuner():
+        plan = FaultPlan(seed=seed, transient_error_rate=0.5)
+        return make_tuner(faults=plan, retry_policy=RetryPolicy(max_retries=max_retries))
+
+    full, cut = tmp_path / "full.journal", tmp_path / "cut.journal"
+    with JournalWriter(str(full), header={"h": 1}) as writer:
+        live = tuner()
+        live.attach_journal(writer)
+        live.tune(make_workload(), max_iterations=3)
+    baseline = journal_bodies(full)[0]
+    assert baseline["resilience"]["retries"] >= 1
+    assert bool(baseline["quarantine"]) == (max_retries == 1)
+    cut.write_text("".join(open(full).readlines()[:2]))
+
+    journal = load_journal(str(cut))
+    with JournalWriter(str(cut), header={"h": 1}, resume_from=journal) as writer:
+        resumed = tuner()
+        resumed.attach_journal(writer, replay=ReplayCursor(journal))
+        resumed.tune(make_workload(), max_iterations=3)
+    assert cut.read_bytes() == full.read_bytes()
 
 
 @pytest.mark.faults

@@ -145,11 +145,12 @@ def test_quarantined_config_short_circuits(workload):
     h = harness(faults=plan)
     h.evaluate(workload, [config], repeats=3)
     lookups = h.stats.cache_hits + h.stats.cache_misses
+    built, attempts = h.stats.traces_built, h.stats.retries
     t0 = h.clock.elapsed_seconds
     assert h.evaluate(workload, [config], repeats=3)[0] == 0.0
-    # not looked up or attempted again
+    # not looked up, built or attempted again
     assert h.stats.cache_hits + h.stats.cache_misses == lookups
-    assert h.stats.traces_built == 0
+    assert (h.stats.traces_built, h.stats.retries) == (built, attempts)
     assert h.clock.elapsed_seconds == t0 + h.clock.setup_overhead
 
 
@@ -233,15 +234,19 @@ def test_non_finite_perf_is_a_retryable_failure(workload):
 
 
 def test_faulted_attempts_never_store_a_trace(workload):
+    """Only the build stores a trace; the attempts that fault after it
+    store nothing."""
     plan = FaultPlan(seed=0)
     config = StackConfiguration.default()
     plan.poison(config)
     cache = EvaluationCache()
-    h = harness(faults=plan, cache=cache)
-    assert h.build_trace(workload, config) is None
-    assert len(cache) == 0
-    # ...and a later lookup cannot be served a faulted/partial trace
-    assert cache.lookup(h.simulator.platform, workload, config) is None
+    h = harness(faults=plan, cache=cache, policy=RetryPolicy(max_retries=3))
+    stored = []
+    store = cache.store
+    cache.store = lambda *args: stored.append(args) or store(*args)
+    assert h.evaluate(workload, [config], repeats=3) == [0.0]
+    assert h.stats.retries == 3 and h.stats.quarantined == 1
+    assert len(stored) == h.stats.traces_built == len(cache) == 1
 
 
 def test_successful_trace_goes_through_the_cache(workload):
