@@ -18,6 +18,13 @@ tunes:
   rate and therefore how many metadata operations reach the MDS.
 * ``coll_metadata_ops`` / ``coll_metadata_write`` -- collapse redundant
   per-process metadata reads/writes into one operation plus a broadcast.
+
+The layer has two independent halves.  :func:`apply_hdf5` transforms a
+phase's data streams and reads only ``chunk_cache_size``,
+``sieve_buf_size`` and ``alignment`` (:data:`DATA_PARAMETERS`);
+:func:`apply_hdf5_metadata` transforms its metadata stream and reads only
+the other four (:data:`METADATA_PARAMETERS`).  A phase's HDF5 overhead
+is the data half's plus the metadata half's.
 """
 
 from __future__ import annotations
@@ -33,7 +40,24 @@ from .phase import IOPhase
 from .requests import MetadataStream, RequestStream
 from .units import KiB
 
-__all__ = ["HDF5Result", "apply_hdf5"]
+__all__ = [
+    "DATA_PARAMETERS",
+    "METADATA_PARAMETERS",
+    "HDF5Result",
+    "apply_hdf5",
+    "apply_hdf5_metadata",
+]
+
+#: The hdf5 parameters :func:`apply_hdf5` reads.
+DATA_PARAMETERS = ("chunk_cache_size", "sieve_buf_size", "alignment")
+
+#: The hdf5 parameters :func:`apply_hdf5_metadata` reads.
+METADATA_PARAMETERS = (
+    "coll_metadata_ops",
+    "coll_metadata_write",
+    "mdc_config",
+    "meta_block_size",
+)
 
 #: Metadata-cache hit rates per ``mdc_config`` setting.  "small" thrashes,
 #: "large" and "adaptive" keep most of the working set resident.
@@ -53,22 +77,19 @@ _BASE_META_BLOCK = 2 * KiB
 
 @dataclass(frozen=True)
 class HDF5Result:
-    """Output of the HDF5 layer for one phase."""
+    """Output of the HDF5 layer's data half for one phase."""
 
     data: tuple[RequestStream, ...]
-    #: Metadata operations that continue down the stack (post-cache).
-    metadata: MetadataStream | None
-    #: CPU/network seconds spent inside the layer (broadcasts, cache walks).
+    #: CPU/network seconds the data transforms spend inside the layer.
     overhead_seconds: float
 
 
-def apply_hdf5(
-    phase: IOPhase, values: Mapping[str, Any], platform: Platform
-) -> HDF5Result:
-    """Run one phase's traffic through the HDF5 layer model.
+def apply_hdf5(phase: IOPhase, values: Mapping[str, Any]) -> HDF5Result:
+    """Run one phase's data streams through the HDF5 layer model.
 
     ``values`` is the hdf5 slice of a :class:`~repro.iostack.config.
-    StackConfiguration` (see :meth:`StackConfiguration.layer`).
+    StackConfiguration` (see :meth:`StackConfiguration.layer`); only
+    :data:`DATA_PARAMETERS` are read.
     """
     streams: list[RequestStream] = []
     overhead = 0.0
@@ -76,8 +97,7 @@ def apply_hdf5(
         transformed, extra = _transform_data(stream, phase, values)
         streams.append(transformed)
         overhead += extra
-    metadata, meta_overhead = _transform_metadata(phase.metadata, values, platform)
-    return HDF5Result(tuple(streams), metadata, overhead + meta_overhead)
+    return HDF5Result(tuple(streams), overhead)
 
 
 def _transform_data(
@@ -147,9 +167,16 @@ def _apply_sieving(stream: RequestStream, sieve_buf_size: int) -> RequestStream:
     )
 
 
-def _transform_metadata(
+def apply_hdf5_metadata(
     metadata: MetadataStream | None, values: Mapping[str, Any], platform: Platform
 ) -> tuple[MetadataStream | None, float]:
+    """Run one phase's metadata stream through the HDF5 layer model.
+
+    Returns the operations that continue down the stack (post-cache;
+    ``None`` when none survive) and the CPU/network seconds spent inside
+    the layer (broadcasts).  Only :data:`METADATA_PARAMETERS` of
+    ``values`` are read.
+    """
     if metadata is None or metadata.total_ops == 0:
         return metadata, 0.0
 

@@ -73,8 +73,11 @@ def serve_lustre(
     else:
         frac = (sizes % stripe_size) / stripe_size
         touches = base_touches + frac
-    rpcs_per_request = float(touches.mean())
-    mean_rpc_bytes = float((sizes / touches).mean())
+    # ``add.reduce / size`` is exactly ``ndarray.mean`` without its
+    # Python-level wrapper.
+    rpcs_per_request = float(np.add.reduce(touches) / touches.size)
+    rpc_bytes = sizes / touches
+    mean_rpc_bytes = float(np.add.reduce(rpc_bytes) / rpc_bytes.size)
 
     # -- server-side ceiling ----------------------------------------------------
     # Per-RPC efficiency: the fraction of an OST's service time spent

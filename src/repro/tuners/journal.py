@@ -545,7 +545,8 @@ class RunJournal:
         """Put back what a record's evaluations consumed and counted:
         the noise and fault stream positions, the quarantine list and
         the evaluator's run counters (its cache and build counters stay
-        this process's own)."""
+        this process's own; the restored replays are noted apart, see
+        :attr:`~repro.tuners.resilience.EvaluationStats.trace_reuse`)."""
         tuner = self.tuner
         tuner.simulator.noise.seek(record.noise_position)
         faults = tuner.simulator.faults
@@ -555,7 +556,7 @@ class RunJournal:
         evaluator.restore_quarantine(record.quarantine)
         stats = evaluator.stats
         stats.evaluations = record.n_evaluations
-        stats.trace_replays = record.trace_replays
+        stats.trace_replays = stats.restored_replays = record.trace_replays
         for key in _RESILIENCE_KEYS:
             setattr(stats, key, int(record.resilience.get(key, 0)))
 

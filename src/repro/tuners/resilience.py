@@ -130,7 +130,8 @@ class EvaluationStats:
     quarantines.  The tuner fills in the fault and guardrail fields as
     the run ends.  The cache and build counters count this process's
     memo work: a run resumed from its journal restores the others and
-    counts only its own lookups and builds.
+    counts only its own lookups and builds.  It also notes the replays
+    it restored, so :attr:`trace_reuse` counts its own replays only.
     """
 
     #: Configuration evaluations performed (baseline included).
@@ -142,6 +143,10 @@ class EvaluationStats:
     traces_built: int = 0
     #: Reports derived from a stored trace (``repeats`` per evaluation).
     trace_replays: int = 0
+    #: The part of ``trace_replays`` a resumed run restored from its
+    #: journal: the replayed generations', which this process did not
+    #: perform (0 on a run that was not resumed).
+    restored_replays: int = 0
     #: Evaluation attempts repeated after a retryable failure.
     retries: int = 0
     #: Evaluations that exceeded the simulated per-evaluation timeout.
@@ -165,10 +170,11 @@ class EvaluationStats:
     @property
     def trace_reuse(self) -> int:
         """Replays that reused an existing trace instead of traversing
-        the stack -- the simulations the fastpath avoided.  On a resumed
-        run the replays include the journaled generations', which this
-        process did not build."""
-        return max(0, self.trace_replays - self.traces_built)
+        the stack -- the simulations the fastpath avoided.  Like the
+        cache and build counters, it counts this process's work only:
+        its own replays (without the ones a resumed run restored from
+        its journal) minus its own builds."""
+        return max(0, self.trace_replays - self.restored_replays - self.traces_built)
 
     def as_dict(self) -> dict[str, int]:
         """All counters as a plain dict (trace ``run_end`` events and the

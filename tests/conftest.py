@@ -86,9 +86,18 @@ def agents_checkpoint(trained_bundle, tmp_path_factory):
 @pytest.fixture
 def layer_calls(monkeypatch) -> Counter:
     """Counts, by name, of the memoized layer models' calls from
-    :meth:`IOStackSimulator.trace`."""
+    :meth:`IOStackSimulator.trace`: the HDF5 data half (``apply_hdf5``),
+    the HDF5 metadata half (``apply_hdf5_metadata``) with the metadata
+    service it feeds, MPI-IO and Lustre."""
     calls: Counter = Counter()
-    for name in ("apply_hdf5", "apply_mpiio", "serve_lustre"):
+    for name in (
+        "apply_hdf5",
+        "apply_hdf5_metadata",
+        "serve_metadata",
+        "serve_memory_metadata",
+        "apply_mpiio",
+        "serve_lustre",
+    ):
         layer = getattr(simulator_module, name)
 
         def counted(*args, _name=name, _layer=layer):

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.iostack.hdf5 import apply_hdf5
+from repro.iostack.hdf5 import (
+    DATA_PARAMETERS,
+    METADATA_PARAMETERS,
+    apply_hdf5,
+    apply_hdf5_metadata,
+)
 from repro.iostack.phase import IOPhase
 from repro.iostack.requests import MetadataStream, RequestStream
 from repro.iostack import StackConfiguration
@@ -35,8 +40,8 @@ def chunked_phase(
 
 def test_small_chunk_cache_amplifies_partial_chunk_writes():
     phase = chunked_phase(request_size=64 * 1024)
-    small = apply_hdf5(phase, hdf5_values(chunk_cache_size=MiB), PLATFORM)
-    big = apply_hdf5(phase, hdf5_values(chunk_cache_size=1024 * MiB), PLATFORM)
+    small = apply_hdf5(phase, hdf5_values(chunk_cache_size=MiB))
+    big = apply_hdf5(phase, hdf5_values(chunk_cache_size=1024 * MiB))
     small_bytes = sum(s.total_bytes for s in small.data)
     big_bytes = sum(s.total_bytes for s in big.data)
     assert small_bytes > phase.bytes_written  # read-modify-write inflation
@@ -45,13 +50,13 @@ def test_small_chunk_cache_amplifies_partial_chunk_writes():
 
 def test_full_cache_coalesces_into_chunks():
     phase = chunked_phase(request_size=64 * 1024, working_set=MiB)
-    out = apply_hdf5(phase, hdf5_values(chunk_cache_size=1024 * MiB), PLATFORM)
+    out = apply_hdf5(phase, hdf5_values(chunk_cache_size=1024 * MiB))
     assert out.data[0].total_ops < phase.write_ops
 
 
 def test_whole_chunk_writes_unaffected_by_cache():
     phase = chunked_phase(request_size=2 * MiB, chunk_size=MiB)
-    out = apply_hdf5(phase, hdf5_values(chunk_cache_size=MiB), PLATFORM)
+    out = apply_hdf5(phase, hdf5_values(chunk_cache_size=MiB))
     assert out.data[0].total_bytes == phase.bytes_written
     assert out.data[0].total_ops == phase.write_ops
 
@@ -59,8 +64,8 @@ def test_whole_chunk_writes_unaffected_by_cache():
 def test_sieving_coalesces_small_reads():
     # Contiguous (unchunked) small reads: pure data-sieving territory.
     phase = chunked_phase(request_size=16 * 1024, op="read", chunked=False)
-    small = apply_hdf5(phase, hdf5_values(sieve_buf_size=64 * 1024), PLATFORM)
-    big = apply_hdf5(phase, hdf5_values(sieve_buf_size=16 * MiB), PLATFORM)
+    small = apply_hdf5(phase, hdf5_values(sieve_buf_size=64 * 1024))
+    big = apply_hdf5(phase, hdf5_values(sieve_buf_size=16 * MiB))
     assert big.data[0].total_ops < small.data[0].total_ops
     # Sieving over-reads a little.
     assert big.data[0].total_bytes > phase.bytes_read
@@ -68,10 +73,10 @@ def test_sieving_coalesces_small_reads():
 
 def test_alignment_applies_above_half_threshold():
     phase = chunked_phase(request_size=2 * MiB, chunk_size=2 * MiB)
-    aligned = apply_hdf5(phase, hdf5_values(alignment=MiB), PLATFORM)
+    aligned = apply_hdf5(phase, hdf5_values(alignment=MiB))
     assert aligned.data[0].alignment == MiB
     tiny = chunked_phase(request_size=64 * 1024, chunk_size=MiB)
-    out = apply_hdf5(tiny, hdf5_values(alignment=16 * MiB), PLATFORM)
+    out = apply_hdf5(tiny, hdf5_values(alignment=16 * MiB))
     assert out.data[0].alignment == 1  # below threshold: not aligned
 
 
@@ -84,31 +89,73 @@ def meta_phase(ops=8000, n_procs=8):
     )
 
 
+def apply_metadata(phase, values):
+    return apply_hdf5_metadata(phase.metadata, values, PLATFORM)
+
+
 def test_collective_metadata_collapses_redundant_ops():
     phase = meta_phase()
-    off = apply_hdf5(phase, hdf5_values(), PLATFORM)
-    on = apply_hdf5(
-        phase, hdf5_values(coll_metadata_ops=True, coll_metadata_write=True), PLATFORM
+    off, _ = apply_metadata(phase, hdf5_values())
+    on, on_overhead = apply_metadata(
+        phase, hdf5_values(coll_metadata_ops=True, coll_metadata_write=True)
     )
-    assert on.metadata.total_ops < off.metadata.total_ops
-    assert on.overhead_seconds > 0  # broadcast cost
+    assert on.total_ops < off.total_ops
+    assert on_overhead > 0  # broadcast cost
 
 
 def test_mdc_config_changes_surviving_reads():
     phase = meta_phase()
-    small = apply_hdf5(phase, hdf5_values(mdc_config="small"), PLATFORM)
-    large = apply_hdf5(phase, hdf5_values(mdc_config="large"), PLATFORM)
-    assert large.metadata.total_ops < small.metadata.total_ops
+    small, _ = apply_metadata(phase, hdf5_values(mdc_config="small"))
+    large, _ = apply_metadata(phase, hdf5_values(mdc_config="large"))
+    assert large.total_ops < small.total_ops
 
 
 def test_meta_block_size_aggregates_writes():
     phase = meta_phase()
-    default = apply_hdf5(phase, hdf5_values(), PLATFORM)
-    big = apply_hdf5(phase, hdf5_values(meta_block_size=16 * MiB), PLATFORM)
-    assert big.metadata.total_ops < default.metadata.total_ops
+    default, _ = apply_metadata(phase, hdf5_values())
+    big, _ = apply_metadata(phase, hdf5_values(meta_block_size=16 * MiB))
+    assert big.total_ops < default.total_ops
 
 
 def test_no_metadata_passthrough():
     phase = chunked_phase(request_size=MiB)
-    out = apply_hdf5(phase, hdf5_values(), PLATFORM)
-    assert out.metadata is None
+    assert apply_metadata(phase, hdf5_values()) == (None, 0.0)
+
+
+@pytest.mark.parametrize(
+    "half, parameters",
+    [
+        ("data", DATA_PARAMETERS),
+        ("metadata", METADATA_PARAMETERS),
+    ],
+)
+def test_each_half_reads_only_its_parameters(half, parameters):
+    """Each half's output depends on its own parameters only, which is
+    what lets the simulator's layer memo key it by them."""
+    base = StackConfiguration.default().layer("hdf5")
+    assert set(DATA_PARAMETERS) | set(METADATA_PARAMETERS) == set(base)
+    assert not set(DATA_PARAMETERS) & set(METADATA_PARAMETERS)
+    read = []
+
+    class Recording(dict):
+        def __getitem__(self, name):
+            read.append(name)
+            return super().__getitem__(name)
+
+    phase = IOPhase(
+        name="both",
+        compute_seconds=0.0,
+        data=(
+            RequestStream.uniform("write", 64 * 1024, 1000, 8, contiguity=0.8),
+            RequestStream.uniform("read", 16 * 1024, 1000, 8),
+        ),
+        metadata=MetadataStream(total_ops=8000, n_procs=8, write_fraction=0.5),
+        chunked=True,
+        chunk_size=MiB,
+        working_set_per_proc=64 * MiB,
+    )
+    if half == "data":
+        apply_hdf5(phase, Recording(base))
+    else:
+        apply_metadata(phase, Recording(base))
+    assert set(read) == set(parameters)

@@ -147,6 +147,38 @@ def test_traces_in_one_scope_share_layer_results(sim, default_config, layer_call
     assert wider_trace == sim.trace(w, wider)
 
 
+#: The layer calls the HDF5 metadata half makes (the half and the
+#: metadata service it feeds).
+METADATA_HALF = {"apply_hdf5_metadata", "serve_metadata", "serve_memory_metadata"}
+
+
+@pytest.mark.parametrize("tier", ["lustre", "memory"])
+def test_each_hdf5_half_is_keyed_by_its_own_parameters(
+    sim, default_config, layer_calls, tier
+):
+    w = make_workload()
+    w = dataclasses.replace(
+        w, phases=tuple(dataclasses.replace(p, tier=tier) for p in w.phases)
+    )
+    metadata_only = default_config.with_values(mdc_config="large")
+    data_only = default_config.with_values(sieve_buf_size=MiB)
+    with sim.memo_scope():
+        traced_calls(sim, layer_calls, w, default_config)
+        metadata_trace, metadata_calls = traced_calls(sim, layer_calls, w, metadata_only)
+        data_trace, data_calls = traced_calls(sim, layer_calls, w, data_only)
+    # Only the metadata half ran for the mdc_config change: no data
+    # half, MPI-IO or Lustre call.
+    assert metadata_calls["apply_hdf5_metadata"] == len(w.phases)
+    assert set(metadata_calls) <= METADATA_HALF
+    # Only the data half ran for the sieve_buf_size change.
+    assert data_calls["apply_hdf5"] == len(w.phases)
+    assert not set(data_calls) & METADATA_HALF
+    # Both traces are the ones built without a memo.
+    assert metadata_trace == sim.trace(w, metadata_only)
+    assert data_trace == sim.trace(w, data_only)
+    assert metadata_trace != data_trace
+
+
 def test_equal_content_sizes_miss_the_memo(sim, default_config, layer_calls):
     a, b = make_workload(), make_workload()
     with sim.memo_scope():

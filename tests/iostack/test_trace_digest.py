@@ -98,5 +98,10 @@ def test_traces_are_pinned_inside_one_shared_memo_scope(layer_calls):
     assert h.hexdigest() == TRACE_DIGEST
     # The pinned traces were served partly from the memo.
     assert pinned_calls["apply_hdf5"] < phases
+    assert pinned_calls["apply_hdf5_metadata"] < phases
+    assert (
+        pinned_calls["serve_metadata"] + pinned_calls["serve_memory_metadata"]
+        == pinned_calls["apply_hdf5_metadata"]
+    )
     assert pinned_calls["apply_mpiio"] < lustre_streams
     assert pinned_calls["serve_lustre"] < lustre_streams

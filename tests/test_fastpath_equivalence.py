@@ -25,7 +25,7 @@ from repro.iostack import (
     cori,
 )
 from repro.iostack.clock import SimulatedClock
-from repro.iostack.hdf5 import apply_hdf5
+from repro.iostack.hdf5 import apply_hdf5, apply_hdf5_metadata
 from repro.iostack.lustre import serve_lustre, serve_metadata
 from repro.iostack.posix import serve_memory, serve_memory_metadata
 from repro.iostack.simulator import EvaluationResult
@@ -131,7 +131,9 @@ class LegacySimulator(IOStackSimulator):
     ``replay`` and ``evaluate_trace_with_factors`` are verbatim copies of
     the report-building replay that the lean per-run timing replaced.
     Its noise factors and straggler draws come from verbatim copies of
-    the per-counter generators that bulk seeding replaced.
+    the per-counter generators that bulk seeding replaced.  The HDF5
+    layer is called as its two halves, whose overheads add up exactly as
+    the one-call layer added them.
     """
 
     def run(self, workload, config):
@@ -155,8 +157,11 @@ class LegacySimulator(IOStackSimulator):
             if phase.metadata is not None:
                 report.meta_ops += phase.metadata.total_ops
 
-            hdf5_out = apply_hdf5(phase, hdf5_values, platform)
-            report.overhead_seconds += hdf5_out.overhead_seconds
+            hdf5_out = apply_hdf5(phase, hdf5_values)
+            metadata, meta_overhead = apply_hdf5_metadata(
+                phase.metadata, hdf5_values, platform
+            )
+            report.overhead_seconds += hdf5_out.overhead_seconds + meta_overhead
 
             for stream in hdf5_out.data:
                 if stream.nodes == 0:
@@ -186,9 +191,9 @@ class LegacySimulator(IOStackSimulator):
                     report.posix_read_ops += final.total_ops
 
             if phase.tier == "memory":
-                meta_seconds = serve_memory_metadata(hdf5_out.metadata, platform)
+                meta_seconds = serve_memory_metadata(metadata, platform)
             else:
-                meta_seconds = serve_metadata(hdf5_out.metadata, platform)
+                meta_seconds = serve_metadata(metadata, platform)
             meta_seconds *= noise_factor
             phase_meta += meta_seconds
             report.meta_seconds += meta_seconds

@@ -6,6 +6,7 @@ import pytest
 from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, cori
 from repro.tuners import HeuristicStopper, HSTuner, NoStop
 from repro.tuners.hstuner import HSTuner as HSTunerClass
+from repro.workloads import flash
 from tests.conftest import make_workload
 
 
@@ -237,3 +238,24 @@ def test_each_tune_starts_with_an_empty_layer_memo(layer_calls):
     assert np.array_equal(results[0].perf_series(), results[1].perf_series())
     # Within a tune the memo serves part of the traffic.
     assert counts[0] < results[0].eval_stats.traces_built * streams_per_trace
+
+
+def test_layer_calls_of_a_twenty_generation_flash_tune_are_pinned(layer_calls):
+    """The layer memo's savings on one fixed tune, as exact call counts.
+
+    The counts are deterministic, so a change that widens a memo key (or
+    drops an entry) fails here without relying on timing.  One key over
+    the whole hdf5 slice would run both HDF5 halves 118 times, and an
+    unmemoized metadata service 184 times (every phase of every trace)."""
+    workload = flash()
+    sim = IOStackSimulator(cori(workload.n_nodes), NoiseModel(seed=0))
+    tuner = HSTuner(sim, stopper=NoStop(), rng=np.random.default_rng(0))
+    result = tuner.tune(workload, max_iterations=20)
+    assert result.eval_stats.traces_built == 92
+    assert dict(layer_calls) == {
+        "apply_hdf5": 56,
+        "apply_hdf5_metadata": 40,
+        "serve_metadata": 40,
+        "apply_mpiio": 188,
+        "serve_lustre": 200,
+    }

@@ -265,10 +265,12 @@ MEMO_COUNTERS = ("cache_hits", "cache_misses", "cache_evictions", "traces_built"
 
 
 def run_counters(stats):
-    """Every ``EvaluationStats`` counter except the memo ones."""
+    """Every ``EvaluationStats`` counter except the memo ones and
+    ``restored_replays``, which only a resumed run sets."""
     counters = stats.as_dict()
     assert set(MEMO_COUNTERS) <= set(counters)
-    return {k: v for k, v in counters.items() if k not in MEMO_COUNTERS}
+    excluded = (*MEMO_COUNTERS, "restored_replays")
+    return {k: v for k, v in counters.items() if k not in excluded}
 
 
 @pytest.mark.parametrize("keep_generations", [1, 3, 5])
@@ -289,6 +291,10 @@ def test_resumed_run_reports_the_fresh_runs_run_counters(
     )
     fresh, resumed = fresh_result.eval_stats, resumed_result.eval_stats
     assert run_counters(resumed) == run_counters(fresh)
+    assert fresh.restored_replays == 0
+    # the baseline's and replayed generations' replays, as journaled
+    kept = journal_bodies(full)[keep_generations]
+    assert resumed.restored_replays == kept["trace_replays"]
     assert resumed.quarantined == 0  # so every live configuration was looked up
 
     live = journal_bodies(full)[1 + keep_generations:-1]
@@ -296,6 +302,26 @@ def test_resumed_run_reports_the_fresh_runs_run_counters(
     assert resumed.cache_hits + resumed.cache_misses == lookups
     assert resumed.traces_built == resumed.cache_misses
     assert lookups < fresh.cache_hits + fresh.cache_misses
+
+
+@pytest.mark.faults
+def test_resumed_run_counts_only_its_own_trace_reuse(tmp_path):
+    """Trace reuse is this process's replays minus its builds: the
+    replays of the generations a resume answered from its journal were
+    never performed here, so they do not count as reuse."""
+    full, _, result = run_and_kill_then_resume(
+        tmp_path, faults=True, keep_generations=2
+    )
+    resumed = result.eval_stats
+    own_replays = resumed.trace_replays - journal_bodies(full)[2]["trace_replays"]
+    assert resumed.retries > 0
+    assert 0 < own_replays < resumed.trace_replays
+    assert resumed.trace_reuse == own_replays - resumed.traces_built > 0
+    fresh = make_tuner(faults=fault_plan(True)).tune(
+        make_workload(), max_iterations=6
+    ).eval_stats
+    assert fresh.trace_replays == resumed.trace_replays
+    assert fresh.trace_reuse == fresh.trace_replays - fresh.traces_built
 
 
 @pytest.mark.parametrize("faults", [False, True])
