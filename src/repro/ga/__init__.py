@@ -9,6 +9,7 @@ generational engine the tuning pipelines drive one step at a time.
 from .engine import EvolutionEngine, GenerationStats
 from .individual import Individual
 from .operators import (
+    Cardinalities,
     apply_mask,
     repair_individual,
     uniform_crossover,
@@ -18,6 +19,7 @@ from .selection import elites, tournament_pair
 from .toolbox import Toolbox
 
 __all__ = [
+    "Cardinalities",
     "EvolutionEngine",
     "GenerationStats",
     "Individual",

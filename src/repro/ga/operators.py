@@ -9,7 +9,8 @@ outside it to the incumbent's values.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+import operator
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
@@ -19,6 +20,7 @@ if TYPE_CHECKING:  # layering: ga never imports iostack at runtime
     from repro.iostack.parameters import ConstraintRegistry
 
 __all__ = [
+    "Cardinalities",
     "uniform_crossover",
     "uniform_reset_mutation",
     "apply_mask",
@@ -42,6 +44,18 @@ def uniform_crossover(
     return Individual(ga), Individual(gb)
 
 
+class Cardinalities(tuple):
+    """Per-gene candidate counts, each checked to be an integer >= 1 once
+    when built, so a mutation operator handed one re-checks only its
+    length per child."""
+
+    def __new__(cls, counts: Iterable[int]) -> "Cardinalities":
+        counts = tuple(operator.index(c) for c in counts)
+        if any(c < 1 for c in counts):
+            raise ValueError("cardinalities must be >= 1")
+        return super().__new__(cls, counts)
+
+
 def uniform_reset_mutation(
     ind: Individual,
     rng: np.random.Generator,
@@ -49,12 +63,17 @@ def uniform_reset_mutation(
     per_gene_probability: float = 0.1,
 ) -> Individual:
     """Re-draw each gene uniformly from its candidate range with the
-    given probability (pure exploration; no ordinal structure)."""
-    cards = np.asarray(cardinalities, dtype=np.int64)
-    if cards.shape != (ind.genome.size,):
+    given probability (pure exploration; no ordinal structure).
+
+    Pass a :class:`Cardinalities` to skip re-validating the counts on
+    every call."""
+    cards = (
+        cardinalities
+        if isinstance(cardinalities, Cardinalities)
+        else Cardinalities(cardinalities)
+    )
+    if len(cards) != ind.genome.size:
         raise ValueError("cardinalities must match genome length")
-    if np.any(cards < 1):
-        raise ValueError("cardinalities must be >= 1")
     genome = ind.genome.copy()
     hits = rng.random(genome.size) < per_gene_probability
     for pos in np.flatnonzero(hits):

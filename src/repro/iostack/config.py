@@ -33,7 +33,7 @@ class StackConfiguration(Mapping[str, Any]):
     dict keys (e.g. for evaluation caching).
     """
 
-    __slots__ = ("_values", "_hash")
+    __slots__ = ("_values", "_genome", "_hash")
 
     def __init__(self, values: Mapping[str, Any]):
         unknown = set(values) - set(TUNED_SPACE.names)
@@ -41,9 +41,13 @@ class StackConfiguration(Mapping[str, Any]):
             raise KeyError(f"values for unknown parameters: {sorted(unknown)}")
         merged = TUNED_SPACE.default_values()
         merged.update(values)
-        # Validate through encode (raises on non-candidate values).
-        TUNED_SPACE.encode(merged)
-        self._values = merged
+        # encode raises on non-candidate values.
+        self._set(merged, TUNED_SPACE.encode(merged))
+
+    def _set(self, values: dict[str, Any], genome: np.ndarray) -> None:
+        genome.flags.writeable = False
+        self._values = values
+        self._genome = genome
         self._hash: int | None = None
 
     # -- constructors -------------------------------------------------------
@@ -60,8 +64,15 @@ class StackConfiguration(Mapping[str, Any]):
 
     @classmethod
     def from_genome(cls, indices: np.ndarray | list[int]) -> "StackConfiguration":
-        """Build from an index vector in genome order."""
-        return cls(TUNED_SPACE.decode(indices))
+        """Build from an index vector in genome order.
+
+        Raises ``ValueError`` naming the parameter for an index that is
+        not an integer in its candidate range (see
+        :meth:`~repro.iostack.parameters.ParameterSpace.decode`).
+        """
+        config = cls.__new__(cls)
+        config._set(TUNED_SPACE.decode(indices), np.array(indices, dtype=np.int64))
+        return config
 
     # -- mapping protocol ------------------------------------------------------
 
@@ -90,18 +101,17 @@ class StackConfiguration(Mapping[str, Any]):
     # -- accessors ----------------------------------------------------------------
 
     def genome(self) -> np.ndarray:
-        """Index-vector encoding in genome order."""
-        return TUNED_SPACE.encode(self._values)
+        """Index-vector encoding in genome order (a fresh array)."""
+        return self._genome.copy()
 
     def normalized(self) -> np.ndarray:
         """Values mapped to [0,1]^n; NN feature representation."""
-        return TUNED_SPACE.normalized(self.genome())
+        return TUNED_SPACE.normalized(self._genome)
 
     def layer(self, layer: str) -> dict[str, Any]:
         """All values consumed by one stack layer."""
-        return {
-            p.name: self._values[p.name] for p in TUNED_SPACE if p.layer == layer
-        }
+        values = self._values
+        return {name: values[name] for name in TUNED_SPACE.layer_names(layer)}
 
     def changed_parameters(self) -> dict[str, Any]:
         """Parameters whose value differs from the library default (the

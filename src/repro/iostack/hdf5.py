@@ -23,8 +23,9 @@ The layer has two independent halves.  :func:`apply_hdf5` transforms a
 phase's data streams and reads only ``chunk_cache_size``,
 ``sieve_buf_size`` and ``alignment`` (:data:`DATA_PARAMETERS`);
 :func:`apply_hdf5_metadata` transforms its metadata stream and reads only
-the other four (:data:`METADATA_PARAMETERS`).  A phase's HDF5 overhead
-is the data half's plus the metadata half's.
+the other four (:data:`METADATA_PARAMETERS`).  Only the metadata half
+spends time inside the layer (collective-metadata broadcasts); the data
+transforms reshape the streams and cost nothing themselves.
 """
 
 from __future__ import annotations
@@ -80,8 +81,6 @@ class HDF5Result:
     """Output of the HDF5 layer's data half for one phase."""
 
     data: tuple[RequestStream, ...]
-    #: CPU/network seconds the data transforms spend inside the layer.
-    overhead_seconds: float
 
 
 def apply_hdf5(phase: IOPhase, values: Mapping[str, Any]) -> HDF5Result:
@@ -91,24 +90,18 @@ def apply_hdf5(phase: IOPhase, values: Mapping[str, Any]) -> HDF5Result:
     StackConfiguration` (see :meth:`StackConfiguration.layer`); only
     :data:`DATA_PARAMETERS` are read.
     """
-    streams: list[RequestStream] = []
-    overhead = 0.0
-    for stream in phase.data:
-        transformed, extra = _transform_data(stream, phase, values)
-        streams.append(transformed)
-        overhead += extra
-    return HDF5Result(tuple(streams), overhead)
+    return HDF5Result(
+        tuple(_transform_data(stream, phase, values) for stream in phase.data)
+    )
 
 
 def _transform_data(
     stream: RequestStream, phase: IOPhase, values: Mapping[str, Any]
-) -> tuple[RequestStream, float]:
-    overhead = 0.0
+) -> RequestStream:
     out = stream
 
     if phase.chunked and stream.collective_capable:
-        out, extra = _apply_chunk_cache(out, phase, values["chunk_cache_size"])
-        overhead += extra
+        out = _apply_chunk_cache(out, phase, values["chunk_cache_size"])
 
     if out.op == "read":
         out = _apply_sieving(out, values["sieve_buf_size"])
@@ -117,12 +110,12 @@ def _transform_data(
     if alignment > 1 and out.mean_size >= alignment / 2:
         out = out.aligned(alignment)
 
-    return out, overhead
+    return out
 
 
 def _apply_chunk_cache(
     stream: RequestStream, phase: IOPhase, cache_size: int
-) -> tuple[RequestStream, float]:
+) -> RequestStream:
     """Partial-chunk access against a cold chunk cache.
 
     When requests are smaller than a chunk, HDF5 must assemble whole
@@ -132,24 +125,22 @@ def _apply_chunk_cache(
     """
     chunk = phase.chunk_size
     if chunk <= 0 or stream.mean_size >= chunk:
-        return stream, 0.0
+        return stream
     working_set = max(phase.working_set_per_proc, chunk)
     hit = min(1.0, cache_size / working_set)
     miss = 1.0 - hit
     if miss <= 0.0:
         # Fully cached: requests are assembled into whole-chunk I/O.
-        merged = stream.coalesce(chunk)
-        return merged, 0.0
+        return stream.coalesce(chunk)
     # Misses cause read-modify-write: every evicted partial chunk costs a
     # chunk-sized read plus a chunk-sized write instead of the small write.
     amplification = 1.0 + miss * min(2.0, chunk / stream.mean_size - 1.0) * 0.5
-    inflated = stream.with_sizes(
+    return stream.with_sizes(
         np.minimum(stream.sizes * amplification, float(chunk)),
         stream.total_ops,
         total_bytes=int(round(stream.total_bytes * amplification)),
         contiguity=stream.contiguity * hit,
     )
-    return inflated, 0.0
 
 
 def _apply_sieving(stream: RequestStream, sieve_buf_size: int) -> RequestStream:

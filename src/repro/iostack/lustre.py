@@ -31,7 +31,7 @@ import numpy as np
 from .cluster import Platform
 from .requests import MetadataStream, RequestStream
 
-__all__ = ["LustreService", "serve_lustre", "serve_metadata"]
+__all__ = ["LustreService", "serve_lustre", "serve_metadata", "stripe_rpcs"]
 
 
 @dataclass(frozen=True)
@@ -50,11 +50,19 @@ class LustreService:
 
 
 def serve_lustre(
-    stream: RequestStream, values: Mapping[str, Any], platform: Platform
+    stream: RequestStream,
+    values: Mapping[str, Any],
+    platform: Platform,
+    rpc_passes: dict[tuple, tuple[np.ndarray, float, float]] | None = None,
 ) -> LustreService:
     """Service time for one data stream against the Lustre model.
 
-    ``values`` is the lustre slice of a configuration.
+    ``values`` is the lustre slice of a configuration.  The RPC
+    decomposition (:func:`stripe_rpcs`) reads only the size sample, the
+    stripe size and whether the stream is stripe-aligned; it is looked
+    up in ``rpc_passes`` under ``(id(sizes), stripe size, aligned)``
+    and run on a miss (a fresh dict by default).  Each entry starts with
+    the sample it was keyed by, which keeps that id from being reused.
     """
     stripe_count = int(values["striping_factor"])
     stripe_size = int(values["striping_unit"])
@@ -62,22 +70,17 @@ def serve_lustre(
     n_files = 1 if stream.shared_file else stream.n_procs
     osts_used = min(stripe_count * n_files, platform.n_osts)
 
-    # -- RPC decomposition ----------------------------------------------------
-    # A request of size s touches ceil(s / stripe) stripes when aligned;
-    # otherwise its start offset is uniform within a stripe and it straddles
-    # one extra boundary with probability ~ (s mod stripe)/stripe.
     sizes = stream.sizes
-    base_touches = np.ceil(sizes / stripe_size)
-    if stream.alignment >= stripe_size and stream.alignment % stripe_size == 0:
-        touches = base_touches
-    else:
-        frac = (sizes % stripe_size) / stripe_size
-        touches = base_touches + frac
-    # ``add.reduce / size`` is exactly ``ndarray.mean`` without its
-    # Python-level wrapper.
-    rpcs_per_request = float(np.add.reduce(touches) / touches.size)
-    rpc_bytes = sizes / touches
-    mean_rpc_bytes = float(np.add.reduce(rpc_bytes) / rpc_bytes.size)
+    aligned = stream.alignment >= stripe_size and stream.alignment % stripe_size == 0
+    if rpc_passes is None:
+        rpc_passes = {}
+    rpc_key = (id(sizes), stripe_size, aligned)
+    rpc_pass = rpc_passes.get(rpc_key)
+    if rpc_pass is None:
+        rpc_pass = rpc_passes[rpc_key] = (
+            sizes, *stripe_rpcs(sizes, stripe_size, aligned)
+        )
+    _, rpcs_per_request, mean_rpc_bytes = rpc_pass
 
     # -- server-side ceiling ----------------------------------------------------
     # Per-RPC efficiency: the fraction of an OST's service time spent
@@ -132,7 +135,7 @@ def serve_lustre(
     lock_seconds = 0.0
     if stream.shared_file and stream.op == "write" and stream.n_procs > 1:
         conflict = stream.interleave * (1.0 - stream.contiguity * 0.5)
-        if stream.alignment >= stripe_size and stream.alignment % stripe_size == 0:
+        if aligned:
             conflict *= 0.3
         conflict_ops = stream.total_ops * conflict
         revocation = 3.0 * (platform.rpc_latency + stream.mean_size / ost_bw)
@@ -164,6 +167,28 @@ def serve_lustre(
         rpcs_per_request=rpcs_per_request,
         bound_by=bound_by,
     )
+
+
+def stripe_rpcs(sizes: np.ndarray, stripe_size: int, aligned: bool) -> tuple[float, float]:
+    """Mean bulk RPCs per request and mean bytes per RPC of a size sample.
+
+    A request of size s touches ceil(s / stripe) stripes when aligned;
+    otherwise its start offset is uniform within a stripe and it
+    straddles one extra boundary with probability ~ (s mod
+    stripe)/stripe.
+    """
+    base_touches = np.ceil(sizes / stripe_size)
+    if aligned:
+        touches = base_touches
+    else:
+        frac = (sizes % stripe_size) / stripe_size
+        touches = base_touches + frac
+    # ``add.reduce / size`` is exactly ``ndarray.mean`` without its
+    # Python-level wrapper.
+    rpcs_per_request = float(np.add.reduce(touches) / touches.size)
+    rpc_bytes = sizes / touches
+    mean_rpc_bytes = float(np.add.reduce(rpc_bytes) / rpc_bytes.size)
+    return rpcs_per_request, mean_rpc_bytes
 
 
 def serve_metadata(metadata: MetadataStream | None, platform: Platform) -> float:

@@ -45,6 +45,7 @@ def apply_mpiio(
     values: Mapping[str, Any],
     platform: Platform,
     striping_unit: int,
+    samples: dict[tuple[int, float], np.ndarray] | None = None,
 ) -> MPIIOResult:
     """Run one request stream through the MPI-IO layer.
 
@@ -52,6 +53,12 @@ def apply_mpiio(
     forwarded from the Lustre layer because ROMIO's Lustre driver aligns
     aggregator file domains to stripe boundaries when the collective
     buffer is stripe-aligned.
+
+    A collective rebuild's size sample is ``n`` equal requests; it is
+    taken from ``samples``, keyed by ``(n, size)``, so the rebuilds of
+    callers sharing that dict share one read-only array (a fresh dict
+    by default).  Downstream memos key a stream by its array's
+    identity, so content-equal rebuilds then hit them.
     """
     if not (
         values["romio_collective"]
@@ -84,7 +91,13 @@ def apply_mpiio(
     total_ops = max(aggregators, math.ceil(stream.total_bytes / cb_buffer))
     sample_len = min(total_ops, stream.sizes.size)
     mean_size = stream.total_bytes / total_ops
-    sizes = np.full(sample_len, float(min(cb_buffer, mean_size)))
+    size = float(min(cb_buffer, mean_size))
+    if samples is None:
+        samples = {}
+    sizes = samples.get((sample_len, size))
+    if sizes is None:
+        sizes = samples[sample_len, size] = np.full(sample_len, size)
+        sizes.flags.writeable = False
     # Aggregator file domains are contiguous; they are stripe-aligned when
     # the buffer is a multiple of the stripe size.
     alignment = striping_unit if cb_buffer % max(1, striping_unit) == 0 else 1

@@ -19,6 +19,7 @@ Two distinct things live here:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -131,6 +132,13 @@ class ParameterSpace:
         self._params: tuple[Parameter, ...] = tuple(parameters)
         self._names: tuple[str, ...] = tuple(names)
         self._by_name: dict[str, Parameter] = {p.name: p for p in self._params}
+        self._cardinalities: tuple[int, ...] = tuple(p.cardinality for p in self._params)
+        layer_names: dict[str, list[str]] = {}
+        for p in self._params:
+            layer_names.setdefault(p.layer, []).append(p.name)
+        self._layer_names: dict[str, tuple[str, ...]] = {
+            layer: tuple(names) for layer, names in layer_names.items()
+        }
 
     # -- container protocol -------------------------------------------------
 
@@ -159,7 +167,12 @@ class ParameterSpace:
     @property
     def cardinalities(self) -> tuple[int, ...]:
         """Candidate-value counts in genome order."""
-        return tuple(p.cardinality for p in self._params)
+        return self._cardinalities
+
+    def layer_names(self, layer: str) -> tuple[str, ...]:
+        """Names of the parameters ``layer`` consumes, in genome order
+        (empty for a layer with none)."""
+        return self._layer_names.get(layer, ())
 
     def index_of_name(self, name: str) -> int:
         """Genome position of the parameter called ``name``."""
@@ -172,7 +185,7 @@ class ParameterSpace:
 
     def permutations(self) -> int:
         """Exact number of distinct configurations in this space."""
-        return math.prod(p.cardinality for p in self._params)
+        return math.prod(self._cardinalities)
 
     # -- configuration construction -------------------------------------------
 
@@ -195,12 +208,34 @@ class ParameterSpace:
         return out
 
     def decode(self, indices: Sequence[int]) -> dict[str, Any]:
-        """Inverse of :meth:`encode`."""
+        """Inverse of :meth:`encode`.
+
+        Every index must be an integer in ``[0, cardinality)``; anything
+        else raises ``ValueError`` naming the parameter and the index (a
+        float is not truncated and a negative index does not count from
+        the end).
+        """
         if len(indices) != len(self._params):
             raise ValueError(
                 f"genome length {len(indices)} != space size {len(self._params)}"
             )
-        return {p.name: p.values[int(i)] for p, i in zip(self._params, indices)}
+        if isinstance(indices, np.ndarray):
+            indices = indices.tolist()
+        values = {}
+        for p, cardinality, i in zip(self._params, self._cardinalities, indices):
+            try:
+                index = operator.index(i)
+            except TypeError:
+                raise ValueError(
+                    f"genome index {i!r} of parameter {p.name!r} is not an integer"
+                ) from None
+            if not 0 <= index < cardinality:
+                raise ValueError(
+                    f"genome index {index} of parameter {p.name!r} is outside "
+                    f"[0, {cardinality})"
+                )
+            values[p.name] = p.values[index]
+        return values
 
     def normalized(self, indices: Sequence[int]) -> np.ndarray:
         """Map an index vector to [0, 1]^n (index / (cardinality-1)); used

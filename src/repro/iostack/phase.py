@@ -11,6 +11,7 @@ streams carry 100 steps' worth of operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .requests import MetadataStream, RequestStream
 
@@ -62,19 +63,20 @@ class IOPhase:
         object.__setattr__(self, "data", tuple(self.data))
 
     # -- derived totals ---------------------------------------------------------
+    # Computed on first use and kept: every trace of the phase reads them.
 
-    @property
+    @cached_property
     def bytes_written(self) -> int:
         return sum(s.total_bytes for s in self.data if s.op == "write")
 
-    @property
+    @cached_property
     def bytes_read(self) -> int:
         return sum(s.total_bytes for s in self.data if s.op == "read")
 
-    @property
+    @cached_property
     def write_ops(self) -> int:
         return sum(s.total_ops for s in self.data if s.op == "write")
 
-    @property
+    @cached_property
     def read_ops(self) -> int:
         return sum(s.total_ops for s in self.data if s.op == "read")

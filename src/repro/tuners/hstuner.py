@@ -61,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.ga import (
+    Cardinalities,
     EvolutionEngine,
     Individual,
     Toolbox,
@@ -90,6 +91,9 @@ _MAX_PERTURBATION_ATTEMPTS = 16
 
 #: Per-gene mutation rate of offspring over the full parameter set.
 MUTATION_PROBABILITY = 0.12
+
+#: The tuned space's candidate counts, validated once for every mutation.
+_CARDINALITIES = Cardinalities(TUNED_SPACE.cardinalities)
 
 
 class HSTuner(Tuner):
@@ -325,7 +329,7 @@ class HSTuner(Tuner):
             return uniform_reset_mutation(
                 ind,
                 rng,
-                cardinalities=TUNED_SPACE.cardinalities,
+                cardinalities=_CARDINALITIES,
                 per_gene_probability=rate,
             )
 
@@ -372,7 +376,7 @@ class HSTuner(Tuner):
             candidate = uniform_reset_mutation(
                 seed,
                 rng,
-                cardinalities=TUNED_SPACE.cardinalities,
+                cardinalities=_CARDINALITIES,
                 per_gene_probability=0.15,
             )
             if not candidate.same_genome(seed):

@@ -471,9 +471,11 @@ class RunJournal:
         individuals: Sequence["Individual"],
         live: Callable[[Sequence["Individual"]], list[float]],
     ) -> list[float]:
-        """Log the dispatched genomes, then return their perfs: the next
-        journaled ones when replaying, else ``live(individuals)``."""
-        self.dispatched.extend([int(i) for i in ind.genome] for ind in individuals)
+        """Log the dispatched genomes (a writer journals them, a replay
+        checks them), then return their perfs: the next journaled ones
+        when replaying, else ``live(individuals)``."""
+        if self.writer is not None or self.replay is not None:
+            self.dispatched.extend(ind.genome.tolist() for ind in individuals)
         record = self._record
         if record is None:
             return live(individuals)

@@ -21,6 +21,7 @@ from repro.iostack import (
     TUNED_SPACE,
     cori,
 )
+from repro.iostack import lustre as lustre_module
 from repro.iostack import simulator as simulator_module
 from repro.iostack.cluster import Platform
 from repro.iostack.phase import IOPhase
@@ -88,23 +89,25 @@ def layer_calls(monkeypatch) -> Counter:
     """Counts, by name, of the memoized layer models' calls from
     :meth:`IOStackSimulator.trace`: the HDF5 data half (``apply_hdf5``),
     the HDF5 metadata half (``apply_hdf5_metadata``) with the metadata
-    service it feeds, MPI-IO and Lustre."""
+    service it feeds, MPI-IO and Lustre, and of the Lustre RPC passes
+    (``stripe_rpcs``) inside ``serve_lustre``."""
     calls: Counter = Counter()
-    for name in (
-        "apply_hdf5",
-        "apply_hdf5_metadata",
-        "serve_metadata",
-        "serve_memory_metadata",
-        "apply_mpiio",
-        "serve_lustre",
+    for module, name in (
+        (simulator_module, "apply_hdf5"),
+        (simulator_module, "apply_hdf5_metadata"),
+        (simulator_module, "serve_metadata"),
+        (simulator_module, "serve_memory_metadata"),
+        (simulator_module, "apply_mpiio"),
+        (simulator_module, "serve_lustre"),
+        (lustre_module, "stripe_rpcs"),
     ):
-        layer = getattr(simulator_module, name)
+        layer = getattr(module, name)
 
         def counted(*args, _name=name, _layer=layer):
             calls[_name] += 1
             return _layer(*args)
 
-        monkeypatch.setattr(simulator_module, name, counted)
+        monkeypatch.setattr(module, name, counted)
     return calls
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ga import (
+    Cardinalities,
     Individual,
     apply_mask,
     uniform_crossover,
@@ -50,6 +51,20 @@ def test_uniform_reset_validates_cardinalities(rng):
         uniform_reset_mutation(ind, rng, [2, 2], per_gene_probability=0.5)
     with pytest.raises(ValueError):
         uniform_reset_mutation(ind, rng, [2, 2, 0], per_gene_probability=0.5)
+    with pytest.raises(ValueError):
+        Cardinalities([2, 0, 2])
+    with pytest.raises(ValueError):
+        uniform_reset_mutation(ind, rng, Cardinalities([2, 2]), per_gene_probability=0.5)
+
+
+def test_validated_cardinalities_mutate_like_a_list():
+    cards = [2, 4, 8, 16]
+    ind = Individual(np.zeros(4, dtype=int))
+    plain, validated = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(20):
+        a = uniform_reset_mutation(ind, plain, cards, per_gene_probability=0.5)
+        b = uniform_reset_mutation(ind, validated, Cardinalities(cards), per_gene_probability=0.5)
+        assert a.same_genome(b)
 
 
 def test_apply_mask_pins_unmasked_genes():

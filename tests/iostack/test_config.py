@@ -62,6 +62,47 @@ def test_genome_roundtrip():
     assert again == cfg
 
 
+def test_from_genome_round_trips_its_genome():
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        genome = np.array([rng.integers(c) for c in TUNED_SPACE.cardinalities])
+        config = StackConfiguration.from_genome(genome)
+        assert np.array_equal(config.genome(), genome)
+        assert config == StackConfiguration(TUNED_SPACE.decode(genome))
+        assert config.genome().dtype == np.int64
+        assert StackConfiguration.from_genome(genome.tolist()) == config
+    # The genome is copied in and out: neither side can alter the other.
+    config.genome()[0] += 1
+    genome[0] += 1
+    assert StackConfiguration.from_genome(config.genome()) == config
+
+
+@pytest.mark.parametrize(
+    "position, index, message",
+    [
+        (0, -1, "index -1 of parameter 'sieve_buf_size' is outside"),
+        (8, 99, "index 99 of parameter 'striping_unit' is outside"),
+        (11, 2, "index 2 of parameter 'romio_collective' is outside"),
+    ],
+)
+def test_from_genome_rejects_an_index_out_of_range(position, index, message):
+    genome = [0] * len(TUNED_SPACE)
+    genome[position] = index
+    with pytest.raises(ValueError, match=message):
+        StackConfiguration.from_genome(genome)
+    with pytest.raises(ValueError, match=message):
+        StackConfiguration.from_genome(np.array(genome))
+
+
+def test_from_genome_rejects_float_indices():
+    with pytest.raises(ValueError, match="0.7 of parameter 'sieve_buf_size' is not an integer"):
+        StackConfiguration.from_genome(np.array([0.7] * len(TUNED_SPACE)))
+    genome = [0] * len(TUNED_SPACE)
+    genome[3] = 1.0
+    with pytest.raises(ValueError, match="1.0 of parameter 'meta_block_size' is not an integer"):
+        StackConfiguration.from_genome(genome)
+
+
 def test_normalized_in_unit_box():
     rng = np.random.default_rng(1)
     norm = StackConfiguration.random(rng).normalized()

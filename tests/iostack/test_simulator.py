@@ -147,6 +147,32 @@ def test_traces_in_one_scope_share_layer_results(sim, default_config, layer_call
     assert wider_trace == sim.trace(w, wider)
 
 
+def test_collective_rebuilds_share_samples_and_rpc_passes(sim, default_config, layer_calls):
+    w = make_workload()
+    collective = default_config.with_values(romio_collective=True)
+    # More aggregators change the rebuilt streams but not their samples.
+    more_aggregators = collective.with_values(cb_nodes=8)
+    wider = collective.with_values(striping_factor=16)
+    with sim.memo_scope():
+        memo = sim._memo
+        traced_calls(sim, layer_calls, w, collective)
+        rebuilt, rebuilt_calls = traced_calls(sim, layer_calls, w, more_aggregators)
+        striped, striped_calls = traced_calls(sim, layer_calls, w, wider)
+    # Both configurations' rebuilds (one per phase each) share the
+    # phases' two samples, so Lustre reruns on them without an RPC pass.
+    outputs = [result for _, result in memo.mpiio.values()]
+    assert len(outputs) == 4 and all(result.collectivised for result in outputs)
+    assert len(memo.samples) == 2
+    assert {id(result.stream.sizes) for result in outputs} == {
+        id(sizes) for sizes in memo.samples.values()
+    }
+    assert rebuilt_calls == Counter(apply_mpiio=2, serve_lustre=2)
+    # A striping_factor change alone reruns Lustre but not its RPC pass.
+    assert striped_calls == Counter(serve_lustre=2)
+    assert rebuilt == sim.trace(w, more_aggregators)
+    assert striped == sim.trace(w, wider)
+
+
 #: The layer calls the HDF5 metadata half makes (the half and the
 #: metadata service it feeds).
 METADATA_HALF = {"apply_hdf5_metadata", "serve_metadata", "serve_memory_metadata"}

@@ -246,7 +246,9 @@ def test_layer_calls_of_a_twenty_generation_flash_tune_are_pinned(layer_calls):
     The counts are deterministic, so a change that widens a memo key (or
     drops an entry) fails here without relying on timing.  One key over
     the whole hdf5 slice would run both HDF5 halves 118 times, and an
-    unmemoized metadata service 184 times (every phase of every trace)."""
+    unmemoized metadata service 184 times (every phase of every trace).
+    Without shared collective samples Lustre would run 200 times, and
+    without the RPC-pass memo every Lustre call would run its pass."""
     workload = flash()
     sim = IOStackSimulator(cori(workload.n_nodes), NoiseModel(seed=0))
     tuner = HSTuner(sim, stopper=NoStop(), rng=np.random.default_rng(0))
@@ -257,5 +259,6 @@ def test_layer_calls_of_a_twenty_generation_flash_tune_are_pinned(layer_calls):
         "apply_hdf5_metadata": 40,
         "serve_metadata": 40,
         "apply_mpiio": 188,
-        "serve_lustre": 200,
+        "serve_lustre": 182,
+        "stripe_rpcs": 80,
     }
