@@ -104,7 +104,7 @@ def test_cached_evaluation_speed(benchmark, sim):
     [perf] = benchmark(lambda: evaluator.evaluate(w, [config], 3))
     assert perf > 0
     # every benchmarked call was served by the one warm entry
-    assert len(cache) == 1 and cache.lookup(sim.platform, w, config) is not None
+    assert len(cache) == 1 and cache.lookup(w, config) is not None
     # median keeps scheduler outliers out of the 10x claim
     assert benchmark.stats["median"] < legacy_cold / 10
     assert benchmark.stats["median"] < fast_cold / 3
@@ -170,7 +170,7 @@ def test_noise_factor_speed():
 # Verbatim copies of ``serve_lustre``, ``apply_mpiio`` and
 # ``StackConfiguration.from_genome`` (with the ``ParameterSpace.decode``
 # it called) as they were before collective samples were interned per
-# memo scope, the Lustre RPC pass was memoized and configurations were
+# memo, the Lustre RPC pass was memoized and configurations were
 # built straight from genomes.  They are the reference the GA trace
 # sequence benchmark times the current path against.
 
@@ -365,7 +365,7 @@ def legacy_from_genome(indices):
 
 def record_ga_traces(workloads, iterations):
     """Every ``(workload, genome)`` a seed-1 HSTuner tune of each
-    workload traced, grouped per tune (one memo scope each)."""
+    workload traced, grouped per tune (one memo each)."""
     from repro.tuners import HSTuner, NoStop
 
     tunes = []
@@ -374,9 +374,9 @@ def record_ga_traces(workloads, iterations):
         genomes = []
         trace = sim.trace
 
-        def recording(w, config, _trace=trace, _genomes=genomes):
+        def recording(w, config, memo=None, _trace=trace, _genomes=genomes):
             _genomes.append(config.genome())
-            return _trace(w, config)
+            return _trace(w, config, memo)
 
         sim.trace = recording
         HSTuner(sim, stopper=NoStop(), rng=np.random.default_rng(1)).tune(
@@ -388,13 +388,14 @@ def record_ga_traces(workloads, iterations):
 
 def test_ga_trace_sequence_speed():
     """Re-tracing a recorded seed-1 GA trace sequence, tune by tune in
-    one memo scope each, is at least 1.2x faster on the current
+    one memo each, is at least 1.2x faster on the current
     per-candidate path than with the legacy ``serve_lustre``,
     ``apply_mpiio`` and ``from_genome`` copied above, and gives equal
     traces.  Both paths run in this process, so the ratio does not
     depend on host speed."""
     import time
 
+    from repro.iostack import EvaluationCache
     from repro.iostack import simulator as simulator_module
     from repro.workloads import bdcats, hacc, vpic
 
@@ -405,13 +406,13 @@ def test_ga_trace_sequence_speed():
         traces = []
         for workload, genomes in tunes:
             sim = IOStackSimulator(platforms[workload.name], NoiseModel.quiet())
-            with sim.memo_scope():
-                traces.extend(sim.trace(workload, from_genome(g)) for g in genomes)
+            memo = EvaluationCache()
+            traces.extend(sim.trace(workload, from_genome(g), memo) for g in genomes)
         return traces
 
     def retrace_legacy():
         current = simulator_module.apply_mpiio, simulator_module.serve_lustre
-        # The simulator hands each call its memo scope's table; the
+        # The simulator hands each call its memo's table; the
         # legacy functions had none.
         simulator_module.apply_mpiio = (
             lambda stream, values, platform, striping_unit, _samples:

@@ -87,7 +87,7 @@ def make_context(seed: int = 0) -> ExperimentContext:
     return _build_context(seed)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(4)
 def _build_context(seed: int) -> ExperimentContext:
     platform = cori(TRAINING_NODES)
     simulator = IOStackSimulator(platform, NoiseModel(seed=seed))

@@ -41,7 +41,6 @@ from repro.discovery.kernel import DiscoveryOptions, discover_io
 from repro.discovery.reducers import IOPathSwitching, LoopReduction, Reducer
 from repro.iostack.cluster import cori
 from repro.iostack.config import to_xml
-from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.faults import (
     AGENT_FAULT_MODES,
     DegradedWindow,
@@ -397,7 +396,6 @@ def _tuner_kind(
     simulator: IOStackSimulator,
     normalizer: PerfNormalizer,
     rng: np.random.Generator,
-    eval_cache: EvaluationCache,
     recorder: Recorder,
 ) -> tuple[str, dict, str | None]:
     """The :func:`make_tuner` kind and agent keyword arguments the flags
@@ -411,9 +409,7 @@ def _tuner_kind(
     if not (args.agents_cache and os.path.exists(args.agents_cache)):
         print("offline training (sweep + PCA + log-curve RL)...")
         training = [vpic(), flash(), hacc()]
-        agents = train_tunio_agents(
-            simulator, training, normalizer, rng=rng, cache=eval_cache
-        )
+        agents = train_tunio_agents(simulator, training, normalizer, rng=rng)
         if args.agents_cache:
             save_agents(agents, args.agents_cache)
             print(f"saved trained agents to {args.agents_cache}")
@@ -470,7 +466,6 @@ def _run_tuning(
     platform = cori(workload.n_nodes)
     simulator = IOStackSimulator(platform, NoiseModel(seed=args.seed))
     normalizer = PerfNormalizer.for_platform(platform, workload.n_nodes)
-    eval_cache = EvaluationCache()
 
     target = workload
     use_kernel = (
@@ -519,10 +514,10 @@ def _run_tuning(
             f"(n_osts={context.n_osts}, n_procs={context.n_procs})"
         )
     kind, tunio_kwargs, checkpoint_trip = _tuner_kind(
-        args, simulator, normalizer, rng, eval_cache, recorder
+        args, simulator, normalizer, rng, recorder
     )
     tuner = make_tuner(
-        kind, simulator, rng=rng, cache=eval_cache, retry_policy=policy,
+        kind, simulator, rng=rng, retry_policy=policy,
         constraints=constraints, recorder=recorder, **tunio_kwargs,
     )
 
@@ -563,7 +558,7 @@ def _run_tuning(
     print("\n" + final_line(result))
     if checkpoint_trip is not None:
         result.guardrail_trips = (checkpoint_trip,) + result.guardrail_trips
-    snapshot = metrics_snapshot(result, cache=eval_cache)
+    snapshot = metrics_snapshot(result)
     if result.eval_stats is not None:
         print(f"fastpath: {fastpath_line(snapshot)}")
         if snapshot_degraded(snapshot):
@@ -571,6 +566,8 @@ def _run_tuning(
     if result.guardrail_trips:
         print(f"guardrails: {guardrails_line(result.guardrail_trips)}")
     if args.metrics_out:
+        # Like --trace-out and --journal, create the parent directory.
+        os.makedirs(os.path.dirname(os.path.abspath(args.metrics_out)), exist_ok=True)
         with open(args.metrics_out, "w", encoding="utf-8") as fh:
             json.dump(snapshot, fh, indent=2, sort_keys=True)
             fh.write("\n")

@@ -29,7 +29,6 @@ import numpy as np
 
 from repro.iostack.clock import SimulatedClock
 from repro.iostack.config import StackConfiguration
-from repro.iostack.evalcache import EvaluationCache
 from repro.iostack.parameters import TUNED_SPACE
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.rl.guardrails import (
@@ -84,7 +83,6 @@ def parameter_sweep(
     random_samples: int = 8,
     rng: np.random.Generator | None = None,
     repeats: int = 3,
-    cache: EvaluationCache | None = None,
 ) -> SweepResult:
     """The paper's "simple parameter sweep": one-at-a-time axis sweeps
     from the default configuration plus uniform random samples.
@@ -93,9 +91,8 @@ def parameter_sweep(
     samples) are scored in one
     :meth:`~repro.tuners.resilience.ResilientEvaluator.evaluate` call,
     the same path a tuning run takes, on a clock of its own: sweeping
-    is not tuning time.  Traces come from ``cache`` when given (shared
-    across sweeps), a sweep-private one otherwise; results are
-    bit-identical either way (the cache contract).
+    is not tuning time.  The evaluator's private memo spans the sweep,
+    so its traces share layer results.
     """
     rng = rng if rng is not None else np.random.default_rng()
     default = StackConfiguration.default()
@@ -109,7 +106,7 @@ def parameter_sweep(
             configs.append(default.with_values(**{param.name: value}))
     configs.extend(StackConfiguration.random(rng) for _ in range(random_samples))
 
-    evaluator = ResilientEvaluator(simulator, SimulatedClock(), cache)
+    evaluator = ResilientEvaluator(simulator, SimulatedClock())
     perfs = evaluator.evaluate(workload, configs, repeats, charge=False)
     return SweepResult(
         workload_name=workload.name,
@@ -195,17 +192,13 @@ def train_tunio_agents(
     training_workloads: Sequence[WorkloadLike],
     normalizer: PerfNormalizer,
     rng: np.random.Generator | None = None,
-    cache: EvaluationCache | None = None,
 ) -> TunIOAgents:
     """The full offline phase: sweep the representative kernels, run the
     PCA, pre-train the subset picker, and train the early stopper on
-    generated log curves.  All sweeps share ``cache`` when given.
+    generated log curves.
     """
     rng = rng if rng is not None else np.random.default_rng()
-    sweeps = [
-        parameter_sweep(simulator, w, rng=rng, cache=cache)
-        for w in training_workloads
-    ]
+    sweeps = [parameter_sweep(simulator, w, rng=rng) for w in training_workloads]
     impact = impact_from_sweeps(sweeps)
 
     smart = SmartConfigAgent(normalizer, rng=rng)

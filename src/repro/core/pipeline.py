@@ -66,8 +66,8 @@ class TunIOTuner(HSTuner):
         **kwargs,
     ):
         super().__init__(simulator, stopper=stopper, **kwargs)
-        # Reads the *current* fault plan each call (the attribute is
-        # swapped around journal cache warming and by tests).
+        # Reads the *current* fault plan each call: the CLI attaches the
+        # plan after it builds the tuner, and tests swap it.
         fault_source = lambda: simulator.faults  # noqa: E731
         self._picker = GuardedSubsetPicker(smart_config, self.guardrails, fault_source)
         if isinstance(stopper, RLStopper):

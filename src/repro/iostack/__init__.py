@@ -9,7 +9,7 @@ substitution rationale.
 from .clock import SimulatedClock
 from .cluster import Platform, cori
 from .config import StackConfiguration, from_xml, to_xml
-from .evalcache import EvaluationCache, workload_fingerprint
+from .evalcache import EvaluationCache
 from .faults import (
     AGENT_FAULT_MODES,
     DegradedWindow,
@@ -77,7 +77,6 @@ __all__ = [
     "StreamTrace",
     "WorkloadLike",
     "EvaluationCache",
-    "workload_fingerprint",
     "AGENT_FAULT_MODES",
     "DegradedWindow",
     "EvaluationError",

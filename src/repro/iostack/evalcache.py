@@ -1,143 +1,130 @@
-"""Config-keyed memoization of stack evaluations.
+"""The memo of one tuning run: stack traces and the layer results under them.
 
 Tuning runs re-evaluate the same configuration constantly: the GA
-re-draws duplicate genomes, elites are re-examined, sweeps revisit the
-default, and every experiment starts from the untuned baseline.  The
-stack traversal is deterministic given ``(platform, workload, config)``,
-so :class:`EvaluationCache` memoizes the *noise-free trace* (see
-:class:`~repro.iostack.simulator.StackTrace`) under an LRU policy.  The
-cache is storage only: :class:`~repro.tuners.resilience.ResilientEvaluator`
-is the one caller that looks traces up, builds the misses, stores them,
-replays them with fresh noise and counts and reports all of it.
+re-draws duplicate genomes, elites are re-examined, and every run starts
+from the untuned baseline.  A GA child also differs from its parents in
+a few genes, so most of the stack a new trace walks was already walked
+by an earlier trace of the run.  :class:`EvaluationCache` memoizes both:
+
+* **Traces.**  The noise-free :class:`~repro.iostack.simulator.StackTrace`
+  of each configuration, keyed ``(id(workload), config)``.  This table is
+  storage only: :class:`~repro.tuners.resilience.ResilientEvaluator` is
+  the one caller that looks traces up, builds the misses, stores them,
+  replays them with fresh noise and counts and reports all of it.
+* **Layer results.**  The tables
+  :meth:`~repro.iostack.simulator.IOStackSimulator.trace` reads and fills
+  when it is handed the memo: the two HDF5 halves, MPI-IO with its
+  interned collective samples, and Lustre with its RPC passes (see the
+  simulator's module docstring for their keys).
 
 Caching the trace rather than the finished
 :class:`~repro.iostack.simulator.EvaluationResult` is what keeps cached
 runs bit-identical to uncached ones: a hit still draws its own noise
 factors (consuming the noise stream exactly like a cold evaluation) and
-still reports its own noisy bandwidths.  Only the expensive layer-model
-traversal is skipped.  The simulated clock is likewise still charged on
-hits -- a cache hit saves *our* wall-clock, not the simulated
-testbed's, so RoTI and time accounting are unchanged.
+still reports its own noisy bandwidths.  Only the layer-model traversal
+is skipped.  The simulated clock is likewise still charged on hits -- a
+cache hit saves *our* wall-clock, not the simulated testbed's, so RoTI
+and time accounting are unchanged.
 
-The key is ``(platform, workload fingerprint, configuration)``; the
-configuration hashes its values, so distinct genomes are distinct keys.  Workload fingerprints digest the full phase
-structure (streams, sizes samples, metadata, tier); each cache memoizes
-the fingerprint of the last workload it saw, which is the only one
-during a tune or a sweep.
+Every key holds its workload, phase, stream or sample by identity, and
+every entry holds the object its key names, which keeps that id from
+being reused.  A content-equal workload built separately is a different
+key: a miss, never a false hit.  The simulator's platform is not in any
+key; instead a memo is tied to the first platform it serves and refuses
+another (:meth:`EvaluationCache.bind`).  A run's memo lives as long as
+the run: :class:`~repro.tuners.hstuner.HSTuner` empties it
+(:meth:`EvaluationCache.clear`) when a ``tune`` or ``resume`` ends.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections import OrderedDict
-from typing import Any, Hashable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .cluster import Platform
 from .config import StackConfiguration
-from .simulator import StackTrace, WorkloadLike
 
-__all__ = ["workload_fingerprint", "EvaluationCache"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .mpiio import MPIIOResult
+    from .phase import IOPhase
+    from .requests import RequestStream
+    from .simulator import StackTrace, WorkloadLike
 
-
-# -- workload fingerprinting -------------------------------------------------------
-
-
-def _freeze(obj: Any) -> Hashable:
-    """Recursively convert phases/streams (dataclasses with ndarray
-    fields) into a hashable tuple tree."""
-    if isinstance(obj, np.ndarray):
-        return (obj.dtype.str, obj.shape, obj.tobytes())
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return (
-            type(obj).__name__,
-            tuple(_freeze(getattr(obj, f.name)) for f in dataclasses.fields(obj)),
-        )
-    if isinstance(obj, (list, tuple)):
-        return tuple(_freeze(o) for o in obj)
-    return obj
-
-
-def workload_fingerprint(workload: WorkloadLike) -> Hashable:
-    """A hashable digest of everything the simulator reads from a
-    workload: name, job shape and the full phase structure."""
-    return (
-        workload.name,
-        workload.n_procs,
-        workload.n_nodes,
-        _freeze(tuple(workload.phases)),
-    )
-
-
-# -- the cache ---------------------------------------------------------------------
+__all__ = ["EvaluationCache"]
 
 
 class EvaluationCache:
-    """LRU memo of noise-free stack traces.
+    """The memo of one tuning run (see the module docstring).
 
-    Parameters
-    ----------
-    maxsize:
-        Maximum number of cached traces; least-recently-used entries are
-        evicted beyond it.  A 12-parameter tuning run touches a few
-        hundred distinct configurations, so the default is generous.
-
-    The cache keeps no counters and emits no events: it outlives a
-    tuning run (the CLI shares one with offline training), so
-    :meth:`lookup` and :meth:`store` report what happened and the
-    evaluator counts and traces it.
+    The cache keeps no counters and emits no events: :meth:`lookup`
+    reports whether it hit, and the evaluator counts and traces it.
     """
 
-    def __init__(self, maxsize: int = 4096):
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[Hashable, StackTrace] = OrderedDict()
-        #: The last workload keyed and its fingerprint.  Holding the
-        #: workload keeps its identity valid; one entry is enough
-        #: because a tune or a sweep keys a single workload.
-        self._fingerprint: tuple[WorkloadLike, Hashable] | None = None
+    def __init__(self) -> None:
+        #: The platform this memo serves (None until first bound).
+        self.platform: Platform | None = None
+        #: Traces: the workload and its trace under the configuration.
+        self.traces: dict[
+            tuple[int, StackConfiguration], tuple[WorkloadLike, StackTrace]
+        ] = {}
+        #: HDF5 data half: the phase and its streams after the ``nodes``
+        #: fill.
+        self.hdf5_data: dict[tuple, tuple[IOPhase, tuple[RequestStream, ...]]] = {}
+        #: HDF5 metadata half: the phase, the metadata overhead and the
+        #: served metadata seconds.
+        self.hdf5_metadata: dict[tuple, tuple[IOPhase, float, float]] = {}
+        self.mpiio: dict[tuple, tuple[RequestStream, MPIIOResult]] = {}
+        #: Collective rebuild samples by ``(length, size)`` (the key
+        #: holds no id; the value is the shared array).
+        self.samples: dict[tuple[int, float], np.ndarray] = {}
+        self.lustre: dict[tuple, tuple[RequestStream, float]] = {}
+        #: Lustre RPC passes: the sample, RPCs per request and mean RPC
+        #: bytes.
+        self.rpc_passes: dict[tuple, tuple[np.ndarray, float, float]] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        """The number of stored traces."""
+        return len(self.traces)
 
-    # -- lookups ---------------------------------------------------------------
+    def bind(self, platform: Platform) -> None:
+        """Tie the memo to ``platform``: an empty memo takes it, and a
+        memo tied to a different platform refuses it, since none of its
+        keys name the platform."""
+        bound = self.platform
+        if bound is None:
+            self.platform = platform
+        elif platform is not bound and platform != bound:
+            raise ValueError(
+                f"this memo serves platform {bound.name!r} with {bound.n_nodes} "
+                f"nodes; it cannot also serve {platform.name!r} with "
+                f"{platform.n_nodes} nodes"
+            )
 
-    def key_for(
-        self, platform: Platform, workload: WorkloadLike, config: StackConfiguration
-    ) -> Hashable:
-        """The memo key: platform, workload fingerprint, configuration
-        (which hashes its values)."""
-        memo = self._fingerprint
-        if memo is None or memo[0] is not workload:
-            memo = self._fingerprint = (workload, workload_fingerprint(workload))
-        return (platform, memo[1], config)
+    def clear(self) -> None:
+        """Forget every entry and the platform."""
+        self.platform = None
+        for table in (
+            self.traces,
+            self.hdf5_data,
+            self.hdf5_metadata,
+            self.mpiio,
+            self.samples,
+            self.lustre,
+            self.rpc_passes,
+        ):
+            table.clear()
 
     def lookup(
-        self, platform: Platform, workload: WorkloadLike, config: StackConfiguration
+        self, workload: WorkloadLike, config: StackConfiguration
     ) -> StackTrace | None:
-        """The cached trace (a hit, which refreshes its LRU recency), or
+        """The stored trace of ``config`` on ``workload`` (a hit), or
         None (a miss)."""
-        key = self.key_for(platform, workload, config)
-        trace = self._entries.get(key)
-        if trace is not None:
-            self._entries.move_to_end(key)
-        return trace
+        entry = self.traces.get((id(workload), config))
+        return entry[1] if entry is not None else None
 
     def store(
-        self,
-        platform: Platform,
-        workload: WorkloadLike,
-        config: StackConfiguration,
-        trace: StackTrace,
-    ) -> bool:
-        """Remember a trace, evicting the least recently used entry
-        beyond ``maxsize``; returns whether an entry was evicted."""
-        key = self.key_for(platform, workload, config)
-        self._entries[key] = trace
-        self._entries.move_to_end(key)
-        if len(self._entries) <= self.maxsize:
-            return False
-        self._entries.popitem(last=False)
-        return True
+        self, workload: WorkloadLike, config: StackConfiguration, trace: StackTrace
+    ) -> None:
+        """Remember ``config``'s trace on ``workload``."""
+        self.traces[(id(workload), config)] = (workload, trace)

@@ -119,7 +119,7 @@ class RequestStream:
 
     def memo_key(self) -> tuple:
         """The stream's key in a layer memo (see
-        :meth:`~repro.iostack.simulator.IOStackSimulator.memo_scope`).
+        :class:`~repro.iostack.evalcache.EvaluationCache`).
 
         Every field enters; ``sizes`` by the identity of its array, so a
         key never hashes a sample.  Transforms that leave the sizes alone

@@ -38,7 +38,9 @@ event              payload fields
                    ``iteration``, and per-agent fields (``subset``,
                    ``degraded``, ``stop``)
 ``guardrail_trip`` ``guardrail``, ``kind``, ``detail``, ``iteration``
-``cache``          ``op`` (``hit`` | ``miss`` | ``store`` | ``evict``)
+``cache``          ``op`` (``hit`` | ``miss`` | ``store``); ``evict`` is
+                   retired: no run emits it (the memo never evicts);
+                   older traces that hold it still validate
 ``cache_prewarm``  retired: no run emits it; older traces that hold it
                    (``lookups``, ``hits``, ``builds``) still validate
 ``retry``          ``kind`` (``retry`` | ``timeout`` | ``quarantine``),

@@ -3,12 +3,11 @@
 A tuning run keeps one counter record,
 :class:`~repro.tuners.resilience.EvaluationStats`, filled by its
 evaluator.  :func:`metrics_snapshot` turns a finished
-:class:`~repro.tuners.base.TuningResult` (plus, optionally, the cache
-occupancy) into named counters and gauges; the
-CLI summary lines (``fastpath:`` / ``resilience:`` / ``guardrails:``)
-are rendered *from the snapshot* by :func:`fastpath_line` and friends,
-so ``tunio-tune`` (``--metrics-out``) and ``tunio-report`` (``--json``,
-from the trace) can never drift apart.
+:class:`~repro.tuners.base.TuningResult` into named counters and
+gauges; the CLI summary lines (``fastpath:`` / ``resilience:`` /
+``guardrails:``) are rendered *from the snapshot* by
+:func:`fastpath_line` and friends, so ``tunio-tune`` (``--metrics-out``)
+and ``tunio-report`` (``--json``, from the trace) can never drift apart.
 
 Everything here is passive arithmetic on already-collected numbers:
 building a snapshot cannot perturb a run.
@@ -27,17 +26,12 @@ __all__ = [
 ]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.iostack.evalcache import EvaluationCache
     from repro.tuners.base import TuningResult
 
 
-def metrics_snapshot(
-    result: "TuningResult",
-    cache: "EvaluationCache | None" = None,
-) -> dict[str, Any]:
+def metrics_snapshot(result: "TuningResult") -> dict[str, Any]:
     """The run's metrics as plain JSON-serialisable values: integer
-    ``counters`` and float ``gauges``, each sorted by name.  The cache
-    adds its occupancy gauges."""
+    ``counters`` and float ``gauges``, each sorted by name."""
     counters: dict[str, int] = {
         "run.iterations": len(result.history),
         "run.total_evaluations": result.total_evaluations,
@@ -54,7 +48,6 @@ def metrics_snapshot(
             "evaluations": stats.evaluations,
             "cache.hits": stats.cache_hits,
             "cache.misses": stats.cache_misses,
-            "cache.evictions": stats.cache_evictions,
             "trace.built": stats.traces_built,
             "trace.replays": stats.trace_replays,
             "trace.reuse": stats.trace_reuse,
@@ -68,9 +61,6 @@ def metrics_snapshot(
         # The result's trips include the CLI's rejected-checkpoint trip,
         # which the tuner's own count never sees.
         counters["guardrail.trips"] = len(result.guardrail_trips)
-    if cache is not None:
-        gauges["cache.size"] = float(len(cache))
-        gauges["cache.maxsize"] = float(cache.maxsize)
     return {
         "counters": dict(sorted(counters.items())),
         "gauges": dict(sorted(gauges.items())),

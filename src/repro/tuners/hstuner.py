@@ -7,10 +7,13 @@ simulator three times, averages bandwidths into the ``perf`` objective,
 and charges one run's duration plus setup overhead to the simulated
 tuning clock.
 
-The class exposes one extension point, :meth:`_select_subset`, returning
-the parameter names the next generation may vary (None = all).  TunIO's
-Smart Configuration Generation plugs in there; the base class always
-returns None, which *is* HSTuner.
+The class exposes three extension points.  :meth:`_select_subset`
+returns the parameter names the next generation may vary (None = all);
+TunIO's Smart Configuration Generation plugs in there, and the base
+class always returns None, which *is* HSTuner.
+:meth:`_observe_iteration` sees each finished iteration (TunIO feeds its
+agents), and :meth:`_journal_agent_state` adds agent state to each
+journaled generation.
 
 Evaluation
 ----------
@@ -26,9 +29,9 @@ own factor slice.  That is bit-identical to a per-individual,
 per-repeat loop: same fitnesses, same noise-stream consumption, same
 clock charges.
 
-Each :meth:`tune` and :meth:`resume` runs inside the simulator's
-:meth:`~repro.iostack.simulator.IOStackSimulator.memo_scope`, so its
-traces share layer results and nothing of them outlives the call.
+The cache is the run's one memo: it also holds the layer results its
+traces share.  :meth:`tune` and :meth:`resume` empty it when they end,
+however they end, so nothing of it outlives the call.
 
 Each :meth:`tune` builds a fresh evaluator, and the evaluator counts the
 run's work on its own record; :attr:`TuningResult.eval_stats` is a copy
@@ -113,10 +116,11 @@ class HSTuner(Tuner):
     rng:
         Seeded generator for reproducibility.
     cache:
-        Evaluation cache; repeat configurations reuse their stored trace
-        (the simulated clock is still charged on hits).  ``None`` (the
-        default) gives the tuner a fresh private cache; pass one to
-        share traces between tuners.
+        The run's memo: repeat configurations reuse their stored trace
+        (the simulated clock is still charged on hits) and traces share
+        layer results.  ``None`` (the default) gives the tuner a fresh
+        private one.  It is emptied when each :meth:`tune` or
+        :meth:`resume` ends.
     retry_policy:
         How evaluation failures are retried/timed-out/quarantined; see
         :class:`~repro.tuners.resilience.RetryPolicy`.  The default
@@ -186,7 +190,7 @@ class HSTuner(Tuner):
         journaled generations on resume instead of re-simulating them."""
         self._journal = RunJournal(self, writer, replay)
 
-    # -- extension point -----------------------------------------------------
+    # -- extension points ----------------------------------------------------
 
     def _select_subset(
         self, iteration: int, history: Sequence[IterationRecord]
@@ -232,11 +236,13 @@ class HSTuner(Tuner):
     def tune(self, workload: WorkloadLike, max_iterations: int = 50) -> TuningResult:
         if max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        # The simulator shares layer results between this run's traces
-        # only; the scope is released however the run ends.
-        with self.simulator.memo_scope():
+        # The memo serves this run only; it is emptied however the run
+        # ends.
+        try:
             self._start_run(workload, max_iterations)
             self._run_iterations(max_iterations)
+        finally:
+            self.cache.clear()
         return self._result
 
     def _start_run(self, workload: WorkloadLike, max_iterations: int) -> None:
@@ -362,8 +368,10 @@ class HSTuner(Tuner):
             raise RuntimeError("nothing to resume; call tune() first")
         if extra_iterations < 1:
             raise ValueError("extra_iterations must be >= 1")
-        with self.simulator.memo_scope():
+        try:
             self._run_iterations(extra_iterations)
+        finally:
+            self.cache.clear()
         return self._result
 
     def _perturbed(self, seed: Individual, rng: np.random.Generator) -> Individual:

@@ -36,17 +36,19 @@ The happy path performs exactly the same calls in exactly the same order
 as the unwrapped fastpath, so with no faults firing and no timeout
 tripping, results remain bit-identical to the pre-harness pipeline.
 
-The evaluator is the only code that touches the trace cache: tuning
-runs and the offline parameter sweep look traces up, build and store
-them through it.  The cache is a pure memo: whether a trace was cached
+The evaluator is the only code that touches the trace table of its
+:class:`~repro.iostack.evalcache.EvaluationCache`: tuning runs and the
+offline parameter sweep look traces up, build and store them through
+it, and it hands the same cache to every trace it builds, so they share
+layer results.  The cache is a pure memo: whether a trace was cached
 changes no fault draw, no noise draw and no clock charge.  Every
 evaluation of a tuning run passes through one evaluator, so it owns the
 run's only counter record, :attr:`ResilientEvaluator.stats` (an
 :class:`EvaluationStats`), and counts -- and, with a recorder
 attached, emits the ``cache`` and ``retry`` trace events -- at the
-points where it already branches: evaluations, cache hits and misses,
-stores and evictions, traces built and replayed, retries, timeouts and
-quarantines.  The counts are run-local by construction.
+points where it already branches: evaluations, cache hits, misses and
+stores, traces built and replayed, retries, timeouts and quarantines.
+The counts are run-local by construction.
 """
 
 from __future__ import annotations
@@ -125,20 +127,19 @@ class EvaluationStats:
     :class:`~repro.tuners.base.TuningResult` and in the CLI report.
 
     The run's :class:`ResilientEvaluator` owns it and counts where it
-    branches: evaluations, cache lookups that hit or miss, stores that
-    evicted, traces built and replayed, retries, timeouts and
-    quarantines.  The tuner fills in the fault and guardrail fields as
-    the run ends.  The cache and build counters count this process's
-    memo work: a run resumed from its journal restores the others and
-    counts only its own lookups and builds.  It also notes the replays
-    it restored, so :attr:`trace_reuse` counts its own replays only.
+    branches: evaluations, cache lookups that hit or miss, traces built
+    and replayed, retries, timeouts and quarantines.  The tuner fills in
+    the fault and guardrail fields as the run ends.  The cache and build
+    counters count this process's memo work: a run resumed from its
+    journal restores the others and counts only its own lookups and
+    builds.  It also notes the replays it restored, so
+    :attr:`trace_reuse` counts its own replays only.
     """
 
     #: Configuration evaluations performed (baseline included).
     evaluations: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
-    cache_evictions: int = 0
     #: Full stack traversals performed by the simulator.
     traces_built: int = 0
     #: Reports derived from a stored trace (``repeats`` per evaluation).
@@ -199,7 +200,8 @@ class ResilientEvaluator:
     ):
         self.simulator = simulator
         self.clock = clock
-        #: Trace memo shared with the tuner; ``None`` gets a private one.
+        #: The run's memo, shared with the tuner; ``None`` gets a
+        #: private one.
         self.cache = cache if cache is not None else EvaluationCache()
         self.policy = policy if policy is not None else RetryPolicy()
         #: The run's counter record (journal replay restores it).
@@ -264,21 +266,19 @@ class ResilientEvaluator:
     def build_trace(
         self, workload: WorkloadLike, config: StackConfiguration
     ) -> StackTrace:
-        """Build ``config``'s trace and store it in the cache.  Building
-        never faults, so any exception is a bug: it is re-raised as a
-        :class:`HarnessError` naming the configuration."""
+        """Build ``config``'s trace on the cache's layer results and
+        store it there.  Building never faults, so any exception is a
+        bug: it is re-raised as a :class:`HarnessError` naming the
+        configuration."""
         try:
-            trace = self.simulator.trace(workload, config)
+            trace = self.simulator.trace(workload, config, self.cache)
         except Exception as exc:
             raise HarnessError(
                 f"trace construction failed for {config!r}"
             ) from exc
         self.stats.traces_built += 1
-        evicted = self.cache.store(self.simulator.platform, workload, config, trace)
+        self.cache.store(workload, config, trace)
         self._emit_cache("store")
-        if evicted:
-            self.stats.cache_evictions += 1
-            self._emit_cache("evict")
         return trace
 
     def traces(
@@ -286,14 +286,18 @@ class ResilientEvaluator:
     ) -> dict[StackConfiguration, StackTrace | None]:
         """The trace of each distinct configuration, or ``None`` for a
         quarantined one: every cache lookup first, in first-seen order,
-        then the misses are built (:meth:`build_trace`)."""
+        then the misses are built (:meth:`build_trace`).  A cache that
+        already serves another platform is refused with
+        :class:`ValueError` before any lookup."""
+        cache = self.cache
+        cache.bind(self.simulator.platform)
         traces: dict[StackConfiguration, StackTrace | None] = {}
         distinct = list(dict.fromkeys(configs))
         for config in distinct:
             if self.is_quarantined(config):
                 traces[config] = None
                 continue
-            cached = self.cache.lookup(self.simulator.platform, workload, config)
+            cached = cache.lookup(workload, config)
             if cached is None:
                 self.stats.cache_misses += 1
                 self._emit_cache("miss")

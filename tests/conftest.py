@@ -61,6 +61,17 @@ def run_once(sim: IOStackSimulator, workload, config) -> tuple[float, float, flo
     return sim.replay(sim.trace(workload, config), sim.noise.sample_factor())
 
 
+#: The tables of an :class:`~repro.iostack.evalcache.EvaluationCache`.
+MEMO_TABLES = (
+    "traces", "hdf5_data", "hdf5_metadata", "mpiio", "samples", "lustre", "rpc_passes",
+)
+
+
+def memo_is_empty(memo) -> bool:
+    """Whether ``memo`` holds no entry in any table and no platform."""
+    return memo.platform is None and not any(getattr(memo, t) for t in MEMO_TABLES)
+
+
 @pytest.fixture(scope="session")
 def trained_bundle():
     """Simulator, normalizer and offline-trained agents, trained once

@@ -14,7 +14,6 @@ from repro.core.objective import PerfNormalizer
 from repro.core.smart_config import SmartConfigAgent
 from repro.iostack import (
     TUNED_SPACE,
-    EvaluationCache,
     IOStackSimulator,
     NoiseModel,
     cori,
@@ -61,25 +60,25 @@ def counting_traces(sim):
     return built
 
 
-def test_duplicate_sweep_configs_hit_the_cache():
-    """Two sweeps over the same workload sharing one cache: the second
-    sweep's deterministic axis portion is entirely duplicated work, so
-    it must be served from cache without a single traversal."""
-    sim = IOStackSimulator(cori(4), NoiseModel.quiet())
+def test_a_sweep_shares_layer_results(layer_calls):
+    """A sweep builds every trace on its evaluator's one memo: the axis
+    points differ from the default in one gene, so most layer results
+    are reused, and each perf equals an evaluation of its configuration
+    alone."""
+    sim = IOStackSimulator(cori(4), NoiseModel(seed=3))
     built = counting_traces(sim)
-    cache = EvaluationCache()
-    first = parameter_sweep(
-        sim, flash(), rng=np.random.default_rng(0), random_samples=0,
-        repeats=1, cache=cache,
+    workload = flash()
+    sweep = parameter_sweep(
+        sim, workload, rng=np.random.default_rng(0), random_samples=0, repeats=1
     )
-    assert len(built) == len(first.perfs)
-    second = parameter_sweep(
-        sim, flash(), rng=np.random.default_rng(1), random_samples=0,
-        repeats=1, cache=cache,
-    )
-    assert len(built) == len(first.perfs)  # every config duplicated
-    # The cache contract: hits replay bit-identically.
-    assert np.array_equal(first.perfs, second.perfs)
+    assert len(built) == len(sweep.perfs)
+    assert len({id(memo) for _, _, memo in built}) == 1
+    traced_phases = len(built) * len(workload.phases)
+    assert layer_calls["apply_hdf5"] < traced_phases / 2
+    assert layer_calls["apply_hdf5_metadata"] < traced_phases / 2
+    plain = IOStackSimulator(cori(4), NoiseModel(seed=3))
+    perfs = [plain.evaluate(workload, config, repeats=1).perf_mbps for _, config, _ in built]
+    assert perfs == list(sweep.perfs)
 
 
 def test_private_sweep_cache_counts_no_false_hits():

@@ -1,4 +1,5 @@
-"""Config-keyed memoization of stack evaluations."""
+"""The memo of one tuning run: stored traces and the layer results
+under them."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from repro.iostack import (
     NoiseModel,
     StackConfiguration,
     cori,
-    workload_fingerprint,
 )
 from repro.iostack.clock import SimulatedClock
 from repro.observability.metrics import (
@@ -20,7 +20,7 @@ from repro.observability.metrics import (
 )
 from repro.tuners.base import TuningResult
 from repro.tuners.resilience import EvaluationStats, ResilientEvaluator
-from tests.conftest import make_workload
+from tests.conftest import make_workload, memo_is_empty
 
 
 @pytest.fixture
@@ -33,32 +33,6 @@ def random_configs(n, seed=0):
     return [StackConfiguration.random(rng) for _ in range(n)]
 
 
-# -- workload fingerprints -----------------------------------------------------
-
-
-def test_fingerprint_is_stable_per_object():
-    w = make_workload()
-    assert workload_fingerprint(w) == workload_fingerprint(w)
-
-
-def test_structurally_equal_workloads_share_a_fingerprint():
-    assert workload_fingerprint(make_workload()) == workload_fingerprint(
-        make_workload()
-    )
-
-
-def test_different_workloads_fingerprint_differently():
-    a = make_workload()
-    b = make_workload(request_size=4 * 1024 * 1024)
-    c = make_workload(n_procs=128)
-    assert workload_fingerprint(a) != workload_fingerprint(b)
-    assert workload_fingerprint(a) != workload_fingerprint(c)
-
-
-def test_fingerprint_is_hashable():
-    hash(workload_fingerprint(make_workload()))
-
-
 # -- cache mechanics -----------------------------------------------------------
 
 
@@ -66,10 +40,10 @@ def test_miss_then_hit(sim):
     cache = EvaluationCache()
     w = make_workload()
     config = StackConfiguration.default()
-    assert cache.lookup(sim.platform, w, config) is None
-    trace = sim.trace(w, config)
-    cache.store(sim.platform, w, config, trace)
-    assert cache.lookup(sim.platform, w, config) is trace
+    assert cache.lookup(w, config) is None
+    trace = sim.trace(w, config, cache)
+    cache.store(w, config, trace)
+    assert cache.lookup(w, config) is trace
     assert len(cache) == 1
 
 
@@ -77,8 +51,8 @@ def test_distinct_configs_do_not_collide(sim):
     cache = EvaluationCache()
     w = make_workload()
     a, b = random_configs(2)
-    cache.store(sim.platform, w, a, sim.trace(w, a))
-    assert cache.lookup(sim.platform, w, b) is None
+    cache.store(w, a, sim.trace(w, a, cache))
+    assert cache.lookup(w, b) is None
 
 
 def test_distinct_workloads_do_not_collide(sim):
@@ -86,38 +60,62 @@ def test_distinct_workloads_do_not_collide(sim):
     config = StackConfiguration.default()
     small = make_workload()
     big = make_workload(n_procs=128)
-    cache.store(sim.platform, small, config, sim.trace(small, config))
-    assert cache.lookup(sim.platform, big, config) is None
+    cache.store(small, config, sim.trace(small, config, cache))
+    assert cache.lookup(big, config) is None
 
 
-def test_lru_eviction_order(sim):
-    cache = EvaluationCache(maxsize=2)
-    w = make_workload()
-    a, b, c = random_configs(3)
-    for config in (a, b):
-        cache.store(sim.platform, w, config, sim.trace(w, config))
-    cache.lookup(sim.platform, w, a)  # refresh a: b is now LRU
-    assert cache.store(sim.platform, w, c, sim.trace(w, c))  # evicted
-    assert len(cache) == 2
-    assert cache.lookup(sim.platform, w, a) is not None
-    assert cache.lookup(sim.platform, w, b) is None  # evicted
-    assert cache.lookup(sim.platform, w, c) is not None
+def test_content_equal_workloads_share_nothing(sim, layer_calls):
+    """Keys hold workloads, phases and samples by identity: a
+    content-equal workload built separately misses every table, so it
+    pays every layer call again, and gets an equal trace."""
+    cache = EvaluationCache()
+    evaluator = ResilientEvaluator(sim, SimulatedClock(), cache)
+    config = StackConfiguration.default()
+    a, b = make_workload(), make_workload()
+    first = evaluator.traces(a, [config])[config]
+    first_calls = layer_calls.copy()
+    second = evaluator.traces(b, [config])[config]
+    assert second == first and second is not first
+    assert layer_calls == first_calls + first_calls
+    assert evaluator.stats.cache_misses == evaluator.stats.traces_built == 2
+    assert cache.lookup(a, config) is first and cache.lookup(b, config) is second
 
 
-def test_maxsize_validation():
-    with pytest.raises(ValueError):
-        EvaluationCache(maxsize=0)
-
-
-def test_store_reports_evictions(sim):
-    cache = EvaluationCache(maxsize=1)
+def test_restoring_same_key_does_not_evict(sim):
+    cache = EvaluationCache()
     w = make_workload()
     a, b = random_configs(2)
-    assert cache.store(sim.platform, w, a, sim.trace(w, a)) is False
-    assert cache.store(sim.platform, w, a, sim.trace(w, a)) is False  # re-store
-    assert cache.store(sim.platform, w, b, sim.trace(w, b)) is True
-    assert cache.lookup(sim.platform, w, a) is None
-    assert len(cache) == 1
+    for config in (a, b, a, a):
+        cache.store(w, config, sim.trace(w, config, cache))
+    assert len(cache) == 2
+
+
+def test_a_second_platform_is_refused(layer_calls):
+    """No key names the platform, so a memo serves one: traces and
+    lookups on another platform are refused, one with equal values is
+    served, and an emptied memo takes any platform."""
+    small = IOStackSimulator(cori(2), NoiseModel.quiet())
+    twin = IOStackSimulator(cori(2), NoiseModel.quiet())
+    big = IOStackSimulator(cori(4), NoiseModel.quiet())
+    w = make_workload()
+    config = StackConfiguration.default()
+    cache = EvaluationCache()
+    ResilientEvaluator(small, SimulatedClock(), cache).traces(w, [config])
+    before = layer_calls.copy()
+    with pytest.raises(ValueError, match="cannot also serve"):
+        big.trace(w, config, cache)
+    refused = ResilientEvaluator(big, SimulatedClock(), cache)
+    with pytest.raises(ValueError, match="cannot also serve"):
+        refused.traces(w, [config])
+    assert layer_calls == before
+    assert refused.stats.cache_hits + refused.stats.cache_misses == 0
+    served = ResilientEvaluator(twin, SimulatedClock(), cache)
+    served.traces(w, [config])
+    assert served.stats.cache_hits == 1
+    cache.clear()
+    assert memo_is_empty(cache)
+    big.trace(w, config, cache)
+    assert cache.platform is big.platform
 
 
 # -- cached evaluation ---------------------------------------------------------
@@ -201,10 +199,10 @@ def test_evaluation_stats_degraded_flag_and_resilience_line():
 # -- edge paths ----------------------------------------------------------------
 
 
-def test_fingerprint_of_a_slotted_workload(sim):
-    """Fingerprinting reads only the workload protocol, so ad-hoc shims
-    without a ``__dict__`` or weakref support fingerprint and key like
-    any workload."""
+def test_a_slotted_workload_keys_by_identity(sim):
+    """Keys read only the workload protocol and the object's identity,
+    so ad-hoc shims without a ``__dict__`` or weakref support key like
+    any workload; a content-equal twin is another key."""
 
     class SlottedWorkload:
         __slots__ = ("name", "n_procs", "n_nodes", "phases")
@@ -216,46 +214,19 @@ def test_fingerprint_of_a_slotted_workload(sim):
             self.phases = phases
 
     w = SlottedWorkload(make_workload().phases)
-    first = workload_fingerprint(w)
-    assert workload_fingerprint(w) == first
-    assert hash(first)
-    # a structurally equal twin agrees, a different one does not
-    assert workload_fingerprint(
-        SlottedWorkload(make_workload().phases)
-    ) == first
-    assert workload_fingerprint(SlottedWorkload(())) != first
     cache = EvaluationCache()
     config = StackConfiguration.default()
-    cache.store(sim.platform, w, config, sim.trace(w, config))
-    twin = SlottedWorkload(make_workload().phases)
-    assert cache.lookup(sim.platform, twin, config) is not None
+    trace = sim.trace(w, config, cache)
+    cache.store(w, config, trace)
+    assert cache.lookup(w, config) is trace
+    twin = SlottedWorkload(w.phases)
+    assert cache.lookup(twin, config) is None
 
 
-def test_cache_fingerprints_each_workload_once_in_a_row(sim, monkeypatch):
-    """The cache memoizes the last workload's fingerprint: repeated
-    lookups of one workload walk its phases once, and switching
-    workloads recomputes."""
-    from repro.iostack import evalcache
-
-    calls = []
-    fingerprint = evalcache.workload_fingerprint
-    monkeypatch.setattr(
-        evalcache, "workload_fingerprint", lambda w: calls.append(w) or fingerprint(w)
-    )
-    cache = EvaluationCache()
-    a, b = make_workload(), make_workload(n_procs=128)
-    for config in random_configs(5):
-        cache.lookup(sim.platform, a, config)
-    assert calls == [a]
-    cache.lookup(sim.platform, b, StackConfiguration.default())
-    cache.lookup(sim.platform, a, StackConfiguration.default())
-    assert calls == [a, b, a]
-
-
-def test_fingerprints_do_not_outlive_their_caches(sim):
-    """Fingerprints live on the cache that computed them: 50 fresh
-    BD-CATS workloads keyed through short-lived caches leave nothing
-    behind once the caches are gone."""
+def test_entries_do_not_outlive_their_cache(sim):
+    """Every entry lives on its cache: 50 fresh BD-CATS workloads traced
+    and stored through short-lived caches leave nothing behind once the
+    caches are gone."""
     import gc
     import tracemalloc
 
@@ -263,46 +234,22 @@ def test_fingerprints_do_not_outlive_their_caches(sim):
 
     config = StackConfiguration.default()
 
-    def key_one():
-        EvaluationCache().lookup(sim.platform, bdcats(), config)
+    def store_one():
+        cache, w = EvaluationCache(), bdcats()
+        cache.store(w, config, sim.trace(w, config, cache))
 
-    key_one()  # warm module-level state before measuring
+    store_one()  # warm module-level state before measuring
     gc.collect()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
         for _ in range(50):
-            key_one()
+            store_one()
         gc.collect()
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert grown < 0.5 * 2**20
-
-
-def test_eviction_pressure_never_grows_past_maxsize(sim):
-    cache = EvaluationCache(maxsize=3)
-    w = make_workload()
-    configs = random_configs(10, seed=3)
-    evicted = 0
-    for config in configs:
-        evicted += cache.store(sim.platform, w, config, sim.trace(w, config))
-        assert len(cache) <= 3
-    assert evicted == 7
-    # only the three most recently stored survive
-    for config in configs[:-3]:
-        assert cache.lookup(sim.platform, w, config) is None
-    for config in configs[-3:]:
-        assert cache.lookup(sim.platform, w, config) is not None
-
-
-def test_restoring_same_key_does_not_evict(sim):
-    cache = EvaluationCache(maxsize=2)
-    w = make_workload()
-    a, b = random_configs(2)
-    for config in (a, b, a, a):
-        assert not cache.store(sim.platform, w, config, sim.trace(w, config))
-    assert len(cache) == 2
 
 
 def test_faulted_traces_are_never_stored_or_served():
@@ -324,7 +271,7 @@ def test_faulted_traces_are_never_stored_or_served():
     assert evaluator.stats.quarantined == 1
     assert len(cache) == 1
     clean = IOStackSimulator(cori(2), NoiseModel(seed=11)).trace(w, config)
-    assert repr(cache.lookup(sim.platform, w, config)) == repr(clean)
+    assert repr(cache.lookup(w, config)) == repr(clean)
     # once the fault clears, the cached trace is served, not rebuilt
     sim.faults = None
     served = ResilientEvaluator(sim, SimulatedClock(), cache)

@@ -5,7 +5,13 @@ from collections import Counter
 
 import pytest
 
-from repro.iostack import IOStackSimulator, NoiseModel, StackConfiguration, cori
+from repro.iostack import (
+    EvaluationCache,
+    IOStackSimulator,
+    NoiseModel,
+    StackConfiguration,
+    cori,
+)
 from repro.workloads import Workload, bdcats, ior
 from tests.conftest import make_testbed, make_workload, run_once
 
@@ -122,26 +128,29 @@ def test_platform_scales_to_workload_nodes(default_config):
 # -- layer memo --------------------------------------------------------------------
 
 
-def traced_calls(sim, calls, workload, config):
-    """The trace of ``workload`` under ``config`` and its layer calls."""
+def traced_calls(sim, calls, workload, config, memo=None):
+    """The trace of ``workload`` under ``config`` built on ``memo``, and
+    its layer calls."""
     before = Counter(calls)
-    trace = sim.trace(workload, config)
+    trace = sim.trace(workload, config, memo)
     return trace, calls - before
 
 
 def test_traces_in_one_scope_share_layer_results(sim, default_config, layer_calls):
     w = make_workload()
     first, first_calls = traced_calls(sim, layer_calls, w, default_config)
-    # Outside a scope every trace pays in full.
+    # Without a memo every trace pays in full.
     again, again_calls = traced_calls(sim, layer_calls, w, default_config)
     assert again == first and again_calls == first_calls
-    with sim.memo_scope():
-        traced_calls(sim, layer_calls, w, default_config)
-        hit, hit_calls = traced_calls(sim, layer_calls, w, default_config)
-        # Only the lustre slice changed: HDF5 and MPI-IO are served
-        # from the memo.
-        wider = default_config.with_values(striping_factor=16)
-        wider_trace, wider_calls = traced_calls(sim, layer_calls, w, wider)
+    memo = EvaluationCache()
+    traced_calls(sim, layer_calls, w, default_config, memo)
+    hit, hit_calls = traced_calls(sim, layer_calls, w, default_config, memo)
+    # Only the lustre slice changed: HDF5 and MPI-IO are served from the
+    # memo.
+    wider = default_config.with_values(striping_factor=16)
+    wider_trace, wider_calls = traced_calls(sim, layer_calls, w, wider, memo)
+    # Building a trace stores none: the trace table is the evaluator's.
+    assert not memo.traces
     assert hit == first and not hit_calls
     assert set(wider_calls) == {"serve_lustre"}
     assert wider_trace == sim.trace(w, wider)
@@ -153,11 +162,10 @@ def test_collective_rebuilds_share_samples_and_rpc_passes(sim, default_config, l
     # More aggregators change the rebuilt streams but not their samples.
     more_aggregators = collective.with_values(cb_nodes=8)
     wider = collective.with_values(striping_factor=16)
-    with sim.memo_scope():
-        memo = sim._memo
-        traced_calls(sim, layer_calls, w, collective)
-        rebuilt, rebuilt_calls = traced_calls(sim, layer_calls, w, more_aggregators)
-        striped, striped_calls = traced_calls(sim, layer_calls, w, wider)
+    memo = EvaluationCache()
+    traced_calls(sim, layer_calls, w, collective, memo)
+    rebuilt, rebuilt_calls = traced_calls(sim, layer_calls, w, more_aggregators, memo)
+    striped, striped_calls = traced_calls(sim, layer_calls, w, wider, memo)
     # Both configurations' rebuilds (one per phase each) share the
     # phases' two samples, so Lustre reruns on them without an RPC pass.
     outputs = [result for _, result in memo.mpiio.values()]
@@ -188,10 +196,10 @@ def test_each_hdf5_half_is_keyed_by_its_own_parameters(
     )
     metadata_only = default_config.with_values(mdc_config="large")
     data_only = default_config.with_values(sieve_buf_size=MiB)
-    with sim.memo_scope():
-        traced_calls(sim, layer_calls, w, default_config)
-        metadata_trace, metadata_calls = traced_calls(sim, layer_calls, w, metadata_only)
-        data_trace, data_calls = traced_calls(sim, layer_calls, w, data_only)
+    memo = EvaluationCache()
+    traced_calls(sim, layer_calls, w, default_config, memo)
+    metadata_trace, metadata_calls = traced_calls(sim, layer_calls, w, metadata_only, memo)
+    data_trace, data_calls = traced_calls(sim, layer_calls, w, data_only, memo)
     # Only the metadata half ran for the mdc_config change: no data
     # half, MPI-IO or Lustre call.
     assert metadata_calls["apply_hdf5_metadata"] == len(w.phases)
@@ -207,25 +215,21 @@ def test_each_hdf5_half_is_keyed_by_its_own_parameters(
 
 def test_equal_content_sizes_miss_the_memo(sim, default_config, layer_calls):
     a, b = make_workload(), make_workload()
-    with sim.memo_scope():
-        trace_a, calls_a = traced_calls(sim, layer_calls, a, default_config)
-        trace_b, calls_b = traced_calls(sim, layer_calls, b, default_config)
+    memo = EvaluationCache()
+    trace_a, calls_a = traced_calls(sim, layer_calls, a, default_config, memo)
+    trace_b, calls_b = traced_calls(sim, layer_calls, b, default_config, memo)
     assert trace_a == trace_b
     assert calls_b == calls_a
 
 
-def test_memo_scope_is_released_on_exit_and_on_raise(sim):
-    assert sim._memo is None
-    with sim.memo_scope():
-        outer = sim._memo
-        with sim.memo_scope():
-            assert sim._memo is not outer
-        assert sim._memo is outer
-    assert sim._memo is None
-    with pytest.raises(RuntimeError):
-        with sim.memo_scope():
-            raise RuntimeError("mid-run failure")
-    assert sim._memo is None
+def test_the_simulator_keeps_no_memo_state(sim, default_config):
+    """Every memo is one a caller hands in, or a throwaway one: tracing
+    leaves nothing on the simulator."""
+    before = vars(sim).copy()
+    sim.trace(make_workload(), default_config)
+    sim.trace(make_workload(), default_config, EvaluationCache())
+    assert vars(sim) == before
+    assert set(before) == {"platform", "noise", "faults"}
 
 
 def test_memo_keys_pin_the_node_count(default_config):
@@ -234,6 +238,6 @@ def test_memo_keys_pin_the_node_count(default_config):
     # The same phase objects on twice the nodes.
     big = Workload(name=small.name, n_procs=64, n_nodes=2, phases=small.phases)
     expected = IOStackSimulator(cori(4), NoiseModel.quiet()).trace(big, default_config)
-    with sim.memo_scope():
-        assert sim.trace(small, default_config) != expected
-        assert sim.trace(big, default_config) == expected
+    memo = EvaluationCache()
+    assert sim.trace(small, default_config, memo) != expected
+    assert sim.trace(big, default_config, memo) == expected

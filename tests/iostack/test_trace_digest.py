@@ -13,8 +13,9 @@ reference simulator calls the same layer functions.  This digest was
 recorded before the per-trace overhead work (single ``mean_size``,
 direct stream construction, once-per-node-count platform scaling) and
 must survive it unchanged.  It must also survive the layer memo: the
-same traces built inside one shared :meth:`IOStackSimulator.memo_scope`,
-each after a one-gene mutant that fills the memo, give the same digest.
+same traces built on one shared
+:class:`~repro.iostack.evalcache.EvaluationCache`, each after a one-gene
+mutant that fills the memo, give the same digest.
 
 The digest was re-recorded once without any value moving: the Lustre
 read-contention term switched from ``np.sqrt`` to ``math.sqrt``, so read
@@ -29,7 +30,14 @@ from collections import Counter
 
 import numpy as np
 
-from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, StackConfiguration, cori
+from repro.iostack import (
+    TUNED_SPACE,
+    EvaluationCache,
+    IOStackSimulator,
+    NoiseModel,
+    StackConfiguration,
+    cori,
+)
 from repro.workloads import bdcats, flash, hacc, ior, macsio_vpic_dipole, vpic
 
 TRACE_DIGEST = "3d28bffae7b5a4f1d30580f5d87905d7c828e2fd5eb00ae20f0238b7d07cac5b"
@@ -82,19 +90,19 @@ def test_traces_are_pinned_inside_one_shared_memo_scope(layer_calls):
     h = hashlib.sha256()
     pinned_calls = Counter()
     phases = lustre_streams = 0
-    with sim.memo_scope():
-        for workload in workloads():
-            configs = [StackConfiguration.default()]
-            configs += [StackConfiguration.random(rng) for _ in range(RANDOM_CONFIGS)]
-            for config in configs:
-                sim.trace(workload, one_gene_mutant(config, mutant_rng))
-                before = Counter(layer_calls)
-                h.update(repr(sim.trace(workload, config)).encode())
-                pinned_calls.update(layer_calls - before)
-                phases += len(workload.phases)
-                lustre_streams += sum(
-                    len(p.data) for p in workload.phases if p.tier == "lustre"
-                )
+    memo = EvaluationCache()
+    for workload in workloads():
+        configs = [StackConfiguration.default()]
+        configs += [StackConfiguration.random(rng) for _ in range(RANDOM_CONFIGS)]
+        for config in configs:
+            sim.trace(workload, one_gene_mutant(config, mutant_rng), memo)
+            before = Counter(layer_calls)
+            h.update(repr(sim.trace(workload, config, memo)).encode())
+            pinned_calls.update(layer_calls - before)
+            phases += len(workload.phases)
+            lustre_streams += sum(
+                len(p.data) for p in workload.phases if p.tier == "lustre"
+            )
     assert h.hexdigest() == TRACE_DIGEST
     # The pinned traces were served partly from the memo.
     assert pinned_calls["apply_hdf5"] < phases

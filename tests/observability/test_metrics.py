@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro.iostack.evalcache import EvaluationCache
 from repro.observability.metrics import (
     fastpath_line,
     guardrails_line,
@@ -24,13 +23,14 @@ def snapshot_of(stats):
 
 
 def test_snapshot_is_sorted_json_with_float_gauges():
-    snap = metrics_snapshot(make_result(), cache=EvaluationCache(maxsize=8))
+    result = make_result()
+    result.eval_stats = make_stats()
+    snap = metrics_snapshot(result)
     assert list(snap) == ["counters", "gauges"]
     for section in snap.values():
         assert list(section) == sorted(section)  # sorted for stable JSON
     assert all(type(v) is int for v in snap["counters"].values())
     assert all(type(v) is float for v in snap["gauges"].values())
-    assert snap["gauges"]["cache.maxsize"] == 8.0
     assert json.loads(json.dumps(snap)) == snap
 
 
@@ -44,13 +44,12 @@ def make_stats(**overrides):
 
 
 def test_ingest_eval_stats_maps_every_counter():
-    stats = make_stats(retries=2, timeouts=4, quarantined=1, cache_evictions=6,
+    stats = make_stats(retries=2, timeouts=4, quarantined=1,
                        faults_injected=3, guardrail_trips=1)
     snap = snapshot_of(stats)
     c = snap["counters"]
     assert c["evaluations"] == 20
     assert c["cache.hits"] == 5 and c["cache.misses"] == 15
-    assert c["cache.evictions"] == 6
     assert c["trace.built"] == 15 and c["trace.replays"] == 40
     assert c["trace.reuse"] == stats.trace_reuse == 25
     assert c["resilience.retries"] == 2
@@ -59,7 +58,7 @@ def test_ingest_eval_stats_maps_every_counter():
     assert c["guardrail.trips"] == 0  # counted from the result's trips
     assert sorted(c) == sorted([
         "run.iterations", "run.total_evaluations", "evaluations",
-        "cache.hits", "cache.misses", "cache.evictions", "trace.built",
+        "cache.hits", "cache.misses", "trace.built",
         "trace.replays", "trace.reuse", "resilience.retries",
         "resilience.timeouts", "resilience.quarantined", "faults.injected",
         "guardrail.trips",
@@ -106,18 +105,20 @@ def make_result():
     return result
 
 
-def test_from_run_absorbs_result_and_cache():
+def test_from_run_absorbs_result():
     result = make_result()
     result.eval_stats = make_stats()
-    snap = metrics_snapshot(result, cache=EvaluationCache(maxsize=512))
+    snap = metrics_snapshot(result)
     assert snap["gauges"]["run.baseline_perf_mbps"] == 100.0
     assert snap["gauges"]["run.best_perf_mbps"] == 160.0
     assert snap["gauges"]["run.gain_mbps"] == 60.0
     assert snap["gauges"]["run.total_minutes"] == 20.0
     assert snap["counters"]["run.iterations"] == 2
     assert snap["counters"]["run.total_evaluations"] == 16
-    assert snap["gauges"]["cache.size"] == 0.0
-    assert snap["gauges"]["cache.maxsize"] == 512.0
+    assert sorted(snap["gauges"]) == [
+        "cache.hit_rate", "run.baseline_perf_mbps", "run.best_perf_mbps",
+        "run.gain_mbps", "run.total_minutes",
+    ]
     assert list(snap) == ["counters", "gauges"]
 
 

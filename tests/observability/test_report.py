@@ -261,3 +261,35 @@ def test_traces_from_builds_with_the_resume_prewarm_still_load(tmp_path, capsys)
     assert json.loads(capsys.readouterr().out) == current
     assert main([str(old)]) == 0
     assert "fastpath:" in capsys.readouterr().out
+
+
+def test_traces_from_builds_with_the_lru_cache_still_render(tmp_path, capsys):
+    """Older builds bounded the trace cache with an LRU: their traces
+    hold ``cache`` events with ``op`` ``evict`` and a
+    ``cache_evictions`` counter in ``run_end``'s ``eval_stats``.  Such a
+    trace still renders and reports the same run (the retired counter is
+    ignored)."""
+    path = tmp_path / "run.jsonl"
+    traced_run(path)
+    assert main([str(path), "--json"]) == 0
+    current = json.loads(capsys.readouterr().out)
+    assert main([str(path)]) == 0
+    current_text = capsys.readouterr().out
+
+    events = [json.loads(line) for line in open(path)]
+    end = events[-1]
+    assert end["event"] == "run_end"
+    assert "cache_evictions" not in end["eval_stats"]
+    end["eval_stats"]["cache_evictions"] = 2
+    store = next(i for i, e in enumerate(events) if e.get("op") == "store")
+    events.insert(store + 1, dict(events[store], op="evict"))
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(
+        json.dumps(dict(event, seq=seq), separators=(",", ":")) + "\n"
+        for seq, event in enumerate(events, start=1)
+    ))
+    assert main([str(old), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == current
+    assert main([str(old)]) == 0
+    # Only the header line (the trace's path and event count) differs.
+    assert capsys.readouterr().out.splitlines()[1:] == current_text.splitlines()[1:]

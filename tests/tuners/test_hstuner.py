@@ -7,7 +7,7 @@ from repro.iostack import TUNED_SPACE, IOStackSimulator, NoiseModel, cori
 from repro.tuners import HeuristicStopper, HSTuner, NoStop
 from repro.tuners.hstuner import HSTuner as HSTunerClass
 from repro.workloads import flash
-from tests.conftest import make_workload
+from tests.conftest import make_workload, memo_is_empty
 
 
 @pytest.fixture
@@ -150,11 +150,14 @@ def test_eval_stats_surfaced_on_result(sim):
 def test_default_tuner_owns_a_private_cache(sim):
     a, b = small_tuner(sim), small_tuner(sim)
     assert a.cache is not None and a.cache is not b.cache
+    stored = []
+    store = a.cache.store
+    a.cache.store = lambda *args: stored.append(args) or store(*args)
     res = a.tune(make_workload(), max_iterations=3)
     stats = res.eval_stats
     assert stats.cache_hits + stats.cache_misses > 0
-    assert len(a.cache) == stats.cache_misses
-    assert len(b.cache) == 0
+    assert len(stored) == stats.cache_misses
+    assert memo_is_empty(b.cache)
 
 
 def test_tuning_revisits_hit_the_cache(sim):
@@ -179,8 +182,8 @@ def test_stats_window_resets_between_tunes(sim):
         second.eval_stats.trace_replays
         == tuner.repeats * second.eval_stats.evaluations
     )
-    # the second run starts from the same default baseline: cache hit
-    assert second.eval_stats.cache_hits >= 1
+    # the first run's memo was emptied: the second builds its baseline
+    assert second.eval_stats.cache_misses >= 1
 
 
 def test_tuners_sharing_a_cache_count_only_their_own_work(sim):
@@ -188,13 +191,15 @@ def test_tuners_sharing_a_cache_count_only_their_own_work(sim):
 
     cache = EvaluationCache()
     first, second = (small_tuner(sim, cache=cache) for _ in range(2))
-    a = first.tune(make_workload(), max_iterations=3).eval_stats
-    assert a.cache_misses == a.traces_built == len(cache) > 0
-    b = second.tune(make_workload(), max_iterations=3).eval_stats
-    # the second tune finds the first one's traces but counts only its
-    # own lookups, builds and replays
-    assert b.cache_hits >= 1
-    assert b.traces_built == b.cache_misses == len(cache) - a.traces_built
+    workload = make_workload()
+    a = first.tune(workload, max_iterations=3).eval_stats
+    assert a.cache_misses == a.traces_built > 0
+    assert memo_is_empty(cache)
+    b = second.tune(workload, max_iterations=3).eval_stats
+    # the first run's memo was emptied when it ended, so the second
+    # tune builds its own traces and counts only its own lookups,
+    # builds and replays
+    assert b.traces_built == b.cache_misses > 0
     assert b.trace_replays == second.repeats * b.evaluations
 
 
@@ -203,10 +208,15 @@ def test_tuners_sharing_a_cache_count_only_their_own_work(sim):
 
 def test_tune_and_resume_leave_no_layer_memo(sim):
     tuner = small_tuner(sim)
+    built = []
+    trace = sim.trace
+    sim.trace = lambda *args: built.append(args[2]) or trace(*args)
     tuner.tune(make_workload(), max_iterations=3)
-    assert sim._memo is None
+    assert memo_is_empty(tuner.cache)
     tuner.resume(2)
-    assert sim._memo is None
+    assert memo_is_empty(tuner.cache)
+    # every trace of both calls was built on the tuner's memo
+    assert built and all(memo is tuner.cache for memo in built)
 
 
 def test_a_tune_that_raises_leaves_no_layer_memo(sim):
@@ -219,10 +229,10 @@ def test_a_tune_that_raises_leaves_no_layer_memo(sim):
     tuner._observe_iteration = fail_from_third
     with pytest.raises(RuntimeError, match="mid-run failure"):
         tuner.tune(make_workload(), max_iterations=5)
-    assert sim._memo is None
+    assert memo_is_empty(tuner.cache)
     with pytest.raises(RuntimeError, match="mid-run failure"):
         tuner.resume(1)
-    assert sim._memo is None
+    assert memo_is_empty(tuner.cache)
 
 
 def test_each_tune_starts_with_an_empty_layer_memo(layer_calls):

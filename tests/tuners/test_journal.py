@@ -261,7 +261,7 @@ def test_kill_and_resume_is_bit_identical(tmp_path):
 #: ``EvaluationStats`` fields that count the process's own trace-cache
 #: work.  The journal does not carry them: a resumed run counts only its
 #: own lookups and builds.
-MEMO_COUNTERS = ("cache_hits", "cache_misses", "cache_evictions", "traces_built")
+MEMO_COUNTERS = ("cache_hits", "cache_misses", "traces_built")
 
 
 def run_counters(stats):
@@ -425,24 +425,32 @@ def faulted_flash_run(tmp_path, name, seed, cache):
     return result, path.read_bytes()
 
 
+class MissingCache(EvaluationCache):
+    """A memo whose trace lookups always miss: every re-visited
+    configuration is rebuilt."""
+
+    def lookup(self, workload, config):
+        return None
+
+
 @pytest.mark.faults
 @pytest.mark.parametrize("seed", [9, 11])
 def test_fault_schedule_does_not_depend_on_the_cache(tmp_path, seed):
     """A transient fault belongs to an evaluation attempt, so a cache
-    that holds one trace (every re-visit rebuilt) gives the same run as
-    the default cache: same history, best config, simulated minutes,
-    retries, injected faults and journal bytes."""
+    whose lookups always miss gives the same run as the default cache:
+    same history, best config, simulated minutes, retries, injected
+    faults and journal bytes."""
     default, default_bytes = faulted_flash_run(tmp_path, "default", seed, EvaluationCache())
-    tiny, tiny_bytes = faulted_flash_run(tmp_path, "tiny", seed, EvaluationCache(maxsize=1))
-    assert tiny.history == default.history
-    assert tiny.best_config == default.best_config
-    assert tiny.total_minutes == default.total_minutes
-    assert tiny.eval_stats.retries == default.eval_stats.retries > 0
-    assert tiny.eval_stats.faults_injected == default.eval_stats.faults_injected
-    assert tiny_bytes == default_bytes
-    # the memo did differ: the one-trace cache rebuilt re-visited configurations
-    assert tiny.eval_stats.cache_hits < default.eval_stats.cache_hits
-    assert tiny.eval_stats.traces_built > default.eval_stats.traces_built
+    missing, missing_bytes = faulted_flash_run(tmp_path, "missing", seed, MissingCache())
+    assert missing.history == default.history
+    assert missing.best_config == default.best_config
+    assert missing.total_minutes == default.total_minutes
+    assert missing.eval_stats.retries == default.eval_stats.retries > 0
+    assert missing.eval_stats.faults_injected == default.eval_stats.faults_injected
+    assert missing_bytes == default_bytes
+    # the memo did differ: the missing cache rebuilt re-visited configurations
+    assert missing.eval_stats.cache_hits == 0 < default.eval_stats.cache_hits
+    assert missing.eval_stats.traces_built > default.eval_stats.traces_built
 
 
 @pytest.mark.faults
@@ -510,10 +518,10 @@ def test_trace_bug_surfaces_with_the_config_repr():
     bare_trace = tuner.simulator.trace
     bad = StackConfiguration.default()
 
-    def broken_for_default(workload, config):
+    def broken_for_default(workload, config, memo=None):
         if config == bad:
             raise ZeroDivisionError("layer model bug")
-        return bare_trace(workload, config)
+        return bare_trace(workload, config, memo)
 
     tuner.simulator.trace = broken_for_default
     with pytest.raises(HarnessError) as info:

@@ -254,4 +254,4 @@ def test_successful_trace_goes_through_the_cache(workload):
     h = harness(cache=cache)
     config = StackConfiguration.default()
     trace = h.build_trace(workload, config)
-    assert cache.lookup(h.simulator.platform, workload, config) is trace
+    assert cache.lookup(workload, config) is trace
