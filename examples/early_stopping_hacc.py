@@ -17,10 +17,8 @@ from repro import (
     PerfNormalizer,
     RLStopper,
     cori,
-    flash,
     hacc,
-    train_tunio_agents,
-    vpic,
+    train_seeded_agents,
 )
 from repro.tuners import HSTuner, first_stop
 
@@ -32,14 +30,9 @@ def main() -> None:
     normalizer = PerfNormalizer.for_platform(platform)
 
     print("== offline-training the early stopper on synthetic log curves ==")
-    # Train on a separate simulator instance: the noise model is a
-    # stateful sequence, and the tuning run below should see the same
-    # platform weather regardless of how much the sweep consumed.
-    sweep_sim = IOStackSimulator(cori(4), NoiseModel(seed=seed))
-    agents = train_tunio_agents(
-        sweep_sim, [vpic(), flash(), hacc()], normalizer,
-        rng=np.random.default_rng(seed),
-    )
+    # Training sweeps a simulator of its own, so the tuning run below
+    # sees the same platform weather however much the sweep consumed.
+    agents = train_seeded_agents(seed)
 
     print("== one full 50-generation HACC tune (no stopping) ==")
     tuner = HSTuner(simulator, stopper=NoStop(), rng=np.random.default_rng((seed, 100)))

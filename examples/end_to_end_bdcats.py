@@ -19,10 +19,7 @@ from repro import (
     build_tunio,
     cori,
     discover_io,
-    flash,
-    hacc,
-    train_tunio_agents,
-    vpic,
+    train_seeded_agents,
 )
 from repro.discovery import workload_from_source
 from repro.tuners.lifecycle import lifecycle_model, untuned_model, viability_point
@@ -49,12 +46,7 @@ def main() -> None:
     print("\n== offline training + TunIO tuning of the kernel ==")
     # Agents are trained at component scale, then transferred, as in the
     # paper (VPIC/FLASH/HACC are the representative kernels).
-    small_sim = IOStackSimulator(cori(4), NoiseModel(seed=2))
-    agents = train_tunio_agents(
-        small_sim, [vpic(), flash(), hacc()],
-        PerfNormalizer.for_platform(cori(4), 4),
-        rng=np.random.default_rng(3),
-    )
+    agents = train_seeded_agents(seed=2)
     tuner = build_tunio(simulator, agents, normalizer, rng=np.random.default_rng(4))
     result = tuner.tune(kernel_workload, max_iterations=50)
     print(

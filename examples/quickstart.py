@@ -22,9 +22,7 @@ from repro import (
     build_tunio,
     cori,
     flash,
-    hacc,
-    train_tunio_agents,
-    vpic,
+    train_seeded_agents,
 )
 from repro.iostack import to_xml
 
@@ -36,9 +34,7 @@ def main() -> None:
     normalizer = PerfNormalizer.for_platform(platform)
 
     print("== offline training (sweeps + PCA + log-curve RL) ==")
-    agents = train_tunio_agents(
-        simulator, [vpic(), flash(), hacc()], normalizer, rng=rng
-    )
+    agents = train_seeded_agents(seed=0)
     ranked = agents.smart_config.ranked_parameters()
     print(f"impact ranking: {', '.join(ranked[:5])}, ...")
 

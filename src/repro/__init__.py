@@ -21,19 +21,15 @@ HPC I/O* (IPDPS 2024) as a self-contained Python library:
 
 Quickstart::
 
-    import numpy as np
     from repro import (
-        IOStackSimulator, cori, PerfNormalizer, train_tunio_agents,
-        build_tunio, flash, hacc, vpic,
+        IOStackSimulator, NoiseModel, cori, PerfNormalizer,
+        train_seeded_agents, build_tunio, flash,
     )
 
+    agents = train_seeded_agents(seed=0)
     platform = cori(n_nodes=4)
-    sim = IOStackSimulator(platform)
+    sim = IOStackSimulator(platform, NoiseModel(seed=0))
     normalizer = PerfNormalizer.for_platform(platform)
-    agents = train_tunio_agents(
-        sim, [vpic(), flash(), hacc()], normalizer,
-        rng=np.random.default_rng(0),
-    )
     tuner = build_tunio(sim, agents, normalizer)
     result = tuner.tune(flash(), max_iterations=50)
     print(result.best_perf, result.total_minutes, result.best_config)
@@ -51,6 +47,7 @@ from repro.core import (
     build_tunio,
     roti,
     roti_curve,
+    train_seeded_agents,
     train_tunio_agents,
 )
 from repro.discovery import (
@@ -96,6 +93,7 @@ __all__ = [
     "build_tunio",
     "roti",
     "roti_curve",
+    "train_seeded_agents",
     "train_tunio_agents",
     "DiscoveryOptions",
     "IOKernel",

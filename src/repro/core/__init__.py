@@ -17,11 +17,14 @@ from .objective import PerfNormalizer
 from .offline_training import (
     SweepResult,
     TunIOAgents,
+    agent_arrays,
+    agents_from_arrays,
     impact_from_sweeps,
     load_agents,
     parameter_sweep,
     pretrain_subset_picker,
     save_agents,
+    train_seeded_agents,
     train_tunio_agents,
 )
 from .pipeline import TunIOTuner, TuningSession, build_tunio, make_tuner
@@ -38,11 +41,14 @@ __all__ = [
     "PerfNormalizer",
     "SweepResult",
     "TunIOAgents",
+    "agent_arrays",
+    "agents_from_arrays",
     "impact_from_sweeps",
     "load_agents",
     "parameter_sweep",
     "pretrain_subset_picker",
     "save_agents",
+    "train_seeded_agents",
     "train_tunio_agents",
     "TunIOTuner",
     "TuningSession",

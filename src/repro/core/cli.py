@@ -1,8 +1,9 @@
 """``tunio-tune``: tune a bundled workload end-to-end from the shell.
 
-Runs the offline training phase (or loads a checkpoint), builds the
-TunIO pipeline against the simulated Cori platform, tunes the chosen
-application, and prints the tuning curve plus the chosen configuration.
+Runs the offline training phase of ``--seed`` (or loads a checkpoint),
+builds the run's agents from the learned arrays and the TunIO pipeline
+against the simulated Cori platform, tunes the chosen application, and
+prints the tuning curve plus the chosen configuration.
 
 Usage::
 
@@ -66,7 +67,13 @@ from repro.workloads import bdcats, flash, hacc, ior, macsio_vpic_dipole, vpic
 from repro.workloads.sources import canonical_hints, load_source
 
 from .objective import PerfNormalizer
-from .offline_training import load_agents, save_agents, train_tunio_agents
+from .offline_training import (
+    agent_arrays,
+    agents_from_arrays,
+    load_agents,
+    save_agents,
+    train_seeded_agents,
+)
 from .pipeline import TUNER_KINDS, TuningSession, make_tuner
 
 __all__ = ["main", "build_parser", "build_resume_parser"]
@@ -111,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--agents-cache", type=str, default=None, metavar="PATH",
-        help="npz checkpoint for the offline-trained agents: loaded when "
-             "present, written after training otherwise",
+        help="npz checkpoint of the offline-trained agents: when missing, "
+             "the agents of --seed are trained and written to it; then it "
+             "is loaded",
     )
     parser.add_argument(
         "--constraints", action="store_true",
@@ -393,33 +401,37 @@ def _run(args: argparse.Namespace, replay: ReplayCursor | None) -> int:
 
 def _tuner_kind(
     args: argparse.Namespace,
-    simulator: IOStackSimulator,
     normalizer: PerfNormalizer,
-    rng: np.random.Generator,
     recorder: Recorder,
 ) -> tuple[str, dict, str | None]:
     """The :func:`make_tuner` kind and agent keyword arguments the flags
     ask for, plus the guardrail trip of a rejected agent checkpoint.
-    ``tunio`` loads its agents from ``--agents-cache`` or trains them; a
-    rejected checkpoint degrades the run to ``hstuner-heuristic`` (plain
-    GA, patience stopping) instead of crashing or silently retraining.
+
+    ``tunio`` builds its agents for ``--seed`` from the learned arrays of
+    the seed's training or of the ``--agents-cache`` checkpoint.  A
+    missing checkpoint is trained, saved and then loaded like any other,
+    so a run tunes the same however its agents arrived.  A rejected
+    checkpoint degrades the run to ``hstuner-heuristic`` (plain GA,
+    patience stopping) instead of crashing or silently retraining.
     """
     if args.tuner != "tunio":
         return args.tuner, {}, None
-    if not (args.agents_cache and os.path.exists(args.agents_cache)):
+    cache = args.agents_cache
+    if not (cache and os.path.exists(cache)):
         print("offline training (sweep + PCA + log-curve RL)...")
-        training = [vpic(), flash(), hacc()]
-        agents = train_tunio_agents(simulator, training, normalizer, rng=rng)
-        if args.agents_cache:
-            save_agents(agents, args.agents_cache)
-            print(f"saved trained agents to {args.agents_cache}")
+        trained = train_seeded_agents(args.seed)
+        if cache:
+            save_agents(trained, cache)
+            print(f"saved trained agents to {cache}")
+    if not cache:
+        agents = agents_from_arrays(agent_arrays(trained), normalizer, args.seed)
     else:
         if args.fault_agent == "checkpoint-truncation":
-            _truncate_checkpoint(args.agents_cache)
-            print(f"fault injection: truncated agent checkpoint {args.agents_cache}")
-        print(f"loading trained agents from {args.agents_cache}")
+            _truncate_checkpoint(cache)
+            print(f"fault injection: truncated agent checkpoint {cache}")
+        print(f"loading trained agents from {cache}")
         try:
-            agents = load_agents(args.agents_cache, normalizer, rng=rng)
+            agents = load_agents(cache, normalizer, args.seed)
         except CheckpointError as exc:
             trip = f"checkpoint:schema ({exc})"
             if recorder.enabled:
@@ -513,16 +525,14 @@ def _run_tuning(
             f"constraints: {len(constraints)} rules armed "
             f"(n_osts={context.n_osts}, n_procs={context.n_procs})"
         )
-    kind, tunio_kwargs, checkpoint_trip = _tuner_kind(
-        args, simulator, normalizer, rng, recorder
-    )
+    kind, tunio_kwargs, checkpoint_trip = _tuner_kind(args, normalizer, recorder)
     tuner = make_tuner(
         kind, simulator, rng=rng, retry_policy=policy,
         constraints=constraints, recorder=recorder, **tunio_kwargs,
     )
 
-    # Faults attach after offline training: the plan injects into the
-    # *tuning* campaign; training sweeps run fault-free either way.
+    # The plan injects into the tuning campaign only; offline training
+    # sweeps a simulator of its own, fault-free.
     simulator.faults = fault_plan
     if fault_plan is not None:
         agent_part = (

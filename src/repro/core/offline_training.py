@@ -15,20 +15,30 @@ Per Section III-C/D:
 
 * The Early Stopping agent is trained on generated log curves
   (:meth:`EarlyStoppingAgent.train_offline`); :func:`train_tunio_agents`
-  bundles both and :func:`save_agents` / :func:`load_agents` checkpoint
-  the result so the expensive offline phase runs once.
+  bundles both.
+
+:func:`train_seeded_agents` is the one training recipe of a seed: the
+CLI, :func:`~repro.core.spec.tune_application`, the experiment context
+and the examples all train through it.  A tuning run never tunes with
+the trained instances themselves: :func:`agents_from_arrays` builds its
+agents from the learned arrays (:func:`agent_arrays`, the
+:func:`save_agents` checkpoint format) with generators derived from the
+run's seed, so a run tunes the same whether its agents were just
+trained or loaded with :func:`load_agents`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro.iostack.clock import SimulatedClock
+from repro.iostack.cluster import cori
 from repro.iostack.config import StackConfiguration
+from repro.iostack.noise import NoiseModel
 from repro.iostack.parameters import TUNED_SPACE
 from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.rl.guardrails import (
@@ -38,6 +48,7 @@ from repro.rl.guardrails import (
 )
 from repro.rl.pca import parameter_impact
 from repro.tuners.resilience import ResilientEvaluator
+from repro.workloads import flash, hacc, vpic
 
 from .early_stopping import EarlyStoppingAgent
 from .objective import PerfNormalizer
@@ -50,9 +61,22 @@ __all__ = [
     "pretrain_subset_picker",
     "TunIOAgents",
     "train_tunio_agents",
+    "TRAINING_NODES",
+    "train_seeded_agents",
+    "agent_arrays",
+    "agents_from_arrays",
     "save_agents",
     "load_agents",
 ]
+
+#: Nodes of the platform the agents are trained on (the paper's 4-node
+#: training runs).
+TRAINING_NODES = 4
+#: Salts of the generators a seed derives: the training's, and those of
+#: a run's subset picker and early stopper.
+_TRAINING_SALT = 0xA11
+_PICKER_SALT = 0xC10E
+_STOPPER_SALT = 0xC10F
 
 #: Points per parameter axis of the one-at-a-time sweep.
 _AXIS_POINTS = 6
@@ -210,26 +234,74 @@ def train_tunio_agents(
     return TunIOAgents(smart_config=smart, early_stopper=stopper, impact_scores=impact)
 
 
+def train_seeded_agents(seed: int) -> TunIOAgents:
+    """The offline phase of ``seed``, the one training recipe: sweep
+    VPIC, FLASH and HACC on a :data:`TRAINING_NODES`-node Cori with
+    ``NoiseModel(seed)``, normalise perf for that platform, and draw
+    every training decision from ``default_rng((seed, 0xA11))``."""
+    platform = cori(TRAINING_NODES)
+    return train_tunio_agents(
+        IOStackSimulator(platform, NoiseModel(seed=seed)),
+        [vpic(), flash(), hacc()],
+        PerfNormalizer.for_platform(platform, TRAINING_NODES),
+        rng=np.random.default_rng((seed, _TRAINING_SALT)),
+    )
+
+
+def agent_arrays(agents: TunIOAgents) -> dict[str, np.ndarray]:
+    """Every learned array of ``agents``, keyed as :func:`save_agents`
+    writes them (copies: the agents may go on learning)."""
+    arrays: dict[str, np.ndarray] = {
+        "checkpoint_version": np.array(CHECKPOINT_VERSION),
+        "impact_scores": agents.impact_scores.copy(),
+    }
+    for k, v in agents.smart_config.get_state().items():
+        arrays[f"smart_{k}"] = v
+    for k, v in agents.early_stopper.get_weights().items():
+        arrays[f"stop_{k}"] = v
+    return arrays
+
+
+def agents_from_arrays(
+    arrays: Mapping[str, np.ndarray],
+    normalizer: PerfNormalizer,
+    seed: int,
+) -> TunIOAgents:
+    """A run's agents: new instances holding the learned ``arrays`` (in
+    :func:`agent_arrays`' format), drawing from generators derived from
+    the run's ``seed``.  The agents copy the arrays, so any number of
+    runs can be built from one set.  Raises ``ValueError`` when an array
+    does not fit the agents' architecture."""
+    smart = SmartConfigAgent(
+        normalizer, rng=np.random.default_rng((seed, _PICKER_SALT))
+    )
+    stopper = EarlyStoppingAgent(rng=np.random.default_rng((seed, _STOPPER_SALT)))
+    smart.set_state(
+        {k[len("smart_"):]: v for k, v in arrays.items() if k.startswith("smart_")}
+    )
+    stopper.set_weights(
+        {k[len("stop_"):]: v for k, v in arrays.items() if k.startswith("stop_")}
+    )
+    return TunIOAgents(
+        smart_config=smart,
+        early_stopper=stopper,
+        impact_scores=np.array(arrays["impact_scores"]),
+    )
+
+
 def save_agents(agents: TunIOAgents, path: str | Path) -> None:
     """Checkpoint the trained agents to a ``.npz`` file (stamped with
     the schema version so loaders can detect incompatible files)."""
-    payload: dict[str, np.ndarray] = {
-        "checkpoint_version": np.array(CHECKPOINT_VERSION),
-        "impact_scores": agents.impact_scores,
-    }
-    for k, v in agents.smart_config.get_state().items():
-        payload[f"smart_{k}"] = v
-    for k, v in agents.early_stopper.get_weights().items():
-        payload[f"stop_{k}"] = v
-    np.savez(Path(path), **payload)
+    np.savez(Path(path), **agent_arrays(agents))
 
 
 def load_agents(
     path: str | Path,
     normalizer: PerfNormalizer,
-    rng: np.random.Generator | None = None,
+    seed: int = 0,
 ) -> TunIOAgents:
-    """Restore a :func:`save_agents` checkpoint.
+    """A run's agents from a :func:`save_agents` checkpoint, built by
+    :func:`agents_from_arrays` for the run's ``seed``.
 
     The file is validated before any agent sees it (readable archive,
     supported schema version, required keys present, finite values, sane
@@ -250,23 +322,11 @@ def load_agents(
             f"truncated or corrupted -- delete it and retrain"
         ) from exc
     validate_agent_checkpoint(data, path=str(path))
-    smart = SmartConfigAgent(normalizer, rng=rng)
-    stopper = EarlyStoppingAgent(rng=rng)
     try:
-        smart.set_state(
-            {k[len("smart_"):]: v for k, v in data.items() if k.startswith("smart_")}
-        )
-        stopper.set_weights(
-            {k[len("stop_"):]: v for k, v in data.items() if k.startswith("stop_")}
-        )
+        return agents_from_arrays(data, normalizer, seed)
     except ValueError as exc:
         raise CheckpointError(
             f"agent checkpoint {path} does not match the current agent "
             f"architecture ({exc}); it was written by an incompatible build -- "
             f"delete it and retrain"
         ) from exc
-    return TunIOAgents(
-        smart_config=smart,
-        early_stopper=stopper,
-        impact_scores=data["impact_scores"],
-    )

@@ -23,10 +23,14 @@ from repro.iostack.noise import NoiseModel
 from repro.iostack.simulator import IOStackSimulator
 from repro.tuners.base import TuningResult
 from repro.tuners.stoppers import AnyStopper, TimeBudgetStopper
-from repro.workloads import flash, hacc, vpic
 
 from .objective import PerfNormalizer
-from .offline_training import TunIOAgents, train_tunio_agents
+from .offline_training import (
+    TunIOAgents,
+    agent_arrays,
+    agents_from_arrays,
+    train_seeded_agents,
+)
 from .pipeline import build_tunio
 
 __all__ = ["TuningSpec", "TuningOutcome", "tune_application"]
@@ -51,10 +55,12 @@ class TuningSpec:
         Tune the discovered I/O kernel instead of the full application.
     loop_reduction:
         Optional fraction of I/O-loop iterations the kernel keeps
-        (e.g. ``0.01``); a debugging-phase constraint.
+        (e.g. ``0.01``); a debugging-phase constraint.  Needs
+        ``use_io_kernel``.
     path_switch:
         Optional memory-backed path prefix (e.g. ``"/dev/shm"``); trades
-        storage-target fidelity for evaluation speed.
+        storage-target fidelity for evaluation speed.  Needs
+        ``use_io_kernel``.
     repeats:
         Runs averaged per objective evaluation.
     seed:
@@ -79,6 +85,15 @@ class TuningSpec:
             raise ValueError("expected_runs must be positive")
         if self.loop_reduction is not None and not 0 < self.loop_reduction <= 1:
             raise ValueError("loop_reduction must be in (0, 1]")
+        if not self.use_io_kernel:
+            # The reducers rewrite the kernel; the full application
+            # would be tuned without them.
+            for name in ("loop_reduction", "path_switch"):
+                if getattr(self, name) is not None:
+                    raise ValueError(
+                        f"{name} reduces the I/O kernel and needs "
+                        f"use_io_kernel=True, got use_io_kernel=False"
+                    )
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -122,9 +137,14 @@ def tune_application(
     """The paper's end-to-end pipeline in one call.
 
     Steps: discover the I/O kernel from ``source_code`` (per the spec's
-    reduction constraints), offline-train the agents if none are given,
-    run the TunIO pipeline under the spec's budget, and evaluate the
-    winning configuration back on the full application.
+    reduction constraints), train the spec seed's agents
+    (:func:`~repro.core.offline_training.train_seeded_agents`) if none
+    are given, run the TunIO pipeline under the spec's budget, and
+    evaluate the winning configuration back on the full application.
+    The run tunes with its own agents, built from the learned arrays of
+    ``agents`` for the spec's seed, so ``agents`` themselves do not
+    change and a run given the seed's trained agents tunes as one that
+    trains them.
     """
     spec = spec or TuningSpec()
     rng = np.random.default_rng(spec.seed)
@@ -145,15 +165,11 @@ def tune_application(
         target = kernel.to_workload()
 
     if agents is None:
-        training_sim = IOStackSimulator(cori(4), NoiseModel(seed=spec.seed + 1))
-        agents = train_tunio_agents(
-            training_sim, [vpic(), flash(), hacc()],
-            PerfNormalizer.for_platform(cori(4), 4),
-            rng=rng,
-        )
+        agents = train_seeded_agents(spec.seed)
+    run_agents = agents_from_arrays(agent_arrays(agents), normalizer, spec.seed)
 
     tuner = build_tunio(
-        simulator, agents, normalizer,
+        simulator, run_agents, normalizer,
         expected_runs=spec.expected_runs, repeats=spec.repeats, rng=rng,
     )
     if spec.budget_minutes is not None:

@@ -273,7 +273,9 @@ class AgentGuard:
     one.  Trips are recorded on ``monitor`` under ``guardrail``.
     ``fault_source`` returns the *current*
     :class:`~repro.iostack.faults.FaultPlan`; it is read on every call
-    because the simulator's plan is swapped around journal cache warming.
+    because the simulator's plan may change after the agent is wrapped:
+    ``tunio-tune`` attaches the run's plan after building the tuner, and
+    tests swap a simulator's plan.
 
     Every check is a pure read made before the agent would draw a random
     number, so a healthy guarded agent is bit-identical to a bare one,

@@ -87,6 +87,21 @@ def test_fresh_agents_are_isolated():
     )
 
 
+def test_fresh_agents_are_the_seeds_run_agents():
+    """A figure run's agents are the ones a CLI run of the context's
+    seed builds from the same learned arrays."""
+    from repro.core.offline_training import agent_arrays, agents_from_arrays
+
+    ctx = make_context(0)
+    fresh = ctx.fresh_agents()
+    built = agents_from_arrays(agent_arrays(ctx.agents), ctx.normalizer, seed=0)
+    for a, b in ((fresh.smart_config, built.smart_config),
+                 (fresh.early_stopper, built.early_stopper)):
+        assert a.rng.bit_generator.state == b.rng.bit_generator.state
+    x, y = agent_arrays(fresh), agent_arrays(built)
+    assert all(np.array_equal(x[k], y[k]) for k in x)
+
+
 def test_ascii_chart_smoke():
     from repro.analysis import ascii_chart
     from repro.analysis.reporting import CHART_HEIGHT, CHART_WIDTH

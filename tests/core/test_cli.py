@@ -54,13 +54,68 @@ def test_kernel_run(capsys):
     assert "using I/O kernel" in out
 
 
+def _from_tuning_on(out: str) -> list[str]:
+    """The lines a run prints from its ``tuning …`` line on."""
+    lines = out.splitlines()
+    starts = [i for i, line in enumerate(lines) if line.startswith("tuning ")]
+    assert len(starts) == 1, out
+    return lines[starts[0]:]
+
+
 def test_agents_cache_roundtrip(tmp_path, capsys):
+    """A run that trains and saves its agents and a run that loads them
+    build the run's agents alike, so they tune alike."""
     cache = tmp_path / "agents.npz"
     assert main(["flash", "--iterations", "2", "--agents-cache", str(cache)]) == 0
     assert cache.exists()
-    assert "saved trained agents" in capsys.readouterr().out
+    trained = capsys.readouterr().out
+    assert "saved trained agents" in trained
     assert main(["flash", "--iterations", "2", "--agents-cache", str(cache)]) == 0
+    loaded = capsys.readouterr().out
+    assert "loading trained agents" in loaded
+    assert "offline training" not in loaded
+    assert _from_tuning_on(loaded) == _from_tuning_on(trained)
+
+
+def test_new_agents_cache_journal_resumes_byte_identically(tmp_path, capsys):
+    """The run trains its agents into a new cache; its resume loads
+    them.  The GA stream does not follow the training, so the resumed
+    journal equals the uninterrupted one."""
+    cache, journal = tmp_path / "agents.npz", tmp_path / "t.journal"
+    assert main([
+        "ior", "--iterations", "4", "--seed", "3",
+        "--agents-cache", str(cache), "--journal", str(journal),
+    ]) == 0
+    capsys.readouterr()
+    lines = open(journal).readlines()
+    cut = tmp_path / "cut.journal"
+    cut.write_text("".join(lines[:4]))  # header, baseline, 2 generations
+    assert main(["resume", str(cut)]) == 0
     assert "loading trained agents" in capsys.readouterr().out
+    assert cut.read_bytes() == journal.read_bytes()
+
+
+@pytest.mark.guardrails
+def test_checkpoint_truncation_of_a_new_cache_trips(
+    trained_bundle, tmp_path, capsys, monkeypatch
+):
+    """With a cache path that does not exist yet, the agents are trained
+    and saved, then the fault truncates the saved checkpoint before it
+    is loaded: the run degrades and reports the trip.  (The session's
+    agents stand in for the training, which this test is not about.)"""
+    from repro.core import cli
+
+    monkeypatch.setattr(cli, "train_seeded_agents", lambda seed: trained_bundle[2])
+    cache = tmp_path / "agents.npz"
+    assert main([
+        "flash", "--iterations", "2", "--seed", "5",
+        "--agents-cache", str(cache), "--fault-agent", "checkpoint-truncation",
+    ]) == 0
+    out = capsys.readouterr().out
+    assert "saved trained agents" in out
+    assert "truncated agent checkpoint" in out
+    assert "guardrails: 1 trip(s)" in out
+    assert "checkpoint:schema" in out
 
 
 @pytest.mark.parametrize("fraction", ["0", "-0.5", "1.5", "nan"])

@@ -361,7 +361,7 @@ def test_intact_checkpoint_round_trips(trained_bundle, tmp_path):
     _, normalizer, agents = trained_bundle
     path = tmp_path / "agents.npz"
     save_agents(agents, path)
-    loaded = load_agents(path, normalizer, rng=np.random.default_rng(0))
+    loaded = load_agents(path, normalizer, seed=0)
     assert np.array_equal(loaded.impact_scores, agents.impact_scores)
 
 

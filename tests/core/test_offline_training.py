@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core.offline_training import (
+    agent_arrays,
+    agents_from_arrays,
     impact_from_sweeps,
     load_agents,
     parameter_sweep,
@@ -119,3 +121,43 @@ def test_save_load_roundtrip(tmp_path, trained_bundle):
     v = list(np.linspace(0.1, 1.0, 30))
     for t in range(5, 30, 6):
         assert restored.early_stopper.should_stop(v, t) == agents.early_stopper.should_stop(v, t)
+
+
+def _generator_states(agents):
+    return (
+        agents.smart_config.rng.bit_generator.state,
+        agents.early_stopper.rng.bit_generator.state,
+    )
+
+
+def test_agents_from_arrays_are_seeded_copies(trained_bundle):
+    """A run's agents hold the learned arrays, draw from generators of
+    the run's seed alone, and copy the arrays, so online learning in
+    one run reaches neither the arrays nor another run."""
+    _, normalizer, agents = trained_bundle
+    arrays = agent_arrays(agents)
+    a = agents_from_arrays(arrays, normalizer, seed=4)
+    b = agents_from_arrays(arrays, normalizer, seed=4)
+    c = agents_from_arrays(arrays, normalizer, seed=5)
+    assert _generator_states(a) == _generator_states(b)
+    assert _generator_states(a) != _generator_states(c)
+    built = agent_arrays(a)
+    assert built.keys() == arrays.keys()
+    assert all(np.array_equal(built[k], arrays[k]) for k in arrays)
+    a.smart_config.credit_subset(("cb_nodes",), 0.9)
+    a.impact_scores[0] += 1.0
+    assert np.array_equal(arrays["smart_impact_scores"], b.smart_config.impact_scores)
+    assert np.array_equal(arrays["impact_scores"], b.impact_scores)
+
+
+def test_load_agents_builds_the_runs_agents(tmp_path, trained_bundle):
+    """Loading a checkpoint gives the agents :func:`agents_from_arrays`
+    builds from the saved agents' arrays for the same seed."""
+    _, normalizer, agents = trained_bundle
+    path = tmp_path / "agents.npz"
+    save_agents(agents, path)
+    loaded = load_agents(path, normalizer, seed=3)
+    built = agents_from_arrays(agent_arrays(agents), normalizer, seed=3)
+    assert _generator_states(loaded) == _generator_states(built)
+    x, y = agent_arrays(loaded), agent_arrays(built)
+    assert all(np.array_equal(x[k], y[k]) for k in x)

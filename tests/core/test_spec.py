@@ -2,6 +2,7 @@
 
 import copy
 
+import numpy as np
 import pytest
 
 from repro.core.spec import TuningOutcome, TuningSpec, tune_application
@@ -21,6 +22,17 @@ def test_spec_validation():
         TuningSpec(expected_runs=-1)
     with pytest.raises(ValueError):
         TuningSpec(repeats=0)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("loop_reduction", 0.01), ("path_switch", "/dev/shm")]
+)
+def test_spec_refuses_a_reducer_without_the_kernel(field, value):
+    """A reducer rewrites the I/O kernel; with ``use_io_kernel=False``
+    the full application would be tuned without it, so the spec is
+    refused, naming both fields."""
+    with pytest.raises(ValueError, match=f"{field}.*use_io_kernel"):
+        TuningSpec(use_io_kernel=False, **{field: value})
 
 
 def test_spec_builds_requested_reducers():
@@ -77,6 +89,30 @@ def test_budgeted_run_keeps_the_rl_stopper_guarded(trained_bundle):
     )
     tripped = {trip.split(":")[0] for trip in out.result.guardrail_trips}
     assert tripped == {"early-stopper", "subset-picker"}
+
+
+def test_run_leaves_the_given_agents_unchanged(trained_bundle):
+    """The run tunes with agents built from the given agents' learned
+    arrays for the spec's seed: the given agents do not learn, so the
+    same call tunes the same twice."""
+    from repro.core.offline_training import agent_arrays
+
+    _, _, agents = trained_bundle
+    before = agent_arrays(agents)
+    spec = TuningSpec(max_iterations=4, loop_reduction=0.01, seed=8)
+    runs = [
+        tune_application(
+            load_source("macsio"), canonical_hints("macsio"), spec,
+            name="macsio", agents=agents,
+        )
+        for _ in range(2)
+    ]
+    after = agent_arrays(agents)
+    assert before.keys() == after.keys()
+    assert all(np.array_equal(before[k], after[k]) for k in before)
+    first, second = (run.result for run in runs)
+    assert first.perf_series().tolist() == second.perf_series().tolist()
+    assert first.best_config == second.best_config
 
 
 def test_full_application_mode(trained_bundle):

@@ -34,7 +34,7 @@ def stack(agents_checkpoint):
     platform = cori(4)
     sim = IOStackSimulator(platform, NoiseModel(seed=99))
     normalizer = PerfNormalizer.for_platform(platform, 4)
-    agents = load_agents(agents_checkpoint, normalizer, rng=np.random.default_rng(99))
+    agents = load_agents(agents_checkpoint, normalizer, seed=99)
     return sim, normalizer, agents
 
 
