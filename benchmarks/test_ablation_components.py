@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import make_context
-from repro.core.early_stopping import RLStopper
-from repro.core.pipeline import TunIOTuner
+from repro.core import TunIO, TunIOTuner
 from repro.discovery import DiscoveryOptions, discover_io
 from repro.tuners import HSTuner, NoStop
 from repro.workloads import flash
@@ -40,15 +39,10 @@ def test_ablation_components(run_once):
             sim = ctx.simulator_for(app.n_nodes, salt=salt)
             rng = ctx.rng(salt)
             agents = ctx.fresh_agents()
-            stopper = (
-                RLStopper(agents.early_stopper, ctx.normalizer)
-                if use_stopper
-                else NoStop()
-            )
+            tunio = TunIO(agents.smart_config, agents.early_stopper, ctx.normalizer)
+            stopper = tunio if use_stopper else NoStop()
             if use_subsets:
-                tuner = TunIOTuner(
-                    sim, smart_config=agents.smart_config, stopper=stopper, rng=rng
-                )
+                tuner = TunIOTuner(sim, tunio, stopper=stopper, rng=rng)
             else:
                 tuner = HSTuner(sim, stopper=stopper, rng=rng)
             res = tuner.tune(target, max_iterations=40)

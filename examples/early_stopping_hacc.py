@@ -15,7 +15,7 @@ from repro import (
     NoiseModel,
     NoStop,
     PerfNormalizer,
-    RLStopper,
+    TunIO,
     cori,
     hacc,
     train_seeded_agents,
@@ -41,7 +41,11 @@ def main() -> None:
     print("best GB/s per iteration:")
     print("  " + " ".join(f"{v:.2f}" for v in series))
 
-    rl = RLStopper(agents.early_stopper, normalizer, online_learning=False)
+    # Table I's stop, replayed over the finished history without
+    # learning from it.
+    rl = TunIO(
+        agents.smart_config, agents.early_stopper, normalizer, online_learning=False
+    )
     heuristic = HeuristicStopper()
 
     print(f"\nuntuned: {full.baseline_perf / 1000:.2f} GB/s")

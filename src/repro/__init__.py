@@ -40,7 +40,6 @@ from repro.core import (
     TuningOutcome,
     TuningSpec,
     tune_application,
-    RLStopper,
     TunIO,
     TunIOTuner,
     TuningSession,
@@ -86,7 +85,6 @@ __all__ = [
     "TuningOutcome",
     "TuningSpec",
     "tune_application",
-    "RLStopper",
     "TunIO",
     "TunIOTuner",
     "TuningSession",

@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from repro.core.early_stopping import RLStopper
-from repro.core.pipeline import TunIOTuner, make_tuner
+from repro.core.api import TunIO
+from repro.core.pipeline import make_tuner
 from repro.core.roti import RoTICurve, roti, roti_curve
 from repro.discovery.kernel import DiscoveryOptions, discover_io
 from repro.discovery.modelgen import workload_from_source
@@ -410,9 +410,11 @@ def _fig09_run(seed: int, repeat: int, arm: str, iterations: int) -> TuningResul
     rng = ctx.rng(90 + 10 * repeat)
     if arm == "impact":
         sim = ctx.simulator_for(workload.n_nodes, salt=90 + 10 * repeat)
-        tuner = TunIOTuner(
+        tuner = make_tuner(
+            "tunio",
             sim,
-            smart_config=ctx.fresh_agents().smart_config,
+            agents=ctx.fresh_agents(),
+            normalizer=ctx.normalizer_for(workload.n_nodes),
             stopper=NoStop(),  # isolate the component: no early stopping
             rng=rng,
         )
@@ -545,9 +547,12 @@ def fig10_early_stopping(seed: int = 0, iterations: int = 50) -> EarlyStoppingRe
     rotis = [roti(r.best_perf, full.baseline_perf, r.elapsed_minutes) for r in history]
     perfect = outcome("perfect", int(np.argmax(rotis)))
 
-    # TunIO's RL stopper, the heuristic and the (exact) max-perf oracle,
-    # each replayed over the history.
-    rl = RLStopper(ctx.fresh_agents().early_stopper, ctx.normalizer, online_learning=False)
+    # TunIO's stop (not learning from the finished history), the
+    # heuristic and the (exact) max-perf oracle, each replayed over it.
+    agents = ctx.fresh_agents()
+    rl = TunIO(
+        agents.smart_config, agents.early_stopper, ctx.normalizer, online_learning=False
+    )
     oracle = MaxPerfOracleStopper(max(r.best_perf for r in history))
     outcomes = (
         outcome("tunio-rl", first_stop(rl, history)),

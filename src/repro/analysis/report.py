@@ -79,8 +79,8 @@ def generate_experiments_md() -> str:
     sections += [
         "## Table I — the TunIO API",
         "",
-        "The three component interfaces, exercised end-to-end by "
-        "`tests/core/test_api.py`:",
+        "The three component interfaces. Every TunIO tune and figure "
+        "drives the agents through `stop` and `subset_picker`:",
         "",
         "| function | input | output | implementation |",
         "|---|---|---|---|",

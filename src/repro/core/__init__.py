@@ -9,7 +9,6 @@ training phase.
 from .api import TunIO
 from .early_stopping import (
     EarlyStoppingAgent,
-    GuardedStopper,
     OfflineTrainingReport,
     RLStopper,
 )
@@ -30,12 +29,11 @@ from .offline_training import (
 from .pipeline import TunIOTuner, TuningSession, build_tunio, make_tuner
 from .roti import RoTICurve, roti, roti_curve
 from .spec import TuningOutcome, TuningSpec, tune_application
-from .smart_config import GuardedSubsetPicker, SmartConfigAgent
+from .smart_config import SmartConfigAgent
 
 __all__ = [
     "TunIO",
     "EarlyStoppingAgent",
-    "GuardedStopper",
     "OfflineTrainingReport",
     "RLStopper",
     "PerfNormalizer",
@@ -60,6 +58,5 @@ __all__ = [
     "RoTICurve",
     "roti",
     "roti_curve",
-    "GuardedSubsetPicker",
     "SmartConfigAgent",
 ]

@@ -25,11 +25,12 @@ Design of the decision problem:
   gain across the training distribution is positive even when the
   current slope is zero.
 
-:class:`RLStopper` adapts the trained agent to the
-:class:`~repro.tuners.stoppers.Stopper` protocol and implements the
-paper's future-work extension: an ``expected_runs`` input that lowers
-the effective iteration cost when the tuned configuration will be
-reused many times, letting the pipeline tune longer.
+:class:`RLStopper` is the trained agent at tuning time: guarded, learning
+online, and implementing the paper's future-work extension, an
+``expected_runs`` input that lowers the effective iteration cost when
+the tuned configuration will be reused many times, letting the
+pipeline tune longer.  Pipelines reach it only through Table I's
+``TunIO.stop`` (:class:`repro.core.api.TunIO`).
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from repro.rl.curves import LogCurve, LogCurveGenerator
 from repro.rl.guardrails import AgentGuard, GuardrailMonitor
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import DelayedRewardBuffer, Transition
-from repro.tuners.base import IterationRecord
-from repro.tuners.stoppers import HeuristicStopper
+from repro.tuners.stoppers import patience_exhausted
 
 from .objective import PerfNormalizer
 
@@ -53,7 +53,6 @@ __all__ = [
     "OfflineTrainingReport",
     "EarlyStoppingAgent",
     "RLStopper",
-    "GuardedStopper",
 ]
 
 _STATE_DIM = 5
@@ -330,25 +329,31 @@ class EarlyStoppingAgent:
 
 
 class RLStopper:
-    """Adapter: the trained agent as a tuning-pipeline
-    :class:`~repro.tuners.stoppers.Stopper`.
+    """The trained agent as the tuning-time stopper, behind its guard;
+    :class:`repro.core.api.TunIO` builds the one a run uses.
 
-    Keeps learning online: every iteration's observation is pushed into
-    the agent's replay with the same delayed-reward scheme used offline.
+    It decides from each iteration's best perf in turn and keeps learning
+    online, with the delayed-reward scheme used offline.  One
+    :class:`~repro.rl.guardrails.AgentGuard` over the q-network and
+    target network applies an engaged weight fault and scans both
+    networks before the agent draws any RNG, then checks the q-network's
+    loss and gradient norm after a healthy decision.  The stopper's own
+    check is a degenerate-policy watchdog: a healthy policy never asks
+    to stop inside the :data:`MIN_ITERATIONS` warm-up, so one such
+    request is withheld (``False``) and two in a row trip the guard.  A
+    stop after the warm-up looks healthy and is obeyed.  Once tripped,
+    every decision for the rest of the run is the paper's 5%/5 patience
+    heuristic's (:func:`~repro.tuners.stoppers.patience_exhausted`), and
+    since every check runs before the agent draws randomness, the run
+    consumes the random streams of one that never had an RL stopper.
 
-    Parameters
-    ----------
-    agent:
-        A (typically offline-trained) :class:`EarlyStoppingAgent`.
-    normalizer:
-        Maps the pipeline's raw MB/s to the agent's normalised units.
-    expected_runs:
-        Anticipated production executions of the tuned application.  The
-        default (None) keeps the agent's trained cost; larger values
-        scale the effective iteration cost down (more patience), the
-        paper's proposed future-work input.
-    online_learning:
-        Whether to keep training during live tuning.
+    ``normalizer`` maps raw MB/s to the agent's units; trips go to
+    ``monitor``; ``fault_source`` returns the current
+    :class:`~repro.iostack.faults.FaultPlan` (or ``None``).
+    ``expected_runs`` (the paper's future-work input) is the anticipated
+    production executions of the tuned application: the default keeps
+    the trained iteration cost, more runs scale it down (more patience).
+    ``online_learning`` keeps training during live tuning.
     """
 
     #: expected_runs at which the agent's trained cost applies unchanged.
@@ -358,6 +363,8 @@ class RLStopper:
         self,
         agent: EarlyStoppingAgent,
         normalizer: PerfNormalizer,
+        monitor: GuardrailMonitor,
+        fault_source: Callable[[], FaultPlan | None],
         expected_runs: float | None = None,
         online_learning: bool = True,
     ):
@@ -367,13 +374,25 @@ class RLStopper:
         self.normalizer = normalizer
         self.expected_runs = expected_runs
         self.online_learning = online_learning
-        self.name = "tunio-rl-stopper"
-        self._series: list[float] = []
+        q = agent.agent
+        self.guard = AgentGuard(
+            "early-stopper",
+            (("q-network", q.q_network), ("target-network", q.target_network)),
+            monitor,
+            fault_source,
+        )
+        #: The best perf (MB/s) of every iteration decided so far.
+        self.best_perfs: list[float] = []
         self._buffer = DelayedRewardBuffer(delay=DELAY)
+        self._early_stop_streak = 0
 
     def reset(self) -> None:
-        self._series.clear()
+        """Start a run: re-arm the guard and clear the series and the
+        pending rewards; learned weights persist."""
+        self.guard.reset()
+        self.best_perfs.clear()
         self._buffer.clear()
+        self._early_stop_streak = 0
 
     def _patience_scale(self) -> float:
         if self.expected_runs is None:
@@ -381,98 +400,42 @@ class RLStopper:
         # More production runs -> cheaper tuning iterations, log-scaled.
         return 1.0 / max(0.25, np.log10(self.expected_runs) / np.log10(self.REFERENCE_RUNS))
 
-    def should_stop(self, history: Sequence[IterationRecord]) -> bool:
-        if not history:
-            return False
-        self._series.append(self.normalizer.normalize(history[-1].best_perf))
-        t = len(self._series) - 1
+    def should_stop(self, current_iteration: int, best_perf: float) -> bool:
+        """Stop after ``current_iteration``, whose best perf (MB/s) is
+        ``best_perf``?  Iterations come in order from 0; an earlier one
+        restarts the run from there, dropping the later iterations and
+        the rewards still pending on them (learned weights stay)."""
+        if current_iteration < 0:
+            raise ValueError("current_iteration must be >= 0")
+        series = self.best_perfs
+        if current_iteration > len(series):
+            raise ValueError(
+                f"current_iteration {current_iteration} skips ahead; the next "
+                f"iteration is {len(series)}"
+            )
+        # A restart abandons the later iterations and the rewards their
+        # calls left pending (the call for iteration t stores the
+        # decision of t - 1); in order, both lines do nothing.
+        del series[current_iteration:]
+        self._buffer.discard_from(current_iteration - 1)
+        series.append(best_perf)
+        t = current_iteration
 
-        if self.online_learning and t >= 1:
-            v = self._series
-            reward = _continue_reward(v, ITERATION_COST * self._patience_scale())
-            state_prev = self.agent.state_from_series(v, t - 1)
-            self._buffer.remember(state_prev, _CONTINUE, t - 1)
-            for tr in self._buffer.mature(
-                t, reward, self.agent.state_from_series(v, t), done=False
-            ):
-                self.agent.agent.observe(tr)
-            self.agent.agent.train_step()
-
-        decision = self.agent.should_stop(self._series, t)
-        if decision and self.expected_runs is not None:
-            # Patience: with more production runs ahead than the
-            # reference, a stop must beat continuing by a Q-margin that
-            # grows with the patience factor; fewer runs add no margin.
-            q = self.agent.agent.q_values(self.agent.state_from_series(self._series, t))
-            margin = q[_STOP] - q[_CONTINUE]
-            patience = 1.0 / self._patience_scale()
-            decision = margin >= max(0.0, patience - 1.0) * ITERATION_COST
-        return bool(decision)
-
-
-class GuardedStopper:
-    """Guardrail wrapper around :class:`RLStopper`, with the paper's
-    5%/5 patience heuristic as its fallback.
-
-    Holds one :class:`~repro.rl.guardrails.AgentGuard` over the RL
-    stopper's q-network and target network.  The guard applies an
-    engaged weight fault, scans both networks before the RL stopper
-    runs (before it would consume any agent RNG) and, after a healthy
-    decision, checks the q-network's loss and gradient norm.
-
-    The stopper adds only the check on its own output, a
-    degenerate-policy watchdog: a stop decision below the
-    :data:`MIN_ITERATIONS` warm-up is impossible for a healthy policy
-    (``EarlyStoppingAgent.should_stop`` hard-returns False there), so
-    two consecutive such decisions trip the guard.  A single one is
-    withheld (``False``) rather than obeyed.  A stop after the warm-up
-    looks like a healthy decision and is obeyed, so a ``stop-now`` fault
-    that engages after the warm-up stops the run with no trip.
-
-    Once the guard trips, every decision for the rest of the run comes
-    from the heuristic.  Because every check runs before the RL agent
-    draws randomness, a run degraded at iteration ``k`` consumes exactly
-    the same downstream random streams as a run that never had an RL
-    stopper -- the degraded-mode bit-reproducibility contract.
-    """
-
-    def __init__(
-        self,
-        primary: RLStopper,
-        monitor: GuardrailMonitor,
-        fault_source: Callable[[], FaultPlan | None],
-    ):
-        self.primary = primary
-        self.fallback = HeuristicStopper()
-        agent = primary.agent.agent
-        self.guard = AgentGuard(
-            "early-stopper",
-            (("q-network", agent.q_network), ("target-network", agent.target_network)),
-            monitor,
-            fault_source,
-        )
-        self._early_stop_streak = 0
-        self.name = f"guarded({primary.name}->{self.fallback.name})"
-
-    def should_stop(self, history: Sequence[IterationRecord]) -> bool:
         guard = self.guard
         if guard.degraded:
-            return self.fallback.should_stop(history)
-        if not history:
-            return False
-        t = len(history) - 1
+            return patience_exhausted(series)
         fault = guard.before_call(t)
         if guard.degraded:
-            return self.fallback.should_stop(history)
+            return patience_exhausted(series)
 
         if fault == "stop-now":
             decision = True
         else:
-            decision = self.primary.should_stop(history)
-            q_network = self.primary.agent.agent.q_network
+            decision = self._decide()
+            q_network = self.agent.agent.q_network
             guard.check_training([(q_network.last_loss, q_network.last_grad_norm)], t)
             if guard.degraded:
-                return self.fallback.should_stop(history)
+                return patience_exhausted(series)
 
         if decision and t < MIN_ITERATIONS:
             self._early_stop_streak += 1
@@ -484,12 +447,33 @@ class GuardedStopper:
                     f"{self._early_stop_streak} times in a row",
                     t,
                 )
-                return self.fallback.should_stop(history)
+                return patience_exhausted(series)
             return False
         self._early_stop_streak = 0
         return decision
 
-    def reset(self) -> None:
-        self.guard.reset()
-        self.primary.reset()
-        self._early_stop_streak = 0
+    def _decide(self) -> bool:
+        """The agent's decision on the series so far, after its online
+        learning step."""
+        v = [self.normalizer.normalize(p) for p in self.best_perfs]
+        t = len(v) - 1
+        if self.online_learning and t >= 1:
+            reward = _continue_reward(v, ITERATION_COST * self._patience_scale())
+            state_prev = self.agent.state_from_series(v, t - 1)
+            self._buffer.remember(state_prev, _CONTINUE, t - 1)
+            for tr in self._buffer.mature(
+                t, reward, self.agent.state_from_series(v, t), done=False
+            ):
+                self.agent.agent.observe(tr)
+            self.agent.agent.train_step()
+
+        decision = self.agent.should_stop(v, t)
+        if decision and self.expected_runs is not None:
+            # Patience: with more production runs ahead than the
+            # reference, a stop must beat continuing by a Q-margin that
+            # grows with the patience factor; fewer runs add no margin.
+            q = self.agent.agent.q_values(self.agent.state_from_series(v, t))
+            margin = q[_STOP] - q[_CONTINUE]
+            patience = 1.0 / self._patience_scale()
+            decision = margin >= max(0.0, patience - 1.0) * ITERATION_COST
+        return bool(decision)

@@ -1,11 +1,14 @@
 """The TunIO tuning pipeline: HSTuner + the three TunIO components.
 
 :class:`TunIOTuner` extends :class:`~repro.tuners.hstuner.HSTuner` by
+asking Table I's :class:`~repro.core.api.TunIO` -- the one way anything
+drives the agents at tuning time --
 
-* asking the Smart Configuration Generation agent for the parameter
-  subset each generation may vary (Impact-First Tuning),
-* crediting that subset with the normalised perf change it produced, and
-* consulting the RL early stopper after every generation.
+* for the parameter subset each generation may vary (Impact-First
+  Tuning, ``subset_picker``),
+* to credit that subset with the normalised perf change it produced
+  (``credit``), and
+* whether to stop after every generation (``stop``).
 
 :func:`build_tunio` wires a ready pipeline from offline-trained agents;
 :func:`make_tuner` builds any of the tuner kinds ``tunio-tune --tuner``
@@ -26,12 +29,11 @@ from repro.iostack.simulator import IOStackSimulator, WorkloadLike
 from repro.tuners.base import IterationRecord, TuningResult
 from repro.tuners.hstuner import HSTuner
 from repro.tuners.journal import JournalError, JournalWriter, ReplayCursor
-from repro.tuners.stoppers import HeuristicStopper, NoStop
+from repro.tuners.stoppers import HeuristicStopper, NoStop, Stopper
 
-from .early_stopping import GuardedStopper, RLStopper
+from .api import TunIO
 from .objective import PerfNormalizer
 from .offline_training import TunIOAgents
-from .smart_config import GuardedSubsetPicker, SmartConfigAgent
 
 __all__ = ["TUNER_KINDS", "TunIOTuner", "build_tunio", "make_tuner", "TuningSession"]
 
@@ -41,18 +43,17 @@ TUNER_KINDS = ("tunio", "hstuner", "hstuner-heuristic")
 
 class TunIOTuner(HSTuner):
     """HSTuner with TunIO's Smart Configuration Generation and RL early
-    stopping attached.
+    stopping attached, both driven through Table I's
+    :class:`~repro.core.api.TunIO`.
 
-    Both agents run behind one :class:`~repro.rl.guardrails.AgentGuard`
-    each (see :mod:`repro.rl.guardrails`): the subset picker through a
-    :class:`~repro.core.smart_config.GuardedSubsetPicker` and an
-    :class:`RLStopper` through a :class:`GuardedStopper`, both recording
-    trips on the tuner's :class:`~repro.rl.guardrails.GuardrailMonitor`
-    (``self.guardrails``, owned by :class:`HSTuner`).  On a healthy run
-    the guards are pure observers -- results are bit-identical to
-    unguarded wiring.  When one trips, the affected component degrades
-    to plain-GA behaviour (full parameter set / patience-heuristic
-    stopping) for the rest of the run, and the trips are reported on
+    ``tunio`` is the tuner's stopper unless ``stopper`` overrides it
+    (Figure 9 isolates the subset picker with :class:`NoStop`), and its
+    :class:`~repro.rl.guardrails.GuardrailMonitor` is the tuner's
+    ``guardrails``.  On a healthy run the guards are pure observers:
+    they draw no randomness and change no agent state.  When one trips,
+    the affected component degrades to plain-GA behaviour (full
+    parameter set / patience-heuristic stopping) for the rest of the
+    run, and the trips are reported on
     :class:`~repro.tuners.base.TuningResult`.
     """
 
@@ -61,20 +62,15 @@ class TunIOTuner(HSTuner):
     def __init__(
         self,
         simulator: IOStackSimulator,
-        smart_config: SmartConfigAgent,
-        stopper: RLStopper,
+        tunio: TunIO,
+        stopper: Stopper | None = None,
         **kwargs,
     ):
-        super().__init__(simulator, stopper=stopper, **kwargs)
-        # Reads the *current* fault plan each call: the CLI attaches the
-        # plan after it builds the tuner, and tests swap it.
-        fault_source = lambda: simulator.faults  # noqa: E731
-        self._picker = GuardedSubsetPicker(smart_config, self.guardrails, fault_source)
-        if isinstance(stopper, RLStopper):
-            self.stopper = GuardedStopper(stopper, self.guardrails, fault_source)
-        self.smart_config = smart_config
-        self._current_subset: tuple[str, ...] | None = None
-        self._last_best_norm: float | None = None
+        super().__init__(
+            simulator, stopper=tunio if stopper is None else stopper, **kwargs
+        )
+        self.tunio = tunio
+        self.guardrails = tunio.guardrails
 
     # -- HSTuner extension points ------------------------------------------------
 
@@ -84,18 +80,15 @@ class TunIOTuner(HSTuner):
         if iteration == 0:
             # Generation 0 evaluates the seed population; the agent takes
             # over from the first bred generation.  A fresh run (or a
-            # journal replay) re-arms the picker here.
-            self._picker.reset()
-            self._current_subset = None
-            self._last_best_norm = None
+            # journal replay) re-arms TunIO here, whether or not it is
+            # the stopper HSTuner resets.
+            self.tunio.reset()
             return None
         last = history[-1]
-        subset = self._picker.pick(
-            last.best_perf,
-            self._current_subset,
-            iteration=iteration,
-        )
-        self._current_subset = subset
+        picked = self.tunio.subset_picker(last.best_perf, last.tuned_parameters)
+        # A degraded picker's full set means "no mask" to the GA.
+        degraded = self.guardrails.tripped("subset-picker")
+        subset = None if degraded else picked
         recorder = self.recorder
         if recorder.enabled:
             recorder.emit(
@@ -103,23 +96,18 @@ class TunIOTuner(HSTuner):
                 agent="subset-picker",
                 iteration=iteration,
                 subset=None if subset is None else list(subset),
-                degraded=self.guardrails.tripped("subset-picker"),
+                degraded=degraded,
             )
         return subset
 
     def _observe_iteration(self, record: IterationRecord) -> None:
-        norm = self.smart_config.normalizer.normalize(record.best_perf)
-        if self._current_subset is not None and self._last_best_norm is not None:
-            self._picker.credit_subset(
-                self._current_subset, norm - self._last_best_norm
-            )
-        self._last_best_norm = norm
+        self.tunio.credit(record.best_perf)
 
     def _journal_agent_state(self) -> dict | None:
         # Informational only: replay re-trains the agents by re-driving
         # them, so nothing here is read back on resume.
         state: dict = {
-            "impact_scores": [float(s) for s in self.smart_config.impact_scores],
+            "impact_scores": [float(s) for s in self.tunio.smart_config.impact_scores],
         }
         if self.guardrails.trips:
             state["guardrail_trips"] = [str(t) for t in self.guardrails.trips]
@@ -135,22 +123,21 @@ def build_tunio(
     **kwargs,
 ) -> TunIOTuner:
     """Assemble a TunIO pipeline from offline-trained agents; ``kwargs``
-    (``cache``, ``retry_policy``, ...) go to :class:`TunIOTuner`.
+    (``stopper``, ``cache``, ``retry_policy``, ...) go to
+    :class:`TunIOTuner`.
 
     ``normalizer`` is the job's: both agents read perf through it, so
     agents trained at another node count see perf in the range they
-    were trained on."""
-    agents.smart_config.normalizer = normalizer
-    stopper = RLStopper(
-        agents.early_stopper, normalizer, expected_runs=expected_runs
+    were trained on.  The agents' guards read ``simulator``'s current
+    fault plan."""
+    tunio = TunIO(
+        agents.smart_config,
+        agents.early_stopper,
+        normalizer,
+        expected_runs=expected_runs,
+        fault_source=lambda: simulator.faults,
     )
-    return TunIOTuner(
-        simulator,
-        smart_config=agents.smart_config,
-        stopper=stopper,
-        rng=rng,
-        **kwargs,
-    )
+    return TunIOTuner(simulator, tunio, rng=rng, **kwargs)
 
 
 def make_tuner(

@@ -23,28 +23,18 @@ parameter plus impact-weighted draws fill it.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.iostack.faults import FaultPlan
 from repro.iostack.parameters import TUNED_SPACE
 from repro.rl.bandit import NeuralContextualBandit
-from repro.rl.guardrails import AgentGuard, GuardrailMonitor
 from repro.rl.qlearning import QLearningAgent, QLearningConfig
 from repro.rl.replay import DelayedRewardBuffer
 
 from .objective import PerfNormalizer
 
-__all__ = ["SmartConfigAgent", "GuardedSubsetPicker"]
-
-#: Identical non-full subsets in a row that mean the picker's policy
-#: collapsed.  Healthy pickers never repeat a non-full subset more than
-#: twice in a row (exploration keeps reshuffling the top-k), so 6 has a
-#: 3x margin against false positives while still firing inside a short
-#: early-stopped run.
-CONSTANT_WINDOW = 6
-
+__all__ = ["SmartConfigAgent"]
 
 #: Candidate subset sizes the picker chooses among.
 SUBSET_SIZES = (2, 3, 4, 6, 8, 12)
@@ -230,139 +220,3 @@ class SmartConfigAgent:
             self.picker.set_weights(picker)
         if observer:
             self.observer.model.set_weights(observer)
-
-
-class GuardedSubsetPicker:
-    """Guardrail wrapper around :class:`SmartConfigAgent`.
-
-    Holds one :class:`~repro.rl.guardrails.AgentGuard` over the
-    picker's q-network and target network and the observer's reward
-    model.  The guard applies an engaged weight fault, scans the
-    networks before every call (before any agent RNG draw) and, after a
-    healthy call, checks the q-network's loss and gradient norm and then
-    the observer's loss against one running baseline.
-
-    The picker adds only the checks on its own output: the subset must
-    be non-empty, use known parameter names, match a configured subset
-    size, and not repeat identically :data:`CONSTANT_WINDOW` times in a
-    row (degenerate-policy watchdog; full-space subsets are exempt since
-    repeating "tune everything" is the legitimate fallback).
-
-    Once anything trips, :meth:`pick` returns ``None`` for the rest of
-    the run, which the pipeline reads as "tune the full parameter set"
-    (plain-GA behaviour).  :meth:`reset` re-arms it at the start of a
-    run.  The forced-output fault modes (``empty-subset``,
-    ``constant-subset``) bypass the agent, again before any RNG draw,
-    so degraded runs stay bit-reproducible.
-    """
-
-    def __init__(
-        self,
-        agent: SmartConfigAgent,
-        monitor: GuardrailMonitor,
-        fault_source: Callable[[], FaultPlan | None],
-    ):
-        self.agent = agent
-        self.guard = AgentGuard(
-            "subset-picker",
-            (
-                ("q-network", agent.picker.q_network),
-                ("target-network", agent.picker.target_network),
-                ("reward-model", agent.observer.model),
-            ),
-            monitor,
-            fault_source,
-        )
-        self._forced_constant: tuple[str, ...] | None = None
-        self._repeat_subset: tuple[str, ...] | None = None
-        self._repeat_count = 0
-
-    def reset(self) -> None:
-        """Start a run: re-arm the guard (a journal replay re-earns its
-        trips from the same fault plan) and clear the agent's episode
-        state; learned weights and impact scores persist."""
-        self.guard.reset()
-        self.agent.reset_episode()
-        self._forced_constant = None
-        self._repeat_subset = None
-        self._repeat_count = 0
-
-    def pick(
-        self,
-        perf_mbps: float,
-        current_parameter_set: Sequence[str] | None,
-        iteration: int = 0,
-    ) -> tuple[str, ...] | None:
-        """Guarded ``subset_picker``; ``None`` means *degraded: tune the
-        full parameter set*."""
-        guard = self.guard
-        if guard.degraded:
-            return None
-        fault = guard.before_call(iteration)
-        if guard.degraded:
-            return None
-
-        if fault == "empty-subset":
-            subset: tuple[str, ...] = ()
-        elif fault == "constant-subset":
-            # A collapsed policy emits literally the same subset forever:
-            # freeze the top-2 ranking at the moment the fault engages.
-            if self._forced_constant is None:
-                self._forced_constant = self.agent.ranked_parameters()[:2]
-            subset = self._forced_constant
-        else:
-            subset = self.agent.subset_picker(perf_mbps, current_parameter_set, iteration)
-            q_network = self.agent.picker.q_network
-            guard.check_training(
-                [
-                    (q_network.last_loss, q_network.last_grad_norm),
-                    (self.agent.observer.model.last_loss, None),
-                ],
-                iteration,
-            )
-            if guard.degraded:
-                return None
-        return self._checked(subset, iteration)
-
-    def _checked(self, subset: tuple[str, ...], iteration: int) -> tuple[str, ...] | None:
-        trip = self.guard.trip
-        if not subset:
-            trip("invalid-output", "picker returned an empty subset", iteration)
-            return None
-        unknown = [p for p in subset if p not in TUNED_SPACE.names]
-        if unknown:
-            trip(
-                "invalid-output",
-                f"picker returned unknown parameter(s) {unknown!r}",
-                iteration,
-            )
-            return None
-        if len(subset) not in SUBSET_SIZES:
-            trip(
-                "invalid-output",
-                f"subset size {len(subset)} not in configured sizes "
-                f"{SUBSET_SIZES!r}",
-                iteration,
-            )
-            return None
-        if len(subset) < len(TUNED_SPACE):
-            if subset == self._repeat_subset:
-                self._repeat_count += 1
-            else:
-                self._repeat_subset = subset
-                self._repeat_count = 1
-            if self._repeat_count >= CONSTANT_WINDOW:
-                trip(
-                    "degenerate-policy",
-                    f"subset {subset!r} repeated {self._repeat_count} times",
-                    iteration,
-                )
-                return None
-        else:
-            self._repeat_subset = None
-            self._repeat_count = 0
-        return subset
-
-    def credit_subset(self, subset: Sequence[str], perf_delta_norm: float) -> None:
-        if not self.guard.degraded:
-            self.agent.credit_subset(subset, perf_delta_norm)

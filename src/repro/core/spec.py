@@ -173,7 +173,6 @@ def tune_application(
         expected_runs=spec.expected_runs, repeats=spec.repeats, rng=rng,
     )
     if spec.budget_minutes is not None:
-        # Combined after construction, so the RL stopper stays guarded.
         budget = TimeBudgetStopper(spec.budget_minutes)
         tuner.stopper = AnyStopper(tuner.stopper, budget)
     result = tuner.tune(target, max_iterations=spec.max_iterations)

@@ -191,9 +191,9 @@ class FaultPlan:
         Agent-level fault mode (one of :data:`AGENT_FAULT_MODES`, or
         ``None``) and the tuning iteration it engages at.  Weight faults
         are applied by each agent's :class:`repro.rl.guardrails.AgentGuard`,
-        forced outputs by the guarded agents that hold one
-        (:class:`repro.core.smart_config.GuardedSubsetPicker`,
-        :class:`repro.core.early_stopping.GuardedStopper`), and
+        forced outputs by the guarded agents that hold one (the subset
+        picker of :class:`repro.core.api.TunIO` and
+        :class:`repro.core.early_stopping.RLStopper`), and
         ``checkpoint-truncation`` by the CLI's checkpoint path;
         deterministic (no random stream involved).
     """

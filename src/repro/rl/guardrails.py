@@ -25,9 +25,9 @@ This module supplies the detection layer:
   "is this agent broken?" decision lives: it applies an engaged weight
   fault, scans the agent's labelled networks before each call, checks
   its training telemetry after it, and holds the permanent ``degraded``
-  state.  Both guarded agents hold one:
-  :class:`repro.core.smart_config.GuardedSubsetPicker` (degrades to the
-  full parameter set) and :class:`repro.core.early_stopping.GuardedStopper`
+  state.  Both agents hold one, and both are driven only through Table
+  I's :class:`repro.core.api.TunIO`: its subset picker (degrades to the
+  full parameter set) and its :class:`repro.core.early_stopping.RLStopper`
   (degrades to the patience heuristic); each adds only the checks on
   its own outputs.
 * **Checkpoint validation** -- :func:`validate_agent_checkpoint` checks

@@ -217,5 +217,11 @@ class DelayedRewardBuffer:
             )
         return out
 
+    def discard_from(self, iteration: int) -> None:
+        """Drop the pending decisions made at or after ``iteration`` (a
+        restarted run abandoned them)."""
+        while self._pending and self._pending[-1].born_at >= iteration:
+            self._pending.pop()
+
     def clear(self) -> None:
         self._pending.clear()

@@ -10,11 +10,14 @@ The paper compares four ways to end a tuning run (Figure 10):
   achievable performance is reached (assumed perfect, as the paper does
   for Figure 10(b)) -- :class:`MaxPerfOracleStopper`;
 * TunIO's RL-based early stopper -- :class:`repro.core.early_stopping.
-  RLStopper`, which implements the same :class:`Stopper` protocol.
+  RLStopper`, which pipelines reach only through the Table I facade
+  :class:`repro.core.api.TunIO`; the facade implements the same
+  :class:`Stopper` protocol.
 
 A stopper sees the running history (one :class:`IterationRecord` per
 iteration) and answers "stop now?"; :func:`first_stop` replays one over a
-finished run's history.
+finished run's history.  :func:`patience_exhausted` is the heuristic's
+rule on a bare best-perf series, which the RL stopper falls back to.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ __all__ = [
     "Stopper",
     "NoStop",
     "HeuristicStopper",
+    "patience_exhausted",
     "MaxPerfOracleStopper",
     "TimeBudgetStopper",
     "AnyStopper",
@@ -63,6 +67,19 @@ HEURISTIC_THRESHOLD = 0.05
 HEURISTIC_WINDOW = 5
 
 
+def patience_exhausted(best_perfs: Sequence[float]) -> bool:
+    """The 5%/5 rule on a best-so-far perf series: whether its last value
+    improved on the one :data:`HEURISTIC_WINDOW` iterations earlier by
+    less than :data:`HEURISTIC_THRESHOLD`."""
+    if len(best_perfs) <= HEURISTIC_WINDOW:
+        return False
+    past = best_perfs[-1 - HEURISTIC_WINDOW]
+    now = best_perfs[-1]
+    if past <= 0:
+        return False
+    return (now - past) / past < HEURISTIC_THRESHOLD
+
+
 class HeuristicStopper:
     """Stop when perf improved by less than :data:`HEURISTIC_THRESHOLD`
     (relative) over the last :data:`HEURISTIC_WINDOW` iterations -- the
@@ -71,13 +88,9 @@ class HeuristicStopper:
     name = f"heuristic-{HEURISTIC_THRESHOLD:.0%}/{HEURISTIC_WINDOW}"
 
     def should_stop(self, history: Sequence[IterationRecord]) -> bool:
-        if len(history) <= HEURISTIC_WINDOW:
-            return False
-        past = history[-1 - HEURISTIC_WINDOW].best_perf
-        now = history[-1].best_perf
-        if past <= 0:
-            return False
-        return (now - past) / past < HEURISTIC_THRESHOLD
+        return patience_exhausted(
+            [r.best_perf for r in history[-1 - HEURISTIC_WINDOW :]]
+        )
 
     def reset(self) -> None:
         pass

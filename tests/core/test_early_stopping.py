@@ -9,8 +9,11 @@ from repro.core.early_stopping import (
     EarlyStoppingAgent,
     RLStopper,
 )
+from repro.core.api import TunIO
 from repro.core.objective import PerfNormalizer
+from repro.core.smart_config import SmartConfigAgent
 from repro.rl.curves import LogCurveGenerator
+from repro.rl.guardrails import GuardrailMonitor
 from repro.tuners.base import IterationRecord
 
 
@@ -99,55 +102,60 @@ def test_weight_roundtrip(trained_agent):
         assert fresh.should_stop(v, t) == trained_agent.should_stop(v, t)
 
 
-# -- RLStopper adapter -----------------------------------------------------------
+# -- RLStopper -------------------------------------------------------------------
 
 
-def history(perfs, minutes_per_iter=10.0):
-    return [
-        IterationRecord(i, p, p, (i + 1) * minutes_per_iter, 5)
-        for i, p in enumerate(perfs)
-    ]
+def rl_stopper(agent, norm, **kwargs):
+    """An RL stopper whose guard records on a throwaway monitor and sees
+    no fault plan."""
+    return RLStopper(agent, norm, GuardrailMonitor(), lambda: None, **kwargs)
 
 
 def test_rl_stopper_protocol(trained_agent):
+    """The RL stopper reaches a pipeline as ``TunIO``, a ``Stopper``
+    whose decisions are the RL stopper's."""
     from repro.tuners.stoppers import Stopper
 
     norm = PerfNormalizer(700.0, 4)
-    stopper = RLStopper(trained_agent, norm, online_learning=False)
-    assert isinstance(stopper, Stopper)
+    picker = SmartConfigAgent(norm, rng=np.random.default_rng(0))
+    tunio = TunIO(picker, trained_agent, norm, online_learning=False)
+    assert isinstance(tunio, Stopper)
+    stopper = rl_stopper(trained_agent, norm, online_learning=False)
+    perfs = list(np.linspace(300, 2500, 6)) + [2500.0] * 20
+    records = [IterationRecord(i, p, p, (i + 1) * 10.0, 5) for i, p in enumerate(perfs)]
+    for i, p in enumerate(perfs):
+        assert tunio.should_stop(records[: i + 1]) == stopper.should_stop(i, p)
 
 
 def test_rl_stopper_stops_flat_run(trained_agent):
     norm = PerfNormalizer(700.0, 4)
-    stopper = RLStopper(trained_agent, norm, online_learning=False)
+    stopper = rl_stopper(trained_agent, norm, online_learning=False)
     perfs = list(np.linspace(300, 2500, 6)) + [2500.0] * 44
     stopped_at = None
-    for i in range(len(perfs)):
-        if stopper.should_stop(history(perfs[: i + 1])):
+    for i, p in enumerate(perfs):
+        if stopper.should_stop(i, p):
             stopped_at = i
             break
     assert stopped_at is not None and stopped_at < 45
     stopper.reset()
-    assert not stopper.should_stop(history(perfs[:1]))
+    assert not stopper.should_stop(0, perfs[0])
 
 
 def test_rl_stopper_online_learning_runs(trained_agent):
     norm = PerfNormalizer(700.0, 4)
-    stopper = RLStopper(trained_agent, norm, online_learning=True)
+    stopper = rl_stopper(trained_agent, norm, online_learning=True)
     perfs = list(np.linspace(300, 2000, 20))
-    for i in range(len(perfs)):
-        stopper.should_stop(history(perfs[: i + 1]))  # must not raise
+    for i, p in enumerate(perfs):
+        stopper.should_stop(i, p)  # must not raise
 
 
 def test_expected_runs_increases_patience(trained_agent):
     """Many production runs make the stopper more patient; fewer runs
     than the reference never make it wait longer."""
     norm = PerfNormalizer(700.0, 4)
-    patient = RLStopper(
-        trained_agent, norm, expected_runs=1e7, online_learning=False
-    )
-    default = RLStopper(trained_agent, norm, online_learning=False)
-    few = RLStopper(trained_agent, norm, expected_runs=10, online_learning=False)
+    patient = rl_stopper(trained_agent, norm, expected_runs=1e7, online_learning=False)
+    default = rl_stopper(trained_agent, norm, online_learning=False)
+    few = rl_stopper(trained_agent, norm, expected_runs=10, online_learning=False)
     # Plateau curves: a linear rise over ``rise`` iterations, then flat.
     curves = [
         list(np.linspace(300, top, rise)) + [top] * (50 - rise)
@@ -157,8 +165,8 @@ def test_expected_runs_increases_patience(trained_agent):
 
     def stop_at(stopper, perfs):
         stopper.reset()
-        for i in range(len(perfs)):
-            if stopper.should_stop(history(perfs[: i + 1])):
+        for i, p in enumerate(perfs):
+            if stopper.should_stop(i, p):
                 return i
         return len(perfs)
 
@@ -167,4 +175,4 @@ def test_expected_runs_increases_patience(trained_agent):
         assert stop_at(few, perfs) <= stop_at(default, perfs)
     assert any(stop_at(patient, perfs) > stop_at(default, perfs) for perfs in curves)
     with pytest.raises(ValueError):
-        RLStopper(trained_agent, norm, expected_runs=0)
+        rl_stopper(trained_agent, norm, expected_runs=0)

@@ -15,14 +15,7 @@ import copy
 import numpy as np
 import pytest
 
-from repro.core import (
-    GuardedStopper,
-    GuardedSubsetPicker,
-    PerfNormalizer,
-    RLStopper,
-    TunIOTuner,
-    build_tunio,
-)
+from repro.core import PerfNormalizer, RLStopper, TunIO, build_tunio
 from repro.core.offline_training import load_agents, save_agents
 from repro.iostack import (
     EvaluationCache,
@@ -134,37 +127,41 @@ def test_picker_reads_perf_through_the_jobs_normalizer(trained_bundle):
 
 
 def test_guarded_picker_matches_raw_agent(trained_bundle):
-    """Same agent state, same call sequence: the guarded wrapper returns
-    exactly what the bare agent would (it consumes no extra RNG)."""
-    _, _, agents = trained_bundle
-    guarded_agent = copy.deepcopy(agents).smart_config
+    """Same agent state, same call sequence: the guarded picker behind
+    ``TunIO.subset_picker`` returns exactly what the bare agent would
+    (it consumes no extra RNG)."""
+    _, normalizer, agents = trained_bundle
+    guarded = copy.deepcopy(agents)
     raw_agent = copy.deepcopy(agents).smart_config
-    picker = GuardedSubsetPicker(guarded_agent, GuardrailMonitor(), lambda: None)
-    picker.reset()
+    facade = TunIO(guarded.smart_config, guarded.early_stopper, normalizer)
     raw_agent.reset_episode()
     subset_g = subset_r = None
     for it in range(1, 9):
         perf = 2000.0 + 150.0 * it
-        subset_g = picker.pick(perf, subset_g, iteration=it)
+        subset_g = facade.subset_picker(perf, subset_g)
         subset_r = raw_agent.subset_picker(perf, subset_r, iteration=it)
         assert subset_g == subset_r
-    assert not picker.guard.degraded
+    assert not facade.picker_guard.degraded
 
 
 def test_guarded_stopper_matches_raw_stopper(trained_bundle):
+    """The guarded RL stopper behind ``TunIO.stop`` decides and learns
+    exactly as the stopper's bare decision step does without its
+    guard."""
     _, normalizer, agents = trained_bundle
-    raw = RLStopper(copy.deepcopy(agents).early_stopper, normalizer)
-    guarded = GuardedStopper(
-        RLStopper(copy.deepcopy(agents).early_stopper, normalizer),
-        GuardrailMonitor(),
-        lambda: None,
+    guarded = copy.deepcopy(agents)
+    facade = TunIO(guarded.smart_config, guarded.early_stopper, normalizer)
+    raw = RLStopper(
+        copy.deepcopy(agents).early_stopper, normalizer, GuardrailMonitor(), lambda: None
     )
-    history: list[IterationRecord] = []
     for it in range(8):
         perf = 1500.0 + 400.0 * it
-        history.append(record(it, perf, perf))
-        assert guarded.should_stop(history) == raw.should_stop(history)
-    assert not guarded.guard.degraded
+        raw.best_perfs.append(perf)
+        assert facade.stop(it, perf) == raw._decide()
+    assert not facade.stopper.guard.degraded
+    weights = facade.stopper.agent.get_weights()
+    for name, value in raw.agent.get_weights().items():
+        assert np.array_equal(weights[name], value)
 
 
 # ---------------------------------------------------------------------------
@@ -210,7 +207,7 @@ def test_empty_subset_fault_degrades_the_picker_only(trained_bundle):
     ref_agents = copy.deepcopy(agents)
     reference = HSTuner(
         make_sim(),
-        stopper=RLStopper(ref_agents.early_stopper, normalizer),
+        stopper=TunIO(ref_agents.smart_config, ref_agents.early_stopper, normalizer),
         rng=np.random.default_rng(22),
     ).tune(flash(), max_iterations=8)
 
@@ -234,10 +231,8 @@ def test_stop_now_fault_degrades_the_stopper_only(trained_bundle):
     )
     degraded = faulted.tune(flash(), max_iterations=8)
 
-    ref_agents = copy.deepcopy(agents)
-    reference = TunIOTuner(
-        make_sim(),
-        smart_config=ref_agents.smart_config,
+    reference = build_tunio(
+        make_sim(), copy.deepcopy(agents), normalizer,
         stopper=HeuristicStopper(),
         rng=np.random.default_rng(23),
     ).tune(flash(), max_iterations=8)
@@ -255,9 +250,8 @@ def test_constant_subset_fault_trips_the_watchdog(trained_bundle):
     """A policy collapsed onto one small subset is detected after
     ``CONSTANT_WINDOW`` identical picks; the run completes degraded."""
     _, normalizer, agents = trained_bundle
-    tuner = TunIOTuner(
-        make_sim("constant-subset", at=1),
-        smart_config=copy.deepcopy(agents).smart_config,
+    tuner = build_tunio(
+        make_sim("constant-subset", at=1), copy.deepcopy(agents), normalizer,
         stopper=NoStop(),
         rng=np.random.default_rng(24),
     )

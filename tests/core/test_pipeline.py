@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import GuardedStopper, TunIOTuner, TuningSession, build_tunio, make_tuner
+from repro.core import TunIO, TunIOTuner, TuningSession, build_tunio, make_tuner
 from repro.tuners import HeuristicStopper, HSTuner, NoStop
 from repro.tuners.journal import JournalError, load_journal
 from repro.workloads import flash, ior
@@ -47,7 +47,8 @@ def test_expected_runs_passthrough(trained_bundle):
     tuner = build_tunio(
         sim, agents, normalizer, expected_runs=1e6, rng=np.random.default_rng(4)
     )
-    assert tuner.stopper.primary.expected_runs == 1e6
+    assert tuner.stopper is tuner.tunio
+    assert tuner.tunio.stopper.expected_runs == 1e6
 
 
 def test_session_resume_accumulates(trained_bundle):
@@ -91,7 +92,7 @@ def test_session_best_before_run_rejected(trained_bundle):
 @pytest.mark.parametrize(
     "kind, cls, stopper",
     [
-        ("tunio", TunIOTuner, GuardedStopper),
+        ("tunio", TunIOTuner, TunIO),
         ("hstuner", HSTuner, NoStop),
         ("hstuner-heuristic", HSTuner, HeuristicStopper),
     ],
